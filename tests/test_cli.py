@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from vvps.cli import config_from_args, emit_threshold_table, run
-from vvps.modgroup import GroupSpec
+from vvps.modgroup import GroupSpec, S, T, right_coset_reps
 from vvps.multiplier import MultiplierSystem
-from vvps.rep import spectral_split, trivial_rep
+from vvps.rep import evaluate_rho, induce, spectral_split, st_rep, trivial_rep
 from vvps.seeds import ClassicalSeed
 from vvps.series import build_series
 
@@ -135,6 +135,42 @@ class TestOtherCommands:
         s_mat = np.array([[complex(re, im) for re, im in row]
                           for row in data["matrices"]["S"]])
         assert np.linalg.norm(s_mat @ s_mat.conj().T - np.eye(3)) <= 1e-12
+
+    def test_induce_then_eval_round_trip(self, tmp_path):
+        rho_file = tmp_path / "rho0.json"
+        proc = invoke(["induce", "--group", "gamma0", "--level", "2",
+                       "--out", str(rho_file)])
+        assert proc.returncode == 0
+        out = tmp_path / "eval.json"
+        proc = invoke(["eval", "--rep", str(rho_file), "--k", "12",
+                       "--seed", "classical", "--j", "2", "--tau", "0.3,1.1",
+                       "--height", "20", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(out.read_text())
+
+        rho0 = induce(trivial_rep(1, GroupSpec.gamma0(2)),
+                      right_coset_reps(GroupSpec.gamma0(2)))
+        rep = st_rep(evaluate_rho(rho0, S), evaluate_rho(rho0, T))
+        ms = MultiplierSystem("trivial_even", 12.0)
+        split = spectral_split(rep, ms, 1)
+        h = build_series(ClassicalSeed(0, 2, split, 1), GroupSpec.gamma_infinity(1),
+                         GroupSpec.sl2z(), rep, ms, 12.0, 20.0)
+        value, tail = h.evaluate(complex(0.3, 1.1))
+        assert data["value"] == [[z.real, z.imag] for z in value]
+        assert data["tail"] == tail
+
+    @pytest.mark.parametrize("broken", [
+        {"recipe": "st_generated", "p": 1},
+        {"recipe": "st_generated", "p": 1, "group": {"kind": "SL2Z"},
+         "matrices": {"S": [[1.0, 0.0]], "T": [[[1.0, 0.0]]]}},
+    ])
+    def test_malformed_rep_file_is_config_error(self, tmp_path, broken):
+        rho_file = tmp_path / "rho.json"
+        rho_file.write_text(json.dumps(broken))
+        proc = invoke(["eval", "--rep", str(rho_file), "--k", "12",
+                       "--seed", "classical", "--tau", "0.3,1.1", "--height", "10"])
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"]["type"] == "invalid_config"
 
     def test_fourier_csv(self, tmp_path):
         out = tmp_path / "fourier.csv"
