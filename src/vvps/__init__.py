@@ -8,20 +8,21 @@ from .errors import DomainError, RefusalError
 from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, Point, S, T,
                        cartan_decompose, cocycle_j, contains, cusp_width,
                        enumerate_cosets, iwasawa_decompose, mobius_act,
-                       real_power, right_coset_reps, t_power, word_in_st)
+                       real_power, right_coset_reps, slash_kernel, t_power,
+                       word_in_st)
 from .multiplier import MultiplierSystem, check_consistency, evaluate_v
 from .rep import (RepSpec, SpectralSplit, check_normal, dirichlet_rep,
                   evaluate_rho, induce, permutation_ell, spectral_split,
                   st_rep, trivial_rep)
 from .seeds import (ClassicalSeed, EllipticSeed, SeedFn, check_seed_invariance,
-                    eval_seed, seed_strip_integral)
-from .series import (SeriesHandle, build_series, check_transformation,
-                     evaluate_poincare, slash_k, slash_k_rho, sup_norm_probe)
+                    seed_strip_integral)
+from .series import (SeriesHandle, build_series, check_transformation, slash_k,
+                     slash_k_rho, sup_norm_probe, twist)
 from .analysis import (FourierTable, QuadratureSpec,
                        classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,
-                       fourier_coefficients, gamma_function,
-                       petersson_pair_full, petersson_strip)
+                       fourier_coefficients, petersson_pair_full,
+                       petersson_strip)
 from .nonvanish import (CriterionReport, beta_median, classical_criterion,
                         elliptic_criterion, find_radius, gamma_median,
                         region_test_a, region_test_c,

@@ -20,8 +20,8 @@ import numpy as np
 
 from ._quad import comp_sum_complex, gauss_panels
 from .errors import DomainError, RefusalError
-from .modgroup import (GroupSpec, I2, IntMatrix2, cocycle_j, mobius_act,
-                       real_power, right_coset_reps)
+from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
+                       principal_power, right_coset_reps, slash_kernel)
 from .multiplier import MultiplierSystem, evaluate_v
 from .rep import SpectralSplit
 
@@ -30,7 +30,7 @@ __all__ = [
     "fourier_coefficients", "elliptic_expansion_coeffs",
     "petersson_strip", "petersson_pair_full",
     "classical_pairing_closed_form", "elliptic_pairing_closed_form",
-    "gamma_function", "thread_cap",
+    "thread_cap",
 ]
 
 
@@ -148,11 +148,9 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
     else:
         if ms is None or k is None:
             raise ValueError("sigma != +-I needs ms and k for the slash action")
-        moved = np.array([complex(mobius_act(sigma, t)) for t in taus])
-        vals = _eval_many_parallel(F, moved)
-        vinv = evaluate_v(ms, sigma).conjugate()
-        jf = np.array([vinv * real_power(cocycle_j(sigma, t), -k) for t in taus])
-        vals = jf[:, None] * vals
+        jmk, moved = slash_kernel(*entry_arrays([sigma]), taus, k)
+        vals = _eval_many_parallel(F, moved[:, 0])
+        vals = (evaluate_v(ms, sigma).conjugate() * jmk) * vals
     uvals = vals @ split.U.T  # row t holds U F(tau_t)
     p = uvals.shape[1]
     b = np.empty((p, len(ns)), dtype=complex)
@@ -177,9 +175,7 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
     ws = r0 * np.exp(1j * ts)
     taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
     vals = _eval_many(F, taus)[:, j - 1]
-    shifted = taus - xi.conjugate()  # Im > 0, principal branch
-    gk = np.exp(k * (np.log(np.abs(shifted)) + 1j * np.angle(shifted)))
-    gs = gk * vals
+    gs = principal_power(taus - xi.conjugate(), k) * vals  # Im > 0
     out = {}
     for n in ns:
         phase = np.exp(-1j * n * ts)
@@ -243,21 +239,18 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
     if cosets is None:
         cosets = right_coset_reps(gamma)
     xs, wx = gauss_panels(-0.5, 0.5, max(4, q.nx // 4), order=4)
-    parts = []
-    for rep in cosets:
-        a, b, c, d = (float(rep.a), float(rep.b), float(rep.c), float(rep.d))
-        for x, wxx in zip(xs, wx):
-            ylow = max(q.y_min, math.sqrt(max(1.0 - x * x, 0.0)))
-            ys, wy = gauss_panels(ylow, q.y_max, max(4, q.ny // 4), order=4,
-                                  geometric=True)
-            taus = x + 1j * ys
-            jj = c * taus + d
-            moved = (a * taus + b) / jj
-            fv = _eval_many(F, moved)
-            gv = _eval_many(G, moved)
-            inner = np.sum(fv * gv.conj(), axis=1)
-            imk = (ys / np.abs(jj) ** 2) ** k
-            parts.append(comp_sum_complex(wxx * wy * imk / ys ** 2 * inner))
+    # one column of geometric Gauss nodes per x, clipped at the unit circle
+    cols = [gauss_panels(max(q.y_min, math.sqrt(max(1.0 - x * x, 0.0))), q.y_max,
+                         max(4, q.ny // 4), order=4, geometric=True) for x in xs]
+    ys = np.array([c[0] for c in cols])
+    wy = np.array([c[1] for c in cols])
+    taus = (xs[:, None] + 1j * ys).ravel()
+    _, moved = slash_kernel(*entry_arrays(cosets), taus, k)
+    moved = moved.T.ravel()  # coset-major, then x, then y
+    inner = np.sum(_eval_many(F, moved) * _eval_many(G, moved).conj(), axis=1)
+    imk = moved.imag.reshape((-1,) + ys.shape) ** k  # Im(g tau)^k
+    cells = (wx[:, None] * wy) * imk / ys ** 2 * inner.reshape(imk.shape)
+    parts = [comp_sum_complex(col) for col in cells.reshape(-1, ys.shape[1])]
     return comp_sum_complex(np.array(parts))
 
 
@@ -267,7 +260,7 @@ def classical_pairing_closed_form(b_nu: complex, M: int, k: float, nu: int,
     pairing of a cusp form against a classical Poincare series."""
     if k <= 2:
         raise DomainError("pairing formula requires k > 2")
-    return b_nu * M ** k * gamma_function(k - 1.0) / (4.0 * math.pi * (nu + m_j)) ** (k - 1.0)
+    return b_nu * M ** k * math.gamma(k - 1.0) / (4.0 * math.pi * (nu + m_j)) ** (k - 1.0)
 
 
 def elliptic_pairing_closed_form(b_nu_xi: complex, k: float, nu: int, xi) -> complex:
@@ -280,30 +273,3 @@ def elliptic_pairing_closed_form(b_nu_xi: complex, k: float, nu: int, xi) -> com
     return (4.0 * math.pi / (4.0 * complex(xi).imag) ** k
             * math.factorial(nu) / denom * b_nu_xi)
 
-
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_function(s: float) -> float:
-    """Real gamma function by the Lanczos approximation (g = 7, n = 9);
-    relative accuracy about 1e-13 on [0.5, 50]."""
-    if s <= 0:
-        raise DomainError("gamma_function requires s > 0")
-    if s < 0.5:
-        return math.pi / (math.sin(math.pi * s) * gamma_function(1.0 - s))
-    x = s - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (x + i)
-    t = x + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc

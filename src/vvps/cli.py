@@ -22,12 +22,14 @@ from .analysis import (QuadratureSpec, classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,
                        fourier_coefficients, petersson_strip)
 from .errors import DomainError, RefusalError
-from .modgroup import (GroupSpec, I2, cocycle_j, cusp_width, enumerate_cosets,
-                       mobius_act, right_coset_reps, word_in_st, t_power)
+from .modgroup import (GroupSpec, I2, S, T, cocycle_j, cusp_width,
+                       enumerate_cosets, evaluate_word, mobius_act,
+                       right_coset_reps, word_in_st, t_power)
 from .multiplier import MultiplierSystem, check_consistency
 from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
                         find_radius, gamma_median, region_test_a, region_test_c)
-from .rep import RepSpec, evaluate_rho, induce, spectral_split, trivial_rep
+from .rep import (RepSpec, evaluate_rho, induce, spectral_split, st_rep,
+                  trivial_rep)
 from .seeds import ClassicalSeed, EllipticSeed
 from .series import build_series
 
@@ -87,6 +89,8 @@ def _parse_rep(ns, group: GroupSpec) -> RepSpec:
             return RepSpec.from_json(json.load(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read rep file {spec!r}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed rep file {spec!r}: {exc!r}") from exc
 
 
 def _parse_xy(text: str, what: str) -> complex:
@@ -200,12 +204,8 @@ def _run_induce(cfg: JobConfig) -> dict:
     rep = _parse_rep(ns, group)
     cosets = right_coset_reps(group)
     rho0 = induce(rep, cosets)
-    from .modgroup import S as Smat, T as Tmat
-    from .rep import _mat_to_json
-    return {"recipe": "st_generated", "p": rho0.p,
-            "cosets": [list(g.entries()) for g in cosets],
-            "matrices": {"S": _mat_to_json(evaluate_rho(rho0, Smat)),
-                         "T": _mat_to_json(evaluate_rho(rho0, Tmat))}}
+    st = st_rep(evaluate_rho(rho0, S), evaluate_rho(rho0, T))
+    return {**st.to_json(), "cosets": [list(g.entries()) for g in cosets]}
 
 
 def _run_cosets(cfg: JobConfig) -> dict:
@@ -223,13 +223,12 @@ def _run_cosets(cfg: JobConfig) -> dict:
 
 def _run_selftest(cfg: JobConfig) -> dict:
     rng = np.random.default_rng(cfg.rng_seed)
-    from .modgroup import S as Smat, evaluate_word
     checks = {}
 
     def rand_elt():
         g = I2
         for _ in range(int(rng.integers(1, 12))):
-            g = g * (Smat, t_power(1), t_power(-1))[int(rng.integers(0, 3))]
+            g = g * (S, t_power(1), t_power(-1))[int(rng.integers(0, 3))]
         return g
 
     worst = 0.0

@@ -22,6 +22,7 @@ __all__ = [
     "IntMatrix2", "GroupSpec", "Point", "CosetTable",
     "I2", "S", "T", "t_power",
     "mobius_act", "cocycle_j", "arg_principal", "real_power",
+    "principal_power", "entry_arrays", "slash_kernel",
     "iwasawa_decompose", "cartan_decompose",
     "contains", "word_in_st", "st_syllables",
     "enumerate_cosets", "cusp_width", "right_coset_reps", "is_subgroup",
@@ -162,6 +163,33 @@ def real_power(z: complex, k: float) -> complex:
     if z == 0:
         raise DomainError("0**k is undefined here")
     return cmath.exp(k * (math.log(abs(z)) + 1j * arg_principal(z)))
+
+
+def principal_power(z: np.ndarray, k: float) -> np.ndarray:
+    """Elementwise z**k = |z|**k e^{ik arg z} for complex arrays, with
+    arg = np.angle in [-pi, pi].  Callers pass values with Im z > 0 or
+    Im z = +0.0, so a negative real gets arg = pi as in arg_principal."""
+    return np.exp(k * (np.log(np.abs(z)) + 1j * np.angle(z)))
+
+
+def entry_arrays(mats) -> tuple:
+    """Entry arrays (a, b, c, d) as float64 over a sequence of matrices."""
+    ents = np.array([g.entries() for g in mats], dtype=float).reshape(-1, 4)
+    return tuple(ents.T.copy())
+
+
+def slash_kernel(a, b, c, d, taus, k: float) -> tuple:
+    """The weight-k slash factors for every (point, matrix) pair.
+
+    Returns (j(g, tau)^{-k}, g.tau) as arrays of shape (points, matrices),
+    with g running over the entry arrays (a, b, c, d) and tau over taus.
+    The entries are integers and Im tau > 0, so Im(c tau + d) is +0.0 when
+    c = 0: a negative real j lies on the upper side of the cut, where
+    np.angle and arg_principal both put it (arg = pi).
+    """
+    tt = np.asarray(taus, dtype=complex)[:, None]
+    jj = c[None, :] * tt + d[None, :]
+    return principal_power(jj, -k), (a[None, :] * tt + b[None, :]) / jj
 
 
 def iwasawa_decompose(g) -> tuple:
@@ -446,14 +474,7 @@ class CosetTable:
 
     def arrays(self):
         """Entry arrays (a, b, c, d) as float64, in table order."""
-        n = len(self.reps)
-        a = np.empty(n)
-        b = np.empty(n)
-        c = np.empty(n)
-        d = np.empty(n)
-        for i, g in enumerate(self.reps):
-            a[i], b[i], c[i], d[i] = g.a, g.b, g.c, g.d
-        return a, b, c, d
+        return entry_arrays(self.reps)
 
     def to_json(self) -> dict:
         return {

@@ -346,31 +346,13 @@ def region_test_c(k: float, nu: int, N: int, r: float) -> CriterionReport:
 
 
 def find_radius(k: float, nu: int, N: int):
-    """Midpoint of the feasible Cartan-radius interval, or None.
+    """Midpoint of the feasible Cartan-radius interval [r*, r_max], or None
+    when it is empty.
 
-    The lower endpoint r* solves head(r) = tail(r) (bisection on the
-    quadrature head against the closed-form tail); the upper endpoint is
-    the injectivity bound from the norm separation.
+    The lower endpoint r* = atanh(sqrt(M_B)), with M_B the median of
+    Beta(nu/2 + 1, k/2 - 1), is where the head of the seed's radial mass
+    equals its tail; the upper endpoint is the injectivity bound from the
+    norm separation.
     """
-    if k <= 2:
-        raise DomainError("requires k > 2")
-    if N < 2:
-        raise ValueError("need N >= 2")
-    r_max = math.acosh((N * N + 2.0) / 2.0) / 4.0
-
-    def g(r):
-        return _c3_lhs(k, nu, r) - _c3_tail(k, nu, r)
-
-    if g(r_max) <= 0.0:
-        return None
-    lo, hi = 0.0, r_max
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-13:
-            break
-    r_star = 0.5 * (lo + hi)
-    return 0.5 * (r_star + r_max)
+    interval = elliptic_criterion(k, N, nu).details["radius_interval"]
+    return None if interval is None else 0.5 * (interval[0] + interval[1])

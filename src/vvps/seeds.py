@@ -17,12 +17,12 @@ import numpy as np
 
 from ._quad import adaptive_simpson
 from .errors import DomainError
-from .modgroup import GroupSpec, I2, _as_complex, t_power
+from .modgroup import GroupSpec, I2, _as_complex, principal_power, t_power
 from .multiplier import MultiplierSystem
 from .rep import RepSpec, SpectralSplit
 
 __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn",
-           "eval_seed", "check_seed_invariance", "seed_strip_integral",
+           "check_seed_invariance", "seed_strip_integral",
            "seed_to_json", "seed_from_json"]
 
 
@@ -103,8 +103,7 @@ class EllipticSeed:
     def scalar_many(self, taus: np.ndarray) -> np.ndarray:
         w1 = taus - self.xi
         w2 = taus - self.xi.conjugate()  # Im > 0 always, principal branch
-        pw = np.exp(-(self.nu + self.k) * (np.log(np.abs(w2)) + 1j * np.angle(w2)))
-        return w1 ** self.nu * pw
+        return w1 ** self.nu * principal_power(w2, -(self.nu + self.k))
 
     def eval_many(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=complex)
@@ -115,11 +114,6 @@ class EllipticSeed:
 
 
 SeedFn = Union[ClassicalSeed, EllipticSeed]
-
-
-def eval_seed(seed: SeedFn, tau) -> np.ndarray:
-    """Value of the seed at a point of the half-plane."""
-    return seed.eval(tau)
 
 
 def check_seed_invariance(seed: SeedFn, lam: GroupSpec, rep: RepSpec,

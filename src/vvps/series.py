@@ -18,39 +18,39 @@ import numpy as np
 from ._quad import block_sum
 from .errors import DomainError, RefusalError
 from .modgroup import (CosetTable, GroupSpec, IntMatrix2, _as_complex,
-                       cocycle_j, contains, enumerate_cosets, mobius_act,
-                       real_power)
+                       contains, entry_arrays, enumerate_cosets, slash_kernel)
 from .multiplier import MultiplierSystem, evaluate_v
 from .rep import RepSpec, check_normal, evaluate_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
-__all__ = ["SeriesHandle", "build_series", "slash_k", "slash_k_rho",
-           "evaluate_poincare", "check_transformation", "sup_norm_probe",
-           "MIN_IM"]
+__all__ = ["SeriesHandle", "build_series", "slash_k", "slash_k_rho", "twist",
+           "check_transformation", "sup_norm_probe", "MIN_IM"]
 
 MIN_IM = 0.05  # evaluation closer to the real line than this is refused
+
+
+def twist(ms: MultiplierSystem, rep: RepSpec, g: IntMatrix2, w):
+    """conj(v(g)) rho(g)^* w, the inverse multiplier and representation
+    factors of the twisted slash action, applied to a vector (or to the
+    columns of a matrix)."""
+    return evaluate_v(ms, g).conjugate() * (evaluate_rho(rep, g).conj().T @ w)
+
+
+def _slash_at(F, g: IntMatrix2, k: float, tau):
+    """j(g, tau)^{-k} F(g.tau) at one point, through slash_kernel."""
+    jmk, z = slash_kernel(*entry_arrays([g]), [_as_complex(tau)], k)
+    return jmk[0, 0] * np.asarray(F(complex(z[0, 0])))
 
 
 def slash_k(F, g: IntMatrix2, ms: MultiplierSystem, k: float):
     """The weight-k slash action: tau -> v(g)^{-1} j(g,tau)^{-k} F(g.tau)."""
     vinv = evaluate_v(ms, g).conjugate()
-
-    def acted(tau):
-        z = _as_complex(tau)
-        return vinv * real_power(cocycle_j(g, z), -k) * np.asarray(F(complex(mobius_act(g, z))))
-
-    return acted
+    return lambda tau: vinv * _slash_at(F, g, k, tau)
 
 
 def slash_k_rho(F, g: IntMatrix2, rep: RepSpec, ms: MultiplierSystem, k: float):
     """The rho-twisted slash action: rho(g)^{-1} (F |_k g)."""
-    rinv = evaluate_rho(rep, g).conj().T
-    plain = slash_k(F, g, ms, k)
-
-    def acted(tau):
-        return rinv @ plain(tau)
-
-    return acted
+    return lambda tau: twist(ms, rep, g, _slash_at(F, g, k, tau))
 
 
 @dataclass(eq=False)
@@ -126,8 +126,7 @@ class SeriesHandle:
         else:
             wmat = np.empty((n, self.p), dtype=complex)
             for i, g in enumerate(tbl.reps):
-                vbar = evaluate_v(self.ms, g).conjugate()
-                wmat[i] = vbar * (evaluate_rho(self.rep, g).conj().T @ w)
+                wmat[i] = twist(self.ms, self.rep, g, w)
         self._data.update(a=a, b=b, c=c, d=d, w=wmat,
                           wnorm=np.linalg.norm(wmat, axis=1),
                           n_tail=max(1, math.ceil(n / 10)))
@@ -136,11 +135,7 @@ class SeriesHandle:
     def _scalars(self, taus: np.ndarray):
         """Per-(point, coset) scalars s = j^{-k} * seed_scalar(g.tau)."""
         dat = self._prepared()
-        a, b, c, d = dat["a"], dat["b"], dat["c"], dat["d"]
-        tt = taus[:, None]
-        jj = c[None, :] * tt + d[None, :]
-        z = (a[None, :] * tt + b[None, :]) / jj
-        jmk = np.exp(-self.k * (np.log(np.abs(jj)) + 1j * np.angle(jj)))
+        jmk, z = slash_kernel(dat["a"], dat["b"], dat["c"], dat["d"], taus, self.k)
         return jmk * self.seed.scalar_many(z)
 
     def evaluate_many(self, taus):
@@ -158,7 +153,9 @@ class SeriesHandle:
         n = wmat.shape[0]
         total = np.empty((len(taus), self.p), dtype=complex)
         tails = np.empty(len(taus))
-        chunk = max(1, 4_000_000 // max(n, 1))
+        # blocks of ~1 MB of terms stay in cache; much larger blocks make
+        # the kernel's temporaries memory-bound
+        chunk = max(1, 65_536 // max(n, 1))
         for lo in range(0, len(taus), chunk):
             sl = slice(lo, min(lo + chunk, len(taus)))
             s = self._scalars(taus[sl])
@@ -174,34 +171,12 @@ class SeriesHandle:
     def __call__(self, tau):
         return self.evaluate(tau)[0]
 
-    def component(self, j: int):
-        """Scalar-valued view of the j-th component (1-based)."""
-        return _Component(self, j)
-
-
-class _Component:
-    def __init__(self, handle: "SeriesHandle", j: int):
-        self.handle = handle
-        self.j = j
-
-    def __call__(self, tau):
-        return self.handle.evaluate(tau)[0][self.j - 1]
-
-    def evaluate_many(self, taus):
-        values, tails = self.handle.evaluate_many(taus)
-        return values[:, self.j - 1:self.j], tails
-
 
 def build_series(seed: SeedFn, lam: GroupSpec, gamma: GroupSpec, rep: RepSpec,
                  ms: MultiplierSystem, k: float, height: float) -> SeriesHandle:
     """Enumerate cosets up to the given norm and wrap everything in a handle."""
     table = enumerate_cosets(lam, gamma, height)
     return SeriesHandle(seed, lam, gamma, rep, ms, k, table)
-
-
-def evaluate_poincare(handle: SeriesHandle, tau):
-    """Truncated series value and tail proxy at one point."""
-    return handle.evaluate(tau)
 
 
 class TransformationCheck(NamedTuple):
@@ -216,21 +191,22 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
     The reported tail is the largest tail proxy seen on either side of the
     comparison; residuals below it are truncation-dominated.
     """
-    worst = 0.0
-    tail_max = 0.0
+    gammas = list(gammas)
     for g in gammas:
         if not contains(handle.gamma, g):
             raise ValueError(f"{g} is not in {handle.gamma}")
-        rinv = evaluate_rho(handle.rep, g).conj().T
-        vinv = evaluate_v(handle.ms, g).conjugate()
-        for tau in taus:
-            z = _as_complex(tau)
-            base, tail0 = handle.evaluate(z)
-            moved, tail1 = handle.evaluate(complex(mobius_act(g, z)))
-            acted = vinv * real_power(cocycle_j(g, z), -handle.k) * (rinv @ moved)
-            worst = max(worst, float(np.linalg.norm(acted - base)))
-            tail_max = max(tail_max, tail0, tail1)
-    return TransformationCheck(worst, tail_max)
+    taus = np.array([_as_complex(t) for t in taus], dtype=complex)
+    if not gammas or not len(taus):
+        return TransformationCheck(0.0, 0.0)
+    jmk, moved = slash_kernel(*entry_arrays(gammas), taus, handle.k)
+    base, tail0 = handle.evaluate_many(taus)
+    image, tail1 = handle.evaluate_many(moved.T.ravel())
+    image = image.reshape(len(gammas), len(taus), handle.p)
+    worst = 0.0
+    for i, g in enumerate(gammas):
+        acted = twist(handle.ms, handle.rep, g, (jmk[:, i, None] * image[i]).T).T
+        worst = max(worst, float(np.max(np.linalg.norm(acted - base, axis=1))))
+    return TransformationCheck(worst, float(max(tail0.max(), tail1.max())))
 
 
 def sup_norm_probe(handle: SeriesHandle, taus) -> float:

@@ -19,7 +19,7 @@ from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
 from vvps.multiplier import MultiplierSystem
 from vvps.nonvanish import (beta_median, classical_criterion,
                             elliptic_criterion, find_radius, gamma_median,
-                            region_test_a)
+                            region_test_a, region_test_c)
 from vvps.rep import (evaluate_rho, induce, spectral_split, st_rep,
                       trivial_rep)
 from vvps.seeds import ClassicalSeed, EllipticSeed, check_seed_invariance, seed_strip_integral
@@ -266,8 +266,9 @@ def test_criterion_8_criterion_equivalences():
                 ra = region_test_a(seed, GAMMA_INF1, gamma, k)
                 sharp = classical_criterion(k, 1, n, nu, 1.0).details["sharp_satisfied"]
                 ok_region &= (ra.satisfied == sharp)
-                feasible = find_radius(k, nu, n) is not None
-                ok_radius &= (feasible == elliptic_criterion(k, n, nu).satisfied)
+                r = find_radius(k, nu, n)
+                ok_radius &= ((r is not None) == elliptic_criterion(k, n, nu).satisfied)
+                ok_radius &= r is None or region_test_c(k, nu, n, r).satisfied
                 for m_j in (0.2, 0.5, 1.0):
                     rep_c = classical_criterion(k, 1, n, nu, m_j)
                     if rep_c.satisfied and not rep_c.details["sharp_satisfied"]:
@@ -275,7 +276,8 @@ def test_criterion_8_criterion_equivalences():
                     if rep_c.details["sharp_satisfied"] and not rep_c.satisfied:
                         converse_gap += 1
     report(8, ok_region and ok_radius and ok_imply and converse_gap >= 1,
-           f"regionA <=> sharp and radius <=> beta criterion on 112 grid points; "
+           f"regionA <=> sharp and radius <=> beta criterion (every radius passes "
+           f"regionC) on 112 grid points; "
            f"closed form => sharp with {converse_gap} converse failure(s) "
            f"(Chen-Rubin slack); {time.time() - t0:.1f}s")
 

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from vvps.analysis import (QuadratureSpec,
                            classical_pairing_closed_form,
                            elliptic_expansion_coeffs,
                            elliptic_pairing_closed_form, fourier_coefficients,
-                           gamma_function, petersson_pair_full, petersson_strip)
+                           petersson_pair_full, petersson_strip)
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import GroupSpec, S, right_coset_reps
 from vvps.multiplier import MultiplierSystem
@@ -35,24 +35,6 @@ def elliptic_handle(gamma, height, nu=0):
     seed = EllipticSeed(nu, 1j, np.array([1.0 + 0j]), 12.0)
     return build_series(seed, GroupSpec.plus_minus_identity(), gamma, rep, MS12,
                         12.0, height), seed
-
-
-class TestGammaFunction:
-    def test_special_values(self):
-        assert gamma_function(1.0) == pytest.approx(1.0, rel=1e-13)
-        assert gamma_function(11.0) == pytest.approx(3628800.0, rel=1e-13)
-        assert gamma_function(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-    def test_against_lgamma_grid(self):
-        for s in np.linspace(0.5, 50.0, 200):
-            expect = math.exp(math.lgamma(s))
-            assert gamma_function(float(s)) == pytest.approx(expect, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_function(0.0)
-        with pytest.raises(DomainError):
-            gamma_function(-2.5)
 
 
 class TestFourier:

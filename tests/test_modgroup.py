@@ -8,9 +8,9 @@ from conftest import random_element, random_tau
 from vvps.errors import DomainError
 from vvps.modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, Point, S, T,
                            cartan_decompose, cocycle_j, contains, cusp_width,
-                           enumerate_cosets, evaluate_word, iwasawa_decompose,
-                           mobius_act, real_power, right_coset_reps, t_power,
-                           word_in_st)
+                           entry_arrays, enumerate_cosets, evaluate_word,
+                           iwasawa_decompose, mobius_act, real_power,
+                           right_coset_reps, slash_kernel, t_power, word_in_st)
 
 
 def k_theta(theta):
@@ -116,6 +116,38 @@ class TestRealPower:
 
     def test_negative_zero_imag_uses_upper_branch(self):
         assert real_power(complex(-4.0, -0.0), 0.5) == pytest.approx(2j)
+
+
+class TestSlashKernel:
+    K = 7.3  # non-integer weight: the branch of j^{-k} matters
+
+    def elements(self, rng):
+        gs = [I2, -I2, S, -S]
+        for n in (1, -1, 3, -5):
+            gs += [t_power(n), -t_power(n)]
+        while len(gs) < 24:
+            g = random_element(rng)
+            if g.c != 0:
+                gs.append(g if g.c < 0 else -g)
+        return gs
+
+    def test_matches_scalar_path(self, rng):
+        gs = self.elements(rng)
+        taus = [random_tau(rng) for _ in range(16)] + [complex(0.0, 1.0), complex(-0.5, 0.2)]
+        jmk, moved = slash_kernel(*entry_arrays(gs), taus, self.K)
+        assert jmk.shape == moved.shape == (len(taus), len(gs))
+        for t, tau in enumerate(taus):
+            for i, g in enumerate(gs):
+                expect_j = real_power(cocycle_j(g, tau), -self.K)
+                expect_z = complex(mobius_act(g, tau))
+                assert abs(jmk[t, i] - expect_j) <= 1e-14 * abs(expect_j)
+                assert abs(moved[t, i] - expect_z) <= 1e-14 * abs(expect_z)
+
+    def test_minus_identity_on_the_cut(self):
+        # j(-I, tau) = -1 exactly; the principal branch puts it at arg = +pi
+        jmk, moved = slash_kernel(*entry_arrays([-I2]), [complex(0.3, 1.1)], self.K)
+        assert abs(jmk[0, 0] - np.exp(-1j * math.pi * self.K)) <= 1e-15
+        assert moved[0, 0] == complex(0.3, 1.1)
 
 
 class TestDecompositions:

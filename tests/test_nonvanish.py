@@ -214,8 +214,10 @@ class TestFindRadius:
         for k in GRID_K:
             for n in GRID_N:
                 for nu in GRID_NU:
-                    feasible = find_radius(k, nu, n) is not None
-                    assert feasible == elliptic_criterion(k, n, nu).satisfied
+                    r = find_radius(k, nu, n)
+                    assert (r is not None) == elliptic_criterion(k, n, nu).satisfied
+                    # the quadrature-based region test must accept the radius
+                    assert r is None or region_test_c(k, nu, n, r).satisfied
 
     def test_infeasible_returns_none(self):
         assert find_radius(12.0, 20, 2) is None
@@ -225,6 +227,7 @@ class TestFindRadius:
             r = find_radius(k, nu, n)
             assert r is not None
             assert 0 < r < math.acosh((n * n + 2.0) / 2.0) / 4.0
+            assert region_test_c(k, nu, n, r).satisfied
 
 
 class TestChenRubinSlack:

@@ -11,7 +11,7 @@ from vvps.multiplier import MultiplierSystem
 from vvps.rep import spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import (SeriesHandle, build_series, check_transformation,
-                         evaluate_poincare, slash_k, slash_k_rho, sup_norm_probe)
+                         slash_k, slash_k_rho, sup_norm_probe)
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
 
@@ -113,7 +113,7 @@ class TestEvaluate:
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
         h = build_series(seed, pmi, pmi, trivial_rep(1), MS12, 12.0, 1.5)
         tau = complex(0.4, 1.3)
-        value, tail = evaluate_poincare(h, tau)
+        value, tail = h.evaluate(tau)
         assert value == pytest.approx(seed.eval(tau))
 
     def test_refuses_near_real_line(self):
