@@ -54,11 +54,6 @@ def gauss_panels(a: float, b: float, n_panels: int, order: int = 4,
     return nodes, weights
 
 
-def comp_sum(values) -> float:
-    """Compensated (exactly rounded) sum of a 1-d array of floats."""
-    return math.fsum(np.asarray(values, dtype=float).ravel())
-
-
 def comp_sum_complex(values) -> complex:
     v = np.asarray(values, dtype=complex).ravel()
     return complex(math.fsum(v.real), math.fsum(v.imag))

@@ -247,7 +247,9 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
     taus = (xs[:, None] + 1j * ys).ravel()
     _, moved = slash_kernel(*entry_arrays(cosets), taus, k)
     moved = moved.T.ravel()  # coset-major, then x, then y
-    inner = np.sum(_eval_many(F, moved) * _eval_many(G, moved).conj(), axis=1)
+    f_vals = _eval_many(F, moved)
+    g_vals = f_vals if G is F else _eval_many(G, moved)
+    inner = np.sum(f_vals * g_vals.conj(), axis=1)
     imk = moved.imag.reshape((-1,) + ys.shape) ** k  # Im(g tau)^k
     cells = (wx[:, None] * wy) * imk / ys ** 2 * inner.reshape(imk.shape)
     parts = [comp_sum_complex(col) for col in cells.reshape(-1, ys.shape[1])]

@@ -22,14 +22,13 @@ from .analysis import (QuadratureSpec, classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,
                        fourier_coefficients, petersson_strip)
 from .errors import DomainError, RefusalError
-from .modgroup import (GroupSpec, I2, S, T, cocycle_j, cusp_width,
+from .modgroup import (GroupSpec, I2, S, cocycle_j, cusp_width,
                        enumerate_cosets, evaluate_word, mobius_act,
                        right_coset_reps, word_in_st, t_power)
 from .multiplier import MultiplierSystem, check_consistency
 from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
                         find_radius, gamma_median, region_test_a, region_test_c)
-from .rep import (RepSpec, evaluate_rho, induce, spectral_split, st_rep,
-                  trivial_rep)
+from .rep import RepSpec, induce, spectral_split, trivial_rep
 from .seeds import ClassicalSeed, EllipticSeed
 from .series import build_series
 
@@ -203,9 +202,7 @@ def _run_induce(cfg: JobConfig) -> dict:
     group = _parse_group(ns)
     rep = _parse_rep(ns, group)
     cosets = right_coset_reps(group)
-    rho0 = induce(rep, cosets)
-    st = st_rep(evaluate_rho(rho0, S), evaluate_rho(rho0, T))
-    return {**st.to_json(), "cosets": [list(g.entries()) for g in cosets]}
+    return {**induce(rep, cosets).to_json(), "cosets": [list(g.entries()) for g in cosets]}
 
 
 def _run_cosets(cfg: JobConfig) -> dict:

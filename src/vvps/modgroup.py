@@ -360,37 +360,25 @@ def st_syllables(g: IntMatrix2):
 
     Returns (syllables, sign) where syllables is a list of ("T", q) and
     ("S", 1) entries whose left-to-right product equals sign * g, with
-    sign in {+1, -1}.  Continued-fraction reduction on the bottom row.
+    sign in {+1, -1}.  Continued-fraction reduction on the bottom row:
+    each step applies T^{-q} and then S on the left, until c = 0 leaves
+    s T^{s b} with s = +-1.  Inverting the steps writes g with S^{-1} = -S,
+    so the word of S syllables equals s (-1)^{#S} g.
     """
-    m = g
-    ops = []  # operations applied on the left of m, in order
-    while m.c != 0:
-        q = m.a // m.c
-        if q != 0:
-            ops.append(("T", -q))
-            m = t_power(-q) * m
-        ops.append(("S", 1))
-        m = S * m
-    # m is now (s, b; 0, s) with s = +-1, i.e. s * T^{s b}
-    tail = m.a * m.b
+    a, b, c, d = g.a, g.b, g.c, g.d
     syll = []
-    for kind, e in ops:
-        if kind == "T":
-            syll.append(("T", -e))  # inverse of T^e
-        else:
-            syll.append(("S", 1))  # S^{-1} = -S, sign tracked below
-    if tail != 0:
-        syll.append(("T", tail))
-    prod = I2
-    for kind, e in syll:
-        prod = prod * (t_power(e) if kind == "T" else S)
-    if prod == g:
-        sign = 1
-    elif prod == -g:
-        sign = -1
-    else:  # pragma: no cover - reduction is exact by construction
-        raise AssertionError("word reduction failed")
-    return syll, sign
+    n_s = 0
+    while c != 0:
+        q = a // c
+        if q != 0:
+            syll.append(("T", q))
+            a, b = a - q * c, b - q * d
+        syll.append(("S", 1))
+        n_s += 1
+        a, b, c, d = -c, -d, a, b
+    if a * b != 0:
+        syll.append(("T", a * b))
+    return syll, a * (-1) ** n_s
 
 
 def word_in_st(g: IntMatrix2):

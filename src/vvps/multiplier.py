@@ -2,9 +2,10 @@
 
 Two families are supported: the trivial system for even integer weight,
 and the family derived from powers of the eta function, which realises
-every real weight.  Values are accumulated along a generator word through
-the automorphy-factor identity, entirely in phase space, so the result is
-exactly unimodular.
+every real weight.  Its values come in closed form from Dedekind's
+transformation law of eta, with the Dedekind sum computed in integers by
+reciprocity; the phase is exponentiated once, so the result is exactly
+unimodular.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modgroup import (I2, S, IntMatrix2, arg_principal, cocycle_j, mobius_act,
-                       real_power, st_syllables, t_power)
+from .modgroup import I2, S, IntMatrix2, cocycle_j, mobius_act, real_power, t_power
 
 __all__ = ["MultiplierSystem", "evaluate_v", "check_consistency"]
-
-_BASE_POINT = complex(0.5, 1.5)
 
 
 @dataclass(frozen=True)
@@ -59,34 +57,36 @@ class MultiplierSystem:
         return cls(data["family"], float(data["k"]))
 
 
-def _eta_phase(ms: MultiplierSystem, g: IntMatrix2) -> float:
-    """Phase phi with v(g) = e^{i phi}, accumulated along an S,T word.
+def _dedekind12(d: int, c: int) -> int:
+    """The integer 12 c s(d, c) for c > 0 and gcd(d, c) = 1, with s the
+    Dedekind sum, by reciprocity:
+    12 c d (s(d, c) + s(c, d)) = d^2 + c^2 + 1 - 3 c d."""
+    d %= c
+    if d == 0:
+        return 0
+    return (d * d + c * c + 1 - 3 * c * d - c * _dedekind12(c, d)) // d
 
-    On the generators the 2k-th eta power gives v(T^q) = e^{i pi k q / 6}
-    and v(S) = e^{-i pi k / 2}; composite values follow from
-    v(g1 g2) = v(g1) v(g2) e^{i k (arg j(g1, g2.t) + arg j(g2, t) - arg j(g1 g2, t))}.
+
+def _eta_phase(ms: MultiplierSystem, g: IntMatrix2) -> float:
+    """Phase phi with v(g) = e^{i phi}.
+
+    For c > 0, Dedekind's transformation law
+    eta(g.t) = exp(pi i ((a + d)/(12 c) - s(d, c))) (-i (c t + d))^{1/2} eta(t),
+    raised to the 2k-th power, gives
+    phi = pi k (a + d - 12 c s(d, c)) / (6 c) - pi k / 2.  For c = 0,
+    g = a T^{ab} with a = +-1, and v(T^q) = e^{i pi k q / 6}.  Negating an
+    element with c > 0, or T^q, multiplies v by e^{-i pi k}.
     """
     k = ms.k
-    syll, sign = st_syllables(g)
-    letters = [(t_power(e) if kind == "T" else S,
-                math.pi * k * e / 6.0 if kind == "T" else -math.pi * k / 2.0)
-               for kind, e in syll]
-    if sign < 0:
-        letters.append((-I2, -math.pi * k))
-    phi = 0.0
-    m = I2
-    tau = _BASE_POINT
-    for mat, base_phase in letters:
-        if m == I2:
-            phi += base_phase
-        else:
-            ltau = complex(mobius_act(mat, tau))
-            phi += base_phase + k * (arg_principal(cocycle_j(m, ltau))
-                                     + arg_principal(cocycle_j(mat, tau))
-                                     - arg_principal(cocycle_j(m * mat, tau)))
-        m = m * mat
-    assert m == g
-    return phi
+    a, b, c, d = g.a, g.b, g.c, g.d
+    if c == 0:
+        return math.pi * k * (a * b) / 6.0 - (math.pi * k if d < 0 else 0.0)
+    shift = 0.0
+    if c < 0:
+        a, c, d = -a, -c, -d
+        shift = math.pi * k
+    return (math.pi * k * (a + d - _dedekind12(d, c)) / (6.0 * c)
+            - math.pi * k / 2.0 + shift)
 
 
 def evaluate_v(ms: MultiplierSystem, g: IntMatrix2) -> complex:

@@ -9,6 +9,7 @@ the two defining inequalities of the admissible Cartan-radius interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -170,6 +171,7 @@ def _bisect_then_newton(cdf, pdf, lo, hi):
     return x
 
 
+@functools.lru_cache(maxsize=256)
 def gamma_median(a: float) -> float:
     """Median of the gamma distribution with shape a (rate 1); for rate b
     use gamma_median(a) / b."""
@@ -185,6 +187,7 @@ def gamma_median(a: float) -> float:
     return _bisect_then_newton(lambda x: regularized_incomplete_gamma(a, x), pdf, lo, hi)
 
 
+@functools.lru_cache(maxsize=256)
 def beta_median(a: float, b: float) -> float:
     """Median of the beta distribution in ]0, 1[."""
     if a <= 0 or b <= 0:

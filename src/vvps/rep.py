@@ -1,9 +1,11 @@
 """Finite-dimensional unitary representations of the supported groups.
 
 Recipes: the trivial representation, a Dirichlet character acting on
-Gamma0(N) through the lower-right entry, a representation of SL2(Z) given
-by unitary images of the generators S and T, and the block-permutation
-representation induced from a finite-index subgroup.  The cusp monodromy
+Gamma0(N) through the lower-right entry, and a representation of SL2(Z)
+given by unitary images of the generators S and T, evaluated along the S/T
+word of g.  Inducing from a finite-index subgroup assembles the
+block-permutation images of S and T once, so an induced representation is
+one given by its generator images.  The cusp monodromy
 e^{2 pi i kappa M} rho(T^M) of a normal representation is diagonalised into
 a unitary U and exponents m_j in ]0, 1].
 """
@@ -17,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .modgroup import (GroupSpec, I2, IntMatrix2, contains, cusp_width,
+from .modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
                        st_syllables, t_power)
 from .multiplier import MultiplierSystem
 
@@ -40,8 +42,6 @@ class RepSpec:
     chi: Optional[tuple] = None          # dirichlet: values indexed mod N
     s_img: Optional[np.ndarray] = None   # st_generated
     t_img: Optional[np.ndarray] = None
-    inner: Optional["RepSpec"] = None    # induced
-    cosets: Optional[tuple] = None
 
     def to_json(self) -> dict:
         out = {"recipe": self.recipe, "p": self.p, "group": self.group.to_json()}
@@ -49,9 +49,6 @@ class RepSpec:
             out["values"] = [[z.real, z.imag] for z in self.chi]
         elif self.recipe == "st_generated":
             out["matrices"] = {"S": _mat_to_json(self.s_img), "T": _mat_to_json(self.t_img)}
-        elif self.recipe == "induced":
-            out["inner"] = self.inner.to_json()
-            out["cosets"] = [list(g.entries()) for g in self.cosets]
         return out
 
     @classmethod
@@ -66,7 +63,7 @@ class RepSpec:
         if recipe == "st_generated":
             return st_rep(_mat_from_json(data["matrices"]["S"]),
                           _mat_from_json(data["matrices"]["T"]))
-        if recipe == "induced":
+        if recipe == "induced":  # the format of earlier versions
             inner = cls.from_json(data["inner"])
             cosets = [IntMatrix2(*r) for r in data["cosets"]]
             return induce(inner, cosets)
@@ -166,8 +163,6 @@ def evaluate_rho(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
         if sign < 0:
             out = (rep.s_img @ rep.s_img) @ out
         return out
-    if rep.recipe == "induced":
-        return _evaluate_induced(rep, g)
     raise ValueError(rep.recipe)
 
 
@@ -192,9 +187,9 @@ def permutation_ell(g: IntMatrix2, cosets, group: GroupSpec):
     return tuple(ell)
 
 
-def _evaluate_induced(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
-    inner = rep.inner
-    cosets = rep.cosets
+def _induced_image(inner: RepSpec, cosets, g: IntMatrix2) -> np.ndarray:
+    """rho(g) of the induced representation: block (l(j), j) is
+    inner(cosets[l(j)] g cosets[j]^{-1})."""
     d = len(cosets)
     p = inner.p
     ell = permutation_ell(g, cosets, inner.group)
@@ -208,7 +203,8 @@ def _evaluate_induced(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
 
 def induce(rep: RepSpec, cosets) -> RepSpec:
     """The representation of SL2(Z) induced from rep through the given
-    right-coset representatives (cosets[0] must be the identity)."""
+    right-coset representatives (cosets[0] must be the identity), returned
+    as its images of S and T."""
     cosets = tuple(cosets)
     if not cosets or cosets[0] != I2:
         raise ValueError("coset list must start with the identity")
@@ -216,8 +212,14 @@ def induce(rep: RepSpec, cosets) -> RepSpec:
         for j in range(i + 1, len(cosets)):
             if contains(rep.group, cosets[i] * cosets[j].inv()):
                 raise ValueError(f"cosets {i} and {j} coincide")
-    return RepSpec("induced", rep.p * len(cosets), GroupSpec.sl2z(),
-                   inner=rep, cosets=cosets)
+    return st_rep(_induced_image(rep, cosets, S), _induced_image(rep, cosets, T))
+
+
+def _monodromy(rep: RepSpec, ms: MultiplierSystem, m_width: int,
+               sigma: IntMatrix2 = I2) -> np.ndarray:
+    """The cusp monodromy e^{2 pi i kappa M} rho(sigma T^M sigma^{-1})."""
+    return (cmath.exp(2j * math.pi * ms.kappa * m_width)
+            * evaluate_rho(rep, sigma * t_power(m_width) * sigma.inv()))
 
 
 class NormalityResult(NamedTuple):
@@ -236,11 +238,8 @@ def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec,
     p = rep.p
     if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(p)) > _UNITARY_TOL:
         return NormalityResult(False, None)
-    m_width = cusp_width(gamma, sigma)
-    mono = (cmath.exp(2j * math.pi * ms.kappa * m_width)
-            * evaluate_rho(rep, sigma * t_power(m_width) * sigma.inv()))
     orders = []
-    for lam in np.linalg.eigvals(mono):
+    for lam in np.linalg.eigvals(_monodromy(rep, ms, cusp_width(gamma, sigma), sigma)):
         theta = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
         found = None
         for n in range(1, max_n + 1):
@@ -294,24 +293,8 @@ def spectral_split(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> Spectral
     if not res.ok:
         raise ValueError("representation is not normal")
     p = rep.p
-    mono = (cmath.exp(2j * math.pi * ms.kappa * m_width)
-            * evaluate_rho(rep, t_power(m_width)))
+    mono = _monodromy(rep, ms, m_width)
     eigvals, eigvecs = np.linalg.eig(mono)
-    # orthonormalise within eigenvalue clusters; distinct eigenspaces of a
-    # unitary matrix are already orthogonal
-    order = np.argsort(np.angle(eigvals))
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    i = 0
-    while i < p:
-        j = i + 1
-        while j < p and abs(eigvals[j] - eigvals[i]) < 1e-8:
-            j += 1
-        q, _ = np.linalg.qr(eigvecs[:, i:j])
-        eigvecs[:, i:j] = q
-        i = j
-    eigvecs /= np.linalg.norm(eigvecs, axis=0, keepdims=True)
-
     ms_list = []
     for lam in eigvals:
         theta = math.atan2(lam.imag, lam.real)
@@ -321,6 +304,24 @@ def spectral_split(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> Spectral
             ms_list.append(theta / (2.0 * math.pi))
         else:
             ms_list.append(theta / (2.0 * math.pi) + 1.0)
+    # orthonormalise within eigenvalue clusters; distinct eigenspaces of a
+    # unitary matrix are already orthogonal.  Sorting on m rather than on
+    # the angle keeps a cluster at -1 together when its computed angles
+    # straddle +-pi; a cluster elsewhere keeps its angle order.
+    order = np.argsort(np.angle(eigvals))
+    order = order[np.argsort(np.array(ms_list)[order], kind="stable")]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    ms_list = [ms_list[i] for i in order]
+    i = 0
+    while i < p:
+        j = i + 1
+        while j < p and abs(eigvals[j] - eigvals[i]) < 1e-8:
+            j += 1
+        q, _ = np.linalg.qr(eigvecs[:, i:j])
+        eigvecs[:, i:j] = q
+        i = j
+    eigvecs /= np.linalg.norm(eigvecs, axis=0, keepdims=True)
 
     rows = [_phase_fix(eigvecs[:, i].conj()) for i in range(p)]
     keys = sorted(range(p), key=lambda i: (ms_list[i],

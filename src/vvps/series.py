@@ -20,7 +20,7 @@ from .errors import DomainError, RefusalError
 from .modgroup import (CosetTable, GroupSpec, IntMatrix2, _as_complex,
                        contains, entry_arrays, enumerate_cosets, slash_kernel)
 from .multiplier import MultiplierSystem, evaluate_v
-from .rep import RepSpec, check_normal, evaluate_rho
+from .rep import RepSpec, _monodromy, check_normal, evaluate_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
 __all__ = ["SeriesHandle", "build_series", "slash_k", "slash_k_rho", "twist",
@@ -92,10 +92,7 @@ class SeriesHandle:
             self._check_split_consistency()
 
     def _check_split_consistency(self):
-        from .modgroup import t_power
-        m_width = self.seed.M
-        mono = (np.exp(2j * math.pi * self.ms.kappa * m_width)
-                * evaluate_rho(self.rep, t_power(m_width)))
+        mono = _monodromy(self.rep, self.ms, self.seed.M)
         u = self.seed.split.U
         diag = np.diag([np.exp(2j * math.pi * mj) for mj in self.seed.split.m])
         if np.linalg.norm(mono - u.conj().T @ diag @ u) > 1e-8:

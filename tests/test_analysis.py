@@ -200,6 +200,14 @@ class TestPairFull:
         assert got.real > 0
         assert abs(got.imag) <= 1e-10 * got.real
 
+    def test_same_handle_twice_matches_separate_handles(self):
+        # pairing a handle with itself evaluates it once; a second handle
+        # of the same configuration gives the same value bit for bit
+        h, _ = elliptic_handle(GroupSpec.gamma0(3), 20.0)
+        h2, _ = elliptic_handle(GroupSpec.gamma0(3), 20.0)
+        same = petersson_pair_full(h, h, GroupSpec.gamma0(3), 12.0)
+        assert same == petersson_pair_full(h, h2, GroupSpec.gamma0(3), 12.0)
+
     def test_hermitian_symmetry(self):
         h, seed = classical_handle(GroupSpec.sl2z(), 25.0)
         one = petersson_pair_full(h, seed, GroupSpec.sl2z(), 12.0)

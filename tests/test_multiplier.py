@@ -4,7 +4,8 @@ import math
 import pytest
 
 from conftest import random_element
-from vvps.modgroup import I2, S, T, cocycle_j, mobius_act, real_power, t_power
+from vvps.modgroup import (I2, S, T, IntMatrix2, cocycle_j, mobius_act, real_power,
+                           t_power)
 from vvps.multiplier import MultiplierSystem, check_consistency, evaluate_v
 
 
@@ -78,6 +79,20 @@ class TestValues:
         for _ in range(10):
             g = random_element(rng, max_len=5)
             assert evaluate_v(ms, g) == pytest.approx(v_oracle(ms, g), abs=1e-8)
+
+    def test_closed_form_branches_match_oracle(self):
+        # c = 0 with d = -1, c < 0, and a coset of Gamma_inf(1)\Gamma0(5)
+        # at height 200 with c = 195 (and its negative); for large c the
+        # oracle point tau = -d/c + i/c keeps both tau and g.tau at height 1/c
+        ms = MultiplierSystem("eta_power", 7.3)
+        assert evaluate_v(ms, -t_power(3)) == pytest.approx(
+            v_oracle(ms, -t_power(3)), abs=1e-12)
+        g = IntMatrix2(-3, 2, -5, 3)
+        assert evaluate_v(ms, g) == pytest.approx(v_oracle(ms, g), abs=1e-12)
+        g = IntMatrix2(28, 1, 195, 7)
+        tau = complex(-7.0 / 195.0 + 1e-3, 1.0 / 195.0)
+        for h in (g, -g):
+            assert evaluate_v(ms, h) == pytest.approx(v_oracle(ms, h, tau), abs=1e-12)
 
     def test_oracle_base_point_independent(self):
         ms = MultiplierSystem("eta_power", 1.5)

@@ -97,6 +97,15 @@ class TestMedians:
             assert beta_median(1.0, b) == pytest.approx(1.0 - 2.0 ** (-1.0 / b), abs=1e-12)
         assert beta_median(1.0, 5.0) == pytest.approx(0.129449, abs=1e-6)
 
+    def test_cached_medians_are_the_computed_ones(self):
+        gamma_median.cache_clear()
+        beta_median.cache_clear()
+        for _ in range(2):
+            assert gamma_median(4.25) == gamma_median.__wrapped__(4.25)
+            assert beta_median(1.5, 5.0) == beta_median.__wrapped__(1.5, 5.0)
+        assert gamma_median.cache_info().hits == 1
+        assert beta_median.cache_info().hits == 1
+
     def test_beta_condition_holds(self):
         for a, b in ((0.5, 2.0), (2.0, 7.0), (4.5, 1.5)):
             assert abs(regularized_incomplete_beta(a, b, beta_median(a, b)) - 0.5) <= 1e-12

@@ -153,6 +153,21 @@ class TestPermutationAndInduce:
                 inner, cosets[l] * g * cosets[s_idx].inv())[0, 0]
         assert np.array_equal(evaluate_rho(rho0, g), expected)
 
+    def test_induced_json_of_earlier_versions_loads(self, rng):
+        # the "induced" format that earlier versions wrote, by hand
+        data = {"recipe": "induced", "p": 6, "group": {"kind": "SL2Z", "n": 0},
+                "inner": {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
+                          "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
+                                     [-1.0, 0.0], [1.0, 0.0]]},
+                "cosets": [[1, 0, 0, 1], [0, -1, 1, 0], [0, -1, 1, -1], [0, -1, 1, 1],
+                           [0, -1, 1, -2], [0, -1, 1, 2]]}
+        cosets = [IntMatrix2(*e) for e in data["cosets"]]
+        loaded = RepSpec.from_json(data)
+        rho0 = induce(legendre_mod5(), cosets)
+        assert loaded.p == 6
+        for g in (S, T, *(random_element(rng) for _ in range(20))):
+            assert np.array_equal(evaluate_rho(loaded, g), evaluate_rho(rho0, g))
+
     def test_bad_coset_systems_rejected(self):
         with pytest.raises(ValueError):
             induce(trivial_rep(1, self.group), [S, I2])  # identity not first
@@ -238,3 +253,23 @@ class TestSpectralSplit:
     def test_non_normal_rejected(self):
         with pytest.raises(ValueError):
             spectral_split(character_rep(3), TRIVIAL_MS, 1)
+
+    def test_repeated_minus_one_eigenvalue(self, rng):
+        # rho = Ind(trivial, Gamma0(2)) has rho(T) eigenvalues 1, 1, -1; a
+        # random unitary conjugate of rho + rho repeats -1, whose computed
+        # angles may land at both +pi and -pi
+        group = GroupSpec.gamma0(2)
+        rho = induce(trivial_rep(1, group), right_coset_reps(group))
+        zero = np.zeros((3, 3))
+        s6, t6 = (np.block([[m, zero], [zero, m]])
+                  for m in (evaluate_rho(rho, S), evaluate_rho(rho, T)))
+        for _ in range(200):
+            q, r = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+            w = q * (np.diag(r) / abs(np.diag(r)))
+            rep = st_rep(w.conj().T @ s6 @ w, w.conj().T @ t6 @ w)
+            split = spectral_split(rep, TRIVIAL_MS, 1)
+            assert split.m == pytest.approx((0.5, 0.5, 1.0, 1.0, 1.0, 1.0), abs=1e-12)
+            diag = np.diag([cmath.exp(2j * math.pi * m) for m in split.m])
+            resid = np.linalg.norm(evaluate_rho(rep, T) - split.U.conj().T @ diag @ split.U)
+            assert resid <= 1e-10
+            assert np.linalg.norm(split.U @ split.U.conj().T - np.eye(6)) <= 1e-10
