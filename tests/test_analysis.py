@@ -67,6 +67,12 @@ class TestFourier:
         for n in (0, 1):
             assert slashed.coeff(1, n) == pytest.approx(plain.coeff(1, n), rel=2e-4)
 
+    def test_sigma_slash_weight_mismatch_refused(self):
+        F = lambda tau: np.array([np.exp(2j * math.pi * tau)])
+        with pytest.raises(ValueError, match="multiplier weight"):
+            fourier_coefficients(F, plain_split(), 1, [0], 0.5, 64,
+                                 sigma=S, ms=MS12, k=24.0)
+
     def test_scalar_ramanujan_ratios_smoke(self):
         h, _ = classical_handle(GroupSpec.sl2z(), 80.0)
         tab = fourier_coefficients(h, h.seed.split, 1, [0, 1, 2], 0.5, 64)

@@ -98,6 +98,16 @@ class TestHandleValidation:
             build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(),
                          rep, MS12, 12.0, 10.0)
 
+    def test_multiplier_weight_mismatch_rejected(self):
+        # a weight-7.3 multiplier under a weight-12 series used to build; its
+        # transformation residual under (1 0; 5 1) was 0.84
+        gamma = GroupSpec.gamma0(5)
+        ms = MultiplierSystem("eta_power", 7.3)
+        rep = trivial_rep(1, gamma)
+        seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
+        with pytest.raises(ValueError, match="multiplier weight"):
+            build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, 12.0, 20.0)
+
     def test_split_mismatch_rejected(self):
         from vvps.rep import SpectralSplit
         rep = trivial_rep(1)
