@@ -148,6 +148,8 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
     else:
         if ms is None or k is None:
             raise ValueError("sigma != +-I needs ms and k for the slash action")
+        if abs(ms.k - k) > 1e-12:
+            raise ValueError("multiplier weight differs from the slash weight")
         jmk, moved = slash_kernel(*entry_arrays([sigma]), taus, k)
         vals = _eval_many_parallel(F, moved[:, 0])
         vals = (evaluate_v(ms, sigma).conjugate() * jmk) * vals

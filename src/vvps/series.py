@@ -69,6 +69,8 @@ class SeriesHandle:
     def __post_init__(self):
         if self.k <= 2:
             raise DomainError("series are only supported in the convergent range k > 2")
+        if abs(self.ms.k - self.k) > 1e-12:
+            raise ValueError("multiplier weight differs from the series weight")
         if self.cosets.lam != self.lam or self.cosets.gamma != self.gamma:
             raise ValueError("coset table does not match the given groups")
         if isinstance(self.seed, ClassicalSeed):
