@@ -25,7 +25,7 @@ __all__ = [
     "principal_power", "entry_arrays", "slash_kernel",
     "iwasawa_decompose", "cartan_decompose",
     "contains", "word_in_st", "st_syllables",
-    "enumerate_cosets", "cusp_width", "right_coset_reps", "is_subgroup",
+    "enumerate_cosets", "cusp_width", "right_coset_reps",
 ]
 
 
@@ -338,23 +338,6 @@ def contains(spec: GroupSpec, g: IntMatrix2) -> bool:
     raise ValueError(spec.kind)
 
 
-def is_subgroup(lam: GroupSpec, gamma: GroupSpec) -> bool:
-    """Decide lam <= gamma for the pairs the package needs."""
-    if lam == gamma:
-        return True
-    if lam.kind == "PlusMinusIdentity":
-        return True  # every supported group contains -I
-    if lam.kind == "GammaInfinity":
-        if gamma.kind == "GammaInfinity":
-            return lam.n % gamma.n == 0
-        if gamma.kind == "PlusMinusIdentity":
-            return False
-        return contains(gamma, t_power(lam.n))
-    if gamma.kind == "SL2Z":
-        return True
-    raise ValueError(f"subgroup test not implemented for {lam} <= {gamma}")
-
-
 def st_syllables(g: IntMatrix2):
     """Reduce g to syllables over the generators.
 
@@ -480,17 +463,6 @@ class CosetTable:
                    float(data["height"]), reps)
 
 
-def _xgcd(x: int, y: int):
-    """Returns (g, u, v) with u x + v y = g = gcd(x, y)."""
-    u0, v0, u1, v1 = 1, 0, 0, 1
-    while y:
-        q, r = divmod(x, y)
-        x, y = y, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return x, u0, v0
-
-
 def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTable:
     """Enumerate canonical left lam-coset representatives in gamma with
     Frobenius norm at most height.
@@ -500,89 +472,50 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     for the translation stabiliser additionally a reduced into [0, M c),
     and (a, d) = (1, 1) with b in [0, M) when c = 0), so tables are
     deterministic.
+
+    A coset of either stabiliser is a coprime bottom row (c, d), c > 0 or
+    (c, d) = (0, 1), plus a translation parameter t: with a0 d - b0 c = 1
+    every top row is (a0 + t c, b0 + t d).  One loop walks the rows inside
+    the ball; only the window of t depends on the stabiliser.
     """
     if lam.kind not in ("GammaInfinity", "PlusMinusIdentity"):
         raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
-    if not is_subgroup(lam, gamma):
+    if not (lam.kind == "PlusMinusIdentity" or contains(gamma, t_power(lam.n))):
         raise ValueError(f"{lam} is not a subgroup of {gamma}")
     h2 = int(math.floor(height * height + 1e-9))
-    reps = []
-    if h2 >= 2:
-        if lam.kind == "GammaInfinity":
-            reps = _cosets_gamma_infinity(lam.n, gamma, h2)
-        else:
-            reps = _cosets_pm_identity(gamma, h2)
+    reps = _bottom_row_cosets(lam, gamma, h2) if h2 >= 2 else []
     reps.sort(key=lambda g: (g.norm_sq(), g.c, g.d, g.a, g.b))
     return CosetTable(lam, gamma, float(height), tuple(reps))
 
 
-def _cosets_gamma_infinity(m_width: int, gamma: GroupSpec, h2: int):
+def _bottom_row_cosets(lam: GroupSpec, gamma: GroupSpec, h2: int):
+    # every supported finite-index family has its level dividing c
+    step = gamma.level if gamma.finite_index else 1
     out = []
-    # c = 0: representatives T^e with 0 <= e < M
-    for e in range(m_width):
-        g = t_power(e)
-        if g.norm_sq() <= h2 and contains(gamma, g):
-            out.append(g)
-    cmax = int(math.isqrt(h2))
-    for c in range(1, cmax + 1):
-        c2 = c * c
-        dmax = int(math.isqrt(max(h2 - c2, 0)))
-        for d in range(-dmax, dmax + 1):
-            if math.gcd(c, abs(d)) != 1:
+    for c in range(0, math.isqrt(h2) + 1, step):
+        dmax = math.isqrt(h2 - c * c)
+        for d in range(-dmax, dmax + 1) if c else (1,):
+            rem = h2 - c * c - d * d
+            if rem < 1 or math.gcd(c, d) != 1:
                 continue
-            rem = h2 - c2 - d * d
-            if rem < 1:
-                continue
-            a0 = pow(d % c, -1, c) if c > 1 else 0  # a d = 1 (mod c)
-            for s in range(m_width):
-                a = a0 + s * c
-                b = (a * d - 1) // c
-                if a * a + b * b > rem:
+            a0 = pow(d, -1, c) if c else 1
+            b0 = (a0 * d - 1) // c if c else 0
+            if lam.kind == "GammaInfinity":
+                window = range(lam.n)
+            else:
+                # integer roots of (a0 + t c)^2 + (b0 + t d)^2 <= rem
+                qa = c * c + d * d
+                qb = 2.0 * (a0 * c + b0 * d)
+                disc = qb * qb - 4.0 * qa * (a0 * a0 + b0 * b0 - rem)
+                if disc < 0:
                     continue
-                g = IntMatrix2(a, b, c, d)
-                if contains(gamma, g):
-                    out.append(g)
-    return out
-
-
-def _cosets_pm_identity(gamma: GroupSpec, h2: int):
-    out = []
-    # c = 0, canonical d = 1: translations T^b
-    bmax = int(math.isqrt(max(h2 - 2, 0)))
-    for b in range(-bmax, bmax + 1):
-        g = t_power(b)
-        if contains(gamma, g):
-            out.append(g)
-    cmax = int(math.isqrt(h2))
-    for c in range(1, cmax + 1):
-        c2 = c * c
-        dmax = int(math.isqrt(max(h2 - c2, 0)))
-        for d in range(-dmax, dmax + 1):
-            if math.gcd(c, abs(d)) != 1:
-                continue
-            rem = h2 - c2 - d * d
-            if rem < 1:
-                continue
-            g0, u, v = _xgcd(d, -c)
-            if g0 == -1:
-                u, v = -u, -v
-            a0, b0 = u, v  # a0 d - b0 c = 1
-            # integer t with (a0 + t c)^2 + (b0 + t d)^2 <= rem
-            qa = c2 + d * d
-            qb = 2.0 * (a0 * c + b0 * d)
-            qc = a0 * a0 + b0 * b0 - rem
-            disc = qb * qb - 4.0 * qa * qc
-            if disc < 0:
-                continue
-            rt = math.sqrt(disc)
-            tlo = int(math.ceil((-qb - rt) / (2.0 * qa) - 1e-12))
-            thi = int(math.floor((-qb + rt) / (2.0 * qa) + 1e-12))
-            for t in range(tlo, thi + 1):
-                a = a0 + t * c
-                b = b0 + t * d
-                if a * a + b * b > rem:
-                    continue
-                g = IntMatrix2(a, b, c, d)
-                if contains(gamma, g):
-                    out.append(g)
+                rt = math.sqrt(disc)
+                window = range(math.ceil((-qb - rt) / (2.0 * qa) - 1e-12),
+                               math.floor((-qb + rt) / (2.0 * qa) + 1e-12) + 1)
+            for t in window:
+                a, b = a0 + t * c, b0 + t * d
+                if a * a + b * b <= rem:
+                    g = IntMatrix2(a, b, c, d)
+                    if contains(gamma, g):
+                        out.append(g)
     return out

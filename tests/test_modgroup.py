@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -233,7 +234,52 @@ class TestWordInST:
             assert prod == expect
 
 
+# squared Frobenius norm of the ball; matrices of norm^2 exactly 66 exist
+# (none has 64), so the boundary and the largest c = 8 are both exercised
+BALL_NORM_SQ = 66
+
+
+def _unit_ball(norm_sq: int):
+    """Every determinant-one integer matrix with squared norm <= norm_sq."""
+    span = range(-math.isqrt(norm_sq), math.isqrt(norm_sq) + 1)
+    return [IntMatrix2(a, b, c, d) for a, b, c, d in itertools.product(span, repeat=4)
+            if a * d - b * c == 1 and a * a + b * b + c * c + d * d <= norm_sq]
+
+
+_BALL = _unit_ball(BALL_NORM_SQ)
+
+
+def _canonical(lam, g):
+    """The canonical lam-coset representative of g, computed directly:
+    sign so (c, d) is positive, then reduced by the translations in lam."""
+    a, b, c, d = g.entries()
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    if lam.kind == "GammaInfinity":
+        if c == 0:
+            b %= lam.n
+        else:
+            n = a // (lam.n * c)
+            a, b = a - n * lam.n * c, b - n * lam.n * d
+    return IntMatrix2(a, b, c, d)
+
+
 class TestEnumerateCosets:
+    @pytest.mark.parametrize("gamma", [GroupSpec.sl2z(), GroupSpec.gamma0(5),
+                                       GroupSpec.gamma1pm(5), GroupSpec.gamma_npm(3)],
+                             ids=str)
+    @pytest.mark.parametrize("widths", [0, 1, 2], ids=["pmI", "width", "twice_width"])
+    def test_complete_against_brute_force(self, gamma, widths):
+        # every coset with a representative in the ball, kept when its
+        # canonical representative is in the ball too
+        lam = (GroupSpec.gamma_infinity(widths * cusp_width(gamma, I2)) if widths
+               else GroupSpec.plus_minus_identity())
+        canon = {_canonical(lam, g) for g in _BALL if contains(gamma, g)}
+        inside = sorted((g for g in canon if g.norm_sq() <= BALL_NORM_SQ),
+                        key=lambda g: (g.norm_sq(), g.c, g.d, g.a, g.b))
+        assert any(g.c for g in inside)  # more than the translations
+        assert enumerate_cosets(lam, gamma, math.sqrt(BALL_NORM_SQ)).reps == tuple(inside)
+
     def test_trivial_ball(self):
         # the only cosets with norm <= 1.5 are {+-I} and {+-S}, both at sqrt(2)
         table = enumerate_cosets(GroupSpec.plus_minus_identity(), GroupSpec.sl2z(), 1.5)
