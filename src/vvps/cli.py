@@ -2,9 +2,11 @@
 
 Subcommands: eval, fourier, pair, criterion, induce, cosets, selftest,
 table.  Each job validates its configuration, runs one computation, and
-writes a single JSON or CSV artifact; identical configurations (including
-the rng seed) produce byte-identical artifacts.  Exit codes: 0 success,
-2 invalid configuration, 3 numeric refusal.
+writes a single artifact: CSV for table, JSON or CSV (--format) for
+fourier, JSON otherwise.  Identical configurations (including selftest's
+--rng-seed) produce byte-identical artifacts.  A subcommand takes only
+the options its job reads; any other option is a usage error.  Exit
+codes: 0 success, 2 invalid configuration, 3 numeric refusal.
 """
 
 from __future__ import annotations
@@ -336,22 +338,24 @@ def _emit_error(kind: str, exc: Exception):
         sort_keys=True) + "\n")
 
 
-def _add_common(sp, seed_opts=False, quad_opts=False):
+def _add_group(sp, rep=False):
     sp.add_argument("--group", default="sl2z")
     sp.add_argument("--level", type=int, default=None)
+    if rep:
+        sp.add_argument("--rep", default="trivial")
+        sp.add_argument("--p", type=int, default=1)
+
+
+def _add_series(sp, quad_opts=False):
+    """Options of the jobs that build a truncated series."""
+    _add_group(sp, rep=True)
     sp.add_argument("--k", type=float, default=12.0)
     sp.add_argument("--family", default="trivial")
-    sp.add_argument("--rep", default="trivial")
-    sp.add_argument("--p", type=int, default=1)
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
-    sp.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)
-    if seed_opts:
-        sp.add_argument("--seed", default="classical", choices=("classical", "elliptic"))
-        sp.add_argument("--nu", type=int, default=0)
-        sp.add_argument("--j", type=int, default=1)
-        sp.add_argument("--xi", default="0,1")
-        sp.add_argument("--height", type=float, default=60.0)
+    sp.add_argument("--seed", default="classical", choices=("classical", "elliptic"))
+    sp.add_argument("--nu", type=int, default=0)
+    sp.add_argument("--j", type=int, default=1)
+    sp.add_argument("--xi", default="0,1")
+    sp.add_argument("--height", type=float, default=60.0)
     if quad_opts:
         sp.add_argument("--ymin", type=float, default=0.05)
         sp.add_argument("--ymax", type=float, default=10.0)
@@ -366,21 +370,27 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eval", help="evaluate a truncated series at a point")
-    _add_common(sp, seed_opts=True)
+    def command(name, help):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--out", default="-")
+        return sp
+
+    sp = command("eval", "evaluate a truncated series at a point")
+    _add_series(sp)
     sp.add_argument("--tau", required=True)
 
-    sp = sub.add_parser("fourier", help="Fourier coefficients of a series")
-    _add_common(sp, seed_opts=True)
+    sp = command("fourier", "Fourier coefficients of a series")
+    _add_series(sp)
+    sp.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
     sp.add_argument("--n0", type=int, default=0)
     sp.add_argument("--n1", type=int, default=2)
     sp.add_argument("--y0", type=float, default=0.5)
     sp.add_argument("--nx-fourier", dest="nx_fourier", type=int, default=64)
 
-    sp = sub.add_parser("pair", help="strip pairing vs closed form")
-    _add_common(sp, seed_opts=True, quad_opts=True)
+    sp = command("pair", "strip pairing vs closed form")
+    _add_series(sp, quad_opts=True)
 
-    sp = sub.add_parser("criterion", help="non-vanishing criteria")
+    sp = command("criterion", "non-vanishing criteria")
     sp.add_argument("kind", choices=("classical", "elliptic", "regionA", "regionC"))
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--N", type=int, required=True)
@@ -388,40 +398,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=int, default=0)
     sp.add_argument("--m", type=float, default=1.0)
     sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--format", dest="fmt", default="json", choices=("json",))
-    sp.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)
 
-    sp = sub.add_parser("induce", help="induce a representation to the full group")
-    _add_common(sp)
+    sp = command("induce", "induce a representation to the full group")
+    _add_group(sp, rep=True)
 
-    sp = sub.add_parser("cosets", help="enumerate coset representatives")
-    _add_common(sp)
+    sp = command("cosets", "enumerate coset representatives")
+    _add_group(sp)
     sp.add_argument("--stabiliser", default="gammainf", choices=("gammainf", "pmi"))
     sp.add_argument("--width", type=int, default=None)
     sp.add_argument("--height", type=float, default=20.0)
 
-    sp = sub.add_parser("selftest", help="run the fast invariant suite")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--format", dest="fmt", default="json", choices=("json",))
+    sp = command("selftest", "run the fast invariant suite")
     sp.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)
 
-    sp = sub.add_parser("table", help="criterion margins over a grid, as CSV")
+    sp = command("table", "criterion margins over a grid, as CSV")
     sp.add_argument("--k-list", default="4,6,12,20.5")
     sp.add_argument("--n-list", default="2,3,5,11")
     sp.add_argument("--nu-max", type=int, default=6)
     sp.add_argument("--m", type=float, default=1.0)
     sp.add_argument("--M", type=int, default=1)
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--format", dest="fmt", default="csv", choices=("csv",))
-    sp.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)
     return ap
 
 
 def config_from_args(argv=None) -> JobConfig:
     ns = build_parser().parse_args(argv)
     return JobConfig(command=ns.command, args={"ns": ns}, out=ns.out,
-                     fmt=ns.fmt, rng_seed=ns.rng_seed)
+                     fmt=getattr(ns, "fmt", "json"),
+                     rng_seed=getattr(ns, "rng_seed", 0))
 
 
 def main(argv=None) -> None:

@@ -115,6 +115,18 @@ class TestOtherCommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["selftest"] == "pass"
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--format", "csv", "--tau", "0.3,1.1"],
+        ["cosets", "--k", "7"],
+        ["cosets", "--family", "eta", "--p", "3", "--rep", "trivial"],
+        ["induce", "--k", "7"],
+        ["table", "--rng-seed", "3"],
+    ])
+    def test_options_a_job_does_not_read_are_refused(self, argv):
+        proc = invoke(argv)
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+
     def test_cosets_round_trip(self, tmp_path):
         out = tmp_path / "cosets.json"
         proc = invoke(["cosets", "--group", "gamma0", "--level", "2",
