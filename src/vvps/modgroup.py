@@ -5,7 +5,9 @@ Covers the group-theoretic substrate: Moebius action and its cocycle,
 principal-branch real powers, Iwasawa and Cartan coordinates, membership
 tests for the supported subgroup families, reduction of a matrix to a word
 in the standard generators, coset enumeration inside a Frobenius-norm ball,
-and cusp widths.
+and cusp widths.  Enumeration serves both stabilisers, Gamma_inf(M) and
+<-I>, with one loop over coprime bottom rows (c, d) and a translation
+parameter t per row.
 """
 
 from __future__ import annotations
@@ -489,7 +491,8 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
 
 
 def _bottom_row_cosets(lam: GroupSpec, gamma: GroupSpec, h2: int):
-    # every supported finite-index family has its level dividing c
+    # every supported finite-index group of level N (Gamma0, Gamma1pm,
+    # GammaNpm) has N | c, so other rows cannot occur
     step = gamma.level if gamma.finite_index else 1
     out = []
     for c in range(0, math.isqrt(h2) + 1, step):
