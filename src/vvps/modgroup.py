@@ -485,16 +485,10 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     if not (lam.kind == "PlusMinusIdentity" or contains(gamma, t_power(lam.n))):
         raise ValueError(f"{lam} is not a subgroup of {gamma}")
     h2 = int(math.floor(height * height + 1e-9))
-    reps = _bottom_row_cosets(lam, gamma, h2) if h2 >= 2 else []
-    reps.sort(key=lambda g: (g.norm_sq(), g.c, g.d, g.a, g.b))
-    return CosetTable(lam, gamma, float(height), tuple(reps))
-
-
-def _bottom_row_cosets(lam: GroupSpec, gamma: GroupSpec, h2: int):
     # every supported finite-index group of level N (Gamma0, Gamma1pm,
     # GammaNpm) has N | c, so other rows cannot occur
     step = gamma.level if gamma.finite_index else 1
-    out = []
+    reps = []
     for c in range(0, math.isqrt(h2) + 1, step):
         dmax = math.isqrt(h2 - c * c)
         for d in range(-dmax, dmax + 1) if c else (1,):
@@ -520,5 +514,6 @@ def _bottom_row_cosets(lam: GroupSpec, gamma: GroupSpec, h2: int):
                 if a * a + b * b <= rem:
                     g = IntMatrix2(a, b, c, d)
                     if contains(gamma, g):
-                        out.append(g)
-    return out
+                        reps.append(g)
+    reps.sort(key=lambda g: (g.norm_sq(), g.c, g.d, g.a, g.b))
+    return CosetTable(lam, gamma, float(height), tuple(reps))
