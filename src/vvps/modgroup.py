@@ -488,6 +488,9 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     # every supported finite-index group of level N (Gamma0, Gamma1pm,
     # GammaNpm) has N | c, so other rows cannot occur
     step = gamma.level if gamma.finite_index else 1
+    # Gamma_inf(M) takes every t in one fixed window; <-I> takes the t of
+    # each row whose matrix lies in the ball
+    fixed = range(lam.n) if lam.kind == "GammaInfinity" else None
     reps = []
     for c in range(0, math.isqrt(h2) + 1, step):
         dmax = math.isqrt(h2 - c * c)
@@ -497,9 +500,8 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
                 continue
             a0 = pow(d, -1, c) if c else 1
             b0 = (a0 * d - 1) // c if c else 0
-            if lam.kind == "GammaInfinity":
-                window = range(lam.n)
-            else:
+            window = fixed
+            if window is None:
                 # integer roots of (a0 + t c)^2 + (b0 + t d)^2 <= rem
                 qa = c * c + d * d
                 qb = 2.0 * (a0 * c + b0 * d)
