@@ -84,7 +84,7 @@ def _parse_ms(ns) -> MultiplierSystem:
 def _parse_rep(ns, group: GroupSpec) -> RepSpec:
     spec = ns.rep or "trivial"
     if spec == "trivial":
-        return trivial_rep(getattr(ns, "p", 1) or 1, group)
+        return trivial_rep(ns.p, group)
     try:
         with open(spec) as fh:
             return RepSpec.from_json(json.load(fh))

@@ -69,6 +69,11 @@ class TestEval:
                        "--family", "eta", "--tau", "0.3,1.1", "--height", "10"])
         assert proc.returncode == 2
 
+    def test_zero_dimension_is_config_error(self):
+        # --p 0 used to be read as p = 1
+        proc = invoke(["eval", "--p", "0", "--tau", "0.3,1.1", "--height", "10"])
+        assert proc.returncode == 2
+
 
 class TestCriterion:
     def test_classical(self):
