@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from vvps.cli import config_from_args, emit_threshold_table, run
+from vvps.cli import config_from_args, emit_threshold_table, main, run
 from vvps.modgroup import GroupSpec, S, T, right_coset_reps
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import evaluate_rho, induce, spectral_split, st_rep, trivial_rep
-from vvps.seeds import ClassicalSeed
+from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import build_series
 
 
@@ -68,6 +68,43 @@ class TestEval:
         proc = invoke(["eval", "--k", "1.0", "--seed", "classical",
                        "--family", "eta", "--tau", "0.3,1.1", "--height", "10"])
         assert proc.returncode == 2
+
+    def test_negative_first_part_with_equals_form(self, tmp_path):
+        out = tmp_path / "eval.json"
+        code = run(config_from_args([
+            "eval", "--group", "gamma0", "--level", "2", "--seed", "elliptic",
+            "--nu", "1", "--xi=-0.5,1", "--tau=-0.2,0.2", "--height", "20",
+            "--out", str(out)]))
+        assert code == 0
+        data = json.loads(out.read_text())
+
+        group = GroupSpec.gamma0(2)
+        seed = EllipticSeed(1, complex(-0.5, 1.0), np.array([1.0 + 0j]), 12.0)
+        h = build_series(seed, GroupSpec.plus_minus_identity(), group,
+                         trivial_rep(1, group), MultiplierSystem("trivial_even", 12.0),
+                         12.0, 20.0)
+        value, tail = h.evaluate(complex(-0.2, 0.2))
+        assert data["tau"] == [-0.2, 0.2]
+        assert data["value"] == [[value[0].real, value[0].imag]]
+        assert data["tail"] == tail
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--tau=nan,1"],
+        ["eval", "--tau=0.3,inf"],
+        ["eval", "--tau", "0.3,1.1", "--height", "inf"],
+        ["eval", "--seed", "elliptic", "--xi=0,nan", "--tau", "0.3,1.1"],
+        ["eval", "--k", "nan", "--tau", "0.3,1.1"],
+        ["pair", "--ymax", "inf"],
+        ["fourier", "--y0", "nan"],
+        ["criterion", "classical", "--k", "nan", "--N", "5"],
+        ["criterion", "regionC", "--k", "12", "--N", "2", "--r", "-inf"],
+        ["table", "--k-list", "12,nan", "--n-list", "5", "--nu-max", "1"],
+    ])
+    def test_non_finite_input_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_zero_dimension_is_config_error(self):
         # --p 0 used to be read as p = 1

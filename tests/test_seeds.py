@@ -133,6 +133,16 @@ class TestStripIntegral:
             oracle = 3.0 / 2.0 ** (k / 2.0) * ix * iy
             assert seed_strip_integral(seed, k) == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("k", [3.5, 12.0, 20.5, 40.0])
+    def test_elliptic_matches_quad_oracle(self, k):
+        seed = EllipticSeed(1, complex(-0.2, 1.5), np.array([1.0 + 0j, 2.0j]), k)
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        ix, _ = integrate.quad(lambda x: (x * x + 1.0) ** (-k / 2.0), -np.inf, np.inf, **opts)
+        iy, _ = integrate.quad(lambda y: y ** (k / 2.0 - 2.0) * (y + 1.0) ** (1.0 - k),
+                               0.0, np.inf, **opts)
+        oracle = math.sqrt(5.0) / 1.5 ** (k / 2.0) * ix * iy
+        assert seed_strip_integral(seed, k) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_divergent_weight_rejected(self):
         seed = ClassicalSeed(0, 1, plain_split(), 1)
         with pytest.raises(DomainError):
