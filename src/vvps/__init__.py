@@ -5,7 +5,7 @@ reporting, Fourier and elliptic expansions, Petersson pairings with
 closed-form cross-checks, and median-based non-vanishing criteria."""
 
 from .errors import DomainError, RefusalError
-from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, Point, S, T,
+from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, S, T,
                        cartan_decompose, cocycle_j, contains, cusp_width,
                        enumerate_cosets, iwasawa_decompose, mobius_act,
                        real_power, right_coset_reps, slash_kernel, t_power,

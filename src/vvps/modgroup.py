@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "IntMatrix2", "GroupSpec", "Point", "CosetTable",
+    "IntMatrix2", "GroupSpec", "CosetTable",
     "I2", "S", "T", "t_power",
     "mobius_act", "cocycle_j", "arg_principal", "real_power",
     "principal_power", "entry_arrays", "slash_kernel",
@@ -96,29 +96,8 @@ def t_power(n: int) -> IntMatrix2:
     return IntMatrix2(1, n, 0, 1)
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point x + iy of the upper half-plane (y > 0 strictly)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise DomainError(f"point must have positive imaginary part, got y={self.y}")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "Point":
-        return cls(float(z.real), float(z.imag))
-
-    def __complex__(self) -> complex:
-        return complex(self.x, self.y)
-
-
 def _as_complex(tau) -> complex:
-    """Coerce a Point or complex-like to a complex number in the half-plane."""
-    if isinstance(tau, Point):
-        return complex(tau)
+    """Coerce a complex-like to a complex number in the half-plane."""
     z = complex(tau)
     if not z.imag > 0:
         raise DomainError(f"tau must lie in the upper half-plane, got {z}")
@@ -134,12 +113,11 @@ def _row_entries(g) -> tuple:
     return (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
-def mobius_act(g, tau) -> Point:
+def mobius_act(g, tau) -> complex:
     """Fractional linear action g.tau = (a tau + b)/(c tau + d)."""
     a, b, c, d = _row_entries(g)
     z = _as_complex(tau)
-    w = (a * z + b) / (c * z + d)
-    return Point.from_complex(w)
+    return (a * z + b) / (c * z + d)
 
 
 def cocycle_j(g, tau) -> complex:

@@ -118,7 +118,7 @@ def check_consistency(ms: MultiplierSystem, samples: int, rng_seed: int = 0) -> 
         g2 = _random_element(rng)
         tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0))
         num = evaluate_v(ms, g1 * g2) * real_power(cocycle_j(g1 * g2, tau), ms.k)
-        den = (evaluate_v(ms, g1) * real_power(cocycle_j(g1, complex(mobius_act(g2, tau))), ms.k)
+        den = (evaluate_v(ms, g1) * real_power(cocycle_j(g1, mobius_act(g2, tau)), ms.k)
                * evaluate_v(ms, g2) * real_power(cocycle_j(g2, tau), ms.k))
         worst = max(worst, abs(num / den - 1.0))
     return worst

@@ -299,7 +299,7 @@ def _search_region_overlap(gamma: GroupSpec, m_width: int, y_cut: float) -> str:
         if g.c == 0:
             continue  # translations leave the strip coordinates unchanged
         for tau in taus:
-            w = complex(mobius_act(g, tau))
+            w = mobius_act(g, tau)
             if w.imag > y_cut and 0.0 < w.real <= m_width and abs(w - tau) > 1e-9:
                 return f"violated by {g}"
     return "no violation found at height 12"

@@ -143,7 +143,11 @@ class SeriesHandle:
         Returns (values, tails): values has shape (len(taus), p), tails the
         per-point mass of the outermost tenth of cosets by norm.
         """
-        taus = np.asarray([_as_complex(t) for t in np.atleast_1d(taus)], dtype=complex)
+        taus = np.atleast_1d(np.asarray(taus, dtype=complex))
+        outside = np.isnan(taus) | (taus.imag <= 0)
+        if np.any(outside):
+            raise DomainError("tau must lie in the upper half-plane, "
+                              f"got {complex(taus[outside][0])}")
         if np.any(taus.imag < MIN_IM):
             raise RefusalError(f"evaluation refused for Im(tau) < {MIN_IM}: "
                                "truncation error blows up near the real line")

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_element, random_tau
 from vvps.errors import DomainError
-from vvps.modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, Point, S, T,
+from vvps.modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, S, T,
                            cartan_decompose, cocycle_j, contains, cusp_width,
                            entry_arrays, enumerate_cosets, evaluate_word,
                            iwasawa_decompose, mobius_act, real_power,
@@ -55,9 +55,12 @@ class TestMobius:
     def test_translation(self):
         assert complex(mobius_act(T, complex(0.3, 1.1))) == pytest.approx(complex(1.3, 1.1))
 
+    def test_returns_complex(self):
+        w = mobius_act(S, complex(0.3, 1.1))
+        assert type(w) is complex
+        assert w == pytest.approx(-1.0 / complex(0.3, 1.1))
+
     def test_point_validation(self):
-        with pytest.raises(DomainError):
-            Point(0.0, -1.0)
         with pytest.raises(DomainError):
             mobius_act(S, complex(1.0, -2.0))
 
