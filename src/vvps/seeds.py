@@ -15,7 +15,6 @@ from typing import Union
 
 import numpy as np
 
-from ._quad import adaptive_simpson
 from .errors import DomainError
 from .modgroup import GroupSpec, I2, _as_complex, principal_power, t_power
 from .multiplier import MultiplierSystem
@@ -151,8 +150,9 @@ def seed_strip_integral(seed: SeedFn, k: float) -> float:
 
     Classical seeds have the closed form
     M^{k/2} Gamma(k/2 - 1) / (2 pi (nu + m_j))^{k/2 - 1}; for elliptic seeds
-    the proof-level upper bound is integrated numerically as the product of
-    two one-dimensional integrals scaled by ||u|| / Im(xi)^{k/2}.
+    the proof-level upper bound is the product of two one-dimensional
+    integrals, both Beta values in closed form, scaled by
+    ||u|| / Im(xi)^{k/2}.
     """
     if k <= 2:
         raise DomainError("the strip integral diverges for k <= 2")
@@ -161,20 +161,13 @@ def seed_strip_integral(seed: SeedFn, k: float) -> float:
         alpha = 2.0 * math.pi * (seed.nu + seed.m_j)
         return seed.M ** (k / 2.0) * math.gamma(s) / alpha ** s
     if isinstance(seed, EllipticSeed):
-        # int_R dx/(x^2+1)^{k/2} via x = tan(theta)
-        ix = adaptive_simpson(lambda th: math.cos(th) ** (k - 2.0),
-                              -math.pi / 2.0, math.pi / 2.0, tol=1e-12)
-        # int_0^inf y^{k/2-2} (y+1)^{1-k} dy -> t = y/(1+y), then t = u^mm
-        mm = 2.0 / (k - 2.0)
-
-        def inner(u):
-            if u <= 0.0:
-                return mm
-            return mm * (1.0 - u ** mm) ** (k / 2.0 - 1.0)
-
-        iy = adaptive_simpson(inner, 0.0, 1.0, tol=1e-12)
+        # int_R dx/(x^2+1)^{k/2} = B(1/2, (k-1)/2)
+        #   = sqrt(pi) Gamma((k-1)/2) / Gamma(k/2)
+        log_ix = 0.5 * math.log(math.pi) + math.lgamma((k - 1.0) / 2.0) - math.lgamma(k / 2.0)
+        # int_0^inf y^{k/2-2} (y+1)^{1-k} dy = B(k/2-1, k/2)
+        log_iy = math.lgamma(k / 2.0 - 1.0) + math.lgamma(k / 2.0) - math.lgamma(k - 1.0)
         unorm = float(np.linalg.norm(seed.u))
-        return unorm / complex(seed.xi).imag ** (k / 2.0) * ix * iy
+        return unorm / complex(seed.xi).imag ** (k / 2.0) * math.exp(log_ix + log_iy)
     raise TypeError(f"not a seed: {seed!r}")
 
 

@@ -131,7 +131,7 @@ class TestStripIntegral:
             ix = math.sqrt(math.pi) * math.gamma((k - 1) / 2) / math.gamma(k / 2)
             iy = math.gamma(k / 2 - 1) * math.gamma(k / 2) / math.gamma(k - 1)
             oracle = 3.0 / 2.0 ** (k / 2.0) * ix * iy
-            assert seed_strip_integral(seed, k) == pytest.approx(oracle, rel=1e-6)
+            assert seed_strip_integral(seed, k) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k", [3.5, 12.0, 20.5, 40.0])
     def test_elliptic_matches_quad_oracle(self, k):
