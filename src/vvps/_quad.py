@@ -6,14 +6,17 @@ import math
 
 import numpy as np
 
+_MAX_DEPTH = 40  # bisection levels of adaptive_simpson
+_BLOCK = 4096  # terms per pairwise partial of block_sum
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 40) -> float:
+
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Adaptive Simpson integration of a scalar function on [a, b]."""
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fb, fm, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fb, fm, whole, tol, _MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fb, fm, whole, tol, depth):
@@ -29,16 +32,15 @@ def _simpson_rec(f, a, b, fa, fb, fm, whole, tol, depth):
             + _simpson_rec(f, m, b, fm, fb, frm, right, tol / 2.0, depth - 1))
 
 
-def gauss_panels(a: float, b: float, n_panels: int, order: int = 4,
-                 geometric: bool = False):
-    """Nodes and weights for composite Gauss-Legendre panels on [a, b].
+def gauss_panels(a: float, b: float, n_panels: int, geometric: bool = False):
+    """Nodes and weights for composite 4-point Gauss-Legendre panels on [a, b].
 
     With geometric=True the panel edges are geometrically spaced (a > 0
     required), refining toward a.
     """
     if n_panels < 1:
         raise ValueError("need at least one panel")
-    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0, w0 = np.polynomial.legendre.leggauss(4)
     if geometric:
         if a <= 0:
             raise ValueError("geometric spacing needs a > 0")
@@ -59,7 +61,7 @@ def comp_sum_complex(values) -> complex:
     return complex(math.fsum(v.real), math.fsum(v.imag))
 
 
-def block_sum(x: np.ndarray, axis: int = -1, block: int = 4096) -> np.ndarray:
+def block_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Deterministic block-compensated sum along one axis.
 
     Pairwise numpy sums within fixed blocks, then an fsum of the block
@@ -69,7 +71,7 @@ def block_sum(x: np.ndarray, axis: int = -1, block: int = 4096) -> np.ndarray:
     n = x.shape[-1]
     if n == 0:
         return np.zeros(x.shape[:-1], dtype=x.dtype)
-    idx = np.arange(0, n, block)
+    idx = np.arange(0, n, _BLOCK)
     parts = np.add.reduceat(x, idx, axis=-1)
     flat = parts.reshape(-1, parts.shape[-1])
     if np.iscomplexobj(x):

@@ -195,10 +195,10 @@ def _strip_nodes(lam: GroupSpec, q: QuadratureSpec):
         wx = np.full(q.nx, m_width / q.nx)
     elif lam.kind == "PlusMinusIdentity":
         xmax = q.x_max if q.x_max is not None else 8.0
-        xs, wx = gauss_panels(-xmax, xmax, max(4, q.nx // 4), order=4)
+        xs, wx = gauss_panels(-xmax, xmax, max(4, q.nx // 4))
     else:
         raise ValueError(f"unsupported stabiliser {lam}")
-    ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, order=4, geometric=True)
+    ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, geometric=True)
     return xs, wx, ys, wy
 
 
@@ -240,10 +240,10 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
         q = QuadratureSpec(0.05, 6.0, 32, 24)
     if cosets is None:
         cosets = right_coset_reps(gamma)
-    xs, wx = gauss_panels(-0.5, 0.5, max(4, q.nx // 4), order=4)
+    xs, wx = gauss_panels(-0.5, 0.5, max(4, q.nx // 4))
     # one column of geometric Gauss nodes per x, clipped at the unit circle
     cols = [gauss_panels(max(q.y_min, math.sqrt(max(1.0 - x * x, 0.0))), q.y_max,
-                         max(4, q.ny // 4), order=4, geometric=True) for x in xs]
+                         max(4, q.ny // 4), geometric=True) for x in xs]
     ys = np.array([c[0] for c in cols])
     wy = np.array([c[1] for c in cols])
     taus = (xs[:, None] + 1j * ys).ravel()
