@@ -274,7 +274,7 @@ def _run_table(ns) -> str:
     if not all(math.isfinite(k) for k in ks):
         raise ConfigError(f"--k-list must be finite, got {ns.k_list!r}")
     levels = [int(v) for v in ns.n_list.split(",")] if ns.n_list else []
-    nus = list(range(0, ns.nu_max + 1)) if ns.nu_max is not None else []
+    nus = list(range(ns.nu_max + 1))
     return emit_threshold_table(ks, levels, nus, m_j=ns.m, M=ns.M)
 
 

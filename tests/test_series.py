@@ -141,13 +141,14 @@ class TestEvaluate:
     ])
     def test_point_validation(self, bad, error, as_array):
         h = classical_handle(height=10.0)
-        # a point below the real line is a domain error even next to one
-        # the refusal would catch
-        taus = [complex(0.1, 1.2), complex(0.2, 0.02), bad]
-        if error is RefusalError:
-            taus = [complex(0.1, 1.2), bad]
+        taus = [complex(0.1, 1.2), bad]
         with pytest.raises(error):
             h.evaluate_many(np.array(taus) if as_array else taus)
+
+    def test_domain_error_before_refusal(self):
+        h = classical_handle(height=10.0)
+        with pytest.raises(DomainError):
+            h.evaluate_many([complex(0.2, 0.02), complex(0.3, -1.0)])
 
     def test_empty_table_rejected(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
