@@ -50,6 +50,12 @@ class TestFourier:
         with pytest.raises(RefusalError):
             fourier_coefficients(F, plain_split(), 1, [0], 0.01, 64)
 
+    @pytest.mark.parametrize("nx", [0, -4])
+    def test_too_few_nodes_rejected(self, nx):
+        F = lambda tau: np.array([np.exp(2j * math.pi * tau)])
+        with pytest.raises(ValueError, match="nx"):
+            fourier_coefficients(F, plain_split(), 1, [0], 0.5, nx)
+
     def test_two_heights_agree(self):
         h, _ = classical_handle(GroupSpec.gamma0(2), 40.0)
         t1 = fourier_coefficients(h, h.seed.split, 1, [0, 1], 0.5, 64)

@@ -106,6 +106,25 @@ class TestEval:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--seed", "elliptic", "--j", "0", "--tau", "0.3,1.1", "--height", "10"],
+         "index j=0 out of range 1..1"),
+        (["eval", "--seed", "elliptic", "--j", "2", "--tau", "0.3,1.1", "--height", "10"],
+         "index j=2 out of range 1..1"),
+        (["eval", "--tau", "0.3,1.1", "--height=-5"], "height"),
+        (["cosets", "--height=-3"], "height"),
+        (["fourier", "--height", "10", "--nx-fourier", "0"], "nx"),
+        (["fourier", "--height", "10", "--nx-fourier=-4"], "nx"),
+    ])
+    def test_out_of_range_input_is_refused(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "invalid_config" and message in err["message"]
+
     def test_zero_dimension_is_config_error(self):
         # --p 0 used to be read as p = 1
         proc = invoke(["eval", "--p", "0", "--tau", "0.3,1.1", "--height", "10"])

@@ -292,6 +292,11 @@ class TestEnumerateCosets:
         table = enumerate_cosets(GroupSpec.plus_minus_identity(), GroupSpec.sl2z(), 1.0)
         assert len(table) == 0
 
+    def test_negative_height_rejected(self):
+        # the height enters squared, so -3 used to give the table of 3
+        with pytest.raises(ValueError, match="height"):
+            enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), -3.0)
+
     def test_not_subgroup_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cosets(GroupSpec.gamma_infinity(3), GroupSpec.gamma_npm(2), 10.0)
