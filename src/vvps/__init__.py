@@ -6,10 +6,9 @@ closed-form cross-checks, and median-based non-vanishing criteria."""
 
 from .errors import DomainError, RefusalError
 from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, S, T,
-                       cartan_decompose, cocycle_j, contains, cusp_width,
-                       enumerate_cosets, iwasawa_decompose, mobius_act,
-                       real_power, right_coset_reps, slash_kernel, t_power,
-                       word_in_st)
+                       cocycle_j, contains, cusp_width, enumerate_cosets,
+                       mobius_act, real_power, right_coset_reps, slash_kernel,
+                       t_power)
 from .multiplier import MultiplierSystem, check_consistency, evaluate_v
 from .rep import (RepSpec, SpectralSplit, check_normal, dirichlet_rep,
                   evaluate_rho, induce, permutation_ell, spectral_split,
@@ -17,7 +16,7 @@ from .rep import (RepSpec, SpectralSplit, check_normal, dirichlet_rep,
 from .seeds import (ClassicalSeed, EllipticSeed, SeedFn, check_seed_invariance,
                     seed_strip_integral)
 from .series import (SeriesHandle, build_series, check_transformation, slash_k,
-                     slash_k_rho, sup_norm_probe, twist)
+                     slash_k_rho, twist)
 from .analysis import (FourierTable, QuadratureSpec,
                        classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,

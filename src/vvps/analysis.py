@@ -59,18 +59,6 @@ class QuadratureSpec:
         if self.nx < 16 or self.ny < 16:
             raise ValueError("nx and ny must be at least 16")
 
-    def to_json(self) -> dict:
-        out = {"y_min": self.y_min, "y_max": self.y_max, "nx": self.nx, "ny": self.ny}
-        if self.x_max is not None:
-            out["x_max"] = self.x_max
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuadratureSpec":
-        return cls(float(data["y_min"]), float(data["y_max"]),
-                   int(data.get("nx", 32)), int(data.get("ny", 24)),
-                   float(data["x_max"]) if "x_max" in data else None)
-
 
 def _eval_many(F, taus: np.ndarray) -> np.ndarray:
     """Vector values of an evaluable (handle, seed, or plain callable)."""
@@ -135,9 +123,11 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
                          k: Optional[float] = None) -> FourierTable:
     """Fourier coefficients of U (F |_k sigma) on the line Im = y0.
 
-    Periodic rectangle rule with nx nodes; for sigma != +-I the slash needs
-    the multiplier system and the weight.
+    Periodic rectangle rule with nx >= 1 nodes; for sigma != +-I the slash
+    needs the multiplier system and the weight.
     """
+    if nx < 1:
+        raise ValueError(f"nx must be at least 1, got {nx}")
     if y0 < 0.05:
         raise RefusalError("extraction height y0 < 0.05 refused")
     ns = tuple(int(n) for n in ns)

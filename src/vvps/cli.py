@@ -27,8 +27,8 @@ from .analysis import (QuadratureSpec, classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,
                        fourier_coefficients, petersson_strip)
 from .errors import DomainError, RefusalError
-from .modgroup import (GroupSpec, I2, cocycle_j, cusp_width, enumerate_cosets,
-                       evaluate_word, mobius_act, right_coset_reps, word_in_st)
+from .modgroup import (GroupSpec, I2, S, cocycle_j, cusp_width, enumerate_cosets,
+                       mobius_act, right_coset_reps, st_syllables, t_power)
 from .multiplier import MultiplierSystem, _random_element, check_consistency
 from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
                         find_radius, gamma_median, region_test_a, region_test_c)
@@ -118,6 +118,8 @@ def _build_series(ns):
         seed = _classical_seed(group, rep, ms, ns.nu, ns.j)
         lam = GroupSpec.gamma_infinity(seed.M)
     else:
+        if not 1 <= ns.j <= rep.p:
+            raise ConfigError(f"index j={ns.j} out of range 1..{rep.p}")
         xi = _parse_xy(ns.xi, "--xi")
         u = np.zeros(rep.p, dtype=complex)
         u[ns.j - 1] = 1.0
@@ -232,9 +234,11 @@ def _run_selftest(ns) -> dict:
     ok = True
     for _ in range(100):
         g = _random_element(rng, 11)
-        letters, _ = word_in_st(g)
-        prod = evaluate_word(letters)
-        ok = ok and (prod == g or prod == -g)
+        syll, sign = st_syllables(g)
+        prod = I2
+        for kind, q in syll:
+            prod = prod * (t_power(q) if kind == "T" else S)
+        ok = ok and prod == (g if sign == 1 else -g)
     checks["word_reconstruction"] = 0.0 if ok else 1.0
 
     checks["multiplier_identity"] = check_consistency(

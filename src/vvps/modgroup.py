@@ -2,10 +2,9 @@
 the upper half-plane.
 
 Covers the group-theoretic substrate: Moebius action and its cocycle,
-principal-branch real powers, Iwasawa and Cartan coordinates, membership
-tests for the supported subgroup families, reduction of a matrix to a word
-in the standard generators, coset enumeration inside a Frobenius-norm ball,
-and cusp widths.  Enumeration serves both stabilisers, Gamma_inf(M) and
+principal-branch real powers, membership tests for the supported subgroup
+families, the S/T syllables of a matrix, coset enumeration inside a
+Frobenius-norm ball, and cusp widths.  Enumeration serves both stabilisers, Gamma_inf(M) and
 <-I>, with one loop over coprime bottom rows (c, d) and a translation
 parameter t per row.
 """
@@ -25,8 +24,7 @@ __all__ = [
     "I2", "S", "T", "t_power",
     "mobius_act", "cocycle_j", "arg_principal", "real_power",
     "principal_power", "entry_arrays", "slash_kernel",
-    "iwasawa_decompose", "cartan_decompose",
-    "contains", "word_in_st", "st_syllables",
+    "contains", "st_syllables",
     "enumerate_cosets", "cusp_width", "right_coset_reps",
 ]
 
@@ -61,26 +59,8 @@ class IntMatrix2:
     def inv(self) -> "IntMatrix2":
         return IntMatrix2(self.d, -self.b, -self.c, self.a)
 
-    def __pow__(self, n: int) -> "IntMatrix2":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = I2
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def norm_sq(self) -> int:
         return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
 
     def __str__(self):
         return f"[{self.a} {self.b}; {self.c} {self.d}]"
@@ -104,26 +84,15 @@ def _as_complex(tau) -> complex:
     return z
 
 
-def _row_entries(g) -> tuple:
-    if isinstance(g, IntMatrix2):
-        return (float(g.a), float(g.b), float(g.c), float(g.d))
-    m = np.asarray(g, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    return (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-
-def mobius_act(g, tau) -> complex:
+def mobius_act(g: IntMatrix2, tau) -> complex:
     """Fractional linear action g.tau = (a tau + b)/(c tau + d)."""
-    a, b, c, d = _row_entries(g)
     z = _as_complex(tau)
-    return (a * z + b) / (c * z + d)
+    return (g.a * z + g.b) / (g.c * z + g.d)
 
 
-def cocycle_j(g, tau) -> complex:
+def cocycle_j(g: IntMatrix2, tau) -> complex:
     """The automorphy cocycle j(g, tau) = c tau + d."""
-    _, _, c, d = _row_entries(g)
-    return c * _as_complex(tau) + d
+    return g.c * _as_complex(tau) + g.d
 
 
 def arg_principal(z: complex) -> float:
@@ -170,50 +139,6 @@ def slash_kernel(a, b, c, d, taus, k: float) -> tuple:
     tt = np.asarray(taus, dtype=complex)[:, None]
     jj = c[None, :] * tt + d[None, :]
     return principal_power(jj, -k), (a[None, :] * tt + b[None, :]) / jj
-
-
-def iwasawa_decompose(g) -> tuple:
-    """Coordinates (x, y, theta) with g = n_x a_y k_theta; x + iy = g.i."""
-    a, b, c, d = _row_entries(g)
-    det = a * d - b * c
-    if abs(det - 1.0) > 1e-9:
-        raise DomainError(f"matrix must have determinant 1, got {det}")
-    r = c * c + d * d
-    y = 1.0 / r
-    x = (a * c + b * d) * y
-    theta = math.atan2(c, d)
-    return (x, y, theta)
-
-
-def cartan_decompose(g) -> tuple:
-    """Coordinates (theta1, t, theta2) with g = k_{theta1} h_t k_{theta2}.
-
-    Normalised so t >= 0, theta1 in [0, pi), theta2 in [0, 2 pi); for t = 0
-    the convention is theta1 = 0.
-    """
-    a, b, c, d = _row_entries(g)
-    det = a * d - b * c
-    if abs(det - 1.0) > 1e-9:
-        raise DomainError(f"matrix must have determinant 1, got {det}")
-    m = np.array([[a, b], [c, d]])
-    u, sv, vt = np.linalg.svd(m)
-    # land both rotation factors in SO(2); det u = det vt since det m = 1
-    if np.linalg.det(u) < 0:
-        u = u @ np.diag([1.0, -1.0])
-        vt = np.diag([1.0, -1.0]) @ vt
-    t = math.log(max(sv[0], 1.0))
-    if t < 1e-13:
-        t = 0.0
-        theta1 = 0.0
-        theta2 = math.atan2(c, a)
-    else:
-        theta1 = math.atan2(u[1, 0], u[0, 0])
-        theta2 = math.atan2(vt[1, 0], vt[0, 0])
-    if theta1 < 0:
-        theta1 += math.pi
-        theta2 += math.pi
-    theta2 = theta2 % (2.0 * math.pi)
-    return (theta1, t, theta2)
 
 
 _KINDS = ("SL2Z", "Gamma0", "Gamma1pm", "GammaNpm", "GammaInfinity", "PlusMinusIdentity")
@@ -344,34 +269,6 @@ def st_syllables(g: IntMatrix2):
     return syll, a * (-1) ** n_s
 
 
-def word_in_st(g: IntMatrix2):
-    """Express g as a word over {S, T, T^-1}.
-
-    Returns (letters, sign): the product of the letters equals sign * g.
-    """
-    syll, sign = st_syllables(g)
-    letters = []
-    for kind, e in syll:
-        if kind == "S":
-            letters.append("S")
-        elif e >= 0:
-            letters.extend(["T"] * e)
-        else:
-            letters.extend(["T^-1"] * (-e))
-    return letters, sign
-
-
-_LETTER = {"S": S, "T": T, "T^-1": T.inv()}
-
-
-def evaluate_word(letters) -> IntMatrix2:
-    """Multiply out a list of generator letters."""
-    out = I2
-    for let in letters:
-        out = out * _LETTER[let]
-    return out
-
-
 def cusp_width(gamma: GroupSpec, sigma: IntMatrix2) -> int:
     """Smallest M > 0 with sigma T^M sigma^{-1} in gamma."""
     if not gamma.finite_index:
@@ -384,7 +281,11 @@ def cusp_width(gamma: GroupSpec, sigma: IntMatrix2) -> int:
     raise AssertionError(f"no cusp width <= {bound} found for {gamma}")  # pragma: no cover
 
 
-def right_coset_reps(gamma: GroupSpec, max_index: int = 100000):
+# right_coset_reps gives up beyond this many cosets
+_MAX_INDEX = 100000
+
+
+def right_coset_reps(gamma: GroupSpec):
     """Representatives g_j with SL2(Z) equal to the disjoint union of the
     right cosets gamma * g_j; g_1 is the identity.
 
@@ -404,8 +305,8 @@ def right_coset_reps(gamma: GroupSpec, max_index: int = 100000):
                 if not any(contains(gamma, cand * r.inv()) for r in reps):
                     reps.append(cand)
                     nxt.append(cand)
-                    if len(reps) > max_index:
-                        raise RuntimeError("coset search exceeded max_index")
+                    if len(reps) > _MAX_INDEX:
+                        raise RuntimeError(f"coset search exceeded {_MAX_INDEX} cosets")
         frontier = nxt
     return reps
 
@@ -435,13 +336,6 @@ class CosetTable:
             "reps": [list(g.entries()) for g in self.reps],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CosetTable":
-        reps = tuple(IntMatrix2(*r) for r in data["reps"])
-        return cls(GroupSpec.from_json(data["lambda"]),
-                   GroupSpec.from_json(data["gamma"]),
-                   float(data["height"]), reps)
-
 
 def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTable:
     """Enumerate canonical left lam-coset representatives in gamma with
@@ -462,6 +356,8 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
         raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
     if not (lam.kind == "PlusMinusIdentity" or contains(gamma, t_power(lam.n))):
         raise ValueError(f"{lam} is not a subgroup of {gamma}")
+    if height < 0:
+        raise ValueError(f"height must be nonnegative, got {height}")
     h2 = int(math.floor(height * height + 1e-9))
     # every supported finite-index group of level N (Gamma0, Gamma1pm,
     # GammaNpm) has N | c, so other rows cannot occur

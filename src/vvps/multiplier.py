@@ -49,13 +49,6 @@ class MultiplierSystem:
             return 0.0
         return (self.k / 12.0) % 1.0
 
-    def to_json(self) -> dict:
-        return {"family": self.family, "k": self.k}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiplierSystem":
-        return cls(data["family"], float(data["k"]))
-
 
 def _dedekind12(d: int, c: int) -> int:
     """The integer 12 c s(d, c) for c > 0 and gcd(d, c) = 1, with s the

@@ -251,10 +251,10 @@ def elliptic_criterion(k: float, N: int, nu: int) -> CriterionReport:
 
 
 def region_test_a(seed: ClassicalSeed, lam: GroupSpec, gamma: GroupSpec,
-                  k: float, y_cut: float = None, check_points: bool = False) -> CriterionReport:
+                  k: float, check_points: bool = False) -> CriterionReport:
     """Direct test of the strip-region inequality for a classical seed.
 
-    The mass of the seed above y = y_cut (default 1/N) must exceed the mass
+    The mass of the seed above y = y_cut = 1/N must exceed the mass
     below; after substitution both sides are incomplete-gamma integrals, so
     the margin is 1 - 2 P(k/2 - 1, 2 pi (nu + m_j)/(M N)).  The no-return
     property of the region holds for the supported congruence families
@@ -267,8 +267,7 @@ def region_test_a(seed: ClassicalSeed, lam: GroupSpec, gamma: GroupSpec,
         raise ValueError("classical region test needs lam = GammaInfinity(M)")
     n_level = gamma.level
     m_width = seed.M
-    if y_cut is None:
-        y_cut = 1.0 / n_level
+    y_cut = 1.0 / n_level
     alpha = 2.0 * math.pi * (seed.nu + seed.m_j) / m_width
     s = k / 2.0 - 1.0
     x0 = alpha * y_cut

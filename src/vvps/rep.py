@@ -266,13 +266,6 @@ class SpectralSplit:
     def p(self) -> int:
         return len(self.m)
 
-    def to_json(self) -> dict:
-        return {"U": _mat_to_json(self.U), "m": list(self.m)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SpectralSplit":
-        return cls(_mat_from_json(data["U"]), tuple(float(x) for x in data["m"]))
-
 
 def _phase_fix(vec: np.ndarray) -> np.ndarray:
     big = np.abs(vec)

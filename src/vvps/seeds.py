@@ -21,8 +21,7 @@ from .multiplier import MultiplierSystem
 from .rep import RepSpec, SpectralSplit
 
 __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn",
-           "check_seed_invariance", "seed_strip_integral",
-           "seed_to_json", "seed_from_json"]
+           "check_seed_invariance", "seed_strip_integral"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,22 +169,3 @@ def seed_strip_integral(seed: SeedFn, k: float) -> float:
         return unorm / complex(seed.xi).imag ** (k / 2.0) * math.exp(log_ix + log_iy)
     raise TypeError(f"not a seed: {seed!r}")
 
-
-def seed_to_json(seed: SeedFn) -> dict:
-    if isinstance(seed, ClassicalSeed):
-        return {"variant": "classical", "nu": seed.nu, "j": seed.j,
-                "M": seed.M, "split": seed.split.to_json()}
-    return {"variant": "elliptic", "nu": seed.nu,
-            "xi": [seed.xi.real, seed.xi.imag],
-            "u": [[z.real, z.imag] for z in seed.u],
-            "k": seed.k}
-
-
-def seed_from_json(data: dict) -> SeedFn:
-    if data["variant"] == "classical":
-        return ClassicalSeed(int(data["nu"]), int(data["j"]),
-                             SpectralSplit.from_json(data["split"]), int(data["M"]))
-    if data["variant"] == "elliptic":
-        u = np.array([complex(re, im) for re, im in data["u"]])
-        return EllipticSeed(int(data["nu"]), complex(*data["xi"]), u, float(data["k"]))
-    raise ValueError(f"unknown seed variant {data['variant']!r}")

@@ -24,7 +24,7 @@ from .rep import RepSpec, _monodromy, check_normal, evaluate_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
 __all__ = ["SeriesHandle", "build_series", "slash_k", "slash_k_rho", "twist",
-           "check_transformation", "sup_norm_probe", "MIN_IM"]
+           "check_transformation", "MIN_IM"]
 
 MIN_IM = 0.05  # evaluation closer to the real line than this is refused
 
@@ -211,12 +211,3 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
         worst = max(worst, float(np.max(np.linalg.norm(acted - base, axis=1))))
     return TransformationCheck(worst, float(max(tail0.max(), tail1.max())))
 
-
-def sup_norm_probe(handle: SeriesHandle, taus) -> float:
-    """Grid maximum of ||P(tau)|| Im(tau)^{k/2}, a bounded quantity for
-    cuspidal data; useful as a sanity scale."""
-    taus = [_as_complex(t) for t in taus]
-    values, _ = handle.evaluate_many(taus)
-    norms = np.linalg.norm(values, axis=1)
-    ys = np.array([t.imag for t in taus])
-    return float(np.max(norms * ys ** (handle.k / 2.0)))

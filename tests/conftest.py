@@ -13,6 +13,14 @@ def random_element(rng, max_len=12):
     return g
 
 
+def syllable_product(syll):
+    """Left-to-right product of the syllables that st_syllables returns."""
+    g = I2
+    for kind, q in syll:
+        g = g * (t_power(q) if kind == "T" else S)
+    return g
+
+
 def random_tau(rng, y_lo=0.2, y_hi=3.0):
     return complex(rng.uniform(-2.0, 2.0), rng.uniform(y_lo, y_hi))
 

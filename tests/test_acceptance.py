@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import random_element, random_tau
+from conftest import random_element, random_tau, syllable_product
 from vvps.analysis import (QuadratureSpec, classical_pairing_closed_form,
                            elliptic_expansion_coeffs,
                            elliptic_pairing_closed_form, fourier_coefficients,
                            petersson_pair_full, petersson_strip)
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
-                           evaluate_word, mobius_act, right_coset_reps,
-                           t_power, word_in_st)
+                           mobius_act, right_coset_reps, st_syllables, t_power)
 from vvps.multiplier import MultiplierSystem
 from vvps.nonvanish import (beta_median, classical_criterion,
                             elliptic_criterion, find_radius, gamma_median,
@@ -101,8 +100,8 @@ def test_criterion_1_structural_suite(rng):
     ok = True
     for _ in range(120):
         g = random_element(rng, 14)
-        letters, sign = word_in_st(g)
-        ok = ok and evaluate_word(letters) == (g if sign == 1 else -g)
+        syll, sign = st_syllables(g)
+        ok = ok and syllable_product(syll) == (g if sign == 1 else -g)
     worst["word_exact"] = 0.0 if ok else 1.0
 
     rho0 = induce(trivial_rep(1, GroupSpec.gamma0(2)),

@@ -44,10 +44,6 @@ class TestConstruction:
         assert MultiplierSystem("eta_power", 0.5).kappa == pytest.approx(1.0 / 24.0)
         assert MultiplierSystem("eta_power", 3.5).kappa == pytest.approx(3.5 / 12.0)
 
-    def test_json_round_trip(self):
-        ms = MultiplierSystem("eta_power", 2.5)
-        assert MultiplierSystem.from_json(ms.to_json()) == ms
-
 
 class TestValues:
     def test_trivial_is_one(self, rng):

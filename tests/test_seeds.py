@@ -9,7 +9,7 @@ from vvps.modgroup import GroupSpec
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import SpectralSplit, spectral_split, trivial_rep
 from vvps.seeds import (ClassicalSeed, EllipticSeed, check_seed_invariance,
-                        seed_from_json, seed_strip_integral, seed_to_json)
+                        seed_strip_integral)
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
 
@@ -57,14 +57,6 @@ class TestEvaluation:
             EllipticSeed(0, complex(0, -1), np.array([1.0 + 0j]), 12.0)
         with pytest.raises(ValueError):
             EllipticSeed(0, 1j, np.zeros(2, dtype=complex), 12.0)
-
-    def test_json_round_trip(self):
-        seed = ClassicalSeed(1, 1, plain_split(2), 2)
-        again = seed_from_json(seed_to_json(seed))
-        assert again.nu == 1 and again.M == 2 and again.split.m == seed.split.m
-        ell = EllipticSeed(2, complex(0.3, 1.5), np.array([1.0, 1j]), 4.5)
-        again = seed_from_json(seed_to_json(ell))
-        assert again.xi == ell.xi and np.allclose(again.u, ell.u)
 
 
 class TestInvariance:
