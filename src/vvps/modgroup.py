@@ -4,9 +4,9 @@ the upper half-plane.
 Covers the group-theoretic substrate: Moebius action and its cocycle,
 principal-branch real powers, membership tests for the supported subgroup
 families, the S/T syllables of a matrix, coset enumeration inside a
-Frobenius-norm ball, and cusp widths.  Enumeration serves both stabilisers, Gamma_inf(M) and
-<-I>, with one loop over coprime bottom rows (c, d) and a translation
-parameter t per row.
+Frobenius-norm ball, and cusp widths.  Enumeration serves both
+stabilisers, Gamma_inf(M) and <-I>, with one loop over coprime bottom
+rows (c, d) and a translation parameter t per row.
 """
 
 from __future__ import annotations
