@@ -1,4 +1,4 @@
-"""Small shared quadrature helpers (adaptive Simpson, Gauss-Legendre panels)."""
+"""Small shared quadrature helpers: Gauss-Legendre panels and compensated sums."""
 
 from __future__ import annotations
 
@@ -6,30 +6,7 @@ import math
 
 import numpy as np
 
-_MAX_DEPTH = 40  # bisection levels of adaptive_simpson
 _BLOCK = 4096  # terms per pairwise partial of block_sum
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Adaptive Simpson integration of a scalar function on [a, b]."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fb, fm, whole, tol, _MAX_DEPTH)
-
-
-def _simpson_rec(f, a, b, fa, fb, fm, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_rec(f, a, m, fa, fm, flm, left, tol / 2.0, depth - 1)
-            + _simpson_rec(f, m, b, fm, fb, frm, right, tol / 2.0, depth - 1))
 
 
 def gauss_panels(a: float, b: float, n_panels: int, geometric: bool = False):

@@ -124,7 +124,9 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
     """Fourier coefficients of U (F |_k sigma) on the line Im = y0.
 
     Periodic rectangle rule with nx >= 1 nodes; for sigma != +-I the slash
-    needs the multiplier system and the weight.
+    needs the multiplier system and the weight.  Refused (RefusalError)
+    when y0 < 0.05 or when a growth factor e^{2 pi (n + m_j) y0 / M}
+    overflows.
     """
     if nx < 1:
         raise ValueError(f"nx must be at least 1, got {nx}")
@@ -150,7 +152,10 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
         freq = np.asarray(ns, dtype=float) + split.m[j]
         for i, _ in enumerate(ns):
             phase = np.exp(-2j * math.pi * freq[i] * xs / M)
-            growth = math.exp(2.0 * math.pi * freq[i] * y0 / M)
+            try:
+                growth = math.exp(2.0 * math.pi * freq[i] * y0 / M)
+            except OverflowError as exc:
+                raise RefusalError(f"growth factor at n={ns[i]}, y0={y0} overflows") from exc
             b[j, i] = growth / nx * comp_sum_complex(uvals[:, j] * phase)
     return FourierTable(sigma, M, split.m, ns, b, y0)
 

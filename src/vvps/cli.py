@@ -139,6 +139,8 @@ def _run_eval(ns) -> dict:
 
 
 def _run_fourier(ns) -> dict:
+    if ns.n0 > ns.n1:
+        raise ConfigError(f"need --n0 <= --n1, got {ns.n0} > {ns.n1}")
     handle = _build_series(ns)
     seed = handle.seed
     if not isinstance(seed, ClassicalSeed):

@@ -3,8 +3,9 @@
 The classical criterion compares nu + m_j against a closed-form threshold
 linear in the weight; its sharp version compares against the median of a
 gamma distribution.  The elliptic criterion bounds the level from below by
-an expression in a beta-distribution median; the direct region tests verify
-the two defining inequalities of the admissible Cartan-radius interval.
+an expression in a beta-distribution median.  The region tests evaluate
+each region's mass condition as one incomplete gamma or beta CDF at the
+given cut, independently of the median route.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from ._quad import adaptive_simpson
-from .errors import DomainError
+from .errors import DomainError, RefusalError
 from .modgroup import GroupSpec
 from .seeds import ClassicalSeed
 
@@ -211,6 +211,10 @@ def classical_criterion(k: float, M: int, N: int, nu: int, m_j: float) -> Criter
         raise DomainError("criterion requires weight k > 2")
     if not 0 < m_j <= 1:
         raise ValueError("m_j must lie in ]0, 1]")
+    if M < 1 or N < 1:
+        raise ValueError(f"need M >= 1 and N >= 1, got M={M}, N={N}")
+    if nu < 0:
+        raise ValueError(f"need nu >= 0, got {nu}")
     threshold = M * N * (k - 8.0 / 3.0) / (4.0 * math.pi)
     margin = threshold - (nu + m_j)
     details = {"threshold": threshold}
@@ -240,6 +244,8 @@ def elliptic_criterion(k: float, N: int, nu: int) -> CriterionReport:
         raise DomainError("criterion requires weight k > 2")
     if N < 2:
         raise ValueError("the elliptic criterion assumes level N >= 2")
+    if nu < 0:
+        raise ValueError(f"need nu >= 0, got {nu}")
     rhs, mb = _elliptic_rhs(k, nu)
     margin = N - rhs
     details = {"beta_median": mb, "rhs": rhs}
@@ -251,15 +257,16 @@ def elliptic_criterion(k: float, N: int, nu: int) -> CriterionReport:
 
 
 def region_test_a(seed: ClassicalSeed, lam: GroupSpec, gamma: GroupSpec,
-                  k: float, check_points: bool = False) -> CriterionReport:
-    """Direct test of the strip-region inequality for a classical seed.
+                  k: float) -> CriterionReport:
+    """Closed-form test of the strip-region inequality for a classical seed.
 
     The mass of the seed above y = y_cut = 1/N must exceed the mass
     below; after substitution both sides are incomplete-gamma integrals, so
     the margin is 1 - 2 P(k/2 - 1, 2 pi (nu + m_j)/(M N)).  The no-return
     property of the region holds for the supported congruence families
-    because nontrivial elements have |c| >= N; it is recorded as assumed
-    unless check_points asks for a bounded numerical search.
+    because nontrivial elements have |c| >= N, which the report records.
+    Raises RefusalError when the common scale M Gamma(s) / alpha^s
+    overflows.
     """
     if k <= 2:
         raise DomainError("region test requires k > 2")
@@ -272,75 +279,49 @@ def region_test_a(seed: ClassicalSeed, lam: GroupSpec, gamma: GroupSpec,
     s = k / 2.0 - 1.0
     x0 = alpha * y_cut
     p_val = regularized_incomplete_gamma(s, x0)
-    scale = m_width * math.gamma(s) / alpha ** s
+    try:
+        scale = m_width * math.gamma(s) / alpha ** s
+    except OverflowError as exc:
+        raise RefusalError(f"region A scale M Gamma(s) / alpha^s overflows at s={s}") from exc
     lhs = scale * (1.0 - p_val)
     rhs = scale * p_val
     margin = 1.0 - 2.0 * p_val
     details = {"above_cut": lhs, "below_cut": rhs, "x0": x0,
                "gamma_median": gamma_median(s),
                "pairwise_inequivalence": "assumed (|c| >= N for the supported families)"}
-    if check_points:
-        details["pairwise_inequivalence"] = _search_region_overlap(gamma, m_width, y_cut)
     return CriterionReport("regionA", bool(margin > 0), margin,
                            inputs={"k": k, "M": m_width, "N": n_level,
                                    "nu": seed.nu, "m_j": seed.m_j, "y_cut": y_cut},
                            details=details)
 
 
-def _search_region_overlap(gamma: GroupSpec, m_width: int, y_cut: float) -> str:
-    """Bounded search for gamma-equivalent point pairs inside the region."""
-    from .modgroup import enumerate_cosets, mobius_act, GroupSpec as GS
-
-    table = enumerate_cosets(GS.plus_minus_identity(), gamma, 12.0)
-    taus = [complex(x, y) for x in (0.25 * m_width, 0.75 * m_width)
-            for y in (y_cut * 1.5, y_cut * 4.0, 2.0)]
-    for g in table.reps:
-        if g.c == 0:
-            continue  # translations leave the strip coordinates unchanged
-        for tau in taus:
-            w = mobius_act(g, tau)
-            if w.imag > y_cut and 0.0 < w.real <= m_width and abs(w - tau) > 1e-9:
-                return f"violated by {g}"
-    return "no violation found at height 12"
-
-
-def _c3_lhs(k: float, nu: int, r: float) -> float:
-    return adaptive_simpson(
-        lambda t: math.tanh(t) ** nu / math.cosh(t) ** k * math.sinh(2.0 * t),
-        0.0, r, tol=1e-13)
-
-
-def _c3_tail(k: float, nu: int, r: float) -> float:
-    # substitution s = tanh^2 t turns the tail into an incomplete beta
-    a = nu / 2.0 + 1.0
-    b = k / 2.0 - 1.0
-    s = math.tanh(r) ** 2
-    bfun = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    return bfun * (1.0 - regularized_incomplete_beta(a, b, s))
-
-
 def region_test_c(k: float, nu: int, N: int, r: float) -> CriterionReport:
-    """Direct test of the Cartan-ball conditions for an elliptic seed at i.
+    """Closed-form test of the Cartan-ball conditions for an elliptic seed at i.
 
     The ball of radius r must inject into the level-N quotient, which holds
     exactly when 2 cosh(4r) < N^2 + 2, and must carry more than half of the
-    seed's radial mass: quadrature of the head against a closed-form
-    (incomplete beta) tail.
+    seed's radial mass.  The substitution s = tanh^2 t turns the head
+    (0 <= t <= r) and the tail of that mass into B I and B (1 - I), with
+    I = I_{tanh^2 r}(nu/2 + 1, k/2 - 1) and B the complete beta value, so
+    the mass margin is 2 I - 1.
     """
     if k <= 2:
         raise DomainError("region test requires k > 2")
     if N < 2:
         raise ValueError("need N >= 2")
+    if nu < 0:
+        raise ValueError(f"need nu >= 0, got {nu}")
     if r <= 0:
         raise ValueError("need r > 0")
     sep = math.sqrt(N * N + 2.0) - math.sqrt(2.0 * math.cosh(4.0 * r))
-    lhs = _c3_lhs(k, nu, r)
-    rhs = _c3_tail(k, nu, r)
-    total = lhs + rhs
-    mass = (lhs - rhs) / total if total > 0 else -1.0
+    a = nu / 2.0 + 1.0
+    b = k / 2.0 - 1.0
+    frac = regularized_incomplete_beta(a, b, math.tanh(r) ** 2)
+    bfun = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    mass = 2.0 * frac - 1.0
     margin = min(sep, mass)
-    details = {"separation_margin": sep, "mass_head": lhs, "mass_tail": rhs,
-               "mass_margin": mass,
+    details = {"separation_margin": sep, "mass_head": bfun * frac,
+               "mass_tail": bfun * (1.0 - frac), "mass_margin": mass,
                "r_max": math.acosh((N * N + 2.0) / 2.0) / 4.0}
     return CriterionReport("regionC", bool(margin > 0), margin,
                            inputs={"k": k, "nu": nu, "N": N, "r": r},

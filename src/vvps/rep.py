@@ -208,18 +208,14 @@ def induce(rep: RepSpec, cosets) -> RepSpec:
     cosets = tuple(cosets)
     if not cosets or cosets[0] != I2:
         raise ValueError("coset list must start with the identity")
-    for i in range(len(cosets)):
-        for j in range(i + 1, len(cosets)):
-            if contains(rep.group, cosets[i] * cosets[j].inv()):
-                raise ValueError(f"cosets {i} and {j} coincide")
+    # permutation_ell rejects a list with coinciding cosets: a coincidence
+    # gives some coset two or zero image representatives under S or T
     return st_rep(_induced_image(rep, cosets, S), _induced_image(rep, cosets, T))
 
 
-def _monodromy(rep: RepSpec, ms: MultiplierSystem, m_width: int,
-               sigma: IntMatrix2 = I2) -> np.ndarray:
-    """The cusp monodromy e^{2 pi i kappa M} rho(sigma T^M sigma^{-1})."""
-    return (cmath.exp(2j * math.pi * ms.kappa * m_width)
-            * evaluate_rho(rep, sigma * t_power(m_width) * sigma.inv()))
+def _monodromy(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> np.ndarray:
+    """The cusp monodromy e^{2 pi i kappa M} rho(T^M) at infinity."""
+    return cmath.exp(2j * math.pi * ms.kappa * m_width) * evaluate_rho(rep, t_power(m_width))
 
 
 class NormalityResult(NamedTuple):
@@ -228,10 +224,10 @@ class NormalityResult(NamedTuple):
 
 
 def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec,
-                 sigma: IntMatrix2 = I2, max_n: int = 360) -> NormalityResult:
-    """Check rho(-I) = I and finite order of the cusp monodromy.
+                 max_n: int = 360) -> NormalityResult:
+    """Check rho(-I) = I and finite order of the cusp monodromy at infinity.
 
-    The monodromy e^{2 pi i kappa M} rho(sigma T^M sigma^{-1}) passes when
+    The monodromy e^{2 pi i kappa M} rho(T^M), M the cusp width, passes when
     every eigenvalue lies within 1e-8 of a root of unity of order <= max_n;
     the returned witness is the lcm of the minimal orders.
     """
@@ -239,7 +235,7 @@ def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec,
     if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(p)) > _UNITARY_TOL:
         return NormalityResult(False, None)
     orders = []
-    for lam in np.linalg.eigvals(_monodromy(rep, ms, cusp_width(gamma, sigma), sigma)):
+    for lam in np.linalg.eigvals(_monodromy(rep, ms, cusp_width(gamma, I2))):
         theta = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
         found = None
         for n in range(1, max_n + 1):

@@ -115,6 +115,15 @@ class TestEval:
         (["cosets", "--height=-3"], "height"),
         (["fourier", "--height", "10", "--nx-fourier", "0"], "nx"),
         (["fourier", "--height", "10", "--nx-fourier=-4"], "nx"),
+        (["criterion", "classical", "--k", "12", "--N", "5", "--M", "0"], "M >= 1"),
+        (["criterion", "classical", "--k", "12", "--N", "0"], "N >= 1"),
+        (["criterion", "classical", "--k", "12", "--N=-5"], "N >= 1"),
+        (["criterion", "classical", "--k", "12", "--N", "5", "--nu=-3"], "nu >= 0"),
+        (["table", "--k-list", "12", "--n-list", "0", "--nu-max", "0"], "N >= 1"),
+        (["criterion", "elliptic", "--k", "12", "--N", "5", "--nu=-1"], "nu >= 0"),
+        (["criterion", "regionC", "--k", "12", "--N", "5", "--nu=-1"], "nu >= 0"),
+        (["criterion", "regionC", "--k", "12", "--N", "5", "--nu=-1", "--r", "0.2"], "nu >= 0"),
+        (["fourier", "--height", "10", "--n0", "5", "--n1", "2"], "--n0 <= --n1"),
     ])
     def test_out_of_range_input_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -124,6 +133,18 @@ class TestEval:
         assert captured.out == ""
         err = json.loads(captured.err)["error"]
         assert err["type"] == "invalid_config" and message in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fourier", "--height", "10", "--y0", "200"],
+        ["criterion", "regionA", "--k", "400", "--N", "5"],
+    ])
+    def test_overflow_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "refusal"
 
     def test_zero_dimension_is_config_error(self):
         # --p 0 used to be read as p = 1
