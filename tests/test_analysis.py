@@ -188,6 +188,28 @@ class TestPeterssonStrip:
         assert err <= 1e-2 * abs(closed)
 
 
+class TestDiskRefusal:
+    @pytest.mark.parametrize("xi, q", [
+        (20j, QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)),    # eta >= y_max
+        (14j, QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)),
+        (0.05j, QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)),  # eta <= y_min
+        (0.01j, QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)),
+        (8.0 + 1j, QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)),  # |Re xi| >= x_max
+        (-9.0 + 1j, QuadratureSpec(0.05, 14.0, nx=32, ny=16)),  # default x_max 8
+    ])
+    def test_box_without_disk_refused(self, xi, q):
+        seed = EllipticSeed(0, xi, np.array([1.0 + 0j]), 12.0)
+        with pytest.raises(ValueError, match="no disk about xi"):
+            petersson_strip(seed, seed, GroupSpec.plus_minus_identity(), 12.0, q)
+
+    def test_second_argument_without_xi_refused(self):
+        seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
+        plain = lambda tau: np.array([1.0 + 0j])
+        q = QuadratureSpec(0.05, 14.0, nx=32, ny=16)
+        with pytest.raises(ValueError, match="xi"):
+            petersson_strip(seed, plain, GroupSpec.plus_minus_identity(), 12.0, q)
+
+
 class TestThreadCap:
     def test_results_independent_of_worker_count(self, monkeypatch):
         h, seed = classical_handle(GroupSpec.gamma0(2), 30.0)

@@ -124,6 +124,9 @@ class TestEval:
         (["criterion", "regionC", "--k", "12", "--N", "5", "--nu=-1"], "nu >= 0"),
         (["criterion", "regionC", "--k", "12", "--N", "5", "--nu=-1", "--r", "0.2"], "nu >= 0"),
         (["fourier", "--height", "10", "--n0", "5", "--n1", "2"], "--n0 <= --n1"),
+        (["pair", "--group", "gamma0", "--level", "2", "--seed", "elliptic", "--xi", "0,20",
+          "--height", "20", "--ymax", "14", "--nx", "32", "--ny", "16", "--xmax", "8"],
+         "no disk about xi"),
     ])
     def test_out_of_range_input_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
