@@ -1,11 +1,14 @@
-"""Expansions and Petersson pairings by strip quadrature.
+"""Expansions and Petersson pairings by quadrature.
 
 Fourier coefficients are extracted on a horizontal line by the periodic
 rectangle rule; elliptic expansion coefficients on a circle in the disk
 variable w = (tau - xi)/(tau - conj(xi)).  Pairings against seeds unfold to
-a strip (or to the whole half-plane for the <-I> stabiliser) and are
-integrated on a trapezoid-in-x times geometrically refined Gauss panels in
-y; the closed-form pairing values provide the independent second pipeline.
+the stabiliser's fundamental domain.  For GammaInfinity(M) that is the
+period strip, integrated on a trapezoid in x times geometrically refined
+Gauss panels in y.  For <-I> it is the whole half-plane, integrated on a
+hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
+Gauss panels in |w|.  The closed-form pairing values provide the
+independent second pipeline.
 """
 
 from __future__ import annotations
@@ -44,8 +47,15 @@ def thread_cap() -> int:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid sizes for strip integrals: nx nodes across the period (or nx
-    Gauss nodes across [-x_max, x_max]), ny geometric Gauss panels in y."""
+    """Grid and box of a pairing integral.
+
+    For the GammaInfinity strip: nx trapezoid nodes across the period and
+    ny geometric Gauss panels on [y_min, y_max].  For the <-I> disk about
+    xi: nx trapezoid nodes in arg w and max(4, ny // 4) Gauss panels in
+    |w|, the disk being the largest hyperbolic one inside the box
+    |x| <= x_max (default 8), y_min <= y <= y_max.  petersson_pair_full
+    reads max(4, nx // 4) and max(4, ny // 4) panels.
+    """
 
     y_min: float
     y_max: float
@@ -180,21 +190,43 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
     return out
 
 
-def _strip_nodes(lam: GroupSpec, q: QuadratureSpec):
-    """Node/weight arrays (x, wx, y, wy) for the stabiliser's fundamental
-    domain: the period strip for GammaInfinity, a truncated half-plane for
-    the <-I> stabiliser."""
+def _strip_nodes(f, lam: GroupSpec, k: float, q: QuadratureSpec):
+    """Flat node and weight arrays (taus, weights) for the stabiliser's
+    fundamental domain, the weights carrying the factor Im(tau)^k dv.
+
+    For GammaInfinity the period strip: a trapezoid in x times geometric
+    Gauss panels in y.  For <-I> the largest hyperbolic disk about the
+    seed's xi inside the box |x| <= x_max, y_min <= y <= y_max: a periodic
+    trapezoid in arg w times uniform Gauss panels in rho = |w|, with
+    w = (tau - xi)/(tau - conj(xi)) and dv = 4 rho drho dtheta/(1 - rho^2)^2.
+    """
     if lam.kind == "GammaInfinity":
         m_width = lam.n
         xs = (np.arange(q.nx) + 0.5) * (m_width / q.nx)
         wx = np.full(q.nx, m_width / q.nx)
-    elif lam.kind == "PlusMinusIdentity":
-        xmax = q.x_max if q.x_max is not None else 8.0
-        xs, wx = gauss_panels(-xmax, xmax, max(4, q.nx // 4))
-    else:
+        ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, geometric=True)
+        taus = (xs[:, None] + 1j * ys[None, :]).ravel()
+        weights = (wx[:, None] * (wy * ys ** (k - 2.0))[None, :]).ravel()
+        return taus, weights
+    if lam.kind != "PlusMinusIdentity":
         raise ValueError(f"unsupported stabiliser {lam}")
-    ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, geometric=True)
-    return xs, wx, ys, wy
+    if getattr(f, "xi", None) is None:
+        raise ValueError("the <-I> pairing needs a second argument with a centre xi")
+    xi = complex(f.xi)
+    eta = xi.imag
+    xmax = q.x_max if q.x_max is not None else 8.0
+    if not (q.y_min < eta < q.y_max and abs(xi.real) < xmax):
+        raise ValueError(f"no disk about xi={xi} fits the box |x| <= {xmax}, "
+                         f"{q.y_min} <= y <= {q.y_max}")
+    d = min(math.log(eta / q.y_min), math.log(q.y_max / eta),
+            math.asinh((xmax - abs(xi.real)) / eta))
+    rhos, wr = gauss_panels(0.0, math.tanh(d / 2.0), max(4, q.ny // 4))
+    thetas = 2.0 * math.pi * np.arange(q.nx) / q.nx
+    ws = (rhos[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
+    wmeas = 4.0 * rhos * wr / (1.0 - rhos ** 2) ** 2 * (2.0 * math.pi / q.nx)
+    weights = np.repeat(wmeas, q.nx) * taus.imag ** k
+    return taus, weights
 
 
 def petersson_strip(F, f, lam: GroupSpec, k: float, q: QuadratureSpec,
@@ -202,15 +234,17 @@ def petersson_strip(F, f, lam: GroupSpec, k: float, q: QuadratureSpec,
     """Unfolded pairing <F, P f> = int <F(tau), f(tau)> Im(tau)^k dv over a
     fundamental domain of the stabiliser lam.
 
-    The measure density is y^{k-2} dx dy.  With return_error=True a
+    For GammaInfinity(M) the domain is the period strip, truncated to
+    y_min <= y <= y_max.  For <-I> it is the whole half-plane, truncated to
+    the largest hyperbolic disk about f.xi (f must be an elliptic seed)
+    inside the box |x| <= x_max (default 8), y_min <= y <= y_max; a box
+    that holds no such disk raises ValueError.  With return_error=True a
     (value, error_estimate) pair is returned, the estimate coming from a
     half-resolution grid.
     """
     if k <= 2:
         raise DomainError("strip pairing diverges for k <= 2")
-    xs, wx, ys, wy = _strip_nodes(lam, q)
-    taus = (xs[:, None] + 1j * ys[None, :]).ravel()
-    weights = (wx[:, None] * (wy * ys ** (k - 2.0))[None, :]).ravel()
+    taus, weights = _strip_nodes(f, lam, k, q)
     fv = _eval_many(f, taus)
     big = _eval_many_parallel(F, taus)
     inner = np.sum(big * fv.conj(), axis=1)

@@ -337,9 +337,15 @@ def _add_series(sp, quad_opts=False):
     if quad_opts:
         sp.add_argument("--ymin", type=_finite_float, default=0.05)
         sp.add_argument("--ymax", type=_finite_float, default=10.0)
-        sp.add_argument("--nx", type=int, default=32)
-        sp.add_argument("--ny", type=int, default=24)
-        sp.add_argument("--xmax", type=_finite_float, default=None)
+        sp.add_argument("--nx", type=int, default=32,
+                        help="classical: trapezoid nodes across the period; "
+                             "elliptic: trapezoid nodes in arg w (at least 16)")
+        sp.add_argument("--ny", type=int, default=24,
+                        help="classical: geometric Gauss panels in y; elliptic: "
+                             "max(4, ny // 4) Gauss panels in |w| (at least 16)")
+        sp.add_argument("--xmax", type=_finite_float, default=None,
+                        help="elliptic: the disk about xi stays in |x| <= xmax "
+                             "(default 8), as it stays in ymin <= y <= ymax")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from vvps.analysis import (QuadratureSpec,
                            classical_pairing_closed_form,
@@ -187,6 +187,26 @@ class TestPeterssonStrip:
         assert abs(strip - closed) <= 1e-3 * abs(closed)
         assert err <= 1e-2 * abs(closed)
 
+    @pytest.mark.parametrize("k, tol", [(4.0, 2e-8), (7.3, 2e-8), (12.0, 2e-8), (40.0, 2e-6)])
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    @pytest.mark.parametrize("xi", [1j, 0.3 + 0.5j, 2j, -6 + 1j])
+    def test_elliptic_seed_disk_closed_form(self, k, tol, nu, xi):
+        # |f|^2 y^k dv = (4 eta)^-k rho^(2 nu) (1 - rho^2)^(k-2) 4 rho drho dtheta
+        # in w, so the pairing over the disk rho <= rho_max is
+        # 4 pi (4 eta)^-k B(nu+1, k-1) I_{rho_max^2}(nu+1, k-1); rho_max is
+        # tanh(d/2) for the largest hyperbolic radius d inside the box.  The
+        # disk touches y_max for i and 2i, y_min for 0.3+0.5i, x = -x_max for
+        # -6+i.  Worst errors seen: 9.9e-9 for k <= 12, 1.1e-6 at k = 40.
+        q = QuadratureSpec(0.05, 14.0, nx=160, ny=28, x_max=8.0)
+        seed = EllipticSeed(nu, xi, np.array([1.0 + 0j]), k)
+        got = petersson_strip(seed, seed, GroupSpec.plus_minus_identity(), k, q)
+        eta = xi.imag
+        d = min(math.log(eta / 0.05), math.log(14.0 / eta), math.asinh((8.0 - abs(xi.real)) / eta))
+        r2 = math.tanh(d / 2.0) ** 2
+        expect = (4.0 * math.pi * (4.0 * eta) ** -k * special.beta(nu + 1, k - 1)
+                  * special.betainc(nu + 1, k - 1, r2))
+        assert abs(got - expect) <= tol * expect
+
 
 class TestDiskRefusal:
     @pytest.mark.parametrize("xi, q", [
@@ -256,6 +276,17 @@ class TestPairFull:
         full = petersson_pair_full(h, h, GroupSpec.sl2z(), 12.0,
                                    q=QuadratureSpec(0.05, 8.0, nx=48, ny=32))
         assert abs(full - strip) <= 1e-2 * abs(strip)
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_elliptic_against_closed_form(self, nu):
+        # Cartesian witness for the disk route: the pairing over the quotient
+        # needs no disk grid and no Taylor coefficient read off a circle
+        gamma = GroupSpec.gamma0(2)
+        h, _ = elliptic_handle(gamma, 20.0, nu)
+        full = petersson_pair_full(h, h, gamma, 12.0)
+        b = elliptic_expansion_coeffs(h, 1j, 12.0, [nu], 0.4, nt=128)[nu]
+        closed = elliptic_pairing_closed_form(b, 12.0, nu, 1j)
+        assert abs(full - closed) <= 3e-7 * abs(closed)  # 9.6e-8 and 1.6e-7
 
     def test_isometry_of_induction(self):
         # pairing on the subgroup equals the pairing of the induced tuple
