@@ -47,15 +47,11 @@ def thread_cap() -> int:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid and box of a pairing integral.
-
-    For the GammaInfinity strip: nx trapezoid nodes across the period and
-    ny geometric Gauss panels on [y_min, y_max].  For the <-I> disk about
-    xi: nx trapezoid nodes in arg w and max(4, ny // 4) Gauss panels in
-    |w|, the disk being the largest hyperbolic one inside the box
-    |x| <= x_max (default 8), y_min <= y <= y_max.  petersson_pair_full
-    reads max(4, nx // 4) and max(4, ny // 4) panels.
-    """
+    """Grid and box of a pairing integral.  For the GammaInfinity strip: nx
+    trapezoid nodes across the period, ny geometric Gauss panels in y.  For
+    the <-I> disk about xi: nx trapezoid nodes in arg w, max(4, ny // 4)
+    Gauss panels in |w|, the disk being the largest hyperbolic one inside
+    the box |x| <= x_max (default 8), y_min <= y <= y_max."""
 
     y_min: float
     y_max: float
@@ -191,15 +187,10 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
 
 
 def _strip_nodes(f, lam: GroupSpec, k: float, q: QuadratureSpec):
-    """Flat node and weight arrays (taus, weights) for the stabiliser's
-    fundamental domain, the weights carrying the factor Im(tau)^k dv.
-
-    For GammaInfinity the period strip: a trapezoid in x times geometric
-    Gauss panels in y.  For <-I> the largest hyperbolic disk about the
-    seed's xi inside the box |x| <= x_max, y_min <= y <= y_max: a periodic
-    trapezoid in arg w times uniform Gauss panels in rho = |w|, with
-    w = (tau - xi)/(tau - conj(xi)) and dv = 4 rho drho dtheta/(1 - rho^2)^2.
-    """
+    """Flat (taus, weights) over the stabiliser's fundamental domain, the
+    weights carrying Im(tau)^k dv: the period strip for GammaInfinity, the
+    disk about f.xi for <-I>, where dv = 4 rho drho dtheta/(1 - rho^2)^2
+    in w = rho e^{i theta} = (tau - xi)/(tau - conj(xi))."""
     if lam.kind == "GammaInfinity":
         m_width = lam.n
         xs = (np.arange(q.nx) + 0.5) * (m_width / q.nx)
@@ -215,11 +206,11 @@ def _strip_nodes(f, lam: GroupSpec, k: float, q: QuadratureSpec):
     xi = complex(f.xi)
     eta = xi.imag
     xmax = q.x_max if q.x_max is not None else 8.0
-    if not (q.y_min < eta < q.y_max and abs(xi.real) < xmax):
-        raise ValueError(f"no disk about xi={xi} fits the box |x| <= {xmax}, "
-                         f"{q.y_min} <= y <= {q.y_max}")
     d = min(math.log(eta / q.y_min), math.log(q.y_max / eta),
             math.asinh((xmax - abs(xi.real)) / eta))
+    if not d > 0:
+        raise ValueError(f"no disk about xi={xi} fits the box |x| <= {xmax}, "
+                         f"{q.y_min} <= y <= {q.y_max}")
     rhos, wr = gauss_panels(0.0, math.tanh(d / 2.0), max(4, q.ny // 4))
     thetas = 2.0 * math.pi * np.arange(q.nx) / q.nx
     ws = (rhos[:, None] * np.exp(1j * thetas)[None, :]).ravel()

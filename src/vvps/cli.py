@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y0", type=_finite_float, default=0.5)
     sp.add_argument("--nx-fourier", dest="nx_fourier", type=int, default=64)
 
-    sp = command("pair", "strip pairing vs closed form", _run_pair)
+    sp = command("pair", "unfolded pairing vs closed form", _run_pair)
     _add_series(sp, quad_opts=True)
 
     sp = command("criterion", "non-vanishing criteria", _run_criterion)

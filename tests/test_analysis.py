@@ -280,7 +280,7 @@ class TestPairFull:
     @pytest.mark.parametrize("nu", [0, 1])
     def test_elliptic_against_closed_form(self, nu):
         # Cartesian witness for the disk route: the pairing over the quotient
-        # needs no disk grid and no Taylor coefficient read off a circle
+        # runs on the translated standard domain, not on circles about xi
         gamma = GroupSpec.gamma0(2)
         h, _ = elliptic_handle(gamma, 20.0, nu)
         full = petersson_pair_full(h, h, gamma, 12.0)
