@@ -5,20 +5,22 @@ and the family derived from powers of the eta function, which realises
 every real weight.  Its values come in closed form from Dedekind's
 transformation law of eta, with the Dedekind sum computed in integers by
 reciprocity; the phase is exponentiated once, so the result is exactly
-unimodular.
+unimodular.  The formula works on int64 entry arrays, so `evaluate_v_many`
+serves a whole coset table at once and `evaluate_v` is its one-matrix
+case.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RefusalError
 from .modgroup import I2, S, IntMatrix2, cocycle_j, mobius_act, real_power, t_power
 
-__all__ = ["MultiplierSystem", "evaluate_v", "check_consistency"]
+__all__ = ["MultiplierSystem", "evaluate_v", "evaluate_v_many", "check_consistency"]
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,34 @@ class MultiplierSystem:
         return (self.k / 12.0) % 1.0
 
 
-def _dedekind12(d: int, c: int) -> int:
-    """The integer 12 c s(d, c) for c > 0 and gcd(d, c) = 1, with s the
-    Dedekind sum, by reciprocity:
-    12 c d (s(d, c) + s(c, d)) = d^2 + c^2 + 1 - 3 c d."""
-    d %= c
-    if d == 0:
-        return 0
-    return (d * d + c * c + 1 - 3 * c * d - c * _dedekind12(c, d)) // d
+# Entries at or beyond this bound are refused: the Dedekind recursion forms
+# c * 12 c s(d, c), of size up to c^3, which must stay inside int64.
+_MAX_ENTRY = 1 << 20
 
 
-def _eta_phase(ms: MultiplierSystem, g: IntMatrix2) -> float:
-    """Phase phi with v(g) = e^{i phi}.
+def _dedekind12(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The integers 12 c s(d, c) for int64 arrays with c > 0 and
+    gcd(d, c) = 1, s the Dedekind sum, by reciprocity
+    12 c d (s(d, c) + s(c, d)) = d^2 + c^2 + 1 - 3 c d.
+
+    The Euclidean steps (x, y) -> (y mod x, x) run forward in lockstep over
+    all entries until every x is 0 (where s = 0); the sums are then
+    assembled backward, (x^2 + y^2 + 1 - 3 x y - y val) // x per step.
+    Each step's y is the previous step's x, so only the x are kept.
+    """
+    xs = [c, d % c]
+    while np.any(xs[-1]):
+        y, x = xs[-2], xs[-1]
+        xs.append(np.where(x == 0, 0, y % np.where(x == 0, 1, x)))
+    val = np.zeros_like(c)
+    for y, x in zip(xs[-3::-1], xs[-2:0:-1]):
+        val = np.where(x == 0, 0,
+                       (x * x + y * y + 1 - 3 * x * y - y * val) // np.where(x == 0, 1, x))
+    return val
+
+
+def _eta_phase(ms: MultiplierSystem, ents: np.ndarray) -> np.ndarray:
+    """Phases phi with v(g) = e^{i phi}, one per row (a, b, c, d) of ents.
 
     For c > 0, Dedekind's transformation law
     eta(g.t) = exp(pi i ((a + d)/(12 c) - s(d, c))) (-i (c t + d))^{1/2} eta(t),
@@ -70,23 +88,38 @@ def _eta_phase(ms: MultiplierSystem, g: IntMatrix2) -> float:
     g = a T^{ab} with a = +-1, and v(T^q) = e^{i pi k q / 6}.  Negating an
     element with c > 0, or T^q, multiplies v by e^{-i pi k}.
     """
-    k = ms.k
-    a, b, c, d = g.a, g.b, g.c, g.d
-    if c == 0:
-        return math.pi * k * (a * b) / 6.0 - (math.pi * k if d < 0 else 0.0)
-    shift = 0.0
-    if c < 0:
-        a, c, d = -a, -c, -d
-        shift = math.pi * k
-    return (math.pi * k * (a + d - _dedekind12(d, c)) / (6.0 * c)
-            - math.pi * k / 2.0 + shift)
+    pk = math.pi * ms.k
+    a, b, c, d = ents.T
+    neg = c < 0
+    a, c, d = np.where(neg, -a, a), np.abs(c), np.where(neg, -d, d)
+    top = c > 0
+    cs = np.where(top, c, 1)
+    ds = np.where(top, d, 0)
+    lower = pk * (a + ds - _dedekind12(ds, cs)) / (6.0 * cs) - pk / 2.0 + np.where(neg, pk, 0.0)
+    upper = pk * (a * b) / 6.0 - np.where(d < 0, pk, 0.0)
+    return np.where(top, lower, upper)
+
+
+def evaluate_v_many(ms: MultiplierSystem, ents) -> np.ndarray:
+    """Values v(g) on the unit circle, one per row (a, b, c, d) of the
+    integer array ents, of shape (n, 4).
+
+    The eta family exponentiates its phase once per row; entries of
+    absolute value 2^20 or more are refused rather than left to wrap in
+    int64 arithmetic.
+    """
+    ents = np.asarray(ents).reshape(-1, 4)
+    if ms.family == "trivial_even":
+        return np.ones(len(ents), dtype=complex)
+    if np.max(np.abs(ents), initial=0) >= _MAX_ENTRY:
+        raise RefusalError(f"multiplier values need matrix entries below 2^20, got "
+                           f"{np.max(np.abs(ents))}")
+    return np.exp(1j * _eta_phase(ms, ents.astype(np.int64)))
 
 
 def evaluate_v(ms: MultiplierSystem, g: IntMatrix2) -> complex:
-    """Value v(g) on the unit circle."""
-    if ms.family == "trivial_even":
-        return 1.0 + 0.0j
-    return cmath.exp(1j * _eta_phase(ms, g))
+    """Value v(g) on the unit circle: evaluate_v_many on one matrix."""
+    return complex(evaluate_v_many(ms, [g.entries()])[0])
 
 
 def _random_element(rng, max_len: int = 10) -> IntMatrix2:

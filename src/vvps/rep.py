@@ -2,12 +2,22 @@
 
 Recipes: the trivial representation, a Dirichlet character acting on
 Gamma0(N) through the lower-right entry, and a representation of SL2(Z)
-given by unitary images of the generators S and T, evaluated along the S/T
-word of g.  Inducing from a finite-index subgroup assembles the
-block-permutation images of S and T once, so an induced representation is
-one given by its generator images.  The cusp monodromy
-e^{2 pi i kappa M} rho(T^M) of a normal representation is diagonalised into
-a unitary U and exponents m_j in ]0, 1].
+given by unitary images of the generators S and T.  Inducing from a
+finite-index subgroup assembles the block-permutation images of S and T
+once, so an induced representation is one given by its generator images.
+
+evaluate_rho(rep, g) gives one matrix, walking the S/T word of g for a
+generator-image representation.  fold_rho gives rho(g)^* w for a whole
+array of matrices without a loop over them: a generator-image rho that
+factors through SL2(Z/NZ), N the order of rho(T) -- every rho induced from
+a congruence subgroup does -- is tabulated once over that finite group by
+a breadth-first search that checks every edge of its Cayley graph, and
+each matrix then costs one lookup by its residues mod N.  The word walk is
+kept for a rho that does not factor (a non-congruence kernel, or rho(T) of
+no finite order) and for tables beyond 2^18 matrix entries.
+
+The cusp monodromy e^{2 pi i kappa M} rho(T^M) of a normal representation
+is diagonalised into a unitary U and exponents m_j in ]0, 1].
 """
 
 from __future__ import annotations
@@ -26,10 +36,12 @@ from .multiplier import MultiplierSystem
 __all__ = [
     "RepSpec", "SpectralSplit", "NormalityResult",
     "trivial_rep", "dirichlet_rep", "st_rep",
-    "evaluate_rho", "permutation_ell", "induce", "check_normal", "spectral_split",
+    "evaluate_rho", "fold_rho", "permutation_ell", "induce", "check_normal", "spectral_split",
 ]
 
 _UNITARY_TOL = 1e-10
+# largest |SL2(Z/NZ)| p^2 of a lookup table of rho, in matrix entries (4 MB)
+_TABLE_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +178,128 @@ def evaluate_rho(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
     raise ValueError(rep.recipe)
 
 
+def _sl2_order(n: int) -> int:
+    """|SL2(Z/nZ)| = n^3 prod_{q | n} (1 - q^-2), q prime."""
+    out, m, q = n ** 3, n, 2
+    while m > 1:
+        if q * q > m:
+            q = m
+        if m % q == 0:
+            out = out // (q * q) * (q * q - 1)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out
+
+
+def _residue_keys(ents: np.ndarray, n: int) -> np.ndarray:
+    """One integer per row (a, b, c, d): its residues mod n in base n."""
+    r = ents % n
+    return ((r[:, 0] * n + r[:, 1]) * n + r[:, 2]) * n + r[:, 3]
+
+
+def _level_table(rep: RepSpec):
+    """rho-bar on SL2(Z/NZ) for an st_generated rho, N the order of rho(T).
+
+    Returns (N, keys, mats): mats[i] is the complex conjugate of rho(g)
+    for every g whose residues mod N have the _residue_keys value keys[i].
+    The table is filled breadth first from the identity along right
+    multiplication by S and T, and every edge x -> x g of the Cayley graph
+    that does not create a node is checked, rho-bar(x g) = rho-bar(x) rho(g)
+    to 1e-10; those identities make rho(g) = rho-bar(g mod N).  By Wohlfahrt's level
+    theorem a rho whose kernel is a congruence subgroup factors through
+    SL2(Z/NZ).  Returns None when it does not (an edge mismatch), when
+    rho(T) has no finite order, or when the table would hold more than
+    _TABLE_ENTRIES matrix entries.
+    """
+    n = _order(rep.t_img)
+    if n is None:
+        return None
+    p = rep.p
+    size = _sl2_order(n)
+    if size * p * p > _TABLE_ENTRIES:
+        return None
+    mats = np.empty((size, p, p), dtype=complex)
+    mats[0] = np.eye(p)
+    ents = [(1 % n, 0, 0, 1 % n)]
+    slot = {ents[0]: 0}
+    gens = (((0, -1 % n, 1 % n, 0), rep.s_img.conj()),
+            ((1 % n, 1 % n, 0, 1 % n), rep.t_img.conj()))
+    # nodes leave the first-in first-out queue in blocks of at most 2^14
+    # matrix entries, which bounds the temporaries of products and checks
+    block = max(1, (1 << 14) // (p * p))
+    lo = 0
+    while lo < len(ents):
+        hi = min(lo + block, len(ents))
+        for (ga, gb, gc, gd), img in gens:
+            grown, src, dst = [], [], []
+            for i in range(lo, hi):
+                a, b, c, d = ents[i]
+                key = ((a * ga + b * gc) % n, (a * gb + b * gd) % n,
+                       (c * ga + d * gc) % n, (c * gb + d * gd) % n)
+                j = slot.setdefault(key, len(ents))
+                if j == len(ents):
+                    ents.append(key)
+                    grown.append(i)
+                else:
+                    src.append(i)
+                    dst.append(j)
+            mats[len(ents) - len(grown):len(ents)] = mats[grown] @ img
+            if src and np.max(np.linalg.norm(mats[src] @ img - mats[dst],
+                                             axis=(1, 2))) > _UNITARY_TOL:
+                return None
+        lo = hi
+    return n, _residue_keys(np.array(ents, dtype=np.int64), n), mats
+
+
+def _check_members(group: GroupSpec, ents: np.ndarray):
+    """Raise ValueError unless every row (a, b, c, d) of ents lies in
+    group.  Membership in a group of finite index depends on the residues
+    mod its level only, so one row per residue class is tested."""
+    keys = _residue_keys(ents, group.level) if group.finite_index else np.arange(len(ents))
+    for i in np.sort(np.unique(keys, return_index=True)[1]):
+        g = IntMatrix2(*map(int, ents[i]))
+        if not contains(group, g):
+            raise ValueError(f"{g} is not in {group}")
+
+
+def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
+    """The vectors rho(g)^* w, one row per row (a, b, c, d) of the integer
+    array ents of shape (n, 4).
+
+    The conjugate of rho is tabulated over the classes of a finite
+    quotient, folded with w once per class and gathered by the class of
+    each row: the trivial recipe has one class, the Dirichlet recipe one
+    per residue d mod N, and an st_generated rho that factors through
+    SL2(Z/NZ) one per element of that group (_level_table).  Any other
+    st_generated rho walks the S/T word of each row with evaluate_rho.
+    The table lives only for this call.
+    """
+    ents = np.asarray(ents, dtype=np.int64).reshape(-1, 4)
+    if rep.recipe in ("trivial", "dirichlet"):
+        _check_members(rep.group, ents)
+    if rep.recipe == "trivial":
+        mats, idx = np.eye(rep.p, dtype=complex).conj()[None], np.zeros(len(ents), dtype=np.intp)
+    elif rep.recipe == "dirichlet":
+        mats, idx = np.conj(rep.chi).reshape(-1, 1, 1), ents[:, 3] % rep.group.n
+    elif rep.recipe == "st_generated":
+        table = _level_table(rep)
+        if table is None:
+            out = np.empty((len(ents), rep.p), dtype=complex)
+            for i, row in enumerate(ents):
+                out[i] = evaluate_rho(rep, IntMatrix2(*map(int, row))).conj().T @ w
+            return out
+        n, keys, mats = table
+        del table
+        order = np.argsort(keys)
+        idx = order[np.searchsorted(keys, _residue_keys(ents, n), sorter=order)]
+    else:
+        raise ValueError(rep.recipe)
+    folded = mats.transpose(0, 2, 1) @ w
+    del mats  # the table goes before the gather allocates one row per matrix
+    return folded[idx]
+
+
 def permutation_ell(g: IntMatrix2, cosets, group: GroupSpec):
     """The permutation l with group * cosets[j] * g^{-1} = group * cosets[l(j)].
 
@@ -218,6 +352,23 @@ def _monodromy(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> np.ndarray:
     return cmath.exp(2j * math.pi * ms.kappa * m_width) * evaluate_rho(rep, t_power(m_width))
 
 
+def _root_order(lam: complex, max_n: int) -> Optional[int]:
+    """The least n <= max_n with lam within 1e-8 of an n-th root of unity,
+    or None."""
+    theta = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
+    for n in range(1, max_n + 1):
+        if abs(lam - cmath.exp(2j * math.pi * round(theta * n) / n)) <= 1e-8:
+            return n
+    return None
+
+
+def _order(m: np.ndarray, max_n: int = 360) -> Optional[int]:
+    """The order of a unitary matrix, the lcm of the root orders of its
+    eigenvalues, or None when one of them has none up to max_n."""
+    orders = [_root_order(lam, max_n) for lam in np.linalg.eigvals(m)]
+    return None if None in orders else math.lcm(*orders)
+
+
 class NormalityResult(NamedTuple):
     ok: bool
     order: Optional[int]
@@ -234,19 +385,8 @@ def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec,
     p = rep.p
     if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(p)) > _UNITARY_TOL:
         return NormalityResult(False, None)
-    orders = []
-    for lam in np.linalg.eigvals(_monodromy(rep, ms, cusp_width(gamma, I2))):
-        theta = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
-        found = None
-        for n in range(1, max_n + 1):
-            root = cmath.exp(2j * math.pi * round(theta * n) / n)
-            if abs(lam - root) <= 1e-8:
-                found = n
-                break
-        if found is None:
-            return NormalityResult(False, None)
-        orders.append(found)
-    return NormalityResult(True, math.lcm(*orders))
+    order = _order(_monodromy(rep, ms, cusp_width(gamma, I2)), max_n)
+    return NormalityResult(order is not None, order)
 
 
 @dataclass(frozen=True, eq=False)

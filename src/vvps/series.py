@@ -5,6 +5,14 @@ multiplier system, the weight, and a coset table; evaluation sums the
 slashed seed over the table with exactly-rounded (compensated) summation
 and reports an empirical tail proxy, the mass of the outermost tenth of
 the included cosets by Frobenius norm.
+
+Preparation folds the inverse multiplier and representation factors into
+one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
+table's integer entries: v from multiplier.evaluate_v_many and
+rho(g)^* w from rep.fold_rho, a lookup by residue class mod N whenever rho
+factors through SL2(Z/NZ).  Only a generator-image rho that does not
+factor walks an S/T word per coset.  `twist` applies the same factors for
+one matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from ._quad import block_sum
 from .errors import DomainError, RefusalError
 from .modgroup import (CosetTable, GroupSpec, IntMatrix2, _as_complex,
                        contains, entry_arrays, enumerate_cosets, slash_kernel)
-from .multiplier import MultiplierSystem, evaluate_v
-from .rep import RepSpec, _monodromy, check_normal, evaluate_rho
+from .multiplier import MultiplierSystem, evaluate_v, evaluate_v_many
+from .rep import RepSpec, _monodromy, check_normal, evaluate_rho, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
 __all__ = ["SeriesHandle", "build_series", "slash_k", "slash_k_rho", "twist",
@@ -110,7 +118,11 @@ class SeriesHandle:
 
     def _prepared(self):
         """Per-coset arrays: matrix entries and folded vectors
-        W_i = conj(v(g_i)) rho(g_i)^* w, where the seed is scalar * w."""
+        W_i = conj(v(g_i)) rho(g_i)^* w, where the seed is scalar * w.
+
+        Array work over the integer entries of the table: v from the
+        multiplier's closed form, rho(g_i)^* w from rep.fold_rho (a lookup
+        by residue class whenever rho factors through SL2(Z/NZ))."""
         if self._data:
             return self._data
         tbl = self.cosets
@@ -119,13 +131,13 @@ class SeriesHandle:
         a, b, c, d = tbl.arrays()
         w = self.seed.vector
         n = len(tbl)
-        trivial = self.rep.recipe == "trivial" and self.ms.family == "trivial_even"
-        if trivial:
+        if self.rep.recipe == "trivial" and self.ms.family == "trivial_even":
             wmat = np.broadcast_to(w, (n, self.p)).copy()
         else:
-            wmat = np.empty((n, self.p), dtype=complex)
-            for i, g in enumerate(tbl.reps):
-                wmat[i] = twist(self.ms, self.rep, g, w)
+            # the entries are integers far below 2^53, held exactly by the floats
+            ents = np.stack((a, b, c, d), axis=1).astype(np.int64)
+            wmat = fold_rho(self.rep, w, ents)
+            wmat *= evaluate_v_many(self.ms, ents).conj()[:, None]
         self._data.update(a=a, b=b, c=c, d=d, w=wmat,
                           wnorm=np.linalg.norm(wmat, axis=1),
                           n_tail=max(1, math.ceil(n / 10)))

@@ -11,7 +11,7 @@ from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import evaluate_rho, induce, spectral_split, st_rep, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import build_series
+from vvps.series import build_series, slash_k_rho
 
 
 def invoke(argv):
@@ -139,7 +139,9 @@ class TestEval:
 
     @pytest.mark.parametrize("argv", [
         ["fourier", "--height", "10", "--y0", "200"],
-        ["criterion", "regionA", "--k", "400", "--N", "5"],
+        # the region A scale M Gamma(s) / alpha^s itself beyond the float
+        # range (k = 400 is finite in log space; see test_region_a_large_weight)
+        ["criterion", "regionA", "--k", "1000", "--N", "5"],
     ])
     def test_overflow_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -173,6 +175,12 @@ class TestCriterion:
         proc = invoke(["criterion", "regionA", "--k", "12", "--N", "5", "--nu", "2"])
         data = json.loads(proc.stdout)
         assert data["satisfied"] is True
+
+    def test_region_a_large_weight(self):
+        proc = invoke(["criterion", "regionA", "--k", "400", "--N", "5"])
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert math.isfinite(data["details"]["above_cut"])
 
 
 class TestTable:
@@ -254,6 +262,31 @@ class TestOtherCommands:
         value, tail = h.evaluate(complex(0.3, 1.1))
         assert data["value"] == [[z.real, z.imag] for z in value]
         assert data["tail"] == tail
+
+    def test_induced_eval_matches_word_walk_oracle(self, tmp_path):
+        rho_file = tmp_path / "rho.json"
+        proc = invoke(["induce", "--group", "gamma0", "--level", "5", "--out", str(rho_file)])
+        assert proc.returncode == 0, proc.stderr
+        args = ["eval", "--rep", str(rho_file), "--k", "12", "--seed", "classical",
+                "--j", "3", "--tau=-0.2,0.9", "--height", "30"]
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            proc = invoke(args + ["--out", str(out)])
+            assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        value = np.array([complex(re, im) for re, im in json.loads(outs[0].read_text())["value"]])
+
+        # one slashed, twisted seed per coset, rho(g) along its S/T word
+        group = GroupSpec.gamma0(5)
+        rep = induce(trivial_rep(1, group), right_coset_reps(group))
+        ms = MultiplierSystem("trivial_even", 12.0)
+        seed = ClassicalSeed(0, 3, spectral_split(rep, ms, 1), 1)
+        tau = complex(-0.2, 0.9)
+        terms = [slash_k_rho(seed.eval, g, rep, ms, 12.0)(tau) for g in
+                 enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 30.0).reps]
+        oracle = np.array([complex(math.fsum(t.real for t in col), math.fsum(t.imag for t in col))
+                           for col in zip(*terms)])
+        assert np.linalg.norm(value - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("broken", [
         {"recipe": "st_generated", "p": 1},

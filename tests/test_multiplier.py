@@ -1,12 +1,15 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_element
-from vvps.modgroup import (I2, S, T, IntMatrix2, cocycle_j, mobius_act, real_power,
-                           t_power)
-from vvps.multiplier import MultiplierSystem, check_consistency, evaluate_v
+from vvps.errors import RefusalError
+from vvps.modgroup import (I2, S, T, GroupSpec, IntMatrix2, cocycle_j, enumerate_cosets,
+                           mobius_act, real_power, t_power)
+from vvps.multiplier import (MultiplierSystem, _dedekind12, _eta_phase, check_consistency,
+                             evaluate_v, evaluate_v_many)
 
 
 def log_eta(tau: complex) -> complex:
@@ -27,6 +30,29 @@ def v_oracle(ms: MultiplierSystem, g, tau=complex(0.37, 1.31)) -> complex:
     gt = complex(mobius_act(g, tau))
     num = cmath.exp(2.0 * ms.k * log_eta(gt))
     return num * real_power(cocycle_j(g, tau), -ms.k) / cmath.exp(2.0 * ms.k * log_eta(tau))
+
+
+def dedekind12_scalar(d: int, c: int) -> int:
+    """12 c s(d, c) by the reciprocity recursion on Python integers."""
+    d %= c
+    if d == 0:
+        return 0
+    return (d * d + c * c + 1 - 3 * c * d - c * dedekind12_scalar(c, d)) // d
+
+
+def eta_phase_scalar(ms: MultiplierSystem, g) -> float:
+    """The phase of v(g) one matrix at a time, in the operation order of
+    the array formula."""
+    k = ms.k
+    a, b, c, d = g.a, g.b, g.c, g.d
+    if c == 0:
+        return math.pi * k * (a * b) / 6.0 - (math.pi * k if d < 0 else 0.0)
+    shift = 0.0
+    if c < 0:
+        a, c, d = -a, -c, -d
+        shift = math.pi * k
+    return (math.pi * k * (a + d - dedekind12_scalar(d, c)) / (6.0 * c)
+            - math.pi * k / 2.0 + shift)
 
 
 class TestConstruction:
@@ -112,3 +138,46 @@ class TestConsistency:
 
     def test_eta_generic_weight(self):
         assert check_consistency(MultiplierSystem("eta_power", 3.7), 100) <= 1e-10
+
+
+class TestArrayPhase:
+    @pytest.mark.parametrize("level", [1, 3, 5, 7])
+    def test_matches_scalar_recursion_on_every_coset(self, level):
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.gamma0(level), 200.0).reps
+        mats = [h for g in reps for h in (g, -g)]
+        ents = np.array([h.entries() for h in mats], dtype=np.int64)
+        top = ents[:, 2] != 0
+        sign = np.where(ents[:, 2] < 0, -1, 1)
+        c, d = (sign * ents[:, 2])[top], (sign * ents[:, 3])[top]
+        assert list(_dedekind12(d, c)) == [dedekind12_scalar(int(x), int(y))
+                                           for x, y in zip(d, c)]
+        for k in (0.5, 5.5, 7.3, 9.1):
+            ms = MultiplierSystem("eta_power", k)
+            phases = [eta_phase_scalar(ms, h) for h in mats]
+            assert list(_eta_phase(ms, ents)) == phases
+            expected = np.array([cmath.exp(1j * phi) for phi in phases])
+            got = evaluate_v_many(ms, ents)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_one_matrix_is_the_array_case(self, rng):
+        ms = MultiplierSystem("eta_power", 3.7)
+        for _ in range(20):
+            g = random_element(rng)
+            assert evaluate_v(ms, g) == evaluate_v_many(ms, [g.entries()])[0]
+
+    @pytest.mark.parametrize("g", [t_power(1 << 20), IntMatrix2(1, 0, 1 << 20, 1),
+                                   IntMatrix2(1 - (1 << 40), 1 << 20, -(1 << 20), 1),
+                                   IntMatrix2(1, 1 << 70, 0, 1)])
+    def test_large_entries_are_refused(self, g):
+        ms = MultiplierSystem("eta_power", 0.5)
+        with pytest.raises(RefusalError):
+            evaluate_v(ms, g)
+        with pytest.raises(RefusalError):
+            evaluate_v_many(ms, [I2.entries(), g.entries()])
+
+    def test_entries_below_the_bound_are_exact(self):
+        ms = MultiplierSystem("eta_power", 7.3)
+        for g in (t_power((1 << 20) - 1), IntMatrix2(1, 0, (1 << 20) - 1, 1),
+                  IntMatrix2((1 << 20) - 2, (1 << 20) - 3, (1 << 20) - 1, (1 << 20) - 2)):
+            for h in (g, -g):
+                assert evaluate_v(ms, h) == cmath.exp(1j * eta_phase_scalar(ms, h))

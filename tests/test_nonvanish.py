@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from vvps.errors import DomainError
+from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import GroupSpec
 from vvps.multiplier import MultiplierSystem
 from vvps.nonvanish import (beta_median, classical_criterion, elliptic_criterion,
@@ -181,6 +181,52 @@ class TestRegionA:
         below, _ = integrate.quad(lambda y: math.exp(-alpha * y) * y ** 1.0, 0.0, 1.0 / 3.0)
         assert rep.details["above_cut"] == pytest.approx(above, rel=1e-9)
         assert rep.details["below_cut"] == pytest.approx(below, rel=1e-9)
+
+
+    def test_large_weight_margin_is_not_refused(self):
+        # the display scale M Gamma(s) / alpha^s overflowed math.gamma for
+        # k >= ~345 and refused a finite margin
+        gamma = GroupSpec.gamma0(5)
+        rep = region_test_a(classical_seed(gamma, 0), GroupSpec.gamma_infinity(1), gamma, 400.0)
+        s, alpha = 199.0, 2.0 * math.pi
+        p = regularized_incomplete_gamma(s, alpha / 5.0)
+        assert rep.margin == 1.0 - 2.0 * p
+        log_scale = math.lgamma(s) - s * math.log(alpha)
+        assert math.log(rep.details["above_cut"]) == pytest.approx(
+            log_scale + math.log1p(-p), rel=1e-14)
+
+    def test_scale_beyond_float_range_is_refused(self):
+        gamma = GroupSpec.gamma0(5)
+        with pytest.raises(RefusalError):
+            region_test_a(classical_seed(gamma, 0), GroupSpec.gamma_infinity(1), gamma, 1000.0)
+
+    def test_sides_keep_the_direct_formula_values(self):
+        # wherever M Gamma(s) / alpha^s was finite in direct form, the sides
+        # stay within 1e-13 of it (exp of a log-space scale near 700 alone
+        # would differ by up to ~3e-13)
+        gamma = GroupSpec.gamma0(5)
+        seeds = [classical_seed(gamma, 0)]
+        for k_eta, m_width in ((7.0, 1), (3.0, 1), (5.0, 2)):
+            ms = MultiplierSystem("eta_power", k_eta)
+            seeds.append(ClassicalSeed(0, 1, spectral_split(trivial_rep(1, gamma), ms, m_width),
+                                       m_width))
+        checked = 0
+        for k in (4.0, 12.5, 60.0, 171.0, 250.5, 300.0, 333.5, 340.5, 343.0, 344.5):
+            s = k / 2.0 - 1.0
+            for base in seeds:
+                for nu in range(0, 9, 2):
+                    seed = ClassicalSeed(nu, 1, base.split, base.M)
+                    alpha = 2.0 * math.pi * (nu + seed.m_j) / seed.M
+                    try:
+                        direct = seed.M * math.gamma(s) / alpha ** s
+                    except OverflowError:
+                        continue
+                    rep = region_test_a(seed, GroupSpec.gamma_infinity(seed.M), gamma, k)
+                    p = regularized_incomplete_gamma(s, rep.details["x0"])
+                    assert rep.details["above_cut"] == pytest.approx(direct * (1.0 - p), rel=1e-13)
+                    assert rep.details["below_cut"] == pytest.approx(direct * p, rel=1e-13)
+                    checked += 1
+        assert checked > 150
 
 
 class TestRegionC:

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import random_element
-from vvps.modgroup import GroupSpec, I2, IntMatrix2, S, T, contains, t_power
+import vvps.rep
+import vvps.series
+from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, enumerate_cosets,
+                           right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem
-from vvps.rep import (RepSpec, check_normal, dirichlet_rep, evaluate_rho,
-                      induce, permutation_ell, spectral_split, st_rep,
-                      trivial_rep)
-from vvps.modgroup import right_coset_reps
+from vvps.rep import (RepSpec, _level_table, _order, _residue_keys, _sl2_order,
+                      check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
+                      permutation_ell, spectral_split, st_rep, trivial_rep)
+from vvps.seeds import ClassicalSeed
+from vvps.series import build_series, twist
 
 TRIVIAL_MS = MultiplierSystem("trivial_even", 12.0)
 
@@ -273,3 +277,137 @@ class TestSpectralSplit:
             resid = np.linalg.norm(evaluate_rho(rep, T) - split.U.conj().T @ diag @ split.U)
             assert resid <= 1e-10
             assert np.linalg.norm(split.U @ split.U.conj().T - np.eye(6)) <= 1e-10
+
+
+def entries(mats) -> np.ndarray:
+    return np.array([g.entries() for g in mats], dtype=np.int64)
+
+
+def walk_fold(rep, w, mats) -> np.ndarray:
+    """rho(g)^* w along the S/T word of each g: the reference for fold_rho."""
+    return np.array([evaluate_rho(rep, g).conj().T @ w for g in mats])
+
+
+def permutation_pair_index7():
+    """rho(S), rho(T) of SL2(Z) acting on the 7 cosets of a non-congruence
+    subgroup: S by (0 1)(2 3)(4 5), ST by (1 2 4)(3 5 6), so T has cycle
+    type 3 + 4 and order 12."""
+    def matrix(cycles):
+        m = np.eye(7, dtype=complex)
+        for cyc in cycles:
+            m[:, list(cyc)] = np.eye(7)[:, list(cyc[1:] + cyc[:1])]
+        return m
+    s = matrix([(0, 1), (2, 3), (4, 5)])
+    return st_rep(s, s.T @ matrix([(1, 2, 4), (3, 5, 6)]))
+
+
+def infinite_order_pair():
+    """rho(S) = diag(i, -i) and rho(ST) of order 6 in a generic eigenbasis;
+    rho(T) = rho(S)^{-1} rho(ST) then has eigenvalues of no finite order."""
+    q, _ = np.linalg.qr(np.array([[1.0 + 0.3j, 0.2], [0.7j, 1.1 - 0.4j]]))
+    st = q @ np.diag([cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)]) @ q.conj().T
+    s = np.diag([1j, -1j])
+    return st_rep(s, s.conj().T @ st)
+
+
+CHI5 = [0, 1, 1j, -1j, -1]  # the Dirichlet character mod 5 with chi(2) = i
+
+
+class TestLevelTable:
+    def test_sl2_order_by_counting(self):
+        for n in range(1, 13):
+            r = np.arange(n)
+            a, b, c, d = np.meshgrid(r, r, r, r, indexing="ij")
+            assert _sl2_order(n) == int(np.sum((a * d - b * c) % n == 1 % n))
+
+    @pytest.mark.parametrize("inner", [
+        *(trivial_rep(1, GroupSpec.gamma0(n)) for n in (2, 3, 4, 5, 7, 11)),
+        trivial_rep(1, GroupSpec.gamma1pm(5)),
+        trivial_rep(1, GroupSpec.gamma_npm(3)),
+        dirichlet_rep(5, CHI5),
+    ], ids=lambda r: f"{r.recipe}-{r.group}")
+    def test_matches_word_walk_on_every_coset(self, inner):
+        rho = induce(inner, right_coset_reps(inner.group))
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 80.0).reps
+        ents = entries(reps)
+        table = _level_table(rho)
+        assert table is not None
+        n, keys, mats = table
+        assert n == inner.group.level and len(keys) == _sl2_order(n)
+        slot = {int(key): i for i, key in enumerate(keys)}
+        w = np.random.default_rng(5).normal(size=(rho.p, 2)) @ [1.0, 1j]
+        walked = np.empty((len(reps), rho.p), dtype=complex)
+        for i, (g, key) in enumerate(zip(reps, _residue_keys(ents, n))):
+            m = evaluate_rho(rho, g)
+            # permutation and character entries multiply exactly
+            assert np.array_equal(mats[slot[int(key)]].conj(), m)
+            walked[i] = m.conj().T @ w
+        assert np.array_equal(fold_rho(rho, w, ents), walked)
+
+    def test_generic_unitary_within_tolerance(self, rng):
+        # a unitary conjugate of an induced rho: rounding differs from the walk
+        group = GroupSpec.gamma0(3)
+        rho = induce(trivial_rep(1, group), right_coset_reps(group))
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        rep = st_rep(q.conj().T @ rho.s_img @ q, q.conj().T @ rho.t_img @ q)
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 40.0).reps
+        w = rng.normal(size=4) + 1j * rng.normal(size=4)
+        expected = walk_fold(rep, w, reps)
+        got = fold_rho(rep, w, entries(reps))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_non_congruence_permutations_fall_back(self):
+        rep = permutation_pair_index7()
+        assert _order(rep.t_img) == 12
+        assert _level_table(rep) is None
+        # a witness in Gamma(12) that acts nontrivially, so no table mod 12 exists
+        g = IntMatrix2(61, -72, -72, 85)
+        assert np.linalg.norm(evaluate_rho(rep, g) - np.eye(7)) > 1.0
+        ms = TRIVIAL_MS
+        seed = ClassicalSeed(0, 2, spectral_split(rep, ms, 1), 1)
+        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, ms, 12.0, 25.0)
+        expected = np.array([twist(ms, rep, g, seed.vector) for g in h.cosets.reps])
+        assert np.array_equal(h._prepared()["w"], expected)
+
+    def test_infinite_order_t_falls_back(self):
+        rep = infinite_order_pair()
+        assert _order(rep.t_img) is None
+        assert _level_table(rep) is None
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 25.0).reps
+        w = np.array([0.6, 0.8j])
+        assert np.array_equal(fold_rho(rep, w, entries(reps)), walk_fold(rep, w, reps))
+
+    def test_table_beyond_size_limit_falls_back(self, monkeypatch):
+        group = GroupSpec.gamma0(5)
+        rho = induce(trivial_rep(1, group), right_coset_reps(group))
+        monkeypatch.setattr(vvps.rep, "_TABLE_ENTRIES", 120 * 36 - 1)
+        assert _level_table(rho) is None
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 15.0).reps
+        w = np.arange(6) + 1j
+        assert np.array_equal(fold_rho(rho, w, entries(reps)), walk_fold(rho, w, reps))
+
+    @pytest.mark.parametrize("rep, ms", [
+        (induce(trivial_rep(1, GroupSpec.gamma0(5)), right_coset_reps(GroupSpec.gamma0(5))),
+         TRIVIAL_MS),
+        (legendre_mod5(), MultiplierSystem("eta_power", 12.0)),
+        (trivial_rep(1, GroupSpec.gamma0(3)), MultiplierSystem("eta_power", 7.3)),
+    ], ids=["induced", "dirichlet", "trivial-eta"])
+    def test_preparation_never_walks(self, rep, ms, monkeypatch):
+        gamma = rep.group if rep.group.finite_index and rep.group.kind != "SL2Z" \
+            else GroupSpec.sl2z()
+        seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
+        h = build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, ms.k, 40.0)
+        expected = np.array([twist(ms, rep, g, seed.vector) for g in h.cosets.reps])
+
+        def walk(*args):
+            raise AssertionError("per-coset preparation walked an S/T word")
+        monkeypatch.setattr(vvps.rep, "evaluate_rho", walk)
+        monkeypatch.setattr(vvps.series, "evaluate_rho", walk)
+        assert np.array_equal(h._prepared()["w"], expected)
+
+    def test_members_outside_the_group_are_refused(self):
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 5.0).reps
+        with pytest.raises(ValueError, match="is not in Gamma0"):
+            fold_rho(legendre_mod5(), [1.0], entries(reps))
+        with pytest.raises(ValueError, match="is not in Gamma0"):
+            fold_rho(trivial_rep(1, GroupSpec.gamma0(2)), [1.0], entries(reps))
