@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -281,6 +283,24 @@ class TestEnumerateCosets:
                 assert g.a == 1 and g.d == 1 and 0 <= g.b < 2
             else:
                 assert g.c > 0 and 0 <= g.a < 2 * g.c
+
+    def test_enumeration_digest(self):
+        # every table of this grid, in table order, against a digest taken
+        # when the enumerator was a loop of IntMatrix2 builds; any change to
+        # membership, canonical form, the ball or the order shows here
+        groups = ([GroupSpec.sl2z()] + [GroupSpec.gamma0(n) for n in (2, 3, 5, 11)]
+                  + [GroupSpec.gamma1pm(n) for n in (5, 8)]
+                  + [GroupSpec.gamma_npm(n) for n in (2, 3, 4)])
+        digest = hashlib.sha256()
+        for gamma in groups:
+            w = cusp_width(gamma, I2)
+            for lam in (GroupSpec.plus_minus_identity(), GroupSpec.gamma_infinity(w),
+                        GroupSpec.gamma_infinity(2 * w)):
+                for height in (1.0, math.sqrt(2), 1.5, math.sqrt(5), 2.5, 10.0, 40.0):
+                    table = enumerate_cosets(lam, gamma, height)
+                    digest.update(json.dumps(table.to_json()["reps"]).encode())
+        assert digest.hexdigest() == (
+            "51afa90515cc385df3a7ca046f6e73956a096cd4ce5e897d6db2ccfab4bb34f2")
 
 
 class TestCuspWidth:
