@@ -104,6 +104,8 @@ class FourierTable:
 
     def coeff(self, j: int, n: int) -> complex:
         """b_n(j), j 1-based."""
+        if not 1 <= j <= self.b.shape[0]:
+            raise ValueError(f"index j={j} out of range 1..{self.b.shape[0]}")
         return complex(self.b[j - 1, self.ns.index(n)])
 
     def to_json(self) -> dict:
@@ -148,7 +150,7 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
             raise ValueError("sigma != +-I needs ms and k for the slash action")
         if abs(ms.k - k) > 1e-12:
             raise ValueError("multiplier weight differs from the slash weight")
-        jmk, moved = slash_kernel(*entry_arrays([sigma]), taus, k)
+        jmk, moved = slash_kernel(entry_arrays([sigma]), taus, k)
         vals = _eval_many_parallel(F, moved[:, 0])
         vals = (evaluate_v(ms, sigma).conjugate() * jmk) * vals
     uvals = vals @ split.U.T  # row t holds U F(tau_t)
@@ -170,14 +172,17 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
                               nt: int = 256, j: int = 1) -> dict:
     """Coefficients b_{n,xi}(j) of (tau - conj(xi))^k F_j(tau) as a power
     series in w = (tau - xi)/(tau - conj(xi)), from a circle of radius r0
-    in the disk variable."""
+    in the disk variable; j is 1-based."""
     if not 0 < r0 < 1:
         raise RefusalError("disk radius must satisfy 0 < r0 < 1")
     xi = complex(xi)
     ts = 2.0 * math.pi * np.arange(nt) / nt
     ws = r0 * np.exp(1j * ts)
     taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
-    vals = _eval_many(F, taus)[:, j - 1]
+    vals = _eval_many(F, taus)
+    if not 1 <= j <= vals.shape[1]:
+        raise ValueError(f"index j={j} out of range 1..{vals.shape[1]}")
+    vals = vals[:, j - 1]
     gs = principal_power(taus - xi.conjugate(), k) * vals  # Im > 0
     out = {}
     for n in ns:
@@ -267,7 +272,7 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
     ys = np.array([c[0] for c in cols])
     wy = np.array([c[1] for c in cols])
     taus = (xs[:, None] + 1j * ys).ravel()
-    _, moved = slash_kernel(*entry_arrays(cosets), taus, k)
+    _, moved = slash_kernel(entry_arrays(cosets), taus, k)
     moved = moved.T.ravel()  # coset-major, then x, then y
     f_vals = _eval_many(F, moved)
     g_vals = f_vals if G is F else _eval_many(G, moved)

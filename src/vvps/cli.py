@@ -152,6 +152,9 @@ def _run_fourier(ns) -> dict:
 
 
 def _run_pair(ns) -> dict:
+    if ns.seed == "classical" and ns.xmax is not None:
+        raise ConfigError("--xmax bounds the disk of an elliptic seed; "
+                          "a classical seed does not read it")
     handle = _build_series(ns)
     seed = handle.seed
     q = QuadratureSpec(ns.ymin, ns.ymax, ns.nx, ns.ny, ns.xmax)
@@ -206,6 +209,9 @@ def _run_cosets(ns) -> dict:
     if ns.stabiliser == "gammainf":
         width = ns.width if ns.width is not None else cusp_width(group, I2)
         lam = GroupSpec.gamma_infinity(width)
+    elif ns.width is not None:
+        raise ConfigError("--width is the width of --stabiliser gammainf; "
+                          "pmi does not read it")
     else:
         lam = GroupSpec.plus_minus_identity()
     return enumerate_cosets(lam, group, ns.height).to_json()

@@ -59,9 +59,6 @@ class IntMatrix2:
     def inv(self) -> "IntMatrix2":
         return IntMatrix2(self.d, -self.b, -self.c, self.a)
 
-    def norm_sq(self) -> int:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
     def __str__(self):
         return f"[{self.a} {self.b}; {self.c} {self.d}]"
 
@@ -121,24 +118,25 @@ def principal_power(z: np.ndarray, k: float) -> np.ndarray:
     return np.exp(k * (np.log(np.abs(z)) + 1j * np.angle(z)))
 
 
-def entry_arrays(mats) -> tuple:
-    """Entry arrays (a, b, c, d) as float64 over a sequence of matrices."""
-    ents = np.array([g.entries() for g in mats], dtype=float).reshape(-1, 4)
-    return tuple(ents.T.copy())
+def entry_arrays(mats) -> np.ndarray:
+    """The int64 array of shape (n, 4) whose rows are the entries
+    (a, b, c, d) of a sequence of n matrices."""
+    return np.array([g.entries() for g in mats], dtype=np.int64).reshape(-1, 4)
 
 
-def slash_kernel(a, b, c, d, taus, k: float) -> tuple:
+def slash_kernel(ents, taus, k: float) -> tuple:
     """The weight-k slash factors for every (point, matrix) pair.
 
     Returns (j(g, tau)^{-k}, g.tau) as arrays of shape (points, matrices),
-    with g running over the entry arrays (a, b, c, d) and tau over taus.
-    The entries are integers and Im tau > 0, so Im(c tau + d) is +0.0 when
-    c = 0: a negative real j lies on the upper side of the cut, where
-    np.angle and arg_principal both put it (arg = pi).
+    with g running over the rows (a, b, c, d) of the integer array ents and
+    tau over taus.  Im tau > 0 and c is an integer, so Im(c tau + d) is
+    +0.0 when c = 0: a negative real j lies on the upper side of the cut,
+    where np.angle and arg_principal both put it (arg = pi).
     """
+    a, b, c, d = ents.T
     tt = np.asarray(taus, dtype=complex)[:, None]
-    jj = c[None, :] * tt + d[None, :]
-    return principal_power(jj, -k), (a[None, :] * tt + b[None, :]) / jj
+    jj = c * tt + d
+    return principal_power(jj, -k), (a * tt + b) / jj
 
 
 _KINDS = ("SL2Z", "Gamma0", "Gamma1pm", "GammaNpm", "GammaInfinity", "PlusMinusIdentity")
@@ -217,30 +215,23 @@ class GroupSpec:
         return f"{self.kind}({self.n})"
 
 
-def contains(spec: GroupSpec, g: IntMatrix2) -> bool:
-    """Membership test by congruence conditions."""
-    if spec.kind == "SL2Z":
-        return True
-    if spec.kind == "Gamma0":
-        return g.c % spec.n == 0
-    if spec.kind == "Gamma1pm":
-        n = spec.n
-        if g.c % n != 0:
-            return False
-        return (g.a % n == 1 % n and g.d % n == 1 % n) or \
-               (g.a % n == (-1) % n and g.d % n == (-1) % n)
-    if spec.kind == "GammaNpm":
-        n = spec.n
-        for sgn in (1, -1):
-            if (g.a % n == sgn % n and g.d % n == sgn % n
-                    and (sgn * g.b) % n == 0 and (sgn * g.c) % n == 0):
-                return True
-        return False
+def contains(spec: GroupSpec, g):
+    """Membership test by congruence conditions: a bool for one IntMatrix2,
+    a boolean mask for the rows (a, b, c, d) of an integer array of shape
+    (n, 4).  One body serves both, in elementwise operators only."""
+    a, b, c, d = g.entries() if isinstance(g, IntMatrix2) else g.T
     if spec.kind == "GammaInfinity":
-        return g.c == 0 and g.a == g.d and abs(g.a) == 1 and g.b % spec.n == 0
+        return (c == 0) & (a == d) & (abs(a) == 1) & (b % spec.n == 0)
     if spec.kind == "PlusMinusIdentity":
-        return g == I2 or g == -I2
-    raise ValueError(spec.kind)
+        return (b == 0) & (c == 0) & (a == d) & (abs(a) == 1)
+    n = spec.level
+    if spec.kind in ("SL2Z", "Gamma0"):
+        return c % n == 0
+    # +-(1 *; 0 1) mod n; GammaNpm also needs b = 0 mod n
+    unit = (((a - 1) % n == 0) & ((d - 1) % n == 0)) | (((a + 1) % n == 0) & ((d + 1) % n == 0))
+    if spec.kind == "Gamma1pm":
+        return (c % n == 0) & unit
+    return (b % n == 0) & (c % n == 0) & unit
 
 
 def st_syllables(g: IntMatrix2):
@@ -314,26 +305,28 @@ def right_coset_reps(gamma: GroupSpec):
 @dataclass(frozen=True, eq=False)
 class CosetTable:
     """Canonical representatives of the left lam-cosets inside gamma whose
-    canonical representative has Frobenius norm <= height."""
+    canonical representative has Frobenius norm <= height, as the rows
+    (a, b, c, d) of the int64 array ents of shape (n, 4)."""
 
     lam: GroupSpec
     gamma: GroupSpec
     height: float
-    reps: tuple
+    ents: np.ndarray
 
     def __len__(self):
-        return len(self.reps)
+        return len(self.ents)
 
-    def arrays(self):
-        """Entry arrays (a, b, c, d) as float64, in table order."""
-        return entry_arrays(self.reps)
+    @property
+    def reps(self) -> tuple:
+        """The representatives as matrices, in table order."""
+        return tuple(IntMatrix2(*row) for row in self.ents.tolist())
 
     def to_json(self) -> dict:
         return {
             "lambda": self.lam.to_json(),
             "gamma": self.gamma.to_json(),
             "height": self.height,
-            "reps": [list(g.entries()) for g in self.reps],
+            "reps": self.ents.tolist(),
         }
 
 
@@ -350,7 +343,9 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     A coset of either stabiliser is a coprime bottom row (c, d), c > 0 or
     (c, d) = (0, 1), plus a translation parameter t: with a0 d - b0 c = 1
     every top row is (a0 + t c, b0 + t d).  One loop walks the rows inside
-    the ball; only the window of t depends on the stabiliser.
+    the ball; only the window of t depends on the stabiliser.  Membership
+    in gamma and the table order (norm, c, d, a, b) are array work over
+    the collected entries.
     """
     if lam.kind not in ("GammaInfinity", "PlusMinusIdentity"):
         raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
@@ -365,7 +360,7 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     # Gamma_inf(M) takes every t in one fixed window; <-I> takes the t of
     # each row whose matrix lies in the ball
     fixed = range(lam.n) if lam.kind == "GammaInfinity" else None
-    reps = []
+    rows = []
     for c in range(0, math.isqrt(h2) + 1, step):
         dmax = math.isqrt(h2 - c * c)
         for d in range(-dmax, dmax + 1) if c else (1,):
@@ -388,8 +383,9 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
             for t in window:
                 a, b = a0 + t * c, b0 + t * d
                 if a * a + b * b <= rem:
-                    g = IntMatrix2(a, b, c, d)
-                    if contains(gamma, g):
-                        reps.append(g)
-    reps.sort(key=lambda g: (g.norm_sq(), g.c, g.d, g.a, g.b))
-    return CosetTable(lam, gamma, float(height), tuple(reps))
+                    rows.append((a, b, c, d))
+    ents = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    ents = ents[contains(gamma, ents)]
+    a, b, c, d = ents.T
+    order = np.lexsort((b, a, d, c, np.sum(ents * ents, axis=1)))
+    return CosetTable(lam, gamma, float(height), ents[order])

@@ -252,17 +252,6 @@ def _level_table(rep: RepSpec):
     return n, _residue_keys(np.array(ents, dtype=np.int64), n), mats
 
 
-def _check_members(group: GroupSpec, ents: np.ndarray):
-    """Raise ValueError unless every row (a, b, c, d) of ents lies in
-    group.  Membership in a group of finite index depends on the residues
-    mod its level only, so one row per residue class is tested."""
-    keys = _residue_keys(ents, group.level) if group.finite_index else np.arange(len(ents))
-    for i in np.sort(np.unique(keys, return_index=True)[1]):
-        g = IntMatrix2(*map(int, ents[i]))
-        if not contains(group, g):
-            raise ValueError(f"{g} is not in {group}")
-
-
 def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     """The vectors rho(g)^* w, one row per row (a, b, c, d) of the integer
     array ents of shape (n, 4).
@@ -277,7 +266,10 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     """
     ents = np.asarray(ents, dtype=np.int64).reshape(-1, 4)
     if rep.recipe in ("trivial", "dirichlet"):
-        _check_members(rep.group, ents)
+        outside = ~contains(rep.group, ents)
+        if outside.any():
+            raise ValueError(f"{IntMatrix2(*ents[outside.argmax()].tolist())} "
+                             f"is not in {rep.group}")
     if rep.recipe == "trivial":
         mats, idx = np.eye(rep.p, dtype=complex).conj()[None], np.zeros(len(ents), dtype=np.intp)
     elif rep.recipe == "dirichlet":

@@ -46,7 +46,7 @@ def twist(ms: MultiplierSystem, rep: RepSpec, g: IntMatrix2, w):
 
 def _slash_at(F, g: IntMatrix2, k: float, tau):
     """j(g, tau)^{-k} F(g.tau) at one point, through slash_kernel."""
-    jmk, z = slash_kernel(*entry_arrays([g]), [_as_complex(tau)], k)
+    jmk, z = slash_kernel(entry_arrays([g]), [_as_complex(tau)], k)
     return jmk[0, 0] * np.asarray(F(complex(z[0, 0])))
 
 
@@ -117,36 +117,31 @@ class SeriesHandle:
         return self.cosets.height
 
     def _prepared(self):
-        """Per-coset arrays: matrix entries and folded vectors
-        W_i = conj(v(g_i)) rho(g_i)^* w, where the seed is scalar * w.
+        """Per-coset folded vectors W_i = conj(v(g_i)) rho(g_i)^* w, where
+        the seed is scalar * w.
 
-        Array work over the integer entries of the table: v from the
+        Array work over the table's integer entries: v from the
         multiplier's closed form, rho(g_i)^* w from rep.fold_rho (a lookup
         by residue class whenever rho factors through SL2(Z/NZ))."""
         if self._data:
             return self._data
-        tbl = self.cosets
-        if len(tbl) == 0:
+        ents = self.cosets.ents
+        if len(ents) == 0:
             raise ValueError("empty coset table")
-        a, b, c, d = tbl.arrays()
         w = self.seed.vector
-        n = len(tbl)
+        n = len(ents)
         if self.rep.recipe == "trivial" and self.ms.family == "trivial_even":
             wmat = np.broadcast_to(w, (n, self.p)).copy()
         else:
-            # the entries are integers far below 2^53, held exactly by the floats
-            ents = np.stack((a, b, c, d), axis=1).astype(np.int64)
             wmat = fold_rho(self.rep, w, ents)
             wmat *= evaluate_v_many(self.ms, ents).conj()[:, None]
-        self._data.update(a=a, b=b, c=c, d=d, w=wmat,
-                          wnorm=np.linalg.norm(wmat, axis=1),
+        self._data.update(w=wmat, wnorm=np.linalg.norm(wmat, axis=1),
                           n_tail=max(1, math.ceil(n / 10)))
         return self._data
 
     def _scalars(self, taus: np.ndarray):
         """Per-(point, coset) scalars s = j^{-k} * seed_scalar(g.tau)."""
-        dat = self._prepared()
-        jmk, z = slash_kernel(dat["a"], dat["b"], dat["c"], dat["d"], taus, self.k)
+        jmk, z = slash_kernel(self.cosets.ents, taus, self.k)
         return jmk * self.seed.scalar_many(z)
 
     def evaluate_many(self, taus):
@@ -213,7 +208,7 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
     taus = np.array([_as_complex(t) for t in taus], dtype=complex)
     if not gammas or not len(taus):
         return TransformationCheck(0.0, 0.0)
-    jmk, moved = slash_kernel(*entry_arrays(gammas), taus, handle.k)
+    jmk, moved = slash_kernel(entry_arrays(gammas), taus, handle.k)
     base, tail0 = handle.evaluate_many(taus)
     image, tail1 = handle.evaluate_many(moved.T.ravel())
     image = image.reshape(len(gammas), len(taus), handle.p)

@@ -95,6 +95,15 @@ class TestFourier:
         assert csv.splitlines()[0] == "j,n,re,im"
         assert len(csv.splitlines()) == 3
 
+    @pytest.mark.parametrize("j", [0, -1, 3])
+    def test_component_out_of_range_refused(self, j):
+        # j = 0 used to index -1 and return the last component, b_n(2)
+        F = lambda tau: np.array([1.0, 2.0]) * np.exp(2j * math.pi * tau)
+        tab = fourier_coefficients(F, plain_split(2), 1, [0], 0.5, 16)
+        assert tab.coeff(2, 0) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            tab.coeff(j, 0)
+
 
 class TestEllipticExpansion:
     def test_reproducing_monomials(self):
@@ -119,6 +128,16 @@ class TestEllipticExpansion:
         F = lambda tau: np.array([1.0 + 0j])
         with pytest.raises(RefusalError):
             elliptic_expansion_coeffs(F, 1j, 12.0, [0], 1.0)
+
+    @pytest.mark.parametrize("j", [0, -1, 3])
+    def test_component_out_of_range_refused(self, j):
+        # j = 0 used to index -1 and expand the last component, F_2
+        xi = 1j
+        F = lambda tau: np.array([1.0, 2.0]) * complex(tau - xi.conjugate()) ** -12.0
+        assert elliptic_expansion_coeffs(F, xi, 12.0, [0], 0.4, j=2)[0] == \
+            pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            elliptic_expansion_coeffs(F, xi, 12.0, [0], 0.4, j=j)
 
 
 class TestClosedForms:

@@ -127,6 +127,9 @@ class TestEval:
         (["pair", "--group", "gamma0", "--level", "2", "--seed", "elliptic", "--xi", "0,20",
           "--height", "20", "--ymax", "14", "--nx", "32", "--ny", "16", "--xmax", "8"],
          "no disk about xi"),
+        # options that the chosen configuration never reads
+        (["cosets", "--stabiliser", "pmi", "--width", "3"], "--width"),
+        (["pair", "--height", "10", "--xmax", "0.1"], "--xmax"),
     ])
     def test_out_of_range_input_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,6 @@ class TestIntMatrix2:
         assert g * g.inv() == I2
         assert S * S == -I2
         assert t_power(7) == T * T * T * T * T * T * T
-        assert I2.norm_sq() == 2
 
 
 class TestMobius:
@@ -121,7 +120,7 @@ class TestSlashKernel:
     def test_matches_scalar_path(self, rng):
         gs = self.elements(rng)
         taus = [random_tau(rng) for _ in range(16)] + [complex(0.0, 1.0), complex(-0.5, 0.2)]
-        jmk, moved = slash_kernel(*entry_arrays(gs), taus, self.K)
+        jmk, moved = slash_kernel(entry_arrays(gs), taus, self.K)
         assert jmk.shape == moved.shape == (len(taus), len(gs))
         for t, tau in enumerate(taus):
             for i, g in enumerate(gs):
@@ -132,7 +131,7 @@ class TestSlashKernel:
 
     def test_minus_identity_on_the_cut(self):
         # j(-I, tau) = -1 exactly; the principal branch puts it at arg = +pi
-        jmk, moved = slash_kernel(*entry_arrays([-I2]), [complex(0.3, 1.1)], self.K)
+        jmk, moved = slash_kernel(entry_arrays([-I2]), [complex(0.3, 1.1)], self.K)
         assert abs(jmk[0, 0] - np.exp(-1j * math.pi * self.K)) <= 1e-15
         assert moved[0, 0] == complex(0.3, 1.1)
 
@@ -155,6 +154,43 @@ class TestContains:
         assert contains(gi, -t_power(-3))
         assert not contains(gi, t_power(2))
         assert not contains(gi, S)
+
+
+def _member(spec, g) -> bool:
+    """Membership from each group's definition, one matrix at a time."""
+    n = spec.n
+
+    def mod(*ents):
+        return tuple(x % n for x in ents)
+
+    if spec.kind == "SL2Z":
+        return True
+    if spec.kind == "PlusMinusIdentity":
+        return g in (I2, -I2)
+    if spec.kind == "GammaInfinity":  # +-T^b with n | b
+        return g in (t_power(g.b), -t_power(-g.b)) and g.b % n == 0
+    if spec.kind == "Gamma0":
+        return g.c % n == 0
+    if spec.kind == "Gamma1pm":  # +-(1 *; 0 1) mod n
+        return mod(*g.entries()) in (mod(1, g.b, 0, 1), mod(-1, g.b, 0, -1))
+    return mod(*g.entries()) in (mod(1, 0, 0, 1), mod(-1, 0, 0, -1))  # +-I mod n
+
+
+_SPECS = [GroupSpec.sl2z(), GroupSpec.plus_minus_identity()] + [
+    GroupSpec(kind, n) for kind in ("Gamma0", "Gamma1pm", "GammaNpm", "GammaInfinity")
+    for n in (1, 2, 3, 4, 5, 12)]
+
+
+class TestContainsOnArrays:
+    @pytest.mark.parametrize("spec", _SPECS, ids=str)
+    def test_mask_matches_definition(self, spec):
+        # at n = 1 and 2, 1 = -1 mod n; the ball holds +-I, +-T^b and S
+        expect = [_member(spec, g) for g in _BALL]
+        mask = contains(spec, entry_arrays(_BALL))
+        assert mask.dtype == bool and mask.shape == (len(_BALL),)
+        assert mask.tolist() == expect
+        assert [contains(spec, g) for g in _BALL] == expect
+        assert all(expect) == (spec.finite_index and spec.level == 1)
 
 
 class TestStSyllables:
@@ -194,6 +230,10 @@ def _unit_ball(norm_sq: int):
 _BALL = _unit_ball(BALL_NORM_SQ)
 
 
+def _norm_sq(g) -> int:
+    return sum(x * x for x in g.entries())
+
+
 def _canonical(lam, g):
     """The canonical lam-coset representative of g, computed directly:
     sign so (c, d) is positive, then reduced by the translations in lam."""
@@ -220,8 +260,8 @@ class TestEnumerateCosets:
         lam = (GroupSpec.gamma_infinity(widths * cusp_width(gamma, I2)) if widths
                else GroupSpec.plus_minus_identity())
         canon = {_canonical(lam, g) for g in _BALL if contains(gamma, g)}
-        inside = sorted((g for g in canon if g.norm_sq() <= BALL_NORM_SQ),
-                        key=lambda g: (g.norm_sq(), g.c, g.d, g.a, g.b))
+        inside = sorted((g for g in canon if _norm_sq(g) <= BALL_NORM_SQ),
+                        key=lambda g: (_norm_sq(g), g.c, g.d, g.a, g.b))
         assert any(g.c for g in inside)  # more than the translations
         assert enumerate_cosets(lam, gamma, math.sqrt(BALL_NORM_SQ)).reps == tuple(inside)
 
@@ -273,7 +313,7 @@ class TestEnumerateCosets:
         table = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.gamma0(3), 12.0)
         assert len(table) > 0
         for g in table.reps:
-            assert g.norm_sq() <= 144
+            assert _norm_sq(g) <= 144
             assert contains(GroupSpec.gamma0(3), g)
 
     def test_gamma_infinity_canonical_form(self):
