@@ -8,14 +8,14 @@ period strip, integrated on a trapezoid in x times geometrically refined
 Gauss panels in y.  For <-I> it is the whole half-plane, integrated on a
 hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
 Gauss panels in |w|.  The closed-form pairing values provide the
-independent second pipeline.
+independent second pipeline.  Every grid is evaluated by one
+evaluate_many call, whose block loop runs on the usable CPUs
+(series.thread_cap, re-exported here).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +27,7 @@ from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
                        principal_power, right_coset_reps, slash_kernel)
 from .multiplier import MultiplierSystem, evaluate_v
 from .rep import SpectralSplit
+from .series import thread_cap
 
 __all__ = [
     "QuadratureSpec", "FourierTable",
@@ -35,14 +36,6 @@ __all__ = [
     "classical_pairing_closed_form", "elliptic_pairing_closed_form",
     "thread_cap",
 ]
-
-
-def thread_cap() -> int:
-    """Worker cap from VVPS_THREADS (default 1; results do not depend on it)."""
-    try:
-        return max(1, int(os.environ.get("VVPS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -78,16 +71,6 @@ def _eval_many(F, taus: np.ndarray) -> np.ndarray:
     if vals.ndim == 1:
         vals = vals[:, None]
     return vals
-
-
-def _eval_many_parallel(F, taus: np.ndarray) -> np.ndarray:
-    workers = thread_cap()
-    if workers == 1 or len(taus) < 2048:
-        return _eval_many(F, taus)
-    chunks = [taus[lo:lo + 1024] for lo in range(0, len(taus), 1024)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: _eval_many(F, c), chunks))
-    return np.concatenate(parts, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,14 +127,14 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
     xs = np.arange(nx) * (M / nx)
     taus = xs + 1j * y0
     if sigma in (I2, -I2):
-        vals = _eval_many_parallel(F, taus)
+        vals = _eval_many(F, taus)
     else:
         if ms is None or k is None:
             raise ValueError("sigma != +-I needs ms and k for the slash action")
         if abs(ms.k - k) > 1e-12:
             raise ValueError("multiplier weight differs from the slash weight")
         jmk, moved = slash_kernel(entry_arrays([sigma]), taus, k)
-        vals = _eval_many_parallel(F, moved[:, 0])
+        vals = _eval_many(F, moved[:, 0])
         vals = (evaluate_v(ms, sigma).conjugate() * jmk) * vals
     uvals = vals @ split.U.T  # row t holds U F(tau_t)
     p = uvals.shape[1]
@@ -242,7 +225,7 @@ def petersson_strip(F, f, lam: GroupSpec, k: float, q: QuadratureSpec,
         raise DomainError("strip pairing diverges for k <= 2")
     taus, weights = _strip_nodes(f, lam, k, q)
     fv = _eval_many(f, taus)
-    big = _eval_many_parallel(F, taus)
+    big = _eval_many(F, taus)
     inner = np.sum(big * fv.conj(), axis=1)
     value = comp_sum_complex(weights * inner)
     if not return_error:

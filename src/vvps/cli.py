@@ -75,7 +75,10 @@ def _parse_ms(ns) -> MultiplierSystem:
 def _parse_rep(ns, group: GroupSpec) -> RepSpec:
     spec = ns.rep
     if spec == "trivial":
-        return trivial_rep(ns.p, group)
+        return trivial_rep(1 if ns.p is None else ns.p, group)
+    if ns.p is not None:
+        raise ConfigError("--p is the dimension of --rep trivial; "
+                          "a rep file carries its own")
     try:
         with open(spec) as fh:
             return RepSpec.from_json(json.load(fh))
@@ -115,12 +118,15 @@ def _build_series(ns):
     ms = _parse_ms(ns)
     rep = _parse_rep(ns, group)
     if ns.seed == "classical":
+        if ns.xi is not None:
+            raise ConfigError("--xi is the centre of an elliptic seed; "
+                              "a classical seed does not read it")
         seed = _classical_seed(group, rep, ms, ns.nu, ns.j)
         lam = GroupSpec.gamma_infinity(seed.M)
     else:
         if not 1 <= ns.j <= rep.p:
             raise ConfigError(f"index j={ns.j} out of range 1..{rep.p}")
-        xi = _parse_xy(ns.xi, "--xi")
+        xi = 1j if ns.xi is None else _parse_xy(ns.xi, "--xi")
         u = np.zeros(rep.p, dtype=complex)
         u[ns.j - 1] = 1.0
         seed = EllipticSeed(ns.nu, xi, u, ns.k)
@@ -325,7 +331,8 @@ def _add_group(sp, rep=False):
     sp.add_argument("--level", type=int, default=None)
     if rep:
         sp.add_argument("--rep", default="trivial")
-        sp.add_argument("--p", type=int, default=1)
+        sp.add_argument("--p", type=int, default=None,
+                        help="dimension of --rep trivial (default 1)")
 
 
 def _add_series(sp, quad_opts=False):
@@ -336,9 +343,9 @@ def _add_series(sp, quad_opts=False):
     sp.add_argument("--seed", default="classical", choices=("classical", "elliptic"))
     sp.add_argument("--nu", type=int, default=0)
     sp.add_argument("--j", type=int, default=1)
-    sp.add_argument("--xi", default="0,1", metavar="X,Y",
-                    help="centre x+iy of an elliptic seed; a negative x needs "
-                         "the form --xi=-0.5,1")
+    sp.add_argument("--xi", default=None, metavar="X,Y",
+                    help="centre x+iy of an elliptic seed (default 0,1); a "
+                         "negative x needs the form --xi=-0.5,1")
     sp.add_argument("--height", type=_finite_float, default=60.0)
     if quad_opts:
         sp.add_argument("--ymin", type=_finite_float, default=0.05)

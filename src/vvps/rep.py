@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _UNITARY_TOL = 1e-10
+# largest root order of a monodromy eigenvalue that check_normal accepts
+_MAX_ORDER = 360
 # largest |SL2(Z/NZ)| p^2 of a lookup table of rho, in matrix entries (4 MB)
 _TABLE_ENTRIES = 1 << 18
 
@@ -344,20 +346,20 @@ def _monodromy(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> np.ndarray:
     return cmath.exp(2j * math.pi * ms.kappa * m_width) * evaluate_rho(rep, t_power(m_width))
 
 
-def _root_order(lam: complex, max_n: int) -> Optional[int]:
-    """The least n <= max_n with lam within 1e-8 of an n-th root of unity,
-    or None."""
+def _root_order(lam: complex) -> Optional[int]:
+    """The least n <= _MAX_ORDER with lam within 1e-8 of an n-th root of
+    unity, or None."""
     theta = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
-    for n in range(1, max_n + 1):
+    for n in range(1, _MAX_ORDER + 1):
         if abs(lam - cmath.exp(2j * math.pi * round(theta * n) / n)) <= 1e-8:
             return n
     return None
 
 
-def _order(m: np.ndarray, max_n: int = 360) -> Optional[int]:
+def _order(m: np.ndarray) -> Optional[int]:
     """The order of a unitary matrix, the lcm of the root orders of its
-    eigenvalues, or None when one of them has none up to max_n."""
-    orders = [_root_order(lam, max_n) for lam in np.linalg.eigvals(m)]
+    eigenvalues, or None when one of them has none up to _MAX_ORDER."""
+    orders = [_root_order(lam) for lam in np.linalg.eigvals(m)]
     return None if None in orders else math.lcm(*orders)
 
 
@@ -366,18 +368,17 @@ class NormalityResult(NamedTuple):
     order: Optional[int]
 
 
-def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec,
-                 max_n: int = 360) -> NormalityResult:
+def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec) -> NormalityResult:
     """Check rho(-I) = I and finite order of the cusp monodromy at infinity.
 
     The monodromy e^{2 pi i kappa M} rho(T^M), M the cusp width, passes when
-    every eigenvalue lies within 1e-8 of a root of unity of order <= max_n;
+    every eigenvalue lies within 1e-8 of a root of unity of order <= 360;
     the returned witness is the lcm of the minimal orders.
     """
     p = rep.p
     if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(p)) > _UNITARY_TOL:
         return NormalityResult(False, None)
-    order = _order(_monodromy(rep, ms, cusp_width(gamma, I2)), max_n)
+    order = _order(_monodromy(rep, ms, cusp_width(gamma, I2)))
     return NormalityResult(order is not None, order)
 
 

@@ -99,9 +99,10 @@ class EllipticSeed:
         return self.u
 
     def scalar_many(self, taus: np.ndarray) -> np.ndarray:
-        w1 = taus - self.xi
-        w2 = taus - self.xi.conjugate()  # Im > 0 always, principal branch
-        return w1 ** self.nu * principal_power(w2, -(self.nu + self.k))
+        # Im(tau - conj(xi)) > 0 always, principal branch; the denominator
+        # comes first, so that one array of differences is alive at a time
+        den = principal_power(taus - self.xi.conjugate(), -(self.nu + self.k))
+        return (taus - self.xi) ** self.nu * den
 
     def eval_many(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=complex)

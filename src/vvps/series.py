@@ -4,7 +4,10 @@ A SeriesHandle bundles a seed, the groups, the representation, the
 multiplier system, the weight, and a coset table; evaluation sums the
 slashed seed over the table with exactly-rounded (compensated) summation
 and reports an empirical tail proxy, the mass of the outermost tenth of
-the included cosets by Frobenius norm.
+the included cosets by Frobenius norm.  evaluate_many splits its points
+into blocks of about 65,536 terms and maps them over thread_cap()
+workers, one per usable CPU; the blocks do not depend on the worker
+count, so neither does any result.
 
 Preparation folds the inverse multiplier and representation factors into
 one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
@@ -18,6 +21,8 @@ one matrix.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,9 +37,17 @@ from .rep import RepSpec, _monodromy, check_normal, evaluate_rho, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
 __all__ = ["SeriesHandle", "build_series", "slash_k", "slash_k_rho", "twist",
-           "check_transformation", "MIN_IM"]
+           "check_transformation", "thread_cap", "MIN_IM"]
 
 MIN_IM = 0.05  # evaluation closer to the real line than this is refused
+
+
+def thread_cap() -> int:
+    """The CPUs this process may run on: evaluate_many's worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def twist(ms: MultiplierSystem, rep: RepSpec, g: IntMatrix2, w):
@@ -163,15 +176,23 @@ class SeriesHandle:
         n = wmat.shape[0]
         total = np.empty((len(taus), self.p), dtype=complex)
         tails = np.empty(len(taus))
-        # blocks of ~1 MB of terms stay in cache; much larger blocks make
-        # the kernel's temporaries memory-bound
-        chunk = max(1, 65_536 // max(n, 1))
-        for lo in range(0, len(taus), chunk):
-            sl = slice(lo, min(lo + chunk, len(taus)))
+
+        def run(sl):
             s = self._scalars(taus[sl])
             for l in range(self.p):
                 total[sl, l] = block_sum(s * wmat[None, :, l], axis=1)
             tails[sl] = np.sum(np.abs(s[:, n - n_tail:]) * wnorm[None, n - n_tail:], axis=1)
+
+        # blocks of ~1 MB of terms stay in cache.  The partition must not depend
+        # on the worker count: numpy orders a block's complex products by its size
+        chunk = max(1, 65_536 // n)
+        blocks = [slice(lo, lo + chunk) for lo in range(0, len(taus), chunk)]
+        workers = min(len(blocks), thread_cap())
+        if workers == 1:
+            list(map(run, blocks))
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(run, blocks))
         return total, tails
 
     def evaluate(self, tau):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from vvps.analysis import (QuadratureSpec,
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import GroupSpec, S, right_coset_reps
 from vvps.multiplier import MultiplierSystem
-from vvps.rep import SpectralSplit, spectral_split, trivial_rep
+from vvps import series
+from vvps.rep import SpectralSplit, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import build_series, slash_k
 
@@ -249,15 +251,77 @@ class TestDiskRefusal:
             petersson_strip(seed, plain, GroupSpec.plus_minus_identity(), 12.0, q)
 
 
-class TestThreadCap:
-    def test_results_independent_of_worker_count(self, monkeypatch):
-        h, seed = classical_handle(GroupSpec.gamma0(2), 30.0)
+def _set_workers(monkeypatch, workers):
+    monkeypatch.setattr(series, "thread_cap", lambda: workers)
+
+
+def _bits(*results):
+    return [np.asarray(r).tobytes() for r in results]
+
+
+class TestWorkerCount:
+    # evaluate_many maps its point blocks over thread_cap() workers; the
+    # blocks do not depend on the worker count, so neither do the results
+
+    @pytest.fixture(scope="class")
+    def induced(self):
+        gamma = GroupSpec.gamma0(3)
+        rep = induce(trivial_rep(1, gamma), right_coset_reps(gamma))  # p = 4
+        seed = ClassicalSeed(0, 2, spectral_split(rep, MS12, 1), 1)
+        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep,
+                         MS12, 12.0, 30.0)
+        taus = np.linspace(-0.6, 0.6, 320) + 1j * np.linspace(0.3, 1.5, 320)
+        # 654 cosets: three blocks of 100 points and one of 20
+        assert len(taus) > 3 * (65_536 // len(h.cosets.ents))
+        with pytest.MonkeyPatch.context() as mp:
+            _set_workers(mp, 1)
+            return h, taus, h.evaluate_many(taus)
+
+    @pytest.fixture(scope="class")
+    def consumers(self):
+        """Each consumer of evaluate_many, on grids of several blocks."""
+        cl, cl_seed = classical_handle(GroupSpec.gamma0(2), 30.0)
+        el, el_seed = elliptic_handle(GroupSpec.gamma0(2), 20.0)
+        deep, deep_seed = classical_handle(GroupSpec.sl2z(), 100.0)
+        small, _ = classical_handle(GroupSpec.sl2z(), 15.0)
         q = QuadratureSpec(0.05, 6.0, nx=32, ny=16)
-        monkeypatch.setenv("VVPS_THREADS", "1")
-        serial = petersson_strip(h, seed, GroupSpec.gamma_infinity(1), 12.0, q)
-        monkeypatch.setenv("VVPS_THREADS", "4")
-        threaded = petersson_strip(h, seed, GroupSpec.gamma_infinity(1), 12.0, q)
-        assert serial == threaded  # bitwise: chunking is fixed, workers only map
+        q_disk = QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)
+        return {
+            "fourier": lambda: fourier_coefficients(deep, deep_seed.split, 1, range(3),
+                                                    0.5, 64).b,
+            "strip_gamma_inf": lambda: petersson_strip(
+                cl, cl_seed, GroupSpec.gamma_infinity(1), 12.0, q),
+            "strip_pm_identity": lambda: petersson_strip(
+                el, el_seed, GroupSpec.plus_minus_identity(), 12.0, q_disk),
+            "pair_full": lambda: petersson_pair_full(small, small, GroupSpec.sl2z(), 12.0),
+        }
+
+    @pytest.fixture(scope="class")
+    def one_worker(self, consumers):
+        with pytest.MonkeyPatch.context() as mp:
+            _set_workers(mp, 1)
+            return {name: job() for name, job in consumers.items()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_evaluate_many_bitwise_for_any_worker_count(self, monkeypatch, induced,
+                                                         workers):
+        h, taus, one_worker = induced
+        _set_workers(monkeypatch, workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' row writes often
+        try:
+            got = h.evaluate_many(taus)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _bits(*got) == _bits(*one_worker)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("name", ["fourier", "strip_gamma_inf", "strip_pm_identity",
+                                      "pair_full"])
+    def test_consumers_bitwise_for_any_worker_count(self, monkeypatch, consumers,
+                                                    one_worker, name, workers):
+        _set_workers(monkeypatch, workers)
+        assert _bits(consumers[name]()) == _bits(one_worker[name])
 
 
 class TestPairFull:

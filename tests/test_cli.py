@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from vvps import series
 from vvps.cli import config_from_args, emit_threshold_table, main, run
 from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
 from vvps.multiplier import MultiplierSystem
@@ -130,6 +131,9 @@ class TestEval:
         # options that the chosen configuration never reads
         (["cosets", "--stabiliser", "pmi", "--width", "3"], "--width"),
         (["pair", "--height", "10", "--xmax", "0.1"], "--xmax"),
+        (["eval", "--tau", "0.3,1.1", "--height", "10", "--xi", "0.5,3"], "--xi"),
+        (["pair", "--height", "10", "--xi", "0.5,3"], "--xi"),
+        (["fourier", "--height", "10", "--xi", "0,1"], "--xi"),
     ])
     def test_out_of_range_input_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -291,6 +295,20 @@ class TestOtherCommands:
                            for col in zip(*terms)])
         assert np.linalg.norm(value - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--k", "12", "--seed", "classical", "--tau", "0.3,1.1", "--height", "10"],
+        ["induce"],
+    ])
+    def test_dimension_with_rep_file_is_refused(self, tmp_path, command):
+        # a rep file carries its own dimension; --p sets that of --rep trivial
+        rho_file = tmp_path / "rho.json"
+        proc = invoke(["induce", "--group", "gamma0", "--level", "2", "--out", str(rho_file)])
+        assert proc.returncode == 0, proc.stderr
+        proc = invoke([*command, "--rep", str(rho_file), "--p", "7"])
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "invalid_config" and "--p" in err["message"]
+
     @pytest.mark.parametrize("broken", [
         {"recipe": "st_generated", "p": 1},
         {"recipe": "st_generated", "p": 1, "group": {"kind": "SL2Z"},
@@ -321,3 +339,15 @@ class TestOtherCommands:
         assert proc.returncode == 0
         data = json.loads(out.read_text())
         assert data["rel_err"] < 1e-2
+
+    def test_elliptic_pair_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # 1,024 disk nodes against 393 cosets: 7 blocks of evaluate_many
+        argv = ["pair", "--group", "gamma0", "--level", "2", "--seed", "elliptic",
+                "--nu", "1", "--xi", "0,1", "--height", "20", "--ymax", "14",
+                "--nx", "64", "--ny", "16", "--xmax", "8"]
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(series, "thread_cap", lambda: workers)
+            outs.append(tmp_path / f"pair{workers}.json")
+            assert run(config_from_args(argv + ["--out", str(outs[-1])])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()

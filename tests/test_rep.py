@@ -194,12 +194,13 @@ class TestNormality:
         assert res.ok and res.order == 4
 
     def test_irrational_monodromy_fails(self):
-        # kappa = 0.123456 is not within 1e-8 of any m/n with n <= 64
+        # kappa = 0.123456 = 1929/15625 is at least 1/(15625 * 360) from
+        # every m/n with n <= 360, the largest order check_normal accepts
         ms = MultiplierSystem("eta_power", 12.0 * 0.123456)
         theta = ms.kappa
-        best = min(abs(theta - round(theta * n) / n) for n in range(1, 65))
-        assert best > 1e-6  # oracle: distance to nearest low-order rational
-        res = check_normal(trivial_rep(2), ms, GroupSpec.sl2z(), max_n=64)
+        best = min(abs(theta - round(theta * n) / n) for n in range(1, 361))
+        assert best > 1.7e-7  # oracle: distance to nearest low-order rational
+        res = check_normal(trivial_rep(2), ms, GroupSpec.sl2z())
         assert not res.ok
 
     def test_minus_identity_condition(self):
