@@ -134,6 +134,17 @@ class TestEval:
         (["eval", "--tau", "0.3,1.1", "--height", "10", "--xi", "0.5,3"], "--xi"),
         (["pair", "--height", "10", "--xi", "0.5,3"], "--xi"),
         (["fourier", "--height", "10", "--xi", "0,1"], "--xi"),
+        (["eval", "--group", "sl2z", "--level", "7", "--tau", "0.3,1.1", "--height", "10"],
+         "--level"),
+        (["cosets", "--group", "sl2z", "--level", "7", "--height", "3"], "--level"),
+        (["induce", "--level", "7"], "--level"),
+        (["criterion", "elliptic", "--k", "12", "--N", "5", "--M", "3"], "--M"),
+        (["criterion", "elliptic", "--k", "12", "--N", "5", "--m", "0.25"], "--m"),
+        (["criterion", "regionA", "--k", "12", "--N", "5", "--M", "2"], "--M"),
+        (["criterion", "regionC", "--k", "12", "--N", "2", "--m", "0.5"], "--m"),
+        (["criterion", "classical", "--k", "12", "--N", "5", "--r", "0.3"], "--r"),
+        (["criterion", "elliptic", "--k", "12", "--N", "5", "--r", "0.1"], "--r"),
+        (["criterion", "regionA", "--k", "12", "--N", "5", "--r", "0.1"], "--r"),
     ])
     def test_out_of_range_input_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
