@@ -38,13 +38,13 @@ def comp_sum_complex(values) -> complex:
     return complex(math.fsum(v.real), math.fsum(v.imag))
 
 
-def block_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Deterministic block-compensated sum along one axis.
+def block_sum(x: np.ndarray) -> np.ndarray:
+    """Deterministic block-compensated sum along the last axis.
 
     Pairwise numpy sums within fixed blocks, then an fsum of the block
     partials; the result does not depend on how callers chunk their work.
     """
-    x = np.moveaxis(np.asarray(x), axis, -1)
+    x = np.asarray(x)
     n = x.shape[-1]
     if n == 0:
         return np.zeros(x.shape[:-1], dtype=x.dtype)

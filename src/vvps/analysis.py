@@ -3,10 +3,10 @@
 Fourier coefficients are extracted on a horizontal line by the periodic
 rectangle rule; elliptic expansion coefficients on a circle in the disk
 variable w = (tau - xi)/(tau - conj(xi)).  Pairings against seeds unfold to
-the stabiliser's fundamental domain.  For GammaInfinity(M) that is the
-period strip, integrated on a trapezoid in x times geometrically refined
-Gauss panels in y.  For <-I> it is the whole half-plane, integrated on a
-hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
+a fundamental domain of the seed's stabiliser seed.lam.  For GammaInfinity(M)
+that is the period strip, integrated on a trapezoid in x times geometrically
+refined Gauss panels in y.  For <-I> it is the whole half-plane, integrated
+on a hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
 Gauss panels in |w|.  The closed-form pairing values provide the
 independent second pipeline.  Every grid is evaluated by one
 evaluate_many call, whose block loop runs on the usable CPUs
@@ -27,7 +27,7 @@ from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
                        principal_power, right_coset_reps, slash_kernel)
 from .multiplier import MultiplierSystem, evaluate_v
 from .rep import SpectralSplit
-from .series import thread_cap
+from .series import MIN_IM, thread_cap
 
 __all__ = [
     "QuadratureSpec", "FourierTable",
@@ -116,13 +116,13 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
 
     Periodic rectangle rule with nx >= 1 nodes; for sigma != +-I the slash
     needs the multiplier system and the weight.  Refused (RefusalError)
-    when y0 < 0.05 or when a growth factor e^{2 pi (n + m_j) y0 / M}
-    overflows.
+    when y0 < series.MIN_IM or when a growth factor
+    e^{2 pi (n + m_j) y0 / M} overflows.
     """
     if nx < 1:
         raise ValueError(f"nx must be at least 1, got {nx}")
-    if y0 < 0.05:
-        raise RefusalError("extraction height y0 < 0.05 refused")
+    if y0 < MIN_IM:
+        raise RefusalError(f"extraction height y0 < {MIN_IM} refused")
     ns = tuple(int(n) for n in ns)
     xs = np.arange(nx) * (M / nx)
     taus = xs + 1j * y0
@@ -174,23 +174,22 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
     return out
 
 
-def _strip_nodes(f, lam: GroupSpec, k: float, q: QuadratureSpec):
-    """Flat (taus, weights) over the stabiliser's fundamental domain, the
-    weights carrying Im(tau)^k dv: the period strip for GammaInfinity, the
-    disk about f.xi for <-I>, where dv = 4 rho drho dtheta/(1 - rho^2)^2
-    in w = rho e^{i theta} = (tau - xi)/(tau - conj(xi))."""
+def _strip_nodes(f, k: float, q: QuadratureSpec):
+    """Flat (taus, weights) over a fundamental domain of f.lam, the weights
+    carrying Im(tau)^k dv: the period strip for GammaInfinity, the disk
+    about f.xi for <-I>, where dv = 4 rho drho dtheta/(1 - rho^2)^2 in
+    w = rho e^{i theta} = (tau - xi)/(tau - conj(xi))."""
+    lam = getattr(f, "lam", None)
+    if lam is None:
+        raise ValueError("the pairing needs a seed as its second argument: a classical "
+                         "seed for the strip, an elliptic seed for the disk about its xi")
     if lam.kind == "GammaInfinity":
-        m_width = lam.n
-        xs = (np.arange(q.nx) + 0.5) * (m_width / q.nx)
-        wx = np.full(q.nx, m_width / q.nx)
+        xs = (np.arange(q.nx) + 0.5) * (lam.n / q.nx)
+        wx = np.full(q.nx, lam.n / q.nx)
         ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, geometric=True)
         taus = (xs[:, None] + 1j * ys[None, :]).ravel()
         weights = (wx[:, None] * (wy * ys ** (k - 2.0))[None, :]).ravel()
         return taus, weights
-    if lam.kind != "PlusMinusIdentity":
-        raise ValueError(f"unsupported stabiliser {lam}")
-    if getattr(f, "xi", None) is None:
-        raise ValueError("the <-I> pairing needs a second argument with a centre xi")
     xi = complex(f.xi)
     eta = xi.imag
     xmax = q.x_max if q.x_max is not None else 8.0
@@ -208,22 +207,21 @@ def _strip_nodes(f, lam: GroupSpec, k: float, q: QuadratureSpec):
     return taus, weights
 
 
-def petersson_strip(F, f, lam: GroupSpec, k: float, q: QuadratureSpec,
-                    return_error: bool = False):
+def petersson_strip(F, f, k: float, q: QuadratureSpec, return_error: bool = False):
     """Unfolded pairing <F, P f> = int <F(tau), f(tau)> Im(tau)^k dv over a
-    fundamental domain of the stabiliser lam.
+    fundamental domain of the stabiliser f.lam of the seed f.
 
     For GammaInfinity(M) the domain is the period strip, truncated to
     y_min <= y <= y_max.  For <-I> it is the whole half-plane, truncated to
-    the largest hyperbolic disk about f.xi (f must be an elliptic seed)
-    inside the box |x| <= x_max (default 8), y_min <= y <= y_max; a box
-    that holds no such disk raises ValueError.  With return_error=True a
+    the largest hyperbolic disk about f.xi inside the box |x| <= x_max
+    (default 8), y_min <= y <= y_max; a box that holds no such disk raises
+    ValueError.  With return_error=True a
     (value, error_estimate) pair is returned, the estimate coming from a
     half-resolution grid.
     """
     if k <= 2:
         raise DomainError("strip pairing diverges for k <= 2")
-    taus, weights = _strip_nodes(f, lam, k, q)
+    taus, weights = _strip_nodes(f, k, q)
     fv = _eval_many(f, taus)
     big = _eval_many(F, taus)
     inner = np.sum(big * fv.conj(), axis=1)
@@ -231,7 +229,7 @@ def petersson_strip(F, f, lam: GroupSpec, k: float, q: QuadratureSpec,
     if not return_error:
         return value
     q2 = QuadratureSpec(q.y_min, q.y_max, max(16, q.nx // 2), max(16, q.ny // 2), q.x_max)
-    coarse = petersson_strip(F, f, lam, k, q2, return_error=False)
+    coarse = petersson_strip(F, f, k, q2)
     return value, abs(value - coarse)
 
 

@@ -52,6 +52,8 @@ def _parse_group(ns) -> GroupSpec:
     kind = ns.group.lower()
     level = ns.level
     if kind == "sl2z":
+        if level is not None:
+            raise ConfigError("--group sl2z does not read --level")
         return GroupSpec.sl2z()
     if level is None:
         raise ConfigError(f"--group {kind} needs --level")
@@ -122,7 +124,6 @@ def _build_series(ns):
             raise ConfigError("--xi is the centre of an elliptic seed; "
                               "a classical seed does not read it")
         seed = _classical_seed(group, rep, ms, ns.nu, ns.j)
-        lam = GroupSpec.gamma_infinity(seed.M)
     else:
         if not 1 <= ns.j <= rep.p:
             raise ConfigError(f"index j={ns.j} out of range 1..{rep.p}")
@@ -130,8 +131,7 @@ def _build_series(ns):
         u = np.zeros(rep.p, dtype=complex)
         u[ns.j - 1] = 1.0
         seed = EllipticSeed(ns.nu, xi, u, ns.k)
-        lam = GroupSpec.plus_minus_identity()
-    return build_series(seed, lam, group, rep, ms, ns.k, ns.height)
+    return build_series(seed, seed.lam, group, rep, ms, ns.k, ns.height)
 
 
 def _run_eval(ns) -> dict:
@@ -164,7 +164,7 @@ def _run_pair(ns) -> dict:
     handle = _build_series(ns)
     seed = handle.seed
     q = QuadratureSpec(ns.ymin, ns.ymax, ns.nx, ns.ny, ns.xmax)
-    strip = petersson_strip(handle, seed, handle.lam, ns.k, q)
+    strip = petersson_strip(handle, seed, ns.k, q)
     if isinstance(seed, ClassicalSeed):
         table = fourier_coefficients(handle, seed.split, seed.M, [seed.nu],
                                      0.5, 64)
@@ -182,8 +182,12 @@ def _run_pair(ns) -> dict:
 
 def _run_criterion(ns) -> dict:
     kind = ns.kind
+    for opt, owner in (("M", "classical"), ("m", "classical"), ("r", "regionC")):
+        if getattr(ns, opt) is not None and kind != owner:
+            raise ConfigError(f"--{opt} is read by {owner} only; {kind} does not read it")
     if kind == "classical":
-        report = classical_criterion(ns.k, ns.M, ns.N, ns.nu, ns.m)
+        report = classical_criterion(ns.k, 1 if ns.M is None else ns.M, ns.N, ns.nu,
+                                     1.0 if ns.m is None else ns.m)
     elif kind == "elliptic":
         report = elliptic_criterion(ns.k, ns.N, ns.nu)
     elif kind == "regionA":
@@ -191,7 +195,7 @@ def _run_criterion(ns) -> dict:
         ms = MultiplierSystem("trivial_even", ns.k) if ns.k % 2 == 0 \
             else MultiplierSystem("eta_power", ns.k)
         seed = _classical_seed(group, trivial_rep(1, group), ms, ns.nu, 1)
-        report = region_test_a(seed, GroupSpec.gamma_infinity(seed.M), group, ns.k)
+        report = region_test_a(seed, group, ns.k)
     else:
         r = ns.r if ns.r is not None else find_radius(ns.k, ns.nu, ns.N)
         if r is None:
@@ -393,10 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=("classical", "elliptic", "regionA", "regionC"))
     sp.add_argument("--k", type=_finite_float, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--M", type=int, default=1)
+    sp.add_argument("--M", type=int, default=None, help="classical only (default 1)")
     sp.add_argument("--nu", type=int, default=0)
-    sp.add_argument("--m", type=_finite_float, default=1.0)
-    sp.add_argument("--r", type=_finite_float, default=None)
+    sp.add_argument("--m", type=_finite_float, default=None, help="classical only (default 1)")
+    sp.add_argument("--r", type=_finite_float, default=None, help="regionC only")
 
     sp = command("induce", "induce a representation to the full group", _run_induce)
     _add_group(sp, rep=True)

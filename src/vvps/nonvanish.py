@@ -271,8 +271,7 @@ def _region_a_scale(m_width: int, s: float, alpha: float) -> float:
     return scale
 
 
-def region_test_a(seed: ClassicalSeed, lam: GroupSpec, gamma: GroupSpec,
-                  k: float) -> CriterionReport:
+def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionReport:
     """Closed-form test of the strip-region inequality for a classical seed.
 
     The mass of the seed above y = y_cut = 1/N must exceed the mass
@@ -285,8 +284,6 @@ def region_test_a(seed: ClassicalSeed, lam: GroupSpec, gamma: GroupSpec,
     """
     if k <= 2:
         raise DomainError("region test requires k > 2")
-    if lam.kind != "GammaInfinity":
-        raise ValueError("classical region test needs lam = GammaInfinity(M)")
     n_level = gamma.level
     m_width = seed.M
     y_cut = 1.0 / n_level

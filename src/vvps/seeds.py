@@ -4,7 +4,9 @@ A classical seed is an exponential at the cusp at infinity attached to one
 spectral exponent; an elliptic seed is a rational expression in
 (tau - xi)/(tau - conj(xi)) attached to a point xi of the half-plane.  Both
 evaluate to vectors in C^p and factor as scalar(tau) * fixed_vector, which
-the series module exploits.
+the series module exploits.  Each seed carries its stabiliser `lam`, the
+group its series sums over the cosets of: GammaInfinity(M) for a classical
+seed of width M, <-I> for an elliptic seed.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ class ClassicalSeed:
     @property
     def p(self) -> int:
         return self.split.p
+
+    @property
+    def lam(self) -> GroupSpec:
+        return GroupSpec.gamma_infinity(self.M)
 
     @property
     def m_j(self) -> float:
@@ -95,6 +101,10 @@ class EllipticSeed:
         return len(self.u)
 
     @property
+    def lam(self) -> GroupSpec:
+        return GroupSpec.plus_minus_identity()
+
+    @property
     def vector(self) -> np.ndarray:
         return self.u
 
@@ -115,31 +125,27 @@ class EllipticSeed:
 SeedFn = Union[ClassicalSeed, EllipticSeed]
 
 
-def check_seed_invariance(seed: SeedFn, lam: GroupSpec, rep: RepSpec,
-                          ms: MultiplierSystem, samples: int = 32,
-                          rng_seed: int = 0) -> float:
-    """Max residual of the stabiliser invariance of the seed under the
-    weight-k slash action twisted by rho, over random group elements and
-    sample points."""
+def check_seed_invariance(seed: SeedFn, rep: RepSpec, ms: MultiplierSystem) -> float:
+    """Max residual of the invariance of the seed under the weight-k slash
+    action of its stabiliser, twisted by rho, over 32 random stabiliser
+    elements and sample points."""
     from .series import slash_k_rho  # local import avoids a module cycle
 
-    rng = np.random.default_rng(rng_seed)
-    if lam.kind == "GammaInfinity":
+    rng = np.random.default_rng(0)
+    if isinstance(seed, ClassicalSeed):
         elts = []
-        for _ in range(samples):
+        for _ in range(32):
             mlt = int(rng.integers(-4, 5))
-            g = t_power(mlt * lam.n)
+            g = t_power(mlt * seed.M)
             if rng.integers(0, 2):
                 g = -g
             elts.append(g)
-    elif lam.kind == "PlusMinusIdentity":
-        elts = [I2, -I2] * (samples // 2 + 1)
     else:
-        raise ValueError(f"unsupported stabiliser {lam}")
+        elts = [I2, -I2] * 16
     worst = 0.0
-    for g in elts[:samples]:
+    for g in elts:
         tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0))
-        moved = slash_k_rho(seed.eval, g, rep, ms, ms.k)(tau)
+        moved = slash_k_rho(seed.eval, g, rep, ms)(tau)
         worst = max(worst, float(np.linalg.norm(moved - seed.eval(tau))))
     return worst
 

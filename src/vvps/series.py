@@ -1,13 +1,14 @@
 """Slash actions and truncated evaluation of Poincare series.
 
-A SeriesHandle bundles a seed, the groups, the representation, the
-multiplier system, the weight, and a coset table; evaluation sums the
-slashed seed over the table with exactly-rounded (compensated) summation
-and reports an empirical tail proxy, the mass of the outermost tenth of
-the included cosets by Frobenius norm.  evaluate_many splits its points
-into blocks of about 65,536 terms and maps them over thread_cap()
-workers, one per usable CPU; the blocks do not depend on the worker
-count, so neither does any result.
+A SeriesHandle bundles a seed, the representation, the multiplier system
+and a coset table, and nothing these determine: the weight is ms.k, the
+groups are the table's, whose stabiliser must be seed.lam.  Evaluation
+sums the slashed seed over the table with exactly-rounded (compensated)
+summation and reports an empirical tail proxy, the mass of the outermost
+tenth of the included cosets by Frobenius norm.  evaluate_many splits its
+points into blocks of about 65,536 terms and maps them over thread_cap()
+workers, one per usable CPU; the blocks do not depend on the worker count,
+so neither does any result.
 
 Preparation folds the inverse multiplier and representation factors into
 one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
@@ -63,15 +64,16 @@ def _slash_at(F, g: IntMatrix2, k: float, tau):
     return jmk[0, 0] * np.asarray(F(complex(z[0, 0])))
 
 
-def slash_k(F, g: IntMatrix2, ms: MultiplierSystem, k: float):
-    """The weight-k slash action: tau -> v(g)^{-1} j(g,tau)^{-k} F(g.tau)."""
+def slash_k(F, g: IntMatrix2, ms: MultiplierSystem):
+    """The slash action in the weight k of ms:
+    tau -> v(g)^{-1} j(g,tau)^{-k} F(g.tau)."""
     vinv = evaluate_v(ms, g).conjugate()
-    return lambda tau: vinv * _slash_at(F, g, k, tau)
+    return lambda tau: vinv * _slash_at(F, g, ms.k, tau)
 
 
-def slash_k_rho(F, g: IntMatrix2, rep: RepSpec, ms: MultiplierSystem, k: float):
+def slash_k_rho(F, g: IntMatrix2, rep: RepSpec, ms: MultiplierSystem):
     """The rho-twisted slash action: rho(g)^{-1} (F |_k g)."""
-    return lambda tau: twist(ms, rep, g, _slash_at(F, g, k, tau))
+    return lambda tau: twist(ms, rep, g, _slash_at(F, g, ms.k, tau))
 
 
 @dataclass(eq=False)
@@ -79,36 +81,22 @@ class SeriesHandle:
     """A truncated Poincare series ready for evaluation."""
 
     seed: SeedFn
-    lam: GroupSpec
-    gamma: GroupSpec
     rep: RepSpec
     ms: MultiplierSystem
-    k: float
     cosets: CosetTable
     _data: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.k <= 2:
             raise DomainError("series are only supported in the convergent range k > 2")
-        if abs(self.ms.k - self.k) > 1e-12:
-            raise ValueError("multiplier weight differs from the series weight")
-        if self.cosets.lam != self.lam or self.cosets.gamma != self.gamma:
-            raise ValueError("coset table does not match the given groups")
-        if isinstance(self.seed, ClassicalSeed):
-            if self.lam.kind != "GammaInfinity" or self.lam.n != self.seed.M:
-                raise ValueError("classical seeds need lam = GammaInfinity(M) "
-                                 "with the seed's width")
-        elif isinstance(self.seed, EllipticSeed):
-            if self.lam.kind != "PlusMinusIdentity":
-                raise ValueError("elliptic seeds need lam = <-I>")
-            if abs(self.seed.k - self.k) > 1e-12:
-                raise ValueError("elliptic seed weight differs from the series weight")
-        else:
-            raise TypeError(f"not a seed: {self.seed!r}")
+        if self.cosets.lam != self.seed.lam:
+            raise ValueError(f"table stabiliser {self.cosets.lam} is not seed.lam {self.seed.lam}")
+        if isinstance(self.seed, EllipticSeed) and abs(self.seed.k - self.k) > 1e-12:
+            raise ValueError("elliptic seed weight differs from the series weight")
         if self.seed.p != self.rep.p:
             raise ValueError("seed dimension does not match the representation")
-        res = check_normal(self.rep, self.ms,
-                           self.gamma if self.gamma.finite_index else GroupSpec.sl2z())
+        gamma = self.cosets.gamma
+        res = check_normal(self.rep, self.ms, gamma if gamma.finite_index else GroupSpec.sl2z())
         if not res.ok:
             raise ValueError("representation is not normal")
         if isinstance(self.seed, ClassicalSeed):
@@ -120,6 +108,11 @@ class SeriesHandle:
         diag = np.diag([np.exp(2j * math.pi * mj) for mj in self.seed.split.m])
         if np.linalg.norm(mono - u.conj().T @ diag @ u) > 1e-8:
             raise ValueError("seed spectral data does not diagonalise rho(T^M)")
+
+    @property
+    def k(self) -> float:
+        """The weight, that of the multiplier system."""
+        return self.ms.k
 
     @property
     def p(self) -> int:
@@ -180,7 +173,7 @@ class SeriesHandle:
         def run(sl):
             s = self._scalars(taus[sl])
             for l in range(self.p):
-                total[sl, l] = block_sum(s * wmat[None, :, l], axis=1)
+                total[sl, l] = block_sum(s * wmat[None, :, l])
             tails[sl] = np.sum(np.abs(s[:, n - n_tail:]) * wnorm[None, n - n_tail:], axis=1)
 
         # blocks of ~1 MB of terms stay in cache.  The partition must not depend
@@ -199,15 +192,14 @@ class SeriesHandle:
         values, tails = self.evaluate_many([tau])
         return values[0], float(tails[0])
 
-    def __call__(self, tau):
-        return self.evaluate(tau)[0]
-
 
 def build_series(seed: SeedFn, lam: GroupSpec, gamma: GroupSpec, rep: RepSpec,
                  ms: MultiplierSystem, k: float, height: float) -> SeriesHandle:
-    """Enumerate cosets up to the given norm and wrap everything in a handle."""
-    table = enumerate_cosets(lam, gamma, height)
-    return SeriesHandle(seed, lam, gamma, rep, ms, k, table)
+    """Enumerate the lam-cosets in gamma up to the given norm and wrap them
+    in a handle.  lam must be the seed's stabiliser and k the weight of ms."""
+    if abs(ms.k - k) > 1e-12:
+        raise ValueError("multiplier weight differs from the series weight")
+    return SeriesHandle(seed, rep, ms, enumerate_cosets(lam, gamma, height))
 
 
 class TransformationCheck(NamedTuple):
@@ -224,8 +216,8 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
     """
     gammas = list(gammas)
     for g in gammas:
-        if not contains(handle.gamma, g):
-            raise ValueError(f"{g} is not in {handle.gamma}")
+        if not contains(handle.cosets.gamma, g):
+            raise ValueError(f"{g} is not in {handle.cosets.gamma}")
     taus = np.array([_as_complex(t) for t in taus], dtype=complex)
     if not gammas or not len(taus):
         return TransformationCheck(0.0, 0.0)

@@ -181,7 +181,7 @@ class TestPeterssonStrip:
         split = plain_split()
         seed = ClassicalSeed(0, 1, split, 1)
         q = QuadratureSpec(1e-4, 8.0, nx=16, ny=48)
-        got = petersson_strip(seed, seed, GroupSpec.gamma_infinity(1), 12.0, q)
+        got = petersson_strip(seed, seed, 12.0, q)
         expect = math.gamma(11.0) / (4.0 * math.pi) ** 11
         assert got.real == pytest.approx(expect, rel=1e-8)
         assert abs(got.imag) <= 1e-18
@@ -190,18 +190,18 @@ class TestPeterssonStrip:
         seed = ClassicalSeed(0, 1, plain_split(), 1)
         zero = lambda tau: np.array([0.0 + 0j])
         q = QuadratureSpec(0.05, 5.0, nx=16, ny=16)
-        assert petersson_strip(zero, seed, GroupSpec.gamma_infinity(1), 12.0, q) == 0.0
+        assert petersson_strip(zero, seed, 12.0, q) == 0.0
 
     def test_low_weight_rejected(self):
         seed = ClassicalSeed(0, 1, plain_split(), 1)
         q = QuadratureSpec(0.05, 5.0, nx=16, ny=16)
         with pytest.raises(DomainError):
-            petersson_strip(seed, seed, GroupSpec.gamma_infinity(1), 2.0, q)
+            petersson_strip(seed, seed, 2.0, q)
 
     def test_classical_two_pipelines(self):
         h, seed = classical_handle(GroupSpec.gamma0(2), 60.0)
         q = QuadratureSpec(0.05, 8.0, nx=32, ny=28)
-        strip, err = petersson_strip(h, seed, GroupSpec.gamma_infinity(1), 12.0, q,
+        strip, err = petersson_strip(h, seed, 12.0, q,
                                      return_error=True)
         tab = fourier_coefficients(h, seed.split, 1, [0], 0.5, 64)
         closed = classical_pairing_closed_form(tab.coeff(1, 0), 1, 12.0, 0, 1.0)
@@ -220,7 +220,7 @@ class TestPeterssonStrip:
         # -6+i.  Worst errors seen: 9.9e-9 for k <= 12, 1.1e-6 at k = 40.
         q = QuadratureSpec(0.05, 14.0, nx=160, ny=28, x_max=8.0)
         seed = EllipticSeed(nu, xi, np.array([1.0 + 0j]), k)
-        got = petersson_strip(seed, seed, GroupSpec.plus_minus_identity(), k, q)
+        got = petersson_strip(seed, seed, k, q)
         eta = xi.imag
         d = min(math.log(eta / 0.05), math.log(14.0 / eta), math.asinh((8.0 - abs(xi.real)) / eta))
         r2 = math.tanh(d / 2.0) ** 2
@@ -241,14 +241,14 @@ class TestDiskRefusal:
     def test_box_without_disk_refused(self, xi, q):
         seed = EllipticSeed(0, xi, np.array([1.0 + 0j]), 12.0)
         with pytest.raises(ValueError, match="no disk about xi"):
-            petersson_strip(seed, seed, GroupSpec.plus_minus_identity(), 12.0, q)
+            petersson_strip(seed, seed, 12.0, q)
 
     def test_second_argument_without_xi_refused(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
         plain = lambda tau: np.array([1.0 + 0j])
         q = QuadratureSpec(0.05, 14.0, nx=32, ny=16)
         with pytest.raises(ValueError, match="xi"):
-            petersson_strip(seed, plain, GroupSpec.plus_minus_identity(), 12.0, q)
+            petersson_strip(seed, plain, 12.0, q)
 
 
 def _set_workers(monkeypatch, workers):
@@ -290,9 +290,9 @@ class TestWorkerCount:
             "fourier": lambda: fourier_coefficients(deep, deep_seed.split, 1, range(3),
                                                     0.5, 64).b,
             "strip_gamma_inf": lambda: petersson_strip(
-                cl, cl_seed, GroupSpec.gamma_infinity(1), 12.0, q),
+                cl, cl_seed, 12.0, q),
             "strip_pm_identity": lambda: petersson_strip(
-                el, el_seed, GroupSpec.plus_minus_identity(), 12.0, q_disk),
+                el, el_seed, 12.0, q_disk),
             "pair_full": lambda: petersson_pair_full(small, small, GroupSpec.sl2z(), 12.0),
         }
 
@@ -355,7 +355,7 @@ class TestPairFull:
         # <Psi, Psi> over the quotient equals the unfolded strip pairing
         h, seed = classical_handle(GroupSpec.sl2z(), 60.0)
         q = QuadratureSpec(0.05, 10.0, nx=48, ny=40)
-        strip = petersson_strip(h, seed, GroupSpec.gamma_infinity(1), 12.0, q)
+        strip = petersson_strip(h, seed, 12.0, q)
         full = petersson_pair_full(h, h, GroupSpec.sl2z(), 12.0,
                                    q=QuadratureSpec(0.05, 8.0, nx=48, ny=32))
         assert abs(full - strip) <= 1e-2 * abs(strip)
@@ -379,7 +379,7 @@ class TestPairFull:
         q = QuadratureSpec(0.05, 6.0, nx=32, ny=24)
         direct = petersson_pair_full(h, h, gamma, 12.0, cosets=cosets, q=q)
 
-        slashed = [slash_k(lambda t: h.evaluate(t)[0], g, MS12, 12.0) for g in cosets]
+        slashed = [slash_k(lambda t: h.evaluate(t)[0], g, MS12) for g in cosets]
         tuple_fn = lambda tau: np.concatenate([f(tau) for f in slashed])
         induced = petersson_pair_full(tuple_fn, tuple_fn, GroupSpec.sl2z(), 12.0,
                                       cosets=[right_coset_reps(GroupSpec.sl2z())[0]], q=q)

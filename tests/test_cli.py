@@ -300,7 +300,7 @@ class TestOtherCommands:
         ms = MultiplierSystem("trivial_even", 12.0)
         seed = ClassicalSeed(0, 3, spectral_split(rep, ms, 1), 1)
         tau = complex(-0.2, 0.9)
-        terms = [slash_k_rho(seed.eval, g, rep, ms, 12.0)(tau) for g in
+        terms = [slash_k_rho(seed.eval, g, rep, ms)(tau) for g in
                  enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 30.0).reps]
         oracle = np.array([complex(math.fsum(t.real for t in col), math.fsum(t.imag for t in col))
                            for col in zip(*terms)])

@@ -165,7 +165,7 @@ class TestRegionA:
                 for nu in GRID_NU:
                     gamma = GroupSpec.gamma0(n)
                     seed = classical_seed(gamma, nu)
-                    rep = region_test_a(seed, GroupSpec.gamma_infinity(1), gamma, k)
+                    rep = region_test_a(seed, gamma, k)
                     sharp = classical_criterion(k, 1, n, nu, 1.0).details["sharp_satisfied"]
                     assert rep.satisfied == sharp
                     # margin is 1 - 2 P(k/2-1, x0)
@@ -175,7 +175,7 @@ class TestRegionA:
     def test_sides_are_actual_integrals(self):
         gamma = GroupSpec.gamma0(3)
         seed = classical_seed(gamma, 1)
-        rep = region_test_a(seed, GroupSpec.gamma_infinity(1), gamma, 6.0)
+        rep = region_test_a(seed, gamma, 6.0)
         alpha = 2 * math.pi * 2.0  # (nu + m_j)/M = 2
         above, _ = integrate.quad(lambda y: math.exp(-alpha * y) * y ** 1.0, 1.0 / 3.0, np.inf)
         below, _ = integrate.quad(lambda y: math.exp(-alpha * y) * y ** 1.0, 0.0, 1.0 / 3.0)
@@ -187,7 +187,7 @@ class TestRegionA:
         # the display scale M Gamma(s) / alpha^s overflowed math.gamma for
         # k >= ~345 and refused a finite margin
         gamma = GroupSpec.gamma0(5)
-        rep = region_test_a(classical_seed(gamma, 0), GroupSpec.gamma_infinity(1), gamma, 400.0)
+        rep = region_test_a(classical_seed(gamma, 0), gamma, 400.0)
         s, alpha = 199.0, 2.0 * math.pi
         p = regularized_incomplete_gamma(s, alpha / 5.0)
         assert rep.margin == 1.0 - 2.0 * p
@@ -198,7 +198,7 @@ class TestRegionA:
     def test_scale_beyond_float_range_is_refused(self):
         gamma = GroupSpec.gamma0(5)
         with pytest.raises(RefusalError):
-            region_test_a(classical_seed(gamma, 0), GroupSpec.gamma_infinity(1), gamma, 1000.0)
+            region_test_a(classical_seed(gamma, 0), gamma, 1000.0)
 
     def test_sides_keep_the_direct_formula_values(self):
         # wherever M Gamma(s) / alpha^s was finite in direct form, the sides
@@ -221,7 +221,7 @@ class TestRegionA:
                         direct = seed.M * math.gamma(s) / alpha ** s
                     except OverflowError:
                         continue
-                    rep = region_test_a(seed, GroupSpec.gamma_infinity(seed.M), gamma, k)
+                    rep = region_test_a(seed, gamma, k)
                     p = regularized_incomplete_gamma(s, rep.details["x0"])
                     assert rep.details["above_cut"] == pytest.approx(direct * (1.0 - p), rel=1e-13)
                     assert rep.details["below_cut"] == pytest.approx(direct * p, rel=1e-13)
