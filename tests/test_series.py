@@ -92,6 +92,14 @@ class TestHandleValidation:
             build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(),
                          rep, MS12, 12.0, 10.0)
 
+    def test_stabiliser_of_another_width_rejected(self):
+        # a width-1 classical seed summed over GammaInfinity(2)\Gamma0(2)
+        gamma = GroupSpec.gamma0(2)
+        rep = trivial_rep(1, gamma)
+        seed = ClassicalSeed(0, 1, spectral_split(rep, MS12, 1), 1)
+        with pytest.raises(ValueError, match="stabiliser"):
+            build_series(seed, GroupSpec.gamma_infinity(2), gamma, rep, MS12, 12.0, 10.0)
+
     def test_multiplier_weight_mismatch_rejected(self):
         # a weight-7.3 multiplier under a weight-12 series used to build; its
         # transformation residual under (1 0; 5 1) was 0.84
