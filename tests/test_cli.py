@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from vvps import series
+from vvps import cli, series
 from vvps.cli import config_from_args, emit_threshold_table, main, run
 from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
 from vvps.multiplier import MultiplierSystem
@@ -341,6 +341,15 @@ class TestOtherCommands:
         assert proc.returncode == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "j,n,re,im" and len(lines) == 3
+
+    def test_fourier_refuses_an_elliptic_seed_before_enumerating(self, monkeypatch, capsys):
+        # at --height 300 the refused series took 0.69 s to build
+        def build(*args):
+            raise AssertionError("fourier built a series it then refused")
+        monkeypatch.setattr(cli, "build_series", build)
+        code = run(config_from_args(["fourier", "--seed", "elliptic", "--height", "300"]))
+        assert code == 2
+        assert "classical seed" in capsys.readouterr().err
 
     def test_pair_smoke(self, tmp_path):
         out = tmp_path / "pair.json"
