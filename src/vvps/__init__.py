@@ -13,10 +13,9 @@ from .multiplier import MultiplierSystem, check_consistency, evaluate_v
 from .rep import (RepSpec, SpectralSplit, check_normal, dirichlet_rep,
                   evaluate_rho, induce, permutation_ell, spectral_split,
                   st_rep, trivial_rep)
-from .seeds import (ClassicalSeed, EllipticSeed, SeedFn, check_seed_invariance,
-                    seed_strip_integral)
-from .series import (SeriesHandle, build_series, check_transformation, slash_k,
-                     slash_k_rho, twist)
+from .seeds import ClassicalSeed, EllipticSeed, SeedFn, seed_strip_integral
+from .series import (SeriesHandle, build_series, check_seed_invariance,
+                     check_transformation, slash, slash_k, slash_k_rho)
 from .analysis import (FourierTable, QuadratureSpec,
                        classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,

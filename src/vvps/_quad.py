@@ -39,20 +39,16 @@ def comp_sum_complex(values) -> complex:
 
 
 def block_sum(x: np.ndarray) -> np.ndarray:
-    """Deterministic block-compensated sum along the last axis.
+    """Deterministic block-compensated sum of a complex array along its
+    last axis.
 
     Pairwise numpy sums within fixed blocks, then an fsum of the block
     partials; the result does not depend on how callers chunk their work.
     """
-    x = np.asarray(x)
     n = x.shape[-1]
     if n == 0:
-        return np.zeros(x.shape[:-1], dtype=x.dtype)
-    idx = np.arange(0, n, _BLOCK)
-    parts = np.add.reduceat(x, idx, axis=-1)
+        return np.zeros(x.shape[:-1], dtype=complex)
+    parts = np.add.reduceat(x, np.arange(0, n, _BLOCK), axis=-1)
     flat = parts.reshape(-1, parts.shape[-1])
-    if np.iscomplexobj(x):
-        out = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in flat])
-    else:
-        out = np.array([math.fsum(row) for row in flat])
+    out = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in flat])
     return out.reshape(parts.shape[:-1])

@@ -10,7 +10,9 @@ on a hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
 Gauss panels in |w|.  The closed-form pairing values provide the
 independent second pipeline.  Every grid is evaluated by one
 evaluate_many call, whose block loop runs on the usable CPUs
-(series.thread_cap, re-exported here).
+(series.thread_cap, re-exported here); an argument that is a seed or a
+callable of one point is evaluated the same way (series._values).
+Extraction at a cusp sigma != +-I applies series.slash.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from ._quad import comp_sum_complex, gauss_panels
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
                        principal_power, right_coset_reps, slash_kernel)
-from .multiplier import MultiplierSystem, evaluate_v
+from .multiplier import MultiplierSystem
 from .rep import SpectralSplit
-from .series import MIN_IM, thread_cap
+from .series import MIN_IM, _values, slash, thread_cap
 
 __all__ = [
     "QuadratureSpec", "FourierTable",
@@ -57,20 +59,6 @@ class QuadratureSpec:
             raise ValueError("need 0 < y_min < y_max")
         if self.nx < 16 or self.ny < 16:
             raise ValueError("nx and ny must be at least 16")
-
-
-def _eval_many(F, taus: np.ndarray) -> np.ndarray:
-    """Vector values of an evaluable (handle, seed, or plain callable)."""
-    if hasattr(F, "evaluate_many"):
-        vals = F.evaluate_many(taus)[0]
-    elif hasattr(F, "eval_many"):
-        vals = F.eval_many(taus)
-    else:
-        vals = np.asarray([F(complex(t)) for t in taus])
-    vals = np.asarray(vals, dtype=complex)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,15 +115,13 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
     xs = np.arange(nx) * (M / nx)
     taus = xs + 1j * y0
     if sigma in (I2, -I2):
-        vals = _eval_many(F, taus)
+        vals = _values(F, taus)
     else:
         if ms is None or k is None:
             raise ValueError("sigma != +-I needs ms and k for the slash action")
         if abs(ms.k - k) > 1e-12:
             raise ValueError("multiplier weight differs from the slash weight")
-        jmk, moved = slash_kernel(entry_arrays([sigma]), taus, k)
-        vals = _eval_many(F, moved[:, 0])
-        vals = (evaluate_v(ms, sigma).conjugate() * jmk) * vals
+        vals = slash(F, [sigma], taus, ms)[:, 0]
     uvals = vals @ split.U.T  # row t holds U F(tau_t)
     p = uvals.shape[1]
     b = np.empty((p, len(ns)), dtype=complex)
@@ -162,7 +148,7 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
     ts = 2.0 * math.pi * np.arange(nt) / nt
     ws = r0 * np.exp(1j * ts)
     taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
-    vals = _eval_many(F, taus)
+    vals = _values(F, taus)
     if not 1 <= j <= vals.shape[1]:
         raise ValueError(f"index j={j} out of range 1..{vals.shape[1]}")
     vals = vals[:, j - 1]
@@ -222,8 +208,8 @@ def petersson_strip(F, f, k: float, q: QuadratureSpec, return_error: bool = Fals
     if k <= 2:
         raise DomainError("strip pairing diverges for k <= 2")
     taus, weights = _strip_nodes(f, k, q)
-    fv = _eval_many(f, taus)
-    big = _eval_many(F, taus)
+    fv = _values(f, taus)
+    big = _values(F, taus)
     inner = np.sum(big * fv.conj(), axis=1)
     value = comp_sum_complex(weights * inner)
     if not return_error:
@@ -255,8 +241,8 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
     taus = (xs[:, None] + 1j * ys).ravel()
     _, moved = slash_kernel(entry_arrays(cosets), taus, k)
     moved = moved.T.ravel()  # coset-major, then x, then y
-    f_vals = _eval_many(F, moved)
-    g_vals = f_vals if G is F else _eval_many(G, moved)
+    f_vals = _values(F, moved)
+    g_vals = f_vals if G is F else _values(G, moved)
     inner = np.sum(f_vals * g_vals.conj(), axis=1)
     imk = moved.imag.reshape((-1,) + ys.shape) ** k  # Im(g tau)^k
     cells = (wx[:, None] * wy) * imk / ys ** 2 * inner.reshape(imk.shape)

@@ -147,10 +147,10 @@ def _run_eval(ns) -> dict:
 def _run_fourier(ns) -> dict:
     if ns.n0 > ns.n1:
         raise ConfigError(f"need --n0 <= --n1, got {ns.n0} > {ns.n1}")
+    if ns.seed != "classical":
+        raise ConfigError("fourier needs a classical seed configuration")
     handle = _build_series(ns)
     seed = handle.seed
-    if not isinstance(seed, ClassicalSeed):
-        raise ConfigError("fourier needs a classical seed configuration")
     ns_range = list(range(ns.n0, ns.n1 + 1))
     table = fourier_coefficients(handle, seed.split, seed.M, ns_range,
                                  ns.y0, ns.nx_fourier)

@@ -371,15 +371,12 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
             b0 = (a0 * d - 1) // c if c else 0
             window = fixed
             if window is None:
-                # integer roots of (a0 + t c)^2 + (b0 + t d)^2 <= rem
+                # (a0 + t c)^2 + (b0 + t d)^2 <= rem forces
+                # qa (t - t*)^2 <= rem, t* = -(a0 c + b0 d) / qa, and t0 = ceil(t*)
                 qa = c * c + d * d
-                qb = 2.0 * (a0 * c + b0 * d)
-                disc = qb * qb - 4.0 * qa * (a0 * a0 + b0 * b0 - rem)
-                if disc < 0:
-                    continue
-                rt = math.sqrt(disc)
-                window = range(math.ceil((-qb - rt) / (2.0 * qa) - 1e-12),
-                               math.floor((-qb + rt) / (2.0 * qa) + 1e-12) + 1)
+                t0 = -((a0 * c + b0 * d) // qa)
+                r = math.isqrt(rem // qa) + 1
+                window = range(t0 - r, t0 + r + 1)
             for t in window:
                 a, b = a0 + t * c, b0 + t * d
                 if a * a + b * b <= rem:

@@ -8,7 +8,9 @@ once, so an induced representation is one given by its generator images.
 
 evaluate_rho(rep, g) gives one matrix, walking the S/T word of g for a
 generator-image representation.  fold_rho gives rho(g)^* w for a whole
-array of matrices without a loop over them: a generator-image rho that
+array of matrices without a loop over them.  The trivial and Dirichlet
+recipes are one table of conj(rho) by class in both (_class_table), with
+one refusal of a matrix outside the group.  A generator-image rho that
 factors through SL2(Z/NZ), N the order of rho(T) -- every rho induced from
 a congruence subgroup does -- is tabulated once over that finite group by
 a breadth-first search that checks every edge of its Cayley graph, and
@@ -30,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
-                       st_syllables, t_power)
+                       entry_arrays, st_syllables, t_power)
 from .multiplier import MultiplierSystem
 
 __all__ = [
@@ -159,16 +161,25 @@ def _unitary_power(m: np.ndarray, q: int) -> np.ndarray:
     return np.linalg.matrix_power(m.conj().T, -q)
 
 
+def _class_table(rep: RepSpec, ents: np.ndarray):
+    """(mats, idx) for the trivial and Dirichlet recipes: mats[i] is the
+    complex conjugate of rho on class i, idx the class of each row
+    (a, b, c, d) of ents -- one class for the trivial recipe, d mod N for a
+    character mod N.  A row outside rep.group is refused."""
+    outside = ~contains(rep.group, ents)
+    if outside.any():
+        raise ValueError(f"{IntMatrix2(*ents[outside.argmax()].tolist())} "
+                         f"is not in {rep.group}")
+    if rep.recipe == "trivial":
+        return np.eye(rep.p, dtype=complex).conj()[None], np.zeros(len(ents), dtype=np.intp)
+    return np.conj(rep.chi).reshape(-1, 1, 1), ents[:, 3] % rep.group.n
+
+
 def evaluate_rho(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
     """The matrix rho(g)."""
-    if rep.recipe == "trivial":
-        if not contains(rep.group, g):
-            raise ValueError(f"{g} is not in {rep.group}")
-        return np.eye(rep.p, dtype=complex)
-    if rep.recipe == "dirichlet":
-        if not contains(rep.group, g):
-            raise ValueError(f"{g} is not in {rep.group}")
-        return np.array([[rep.chi[g.d % rep.group.n]]], dtype=complex)
+    if rep.recipe in ("trivial", "dirichlet"):
+        mats, idx = _class_table(rep, entry_arrays([g]))
+        return mats[idx[0]].conj()
     if rep.recipe == "st_generated":
         syll, sign = st_syllables(g)
         out = np.eye(rep.p, dtype=complex)
@@ -268,14 +279,7 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     """
     ents = np.asarray(ents, dtype=np.int64).reshape(-1, 4)
     if rep.recipe in ("trivial", "dirichlet"):
-        outside = ~contains(rep.group, ents)
-        if outside.any():
-            raise ValueError(f"{IntMatrix2(*ents[outside.argmax()].tolist())} "
-                             f"is not in {rep.group}")
-    if rep.recipe == "trivial":
-        mats, idx = np.eye(rep.p, dtype=complex).conj()[None], np.zeros(len(ents), dtype=np.intp)
-    elif rep.recipe == "dirichlet":
-        mats, idx = np.conj(rep.chi).reshape(-1, 1, 1), ents[:, 3] % rep.group.n
+        mats, idx = _class_table(rep, ents)
     elif rep.recipe == "st_generated":
         table = _level_table(rep)
         if table is None:

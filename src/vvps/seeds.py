@@ -4,9 +4,11 @@ A classical seed is an exponential at the cusp at infinity attached to one
 spectral exponent; an elliptic seed is a rational expression in
 (tau - xi)/(tau - conj(xi)) attached to a point xi of the half-plane.  Both
 evaluate to vectors in C^p and factor as scalar(tau) * fixed_vector, which
-the series module exploits.  Each seed carries its stabiliser `lam`, the
-group its series sums over the cosets of: GammaInfinity(M) for a classical
-seed of width M, <-I> for an elliptic seed.
+the series module exploits; the two share that evaluation.  Each seed
+carries its stabiliser `lam`, the group its series sums over the cosets
+of: GammaInfinity(M) for a classical seed of width M, <-I> for an
+elliptic seed.  The invariance check of a seed under its stabiliser is
+series.check_seed_invariance, beside the slash action it applies.
 """
 
 from __future__ import annotations
@@ -18,16 +20,25 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .modgroup import GroupSpec, I2, _as_complex, principal_power, t_power
-from .multiplier import MultiplierSystem
-from .rep import RepSpec, SpectralSplit
+from .modgroup import GroupSpec, _as_complex, principal_power
+from .rep import SpectralSplit
 
-__all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn",
-           "check_seed_invariance", "seed_strip_integral"]
+__all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn", "seed_strip_integral"]
+
+
+class _ScalarTimesVector:
+    """Evaluation of a seed scalar_many(tau) * vector."""
+
+    def eval_many(self, taus) -> np.ndarray:
+        taus = np.asarray(taus, dtype=complex)
+        return self.scalar_many(taus)[..., None] * self.vector
+
+    def eval(self, tau) -> np.ndarray:
+        return self.eval_many(np.array([_as_complex(tau)]))[0]
 
 
 @dataclass(frozen=True, eq=False)
-class ClassicalSeed:
+class ClassicalSeed(_ScalarTimesVector):
     """tau -> e^{2 pi i (nu + m_j) tau / M} U^{-1} e_j (j is 1-based)."""
 
     nu: int
@@ -68,16 +79,9 @@ class ClassicalSeed:
     def scalar_many(self, taus: np.ndarray) -> np.ndarray:
         return np.exp(2j * math.pi * self.alpha * taus)
 
-    def eval_many(self, taus) -> np.ndarray:
-        taus = np.asarray(taus, dtype=complex)
-        return self.scalar_many(taus)[..., None] * self.vector
-
-    def eval(self, tau) -> np.ndarray:
-        return self.eval_many(np.array([_as_complex(tau)]))[0]
-
 
 @dataclass(frozen=True, eq=False)
-class EllipticSeed:
+class EllipticSeed(_ScalarTimesVector):
     """tau -> (tau - xi)^nu / (tau - conj(xi))^{nu + k} * u."""
 
     nu: int
@@ -114,40 +118,8 @@ class EllipticSeed:
         den = principal_power(taus - self.xi.conjugate(), -(self.nu + self.k))
         return (taus - self.xi) ** self.nu * den
 
-    def eval_many(self, taus) -> np.ndarray:
-        taus = np.asarray(taus, dtype=complex)
-        return self.scalar_many(taus)[..., None] * self.vector
-
-    def eval(self, tau) -> np.ndarray:
-        return self.eval_many(np.array([_as_complex(tau)]))[0]
-
 
 SeedFn = Union[ClassicalSeed, EllipticSeed]
-
-
-def check_seed_invariance(seed: SeedFn, rep: RepSpec, ms: MultiplierSystem) -> float:
-    """Max residual of the invariance of the seed under the weight-k slash
-    action of its stabiliser, twisted by rho, over 32 random stabiliser
-    elements and sample points."""
-    from .series import slash_k_rho  # local import avoids a module cycle
-
-    rng = np.random.default_rng(0)
-    if isinstance(seed, ClassicalSeed):
-        elts = []
-        for _ in range(32):
-            mlt = int(rng.integers(-4, 5))
-            g = t_power(mlt * seed.M)
-            if rng.integers(0, 2):
-                g = -g
-            elts.append(g)
-    else:
-        elts = [I2, -I2] * 16
-    worst = 0.0
-    for g in elts:
-        tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0))
-        moved = slash_k_rho(seed.eval, g, rep, ms)(tau)
-        worst = max(worst, float(np.linalg.norm(moved - seed.eval(tau))))
-    return worst
 
 
 def seed_strip_integral(seed: SeedFn, k: float) -> float:

@@ -15,8 +15,14 @@ one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
 table's integer entries: v from multiplier.evaluate_v_many and
 rho(g)^* w from rep.fold_rho, a lookup by residue class mod N whenever rho
 factors through SL2(Z/NZ).  Only a generator-image rho that does not
-factor walks an S/T word per coset.  `twist` applies the same factors for
-one matrix.
+factor walks an S/T word per coset.
+
+Everything else that applies the slash action goes through `slash`: it
+takes j(g, tau)^{-k} and g.tau from modgroup.slash_kernel, evaluates F at
+the moved points, and applies conj(v(g)) and rho(g)^* per matrix.  slash_k
+and slash_k_rho are its one-point views, Fourier extraction at a cusp
+sigma calls it, and check_transformation and check_seed_invariance apply
+its factor step to the values they compare.
 """
 
 from __future__ import annotations
@@ -25,20 +31,21 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ._quad import block_sum
 from .errors import DomainError, RefusalError
-from .modgroup import (CosetTable, GroupSpec, IntMatrix2, _as_complex,
-                       contains, entry_arrays, enumerate_cosets, slash_kernel)
+from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, _as_complex,
+                       contains, entry_arrays, enumerate_cosets, slash_kernel,
+                       t_power)
 from .multiplier import MultiplierSystem, evaluate_v, evaluate_v_many
 from .rep import RepSpec, _monodromy, check_normal, evaluate_rho, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
-__all__ = ["SeriesHandle", "build_series", "slash_k", "slash_k_rho", "twist",
-           "check_transformation", "thread_cap", "MIN_IM"]
+__all__ = ["SeriesHandle", "build_series", "slash", "slash_k", "slash_k_rho",
+           "check_transformation", "check_seed_invariance", "thread_cap", "MIN_IM"]
 
 MIN_IM = 0.05  # evaluation closer to the real line than this is refused
 
@@ -51,29 +58,52 @@ def thread_cap() -> int:
         return os.cpu_count() or 1
 
 
-def twist(ms: MultiplierSystem, rep: RepSpec, g: IntMatrix2, w):
-    """conj(v(g)) rho(g)^* w, the inverse multiplier and representation
-    factors of the twisted slash action, applied to a vector (or to the
-    columns of a matrix)."""
-    return evaluate_v(ms, g).conjugate() * (evaluate_rho(rep, g).conj().T @ w)
+def _values(F, taus: np.ndarray) -> np.ndarray:
+    """Vector values, shape (len(taus), p), of a handle, a seed or a
+    callable of one point."""
+    if hasattr(F, "evaluate_many"):
+        vals = F.evaluate_many(taus)[0]
+    elif hasattr(F, "eval_many"):
+        vals = F.eval_many(taus)
+    else:
+        vals = np.asarray([F(complex(t)) for t in taus])
+    vals = np.asarray(vals, dtype=complex)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    return vals
 
 
-def _slash_at(F, g: IntMatrix2, k: float, tau):
-    """j(g, tau)^{-k} F(g.tau) at one point, through slash_kernel."""
-    jmk, z = slash_kernel(entry_arrays([g]), [_as_complex(tau)], k)
-    return jmk[0, 0] * np.asarray(F(complex(z[0, 0])))
+def _act(vals, jmk, gs, ms: MultiplierSystem, rep: Optional[RepSpec] = None):
+    """The factors of the slash action on vals[t, i] = F(g_i.tau_t), with
+    jmk[t, i] = j(g_i, tau_t)^{-k}: conj(v(g_i)) j^{-k} vals, then rho(g_i)^*
+    when rep is given.  Shape (points, matrices, p)."""
+    out = (np.array([evaluate_v(ms, g) for g in gs]).conj() * jmk)[..., None] * vals
+    if rep is None:
+        return out
+    rho_bar = np.array([evaluate_rho(rep, g).conj() for g in gs])
+    return np.einsum("tip,ipq->tiq", out, rho_bar)  # row t, i times conj(rho(g_i))
+
+
+def slash(F, gs, taus, ms: MultiplierSystem, rep: Optional[RepSpec] = None) -> np.ndarray:
+    """The slash action v(g)^{-1} [rho(g)^{-1}] j(g, tau)^{-k} F(g.tau) in
+    the weight k = ms.k, for every point tau of taus and matrix g of gs,
+    as an array of shape (points, matrices, p); rho enters when rep is
+    given.  F is a handle, a seed or a callable of one point."""
+    gs = list(gs)
+    jmk, moved = slash_kernel(entry_arrays(gs), taus, ms.k)
+    vals = _values(F, moved.ravel()).reshape(moved.shape + (-1,))
+    return _act(vals, jmk, gs, ms, rep)
 
 
 def slash_k(F, g: IntMatrix2, ms: MultiplierSystem):
-    """The slash action in the weight k of ms:
+    """The slash action in the weight k of ms, at one point:
     tau -> v(g)^{-1} j(g,tau)^{-k} F(g.tau)."""
-    vinv = evaluate_v(ms, g).conjugate()
-    return lambda tau: vinv * _slash_at(F, g, ms.k, tau)
+    return lambda tau: slash(F, [g], [_as_complex(tau)], ms)[0, 0]
 
 
 def slash_k_rho(F, g: IntMatrix2, rep: RepSpec, ms: MultiplierSystem):
-    """The rho-twisted slash action: rho(g)^{-1} (F |_k g)."""
-    return lambda tau: twist(ms, rep, g, _slash_at(F, g, ms.k, tau))
+    """The rho-twisted slash action at one point: rho(g)^{-1} (F |_k g)."""
+    return lambda tau: slash(F, [g], [_as_complex(tau)], ms, rep)[0, 0]
 
 
 @dataclass(eq=False)
@@ -134,15 +164,10 @@ class SeriesHandle:
         ents = self.cosets.ents
         if len(ents) == 0:
             raise ValueError("empty coset table")
-        w = self.seed.vector
-        n = len(ents)
-        if self.rep.recipe == "trivial" and self.ms.family == "trivial_even":
-            wmat = np.broadcast_to(w, (n, self.p)).copy()
-        else:
-            wmat = fold_rho(self.rep, w, ents)
-            wmat *= evaluate_v_many(self.ms, ents).conj()[:, None]
+        wmat = fold_rho(self.rep, self.seed.vector, ents)
+        wmat *= evaluate_v_many(self.ms, ents).conj()[:, None]
         self._data.update(w=wmat, wnorm=np.linalg.norm(wmat, axis=1),
-                          n_tail=max(1, math.ceil(n / 10)))
+                          n_tail=max(1, math.ceil(len(ents) / 10)))
         return self._data
 
     def _scalars(self, taus: np.ndarray):
@@ -223,11 +248,26 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
         return TransformationCheck(0.0, 0.0)
     jmk, moved = slash_kernel(entry_arrays(gammas), taus, handle.k)
     base, tail0 = handle.evaluate_many(taus)
-    image, tail1 = handle.evaluate_many(moved.T.ravel())
-    image = image.reshape(len(gammas), len(taus), handle.p)
-    worst = 0.0
-    for i, g in enumerate(gammas):
-        acted = twist(handle.ms, handle.rep, g, (jmk[:, i, None] * image[i]).T).T
-        worst = max(worst, float(np.max(np.linalg.norm(acted - base, axis=1))))
+    image, tail1 = handle.evaluate_many(moved.ravel())
+    acted = _act(image.reshape(moved.shape + (handle.p,)), jmk, gammas, handle.ms, handle.rep)
+    worst = float(np.max(np.linalg.norm(acted - base[:, None], axis=2)))
     return TransformationCheck(worst, float(max(tail0.max(), tail1.max())))
+
+
+def check_seed_invariance(seed: SeedFn, rep: RepSpec, ms: MultiplierSystem) -> float:
+    """Max residual of the invariance of the seed under the weight-k slash
+    action of its stabiliser, twisted by rho, over 32 random pairs of a
+    stabiliser element and a sample point."""
+    rng = np.random.default_rng(0)
+    if isinstance(seed, ClassicalSeed):
+        elts = []
+        for _ in range(32):
+            g = t_power(int(rng.integers(-4, 5)) * seed.M)
+            elts.append(-g if rng.integers(0, 2) else g)
+    else:
+        elts = [I2, -I2] * 16
+    taus = np.array([complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0)) for _ in elts])
+    # the diagonal pairs element i with point i
+    acted = np.diagonal(slash(seed, elts, taus, ms, rep)).T
+    return float(np.max(np.linalg.norm(acted - seed.eval_many(taus), axis=1)))
 

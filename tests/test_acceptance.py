@@ -21,8 +21,8 @@ from vvps.nonvanish import (beta_median, classical_criterion,
                             region_test_a, region_test_c)
 from vvps.rep import (evaluate_rho, induce, spectral_split, st_rep,
                       trivial_rep)
-from vvps.seeds import ClassicalSeed, EllipticSeed, check_seed_invariance, seed_strip_integral
-from vvps.series import build_series, check_transformation, slash_k
+from vvps.seeds import ClassicalSeed, EllipticSeed, seed_strip_integral
+from vvps.series import build_series, check_seed_invariance, check_transformation, slash_k
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
 GAMMA_INF1 = GroupSpec.gamma_infinity(1)

@@ -9,12 +9,12 @@ import vvps.rep
 import vvps.series
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, enumerate_cosets,
                            right_coset_reps, t_power)
-from vvps.multiplier import MultiplierSystem
+from vvps.multiplier import MultiplierSystem, evaluate_v
 from vvps.rep import (RepSpec, _level_table, _order, _residue_keys, _sl2_order,
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
                       permutation_ell, spectral_split, st_rep, trivial_rep)
 from vvps.seeds import ClassicalSeed
-from vvps.series import build_series, twist
+from vvps.series import build_series
 
 TRIVIAL_MS = MultiplierSystem("trivial_even", 12.0)
 
@@ -367,7 +367,9 @@ class TestLevelTable:
         ms = TRIVIAL_MS
         seed = ClassicalSeed(0, 2, spectral_split(rep, ms, 1), 1)
         h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, ms, 12.0, 25.0)
-        expected = np.array([twist(ms, rep, g, seed.vector) for g in h.cosets.reps])
+        expected = np.array([evaluate_v(ms, g).conjugate()
+                             * (evaluate_rho(rep, g).conj().T @ seed.vector)
+                             for g in h.cosets.reps])
         assert np.array_equal(h._prepared()["w"], expected)
 
     def test_infinite_order_t_falls_back(self):
@@ -398,7 +400,9 @@ class TestLevelTable:
             else GroupSpec.sl2z()
         seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
         h = build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, ms.k, 40.0)
-        expected = np.array([twist(ms, rep, g, seed.vector) for g in h.cosets.reps])
+        expected = np.array([evaluate_v(ms, g).conjugate()
+                             * (evaluate_rho(rep, g).conj().T @ seed.vector)
+                             for g in h.cosets.reps])
 
         def walk(*args):
             raise AssertionError("per-coset preparation walked an S/T word")

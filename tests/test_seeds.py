@@ -8,8 +8,8 @@ from vvps.errors import DomainError
 from vvps.modgroup import GroupSpec
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import SpectralSplit, spectral_split, trivial_rep
-from vvps.seeds import (ClassicalSeed, EllipticSeed, check_seed_invariance,
-                        seed_strip_integral)
+from vvps.seeds import ClassicalSeed, EllipticSeed, seed_strip_integral
+from vvps.series import check_seed_invariance
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
 

@@ -6,9 +6,9 @@ import pytest
 from conftest import random_element, random_tau
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
-                           enumerate_cosets, mobius_act, t_power)
+                           enumerate_cosets, mobius_act, right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem
-from vvps.rep import spectral_split, trivial_rep
+from vvps.rep import dirichlet_rep, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import (SeriesHandle, build_series, check_transformation,
                          slash_k, slash_k_rho)
@@ -248,7 +248,6 @@ class TestNontrivialData:
         assert res.residual <= res.tail  # k = 4.5 converges slowly; tail-dominated
 
     def test_dirichlet_twisted_series_transforms(self):
-        from vvps.rep import dirichlet_rep
         chi = dirichlet_rep(5, [0, 1, -1, -1, 1])
         split = spectral_split(chi, MS12, 1)
         seed = ClassicalSeed(0, 1, split, 1)
@@ -257,6 +256,26 @@ class TestNontrivialData:
         twisted = IntMatrix2(2, 1, 5, 3)  # chi(3) = -1 exercises the twist
         res = check_transformation(h, [T, twisted], [complex(-0.6, 0.3)])
         assert res.residual <= 1e-9
+
+    @pytest.mark.parametrize("ms", [MS12, MultiplierSystem("eta_power", 5.5)],
+                             ids=["trivial-12", "eta-5.5"])
+    def test_complex_non_permutation_rho_transforms(self, ms):
+        # rho induced from the even cubic character mod 7, chi(3) = e^{2 pi i/3}:
+        # complex and not a permutation, so rho(g)^T in place of rho(g)^*
+        # leaves a residual of 0.60
+        w = complex(-0.5, math.sqrt(3.0) / 2.0)
+        chi = dirichlet_rep(7, [0, 1, w * w, w, w, w * w, 1])
+        rep = induce(chi, right_coset_reps(GroupSpec.gamma0(7)))
+        assert rep.p == 8
+        seed = ClassicalSeed(0, 2, spectral_split(rep, ms, 1), 1)
+        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, ms,
+                         ms.k, 40.0)
+        res = check_transformation(h, [S, T, IntMatrix2(1, 0, 1, 1)],
+                                   [complex(0.2, 0.9), complex(-0.3, 1.3)])
+        if ms.k == 12.0:
+            assert res.residual <= 1e-12
+        else:
+            assert res.residual <= res.tail  # k = 5.5 is tail-dominated
 
     def test_width_two_series_transforms(self):
         gamma = GroupSpec.gamma_npm(2)
