@@ -10,9 +10,8 @@ on a hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
 Gauss panels in |w|.  The closed-form pairing values provide the
 independent second pipeline.  Every grid is evaluated by one
 evaluate_many call, whose block loop runs on the usable CPUs
-(series.thread_cap, re-exported here); an argument that is a seed or a
-callable of one point is evaluated the same way (series._values).
-Extraction at a cusp sigma != +-I applies series.slash.
+(series.thread_cap, re-exported here); extraction at a cusp sigma != +-I
+applies series.slash.
 """
 
 from __future__ import annotations

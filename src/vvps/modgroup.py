@@ -371,8 +371,9 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
             b0 = (a0 * d - 1) // c if c else 0
             window = fixed
             if window is None:
-                # (a0 + t c)^2 + (b0 + t d)^2 <= rem forces
-                # qa (t - t*)^2 <= rem, t* = -(a0 c + b0 d) / qa, and t0 = ceil(t*)
+                # every t with (a0 + t c)^2 + (b0 + t d)^2 <= rem has
+                # qa (t - t*)^2 <= rem, t* = -(a0 c + b0 d) / qa, so it lies
+                # within r of t0 = ceil(t*)
                 qa = c * c + d * d
                 t0 = -((a0 * c + b0 * d) // qa)
                 r = math.isqrt(rem // qa) + 1

@@ -15,14 +15,10 @@ one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
 table's integer entries: v from multiplier.evaluate_v_many and
 rho(g)^* w from rep.fold_rho, a lookup by residue class mod N whenever rho
 factors through SL2(Z/NZ).  Only a generator-image rho that does not
-factor walks an S/T word per coset.
-
-Everything else that applies the slash action goes through `slash`: it
-takes j(g, tau)^{-k} and g.tau from modgroup.slash_kernel, evaluates F at
-the moved points, and applies conj(v(g)) and rho(g)^* per matrix.  slash_k
-and slash_k_rho are its one-point views, Fourier extraction at a cusp
-sigma calls it, and check_transformation and check_seed_invariance apply
-its factor step to the values they compare.
+factor walks an S/T word per coset.  Every other use of the slash action
+(slash_k, slash_k_rho, Fourier extraction at a cusp, both invariance
+checks) goes through `slash` or its factor step, which applies conj(v(g))
+and rho(g)^* per matrix.
 """
 
 from __future__ import annotations
