@@ -351,6 +351,20 @@ class TestOtherCommands:
         assert code == 2
         assert "classical seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["fourier", "--y0", "0.01"], 3, "extraction height y0 < 0.05"),
+        (["fourier", "--nx-fourier", "0"], 2, "nx must be at least 1"),
+        (["pair", "--ymin", "2", "--ymax", "1"], 2, "need 0 < y_min < y_max"),
+    ], ids=["fourier-y0", "fourier-nx", "pair-box"])
+    def test_refuses_bad_quadrature_before_enumerating(self, argv, code, message,
+                                                       monkeypatch, capsys):
+        # at --height 300 each refused series took 0.21 s to build
+        def build(*args):
+            raise AssertionError(f"{argv[0]} built a series it then refused")
+        monkeypatch.setattr(cli, "build_series", build)
+        assert run(config_from_args(argv + ["--height", "300"])) == code
+        assert message in capsys.readouterr().err
+
     def test_pair_smoke(self, tmp_path):
         out = tmp_path / "pair.json"
         proc = invoke(["pair", "--group", "gamma0", "--level", "2", "--k", "12",
