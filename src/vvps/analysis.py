@@ -96,6 +96,15 @@ class FourierTable:
         return "\n".join(lines) + "\n"
 
 
+def _check_extraction(y0: float, nx: int):
+    """Refuse an extraction line with nx < 1 nodes (ValueError) or below
+    series.MIN_IM (RefusalError); callers check before building a series."""
+    if nx < 1:
+        raise ValueError(f"nx must be at least 1, got {nx}")
+    if y0 < MIN_IM:
+        raise RefusalError(f"extraction height y0 < {MIN_IM} refused")
+
+
 def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int,
                          sigma: IntMatrix2 = I2, ms: Optional[MultiplierSystem] = None,
                          k: Optional[float] = None) -> FourierTable:
@@ -106,10 +115,7 @@ def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int
     when y0 < series.MIN_IM or when a growth factor
     e^{2 pi (n + m_j) y0 / M} overflows.
     """
-    if nx < 1:
-        raise ValueError(f"nx must be at least 1, got {nx}")
-    if y0 < MIN_IM:
-        raise RefusalError(f"extraction height y0 < {MIN_IM} refused")
+    _check_extraction(y0, nx)
     ns = tuple(int(n) for n in ns)
     xs = np.arange(nx) * (M / nx)
     taus = xs + 1j * y0

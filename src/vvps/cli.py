@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (QuadratureSpec, classical_pairing_closed_form,
+from .analysis import (QuadratureSpec, _check_extraction, classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,
                        fourier_coefficients, petersson_strip)
 from .errors import DomainError, RefusalError
@@ -149,6 +149,7 @@ def _run_fourier(ns) -> dict:
         raise ConfigError(f"need --n0 <= --n1, got {ns.n0} > {ns.n1}")
     if ns.seed != "classical":
         raise ConfigError("fourier needs a classical seed configuration")
+    _check_extraction(ns.y0, ns.nx_fourier)
     handle = _build_series(ns)
     seed = handle.seed
     ns_range = list(range(ns.n0, ns.n1 + 1))
@@ -161,9 +162,9 @@ def _run_pair(ns) -> dict:
     if ns.seed == "classical" and ns.xmax is not None:
         raise ConfigError("--xmax bounds the disk of an elliptic seed; "
                           "a classical seed does not read it")
+    q = QuadratureSpec(ns.ymin, ns.ymax, ns.nx, ns.ny, ns.xmax)
     handle = _build_series(ns)
     seed = handle.seed
-    q = QuadratureSpec(ns.ymin, ns.ymax, ns.nx, ns.ny, ns.xmax)
     strip = petersson_strip(handle, seed, ns.k, q)
     if isinstance(seed, ClassicalSeed):
         table = fourier_coefficients(handle, seed.split, seed.M, [seed.nu],
