@@ -40,15 +40,12 @@ def comp_sum_complex(values) -> complex:
 
 def block_sum(x: np.ndarray) -> np.ndarray:
     """Deterministic block-compensated sum of a complex array along its
-    last axis.
+    last axis, which must not be empty.
 
     Pairwise numpy sums within fixed blocks, then an fsum of the block
     partials; the result does not depend on how callers chunk their work.
     """
-    n = x.shape[-1]
-    if n == 0:
-        return np.zeros(x.shape[:-1], dtype=complex)
-    parts = np.add.reduceat(x, np.arange(0, n, _BLOCK), axis=-1)
+    parts = np.add.reduceat(x, np.arange(0, x.shape[-1], _BLOCK), axis=-1)
     flat = parts.reshape(-1, parts.shape[-1])
     out = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in flat])
     return out.reshape(parts.shape[:-1])
