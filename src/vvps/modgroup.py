@@ -5,8 +5,10 @@ Covers the group-theoretic substrate: Moebius action and its cocycle,
 principal-branch real powers, membership tests for the supported subgroup
 families, the S/T syllables of a matrix, coset enumeration inside a
 Frobenius-norm ball, and cusp widths.  Enumeration serves both
-stabilisers, Gamma_inf(M) and <-I>, with one loop over coprime bottom
-rows (c, d) and a translation parameter t per row.
+stabilisers, Gamma_inf(M) and <-I>, as array arithmetic over all coprime
+bottom rows (c, d) at once and a window of translation parameters t per
+row; a coset table keeps each coset's bottom row, so the cocycle power
+j^{-k} is computed once per row and shared by its cosets.
 """
 
 from __future__ import annotations
@@ -124,19 +126,24 @@ def entry_arrays(mats) -> np.ndarray:
     return np.array([g.entries() for g in mats], dtype=np.int64).reshape(-1, 4)
 
 
-def slash_kernel(ents, taus, k: float) -> tuple:
+def slash_kernel(ents, taus, k: float, rows=None, row=None) -> tuple:
     """The weight-k slash factors for every (point, matrix) pair.
 
     Returns (j(g, tau)^{-k}, g.tau) as arrays of shape (points, matrices),
     with g running over the rows (a, b, c, d) of the integer array ents and
-    tau over taus.  Im tau > 0 and c is an integer, so Im(c tau + d) is
-    +0.0 when c = 0: a negative real j lies on the upper side of the cut,
-    where np.angle and arg_principal both put it (arg = pi).
+    tau over taus.  j^{-k} is computed once per bottom row and gathered:
+    rows holds the bottom rows (c, d) and row each matrix's index into
+    them, as in a CosetTable; without them every matrix is its own row.
+    Im tau > 0 and c is an integer, so Im(c tau + d) is +0.0 when c = 0: a
+    negative real j lies on the upper side of the cut, where np.angle and
+    arg_principal both put it (arg = pi).
     """
-    a, b, c, d = ents.T
+    if rows is None:
+        rows, row = ents[:, 2:], np.arange(len(ents))
     tt = np.asarray(taus, dtype=complex)[:, None]
-    jj = c * tt + d
-    return principal_power(jj, -k), (a * tt + b) / jj
+    jj = rows[:, 0] * tt + rows[:, 1]
+    jmk = np.take(principal_power(jj, -k), row, axis=1)
+    return jmk, (ents[:, 0] * tt + ents[:, 1]) / np.take(jj, row, axis=1)
 
 
 _KINDS = ("SL2Z", "Gamma0", "Gamma1pm", "GammaNpm", "GammaInfinity", "PlusMinusIdentity")
@@ -306,12 +313,18 @@ def right_coset_reps(gamma: GroupSpec):
 class CosetTable:
     """Canonical representatives of the left lam-cosets inside gamma whose
     canonical representative has Frobenius norm <= height, as the rows
-    (a, b, c, d) of the int64 array ents of shape (n, 4)."""
+    (a, b, c, d) of the int64 array ents of shape (n, 4).
+
+    rows holds the distinct bottom rows (c, d), an int64 array of shape
+    (r, 2), each used by some coset; row is the int64 index of each coset's
+    bottom row, so rows[row] equals ents[:, 2:]."""
 
     lam: GroupSpec
     gamma: GroupSpec
     height: float
     ents: np.ndarray
+    rows: np.ndarray
+    row: np.ndarray
 
     def __len__(self):
         return len(self.ents)
@@ -330,6 +343,22 @@ class CosetTable:
         }
 
 
+def _inverse_mod(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The x in [0, c) with x d = 1 mod c, for coprime int64 arrays d and
+    c > 0: the extended Euclidean algorithm in lockstep over the pairs not
+    yet done, keeping r = s d mod c for both remainders."""
+    x = np.empty_like(c)
+    at = np.arange(len(c))
+    r0, r1, s0, s1 = c, d % c, np.zeros_like(c), np.ones_like(c)
+    while len(at):
+        x[at] = s0  # final where r1 = 0, overwritten later elsewhere
+        live = np.flatnonzero(r1)
+        at, r0, r1, s0, s1 = at[live], r0[live], r1[live], s0[live], s1[live]
+        q, r = np.divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return x % c
+
+
 def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTable:
     """Enumerate canonical left lam-coset representatives in gamma with
     Frobenius norm at most height.
@@ -342,10 +371,12 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
 
     A coset of either stabiliser is a coprime bottom row (c, d), c > 0 or
     (c, d) = (0, 1), plus a translation parameter t: with a0 d - b0 c = 1
-    every top row is (a0 + t c, b0 + t d).  One loop walks the rows inside
-    the ball; only the window of t depends on the stabiliser.  Membership
-    in gamma and the table order (norm, c, d, a, b) are array work over
-    the collected entries.
+    every top row is (a0 + t c, b0 + t d).  Everything is array work over
+    all rows at once: the coprime rows inside the ball, a0 = d^{-1} mod c
+    by a lockstep extended Euclid, a window of t per row (the same for both
+    stabilisers, cut to [0, M) for GammaInfinity(M)), then the ball,
+    membership in gamma and the table order (norm, c, d, a, b).  The table
+    keeps the rows that hold a coset, and each coset's index into them.
     """
     if lam.kind not in ("GammaInfinity", "PlusMinusIdentity"):
         raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
@@ -354,36 +385,53 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     if height < 0:
         raise ValueError(f"height must be nonnegative, got {height}")
     h2 = int(math.floor(height * height + 1e-9))
+    # No int64 product below overflows: |c|, |d|, a0, |b0| - 1 <= height and
+    # |t - t0| <= r, so |a|, |b| <= 5 height + 1 and every product is at most
+    # 50 height^2 + O(height), below 2^63 up to height 4e8, where the
+    # ~height^2 rows could not be held in memory.  So also h2 < 2^52, and
+    # the float sqrt of an integer below 2^52 floors to its exact isqrt.
+    #
     # every supported finite-index group of level N (Gamma0, Gamma1pm,
     # GammaNpm) has N | c, so other rows cannot occur
     step = gamma.level if gamma.finite_index else 1
-    # Gamma_inf(M) takes every t in one fixed window; <-I> takes the t of
-    # each row whose matrix lies in the ball
-    fixed = range(lam.n) if lam.kind == "GammaInfinity" else None
-    rows = []
-    for c in range(0, math.isqrt(h2) + 1, step):
-        dmax = math.isqrt(h2 - c * c)
-        for d in range(-dmax, dmax + 1) if c else (1,):
-            rem = h2 - c * c - d * d
-            if rem < 1 or math.gcd(c, d) != 1:
-                continue
-            a0 = pow(d, -1, c) if c else 1
-            b0 = (a0 * d - 1) // c if c else 0
-            window = fixed
-            if window is None:
-                # every t with (a0 + t c)^2 + (b0 + t d)^2 <= rem has
-                # qa (t - t*)^2 <= rem, t* = -(a0 c + b0 d) / qa, so it lies
-                # within r of t0 = ceil(t*)
-                qa = c * c + d * d
-                t0 = -((a0 * c + b0 * d) // qa)
-                r = math.isqrt(rem // qa) + 1
-                window = range(t0 - r, t0 + r + 1)
-            for t in window:
-                a, b = a0 + t * c, b0 + t * d
-                if a * a + b * b <= rem:
-                    rows.append((a, b, c, d))
-    ents = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    ents = ents[contains(gamma, ents)]
-    a, b, c, d = ents.T
-    order = np.lexsort((b, a, d, c, np.sum(ents * ents, axis=1)))
-    return CosetTable(lam, gamma, float(height), ents[order])
+    cs = np.arange(step, math.isqrt(h2) + 1, step, dtype=np.int64)
+    dmax = np.sqrt(h2 - cs * cs).astype(np.int64)
+    n_d = 2 * dmax + 1
+    c = np.concatenate(([0], np.repeat(cs, n_d)))
+    d = np.concatenate(([1], np.arange(n_d.sum()) - np.repeat(np.cumsum(n_d) - n_d + dmax, n_d)))
+    rem = h2 - c * c - d * d
+    keep = (rem >= 1) & (np.gcd(c, d) == 1)
+    c, d, rem = c[keep], d[keep], rem[keep]
+    c1 = np.maximum(c, 1)  # (0, 1) takes a0 = 1, b0 = 0
+    a0 = np.where(c > 0, _inverse_mod(d, c1), 1)
+    b0 = (a0 * d - 1) // c1
+    # every t with (a0 + t c)^2 + (b0 + t d)^2 <= rem has qa (t - t*)^2 <= rem,
+    # t* = -(a0 c + b0 d) / qa, so it lies within r of t0 = ceil(t*)
+    qa = c * c + d * d
+    t0 = -((a0 * c + b0 * d) // qa)
+    r = np.sqrt(rem // qa).astype(np.int64) + 1
+    lo, hi = t0 - r, t0 + r + 1
+    if lam.kind == "GammaInfinity":
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, lam.n)
+    n_t = np.maximum(hi - lo, 0)
+    row = np.repeat(np.arange(len(c)), n_t)
+    t = np.arange(len(row)) + np.repeat(lo - (np.cumsum(n_t) - n_t), n_t)
+    a, b = a0[row] + t * c[row], b0[row] + t * d[row]
+    norm = a * a + b * b
+    inside = norm <= rem[row]
+    row = row[inside]
+    ents = np.stack((a[inside], b[inside], c[row], d[row]), axis=1)
+    norm = norm[inside] + qa[row]
+    del a, b, t, inside, a0, b0, t0, r, lo, hi, n_t, rem
+    member = contains(gamma, ents)
+    ents, row, norm = ents[member], row[member], norm[member]
+    # row is nondecreasing here: renumber the rows that hold a coset
+    used = np.zeros(len(c), dtype=bool)
+    used[row] = True
+    row = (np.cumsum(used) - 1)[row]
+    rows = np.stack((c[used], d[used]), axis=1)
+    # the rows come by c, then d, and a = a0 + t c grows with t (b = t when
+    # c = 0), so the entries are in (c, d, a, b) order already and a stable
+    # sort by norm gives the table order
+    order = np.argsort(norm, kind="stable")
+    return CosetTable(lam, gamma, float(height), ents[order], rows, row[order])

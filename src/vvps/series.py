@@ -4,11 +4,12 @@ A SeriesHandle bundles a seed, the representation, the multiplier system
 and a coset table, and nothing these determine: the weight is ms.k, the
 groups are the table's, whose stabiliser must be seed.lam.  Evaluation
 sums the slashed seed over the table with exactly-rounded (compensated)
-summation and reports an empirical tail proxy, the mass of the outermost
-tenth of the included cosets by Frobenius norm.  evaluate_many splits its
-points into blocks of about 65,536 terms and maps them over thread_cap()
-workers, one per usable CPU; the blocks do not depend on the worker count,
-so neither does any result.
+summation, computing j^{-k} once per bottom row of the table and g.tau
+once per coset, and reports an empirical tail proxy, the mass of the
+outermost tenth of the included cosets by Frobenius norm.  evaluate_many
+splits its points into blocks of about 65,536 terms and maps them over
+thread_cap() workers, one per usable CPU; the blocks do not depend on the
+worker count, so neither does any result.
 
 Preparation folds the inverse multiplier and representation factors into
 one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
@@ -167,8 +168,10 @@ class SeriesHandle:
         return self._data
 
     def _scalars(self, taus: np.ndarray):
-        """Per-(point, coset) scalars s = j^{-k} * seed_scalar(g.tau)."""
-        jmk, z = slash_kernel(self.cosets.ents, taus, self.k)
+        """Per-(point, coset) scalars s = j^{-k} * seed_scalar(g.tau), with
+        j^{-k} computed once per bottom row of the table."""
+        tab = self.cosets
+        jmk, z = slash_kernel(tab.ents, taus, self.k, tab.rows, tab.row)
         return jmk * self.seed.scalar_many(z)
 
     def evaluate_many(self, taus):

@@ -249,7 +249,61 @@ def _canonical(lam, g):
     return IntMatrix2(a, b, c, d)
 
 
+def _oracle_entries(lam, gamma, height):
+    """The scalar enumerator the array code replaced, as a reference: one
+    loop over coprime bottom rows (c, d) and the translates t of each row,
+    then membership and the table order (norm, c, d, a, b)."""
+    h2 = int(math.floor(height * height + 1e-9))
+    step = gamma.level if gamma.finite_index else 1
+    fixed = range(lam.n) if lam.kind == "GammaInfinity" else None
+    rows = []
+    for c in range(0, math.isqrt(h2) + 1, step):
+        dmax = math.isqrt(h2 - c * c)
+        for d in range(-dmax, dmax + 1) if c else (1,):
+            rem = h2 - c * c - d * d
+            if rem < 1 or math.gcd(c, d) != 1:
+                continue
+            a0 = pow(d, -1, c) if c else 1
+            b0 = (a0 * d - 1) // c if c else 0
+            window = fixed
+            if window is None:
+                qa = c * c + d * d
+                t0 = -((a0 * c + b0 * d) // qa)
+                r = math.isqrt(rem // qa) + 1
+                window = range(t0 - r, t0 + r + 1)
+            for t in window:
+                a, b = a0 + t * c, b0 + t * d
+                if a * a + b * b <= rem:
+                    rows.append((a, b, c, d))
+    ents = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    ents = ents[contains(gamma, ents)]
+    a, b, c, d = ents.T
+    return ents[np.lexsort((b, a, d, c, np.sum(ents * ents, axis=1)))]
+
+
+# the groups of test_enumeration_digest
+DIGEST_GROUPS = ([GroupSpec.sl2z()] + [GroupSpec.gamma0(n) for n in (2, 3, 5, 11)]
+                 + [GroupSpec.gamma1pm(n) for n in (5, 8)]
+                 + [GroupSpec.gamma_npm(n) for n in (2, 3, 4)])
+
+
 class TestEnumerateCosets:
+    @pytest.mark.parametrize("gamma", DIGEST_GROUPS, ids=str)
+    def test_array_enumerator_matches_row_loop(self, gamma):
+        w = cusp_width(gamma, I2)
+        for lam in (GroupSpec.plus_minus_identity(), GroupSpec.gamma_infinity(w),
+                    GroupSpec.gamma_infinity(2 * w)):
+            for height in (0.0, 1.0, math.sqrt(2), 1.5, math.sqrt(5), 2.5, 10.0, 40.0, 150.0):
+                table = enumerate_cosets(lam, gamma, height)
+                ents, rows, row = table.ents, table.rows, table.row
+                assert np.array_equal(ents, _oracle_entries(lam, gamma, height))
+                assert ents.dtype == rows.dtype == row.dtype == np.int64
+                assert rows.shape == (len(rows), 2) and row.shape == (len(ents),)
+                assert np.array_equal(rows[row], ents[:, 2:])
+                assert len(np.unique(rows, axis=0)) == len(rows)
+                assert np.all(np.gcd(rows[:, 0], rows[:, 1]) == 1)
+                assert np.all(np.bincount(row, minlength=len(rows)) > 0)
+
     @pytest.mark.parametrize("gamma", [GroupSpec.sl2z(), GroupSpec.gamma0(5),
                                        GroupSpec.gamma1pm(5), GroupSpec.gamma_npm(3)],
                              ids=str)

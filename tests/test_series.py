@@ -6,7 +6,8 @@ import pytest
 from conftest import random_element, random_tau
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
-                           enumerate_cosets, mobius_act, right_coset_reps, t_power)
+                           enumerate_cosets, mobius_act, right_coset_reps,
+                           slash_kernel, t_power)
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import dirichlet_rep, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
@@ -22,6 +23,12 @@ def classical_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=0, k=12.0):
     split = spectral_split(rep, ms, 1)
     seed = ClassicalSeed(nu, 1, split, 1)
     return build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, k, height)
+
+
+def classical_handle_of_width(gamma, M, height):
+    rep = trivial_rep(1, gamma)
+    seed = ClassicalSeed(0, 1, spectral_split(rep, MS12, M), M)
+    return build_series(seed, GroupSpec.gamma_infinity(M), gamma, rep, MS12, 12.0, height)
 
 
 def elliptic_handle(gamma=GroupSpec.gamma0(2), height=25.0, nu=0, k=12.0):
@@ -187,6 +194,25 @@ class TestEvaluate:
             v1, tail1 = h1.evaluate(tau)
             v2, _ = h2.evaluate(tau)
             assert np.linalg.norm(v1 - v2) <= tail1
+
+    @pytest.mark.parametrize("handle", [
+        lambda: classical_handle(height=30.0),
+        lambda: classical_handle_of_width(GroupSpec.gamma0(2), 2, 40.0),
+        lambda: classical_handle_of_width(GroupSpec.gamma1pm(5), 5, 60.0),
+        lambda: elliptic_handle(height=40.0, nu=1),
+        lambda: elliptic_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=2),
+    ], ids=["inf1-sl2z", "inf2-gamma0(2)", "inf5-gamma1pm(5)", "pmi-gamma0(2)", "pmi-sl2z"])
+    @pytest.mark.parametrize("points", [1, 7, 64])
+    def test_kernel_per_row_is_bitwise_per_coset(self, handle, points, rng):
+        # j^{-k} once per bottom row, gathered, against one j^{-k} per coset;
+        # 64 points reach the block size where numpy elides the temporary
+        h = handle()
+        if h.cosets.lam != GroupSpec.gamma_infinity(1):
+            assert len(h.cosets.rows) < len(h.cosets)  # cosets share rows
+        taus = np.array([random_tau(rng) for _ in range(points)])
+        jmk, z = slash_kernel(h.cosets.ents, taus, h.k)
+        expect = jmk * h.seed.scalar_many(z)
+        assert np.array_equal(h._scalars(taus).view(np.uint64), expect.view(np.uint64))
 
     def test_batch_matches_pointwise(self):
         h = elliptic_handle(height=15.0)
