@@ -343,6 +343,11 @@ class CosetTable:
         }
 
 
+# enumerate_cosets refuses heights from here on, where int64 arithmetic
+# could overflow; Gamma_inf(1) in SL2(Z) would have ~3e15 cosets there
+_MAX_HEIGHT = 2 ** 26
+
+
 def _inverse_mod(d: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The x in [0, c) with x d = 1 mod c, for coprime int64 arrays d and
     c > 0: the extended Euclidean algorithm in lockstep over the pairs not
@@ -382,14 +387,13 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
         raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
     if not (lam.kind == "PlusMinusIdentity" or contains(gamma, t_power(lam.n))):
         raise ValueError(f"{lam} is not a subgroup of {gamma}")
-    if height < 0:
-        raise ValueError(f"height must be nonnegative, got {height}")
+    if not 0 <= height < _MAX_HEIGHT:
+        raise ValueError(f"height must lie in [0, {_MAX_HEIGHT}), got {height}")
     h2 = int(math.floor(height * height + 1e-9))
-    # No int64 product below overflows: |c|, |d|, a0, |b0| - 1 <= height and
-    # |t - t0| <= r, so |a|, |b| <= 5 height + 1 and every product is at most
-    # 50 height^2 + O(height), below 2^63 up to height 4e8, where the
-    # ~height^2 rows could not be held in memory.  So also h2 < 2^52, and
-    # the float sqrt of an integer below 2^52 floors to its exact isqrt.
+    # int64 holds every product below: |c|, |d|, a0 and |b0| - 1 are at most
+    # height, and |t - t0| <= r gives |a|, |b| <= 5 height + 1, so nothing
+    # exceeds 51 height^2 < 2^63.  And h2 < 2^52, where the float sqrt of an
+    # integer floors to its exact isqrt.
     #
     # every supported finite-index group of level N (Gamma0, Gamma1pm,
     # GammaNpm) has N | c, so other rows cannot occur
@@ -422,7 +426,7 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     row = row[inside]
     ents = np.stack((a[inside], b[inside], c[row], d[row]), axis=1)
     norm = norm[inside] + qa[row]
-    del a, b, t, inside, a0, b0, t0, r, lo, hi, n_t, rem
+    del a, b, t, inside  # the candidates, freed before the sort
     member = contains(gamma, ents)
     ents, row, norm = ents[member], row[member], norm[member]
     # row is nondecreasing here: renumber the rows that hold a coset

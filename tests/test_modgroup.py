@@ -333,6 +333,16 @@ class TestEnumerateCosets:
         with pytest.raises(ValueError, match="height"):
             enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), -3.0)
 
+    def test_height_beyond_int64_arithmetic_rejected(self):
+        # a level above the height leaves one coset at any height; from
+        # 2^26 on, products of entries could overflow int64
+        lam, gamma = GroupSpec.gamma_infinity(1), GroupSpec.gamma0(10 ** 9)
+        top = 2.0 ** 26 - 1
+        assert np.array_equal(enumerate_cosets(lam, gamma, top).ents,
+                              _oracle_entries(lam, gamma, top))
+        with pytest.raises(ValueError, match="height"):
+            enumerate_cosets(lam, gamma, 2.0 ** 26)
+
     def test_not_subgroup_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cosets(GroupSpec.gamma_infinity(3), GroupSpec.gamma_npm(2), 10.0)
