@@ -143,7 +143,8 @@ def slash_kernel(ents, taus, k: float, rows=None, row=None) -> tuple:
     tt = np.asarray(taus, dtype=complex)[:, None]
     jj = rows[:, 0] * tt + rows[:, 1]
     jmk = np.take(principal_power(jj, -k), row, axis=1)
-    return jmk, (ents[:, 0] * tt + ents[:, 1]) / np.take(jj, row, axis=1)
+    jj = np.take(jj, row, axis=1)
+    return jmk, (ents[:, 0] * tt + ents[:, 1]) / jj
 
 
 _KINDS = ("SL2Z", "Gamma0", "Gamma1pm", "GammaNpm", "GammaInfinity", "PlusMinusIdentity")
@@ -391,8 +392,8 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
         raise ValueError(f"height must lie in [0, {_MAX_HEIGHT}), got {height}")
     h2 = int(math.floor(height * height + 1e-9))
     # int64 holds every product below: |c|, |d|, a0 and |b0| - 1 are at most
-    # height, and |t - t0| <= r gives |a|, |b| <= 5 height + 1, so nothing
-    # exceeds 51 height^2 < 2^63.  And h2 < 2^52, where the float sqrt of an
+    # height, and |t - t0| <= r gives |a|, |b| <= 5 height + 1, so all stay
+    # O(height^2), under 2^58.  And h2 < 2^52, where the float sqrt of an
     # integer floors to its exact isqrt.
     #
     # every supported finite-index group of level N (Gamma0, Gamma1pm,
@@ -402,7 +403,8 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     dmax = np.sqrt(h2 - cs * cs).astype(np.int64)
     n_d = 2 * dmax + 1
     c = np.concatenate(([0], np.repeat(cs, n_d)))
-    d = np.concatenate(([1], np.arange(n_d.sum()) - np.repeat(np.cumsum(n_d) - n_d + dmax, n_d)))
+    zero = np.cumsum(n_d) - n_d + dmax  # where d = 0 falls for each c
+    d = np.concatenate(([1], np.arange(n_d.sum()) - np.repeat(zero, n_d)))
     rem = h2 - c * c - d * d
     keep = (rem >= 1) & (np.gcd(c, d) == 1)
     c, d, rem = c[keep], d[keep], rem[keep]
@@ -420,6 +422,7 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     n_t = np.maximum(hi - lo, 0)
     row = np.repeat(np.arange(len(c)), n_t)
     t = np.arange(len(row)) + np.repeat(lo - (np.cumsum(n_t) - n_t), n_t)
+    del c1, t0, r, lo, hi, n_t  # keep the peak low: candidates come next
     a, b = a0[row] + t * c[row], b0[row] + t * d[row]
     norm = a * a + b * b
     inside = norm <= rem[row]
@@ -429,7 +432,7 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     del a, b, t, inside  # the candidates, freed before the sort
     member = contains(gamma, ents)
     ents, row, norm = ents[member], row[member], norm[member]
-    # row is nondecreasing here: renumber the rows that hold a coset
+    # renumber the rows that hold a coset
     used = np.zeros(len(c), dtype=bool)
     used[row] = True
     row = (np.cumsum(used) - 1)[row]

@@ -17,18 +17,12 @@ from vvps.series import (SeriesHandle, build_series, check_transformation,
 MS12 = MultiplierSystem("trivial_even", 12.0)
 
 
-def classical_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=0, k=12.0):
+def classical_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=0, k=12.0, M=1):
     ms = MultiplierSystem("trivial_even", k)
     rep = trivial_rep(1, gamma)
-    split = spectral_split(rep, ms, 1)
-    seed = ClassicalSeed(nu, 1, split, 1)
-    return build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, k, height)
-
-
-def classical_handle_of_width(gamma, M, height):
-    rep = trivial_rep(1, gamma)
-    seed = ClassicalSeed(0, 1, spectral_split(rep, MS12, M), M)
-    return build_series(seed, GroupSpec.gamma_infinity(M), gamma, rep, MS12, 12.0, height)
+    split = spectral_split(rep, ms, M)
+    seed = ClassicalSeed(nu, 1, split, M)
+    return build_series(seed, GroupSpec.gamma_infinity(M), gamma, rep, ms, k, height)
 
 
 def elliptic_handle(gamma=GroupSpec.gamma0(2), height=25.0, nu=0, k=12.0):
@@ -197,8 +191,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("handle", [
         lambda: classical_handle(height=30.0),
-        lambda: classical_handle_of_width(GroupSpec.gamma0(2), 2, 40.0),
-        lambda: classical_handle_of_width(GroupSpec.gamma1pm(5), 5, 60.0),
+        lambda: classical_handle(GroupSpec.gamma0(2), height=40.0, M=2),
+        lambda: classical_handle(GroupSpec.gamma1pm(5), height=60.0, M=5),
         lambda: elliptic_handle(height=40.0, nu=1),
         lambda: elliptic_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=2),
     ], ids=["inf1-sl2z", "inf2-gamma0(2)", "inf5-gamma1pm(5)", "pmi-gamma0(2)", "pmi-sl2z"])
