@@ -96,6 +96,12 @@ class TestFourier:
         csv = tab.to_csv()
         assert csv.splitlines()[0] == "j,n,re,im"
         assert len(csv.splitlines()) == 3
+        # every field is a plain float literal, bitwise equal to the JSON value
+        # (numpy >= 2 once wrote np.float64(...) here)
+        for line, entry in zip(csv.splitlines()[1:], data["b"]):
+            j, n, re_, im_ = line.split(",")
+            assert (int(j), int(n)) == (entry["j"], entry["n"])
+            assert [float(re_).hex(), float(im_).hex()] == [v.hex() for v in entry["value"]]
 
     @pytest.mark.parametrize("j", [0, -1, 3])
     def test_component_out_of_range_refused(self, j):

@@ -10,6 +10,7 @@ from vvps import cli, series
 from vvps.cli import config_from_args, emit_threshold_table, main, run
 from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
 from vvps.multiplier import MultiplierSystem
+from vvps.nonvanish import elliptic_criterion
 from vvps.rep import evaluate_rho, induce, spectral_split, st_rep, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import build_series, slash_k_rho
@@ -201,6 +202,17 @@ class TestCriterion:
         assert math.isfinite(data["details"]["above_cut"])
 
 
+    def test_region_c_without_radius_is_the_elliptic_margin(self, capsys):
+        # find_radius(4, 0, 2) is None: the artifact reports the elliptic margin
+        assert run(cli.build_parser().parse_args(
+            ["criterion", "regionC", "--k", "4", "--N", "2", "--nu", "0"])) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"criterion": "regionC", "satisfied": False,
+                        "margin": elliptic_criterion(4.0, 2, 0).margin,
+                        "inputs": {"k": 4.0, "nu": 0, "N": 2, "r": None},
+                        "details": {"note": "no feasible radius"}}
+
+
 class TestTable:
     def test_single_cell(self):
         proc = invoke(["table", "--k-list", "12", "--n-list", "5", "--nu-max", "2"])
@@ -341,6 +353,12 @@ class TestOtherCommands:
         assert proc.returncode == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "j,n,re,im" and len(lines) == 3
+        as_json = json.loads(invoke(["fourier", "--group", "gamma0", "--level", "2",
+                                     "--k", "12", "--seed", "classical", "--height", "30",
+                                     "--n0", "0", "--n1", "1"]).stdout)
+        for line, entry in zip(lines[1:], as_json["b"]):
+            fields = line.split(",")
+            assert [float(v).hex() for v in fields[2:]] == [v.hex() for v in entry["value"]]
 
     def test_fourier_refuses_an_elliptic_seed_before_enumerating(self, monkeypatch, capsys):
         # at --height 300 the refused series took 0.69 s to build
@@ -364,6 +382,19 @@ class TestOtherCommands:
         monkeypatch.setattr(cli, "build_series", build)
         assert run(config_from_args(argv + ["--height", "300"])) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, target", [
+        (["cosets", "--height", "30000"], "enumerate_cosets"),
+        (["eval", "--tau", "0.3,1.1", "--height", "30000"], "build_series"),
+    ], ids=["cosets", "eval"])
+    def test_memory_exhaustion_is_a_refusal(self, argv, target, monkeypatch, capsys):
+        # vvps cosets --height 30000 asks numpy for 10.5 GiB
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 10.5 GiB")
+        monkeypatch.setattr(cli, target, exhausted)
+        assert run(cli.build_parser().parse_args(argv)) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "refusal" and err["class"] == "MemoryError"
 
     def test_pair_smoke(self, tmp_path):
         out = tmp_path / "pair.json"

@@ -287,6 +287,28 @@ class TestFindRadius:
                     # the closed-form region test must accept the radius
                     assert r is None or region_test_c(k, nu, n, r).satisfied
 
+    def test_verdict_is_positive_margin_on_criteria_grid(self):
+        # the criteria-grid space: k in {4, 4.5, ..., 24}, N in 2..13, nu in 0..8
+        for k in np.arange(4.0, 24.5, 0.5).tolist():
+            ms = (MultiplierSystem("trivial_even", k) if k % 2 == 0
+                  else MultiplierSystem("eta_power", k))
+            for n in range(2, 14):
+                group = GroupSpec.gamma0(n)
+                split = spectral_split(trivial_rep(1, group), ms, 1)
+                for nu in range(9):
+                    seed = ClassicalSeed(nu, 1, split, 1)
+                    ell = elliptic_criterion(k, n, nu)
+                    reports = [classical_criterion(k, 1, n, nu, m_j) for m_j in (0.25, 1.0)]
+                    reports += [ell, region_test_a(seed, group, k)]
+                    r = find_radius(k, nu, n)
+                    if r is None:
+                        # the no-radius artifact reports this margin as unsatisfied
+                        assert ell.margin <= 0, (k, n, nu)
+                    else:
+                        reports.append(region_test_c(k, nu, n, r))
+                    for rep in reports:
+                        assert rep.to_json()["satisfied"] == (rep.margin > 0), (rep.criterion, k, n, nu)
+
     def test_infeasible_returns_none(self):
         assert find_radius(12.0, 20, 2) is None
 

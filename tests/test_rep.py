@@ -43,6 +43,10 @@ class TestRecipes:
         for _ in range(5):
             assert np.array_equal(evaluate_rho(rep, random_element(rng)), np.eye(3))
 
+    def test_unknown_recipe_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="bogus"):
+            RepSpec("bogus", 1, GroupSpec.sl2z())
+
     def test_dirichlet_simple(self):
         rep = legendre_mod5()
         assert evaluate_rho(rep, IntMatrix2(1, 0, 5, 1))[0, 0] == 1.0
@@ -202,6 +206,14 @@ class TestNormality:
         assert best > 1.7e-7  # oracle: distance to nearest low-order rational
         res = check_normal(trivial_rep(2), ms, GroupSpec.sl2z())
         assert not res.ok
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_group_without_finite_index_is_checked_on_sl2z(self, width):
+        for rep, ms in ((trivial_rep(2), TRIVIAL_MS),
+                        (trivial_rep(1), MultiplierSystem("eta_power", 3.0)),
+                        (character_rep(2), TRIVIAL_MS), (character_rep(3), TRIVIAL_MS)):
+            assert (check_normal(rep, ms, GroupSpec.gamma_infinity(width))
+                    == check_normal(rep, ms, GroupSpec.sl2z()))
 
     def test_minus_identity_condition(self):
         rep = character_rep(3)  # rho(-I) = rho(S)^2 = -1
