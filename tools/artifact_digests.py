@@ -1,0 +1,105 @@
+"""MD5 digests of the artifacts of a fixed list of CLI jobs.
+
+Each job runs in-process through `vvps.cli.main`; the script prints one
+`md5  label` line per job, and exits 1 if a job exits nonzero.  The two
+rep files the list reads (an induced representation written by `vvps
+induce` and a Legendre character mod 5) are written to a temporary
+directory, and no label names a path, so the output of two checkouts
+compares with one diff:
+
+    PYTHONPATH=src python3 tools/artifact_digests.py > new.txt
+    PYTHONPATH=../other/src python3 tools/artifact_digests.py > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import vvps.cli
+
+SERIES = ["--group", "gamma0", "--level", "2", "--k", "12"]
+
+# (label, argv); {induced} and {dirichlet} name the rep files
+JOBS = [
+    ("eval classical", ["eval", "--group", "gamma0", "--level", "5", "--k", "12",
+                        "--tau", "0.3,1.1", "--height", "60"]),
+    ("eval eta", ["eval", "--group", "gamma0", "--level", "3", "--family", "eta",
+                  "--k", "6", "--tau=-0.2,0.9", "--height", "60"]),
+    ("eval elliptic", ["eval", *SERIES, "--seed", "elliptic", "--nu", "1",
+                       "--xi=-0.5,1", "--tau", "0.25,1.3", "--height", "40"]),
+    ("eval induced rep file", ["eval", "--rep", "{induced}", "--j", "2",
+                               "--tau", "0.3,1.1", "--height", "40"]),
+    ("eval dirichlet rep file", ["eval", "--group", "gamma0", "--level", "5",
+                                 "--rep", "{dirichlet}", "--tau", "0.1,0.8",
+                                 "--height", "60"]),
+    ("fourier json", ["fourier", *SERIES, "--height", "150", "--n1", "3"]),
+    ("fourier csv", ["fourier", *SERIES, "--height", "150", "--n1", "3",
+                     "--format", "csv"]),
+    ("pair classical", ["pair", *SERIES, "--height", "40", "--ymax", "8",
+                        "--nx", "24", "--ny", "20"]),
+    ("pair elliptic", ["pair", *SERIES, "--seed", "elliptic", "--nu", "1",
+                       "--height", "20", "--ymax", "14", "--nx", "64", "--ny", "16"]),
+    ("pair elliptic off i", ["pair", "--group", "gamma0", "--level", "3", "--seed",
+                             "elliptic", "--nu", "0", "--xi", "0.5,0.866",
+                             "--height", "20", "--nx", "32", "--ny", "16"]),
+    ("criterion classical", ["criterion", "classical", "--k", "12", "--N", "5",
+                             "--nu", "2", "--M", "2", "--m", "0.5"]),
+    ("criterion elliptic", ["criterion", "elliptic", "--k", "12", "--N", "3", "--nu", "1"]),
+    ("criterion regionA", ["criterion", "regionA", "--k", "12", "--N", "5", "--nu", "2"]),
+    ("criterion regionA large weight", ["criterion", "regionA", "--k", "400", "--N", "5"]),
+    ("criterion regionC radius found", ["criterion", "regionC", "--k", "12", "--N", "2"]),
+    ("criterion regionC radius given", ["criterion", "regionC", "--k", "12", "--N", "3",
+                                        "--nu", "1", "--r", "0.3"]),
+    ("criterion regionC no radius", ["criterion", "regionC", "--k", "4", "--N", "2"]),
+    ("table", ["table"]),
+    ("cosets gammainf", ["cosets", "--group", "gamma0", "--level", "3", "--height", "20"]),
+    ("cosets pmi", ["cosets", "--group", "gamma1pm", "--level", "5",
+                    "--stabiliser", "pmi", "--height", "15"]),
+    ("induce gamma0 5", ["induce", "--group", "gamma0", "--level", "5"]),
+    ("selftest", ["selftest", "--rng-seed", "3"]),
+]
+
+LEGENDRE_MOD5 = {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
+                 "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}
+
+
+def run_job(argv) -> tuple[int, bytes]:
+    """Exit code and stdout of one command line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            vvps.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+    return code, out.getvalue().encode()
+
+
+def main() -> int:
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"induced": str(Path(tmp) / "induced.json"),
+                 "dirichlet": str(Path(tmp) / "dirichlet.json")}
+        Path(files["dirichlet"]).write_text(json.dumps(LEGENDRE_MOD5))
+        code, _ = run_job(["induce", "--group", "gamma0", "--level", "5",
+                           "--out", files["induced"]])
+        if code != 0:
+            sys.stderr.write("writing the induced rep file failed\n")
+            return 1
+        for label, argv in JOBS:
+            code, artifact = run_job([a.format(**files) for a in argv])
+            if code != 0:
+                sys.stderr.write(f"{label}: exit {code}\n")
+                status = 1
+            print(f"{hashlib.md5(artifact).hexdigest()}  {label}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
