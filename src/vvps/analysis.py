@@ -92,7 +92,8 @@ class FourierTable:
         lines = ["j,n,re,im"]
         for j in range(self.b.shape[0]):
             for i, n in enumerate(self.ns):
-                lines.append(f"{j + 1},{n},{self.b[j, i].real!r},{self.b[j, i].imag!r}")
+                z = complex(self.b[j, i])
+                lines.append(f"{j + 1},{n},{z.real!r},{z.imag!r}")
         return "\n".join(lines) + "\n"
 
 
