@@ -10,7 +10,8 @@ subcommand's parser binds its runner as `job`, and `run(ns)` calls
 `ns.job(ns)`.  Numbers must be finite: nan and +-inf are refused.  A
 point "x,y" with negative x is written with "=", as in --tau=-0.2,0.2,
 since argparse reads a bare "-0.2,0.2" as an option.  Exit codes: 0
-success, 2 invalid configuration, 3 numeric refusal.
+success, 2 invalid configuration, 3 numeric refusal, which includes a job
+that runs out of memory.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def run(ns: argparse.Namespace) -> int:
     """Execute one parsed job and write its artifact; returns the exit status."""
     try:
         result = ns.job(ns)
-    except RefusalError as exc:
+    except (RefusalError, MemoryError) as exc:
         _emit_error("refusal", exc)
         return 3
     except (ConfigError, DomainError, ValueError, OSError) as exc:
