@@ -15,7 +15,7 @@ from .rep import (RepSpec, SpectralSplit, check_normal, dirichlet_rep,
                   st_rep, trivial_rep)
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn, seed_strip_integral
 from .series import (SeriesHandle, build_series, check_seed_invariance,
-                     check_transformation, slash, slash_k, slash_k_rho)
+                     check_transformation, slash, slash_k)
 from .analysis import (FourierTable, QuadratureSpec,
                        classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,

@@ -27,12 +27,13 @@ from . import __version__
 from .analysis import (QuadratureSpec, _check_extraction, classical_pairing_closed_form,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,
                        fourier_coefficients, petersson_strip)
-from .errors import DomainError, RefusalError
+from .errors import RefusalError
 from .modgroup import (GroupSpec, I2, S, cocycle_j, cusp_width, enumerate_cosets,
                        mobius_act, right_coset_reps, st_syllables, t_power)
 from .multiplier import MultiplierSystem, _random_element, check_consistency
-from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
-                        find_radius, gamma_median, region_test_a, region_test_c)
+from .nonvanish import (CriterionReport, beta_median, classical_criterion,
+                        elliptic_criterion, find_radius, gamma_median, region_test_a,
+                        region_test_c)
 from .rep import RepSpec, induce, spectral_split, trivial_rep
 from .seeds import ClassicalSeed, EllipticSeed
 from .series import build_series
@@ -201,11 +202,11 @@ def _run_criterion(ns) -> dict:
     else:
         r = ns.r if ns.r is not None else find_radius(ns.k, ns.nu, ns.N)
         if r is None:
-            return {"criterion": "regionC", "satisfied": False,
-                    "margin": float(elliptic_criterion(ns.k, ns.N, ns.nu).margin),
-                    "inputs": {"k": ns.k, "nu": ns.nu, "N": ns.N, "r": None},
-                    "details": {"note": "no feasible radius"}}
-        report = region_test_c(ns.k, ns.nu, ns.N, r)
+            report = CriterionReport("regionC", elliptic_criterion(ns.k, ns.N, ns.nu).margin,
+                                     {"k": ns.k, "nu": ns.nu, "N": ns.N, "r": None},
+                                     {"note": "no feasible radius"})
+        else:
+            report = region_test_c(ns.k, ns.nu, ns.N, r)
     return report.to_json()
 
 
@@ -266,11 +267,10 @@ def _run_selftest(ns) -> dict:
     checks["gamma_median_ln2"] = abs(gamma_median(1.0) - math.log(2.0))
     checks["beta_median_sym"] = abs(beta_median(3.0, 3.0) - 0.5)
 
-    passed = (checks["cocycle"] <= 1e-12 and checks["imaginary_part"] <= 1e-12
-              and checks["word_reconstruction"] == 0.0
-              and checks["multiplier_identity"] <= 1e-10
-              and checks["gamma_median_ln2"] <= 1e-12
-              and checks["beta_median_sym"] <= 1e-12)
+    limits = {"cocycle": 1e-12, "imaginary_part": 1e-12, "word_reconstruction": 0.0,
+              "multiplier_identity": 1e-10, "gamma_median_ln2": 1e-12,
+              "beta_median_sym": 1e-12}
+    passed = all(checks[name] <= limit for name, limit in limits.items())
     return {"selftest": "pass" if passed else "fail", "checks": checks,
             "rng_seed": ns.rng_seed}
 
@@ -309,7 +309,7 @@ def run(ns: argparse.Namespace) -> int:
     except (RefusalError, MemoryError) as exc:
         _emit_error("refusal", exc)
         return 3
-    except (ConfigError, DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _emit_error("invalid_config", exc)
         return 2
     if isinstance(result, str):
@@ -425,13 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(argv=None) -> argparse.Namespace:
-    """The parsed job; a usage error exits 2 before any job runs."""
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> None:
-    sys.exit(run(config_from_args(argv)))
+    """Parse and run one job; a usage error exits 2 before any job runs."""
+    sys.exit(run(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

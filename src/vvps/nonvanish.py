@@ -33,14 +33,18 @@ _ITMAX = 600
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Outcome of one criterion: satisfied iff margin > 0, with the inputs
-    echoed and the decisive intermediate quantities in details."""
+    """Outcome of one criterion: its margin, with the inputs echoed and the
+    decisive intermediate quantities in details."""
 
     criterion: str
-    satisfied: bool
     margin: float
     inputs: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+
+    @property
+    def satisfied(self) -> bool:
+        """The verdict of every criterion: a positive margin."""
+        return bool(self.margin > 0)
 
     def to_json(self) -> dict:
         return {"criterion": self.criterion, "satisfied": self.satisfied,
@@ -226,14 +230,9 @@ def classical_criterion(k: float, M: int, N: int, nu: int, m_j: float) -> Criter
         med = gamma_median(k / 2.0 - 1.0)
         details.update(x0=x0, gamma_median=med,
                        sharp_satisfied=bool(x0 < med), sharp_margin=med - x0)
-    return CriterionReport("classical", bool(margin > 0), margin,
+    return CriterionReport("classical", margin,
                            inputs={"k": k, "M": M, "N": N, "nu": nu, "m_j": m_j},
                            details=details)
-
-
-def _elliptic_rhs(k: float, nu: int) -> tuple:
-    mb = beta_median(nu / 2.0 + 1.0, k / 2.0 - 1.0)
-    return 4.0 * math.sqrt(mb) / (1.0 - mb), mb
 
 
 def elliptic_criterion(k: float, N: int, nu: int) -> CriterionReport:
@@ -246,13 +245,14 @@ def elliptic_criterion(k: float, N: int, nu: int) -> CriterionReport:
         raise ValueError("the elliptic criterion assumes level N >= 2")
     if nu < 0:
         raise ValueError(f"need nu >= 0, got {nu}")
-    rhs, mb = _elliptic_rhs(k, nu)
+    mb = beta_median(nu / 2.0 + 1.0, k / 2.0 - 1.0)
+    rhs = 4.0 * math.sqrt(mb) / (1.0 - mb)
     margin = N - rhs
     details = {"beta_median": mb, "rhs": rhs}
     r_max = math.acosh((N * N + 2.0) / 2.0) / 4.0
     r_star = math.atanh(math.sqrt(mb))
     details["radius_interval"] = ([r_star, r_max] if r_star < r_max else None)
-    return CriterionReport("elliptic", bool(margin > 0), margin,
+    return CriterionReport("elliptic", margin,
                            inputs={"k": k, "N": N, "nu": nu}, details=details)
 
 
@@ -301,7 +301,7 @@ def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionR
     details = {"above_cut": lhs, "below_cut": rhs, "x0": x0,
                "gamma_median": gamma_median(s),
                "pairwise_inequivalence": "assumed (|c| >= N for the supported families)"}
-    return CriterionReport("regionA", bool(margin > 0), margin,
+    return CriterionReport("regionA", margin,
                            inputs={"k": k, "M": m_width, "N": n_level,
                                    "nu": seed.nu, "m_j": seed.m_j, "y_cut": y_cut},
                            details=details)
@@ -335,7 +335,7 @@ def region_test_c(k: float, nu: int, N: int, r: float) -> CriterionReport:
     details = {"separation_margin": sep, "mass_head": bfun * frac,
                "mass_tail": bfun * (1.0 - frac), "mass_margin": mass,
                "r_max": math.acosh((N * N + 2.0) / 2.0) / 4.0}
-    return CriterionReport("regionC", bool(margin > 0), margin,
+    return CriterionReport("regionC", margin,
                            inputs={"k": k, "nu": nu, "N": N, "r": r},
                            details=details)
 

@@ -8,18 +8,21 @@ once, so an induced representation is one given by its generator images.
 
 evaluate_rho(rep, g) gives one matrix, walking the S/T word of g for a
 generator-image representation.  fold_rho gives rho(g)^* w for a whole
-array of matrices without a loop over them.  The trivial and Dirichlet
-recipes are one table of conj(rho) by class in both (_class_table), with
-one refusal of a matrix outside the group.  A generator-image rho that
+array of matrices without a loop over them.  Every other evaluation looks
+conj(rho) up by class in one place (_class_lookup): one class for the
+trivial recipe and d mod N for a Dirichlet character mod N, with one
+refusal of a matrix outside the group.  A generator-image rho that
 factors through SL2(Z/NZ), N the order of rho(T) -- every rho induced from
-a congruence subgroup does -- is tabulated once over that finite group by
-a breadth-first search that checks every edge of its Cayley graph, and
-each matrix then costs one lookup by its residues mod N.  The word walk is
-kept for a rho that does not factor (a non-congruence kernel, or rho(T) of
-no finite order) and for tables beyond 2^18 matrix entries.
+a congruence subgroup does -- has one class per element of that finite
+group, tabulated once by a breadth-first search that checks every edge of
+its Cayley graph, and each matrix then costs one lookup by its residues
+mod N.  fold_rho walks the word only for a rho that does not factor (a
+non-congruence kernel, or rho(T) of no finite order) and for tables
+beyond 2^18 matrix entries.
 
 The cusp monodromy e^{2 pi i kappa M} rho(T^M) of a normal representation
-is diagonalised into a unitary U and exponents m_j in ]0, 1].
+is diagonalised into a unitary U and exponents m_j in ]0, 1];
+SpectralSplit.residual measures how far a split is from doing that.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ class RepSpec:
     s_img: Optional[np.ndarray] = None   # st_generated
     t_img: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if self.recipe not in ("trivial", "dirichlet", "st_generated"):
+            raise ValueError(f"unknown recipe {self.recipe!r}")
+        if self.p < 1:
+            raise ValueError("dimension must be positive")
+
     def to_json(self) -> dict:
         out = {"recipe": self.recipe, "p": self.p, "group": self.group.to_json()}
         if self.recipe == "dirichlet":
@@ -71,8 +80,6 @@ class RepSpec:
     def from_json(cls, data: dict) -> "RepSpec":
         recipe = data["recipe"]
         group = GroupSpec.from_json(data["group"])
-        if recipe == "trivial":
-            return trivial_rep(int(data["p"]), group)
         if recipe == "dirichlet":
             vals = [complex(re, im) for re, im in data["values"]]
             return dirichlet_rep(group.n, vals)
@@ -83,7 +90,7 @@ class RepSpec:
             inner = cls.from_json(data["inner"])
             cosets = [IntMatrix2(*r) for r in data["cosets"]]
             return induce(inner, cosets)
-        raise ValueError(f"unknown recipe {recipe!r}")
+        return cls(recipe, int(data["p"]), group)  # trivial; refuses any other recipe
 
 
 def _mat_to_json(m: np.ndarray):
@@ -101,8 +108,6 @@ def _check_unitary(m: np.ndarray, what: str):
 
 
 def trivial_rep(p: int, group: GroupSpec = GroupSpec.sl2z()) -> RepSpec:
-    if p < 1:
-        raise ValueError("dimension must be positive")
     return RepSpec("trivial", p, group)
 
 
@@ -161,25 +166,8 @@ def _unitary_power(m: np.ndarray, q: int) -> np.ndarray:
     return np.linalg.matrix_power(m.conj().T, -q)
 
 
-def _class_table(rep: RepSpec, ents: np.ndarray):
-    """(mats, idx) for the trivial and Dirichlet recipes: mats[i] is the
-    complex conjugate of rho on class i, idx the class of each row
-    (a, b, c, d) of ents -- one class for the trivial recipe, d mod N for a
-    character mod N.  A row outside rep.group is refused."""
-    outside = ~contains(rep.group, ents)
-    if outside.any():
-        raise ValueError(f"{IntMatrix2(*ents[outside.argmax()].tolist())} "
-                         f"is not in {rep.group}")
-    if rep.recipe == "trivial":
-        return np.eye(rep.p, dtype=complex).conj()[None], np.zeros(len(ents), dtype=np.intp)
-    return np.conj(rep.chi).reshape(-1, 1, 1), ents[:, 3] % rep.group.n
-
-
 def evaluate_rho(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
     """The matrix rho(g)."""
-    if rep.recipe in ("trivial", "dirichlet"):
-        mats, idx = _class_table(rep, entry_arrays([g]))
-        return mats[idx[0]].conj()
     if rep.recipe == "st_generated":
         syll, sign = st_syllables(g)
         out = np.eye(rep.p, dtype=complex)
@@ -188,7 +176,8 @@ def evaluate_rho(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
         if sign < 0:
             out = (rep.s_img @ rep.s_img) @ out
         return out
-    raise ValueError(rep.recipe)
+    mats, idx = _class_lookup(rep, entry_arrays([g]))
+    return mats[idx[0]].conj()
 
 
 def _sl2_order(n: int) -> int:
@@ -265,34 +254,47 @@ def _level_table(rep: RepSpec):
     return n, _residue_keys(np.array(ents, dtype=np.int64), n), mats
 
 
+def _class_lookup(rep: RepSpec, ents: np.ndarray):
+    """(mats, idx): mats[i] is the complex conjugate of rho on class i of a
+    finite quotient, idx the class of each row (a, b, c, d) of ents.  The
+    trivial recipe has one class and the Dirichlet recipe one per residue
+    d mod N, and a row outside rep.group is refused; an st_generated rho
+    has one class per element of SL2(Z/NZ) (_level_table), or None when it
+    has no table."""
+    if rep.recipe == "st_generated":
+        table = _level_table(rep)
+        if table is None:
+            return None
+        n, keys, mats = table
+        order = np.argsort(keys)
+        return mats, order[np.searchsorted(keys, _residue_keys(ents, n), sorter=order)]
+    outside = ~contains(rep.group, ents)
+    if outside.any():
+        raise ValueError(f"{IntMatrix2(*ents[outside.argmax()].tolist())} "
+                         f"is not in {rep.group}")
+    if rep.recipe == "trivial":
+        return np.eye(rep.p, dtype=complex).conj()[None], np.zeros(len(ents), dtype=np.intp)
+    return np.conj(rep.chi).reshape(-1, 1, 1), ents[:, 3] % rep.group.n
+
+
 def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     """The vectors rho(g)^* w, one row per row (a, b, c, d) of the integer
     array ents of shape (n, 4).
 
-    The conjugate of rho is tabulated over the classes of a finite
-    quotient, folded with w once per class and gathered by the class of
-    each row: the trivial recipe has one class, the Dirichlet recipe one
-    per residue d mod N, and an st_generated rho that factors through
-    SL2(Z/NZ) one per element of that group (_level_table).  Any other
-    st_generated rho walks the S/T word of each row with evaluate_rho.
-    The table lives only for this call.
+    The conjugate of rho is looked up by class (_class_lookup), folded
+    with w once per class and gathered by the class of each row.  An
+    st_generated rho without a table walks the S/T word of each row with
+    evaluate_rho.  The table lives only for this call.
     """
     ents = np.asarray(ents, dtype=np.int64).reshape(-1, 4)
-    if rep.recipe in ("trivial", "dirichlet"):
-        mats, idx = _class_table(rep, ents)
-    elif rep.recipe == "st_generated":
-        table = _level_table(rep)
-        if table is None:
-            out = np.empty((len(ents), rep.p), dtype=complex)
-            for i, row in enumerate(ents):
-                out[i] = evaluate_rho(rep, IntMatrix2(*map(int, row))).conj().T @ w
-            return out
-        n, keys, mats = table
-        del table
-        order = np.argsort(keys)
-        idx = order[np.searchsorted(keys, _residue_keys(ents, n), sorter=order)]
-    else:
-        raise ValueError(rep.recipe)
+    lookup = _class_lookup(rep, ents)
+    if lookup is None:
+        out = np.empty((len(ents), rep.p), dtype=complex)
+        for i, row in enumerate(ents):
+            out[i] = evaluate_rho(rep, IntMatrix2(*map(int, row))).conj().T @ w
+        return out
+    mats, idx = lookup
+    del lookup
     folded = mats.transpose(0, 2, 1) @ w
     del mats  # the table goes before the gather allocates one row per matrix
     return folded[idx]
@@ -375,12 +377,15 @@ class NormalityResult(NamedTuple):
 def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec) -> NormalityResult:
     """Check rho(-I) = I and finite order of the cusp monodromy at infinity.
 
-    The monodromy e^{2 pi i kappa M} rho(T^M), M the cusp width, passes when
-    every eigenvalue lies within 1e-8 of a root of unity of order <= 360;
-    the returned witness is the lcm of the minimal orders.
+    The monodromy e^{2 pi i kappa M} rho(T^M), M the cusp width of gamma,
+    passes when every eigenvalue lies within 1e-8 of a root of unity of
+    order <= 360; the returned witness is the lcm of the minimal orders.  A
+    group without finite index, such as a stabiliser, is checked as
+    SL2(Z) itself.
     """
-    p = rep.p
-    if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(p)) > _UNITARY_TOL:
+    if not gamma.finite_index:
+        gamma = GroupSpec.sl2z()
+    if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(rep.p)) > _UNITARY_TOL:
         return NormalityResult(False, None)
     order = _order(_monodromy(rep, ms, cusp_width(gamma, I2)))
     return NormalityResult(order is not None, order)
@@ -399,6 +404,14 @@ class SpectralSplit:
     def p(self) -> int:
         return len(self.m)
 
+    def residual(self, rep: RepSpec, ms: MultiplierSystem, m_width: int) -> float:
+        """||e^{2 pi i kappa M} rho(T^M) - U^* diag(e^{2 pi i m_j}) U||, how
+        far this split is from diagonalising the cusp monodromy of (rho, v)
+        at width M."""
+        diag = np.diag([cmath.exp(2j * math.pi * mj) for mj in self.m])
+        return float(np.linalg.norm(_monodromy(rep, ms, m_width)
+                                    - self.U.conj().T @ diag @ self.U))
+
 
 def _phase_fix(vec: np.ndarray) -> np.ndarray:
     big = np.abs(vec)
@@ -415,12 +428,10 @@ def spectral_split(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> Spectral
     phase-normalised eigenvector entries."""
     if not contains(rep.group, t_power(m_width)):
         raise ValueError(f"T^{m_width} is not in {rep.group}")
-    res = check_normal(rep, ms, rep.group if rep.group.finite_index else GroupSpec.sl2z())
-    if not res.ok:
+    if not check_normal(rep, ms, rep.group).ok:
         raise ValueError("representation is not normal")
     p = rep.p
-    mono = _monodromy(rep, ms, m_width)
-    eigvals, eigvecs = np.linalg.eig(mono)
+    eigvals, eigvecs = np.linalg.eig(_monodromy(rep, ms, m_width))
     ms_list = []
     for lam in eigvals:
         theta = math.atan2(lam.imag, lam.real)
@@ -452,11 +463,9 @@ def spectral_split(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> Spectral
     rows = [_phase_fix(eigvecs[:, i].conj()) for i in range(p)]
     keys = sorted(range(p), key=lambda i: (ms_list[i],
                                            tuple((z.real, z.imag) for z in rows[i])))
-    u = np.array([rows[i] for i in keys])
-    m = tuple(ms_list[i] for i in keys)
-
-    diag = np.diag([cmath.exp(2j * math.pi * mj) for mj in m])
-    resid = np.linalg.norm(mono - u.conj().T @ diag @ u)
+    split = SpectralSplit(np.array([rows[i] for i in keys]),
+                          tuple(ms_list[i] for i in keys))
+    resid = split.residual(rep, ms, m_width)
     if resid > _UNITARY_TOL:
         raise ValueError(f"spectral split reconstruction residual {resid:.2e}")
-    return SpectralSplit(u, m)
+    return split

@@ -17,7 +17,7 @@ table's integer entries: v from multiplier.evaluate_v_many and
 rho(g)^* w from rep.fold_rho, a lookup by residue class mod N whenever rho
 factors through SL2(Z/NZ).  Only a generator-image rho that does not
 factor walks an S/T word per coset.  Every other use of the slash action
-(slash_k, slash_k_rho, Fourier extraction at a cusp, both invariance
+(its one-point view slash_k, Fourier extraction at a cusp, both invariance
 checks) goes through `slash` or its factor step, which applies conj(v(g))
 and rho(g)^* per matrix.
 """
@@ -38,10 +38,10 @@ from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, _as_complex,
                        contains, entry_arrays, enumerate_cosets, slash_kernel,
                        t_power)
 from .multiplier import MultiplierSystem, evaluate_v, evaluate_v_many
-from .rep import RepSpec, _monodromy, check_normal, evaluate_rho, fold_rho
+from .rep import RepSpec, check_normal, evaluate_rho, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
-__all__ = ["SeriesHandle", "build_series", "slash", "slash_k", "slash_k_rho",
+__all__ = ["SeriesHandle", "build_series", "slash", "slash_k",
            "check_transformation", "check_seed_invariance", "thread_cap", "MIN_IM"]
 
 MIN_IM = 0.05  # evaluation closer to the real line than this is refused
@@ -92,14 +92,10 @@ def slash(F, gs, taus, ms: MultiplierSystem, rep: Optional[RepSpec] = None) -> n
     return _act(vals, jmk, gs, ms, rep)
 
 
-def slash_k(F, g: IntMatrix2, ms: MultiplierSystem):
+def slash_k(F, g: IntMatrix2, ms: MultiplierSystem, rep: Optional[RepSpec] = None):
     """The slash action in the weight k of ms, at one point:
-    tau -> v(g)^{-1} j(g,tau)^{-k} F(g.tau)."""
-    return lambda tau: slash(F, [g], [_as_complex(tau)], ms)[0, 0]
-
-
-def slash_k_rho(F, g: IntMatrix2, rep: RepSpec, ms: MultiplierSystem):
-    """The rho-twisted slash action at one point: rho(g)^{-1} (F |_k g)."""
+    tau -> v(g)^{-1} [rho(g)^{-1}] j(g,tau)^{-k} F(g.tau), rho when rep is
+    given."""
     return lambda tau: slash(F, [g], [_as_complex(tau)], ms, rep)[0, 0]
 
 
@@ -122,18 +118,10 @@ class SeriesHandle:
             raise ValueError("elliptic seed weight differs from the series weight")
         if self.seed.p != self.rep.p:
             raise ValueError("seed dimension does not match the representation")
-        gamma = self.cosets.gamma
-        res = check_normal(self.rep, self.ms, gamma if gamma.finite_index else GroupSpec.sl2z())
-        if not res.ok:
+        if not check_normal(self.rep, self.ms, self.cosets.gamma).ok:
             raise ValueError("representation is not normal")
-        if isinstance(self.seed, ClassicalSeed):
-            self._check_split_consistency()
-
-    def _check_split_consistency(self):
-        mono = _monodromy(self.rep, self.ms, self.seed.M)
-        u = self.seed.split.U
-        diag = np.diag([np.exp(2j * math.pi * mj) for mj in self.seed.split.m])
-        if np.linalg.norm(mono - u.conj().T @ diag @ u) > 1e-8:
+        if (isinstance(self.seed, ClassicalSeed)
+                and self.seed.split.residual(self.rep, self.ms, self.seed.M) > 1e-8):
             raise ValueError("seed spectral data does not diagonalise rho(T^M)")
 
     @property
@@ -239,13 +227,14 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
     comparison; residuals below it are truncation-dominated.
     """
     gammas = list(gammas)
-    for g in gammas:
-        if not contains(handle.cosets.gamma, g):
-            raise ValueError(f"{g} is not in {handle.cosets.gamma}")
+    ents = entry_arrays(gammas)
+    outside = ~contains(handle.cosets.gamma, ents)
+    if outside.any():
+        raise ValueError(f"{gammas[outside.argmax()]} is not in {handle.cosets.gamma}")
     taus = np.array([_as_complex(t) for t in taus], dtype=complex)
     if not gammas or not len(taus):
         return TransformationCheck(0.0, 0.0)
-    jmk, moved = slash_kernel(entry_arrays(gammas), taus, handle.k)
+    jmk, moved = slash_kernel(ents, taus, handle.k)
     base, tail0 = handle.evaluate_many(taus)
     image, tail1 = handle.evaluate_many(moved.ravel())
     acted = _act(image.reshape(moved.shape + (handle.p,)), jmk, gammas, handle.ms, handle.rep)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from vvps import cli, series
-from vvps.cli import config_from_args, emit_threshold_table, main, run
+from vvps.cli import build_parser, emit_threshold_table, main, run
 from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
 from vvps.multiplier import MultiplierSystem
 from vvps.nonvanish import elliptic_criterion
 from vvps.rep import evaluate_rho, induce, spectral_split, st_rep, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import build_series, slash_k_rho
+from vvps.series import build_series, slash_k
 
 
 def invoke(argv):
@@ -25,7 +25,7 @@ def invoke(argv):
 class TestEval:
     def test_matches_library_bit_for_bit(self, tmp_path):
         out = tmp_path / "eval.json"
-        code = run(config_from_args([
+        code = run(build_parser().parse_args([
             "eval", "--group", "gamma0", "--level", "5", "--k", "12",
             "--seed", "classical", "--nu", "0", "--tau", "0.3,1.1",
             "--height", "60", "--out", str(out)]))
@@ -73,7 +73,7 @@ class TestEval:
 
     def test_negative_first_part_with_equals_form(self, tmp_path):
         out = tmp_path / "eval.json"
-        code = run(config_from_args([
+        code = run(build_parser().parse_args([
             "eval", "--group", "gamma0", "--level", "2", "--seed", "elliptic",
             "--nu", "1", "--xi=-0.5,1", "--tau=-0.2,0.2", "--height", "20",
             "--out", str(out)]))
@@ -204,7 +204,7 @@ class TestCriterion:
 
     def test_region_c_without_radius_is_the_elliptic_margin(self, capsys):
         # find_radius(4, 0, 2) is None: the artifact reports the elliptic margin
-        assert run(cli.build_parser().parse_args(
+        assert run(build_parser().parse_args(
             ["criterion", "regionC", "--k", "4", "--N", "2", "--nu", "0"])) == 0
         data = json.loads(capsys.readouterr().out)
         assert data == {"criterion": "regionC", "satisfied": False,
@@ -312,7 +312,7 @@ class TestOtherCommands:
         ms = MultiplierSystem("trivial_even", 12.0)
         seed = ClassicalSeed(0, 3, spectral_split(rep, ms, 1), 1)
         tau = complex(-0.2, 0.9)
-        terms = [slash_k_rho(seed.eval, g, rep, ms)(tau) for g in
+        terms = [slash_k(seed.eval, g, ms, rep)(tau) for g in
                  enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 30.0).reps]
         oracle = np.array([complex(math.fsum(t.real for t in col), math.fsum(t.imag for t in col))
                            for col in zip(*terms)])
@@ -365,7 +365,7 @@ class TestOtherCommands:
         def build(*args):
             raise AssertionError("fourier built a series it then refused")
         monkeypatch.setattr(cli, "build_series", build)
-        code = run(config_from_args(["fourier", "--seed", "elliptic", "--height", "300"]))
+        code = run(build_parser().parse_args(["fourier", "--seed", "elliptic", "--height", "300"]))
         assert code == 2
         assert "classical seed" in capsys.readouterr().err
 
@@ -380,7 +380,7 @@ class TestOtherCommands:
         def build(*args):
             raise AssertionError(f"{argv[0]} built a series it then refused")
         monkeypatch.setattr(cli, "build_series", build)
-        assert run(config_from_args(argv + ["--height", "300"])) == code
+        assert run(build_parser().parse_args(argv + ["--height", "300"])) == code
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, target", [
@@ -392,7 +392,7 @@ class TestOtherCommands:
         def exhausted(*args):
             raise MemoryError("Unable to allocate 10.5 GiB")
         monkeypatch.setattr(cli, target, exhausted)
-        assert run(cli.build_parser().parse_args(argv)) == 3
+        assert run(build_parser().parse_args(argv)) == 3
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "refusal" and err["class"] == "MemoryError"
 
@@ -414,5 +414,5 @@ class TestOtherCommands:
         for workers in (1, 2):
             monkeypatch.setattr(series, "thread_cap", lambda: workers)
             outs.append(tmp_path / f"pair{workers}.json")
-            assert run(config_from_args(argv + ["--out", str(outs[-1])])) == 0
+            assert run(build_parser().parse_args(argv + ["--out", str(outs[-1])])) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -12,7 +12,7 @@ from vvps.multiplier import MultiplierSystem
 from vvps.rep import dirichlet_rep, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import (SeriesHandle, build_series, check_transformation,
-                         slash_k, slash_k_rho)
+                         slash_k)
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
 
@@ -67,9 +67,8 @@ class TestSlash:
         for _ in range(50):
             g1, g2 = random_element(rng, 8), random_element(rng, 8)
             tau = random_tau(rng)
-            one = slash_k_rho(lambda t: slash_k_rho(F, g1, rep, MS12)(t),
-                              g2, rep, MS12)(tau)
-            two = slash_k_rho(F, g1 * g2, rep, MS12)(tau)
+            one = slash_k(lambda t: slash_k(F, g1, MS12, rep)(t), g2, MS12, rep)(tau)
+            two = slash_k(F, g1 * g2, MS12, rep)(tau)
             assert np.linalg.norm(one - two) <= 1e-10 * (1 + np.linalg.norm(two))
 
     def test_trivial_rep_reduces_to_plain(self, rng):
@@ -77,7 +76,7 @@ class TestSlash:
         F = lambda tau: np.array([tau ** -4])
         g = random_element(rng)
         tau = random_tau(rng)
-        assert np.allclose(slash_k_rho(F, g, rep, MS12)(tau),
+        assert np.allclose(slash_k(F, g, MS12, rep)(tau),
                            slash_k(F, g, MS12)(tau))
 
 
@@ -167,7 +166,7 @@ class TestEvaluate:
         tau = complex(0.3, 1.1)
         expect = np.zeros(1, dtype=complex)
         for g in h.cosets.reps:
-            expect += slash_k_rho(h.seed.eval, g, h.rep, h.ms)(tau)
+            expect += slash_k(h.seed.eval, g, h.ms, h.rep)(tau)
         value, _ = h.evaluate(tau)
         assert value == pytest.approx(expect, rel=1e-12)
 
@@ -221,7 +220,7 @@ class TestEvaluate:
         h = classical_handle(height=10.0)
         tau = complex(0.17, 1.4)
         for g in h.cosets.reps[:40]:
-            term = slash_k_rho(h.seed.eval, g, h.rep, h.ms)(tau)
+            term = slash_k(h.seed.eval, g, h.ms, h.rep)(tau)
             expect = (np.linalg.norm(h.seed.eval(complex(mobius_act(g, tau))))
                       * abs(cocycle_j(g, tau)) ** -h.k)
             assert abs(np.linalg.norm(term) - expect) <= 1e-12 * max(expect, 1e-300)
