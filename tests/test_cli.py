@@ -43,6 +43,18 @@ class TestEval:
         assert data["tail"] == tail
         assert data["height"] == 60.0
 
+    def test_tied_exponents_keep_component_order(self, tmp_path):
+        # all m_j tie at 1 for the trivial rho: --j counts the components
+        # of the seed in the order the spectral split keeps them
+        out = tmp_path / "eval.json"
+        for j in (1, 2, 3):
+            code = run(build_parser().parse_args([
+                "eval", "--rep", "trivial", "--p", "3", "--j", str(j),
+                "--tau", "0.3,1.1", "--height", "20", "--out", str(out)]))
+            assert code == 0
+            value = json.loads(out.read_text())["value"]
+            assert [i + 1 for i, z in enumerate(value) if z != [0.0, 0.0]] == [j]
+
     def test_determinism(self, tmp_path):
         args = ["eval", "--group", "gamma0", "--level", "2", "--k", "12",
                 "--seed", "elliptic", "--nu", "1", "--xi", "0,1",

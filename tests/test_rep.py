@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ def character_rep(c: int) -> RepSpec:
 
 def legendre_mod5():
     return dirichlet_rep(5, [0, 1, -1, -1, 1])
+
+
+def induced_trivial(n: int) -> RepSpec:
+    group = GroupSpec.gamma0(n)
+    return induce(trivial_rep(1, group), right_coset_reps(group))
 
 
 def random_gamma0_elt(rng, n, max_len=8):
@@ -270,6 +276,28 @@ class TestSpectralSplit:
     def test_non_normal_rejected(self):
         with pytest.raises(ValueError):
             spectral_split(character_rep(3), TRIVIAL_MS, 1)
+
+    @pytest.mark.parametrize("rep, ms, expected", [
+        (induced_trivial(5), TRIVIAL_MS, (0.2, 0.4, 0.6, 0.8, 1.0, 1.0)),
+        (induced_trivial(11), TRIVIAL_MS, (*(r / 11 for r in range(1, 11)), 1.0, 1.0)),
+        (trivial_rep(1), MultiplierSystem("eta_power", 7.0), (7 / 12,)),
+        (trivial_rep(1), MultiplierSystem("eta_power", 7.3), (73 / 120,)),
+        (trivial_rep(1), MultiplierSystem("eta_power", 13.0), (1 / 12,)),
+    ], ids=["induced-gamma0-5", "induced-gamma0-11", "eta-7", "eta-7.3", "eta-13"])
+    def test_exponents_are_exact_fractions(self, rep, ms, expected):
+        split = spectral_split(rep, ms, 1)
+        assert split.m == expected
+        # the order of the monodromy is the lcm of the denominators of m_j
+        fracs = [Fraction(mj).limit_denominator(360) for mj in split.m]
+        assert split.m == tuple(f.numerator / f.denominator for f in fracs)
+        order = math.lcm(*(f.denominator for f in fracs))
+        assert check_normal(rep, ms, rep.group).order == order
+
+    def test_ties_keep_eigenvector_order(self):
+        # the trivial monodromy is the identity: every m_j ties at 1
+        split = spectral_split(trivial_rep(3), TRIVIAL_MS, 1)
+        assert split.m == (1.0, 1.0, 1.0)
+        assert np.array_equal(split.U, np.eye(3))
 
     def test_repeated_minus_one_eigenvalue(self, rng):
         # rho = Ind(trivial, Gamma0(2)) has rho(T) eigenvalues 1, 1, -1; a

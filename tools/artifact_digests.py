@@ -39,9 +39,14 @@ JOBS = [
     ("eval dirichlet rep file", ["eval", "--group", "gamma0", "--level", "5",
                                  "--rep", "{dirichlet}", "--tau", "0.1,0.8",
                                  "--height", "60"]),
+    ("eval tied exponents", ["eval", "--rep", "trivial", "--p", "3", "--j", "3",
+                             "--tau", "0.3,1.1", "--height", "20"]),
     ("fourier json", ["fourier", *SERIES, "--height", "150", "--n1", "3"]),
     ("fourier csv", ["fourier", *SERIES, "--height", "150", "--n1", "3",
                      "--format", "csv"]),
+    ("fourier eta fractional weight", ["fourier", "--group", "gamma0", "--level", "3",
+                                       "--family", "eta", "--k", "7.3",
+                                       "--height", "60", "--n1", "2"]),
     ("pair classical", ["pair", *SERIES, "--height", "40", "--ymax", "8",
                         "--nx", "24", "--ny", "20"]),
     ("pair elliptic", ["pair", *SERIES, "--seed", "elliptic", "--nu", "1",
