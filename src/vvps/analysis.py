@@ -245,12 +245,13 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
     ys = np.array([c[0] for c in cols])
     wy = np.array([c[1] for c in cols])
     taus = (xs[:, None] + 1j * ys).ravel()
-    _, moved = slash_kernel(entry_arrays(cosets), taus, k)
+    jmk, moved = slash_kernel(entry_arrays(cosets), taus, k)
     moved = moved.T.ravel()  # coset-major, then x, then y
     f_vals = _values(F, moved)
     g_vals = f_vals if G is F else _values(G, moved)
     inner = np.sum(f_vals * g_vals.conj(), axis=1)
-    imk = moved.imag.reshape((-1,) + ys.shape) ** k  # Im(g tau)^k
+    # Im(g tau)^k = y^k |j(g, tau)^-k|^2
+    imk = (taus.imag ** k * np.abs(jmk.T) ** 2).reshape((-1,) + ys.shape)
     cells = (wx[:, None] * wy) * imk / ys ** 2 * inner.reshape(imk.shape)
     parts = [comp_sum_complex(col) for col in cells.reshape(-1, ys.shape[1])]
     return comp_sum_complex(np.array(parts))

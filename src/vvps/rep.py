@@ -352,21 +352,25 @@ def _monodromy(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> np.ndarray:
     return cmath.exp(2j * math.pi * ms.kappa * m_width) * evaluate_rho(rep, t_power(m_width))
 
 
-def _root_order(lam: complex) -> Optional[int]:
-    """The least n <= _MAX_ORDER with lam within 1e-8 of an n-th root of
-    unity, or None."""
+def _exponent(lam: complex) -> Optional[tuple]:
+    """(r, n) with lam within 1e-8 of e^{2 pi i r/n}, n <= _MAX_ORDER the
+    least such order and r in 1..n, or None.  m = r/n lies in ]0, 1]:
+    eigenvalue 1 gives m = 1, and -1 gives m = 1/2 from either side of
+    the cut."""
     theta = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
     for n in range(1, _MAX_ORDER + 1):
-        if abs(lam - cmath.exp(2j * math.pi * round(theta * n) / n)) <= 1e-8:
-            return n
+        r = round(theta * n)
+        if abs(lam - cmath.exp(2j * math.pi * r / n)) <= 1e-8:
+            return (r - 1) % n + 1, n
     return None
 
 
 def _order(m: np.ndarray) -> Optional[int]:
-    """The order of a unitary matrix, the lcm of the root orders of its
-    eigenvalues, or None when one of them has none up to _MAX_ORDER."""
-    orders = [_root_order(lam) for lam in np.linalg.eigvals(m)]
-    return None if None in orders else math.lcm(*orders)
+    """The order of a unitary matrix, the lcm of the orders n of its
+    eigenvalues (_exponent), or None when one of them has none up to
+    _MAX_ORDER."""
+    exps = [_exponent(lam) for lam in np.linalg.eigvals(m)]
+    return None if None in exps else math.lcm(*(n for _, n in exps))
 
 
 class NormalityResult(NamedTuple):
@@ -423,48 +427,30 @@ def _phase_fix(vec: np.ndarray) -> np.ndarray:
 
 
 def spectral_split(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> SpectralSplit:
-    """Spectral data of e^{2 pi i kappa M} rho(T^M) with a deterministic
-    ordering: m_1 <= ... <= m_p, ties broken lexicographically on the
-    phase-normalised eigenvector entries."""
+    """Spectral data of e^{2 pi i kappa M} rho(T^M): m_j = r/n exactly
+    (_exponent), m_1 <= ... <= m_p, tied m_j in the order of
+    np.linalg.eig."""
     if not contains(rep.group, t_power(m_width)):
         raise ValueError(f"T^{m_width} is not in {rep.group}")
-    if not check_normal(rep, ms, rep.group).ok:
-        raise ValueError("representation is not normal")
-    p = rep.p
     eigvals, eigvecs = np.linalg.eig(_monodromy(rep, ms, m_width))
-    ms_list = []
-    for lam in eigvals:
-        theta = math.atan2(lam.imag, lam.real)
-        if abs(theta) < 1e-10:
-            ms_list.append(1.0)
-        elif theta > 0:
-            ms_list.append(theta / (2.0 * math.pi))
-        else:
-            ms_list.append(theta / (2.0 * math.pi) + 1.0)
-    # orthonormalise within eigenvalue clusters; distinct eigenspaces of a
-    # unitary matrix are already orthogonal.  Sorting on m rather than on
-    # the angle keeps a cluster at -1 together when its computed angles
-    # straddle +-pi; a cluster elsewhere keeps its angle order.
-    order = np.argsort(np.angle(eigvals))
-    order = order[np.argsort(np.array(ms_list)[order], kind="stable")]
-    eigvals = eigvals[order]
+    exps = [_exponent(lam) for lam in eigvals]
+    # check_normal checks the monodromy at the cusp width of rep.group; a
+    # multiple M of that width multiplies an eigenvalue's error by M
+    if None in exps or not check_normal(rep, ms, rep.group).ok:
+        raise ValueError("representation is not normal")
+    m = [r / n for r, n in exps]
+    order = sorted(range(rep.p), key=m.__getitem__)
+    m = [m[i] for i in order]
     eigvecs = eigvecs[:, order]
-    ms_list = [ms_list[i] for i in order]
+    # orthonormalise within clusters of equal m; distinct eigenspaces of a
+    # unitary matrix are already orthogonal
     i = 0
-    while i < p:
-        j = i + 1
-        while j < p and abs(eigvals[j] - eigvals[i]) < 1e-8:
-            j += 1
-        q, _ = np.linalg.qr(eigvecs[:, i:j])
-        eigvecs[:, i:j] = q
-        i = j
+    for j in range(1, rep.p + 1):
+        if j == rep.p or m[j] != m[i]:
+            eigvecs[:, i:j] = np.linalg.qr(eigvecs[:, i:j])[0]
+            i = j
     eigvecs /= np.linalg.norm(eigvecs, axis=0, keepdims=True)
-
-    rows = [_phase_fix(eigvecs[:, i].conj()) for i in range(p)]
-    keys = sorted(range(p), key=lambda i: (ms_list[i],
-                                           tuple((z.real, z.imag) for z in rows[i])))
-    split = SpectralSplit(np.array([rows[i] for i in keys]),
-                          tuple(ms_list[i] for i in keys))
+    split = SpectralSplit(np.array([_phase_fix(v.conj()) for v in eigvecs.T]), tuple(m))
     resid = split.residual(rep, ms, m_width)
     if resid > _UNITARY_TOL:
         raise ValueError(f"spectral split reconstruction residual {resid:.2e}")

@@ -236,7 +236,7 @@ class TestSpectralSplit:
     def test_monodromy_i_gives_quarter(self):
         ms = MultiplierSystem("eta_power", 3.0)  # kappa = 1/4
         split = spectral_split(trivial_rep(1), ms, 1)
-        assert split.m[0] == pytest.approx(0.25)
+        assert split.m == (0.25,)
 
     def test_conjugated_pair_recovers_exponents(self, rng):
         w = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
@@ -244,7 +244,7 @@ class TestSpectralSplit:
         rep = st_rep(w.conj().T @ np.diag([z ** -3 for z in zc]) @ w,
                      w.conj().T @ np.diag(zc) @ w)
         split = spectral_split(rep, TRIVIAL_MS, 1)
-        assert split.m == pytest.approx((1.0 / 3.0, 1.0))
+        assert split.m == (1 / 3, 1.0)
         mono = evaluate_rho(rep, T)
         diag = np.diag([cmath.exp(2j * math.pi * m) for m in split.m])
         resid = np.linalg.norm(mono - split.U.conj().T @ diag @ split.U)
@@ -258,7 +258,7 @@ class TestSpectralSplit:
             rep = st_rep(w.conj().T @ np.diag([z ** -3 for z in zc]) @ w,
                          w.conj().T @ np.diag(zc) @ w)
             ms_sets.append(spectral_split(rep, TRIVIAL_MS, 1).m)
-        assert ms_sets[0] == pytest.approx(ms_sets[1])
+        assert ms_sets[0] == ms_sets[1] == (1 / 3, 1.0)
 
     def test_exponents_in_half_open_interval(self):
         # only even characters satisfy rho(-I) = I
@@ -271,7 +271,7 @@ class TestSpectralSplit:
         # trivial rho with the eta multiplier of weight 1/2: monodromy e^{2 pi i/24}
         ms = MultiplierSystem("eta_power", 0.5)
         split = spectral_split(trivial_rep(1), ms, 1)
-        assert split.m[0] == pytest.approx(1.0 / 24.0)
+        assert split.m == (1 / 24,)
 
     def test_non_normal_rejected(self):
         with pytest.raises(ValueError):
@@ -299,6 +299,21 @@ class TestSpectralSplit:
         assert split.m == (1.0, 1.0, 1.0)
         assert np.array_equal(split.U, np.eye(3))
 
+    @pytest.mark.parametrize("m_width, message", [(1, "residual"), (2, "not normal")])
+    def test_monodromy_off_its_root_is_refused(self, m_width, message):
+        # rho(S) = diag(1, -1) and rho(ST) of order 3 rotated by 4e-5: the
+        # eigenvalues of rho(T) lie ~5e-9 off sixth roots of unity, inside
+        # check_normal's 1e-8 at width 1 but not at width 2, and an exact
+        # m_j = r/n leaves a split residual above 1e-10 at either width
+        c, s = math.cos(4e-5), math.sin(4e-5)
+        q = np.array([[c, -s], [s, c]])
+        w = cmath.exp(2j * math.pi / 3)
+        s_img = np.diag([1.0, -1.0])
+        rep = st_rep(s_img, s_img @ q @ np.diag([w, w.conjugate()]) @ q.T)
+        assert check_normal(rep, TRIVIAL_MS, rep.group) == (True, 6)
+        with pytest.raises(ValueError, match=message):
+            spectral_split(rep, TRIVIAL_MS, m_width)
+
     def test_repeated_minus_one_eigenvalue(self, rng):
         # rho = Ind(trivial, Gamma0(2)) has rho(T) eigenvalues 1, 1, -1; a
         # random unitary conjugate of rho + rho repeats -1, whose computed
@@ -313,7 +328,7 @@ class TestSpectralSplit:
             w = q * (np.diag(r) / abs(np.diag(r)))
             rep = st_rep(w.conj().T @ s6 @ w, w.conj().T @ t6 @ w)
             split = spectral_split(rep, TRIVIAL_MS, 1)
-            assert split.m == pytest.approx((0.5, 0.5, 1.0, 1.0, 1.0, 1.0), abs=1e-12)
+            assert split.m == (0.5, 0.5, 1.0, 1.0, 1.0, 1.0)
             diag = np.diag([cmath.exp(2j * math.pi * m) for m in split.m])
             resid = np.linalg.norm(evaluate_rho(rep, T) - split.U.conj().T @ diag @ split.U)
             assert resid <= 1e-10
