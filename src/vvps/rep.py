@@ -20,9 +20,12 @@ mod N.  fold_rho walks the word only for a rho that does not factor (a
 non-congruence kernel, or rho(T) of no finite order) and for tables
 beyond 2^18 matrix entries.
 
-The cusp monodromy e^{2 pi i kappa M} rho(T^M) of a normal representation
-is diagonalised into a unitary U and exponents m_j in ]0, 1];
-SpectralSplit.residual measures how far a split is from doing that.
+One function (_exponent) names the root of unity e^{2 pi i r/n} of an
+eigenvalue of the cusp monodromy e^{2 pi i kappa M} rho(T^M); the
+normality check takes the lcm of the orders n, and the spectral split of
+a normal representation diagonalises the monodromy into a unitary U and
+exponents m_j = r/n in ]0, 1], exactly.  SpectralSplit.residual measures
+how far a split is from doing that.
 """
 
 from __future__ import annotations
@@ -383,9 +386,9 @@ def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec) -> Normal
 
     The monodromy e^{2 pi i kappa M} rho(T^M), M the cusp width of gamma,
     passes when every eigenvalue lies within 1e-8 of a root of unity of
-    order <= 360; the returned witness is the lcm of the minimal orders.  A
-    group without finite index, such as a stabiliser, is checked as
-    SL2(Z) itself.
+    order <= 360 (_exponent); the returned witness is the lcm of the least
+    such orders.  A group without finite index, such as a stabiliser, is
+    checked as SL2(Z) itself.
     """
     if not gamma.finite_index:
         gamma = GroupSpec.sl2z()
@@ -399,7 +402,7 @@ def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec) -> Normal
 class SpectralSplit:
     """Unitary diagonalisation of the cusp monodromy at infinity:
     rho(T^M) = e^{-2 pi i kappa M} U^{-1} diag(e^{2 pi i m_j}) U with
-    m_j in ]0, 1] (eigenvalue 1 maps to m = 1)."""
+    m_j = r/n in ]0, 1] (eigenvalue 1 maps to m = 1)."""
 
     U: np.ndarray
     m: tuple
