@@ -39,6 +39,10 @@ JOBS = [
     ("eval dirichlet rep file", ["eval", "--group", "gamma0", "--level", "5",
                                  "--rep", "{dirichlet}", "--tau", "0.1,0.8",
                                  "--height", "60"]),
+    ("eval elliptic dirichlet rep file", ["eval", "--group", "gamma0", "--level", "5",
+                                          "--rep", "{dirichlet}", "--seed", "elliptic",
+                                          "--nu", "1", "--tau", "0.1,0.8",
+                                          "--height", "30"]),
     ("eval tied exponents", ["eval", "--rep", "trivial", "--p", "3", "--j", "3",
                              "--tau", "0.3,1.1", "--height", "20"]),
     ("fourier json", ["fourier", *SERIES, "--height", "150", "--n1", "3"]),
