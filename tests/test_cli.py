@@ -381,6 +381,26 @@ class TestOtherCommands:
         assert code == 2
         assert "classical seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "2", "--height", "600"], "k > 2"),
+        (["--group", "gamma0", "--level", "4", "--rep", "{odd}", "--seed", "elliptic",
+          "--height", "300"], "not normal"),
+    ], ids=["weight", "odd-character"])
+    def test_eval_refuses_table_free_data_before_enumerating(self, argv, message, tmp_path,
+                                                             monkeypatch, capsys):
+        # the refused series built 269,759 and 44,853 cosets first
+        odd = tmp_path / "odd4.json"  # the character mod 4 with chi(-1) = -1
+        odd.write_text(json.dumps({"recipe": "dirichlet", "p": 1,
+                                   "group": {"kind": "Gamma0", "n": 4},
+                                   "values": [[0, 0], [1, 0], [0, 0], [-1, 0]]}))
+
+        def enumerate_cosets(*args):
+            raise AssertionError("eval enumerated cosets for data it then refused")
+        monkeypatch.setattr(series, "enumerate_cosets", enumerate_cosets)
+        argv = ["eval", "--tau", "0.1,1"] + [a.format(odd=odd) for a in argv]
+        assert run(build_parser().parse_args(argv)) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, code, message", [
         (["fourier", "--y0", "0.01"], 3, "extraction height y0 < 0.05"),
         (["fourier", "--nx-fourier", "0"], 2, "nx must be at least 1"),
