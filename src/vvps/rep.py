@@ -20,17 +20,18 @@ mod N.  fold_rho walks the word only for a rho that does not factor (a
 non-congruence kernel, or rho(T) of no finite order) and for tables
 beyond 2^18 matrix entries.
 
-One function (_exponent) names the root of unity e^{2 pi i r/n} of an
-eigenvalue of the cusp monodromy e^{2 pi i kappa M} rho(T^M); the
-normality check takes the lcm of the orders n, and the spectral split of
-a normal representation diagonalises the monodromy into a unitary U and
-exponents m_j = r/n in ]0, 1], exactly.  SpectralSplit.residual measures
-how far a split is from doing that.
+One memoised analysis (_analysis) of the cusp monodromy e^{2 pi i kappa
+M} rho(T^M) decides normality: one eigendecomposition, the root of unity
+e^{2 pi i r/n} of each eigenvalue (_exponent), and a split into a unitary
+U and exponents m_j = r/n in ]0, 1], accepted only when it rebuilds the
+monodromy within _UNITARY_TOL.  check_normal and spectral_split read it;
+SpectralSplit.residual measures how far any split is from the monodromy.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -104,12 +105,6 @@ def _mat_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def _check_unitary(m: np.ndarray, what: str):
-    p = m.shape[0]
-    if np.linalg.norm(m @ m.conj().T - np.eye(p)) > _UNITARY_TOL:
-        raise ValueError(f"{what} is not unitary")
-
-
 def trivial_rep(p: int, group: GroupSpec = GroupSpec.sl2z()) -> RepSpec:
     return RepSpec("trivial", p, group)
 
@@ -146,27 +141,19 @@ def st_rep(s_img, t_img) -> RepSpec:
     if s.shape != t.shape or s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("generator images must be square matrices of equal size")
     p = s.shape[0]
-    _check_unitary(s, "rho(S)")
-    _check_unitary(t, "rho(T)")
     eye = np.eye(p)
     st = s @ t
     st3 = st @ st @ st
     s2 = s @ s
-    if np.linalg.norm(s2 @ s2 - eye) > _UNITARY_TOL:
-        raise ValueError("rho(S)^4 != I")
-    if np.linalg.norm(st3 @ st3 - eye) > _UNITARY_TOL:
-        raise ValueError("(rho(S) rho(T))^6 != I")
-    if np.linalg.norm(s2 - st3) > _UNITARY_TOL:
-        raise ValueError("rho(S)^2 != (rho(S) rho(T))^3")
-    if np.linalg.norm(s2 @ t - t @ s2) > _UNITARY_TOL:
-        raise ValueError("rho(S)^2 does not commute with rho(T)")
+    for lhs, rhs, what in ((s @ s.conj().T, eye, "rho(S) is not unitary"),
+                           (t @ t.conj().T, eye, "rho(T) is not unitary"),
+                           (s2 @ s2, eye, "rho(S)^4 != I"),
+                           (st3 @ st3, eye, "(rho(S) rho(T))^6 != I"),
+                           (s2, st3, "rho(S)^2 != (rho(S) rho(T))^3"),
+                           (s2 @ t, t @ s2, "rho(S)^2 does not commute with rho(T)")):
+        if np.linalg.norm(lhs - rhs) > _UNITARY_TOL:
+            raise ValueError(what)
     return RepSpec("st_generated", p, GroupSpec.sl2z(), s_img=s, t_img=t)
-
-
-def _unitary_power(m: np.ndarray, q: int) -> np.ndarray:
-    if q >= 0:
-        return np.linalg.matrix_power(m, q)
-    return np.linalg.matrix_power(m.conj().T, -q)
 
 
 def evaluate_rho(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
@@ -175,7 +162,8 @@ def evaluate_rho(rep: RepSpec, g: IntMatrix2) -> np.ndarray:
         syll, sign = st_syllables(g)
         out = np.eye(rep.p, dtype=complex)
         for kind, e in syll:
-            out = out @ (_unitary_power(rep.t_img, e) if kind == "T" else rep.s_img)
+            t_e = rep.t_img if e >= 0 else rep.t_img.conj().T  # rho(T)^-1 = rho(T)^*
+            out = out @ (np.linalg.matrix_power(t_e, abs(e)) if kind == "T" else rep.s_img)
         if sign < 0:
             out = (rep.s_img @ rep.s_img) @ out
         return out
@@ -376,6 +364,32 @@ def _order(m: np.ndarray) -> Optional[int]:
     return None if None in exps else math.lcm(*(n for _, n in exps))
 
 
+@functools.lru_cache(maxsize=64)
+def _analysis(rep: RepSpec, ms: MultiplierSystem, m_width: int):
+    """(split, order) of the cusp monodromy at width M, or None: the split
+    of spectral_split if it rebuilds the monodromy within _UNITARY_TOL, and
+    the lcm of the n of m_j = r/n.  A RepSpec hashes by identity."""
+    mono = _monodromy(rep, ms, m_width)
+    eigvals, eigvecs = np.linalg.eig(mono)
+    exps = [_exponent(lam) for lam in eigvals]
+    if None in exps:
+        return None
+    order = sorted(range(rep.p), key=lambda i: exps[i][0] / exps[i][1])
+    m = [exps[i][0] / exps[i][1] for i in order]
+    eigvecs = eigvecs[:, order]
+    # orthonormalise within clusters of equal m; distinct eigenspaces of a
+    # unitary matrix are already orthogonal
+    i = 0
+    for j in range(1, rep.p + 1):
+        if j == rep.p or m[j] != m[i]:
+            eigvecs[:, i:j] = np.linalg.qr(eigvecs[:, i:j])[0]
+            i = j
+    eigvecs /= np.linalg.norm(eigvecs, axis=0, keepdims=True)
+    split = SpectralSplit(np.array([_phase_fix(v.conj()) for v in eigvecs.T]), tuple(m))
+    split.U.setflags(write=False)  # every caller shares the memoised split
+    return None if split._misfit(mono) > _UNITARY_TOL else (split, math.lcm(*(n for _, n in exps)))
+
+
 class NormalityResult(NamedTuple):
     ok: bool
     order: Optional[int]
@@ -384,18 +398,15 @@ class NormalityResult(NamedTuple):
 def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec) -> NormalityResult:
     """Check rho(-I) = I and finite order of the cusp monodromy at infinity.
 
-    The monodromy e^{2 pi i kappa M} rho(T^M), M the cusp width of gamma,
-    passes when every eigenvalue lies within 1e-8 of a root of unity of
-    order <= 360 (_exponent); the returned witness is the lcm of the least
-    such orders.  A group without finite index, such as a stabiliser, is
-    checked as SL2(Z) itself.
+    The monodromy e^{2 pi i kappa M} rho(T^M), M the cusp width of gamma
+    (1 for a group without finite index, such as a stabiliser), passes when
+    the split of spectral_split rebuilds it within _UNITARY_TOL
+    (_analysis); the witness is the lcm of the orders n of its m_j = r/n.
     """
-    if not gamma.finite_index:
-        gamma = GroupSpec.sl2z()
-    if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(rep.p)) > _UNITARY_TOL:
-        return NormalityResult(False, None)
-    order = _order(_monodromy(rep, ms, cusp_width(gamma, I2)))
-    return NormalityResult(order is not None, order)
+    found = None
+    if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(rep.p)) <= _UNITARY_TOL:
+        found = _analysis(rep, ms, cusp_width(gamma, I2) if gamma.finite_index else 1)
+    return NormalityResult(True, found[1]) if found else NormalityResult(False, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,46 +426,28 @@ class SpectralSplit:
         """||e^{2 pi i kappa M} rho(T^M) - U^* diag(e^{2 pi i m_j}) U||, how
         far this split is from diagonalising the cusp monodromy of (rho, v)
         at width M."""
+        return self._misfit(_monodromy(rep, ms, m_width))
+
+    def _misfit(self, mono: np.ndarray) -> float:
         diag = np.diag([cmath.exp(2j * math.pi * mj) for mj in self.m])
-        return float(np.linalg.norm(_monodromy(rep, ms, m_width)
-                                    - self.U.conj().T @ diag @ self.U))
+        return float(np.linalg.norm(mono - self.U.conj().T @ diag @ self.U))
 
 
 def _phase_fix(vec: np.ndarray) -> np.ndarray:
     big = np.abs(vec)
-    idx = int(np.argmax(big > 1e-8 * (big.max() + 1e-300))) if big.max() > 0 else 0
-    piv = vec[idx]
-    if abs(piv) == 0:
-        return vec
+    piv = vec[int(np.argmax(big > 1e-8 * big.max()))]
     return vec * (piv.conjugate() / abs(piv))
 
 
 def spectral_split(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> SpectralSplit:
-    """Spectral data of e^{2 pi i kappa M} rho(T^M): m_j = r/n exactly
-    (_exponent), m_1 <= ... <= m_p, tied m_j in the order of
-    np.linalg.eig."""
+    """The split of e^{2 pi i kappa M} rho(T^M) (_analysis): m_j = r/n
+    exactly, m_1 <= ... <= m_p, tied m_j in the order of np.linalg.eig.
+    Refused unless it rebuilds the monodromy and check_normal passes."""
     if not contains(rep.group, t_power(m_width)):
         raise ValueError(f"T^{m_width} is not in {rep.group}")
-    eigvals, eigvecs = np.linalg.eig(_monodromy(rep, ms, m_width))
-    exps = [_exponent(lam) for lam in eigvals]
-    # check_normal checks the monodromy at the cusp width of rep.group; a
-    # multiple M of that width multiplies an eigenvalue's error by M
-    if None in exps or not check_normal(rep, ms, rep.group).ok:
-        raise ValueError("representation is not normal")
-    m = [r / n for r, n in exps]
-    order = sorted(range(rep.p), key=m.__getitem__)
-    m = [m[i] for i in order]
-    eigvecs = eigvecs[:, order]
-    # orthonormalise within clusters of equal m; distinct eigenspaces of a
-    # unitary matrix are already orthogonal
-    i = 0
-    for j in range(1, rep.p + 1):
-        if j == rep.p or m[j] != m[i]:
-            eigvecs[:, i:j] = np.linalg.qr(eigvecs[:, i:j])[0]
-            i = j
-    eigvecs /= np.linalg.norm(eigvecs, axis=0, keepdims=True)
-    split = SpectralSplit(np.array([_phase_fix(v.conj()) for v in eigvecs.T]), tuple(m))
-    resid = split.residual(rep, ms, m_width)
-    if resid > _UNITARY_TOL:
-        raise ValueError(f"spectral split reconstruction residual {resid:.2e}")
-    return split
+    found = _analysis(rep, ms, m_width)
+    # check_normal analyses the cusp width of rep.group, a divisor of M
+    if found is None or not check_normal(rep, ms, rep.group).ok:
+        raise ValueError("representation is not normal: rho(-I) != I, or no exact split "
+                         f"rebuilds its cusp monodromy within residual {_UNITARY_TOL:g}")
+    return found[0]

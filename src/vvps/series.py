@@ -38,7 +38,7 @@ from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, _as_complex,
                        contains, entry_arrays, enumerate_cosets, slash_kernel,
                        t_power)
 from .multiplier import MultiplierSystem, evaluate_v, evaluate_v_many
-from .rep import RepSpec, check_normal, evaluate_rho, fold_rho
+from .rep import _UNITARY_TOL, RepSpec, check_normal, evaluate_rho, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
 __all__ = ["SeriesHandle", "build_series", "slash", "slash_k",
@@ -110,19 +110,7 @@ class SeriesHandle:
     _data: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.k <= 2:
-            raise DomainError("series are only supported in the convergent range k > 2")
-        if self.cosets.lam != self.seed.lam:
-            raise ValueError(f"table stabiliser {self.cosets.lam} is not seed.lam {self.seed.lam}")
-        if isinstance(self.seed, EllipticSeed) and abs(self.seed.k - self.k) > 1e-12:
-            raise ValueError("elliptic seed weight differs from the series weight")
-        if self.seed.p != self.rep.p:
-            raise ValueError("seed dimension does not match the representation")
-        if not check_normal(self.rep, self.ms, self.cosets.gamma).ok:
-            raise ValueError("representation is not normal")
-        if (isinstance(self.seed, ClassicalSeed)
-                and self.seed.split.residual(self.rep, self.ms, self.seed.M) > 1e-8):
-            raise ValueError("seed spectral data does not diagonalise rho(T^M)")
+        _validate(self.seed, self.cosets.lam, self.cosets.gamma, self.rep, self.ms)
 
     @property
     def k(self) -> float:
@@ -205,12 +193,29 @@ class SeriesHandle:
         return values[0], float(tails[0])
 
 
+def _validate(seed: SeedFn, lam: GroupSpec, gamma: GroupSpec, rep: RepSpec, ms: MultiplierSystem):
+    """Refuse what needs no coset table; the handle repeats it from rep's cache."""
+    if ms.k <= 2:
+        raise DomainError("series are only supported in the convergent range k > 2")
+    if lam != seed.lam:
+        raise ValueError(f"table stabiliser {lam} is not seed.lam {seed.lam}")
+    if isinstance(seed, EllipticSeed) and abs(seed.k - ms.k) > 1e-12:
+        raise ValueError("elliptic seed weight differs from the series weight")
+    if seed.p != rep.p:
+        raise ValueError("seed dimension does not match the representation")
+    if not check_normal(rep, ms, gamma).ok:
+        raise ValueError("representation is not normal")
+    if isinstance(seed, ClassicalSeed) and seed.split.residual(rep, ms, seed.M) > _UNITARY_TOL:
+        raise ValueError("seed spectral data does not diagonalise rho(T^M)")
+
+
 def build_series(seed: SeedFn, lam: GroupSpec, gamma: GroupSpec, rep: RepSpec,
                  ms: MultiplierSystem, k: float, height: float) -> SeriesHandle:
     """Enumerate the lam-cosets in gamma up to the given norm and wrap them
     in a handle.  lam must be the seed's stabiliser and k the weight of ms."""
     if abs(ms.k - k) > 1e-12:
         raise ValueError("multiplier weight differs from the series weight")
+    _validate(seed, lam, gamma, rep, ms)
     return SeriesHandle(seed, rep, ms, enumerate_cosets(lam, gamma, height))
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from conftest import random_element
 import vvps.rep
 import vvps.series
-from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, enumerate_cosets,
-                           right_coset_reps, t_power)
+from vvps.cli import build_parser, run
+from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
+                           enumerate_cosets, right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem, evaluate_v
 from vvps.rep import (RepSpec, _level_table, _order, _residue_keys, _sl2_order,
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
@@ -303,16 +305,68 @@ class TestSpectralSplit:
     def test_monodromy_off_its_root_is_refused(self, m_width, message):
         # rho(S) = diag(1, -1) and rho(ST) of order 3 rotated by 4e-5: the
         # eigenvalues of rho(T) lie ~5e-9 off sixth roots of unity, inside
-        # check_normal's 1e-8 at width 1 but not at width 2, and an exact
-        # m_j = r/n leaves a split residual above 1e-10 at either width
+        # _exponent's 1e-8 at width 1 but not at width 2, and an exact
+        # m_j = r/n leaves a split residual above 1e-10 at either width,
+        # which check_normal refuses as well
         c, s = math.cos(4e-5), math.sin(4e-5)
         q = np.array([[c, -s], [s, c]])
         w = cmath.exp(2j * math.pi / 3)
         s_img = np.diag([1.0, -1.0])
         rep = st_rep(s_img, s_img @ q @ np.diag([w, w.conjugate()]) @ q.T)
-        assert check_normal(rep, TRIVIAL_MS, rep.group) == (True, 6)
+        assert not check_normal(rep, TRIVIAL_MS, rep.group).ok
         with pytest.raises(ValueError, match=message):
             spectral_split(rep, TRIVIAL_MS, m_width)
+
+    @pytest.mark.parametrize("gamma", [GroupSpec.sl2z(), GroupSpec.gamma_npm(2)],
+                             ids=["width-1", "width-2"])
+    @pytest.mark.parametrize("angle, normal", [
+        (0.0, True), (1e-12, True), (1e-10, True), (1e-7, True), (4e-5, False), (1e-3, False),
+    ])
+    def test_normality_agrees_with_the_split(self, angle, normal, gamma):
+        # rho(S) = diag(1, -1) and rho(ST) of order 3 rotated by angle:
+        # check_normal on gamma passes exactly when spectral_split succeeds
+        # at the cusp width of gamma
+        c, s = math.cos(angle), math.sin(angle)
+        q = np.array([[c, -s], [s, c]])
+        w = cmath.exp(2j * math.pi / 3)
+        s_img = np.diag([1.0, -1.0])
+        rep = st_rep(s_img, s_img @ q @ np.diag([w, w.conjugate()]) @ q.T)
+        assert check_normal(rep, TRIVIAL_MS, gamma).ok is normal
+        if normal:
+            spectral_split(rep, TRIVIAL_MS, cusp_width(gamma, I2))
+        else:
+            with pytest.raises(ValueError, match="not normal"):
+                spectral_split(rep, TRIVIAL_MS, cusp_width(gamma, I2))
+
+    def test_order_beyond_the_largest_at_the_group_width_is_refused(self):
+        # kappa = 1/720: the monodromy has order 720 at width 1, beyond the
+        # largest order 360 named, and order 360 at width 2
+        ms = MultiplierSystem("eta_power", 1 / 60)
+        assert not check_normal(trivial_rep(1), ms, GroupSpec.sl2z()).ok
+        with pytest.raises(ValueError, match="not normal"):
+            spectral_split(trivial_rep(1), ms, 2)
+
+    def test_one_analysis_per_job(self, monkeypatch):
+        # the CLI eta job builds its seed's split, then checks the series
+        # data before and after enumerating; one decomposition serves all
+        calls = {"eig": 0, "eigvals": 0, "_exponent": 0, "_monodromy": 0}
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+        for owner, name in ((np.linalg, "eig"), (np.linalg, "eigvals"),
+                            (vvps.rep, "_exponent"), (vvps.rep, "_monodromy")):
+            counted(owner, name)
+        argv = ["eval", "--group", "gamma0", "--level", "5", "--family", "eta", "--k", "7.3",
+                "--tau", "0.1,1", "--height", "20", "--out", os.devnull]
+        assert run(build_parser().parse_args(argv)) == 0
+        assert calls["eig"] + calls["eigvals"] == 1
+        assert calls["_exponent"] == 1  # p scans, p = 1
+        assert calls["_monodromy"] <= 3
 
     def test_repeated_minus_one_eigenvalue(self, rng):
         # rho = Ind(trivial, Gamma0(2)) has rho(T) eigenvalues 1, 1, -1; a
