@@ -72,6 +72,8 @@ JOBS = [
     ("cosets pmi", ["cosets", "--group", "gamma1pm", "--level", "5",
                     "--stabiliser", "pmi", "--height", "15"]),
     ("induce gamma0 5", ["induce", "--group", "gamma0", "--level", "5"]),
+    ("induce gamma1pm 7", ["induce", "--group", "gamma1pm", "--level", "7"]),
+    ("induce gammanpm 7", ["induce", "--group", "gammanpm", "--level", "7"]),
     ("selftest", ["selftest", "--rng-seed", "3"]),
 ]
 
