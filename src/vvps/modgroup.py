@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RefusalError
 
 __all__ = [
     "IntMatrix2", "GroupSpec", "CosetTable",
@@ -242,6 +242,16 @@ def contains(spec: GroupSpec, g):
     return (b % n == 0) & (c % n == 0) & unit
 
 
+def _coset_key(gamma: GroupSpec, g: IntMatrix2) -> tuple:
+    """What g shares exactly with the matrices of its right coset gamma g:
+    the bottom row mod N up to a unit (SL2(Z), Gamma0(N)) or up to sign
+    (Gamma1pm(N)), and g mod N up to sign (GammaNpm(N))."""
+    n = gamma.level
+    v = g.entries() if gamma.kind == "GammaNpm" else (g.c, g.d)
+    units = range(1, n + 1) if gamma.kind in ("SL2Z", "Gamma0") else (1, -1)
+    return min(tuple(u * x % n for x in v) for u in units if math.gcd(u, n) == 1)
+
+
 def st_syllables(g: IntMatrix2):
     """Reduce g to syllables over the generators.
 
@@ -280,7 +290,7 @@ def cusp_width(gamma: GroupSpec, sigma: IntMatrix2) -> int:
     raise AssertionError(f"no cusp width <= {bound} found for {gamma}")  # pragma: no cover
 
 
-# right_coset_reps gives up beyond this many cosets
+# right_coset_reps refuses groups of larger index
 _MAX_INDEX = 100000
 
 
@@ -289,24 +299,21 @@ def right_coset_reps(gamma: GroupSpec):
     right cosets gamma * g_j; g_1 is the identity.
 
     Breadth-first search over the generator graph, so the output is
-    deterministic.
+    deterministic; a candidate opens a new coset when its _coset_key is new.
     """
     if not gamma.finite_index:
         raise ValueError(f"{gamma} does not have finite index")
     reps = [I2]
-    frontier = [I2]
-    gens = (T, T.inv(), S)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                cand = g * h
-                if not any(contains(gamma, cand * r.inv()) for r in reps):
-                    reps.append(cand)
-                    nxt.append(cand)
-                    if len(reps) > _MAX_INDEX:
-                        raise RuntimeError(f"coset search exceeded {_MAX_INDEX} cosets")
-        frontier = nxt
+    seen = {_coset_key(gamma, I2)}
+    for g in reps:  # first in, first out, while the list grows
+        for h in (T, T.inv(), S):
+            cand = g * h
+            key = _coset_key(gamma, cand)
+            if key not in seen:
+                seen.add(key)
+                reps.append(cand)
+                if len(reps) > _MAX_INDEX:
+                    raise RefusalError(f"{gamma} has more than {_MAX_INDEX} right cosets")
     return reps
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
+from .modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, contains, cusp_width,
                        entry_arrays, st_syllables, t_power)
 from .multiplier import MultiplierSystem
 
@@ -294,22 +294,15 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
 def permutation_ell(g: IntMatrix2, cosets, group: GroupSpec):
     """The permutation l with group * cosets[j] * g^{-1} = group * cosets[l(j)].
 
-    Zero-indexed.  Raises if the coset list does not behave like a full
-    right-coset system.
+    Zero-indexed.  Raises unless the list is a full right-coset system:
+    no two cosets share a _coset_key and every image is a listed coset.
     """
+    index = {_coset_key(group, r): l for l, r in enumerate(cosets)}
     ginv = g.inv()
-    d = len(cosets)
-    ell = []
-    for j in range(d):
-        moved = cosets[j] * ginv
-        hits = [l for l in range(d) if contains(group, moved * cosets[l].inv())]
-        if len(hits) != 1:
-            raise ValueError("invalid coset system: "
-                             f"coset {j} maps to {len(hits)} representatives")
-        ell.append(hits[0])
-    if sorted(ell) != list(range(d)):
+    ell = tuple(index.get(_coset_key(group, r * ginv)) for r in cosets)
+    if len(index) != len(cosets) or set(ell) != set(range(len(cosets))):
         raise ValueError("invalid coset system: map is not a permutation")
-    return tuple(ell)
+    return ell
 
 
 def _induced_image(inner: RepSpec, cosets, g: IntMatrix2) -> np.ndarray:
@@ -333,8 +326,8 @@ def induce(rep: RepSpec, cosets) -> RepSpec:
     cosets = tuple(cosets)
     if not cosets or cosets[0] != I2:
         raise ValueError("coset list must start with the identity")
-    # permutation_ell rejects a list with coinciding cosets: a coincidence
-    # gives some coset two or zero image representatives under S or T
+    # permutation_ell rejects a list with coinciding cosets: two cosets
+    # with one _coset_key, or an image outside the list
     return st_rep(_induced_image(rep, cosets, S), _induced_image(rep, cosets, T))
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from vvps import cli, series
+from vvps import cli, modgroup, series
 from vvps.cli import build_parser, emit_threshold_table, main, run
 from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
 from vvps.multiplier import MultiplierSystem
@@ -281,6 +281,14 @@ class TestOtherCommands:
         s_mat = np.array([[complex(re, im) for re, im in row]
                           for row in data["matrices"]["S"]])
         assert np.linalg.norm(s_mat @ s_mat.conj().T - np.eye(3)) <= 1e-12
+
+    def test_index_beyond_the_bound_is_a_refusal(self, monkeypatch, capsys):
+        # the bound was a RuntimeError (exit 1); induce --group gammanpm
+        # --level 70, of index ~121k, meets the real one within seconds
+        monkeypatch.setattr(modgroup, "_MAX_INDEX", 10)
+        assert run(build_parser().parse_args(["induce", "--group", "gamma0", "--level", "11"])) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "refusal" and "more than 10 right cosets" in err["message"]
 
     def test_induce_then_eval_round_trip(self, tmp_path):
         rho_file = tmp_path / "rho0.json"

@@ -8,10 +8,11 @@ import pytest
 
 from conftest import random_element, random_tau, syllable_product
 from vvps.errors import DomainError
-from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j, contains,
-                           cusp_width, entry_arrays, enumerate_cosets,
+from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, cocycle_j,
+                           contains, cusp_width, entry_arrays, enumerate_cosets,
                            mobius_act, real_power, right_coset_reps,
                            slash_kernel, st_syllables, t_power)
+from vvps.rep import permutation_ell
 
 
 class TestIntMatrix2:
@@ -425,3 +426,87 @@ class TestCuspWidth:
         brute = next(m for m in range(1, 20)
                      if contains(GroupSpec.gamma0(4), S * t_power(m) * S.inv()))
         assert found == brute == 4
+
+
+def _index(gamma) -> int:
+    """[SL2(Z) : gamma] by the standard formulas: N prod_{p | N} (1 + 1/p)
+    for Gamma0(N), times max(phi(N)/2, 1) for Gamma1pm(N), times N more
+    for GammaNpm(N)."""
+    n = gamma.level
+    index = n
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            index = index // p * (p + 1)
+    if gamma.kind in ("Gamma1pm", "GammaNpm"):
+        index *= max(sum(math.gcd(u, n) == 1 for u in range(n)) // 2, 1)
+    return index * n if gamma.kind == "GammaNpm" else index
+
+
+def _mul(x, y):
+    """Rowwise products of matrices given as rows (a, b, c, d) of integer
+    arrays; either side may be a single row."""
+    a, b, c, d = x.T
+    e, f, g, h = y.T
+    return np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), axis=1)
+
+
+def _quadratic_reps(gamma):
+    """right_coset_reps as it was before coset keys: breadth first over
+    the generator graph, each candidate tested by contains against every
+    representative found so far (here in contains' array form)."""
+    reps, frontier = [I2], [I2]
+    invs = entry_arrays([I2])
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in (T, T.inv(), S):
+                cand = g * h
+                if not contains(gamma, _mul(entry_arrays([cand]), invs)).any():
+                    reps.append(cand)
+                    nxt.append(cand)
+                    invs = np.vstack((invs, entry_arrays([cand.inv()])))
+        frontier = nxt
+    return reps
+
+
+FAMILIES = [GroupSpec.sl2z()] + [GroupSpec(kind, n) for kind in ("Gamma0", "Gamma1pm", "GammaNpm")
+                                 for n in range(1, 13)]
+SMALL_INDEX = [GroupSpec.sl2z()] + [g for g in (GroupSpec(kind, n)
+                                                for kind in ("Gamma0", "Gamma1pm", "GammaNpm")
+                                                for n in range(1, 201))
+                                    if _index(g) <= 200]
+
+
+class TestRightCosets:
+    @pytest.mark.parametrize("gamma", FAMILIES, ids=str)
+    def test_equal_keys_exactly_on_one_coset(self, gamma, rng):
+        # random matrices and, for each, the representative that contains
+        # puts in its coset, so that both answers occur at every level
+        reps = right_coset_reps(gamma)
+        invs = entry_arrays([r.inv() for r in reps])
+        pool = []
+        for _ in range(30):
+            g = random_element(rng)
+            (hit,) = np.flatnonzero(contains(gamma, _mul(entry_arrays([g]), invs)))
+            pool += [g, reps[hit]]
+        keys = [_coset_key(gamma, g) for g in pool]
+        for (g, kg), (h, kh) in itertools.combinations(zip(pool, keys), 2):
+            assert (kg == kh) == contains(gamma, g * h.inv())
+
+    @pytest.mark.parametrize("gamma", SMALL_INDEX, ids=str)
+    def test_reps_equal_the_quadratic_search(self, gamma):
+        reps = right_coset_reps(gamma)
+        assert reps == _quadratic_reps(gamma)
+        assert len(reps) == _index(gamma)
+
+    @pytest.mark.parametrize("gamma", FAMILIES, ids=str)
+    def test_permutations_satisfy_their_relation(self, gamma, rng):
+        reps = right_coset_reps(gamma)
+        ents = entry_arrays(reps)
+        invs = entry_arrays([r.inv() for r in reps])
+        for g in (S, T, T.inv(), random_element(rng)):
+            ell = permutation_ell(g, reps, gamma)
+            assert sorted(ell) == list(range(len(reps)))
+            # reps[j] g^{-1} reps[l(j)]^{-1} lies in gamma for every j
+            moved = _mul(_mul(ents, entry_arrays([g.inv()])), invs[list(ell)])
+            assert contains(gamma, moved).all()
