@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import RefusalError
+
 _BLOCK = 4096  # terms per pairwise partial of block_sum
 
 
@@ -35,6 +37,8 @@ def gauss_panels(a: float, b: float, n_panels: int, geometric: bool = False):
 
 def comp_sum_complex(values) -> complex:
     v = np.asarray(values, dtype=complex).ravel()
+    if not np.isfinite(v).all():
+        raise RefusalError("a sum has non-finite terms: the values overflow the float range")
     return complex(math.fsum(v.real), math.fsum(v.imag))
 
 
@@ -44,8 +48,11 @@ def block_sum(x: np.ndarray) -> np.ndarray:
 
     Pairwise numpy sums within fixed blocks, then an fsum of the block
     partials; the result does not depend on how callers chunk their work.
+    A non-finite term makes its block partial non-finite, which is refused.
     """
     parts = np.add.reduceat(x, np.arange(0, x.shape[-1], _BLOCK), axis=-1)
+    if not np.isfinite(parts).all():
+        raise RefusalError("a sum has non-finite terms: the values overflow the float range")
     flat = parts.reshape(-1, parts.shape[-1])
     out = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in flat])
     return out.reshape(parts.shape[:-1])

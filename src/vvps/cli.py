@@ -306,7 +306,7 @@ def run(ns: argparse.Namespace) -> int:
     """Execute one parsed job and write its artifact; returns the exit status."""
     try:
         result = ns.job(ns)
-    except (RefusalError, MemoryError) as exc:
+    except (RefusalError, MemoryError, OverflowError) as exc:
         _emit_error("refusal", exc)
         return 3
     except (ValueError, OSError) as exc:

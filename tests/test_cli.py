@@ -182,6 +182,19 @@ class TestEval:
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "refusal"
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "180"],
+        ["--k", "400"],
+        ["--k", "400", "--seed", "elliptic"],
+    ], ids=["closed-form", "strip-inf", "strip-nan"])
+    def test_pairing_overflow_is_refused(self, argv):
+        # these used to end in an OverflowError traceback (exit 1), in
+        # "-inf + inf in fsum" as a config error (exit 2), and in NaN in the
+        # artifact (exit 0); a subprocess, as numpy warns about the terms
+        proc = invoke(["pair", *argv, "--height", "10", "--ymax", "8", "--nx", "16", "--ny", "16"])
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr.splitlines()[-1])["error"]["type"] == "refusal"
+
     def test_zero_dimension_is_config_error(self):
         # --p 0 used to be read as p = 1
         proc = invoke(["eval", "--p", "0", "--tau", "0.3,1.1", "--height", "10"])
