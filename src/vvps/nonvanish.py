@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, RefusalError
 from .modgroup import GroupSpec
-from .seeds import ClassicalSeed
+from .seeds import ClassicalSeed, seed_strip_integral
 
 __all__ = [
     "CriterionReport",
@@ -256,21 +256,6 @@ def elliptic_criterion(k: float, N: int, nu: int) -> CriterionReport:
                            inputs={"k": k, "N": N, "nu": nu}, details=details)
 
 
-def _region_a_scale(m_width: int, s: float, alpha: float) -> float:
-    """M Gamma(s) / alpha^s, directly while Gamma(s) and alpha^s are finite
-    and as exp(log M + lgamma(s) - s log alpha) beyond.  The direct form is
-    kept where it works because exp of a logarithm near 700 carries up to
-    ~3e-13 relative error.  Raises OverflowError when the value itself
-    exceeds the float range."""
-    try:
-        scale = m_width * math.gamma(s) / alpha ** s
-    except (OverflowError, ZeroDivisionError):
-        scale = math.inf
-    if math.isinf(scale):
-        scale = math.exp(math.log(m_width) + math.lgamma(s) - s * math.log(alpha))
-    return scale
-
-
 def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionReport:
     """Closed-form test of the strip-region inequality for a classical seed.
 
@@ -279,8 +264,8 @@ def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionR
     the margin is 1 - 2 P(k/2 - 1, 2 pi (nu + m_j)/(M N)).  The no-return
     property of the region holds for the supported congruence families
     because nontrivial elements have |c| >= N, which the report records.
-    Raises RefusalError when the common scale M Gamma(s) / alpha^s of the
-    two sides exceeds the float range; the margin does not depend on it.
+    The two sides split the seed's mass (seed_strip_integral); RefusalError
+    when that mass exceeds the float range, which the margin does not need.
     """
     if k <= 2:
         raise DomainError("region test requires k > 2")
@@ -292,9 +277,9 @@ def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionR
     x0 = alpha * y_cut
     p_val = regularized_incomplete_gamma(s, x0)
     try:
-        scale = _region_a_scale(m_width, s, alpha)
+        scale = seed_strip_integral(seed, k)
     except OverflowError as exc:
-        raise RefusalError(f"region A scale M Gamma(s) / alpha^s overflows at s={s}") from exc
+        raise RefusalError(f"region A mass M Gamma(s) / alpha^s overflows at s={s}") from exc
     lhs = scale * (1.0 - p_val)
     rhs = scale * p_val
     margin = 1.0 - 2.0 * p_val

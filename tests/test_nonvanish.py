@@ -12,7 +12,7 @@ from vvps.nonvanish import (beta_median, classical_criterion, elliptic_criterion
                             region_test_c, regularized_incomplete_beta,
                             regularized_incomplete_gamma)
 from vvps.rep import spectral_split, trivial_rep
-from vvps.seeds import ClassicalSeed
+from vvps.seeds import ClassicalSeed, seed_strip_integral
 
 GRID_K = (4.0, 6.0, 12.0, 20.5)
 GRID_N = (2, 3, 5, 11)
@@ -194,6 +194,16 @@ class TestRegionA:
         log_scale = math.lgamma(s) - s * math.log(alpha)
         assert math.log(rep.details["above_cut"]) == pytest.approx(
             log_scale + math.log1p(-p), rel=1e-14)
+
+    def test_large_weight_mass_is_the_sum_of_the_sides(self):
+        # seed_strip_integral overflowed math.gamma from k = 346 on, though
+        # the mass M Gamma(s) / alpha^s (~1e212 here) is finite
+        gamma = GroupSpec.gamma0(5)
+        seed = classical_seed(gamma, 0)
+        mass = seed_strip_integral(seed, 400.0)
+        sides = region_test_a(seed, gamma, 400.0).details
+        assert math.isfinite(mass)
+        assert mass == pytest.approx(sides["above_cut"] + sides["below_cut"], rel=1e-15)
 
     def test_scale_beyond_float_range_is_refused(self):
         gamma = GroupSpec.gamma0(5)
