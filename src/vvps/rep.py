@@ -441,6 +441,8 @@ def spectral_split(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> Spectral
     found = _analysis(rep, ms, m_width)
     # check_normal analyses the cusp width of rep.group, a divisor of M
     if found is None or not check_normal(rep, ms, rep.group).ok:
-        raise ValueError("representation is not normal: rho(-I) != I, or no exact split "
-                         f"rebuilds its cusp monodromy within residual {_UNITARY_TOL:g}")
+        if found is not None:  # the failing width is that of rep.group
+            m_width = cusp_width(rep.group, I2) if rep.group.finite_index else 1
+        raise ValueError(f"representation is not normal at width {m_width}: rho(-I) != I, or no "
+                         f"exact split rebuilds its cusp monodromy within residual {_UNITARY_TOL:g}")
     return found[0]

@@ -343,7 +343,7 @@ class TestSpectralSplit:
         # largest order 360 named, and order 360 at width 2
         ms = MultiplierSystem("eta_power", 1 / 60)
         assert not check_normal(trivial_rep(1), ms, GroupSpec.sl2z()).ok
-        with pytest.raises(ValueError, match="not normal"):
+        with pytest.raises(ValueError, match="not normal at width 1"):
             spectral_split(trivial_rep(1), ms, 2)
 
     def test_one_analysis_per_job(self, monkeypatch):
