@@ -188,9 +188,8 @@ class TestEval:
         ["--k", "400", "--seed", "elliptic"],
     ], ids=["closed-form", "strip-inf", "strip-nan"])
     def test_pairing_overflow_is_refused(self, argv):
-        # these used to end in an OverflowError traceback (exit 1), in
-        # "-inf + inf in fsum" as a config error (exit 2), and in NaN in the
-        # artifact (exit 0); a subprocess, as numpy warns about the terms
+        # an overflow in the closed form, an infinite and a NaN strip sum;
+        # in a subprocess, as numpy warns about the non-finite terms first
         proc = invoke(["pair", *argv, "--height", "10", "--ymax", "8", "--nx", "16", "--ny", "16"])
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr.splitlines()[-1])["error"]["type"] == "refusal"
@@ -296,8 +295,8 @@ class TestOtherCommands:
         assert np.linalg.norm(s_mat @ s_mat.conj().T - np.eye(3)) <= 1e-12
 
     def test_index_beyond_the_bound_is_a_refusal(self, monkeypatch, capsys):
-        # the bound was a RuntimeError (exit 1); induce --group gammanpm
-        # --level 70, of index ~121k, meets the real one within seconds
+        # induce --group gammanpm --level 70, of index ~121k, meets the
+        # real bound
         monkeypatch.setattr(modgroup, "_MAX_INDEX", 10)
         assert run(build_parser().parse_args(["induce", "--group", "gamma0", "--level", "11"])) == 3
         err = json.loads(capsys.readouterr().err)["error"]

@@ -196,8 +196,8 @@ class TestRegionA:
             log_scale + math.log1p(-p), rel=1e-14)
 
     def test_large_weight_mass_is_the_sum_of_the_sides(self):
-        # seed_strip_integral overflowed math.gamma from k = 346 on, though
-        # the mass M Gamma(s) / alpha^s (~1e212 here) is finite
+        # the mass M Gamma(s) / alpha^s (~1e212 here) is finite, though its
+        # direct form overflows math.gamma from k = 346 on
         gamma = GroupSpec.gamma0(5)
         seed = classical_seed(gamma, 0)
         mass = seed_strip_integral(seed, 400.0)
