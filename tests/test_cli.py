@@ -187,12 +187,17 @@ class TestEval:
         ["--k", "400"],
         ["--k", "400", "--seed", "elliptic"],
     ], ids=["closed-form", "strip-inf", "strip-nan"])
-    def test_pairing_overflow_is_refused(self, argv):
-        # an overflow in the closed form, an infinite and a NaN strip sum;
-        # in a subprocess, as numpy warns about the non-finite terms first
-        proc = invoke(["pair", *argv, "--height", "10", "--ymax", "8", "--nx", "16", "--ny", "16"])
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert json.loads(proc.stderr.splitlines()[-1])["error"]["type"] == "refusal"
+    def test_pairing_overflow_is_refused(self, argv, capsys):
+        # an overflow in the closed form, an infinite and a NaN strip sum; in
+        # process, under the suite's error::RuntimeWarning filter, so a numpy
+        # warning about the non-finite terms fails the test
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", *argv, "--height", "10", "--ymax", "8", "--nx", "16", "--ny", "16"])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "refusal"
 
     def test_zero_dimension_is_config_error(self):
         # --p 0 used to be read as p = 1

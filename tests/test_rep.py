@@ -454,6 +454,18 @@ class TestLevelTable:
             walked[i] = m.conj().T @ w
         assert np.array_equal(fold_rho(rho, w, ents), walked)
 
+    def test_one_order_per_rep(self, monkeypatch):
+        # the order of rho(T) is one eigvals per rep, not one per fold
+        group = GroupSpec.gamma0(5)
+        rho = induce(trivial_rep(1, group), right_coset_reps(group))
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+        ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 10.0).reps)
+        first = fold_rho(rho, np.ones(rho.p), ents)
+        assert np.array_equal(fold_rho(rho, np.ones(rho.p), ents), first)
+        assert len(calls) == 1
+
     def test_generic_unitary_within_tolerance(self, rng):
         # a unitary conjugate of an induced rho: rounding differs from the walk
         group = GroupSpec.gamma0(3)

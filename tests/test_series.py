@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -206,6 +210,43 @@ class TestEvaluate:
         jmk, z = slash_kernel(h.cosets.ents, taus, h.k)
         expect = jmk * h.seed.scalar_many(z)
         assert np.array_equal(h._scalars(taus).view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs Linux CPU affinity and two usable CPUs")
+    def test_warm_call_faults_in_no_temporaries(self):
+        # the elliptic pairing's kernel shape on two workers: Gamma0(2), H = 40,
+        # the 4,480-point disk grid.  Freed block temporaries went back to the
+        # OS and were faulted in again on the next block, ~1.5e5 minor faults
+        # per call; a workspace per worker faults in only its own pages.  A
+        # fresh process, so that no earlier test shapes the allocator's state
+        script = textwrap.dedent("""
+            import os, resource
+            os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+            import numpy as np
+            from vvps.analysis import QuadratureSpec, _strip_nodes
+            from vvps.modgroup import GroupSpec
+            from vvps.multiplier import MultiplierSystem
+            from vvps.rep import trivial_rep
+            from vvps.seeds import EllipticSeed
+            from vvps.series import build_series
+            gamma = GroupSpec.gamma0(2)
+            seed = EllipticSeed(1, 1j, np.array([1.0 + 0j]), 12.0)
+            h = build_series(seed, GroupSpec.plus_minus_identity(), gamma,
+                             trivial_rep(1, gamma), MultiplierSystem("trivial_even", 12.0),
+                             12.0, 40.0)
+            taus, _ = _strip_nodes(seed, 12.0, QuadratureSpec(0.05, 14.0, 160, 28, 8.0))
+            h.evaluate_many(taus)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            h.evaluate_many(taus)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, len(h.cosets))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        faults, n = map(int, proc.stdout.split())
+        # two workers, each with three complex and two float buffers of one block
+        pages = 2 * (65_536 // n) * n * (3 * 16 + 2 * 8) // 4096
+        assert faults < 2 * pages
 
     def test_batch_matches_pointwise(self):
         h = elliptic_handle(height=15.0)
