@@ -180,7 +180,8 @@ def _strip_nodes(f, k: float, q: QuadratureSpec):
         wx = np.full(q.nx, lam.n / q.nx)
         ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, geometric=True)
         taus = (xs[:, None] + 1j * ys[None, :]).ravel()
-        weights = (wx[:, None] * (wy * ys ** (k - 2.0))[None, :]).ravel()
+        with np.errstate(over="ignore"):  # comp_sum_complex refuses what overflows
+            weights = (wx[:, None] * (wy * ys ** (k - 2.0))[None, :]).ravel()
         return taus, weights
     xi = complex(f.xi)
     eta = xi.imag
@@ -195,7 +196,8 @@ def _strip_nodes(f, k: float, q: QuadratureSpec):
     ws = (rhos[:, None] * np.exp(1j * thetas)[None, :]).ravel()
     taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
     wmeas = 4.0 * rhos * wr / (1.0 - rhos ** 2) ** 2 * (2.0 * math.pi / q.nx)
-    weights = np.repeat(wmeas, q.nx) * taus.imag ** k
+    with np.errstate(over="ignore"):
+        weights = np.repeat(wmeas, q.nx) * taus.imag ** k
     return taus, weights
 
 

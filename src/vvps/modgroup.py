@@ -113,11 +113,20 @@ def real_power(z: complex, k: float) -> complex:
     return cmath.exp(k * (math.log(abs(z)) + 1j * arg_principal(z)))
 
 
-def principal_power(z: np.ndarray, k: float) -> np.ndarray:
+def principal_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarray:
     """Elementwise z**k = |z|**k e^{ik arg z} for complex arrays, with
-    arg = np.angle in [-pi, pi].  Callers pass values with Im z > 0 or
-    Im z = +0.0, so a negative real gets arg = pi as in arg_principal."""
-    return np.exp(k * (np.log(np.abs(z)) + 1j * np.angle(z)))
+    arg = arctan2(Im z, Re z) in [-pi, pi].  Callers pass values with
+    Im z > 0 or Im z = +0.0, so a negative real gets arg = pi as in
+    arg_principal.  With out, a complex array shaped like z that may be z
+    itself, and scratch, two float arrays of that shape, every step writes
+    into them; without them each step allocates."""
+    mod, arg = (None, None) if scratch is None else scratch
+    mod = np.log(np.abs(z, out=mod), out=mod)
+    arg = np.arctan2(z.imag, z.real, out=arg)
+    out = np.multiply(1j, arg, out=out)
+    out += mod
+    out *= k
+    return np.exp(out, out=out)
 
 
 def entry_arrays(mats) -> np.ndarray:
@@ -126,7 +135,20 @@ def entry_arrays(mats) -> np.ndarray:
     return np.array([g.entries() for g in mats], dtype=np.int64).reshape(-1, 4)
 
 
-def slash_kernel(ents, taus, k: float, rows=None, row=None) -> tuple:
+def kernel_workspace(terms: int) -> tuple:
+    """Buffers for slash_kernel and a seed's scalar_many over up to terms
+    (point, matrix) pairs: three complex and two float flat arrays."""
+    return (*(np.empty(terms, dtype=complex) for _ in range(3)),
+            *(np.empty(terms) for _ in range(2)))
+
+
+def _shaped(buf, shape):
+    """The leading entries of a flat buffer in the given 2-d shape, or None
+    without a buffer."""
+    return None if buf is None else buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def slash_kernel(ents, taus, k: float, rows=None, row=None, ws=None) -> tuple:
     """The weight-k slash factors for every (point, matrix) pair.
 
     Returns (j(g, tau)^{-k}, g.tau) as arrays of shape (points, matrices),
@@ -135,16 +157,29 @@ def slash_kernel(ents, taus, k: float, rows=None, row=None) -> tuple:
     rows holds the bottom rows (c, d) and row each matrix's index into
     them, as in a CosetTable; without them every matrix is its own row.
     Im tau > 0 and c is an integer, so Im(c tau + d) is +0.0 when c = 0: a
-    negative real j lies on the upper side of the cut, where np.angle and
+    negative real j lies on the upper side of the cut, where arctan2 and
     arg_principal both put it (arg = pi).
+
+    With ws, a kernel_workspace of at least len(taus) * len(ents) terms,
+    every step writes into it: the two results are views of ws[0] and
+    ws[1], and ws[2:] is left free for the seed.  Without it each step
+    allocates.
     """
     if rows is None:
         rows, row = ents[:, 2:], np.arange(len(ents))
     tt = np.asarray(taus, dtype=complex)[:, None]
-    jj = rows[:, 0] * tt + rows[:, 1]
-    jmk = np.take(principal_power(jj, -k), row, axis=1)
-    jj = np.take(jj, row, axis=1)
-    return jmk, (ents[:, 0] * tt + ents[:, 1]) / jj
+    jmk_buf, moved_buf, tmp, mod, arg = (None,) * 5 if ws is None else ws
+    by_row, full = (len(tt), len(rows)), (len(tt), len(ents))
+    jj = np.multiply(rows[:, 0], tt, out=_shaped(tmp, by_row))
+    jj += rows[:, 1]
+    pw = principal_power(jj, -k, _shaped(moved_buf, by_row),
+                         (_shaped(mod, by_row), _shaped(arg, by_row)))
+    # the indices are valid; mode "raise" would copy through a temporary
+    jmk = np.take(pw, row, axis=1, out=_shaped(jmk_buf, full), mode="clip")
+    jj = np.take(jj, row, axis=1, out=_shaped(moved_buf, full), mode="clip")
+    num = np.multiply(ents[:, 0], tt, out=_shaped(tmp, full))
+    num += ents[:, 1]
+    return jmk, np.divide(num, jj, out=jj)
 
 
 _KINDS = ("SL2Z", "Gamma0", "Gamma1pm", "GammaNpm", "GammaInfinity", "PlusMinusIdentity")

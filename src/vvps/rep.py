@@ -205,7 +205,7 @@ def _level_table(rep: RepSpec):
     rho(T) has no finite order, or when the table would hold more than
     _TABLE_ENTRIES matrix entries.
     """
-    n = _order(rep.t_img)
+    n = _t_order(rep)
     if n is None:
         return None
     p = rep.p
@@ -355,6 +355,13 @@ def _order(m: np.ndarray) -> Optional[int]:
     _MAX_ORDER."""
     exps = [_exponent(lam) for lam in np.linalg.eigvals(m)]
     return None if None in exps else math.lcm(*(n for _, n in exps))
+
+
+@functools.lru_cache(maxsize=64)
+def _t_order(rep: RepSpec) -> Optional[int]:
+    """_order(rep.t_img), memoised as _analysis is: every fold_rho of a
+    generator-image rho asks for it."""
+    return _order(rep.t_img)
 
 
 @functools.lru_cache(maxsize=64)

@@ -27,7 +27,11 @@ __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn", "seed_strip_integral"]
 
 
 class _ScalarTimesVector:
-    """Evaluation of a seed scalar_many(tau) * vector."""
+    """Evaluation of a seed scalar_many(tau) * vector.
+
+    scalar_many(taus, out=None, scratch=None) writes into out, which may be
+    taus itself, and uses scratch, one complex and two float arrays shaped
+    like taus, for its intermediates; without them it allocates."""
 
     def eval_many(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=complex)
@@ -76,8 +80,8 @@ class ClassicalSeed(_ScalarTimesVector):
         """U^{-1} e_j, the j-th column of U*."""
         return self.split.U[self.j - 1].conj()
 
-    def scalar_many(self, taus: np.ndarray) -> np.ndarray:
-        return np.exp(2j * math.pi * self.alpha * taus)
+    def scalar_many(self, taus: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        return np.exp(np.multiply(2j * math.pi * self.alpha, taus, out=out), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +116,16 @@ class EllipticSeed(_ScalarTimesVector):
     def vector(self) -> np.ndarray:
         return self.u
 
-    def scalar_many(self, taus: np.ndarray) -> np.ndarray:
+    def scalar_many(self, taus: np.ndarray, out=None, scratch=None) -> np.ndarray:
         # Im(tau - conj(xi)) > 0 always, principal branch; the denominator
-        # comes first, so that one array of differences is alive at a time
-        den = principal_power(taus - self.xi.conjugate(), -(self.nu + self.k))
-        return (taus - self.xi) ** self.nu * den
+        # comes first, as out may be taus
+        tmp, mod, arg = (None,) * 3 if scratch is None else scratch
+        den = np.subtract(taus, self.xi.conjugate(), out=tmp)
+        den = principal_power(den, -(self.nu + self.k), den, (mod, arg))
+        num = np.subtract(taus, self.xi, out=out)
+        num **= self.nu
+        num *= den
+        return num
 
 
 SeedFn = Union[ClassicalSeed, EllipticSeed]

@@ -9,7 +9,14 @@ once per coset, and reports an empirical tail proxy, the mass of the
 outermost tenth of the included cosets by Frobenius norm.  evaluate_many
 splits its points into blocks of about 65,536 terms and maps them over
 thread_cap() workers, one per usable CPU; the blocks do not depend on the
-worker count, so neither does any result.
+worker count, so neither does any result.  Each worker allocates one
+workspace per call (modgroup.kernel_workspace: three complex and two float
+arrays of one block) and every step of the kernel, slash_kernel and the
+seed's scalar_many, the products and the tail masses, writes into it with
+out=.  A block's dozen ~1 MB temporaries, allocated and freed, went back
+to the OS and were faulted in again by the next block: ~150k page faults
+per call of an elliptic pairing, and a quarter of its CPU time spent in
+the system.
 
 Preparation folds the inverse multiplier and representation factors into
 one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
@@ -34,9 +41,9 @@ import numpy as np
 
 from ._quad import block_sum
 from .errors import DomainError, RefusalError
-from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, _as_complex,
-                       contains, entry_arrays, enumerate_cosets, slash_kernel,
-                       t_power)
+from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, _as_complex, _shaped,
+                       contains, entry_arrays, enumerate_cosets, kernel_workspace,
+                       slash_kernel, t_power)
 from .multiplier import MultiplierSystem, evaluate_v, evaluate_v_many
 from .rep import _UNITARY_TOL, RepSpec, check_normal, evaluate_rho, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
@@ -45,6 +52,7 @@ __all__ = ["SeriesHandle", "build_series", "slash", "slash_k",
            "check_transformation", "check_seed_invariance", "thread_cap", "MIN_IM"]
 
 MIN_IM = 0.05  # evaluation closer to the real line than this is refused
+_ELIDE_BYTES = 1 << 18  # numpy's threshold for reusing a temporary operand
 
 
 def thread_cap() -> int:
@@ -143,12 +151,19 @@ class SeriesHandle:
                           n_tail=max(1, math.ceil(len(ents) / 10)))
         return self._data
 
-    def _scalars(self, taus: np.ndarray):
+    def _scalars(self, taus: np.ndarray, ws=None):
         """Per-(point, coset) scalars s = j^{-k} * seed_scalar(g.tau), with
-        j^{-k} computed once per bottom row of the table."""
+        j^{-k} computed once per bottom row of the table.  With ws, a
+        kernel_workspace, s is a view of ws[1] and ws[2:] is free again."""
         tab = self.cosets
-        jmk, z = slash_kernel(tab.ents, taus, self.k, tab.rows, tab.row)
-        return jmk * self.seed.scalar_many(z)
+        jmk, z = slash_kernel(tab.ents, taus, self.k, tab.rows, tab.row, ws)
+        s = self.seed.scalar_many(z, z, None if ws is None else [_shaped(b, z.shape) for b in ws[2:]])
+        # numpy elides the temporary of jmk * scalar_many(z) from 256 KB on and
+        # then multiplies scalar_many(z) * jmk; complex products are not
+        # bitwise commutative, so each size keeps the order it had
+        if s.nbytes >= _ELIDE_BYTES:
+            return np.multiply(s, jmk, out=s)
+        return np.multiply(jmk, s, out=s)
 
     def evaluate_many(self, taus):
         """Truncated values and tail proxies at an array of points.
@@ -169,23 +184,31 @@ class SeriesHandle:
         n = wmat.shape[0]
         total = np.empty((len(taus), self.p), dtype=complex)
         tails = np.empty(len(taus))
-
-        def run(sl):
-            s = self._scalars(taus[sl])
-            for l in range(self.p):
-                total[sl, l] = block_sum(s * wmat[None, :, l])
-            tails[sl] = np.sum(np.abs(s[:, n - n_tail:]) * wnorm[None, n - n_tail:], axis=1)
-
         # blocks of ~1 MB of terms stay in cache.  The partition must not depend
         # on the worker count: numpy orders a block's complex products by its size
         chunk = max(1, 65_536 // n)
         blocks = [slice(lo, lo + chunk) for lo in range(0, len(taus), chunk)]
         workers = min(len(blocks), thread_cap())
+
+        def work(mine):
+            ws = kernel_workspace(min(chunk, len(taus)) * n)
+            # errstate is per thread; non-finite sums are refused by block_sum
+            with np.errstate(over="ignore", invalid="ignore"):
+                for sl in mine:
+                    s = self._scalars(taus[sl], ws)
+                    prod = _shaped(ws[2], s.shape)
+                    for l in range(self.p):
+                        total[sl, l] = block_sum(np.multiply(s, wmat[None, :, l], out=prod))
+                    mass = _shaped(ws[3], (len(s), n_tail))
+                    np.abs(s[:, n - n_tail:], out=mass)
+                    mass *= wnorm[None, n - n_tail:]
+                    np.sum(mass, axis=1, out=tails[sl])
+
         if workers == 1:
-            list(map(run, blocks))
+            work(blocks)
         else:
             with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(run, blocks))
+                list(pool.map(work, [blocks[i::workers] for i in range(workers)]))
         return total, tails
 
     def evaluate(self, tau):

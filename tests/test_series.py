@@ -10,8 +10,8 @@ import pytest
 from conftest import random_element, random_tau
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
-                           enumerate_cosets, mobius_act, right_coset_reps,
-                           slash_kernel, t_power)
+                           enumerate_cosets, kernel_workspace, mobius_act,
+                           right_coset_reps, slash_kernel, t_power)
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import dirichlet_rep, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
@@ -27,6 +27,15 @@ def classical_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=0, k=12.0, M=1):
     split = spectral_split(rep, ms, M)
     seed = ClassicalSeed(nu, 1, split, M)
     return build_series(seed, GroupSpec.gamma_infinity(M), gamma, rep, ms, k, height)
+
+
+def induced_handle():
+    """The p = 4 rho induced from the trivial rho of Gamma0(3), at H = 30."""
+    gamma = GroupSpec.gamma0(3)
+    rep = induce(trivial_rep(1, gamma), right_coset_reps(gamma))
+    seed = ClassicalSeed(0, 2, spectral_split(rep, MS12, 1), 1)
+    return build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, MS12,
+                        12.0, 30.0)
 
 
 def elliptic_handle(gamma=GroupSpec.gamma0(2), height=25.0, nu=0, k=12.0):
@@ -198,18 +207,33 @@ class TestEvaluate:
         lambda: classical_handle(GroupSpec.gamma1pm(5), height=60.0, M=5),
         lambda: elliptic_handle(height=40.0, nu=1),
         lambda: elliptic_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=2),
-    ], ids=["inf1-sl2z", "inf2-gamma0(2)", "inf5-gamma1pm(5)", "pmi-gamma0(2)", "pmi-sl2z"])
-    @pytest.mark.parametrize("points", [1, 7, 64])
+        lambda: elliptic_handle(height=40.0, nu=0),
+        lambda: elliptic_handle(height=40.0, nu=2),
+        lambda: elliptic_handle(gamma=GroupSpec.gamma0(3), height=30.0, nu=3),
+        induced_handle,
+    ], ids=["inf1-sl2z", "inf2-gamma0(2)", "inf5-gamma1pm(5)", "pmi-gamma0(2)", "pmi-sl2z",
+            "pmi-gamma0(2)-nu0", "pmi-gamma0(2)-nu2", "pmi-gamma0(3)-nu3", "inf1-induced-p4"])
+    @pytest.mark.parametrize("points", [1, 7, 64, "below-elision", "above-elision"])
     def test_kernel_per_row_is_bitwise_per_coset(self, handle, points, rng):
-        # j^{-k} once per bottom row, gathered, against one j^{-k} per coset;
-        # 64 points reach the block size where numpy elides the temporary
+        # j^{-k} once per bottom row, gathered, against one j^{-k} per coset,
+        # with and without a workspace.  numpy elides the temporary of a
+        # product from 16,384 complex terms (256 KB) on, so blocks just below
+        # and just above that size take both operand orders
         h = handle()
+        n = len(h.cosets)
         if h.cosets.lam != GroupSpec.gamma_infinity(1):
-            assert len(h.cosets.rows) < len(h.cosets)  # cosets share rows
+            assert len(h.cosets.rows) < n  # cosets share rows
+        if points == "below-elision":
+            points = 16_383 // n
+        elif points == "above-elision":
+            points = 16_384 // n + 1
         taus = np.array([random_tau(rng) for _ in range(points)])
         jmk, z = slash_kernel(h.cosets.ents, taus, h.k)
         expect = jmk * h.seed.scalar_many(z)
         assert np.array_equal(h._scalars(taus).view(np.uint64), expect.view(np.uint64))
+        # a workspace larger than the block, as for a short last block
+        ws = kernel_workspace((points + 1) * n)
+        assert np.array_equal(h._scalars(taus, ws).view(np.uint64), expect.view(np.uint64))
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
