@@ -25,7 +25,7 @@ __all__ = [
     "IntMatrix2", "GroupSpec", "CosetTable",
     "I2", "S", "T", "t_power",
     "mobius_act", "cocycle_j", "arg_principal", "real_power",
-    "principal_power", "entry_arrays", "slash_kernel",
+    "principal_power", "entry_arrays", "kernel_workspace", "slash_kernel",
     "contains", "st_syllables",
     "enumerate_cosets", "cusp_width", "right_coset_reps",
 ]
@@ -161,19 +161,24 @@ def slash_kernel(ents, taus, k: float, rows=None, row=None, ws=None) -> tuple:
     arg_principal both put it (arg = pi).
 
     With ws, a kernel_workspace of at least len(taus) * len(ents) terms,
-    every step writes into it: the two results are views of ws[0] and
-    ws[1], and ws[2:] is left free for the seed.  Without it each step
-    allocates.
+    every step writes into its three complex arrays: the two results are
+    views of ws[0] and ws[1], and ws[2] and the float arrays are left to
+    the seed.  Without it each step allocates.
     """
     if rows is None:
         rows, row = ents[:, 2:], np.arange(len(ents))
     tt = np.asarray(taus, dtype=complex)[:, None]
-    jmk_buf, moved_buf, tmp, mod, arg = (None,) * 5 if ws is None else ws
+    jmk_buf, moved_buf, tmp = (None,) * 3 if ws is None else ws[:3]
     by_row, full = (len(tt), len(rows)), (len(tt), len(ents))
+    scratch = None
+    if ws is not None:
+        # the float halves of jmk's buffer, free until the gather: a classical
+        # seed then leaves the float arrays unwritten, and out of the RSS
+        halves = jmk_buf.view(float).reshape(2, -1)
+        scratch = (_shaped(halves[0], by_row), _shaped(halves[1], by_row))
     jj = np.multiply(rows[:, 0], tt, out=_shaped(tmp, by_row))
     jj += rows[:, 1]
-    pw = principal_power(jj, -k, _shaped(moved_buf, by_row),
-                         (_shaped(mod, by_row), _shaped(arg, by_row)))
+    pw = principal_power(jj, -k, _shaped(moved_buf, by_row), scratch)
     # the indices are valid; mode "raise" would copy through a temporary
     jmk = np.take(pw, row, axis=1, out=_shaped(jmk_buf, full), mode="clip")
     jj = np.take(jj, row, axis=1, out=_shaped(moved_buf, full), mode="clip")

@@ -157,7 +157,8 @@ class SeriesHandle:
         kernel_workspace, s is a view of ws[1] and ws[2:] is free again."""
         tab = self.cosets
         jmk, z = slash_kernel(tab.ents, taus, self.k, tab.rows, tab.row, ws)
-        s = self.seed.scalar_many(z, z, None if ws is None else [_shaped(b, z.shape) for b in ws[2:]])
+        scratch = None if ws is None else [_shaped(b, z.shape) for b in ws[2:]]
+        s = self.seed.scalar_many(z, z, scratch)
         # numpy elides the temporary of jmk * scalar_many(z) from 256 KB on and
         # then multiplies scalar_many(z) * jmk; complex products are not
         # bitwise commutative, so each size keeps the order it had
