@@ -186,11 +186,13 @@ class TestEval:
         ["--k", "180"],
         ["--k", "400"],
         ["--k", "400", "--seed", "elliptic"],
-    ], ids=["closed-form", "strip-inf", "strip-nan"])
+        ["--k", "400", "--seed", "elliptic", "--xi", "0,3", "--ymin", "1"],
+    ], ids=["closed-form", "strip-inf", "strip-nan", "weights-inf"])
     def test_pairing_overflow_is_refused(self, argv, capsys):
-        # an overflow in the closed form, an infinite and a NaN strip sum; in
-        # process, under the suite's error::RuntimeWarning filter, so a numpy
-        # warning about the non-finite terms fails the test
+        # an overflow in the closed form, an infinite and a NaN strip sum, and
+        # infinite weights on finite series values; in process, under the
+        # suite's error::RuntimeWarning filter, so a numpy warning about the
+        # non-finite terms fails the test
         with pytest.raises(SystemExit) as exc:
             main(["pair", *argv, "--height", "10", "--ymax", "8", "--nx", "16", "--ny", "16"])
         assert exc.value.code == 3
