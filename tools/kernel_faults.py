@@ -27,17 +27,17 @@ import time
 
 import numpy as np
 
+from vvps.analysis import QuadratureSpec, _strip_nodes
+from vvps.modgroup import GroupSpec
+from vvps.multiplier import MultiplierSystem
+from vvps.rep import spectral_split, trivial_rep
+from vvps.seeds import ClassicalSeed, EllipticSeed
+from vvps.series import build_series, thread_cap
+
 SHAPES = ("cusp-fourier", "elliptic")
 
 
 def _handle_and_points(shape: str):
-    from vvps.analysis import QuadratureSpec, _strip_nodes
-    from vvps.modgroup import GroupSpec
-    from vvps.multiplier import MultiplierSystem
-    from vvps.rep import spectral_split, trivial_rep
-    from vvps.seeds import ClassicalSeed, EllipticSeed
-    from vvps.series import build_series
-
     ms = MultiplierSystem("trivial_even", 12.0)
     if shape == "cusp-fourier":
         gamma = GroupSpec.sl2z()
@@ -55,8 +55,6 @@ def _handle_and_points(shape: str):
 def measure(shape: str, workers: int) -> dict:
     """One configuration, in this process."""
     os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:workers])
-    from vvps.series import thread_cap
-
     h, taus = _handle_and_points(shape)
     h._prepared()
     rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
