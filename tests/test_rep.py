@@ -194,6 +194,51 @@ class TestPermutationAndInduce:
             permutation_ell(T, [I2, S], self.group)
 
 
+def scan_exponents(lams: np.ndarray) -> np.ndarray:
+    """The order scan that rep._exponent once ran, over an array of
+    eigenvalues: for n = 1..360 in turn, r = round(theta n) with theta =
+    arg(lam) / 2 pi, accepted when lam is within 1e-8 of
+    cmath.exp(2j * math.pi * r / n).  Rows (r, n) of the first accepted n,
+    r mapped to 1..n, and (0, 0) where no n is accepted."""
+    theta = np.array([math.atan2(z.imag, z.real) / (2.0 * math.pi) for z in lams.tolist()])
+    roots = np.zeros((361, 361), dtype=complex)  # roots[n, r + 180], |r| <= (n + 1) // 2
+    for n in range(1, 361):
+        for r in range(-((n + 1) // 2), (n + 1) // 2 + 1):
+            roots[n, r + 180] = cmath.exp(2j * math.pi * r / n)
+    out = np.zeros((len(lams), 2), dtype=np.int64)
+    todo = np.arange(len(lams))
+    for n in range(1, 361):
+        r = np.rint(theta[todo] * n).astype(np.int64)
+        hit = np.abs(lams[todo] - roots[n, r + 180]) <= 1e-8
+        out[todo[hit]] = np.stack([(r[hit] - 1) % n + 1, np.full(hit.sum(), n)], axis=1)
+        todo = todo[~hit]
+    return out
+
+
+class TestExponent:
+    def test_lowest_terms_and_the_scan(self):
+        # lam = e^{2 pi i r/n + i eps} for n <= 360 and r in [-n, n]; the
+        # angle takes the float r/n, so equivalent pairs give one lam and the
+        # grid runs over pairs in lowest terms.  At |eps| = 1e-8 the 1e-8 test
+        # is decided by rounding, and the scan could pass a multiple (kr, kn)
+        # where (r, n) itself fails: e.g. (13, 52) for e^{i(pi/2 + 1e-8)}
+        pairs = [(r, n) for n in range(1, 361) for r in range(-n, n + 1) if math.gcd(r, n) == 1]
+        frac = np.array([r / n for r, n in pairs])
+        eps = np.array([0.0, 1e-12, -1e-12, 3e-10, -3e-10, 5e-9, -5e-9,
+                        1e-8, -1e-8, 1.01e-8, -1.01e-8, 5e-7])
+        lams = np.exp(1j * (2 * math.pi * frac[None, :] + eps[:, None])).ravel()
+        scanned = scan_exponents(lams)
+        bad = []
+        for lam, got, (r, n) in zip(lams.tolist(), map(vvps.rep._exponent, lams.tolist()),
+                                    scanned.tolist()):
+            # the scan's pair where it is in lowest terms, else None: a pair
+            # (kr, kn) passed only where (r, n) failed the same test
+            if got != ((r, n) if n and math.gcd(r, n) == 1 else None):
+                bad.append((lam, got, (r, n)))
+        assert not bad, f"{len(bad)} of {len(lams)} differ, e.g. {bad[:3]}"
+        assert np.count_nonzero(scanned[:, 1]) > 0.5 * len(lams)
+
+
 class TestNormality:
     def test_trivial_is_normal(self):
         res = check_normal(trivial_rep(2), TRIVIAL_MS, GroupSpec.sl2z())
@@ -346,9 +391,11 @@ class TestSpectralSplit:
         with pytest.raises(ValueError, match="not normal at width 1"):
             spectral_split(trivial_rep(1), ms, 2)
 
-    def test_one_analysis_per_job(self, monkeypatch):
+    def test_one_analysis_per_job(self, monkeypatch, tmp_path):
         # the CLI eta job builds its seed's split, then checks the series
-        # data before and after enumerating; one decomposition serves all
+        # data before and after enumerating; one decomposition serves all.
+        # An induced rep file also takes its level table's modulus, the
+        # order of rho(T), from that decomposition
         calls = {"eig": 0, "eigvals": 0, "_exponent": 0, "_monodromy": 0}
 
         def counted(owner, name):
@@ -365,8 +412,16 @@ class TestSpectralSplit:
                 "--tau", "0.1,1", "--height", "20", "--out", os.devnull]
         assert run(build_parser().parse_args(argv)) == 0
         assert calls["eig"] + calls["eigvals"] == 1
-        assert calls["_exponent"] == 1  # p scans, p = 1
+        assert calls["_exponent"] == 1  # one per eigenvalue, p = 1
         assert calls["_monodromy"] <= 3
+        rho_file = str(tmp_path / "rho.json")
+        argv = ["induce", "--group", "gamma0", "--level", "5", "--out", rho_file]
+        assert run(build_parser().parse_args(argv)) == 0
+        calls.update(dict.fromkeys(calls, 0))
+        argv = ["eval", "--rep", rho_file, "--j", "2", "--tau", "0.3,1.1", "--height", "40",
+                "--out", os.devnull]
+        assert run(build_parser().parse_args(argv)) == 0
+        assert calls["eig"] + calls["eigvals"] == 1
 
     def test_repeated_minus_one_eigenvalue(self, rng):
         # rho = Ind(trivial, Gamma0(2)) has rho(T) eigenvalues 1, 1, -1; a
