@@ -20,11 +20,13 @@ mod N.  fold_rho walks the word only for a rho that does not factor (a
 non-congruence kernel, or rho(T) of no finite order) and for tables
 beyond 2^18 matrix entries.
 
-One memoised analysis (_analysis) of the cusp monodromy e^{2 pi i kappa
-M} rho(T^M) decides normality: one eigendecomposition, the root of unity
-e^{2 pi i r/n} of each eigenvalue (_exponent), and a split into a unitary
+One analysis (_analysis) of the cusp monodromy e^{2 pi i kappa M}
+rho(T^M), memoised by (rho, kappa, M), decides finite order: one
+eigendecomposition, the root of unity e^{2 pi i r/n} of each eigenvalue
+(_exponent: r/n by Fraction.limit_denominator), and a split into a unitary
 U and exponents m_j = r/n in ]0, 1], accepted only when it rebuilds the
-monodromy within _UNITARY_TOL.  check_normal and spectral_split read it;
+monodromy within _UNITARY_TOL.  check_normal and spectral_split read it,
+and at kappa = 0, M = 1 it gives the level table its modulus N.
 SpectralSplit.residual measures how far any split is from the monodromy.
 """
 
@@ -34,7 +36,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, contains, cu
 from .multiplier import MultiplierSystem
 
 __all__ = [
-    "RepSpec", "SpectralSplit", "NormalityResult",
+    "RepSpec", "SpectralSplit",
     "trivial_rep", "dirichlet_rep", "st_rep",
     "evaluate_rho", "fold_rho", "permutation_ell", "induce", "check_normal", "spectral_split",
 ]
@@ -202,12 +205,13 @@ def _level_table(rep: RepSpec):
     to 1e-10; those identities make rho(g) = rho-bar(g mod N).  By Wohlfahrt's level
     theorem a rho whose kernel is a congruence subgroup factors through
     SL2(Z/NZ).  Returns None when it does not (an edge mismatch), when
-    rho(T) has no finite order, or when the table would hold more than
-    _TABLE_ENTRIES matrix entries.
+    rho(T) has no finite order (_analysis of rho(T) finds no split), or
+    when the table would hold more than _TABLE_ENTRIES matrix entries.
     """
-    n = _t_order(rep)
-    if n is None:
+    found = _analysis(rep, 0.0, 1)
+    if found is None:
         return None
+    n = found[1]
     p = rep.p
     size = _sl2_order(n)
     if size * p * p > _TABLE_ENTRIES:
@@ -331,45 +335,30 @@ def induce(rep: RepSpec, cosets) -> RepSpec:
     return st_rep(_induced_image(rep, cosets, S), _induced_image(rep, cosets, T))
 
 
-def _monodromy(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> np.ndarray:
+def _monodromy(rep: RepSpec, kappa: float, m_width: int) -> np.ndarray:
     """The cusp monodromy e^{2 pi i kappa M} rho(T^M) at infinity."""
-    return cmath.exp(2j * math.pi * ms.kappa * m_width) * evaluate_rho(rep, t_power(m_width))
+    return cmath.exp(2j * math.pi * kappa * m_width) * evaluate_rho(rep, t_power(m_width))
 
 
 def _exponent(lam: complex) -> Optional[tuple]:
-    """(r, n) with lam within 1e-8 of e^{2 pi i r/n}, n <= _MAX_ORDER the
-    least such order and r in 1..n, or None.  m = r/n lies in ]0, 1]:
-    eigenvalue 1 gives m = 1, and -1 gives m = 1/2 from either side of
-    the cut."""
-    theta = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
-    for n in range(1, _MAX_ORDER + 1):
-        r = round(theta * n)
-        if abs(lam - cmath.exp(2j * math.pi * r / n)) <= 1e-8:
-            return (r - 1) % n + 1, n
-    return None
-
-
-def _order(m: np.ndarray) -> Optional[int]:
-    """The order of a unitary matrix, the lcm of the orders n of its
-    eigenvalues (_exponent), or None when one of them has none up to
-    _MAX_ORDER."""
-    exps = [_exponent(lam) for lam in np.linalg.eigvals(m)]
-    return None if None in exps else math.lcm(*(n for _, n in exps))
+    """(r, n) with lam within 1e-8 of e^{2 pi i r/n}, r/n in lowest terms
+    with n <= _MAX_ORDER and r in 1..n, or None.  r/n is the fraction
+    nearest arg(lam) / 2 pi; two fractions of such denominators lie at
+    least 1/(360 * 359) apart, so no other one can pass.  m = r/n lies in
+    ]0, 1]: eigenvalue 1 gives m = 1, and -1 gives m = 1/2 from either
+    side of the cut."""
+    theta = Fraction(math.atan2(lam.imag, lam.real) / (2.0 * math.pi))
+    r, n = theta.limit_denominator(_MAX_ORDER).as_integer_ratio()
+    return ((r - 1) % n + 1, n) if abs(lam - cmath.exp(2j * math.pi * r / n)) <= 1e-8 else None
 
 
 @functools.lru_cache(maxsize=64)
-def _t_order(rep: RepSpec) -> Optional[int]:
-    """_order(rep.t_img), memoised as _analysis is: every fold_rho of a
-    generator-image rho asks for it."""
-    return _order(rep.t_img)
-
-
-@functools.lru_cache(maxsize=64)
-def _analysis(rep: RepSpec, ms: MultiplierSystem, m_width: int):
+def _analysis(rep: RepSpec, kappa: float, m_width: int):
     """(split, order) of the cusp monodromy at width M, or None: the split
     of spectral_split if it rebuilds the monodromy within _UNITARY_TOL, and
-    the lcm of the n of m_j = r/n.  A RepSpec hashes by identity."""
-    mono = _monodromy(rep, ms, m_width)
+    the lcm of the n of m_j = r/n.  A RepSpec hashes by identity; kappa =
+    0, M = 1 analyses rho(T) itself."""
+    mono = _monodromy(rep, kappa, m_width)
     eigvals, eigvecs = np.linalg.eig(mono)
     exps = [_exponent(lam) for lam in eigvals]
     if None in exps:
@@ -390,23 +379,19 @@ def _analysis(rep: RepSpec, ms: MultiplierSystem, m_width: int):
     return None if split._misfit(mono) > _UNITARY_TOL else (split, math.lcm(*(n for _, n in exps)))
 
 
-class NormalityResult(NamedTuple):
-    ok: bool
-    order: Optional[int]
-
-
-def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec) -> NormalityResult:
-    """Check rho(-I) = I and finite order of the cusp monodromy at infinity.
+def check_normal(rep: RepSpec, ms: MultiplierSystem, gamma: GroupSpec) -> Optional[int]:
+    """The order of the cusp monodromy at infinity when rho(-I) = I and
+    that order is finite, else None.
 
     The monodromy e^{2 pi i kappa M} rho(T^M), M the cusp width of gamma
     (1 for a group without finite index, such as a stabiliser), passes when
     the split of spectral_split rebuilds it within _UNITARY_TOL
-    (_analysis); the witness is the lcm of the orders n of its m_j = r/n.
+    (_analysis); its order is the lcm of the orders n of its m_j = r/n.
     """
-    found = None
-    if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(rep.p)) <= _UNITARY_TOL:
-        found = _analysis(rep, ms, cusp_width(gamma, I2) if gamma.finite_index else 1)
-    return NormalityResult(True, found[1]) if found else NormalityResult(False, None)
+    if np.linalg.norm(evaluate_rho(rep, -I2) - np.eye(rep.p)) > _UNITARY_TOL:
+        return None
+    found = _analysis(rep, ms.kappa, cusp_width(gamma, I2) if gamma.finite_index else 1)
+    return None if found is None else found[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +411,7 @@ class SpectralSplit:
         """||e^{2 pi i kappa M} rho(T^M) - U^* diag(e^{2 pi i m_j}) U||, how
         far this split is from diagonalising the cusp monodromy of (rho, v)
         at width M."""
-        return self._misfit(_monodromy(rep, ms, m_width))
+        return self._misfit(_monodromy(rep, ms.kappa, m_width))
 
     def _misfit(self, mono: np.ndarray) -> float:
         diag = np.diag([cmath.exp(2j * math.pi * mj) for mj in self.m])
@@ -445,9 +430,9 @@ def spectral_split(rep: RepSpec, ms: MultiplierSystem, m_width: int) -> Spectral
     Refused unless it rebuilds the monodromy and check_normal passes."""
     if not contains(rep.group, t_power(m_width)):
         raise ValueError(f"T^{m_width} is not in {rep.group}")
-    found = _analysis(rep, ms, m_width)
+    found = _analysis(rep, ms.kappa, m_width)
     # check_normal analyses the cusp width of rep.group, a divisor of M
-    if found is None or not check_normal(rep, ms, rep.group).ok:
+    if found is None or check_normal(rep, ms, rep.group) is None:
         if found is not None:  # the failing width is that of rep.group
             m_width = cusp_width(rep.group, I2) if rep.group.finite_index else 1
         raise ValueError(f"representation is not normal at width {m_width}: rho(-I) != I, or no "

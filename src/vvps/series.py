@@ -227,7 +227,7 @@ def _validate(seed: SeedFn, lam: GroupSpec, gamma: GroupSpec, rep: RepSpec, ms: 
         raise ValueError("elliptic seed weight differs from the series weight")
     if seed.p != rep.p:
         raise ValueError("seed dimension does not match the representation")
-    if not check_normal(rep, ms, gamma).ok:
+    if check_normal(rep, ms, gamma) is None:
         raise ValueError("representation is not normal")
     if isinstance(seed, ClassicalSeed) and seed.split.residual(rep, ms, seed.M) > _UNITARY_TOL:
         raise ValueError("seed spectral data does not diagonalise rho(T^M)")

@@ -13,7 +13,7 @@ from vvps.cli import build_parser, run
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
                            enumerate_cosets, right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem, evaluate_v
-from vvps.rep import (RepSpec, _level_table, _order, _residue_keys, _sl2_order,
+from vvps.rep import (RepSpec, _analysis, _level_table, _residue_keys, _sl2_order,
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
                       permutation_ell, spectral_split, st_rep, trivial_rep)
 from vvps.seeds import ClassicalSeed
@@ -194,12 +194,15 @@ class TestPermutationAndInduce:
             permutation_ell(T, [I2, S], self.group)
 
 
-def scan_exponents(lams: np.ndarray) -> np.ndarray:
-    """The order scan that rep._exponent once ran, over an array of
-    eigenvalues: for n = 1..360 in turn, r = round(theta n) with theta =
-    arg(lam) / 2 pi, accepted when lam is within 1e-8 of
-    cmath.exp(2j * math.pi * r / n).  Rows (r, n) of the first accepted n,
-    r mapped to 1..n, and (0, 0) where no n is accepted."""
+def scan_exponents(lams: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """The order scan that rep._exponent once ran, over eigenvalues lam
+    within 5e-7 of e^{2 pi i r/n}, r/n in lowest terms and n = dens: for
+    n' = 1..360 in turn, r' = round(theta n') with theta = arg(lam) / 2 pi,
+    accepted when lam is within 1e-8 of cmath.exp(2j * math.pi * r' / n').
+    Two fractions of denominators <= 360 differ by at least 1/(360 * 359),
+    so the root at an n' that is not a multiple of n lies 4.8e-5 or more
+    from lam, and only the multiples are tested.  Rows (r', n') of the
+    first accepted n', r' mapped to 1..n', and (0, 0) where none is."""
     theta = np.array([math.atan2(z.imag, z.real) / (2.0 * math.pi) for z in lams.tolist()])
     roots = np.zeros((361, 361), dtype=complex)  # roots[n, r + 180], |r| <= (n + 1) // 2
     for n in range(1, 361):
@@ -207,10 +210,12 @@ def scan_exponents(lams: np.ndarray) -> np.ndarray:
             roots[n, r + 180] = cmath.exp(2j * math.pi * r / n)
     out = np.zeros((len(lams), 2), dtype=np.int64)
     todo = np.arange(len(lams))
-    for n in range(1, 361):
+    for k in range(1, 361):
+        todo = todo[k * dens[todo] <= 360]
+        n = k * dens[todo]
         r = np.rint(theta[todo] * n).astype(np.int64)
         hit = np.abs(lams[todo] - roots[n, r + 180]) <= 1e-8
-        out[todo[hit]] = np.stack([(r[hit] - 1) % n + 1, np.full(hit.sum(), n)], axis=1)
+        out[todo[hit]] = np.stack([(r[hit] - 1) % n[hit] + 1, n[hit]], axis=1)
         todo = todo[~hit]
     return out
 
@@ -227,7 +232,7 @@ class TestExponent:
         eps = np.array([0.0, 1e-12, -1e-12, 3e-10, -3e-10, 5e-9, -5e-9,
                         1e-8, -1e-8, 1.01e-8, -1.01e-8, 5e-7])
         lams = np.exp(1j * (2 * math.pi * frac[None, :] + eps[:, None])).ravel()
-        scanned = scan_exponents(lams)
+        scanned = scan_exponents(lams, np.tile([n for _, n in pairs], len(eps)))
         bad = []
         for lam, got, (r, n) in zip(lams.tolist(), map(vvps.rep._exponent, lams.tolist()),
                                     scanned.tolist()):
@@ -241,14 +246,12 @@ class TestExponent:
 
 class TestNormality:
     def test_trivial_is_normal(self):
-        res = check_normal(trivial_rep(2), TRIVIAL_MS, GroupSpec.sl2z())
-        assert res.ok and res.order == 1
+        assert check_normal(trivial_rep(2), TRIVIAL_MS, GroupSpec.sl2z()) == 1
 
     def test_monodromy_i_has_order_four(self):
         # trivial rho with the weight-3 eta multiplier: monodromy e^{2 pi i/4} = i
         ms = MultiplierSystem("eta_power", 3.0)
-        res = check_normal(trivial_rep(1), ms, GroupSpec.sl2z())
-        assert res.ok and res.order == 4
+        assert check_normal(trivial_rep(1), ms, GroupSpec.sl2z()) == 4
 
     def test_irrational_monodromy_fails(self):
         # kappa = 0.123456 = 1929/15625 is at least 1/(15625 * 360) from
@@ -257,8 +260,7 @@ class TestNormality:
         theta = ms.kappa
         best = min(abs(theta - round(theta * n) / n) for n in range(1, 361))
         assert best > 1.7e-7  # oracle: distance to nearest low-order rational
-        res = check_normal(trivial_rep(2), ms, GroupSpec.sl2z())
-        assert not res.ok
+        assert check_normal(trivial_rep(2), ms, GroupSpec.sl2z()) is None
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_group_without_finite_index_is_checked_on_sl2z(self, width):
@@ -271,7 +273,7 @@ class TestNormality:
     def test_minus_identity_condition(self):
         rep = character_rep(3)  # rho(-I) = rho(S)^2 = -1
         assert np.allclose(evaluate_rho(rep, -I2), [[-1.0]])
-        assert not check_normal(rep, TRIVIAL_MS, GroupSpec.sl2z()).ok
+        assert check_normal(rep, TRIVIAL_MS, GroupSpec.sl2z()) is None
 
 
 class TestSpectralSplit:
@@ -338,7 +340,7 @@ class TestSpectralSplit:
         fracs = [Fraction(mj).limit_denominator(360) for mj in split.m]
         assert split.m == tuple(f.numerator / f.denominator for f in fracs)
         order = math.lcm(*(f.denominator for f in fracs))
-        assert check_normal(rep, ms, rep.group).order == order
+        assert check_normal(rep, ms, rep.group) == order
 
     def test_ties_keep_eigenvector_order(self):
         # the trivial monodromy is the identity: every m_j ties at 1
@@ -358,7 +360,7 @@ class TestSpectralSplit:
         w = cmath.exp(2j * math.pi / 3)
         s_img = np.diag([1.0, -1.0])
         rep = st_rep(s_img, s_img @ q @ np.diag([w, w.conjugate()]) @ q.T)
-        assert not check_normal(rep, TRIVIAL_MS, rep.group).ok
+        assert check_normal(rep, TRIVIAL_MS, rep.group) is None
         with pytest.raises(ValueError, match=message):
             spectral_split(rep, TRIVIAL_MS, m_width)
 
@@ -376,7 +378,7 @@ class TestSpectralSplit:
         w = cmath.exp(2j * math.pi / 3)
         s_img = np.diag([1.0, -1.0])
         rep = st_rep(s_img, s_img @ q @ np.diag([w, w.conjugate()]) @ q.T)
-        assert check_normal(rep, TRIVIAL_MS, gamma).ok is normal
+        assert (check_normal(rep, TRIVIAL_MS, gamma) is not None) is normal
         if normal:
             spectral_split(rep, TRIVIAL_MS, cusp_width(gamma, I2))
         else:
@@ -387,7 +389,7 @@ class TestSpectralSplit:
         # kappa = 1/720: the monodromy has order 720 at width 1, beyond the
         # largest order 360 named, and order 360 at width 2
         ms = MultiplierSystem("eta_power", 1 / 60)
-        assert not check_normal(trivial_rep(1), ms, GroupSpec.sl2z()).ok
+        assert check_normal(trivial_rep(1), ms, GroupSpec.sl2z()) is None
         with pytest.raises(ValueError, match="not normal at width 1"):
             spectral_split(trivial_rep(1), ms, 2)
 
@@ -510,12 +512,12 @@ class TestLevelTable:
         assert np.array_equal(fold_rho(rho, w, ents), walked)
 
     def test_one_order_per_rep(self, monkeypatch):
-        # the order of rho(T) is one eigvals per rep, not one per fold
+        # the order of rho(T) is one eig per rep, not one per fold
         group = GroupSpec.gamma0(5)
         rho = induce(trivial_rep(1, group), right_coset_reps(group))
         calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
         ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 10.0).reps)
         first = fold_rho(rho, np.ones(rho.p), ents)
         assert np.array_equal(fold_rho(rho, np.ones(rho.p), ents), first)
@@ -535,7 +537,7 @@ class TestLevelTable:
 
     def test_non_congruence_permutations_fall_back(self):
         rep = permutation_pair_index7()
-        assert _order(rep.t_img) == 12
+        assert _analysis(rep, 0.0, 1)[1] == 12
         assert _level_table(rep) is None
         # a witness in Gamma(12) that acts nontrivially, so no table mod 12 exists
         g = IntMatrix2(61, -72, -72, 85)
@@ -550,7 +552,7 @@ class TestLevelTable:
 
     def test_infinite_order_t_falls_back(self):
         rep = infinite_order_pair()
-        assert _order(rep.t_img) is None
+        assert _analysis(rep, 0.0, 1) is None
         assert _level_table(rep) is None
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 25.0).reps
         w = np.array([0.6, 0.8j])

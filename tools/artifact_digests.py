@@ -32,6 +32,8 @@ JOBS = [
                         "--tau", "0.3,1.1", "--height", "60"]),
     ("eval eta", ["eval", "--group", "gamma0", "--level", "3", "--family", "eta",
                   "--k", "6", "--tau=-0.2,0.9", "--height", "60"]),
+    ("eval eta order 240", ["eval", "--group", "gamma0", "--level", "3", "--family", "eta",
+                            "--k", "2.05", "--tau", "0.3,1.1", "--height", "30"]),
     ("eval elliptic", ["eval", *SERIES, "--seed", "elliptic", "--nu", "1",
                        "--xi=-0.5,1", "--tau", "0.25,1.3", "--height", "40"]),
     ("eval induced rep file", ["eval", "--rep", "{induced}", "--j", "2",
