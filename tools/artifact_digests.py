@@ -65,6 +65,8 @@ JOBS = [
     ("criterion elliptic", ["criterion", "elliptic", "--k", "12", "--N", "3", "--nu", "1"]),
     ("criterion regionA", ["criterion", "regionA", "--k", "12", "--N", "5", "--nu", "2"]),
     ("criterion regionA large weight", ["criterion", "regionA", "--k", "400", "--N", "5"]),
+    ("criterion regionA continued fraction", ["criterion", "regionA", "--k", "6", "--N", "2",
+                                              "--nu", "3"]),
     ("criterion regionC radius found", ["criterion", "regionC", "--k", "12", "--N", "2"]),
     ("criterion regionC radius given", ["criterion", "regionC", "--k", "12", "--N", "3",
                                         "--nu", "1", "--r", "0.3"]),
