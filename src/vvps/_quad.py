@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 
-from .errors import RefusalError
+from .errors import DomainError, RefusalError
 
 _BLOCK = 4096  # terms per pairwise partial of block_sum
+_EPS = 1e-16
+_FPMIN = 1e-300
+_ITMAX = 600
 
 
 def gauss_panels(a: float, b: float, n_panels: int, geometric: bool = False):
@@ -56,3 +59,132 @@ def block_sum(x: np.ndarray) -> np.ndarray:
     flat = parts.reshape(-1, parts.shape[-1])
     out = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in flat])
     return out.reshape(parts.shape[:-1])
+
+
+def log_beta(a: float, b: float) -> float:
+    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b)."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def regularized_incomplete_gamma(a: float, x: float) -> float:
+    """P(a, x), by series for x < a + 1 and continued fraction otherwise."""
+    if a <= 0:
+        raise DomainError("need a > 0")
+    if x < 0:
+        raise DomainError("need x >= 0")
+    if x == 0.0:
+        return 0.0
+    lg = math.lgamma(a)
+    if x < a + 1.0:
+        ap = a
+        term = 1.0 / a
+        total = term
+        for _ in range(_ITMAX):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                break
+        return min(1.0, total * math.exp(-x + a * math.log(x) - lg))
+    # modified Lentz for Q(a, x)
+    b = x + 1.0 - a
+    c = 1.0 / _FPMIN
+    d = 1.0 / b
+    h = d
+    for i in range(1, _ITMAX + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = b + an / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    q = math.exp(-x + a * math.log(x) - lg) * h
+    return max(0.0, 1.0 - q)
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _ITMAX + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    return h
+
+
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b) by the continued fraction."""
+    if a <= 0 or b <= 0:
+        raise DomainError("need a, b > 0")
+    if x < 0 or x > 1:
+        raise DomainError("need 0 <= x <= 1")
+    if x == 0.0 or x == 1.0:
+        return float(x)
+    bt = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                  + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return bt * _betacf(a, b, x) / a
+    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
+
+
+def _bisect_then_newton(cdf, pdf, lo, hi):
+    """Median finder: bisection bracket, then a few Newton polish steps.
+
+    The returned point satisfies |cdf - 1/2| well below 1e-12.
+    """
+    flo = cdf(lo) - 0.5
+    for _ in range(200):
+        if hi - lo < 1e-13 * max(1.0, abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        fm = cdf(mid) - 0.5
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(4):
+        dens = pdf(x)
+        if dens <= 0:
+            break
+        step = (cdf(x) - 0.5) / dens
+        x_new = x - step
+        if not lo <= x_new <= hi:
+            break
+        x = x_new
+        if abs(step) < 1e-16 * max(1.0, abs(x)):
+            break
+    return x

@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from ._quad import log_beta
 from .errors import DomainError
 from .modgroup import GroupSpec, _as_complex, principal_power
 from .rep import SpectralSplit
@@ -158,10 +159,9 @@ def seed_strip_integral(seed: SeedFn, k: float) -> float:
         return mass
     if isinstance(seed, EllipticSeed):
         # int_R dx/(x^2+1)^{k/2} = B(1/2, (k-1)/2)
-        #   = sqrt(pi) Gamma((k-1)/2) / Gamma(k/2)
-        log_ix = 0.5 * math.log(math.pi) + math.lgamma((k - 1.0) / 2.0) - math.lgamma(k / 2.0)
+        log_ix = log_beta(0.5, (k - 1.0) / 2.0)
         # int_0^inf y^{k/2-2} (y+1)^{1-k} dy = B(k/2-1, k/2)
-        log_iy = math.lgamma(k / 2.0 - 1.0) + math.lgamma(k / 2.0) - math.lgamma(k - 1.0)
+        log_iy = log_beta(k / 2.0 - 1.0, k / 2.0)
         unorm = float(np.linalg.norm(seed.u))
         return unorm / complex(seed.xi).imag ** (k / 2.0) * math.exp(log_ix + log_iy)
     raise TypeError(f"not a seed: {seed!r}")
