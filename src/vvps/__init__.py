@@ -17,7 +17,7 @@ from .seeds import ClassicalSeed, EllipticSeed, SeedFn, seed_strip_integral
 from .series import (SeriesHandle, build_series, check_seed_invariance,
                      check_transformation, slash, slash_k)
 from .analysis import (FourierTable, QuadratureSpec,
-                       classical_pairing_closed_form,
+                       classical_pairing_closed_form, domain_share,
                        elliptic_expansion_coeffs, elliptic_pairing_closed_form,
                        fourier_coefficients, petersson_pair_full,
                        petersson_strip)

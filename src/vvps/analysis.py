@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import comp_sum_complex, gauss_panels
+from ._quad import (comp_sum_complex, gauss_panels, regularized_incomplete_beta,
+                    regularized_incomplete_gamma)
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
                        principal_power, right_coset_reps, slash_kernel)
@@ -33,7 +34,7 @@ from .series import MIN_IM, _values, slash, thread_cap
 __all__ = [
     "QuadratureSpec", "FourierTable",
     "fourier_coefficients", "elliptic_expansion_coeffs",
-    "petersson_strip", "petersson_pair_full",
+    "petersson_strip", "domain_share", "petersson_pair_full",
     "classical_pairing_closed_form", "elliptic_pairing_closed_form",
     "thread_cap",
 ]
@@ -166,6 +167,20 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
     return out
 
 
+def _disk_radius(xi: complex, q: QuadratureSpec) -> float:
+    """rho_max = tanh(d/2) in the disk variable w: d is the radius of the
+    largest hyperbolic disk about xi inside the box |x| <= x_max (default
+    8), y_min <= y <= y_max; ValueError when no disk fits."""
+    eta = xi.imag
+    xmax = q.x_max if q.x_max is not None else 8.0
+    d = min(math.log(eta / q.y_min), math.log(q.y_max / eta),
+            math.asinh((xmax - abs(xi.real)) / eta))
+    if not d > 0:
+        raise ValueError(f"no disk about xi={xi} fits the box |x| <= {xmax}, "
+                         f"{q.y_min} <= y <= {q.y_max}")
+    return math.tanh(d / 2.0)
+
+
 def _strip_nodes(f, k: float, q: QuadratureSpec):
     """Flat (taus, weights) over a fundamental domain of f.lam, the weights
     carrying Im(tau)^k dv: the period strip for GammaInfinity, the disk
@@ -183,14 +198,7 @@ def _strip_nodes(f, k: float, q: QuadratureSpec):
         weights = (wx[:, None] * (wy * ys ** (k - 2.0))[None, :]).ravel()
         return taus, weights
     xi = complex(f.xi)
-    eta = xi.imag
-    xmax = q.x_max if q.x_max is not None else 8.0
-    d = min(math.log(eta / q.y_min), math.log(q.y_max / eta),
-            math.asinh((xmax - abs(xi.real)) / eta))
-    if not d > 0:
-        raise ValueError(f"no disk about xi={xi} fits the box |x| <= {xmax}, "
-                         f"{q.y_min} <= y <= {q.y_max}")
-    rhos, wr = gauss_panels(0.0, math.tanh(d / 2.0), max(4, q.ny // 4))
+    rhos, wr = gauss_panels(0.0, _disk_radius(xi, q), max(4, q.ny // 4))
     thetas = 2.0 * math.pi * np.arange(q.nx) / q.nx
     ws = (rhos[:, None] * np.exp(1j * thetas)[None, :]).ravel()
     taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
@@ -225,6 +233,20 @@ def petersson_strip(F, f, k: float, q: QuadratureSpec, return_error: bool = Fals
     q2 = QuadratureSpec(q.y_min, q.y_max, max(16, q.nx // 2), max(16, q.ny // 2), q.x_max)
     coarse = petersson_strip(F, f, k, q2)
     return value, abs(value - coarse)
+
+
+def domain_share(f, k: float, q: QuadratureSpec) -> float:
+    """Share of the unfolded pairing <F, P f> that petersson_strip's
+    truncated domain keeps, for any F.  The x (or arg w) integral keeps
+    only the seed's own frequency, so the share is exact: P(k - 1, beta
+    y_max) - P(k - 1, beta y_min) with beta = 4 pi (nu + m_j)/M on the
+    strip, I_{rho_max^2}(nu + 1, k - 1) on the disk about xi."""
+    if f.lam.kind == "GammaInfinity":
+        beta = 4.0 * math.pi * f.alpha
+        return (regularized_incomplete_gamma(k - 1.0, beta * q.y_max)
+                - regularized_incomplete_gamma(k - 1.0, beta * q.y_min))
+    rho_max = _disk_radius(complex(f.xi), q)
+    return regularized_incomplete_beta(f.nu + 1.0, k - 1.0, rho_max ** 2)
 
 
 def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,

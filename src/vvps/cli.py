@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (QuadratureSpec, _check_extraction, classical_pairing_closed_form,
-                       elliptic_expansion_coeffs, elliptic_pairing_closed_form,
-                       fourier_coefficients, petersson_strip)
+                       domain_share, elliptic_expansion_coeffs,
+                       elliptic_pairing_closed_form, fourier_coefficients, petersson_strip)
 from .errors import RefusalError
 from .modgroup import (GroupSpec, I2, S, cocycle_j, cusp_width, enumerate_cosets,
                        mobius_act, right_coset_reps, st_syllables, t_power)
@@ -180,7 +180,8 @@ def _run_pair(ns) -> dict:
         closed = elliptic_pairing_closed_form(b, ns.k, seed.nu, seed.xi)
     rel = abs(strip - closed) / abs(closed) if closed != 0 else float("inf")
     return {"strip": _c2j(strip), "closed_form": _c2j(closed),
-            "coefficient": _c2j(b), "rel_err": rel, "height": handle.height}
+            "coefficient": _c2j(b), "rel_err": rel, "height": handle.height,
+            "domain_share": domain_share(seed, ns.k, q)}
 
 
 def _run_criterion(ns) -> dict:

@@ -464,6 +464,22 @@ class TestOtherCommands:
         data = json.loads(out.read_text())
         assert data["rel_err"] < 1e-2
 
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "elliptic", "--k", "12", "--nu", "4", "--xi", "0,1",
+         "--nx", "160", "--ny", "64"],
+        ["--seed", "elliptic", "--k", "4", "--nu", "2", "--xi", "0.3,0.5",
+         "--nx", "160", "--ny", "64"],
+        ["--k", "12", "--ymax", "0.4", "--nx", "64", "--ny", "64"],
+    ], ids=["elliptic-at-i", "elliptic-off-i", "classical-short-strip"])
+    def test_pair_reports_the_domain_share(self, argv, tmp_path):
+        # on fine grids the pairing loses exactly the seed mass outside the
+        # truncated domain: rel_err 1.67e-3, 0.206 and 0.986 here
+        out = tmp_path / "pair.json"
+        argv = ["pair", "--group", "gamma0", "--level", "2", "--height", "30", *argv]
+        assert run(build_parser().parse_args(argv + ["--out", str(out)])) == 0
+        data = json.loads(out.read_text())
+        assert abs(data["rel_err"] - (1.0 - data["domain_share"])) <= 1e-8
+
     def test_elliptic_pair_independent_of_worker_count(self, tmp_path, monkeypatch):
         # 1,024 disk nodes against 393 cosets: 7 blocks of evaluate_many
         argv = ["pair", "--group", "gamma0", "--level", "2", "--seed", "elliptic",
