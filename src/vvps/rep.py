@@ -23,7 +23,7 @@ beyond 2^18 matrix entries.
 One analysis (_analysis) of the cusp monodromy e^{2 pi i kappa M}
 rho(T^M), memoised by (rho, kappa, M), decides finite order: one
 eigendecomposition, the root of unity e^{2 pi i r/n} of each eigenvalue
-(_exponent: r/n by Fraction.limit_denominator), and a split into a unitary
+(_exponent: r/n a convergent of arg / 2 pi), and a split into a unitary
 U and exponents m_j = r/n in ]0, 1], accepted only when it rebuilds the
 monodromy within _UNITARY_TOL.  check_normal and spectral_split read it,
 and at kappa = 0, M = 1 it gives the level table its modulus N.
@@ -36,7 +36,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -342,13 +341,22 @@ def _monodromy(rep: RepSpec, kappa: float, m_width: int) -> np.ndarray:
 
 def _exponent(lam: complex) -> Optional[tuple]:
     """(r, n) with lam within 1e-8 of e^{2 pi i r/n}, r/n in lowest terms
-    with n <= _MAX_ORDER and r in 1..n, or None.  r/n is the fraction
-    nearest arg(lam) / 2 pi; two fractions of such denominators lie at
-    least 1/(360 * 359) apart, so no other one can pass.  m = r/n lies in
-    ]0, 1]: eigenvalue 1 gives m = 1, and -1 gives m = 1/2 from either
-    side of the cut."""
-    theta = Fraction(math.atan2(lam.imag, lam.real) / (2.0 * math.pi))
-    r, n = theta.limit_denominator(_MAX_ORDER).as_integer_ratio()
+    with n <= _MAX_ORDER and r in 1..n, or None.  r/n is the last
+    convergent with n <= _MAX_ORDER of the continued fraction of theta =
+    arg(lam) / 2 pi, walked exactly on the float's integer ratio.  A
+    passing fraction lies within ~1.6e-9 of theta, below 1/(2 n^2), so it
+    is a convergent (Legendre); two fractions of such denominators lie at
+    least 1/(360 * 359) apart, so no later convergent can pass.  m = r/n
+    lies in ]0, 1]: eigenvalue 1 gives m = 1, and -1 gives m = 1/2 from
+    either side of the cut."""
+    num, den = (math.atan2(lam.imag, lam.real) / (2.0 * math.pi)).as_integer_ratio()
+    r0, n0, r, n = 0, 1, 1, 0  # the two latest convergents
+    while den:
+        a, rem = divmod(num, den)
+        if a * n + n0 > _MAX_ORDER:
+            break
+        r0, n0, r, n = r, n, a * r + r0, a * n + n0
+        num, den = den, rem
     return ((r - 1) % n + 1, n) if abs(lam - cmath.exp(2j * math.pi * r / n)) <= 1e-8 else None
 
 
