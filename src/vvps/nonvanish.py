@@ -5,7 +5,8 @@ linear in the weight; its sharp version compares against the median of a
 gamma distribution.  The elliptic criterion bounds the level from below by
 an expression in a beta-distribution median.  The region tests evaluate
 each region's mass condition as one incomplete gamma or beta CDF at the
-given cut, independently of the median route.
+given cut, independently of the median route.  The special functions, the
+median finder and their accuracy live in _quad.
 """
 
 from __future__ import annotations

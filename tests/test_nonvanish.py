@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from vvps._quad import log_beta
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import GroupSpec
 from vvps.multiplier import MultiplierSystem
@@ -17,6 +19,20 @@ from vvps.seeds import ClassicalSeed, seed_strip_integral
 GRID_K = (4.0, 6.0, 12.0, 20.5)
 GRID_N = (2, 3, 5, 11)
 GRID_NU = range(0, 7)
+
+# The accuracy grid of the _quad docstring, over the shapes the criteria
+# use: P(a, x) with a = k/2 - 1, 2.2 < k <= 400, and x in a [0.01, 3];
+# I_x(a, b) with a = nu/2 + 1, nu <= 20, b = k/2 - 1, k <= 1000, and
+# x = tanh^2 r, 0.02 <= r <= 3.  The references are mpmath at 40 digits.
+ACC_GAMMA_A = np.geomspace(2.25, 400.0, 24) / 2.0 - 1.0
+ACC_X_OVER_A = np.geomspace(0.01, 3.0, 16)
+ACC_BETA_A = [nu / 2.0 + 1.0 for nu in (0, 1, 2, 4, 8, 12, 16, 20)]
+ACC_BETA_B = np.geomspace(2.25, 1000.0, 12) / 2.0 - 1.0
+ACC_R = np.geomspace(0.02, 3.0, 8)
+
+
+def rel_err(got: float, ref) -> float:
+    return float(abs(ref - got) / abs(ref))
 
 
 def classical_seed(gamma, nu):
@@ -44,6 +60,19 @@ class TestIncompleteGamma:
                 assert regularized_incomplete_gamma(a, x) == \
                     pytest.approx(float(special.gammainc(a, x)), abs=1e-13)
 
+    def test_accuracy_against_mpmath(self):
+        # results below the smallest normal float, here P(199, 1.99) ~ 1e-311,
+        # are subnormal and lose relative accuracy with their bits
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a in ACC_GAMMA_A:
+                for x in a * ACC_X_OVER_A:
+                    ref = mpmath.gammainc(a, 0, x, regularized=True)
+                    if ref >= sys.float_info.min:
+                        worst = max(worst, rel_err(regularized_incomplete_gamma(a, x), ref))
+        assert worst <= 1.7e-13
+
     def test_bisection_self_consistency(self):
         m = gamma_median(5.0)
         assert m == pytest.approx(4.670909, abs=1e-6)
@@ -57,6 +86,27 @@ class TestIncompleteBeta:
                 for x in (0.05, 0.3, 0.5, 0.9):
                     assert regularized_incomplete_beta(a, b, x) == \
                         pytest.approx(float(special.betainc(a, b, x)), abs=1e-13)
+
+    def test_accuracy_against_mpmath(self):
+        # the prefactor's lgamma terms cancel: the worst point is a = 9,
+        # b = 499, and I_{tanh^2 0.1}(5, 499) is off by 3.1e-13
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a in ACC_BETA_A:
+                for b in ACC_BETA_B:
+                    for x in np.tanh(ACC_R) ** 2:
+                        ref = mpmath.betainc(a, b, 0, x, regularized=True)
+                        worst = max(worst, rel_err(regularized_incomplete_beta(a, b, x), ref))
+        assert worst <= 6.5e-13
+
+    def test_log_beta_against_mpmath(self):
+        # an absolute error in log B is the relative error of B
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            worst = max(float(abs(mpmath.log(mpmath.beta(a, b)) - log_beta(a, b)))
+                        for a in ACC_BETA_A for b in ACC_BETA_B)
+        assert worst <= 6.4e-13
 
     def test_endpoints(self):
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
@@ -105,6 +155,24 @@ class TestMedians:
             assert beta_median(1.5, 5.0) == beta_median.__wrapped__(1.5, 5.0)
         assert gamma_median.cache_info().hits == 1
         assert beta_median.cache_info().hits == 1
+
+    def test_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        worst_gamma = worst_beta = 0.0
+        with mpmath.workdps(40):
+            for a in map(float, ACC_GAMMA_A):
+                m = gamma_median(a)
+                ref = mpmath.findroot(lambda x: mpmath.gammainc(a, 0, x, regularized=True)
+                                      - 0.5, m)
+                worst_gamma = max(worst_gamma, rel_err(m, ref))
+            for a in ACC_BETA_A:
+                for b in map(float, ACC_BETA_B):
+                    m = beta_median(a, b)
+                    ref = mpmath.findroot(lambda x: mpmath.betainc(a, b, 0, x, regularized=True)
+                                          - 0.5, m)
+                    worst_beta = max(worst_beta, rel_err(m, ref))
+        assert worst_gamma <= 1.4e-14
+        assert worst_beta <= 4.9e-13
 
     def test_beta_condition_holds(self):
         for a, b in ((0.5, 2.0), (2.0, 7.0), (4.5, 1.5)):
