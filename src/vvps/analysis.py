@@ -8,7 +8,8 @@ that is the period strip, integrated on a trapezoid in x times geometrically
 refined Gauss panels in y.  For <-I> it is the whole half-plane, integrated
 on a hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
 Gauss panels in |w|.  The closed-form pairing values provide the
-independent second pipeline.  Every grid is evaluated by one
+independent second pipeline, and domain_share the exact part of them that
+the truncated domain keeps.  Every grid is evaluated by one
 evaluate_many call, whose block loop runs on the usable CPUs
 (series.thread_cap, re-exported here); extraction at a cusp sigma != +-I
 applies series.slash.
