@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,3 +492,29 @@ class TestOtherCommands:
             outs.append(tmp_path / f"pair{workers}.json")
             assert run(build_parser().parse_args(argv + ["--out", str(outs[-1])])) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+COMMANDS = ["eval", "fourier", "pair", "criterion", "induce", "cosets", "selftest", "table"]
+GOLDEN_ARGV = [
+    [], ["-h"], ["--version"], ["bogus"],
+    ["-h", "eval"], ["--help", "criterion", "elliptic"],
+    ["criterion"], ["criterion", "elliptic", "--k", "3", "--N", "2", "--bogus", "1"],
+    ["eval", "--tau", "1,1", "--zz"],
+    *([command, "-h"] for command in COMMANDS),
+    ["eval", "--tau", "0,1", "--bogus"], ["criterion", "classical", "--k", "12", "--N", "5", "--bogus"],
+    *([command, "--bogus"] for command in COMMANDS if command not in ("eval", "criterion")),
+]
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_text.json").read_text())
+
+
+@pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != GOLDEN["python"],
+                    reason="argparse lays out help differently in other Python versions")
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_help_and_usage_errors_match_the_recorded_text(argv, monkeypatch, capsys):
+    # help, version and usage errors, byte for byte, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert {"code": exc.value.code, "out": captured.out, "err": captured.err} \
+        == GOLDEN["text"][" ".join(argv)]
