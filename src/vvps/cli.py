@@ -5,13 +5,15 @@ table.  Each job validates its configuration, runs one computation, and
 writes a single artifact: CSV for table, JSON or CSV (--format) for
 fourier, JSON otherwise.  Identical configurations (including selftest's
 --rng-seed) produce byte-identical artifacts.  A subcommand takes only
-the options its job reads; any other option is a usage error.  Each
-subcommand's parser binds its runner as `job`, and `run(ns)` calls
-`ns.job(ns)`.  Numbers must be finite: nan and +-inf are refused.  A
-point "x,y" with negative x is written with "=", as in --tau=-0.2,0.2,
-since argparse reads a bare "-0.2,0.2" as an option.  Exit codes: 0
-success, 2 invalid configuration, 3 numeric refusal, which includes a job
-that runs out of memory.
+the options its job reads; any other option is a usage error.  One
+table, `_COMMANDS`, gives each subcommand its help line, runner and
+options; each `parse_args` call builds a parser with the options of the
+one subcommand that argv names, which binds its runner as `job`, and
+`run(ns)` calls `ns.job(ns)`.  Numbers must be finite: nan and +-inf are
+refused.  A point "x,y" with negative x is written with "=", as in
+--tau=-0.2,0.2, since argparse reads a bare "-0.2,0.2" as an option.
+Exit codes: 0 success, 2 invalid configuration, 3 numeric refusal, which
+includes a job that runs out of memory.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .rep import RepSpec, induce, spectral_split, trivial_rep
 from .seeds import ClassicalSeed, EllipticSeed
 from .series import build_series
 
-__all__ = ["run", "emit_threshold_table", "main"]
+__all__ = ["run", "parse_args", "emit_threshold_table", "main"]
 
 
 class ConfigError(ValueError):
@@ -368,24 +371,13 @@ def _add_series(sp, quad_opts=False):
                              "(default 8), as it stays in ymin <= y <= ymax")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="vvps",
-                                 description="Poincare series workbench")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def command(name, help, job):
-        sp = sub.add_parser(name, help=help)
-        sp.set_defaults(job=job)
-        sp.add_argument("--out", default="-")
-        return sp
-
-    sp = command("eval", "evaluate a truncated series at a point", _run_eval)
+def _eval_options(sp):
     _add_series(sp)
     sp.add_argument("--tau", required=True, metavar="X,Y",
                     help="the point x+iy; a negative x needs the form --tau=-0.2,0.2")
 
-    sp = command("fourier", "Fourier coefficients of a series", _run_fourier)
+
+def _fourier_options(sp):
     _add_series(sp)
     sp.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
     sp.add_argument("--n0", type=int, default=0)
@@ -393,10 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y0", type=_finite_float, default=0.5)
     sp.add_argument("--nx-fourier", dest="nx_fourier", type=int, default=64)
 
-    sp = command("pair", "unfolded pairing vs closed form", _run_pair)
-    _add_series(sp, quad_opts=True)
 
-    sp = command("criterion", "non-vanishing criteria", _run_criterion)
+def _criterion_options(sp):
     sp.add_argument("kind", choices=("classical", "elliptic", "regionA", "regionC"))
     sp.add_argument("--k", type=_finite_float, required=True)
     sp.add_argument("--N", type=int, required=True)
@@ -405,30 +395,60 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=_finite_float, default=None, help="classical only (default 1)")
     sp.add_argument("--r", type=_finite_float, default=None, help="regionC only")
 
-    sp = command("induce", "induce a representation to the full group", _run_induce)
-    _add_group(sp, rep=True)
 
-    sp = command("cosets", "enumerate coset representatives", _run_cosets)
+def _cosets_options(sp):
     _add_group(sp)
     sp.add_argument("--stabiliser", default="gammainf", choices=("gammainf", "pmi"))
     sp.add_argument("--width", type=int, default=None)
     sp.add_argument("--height", type=_finite_float, default=20.0)
 
-    sp = command("selftest", "run the fast invariant suite", _run_selftest)
-    sp.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)
 
-    sp = command("table", "criterion margins over a grid, as CSV", _run_table)
+def _table_options(sp):
     sp.add_argument("--k-list", default="4,6,12,20.5")
     sp.add_argument("--n-list", default="2,3,5,11")
     sp.add_argument("--nu-max", type=int, default=6)
     sp.add_argument("--m", type=_finite_float, default=1.0)
     sp.add_argument("--M", type=int, default=1)
-    return ap
+
+
+# command: (help line, runner, the function that adds its options)
+_COMMANDS = {
+    "eval": ("evaluate a truncated series at a point", _run_eval, _eval_options),
+    "fourier": ("Fourier coefficients of a series", _run_fourier, _fourier_options),
+    "pair": ("unfolded pairing vs closed form", _run_pair, partial(_add_series, quad_opts=True)),
+    "criterion": ("non-vanishing criteria", _run_criterion, _criterion_options),
+    "induce": ("induce a representation to the full group", _run_induce,
+               partial(_add_group, rep=True)),
+    "cosets": ("enumerate coset representatives", _run_cosets, _cosets_options),
+    "selftest": ("run the fast invariant suite", _run_selftest,
+                 lambda sp: sp.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)),
+    "table": ("criterion margins over a grid, as CSV", _run_table, _table_options),
+}
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse one job's argv with a parser built for this call: the command
+    that argv[0] names, with its options, or else every command without
+    options, which is all that top-level help and usage errors read."""
+    ap = argparse.ArgumentParser(prog="vvps", description="Poincare series workbench")
+    ap.add_argument("--version", action="version", version=__version__)
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
+    # with one subparser, the metavar keeps every command in the usage line
+    metavar = "{" + ",".join(_COMMANDS) + "}" if chosen else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [chosen] if chosen else _COMMANDS:
+        help, job, add_options = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help)
+        if chosen:
+            sp.set_defaults(job=job)
+            sp.add_argument("--out", default="-")
+            add_options(sp)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> None:
     """Parse and run one job; a usage error exits 2 before any job runs."""
-    sys.exit(run(build_parser().parse_args(argv)))
+    sys.exit(run(parse_args(sys.argv[1:] if argv is None else argv)))
 
 
 if __name__ == "__main__":

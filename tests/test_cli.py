@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from vvps import cli, modgroup, series
-from vvps.cli import build_parser, emit_threshold_table, main, run
+from vvps.cli import emit_threshold_table, main, parse_args, run
 from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
 from vvps.multiplier import MultiplierSystem
 from vvps.nonvanish import elliptic_criterion
@@ -26,7 +27,7 @@ def invoke(argv):
 class TestEval:
     def test_matches_library_bit_for_bit(self, tmp_path):
         out = tmp_path / "eval.json"
-        code = run(build_parser().parse_args([
+        code = run(parse_args([
             "eval", "--group", "gamma0", "--level", "5", "--k", "12",
             "--seed", "classical", "--nu", "0", "--tau", "0.3,1.1",
             "--height", "60", "--out", str(out)]))
@@ -49,7 +50,7 @@ class TestEval:
         # of the seed in the order the spectral split keeps them
         out = tmp_path / "eval.json"
         for j in (1, 2, 3):
-            code = run(build_parser().parse_args([
+            code = run(parse_args([
                 "eval", "--rep", "trivial", "--p", "3", "--j", str(j),
                 "--tau", "0.3,1.1", "--height", "20", "--out", str(out)]))
             assert code == 0
@@ -86,7 +87,7 @@ class TestEval:
 
     def test_negative_first_part_with_equals_form(self, tmp_path):
         out = tmp_path / "eval.json"
-        code = run(build_parser().parse_args([
+        code = run(parse_args([
             "eval", "--group", "gamma0", "--level", "2", "--seed", "elliptic",
             "--nu", "1", "--xi=-0.5,1", "--tau=-0.2,0.2", "--height", "20",
             "--out", str(out)]))
@@ -236,7 +237,7 @@ class TestCriterion:
 
     def test_region_c_without_radius_is_the_elliptic_margin(self, capsys):
         # find_radius(4, 0, 2) is None: the artifact reports the elliptic margin
-        assert run(build_parser().parse_args(
+        assert run(parse_args(
             ["criterion", "regionC", "--k", "4", "--N", "2", "--nu", "0"])) == 0
         data = json.loads(capsys.readouterr().out)
         assert data == {"criterion": "regionC", "satisfied": False,
@@ -306,7 +307,7 @@ class TestOtherCommands:
         # induce --group gammanpm --level 70, of index ~121k, meets the
         # real bound
         monkeypatch.setattr(modgroup, "_MAX_INDEX", 10)
-        assert run(build_parser().parse_args(["induce", "--group", "gamma0", "--level", "11"])) == 3
+        assert run(parse_args(["induce", "--group", "gamma0", "--level", "11"])) == 3
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "refusal" and "more than 10 right cosets" in err["message"]
 
@@ -405,7 +406,7 @@ class TestOtherCommands:
         def build(*args):
             raise AssertionError("fourier built a series it then refused")
         monkeypatch.setattr(cli, "build_series", build)
-        code = run(build_parser().parse_args(["fourier", "--seed", "elliptic", "--height", "300"]))
+        code = run(parse_args(["fourier", "--seed", "elliptic", "--height", "300"]))
         assert code == 2
         assert "classical seed" in capsys.readouterr().err
 
@@ -426,7 +427,7 @@ class TestOtherCommands:
             raise AssertionError("eval enumerated cosets for data it then refused")
         monkeypatch.setattr(series, "enumerate_cosets", enumerate_cosets)
         argv = ["eval", "--tau", "0.1,1"] + [a.format(odd=odd) for a in argv]
-        assert run(build_parser().parse_args(argv)) == 2
+        assert run(parse_args(argv)) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, code, message", [
@@ -440,7 +441,7 @@ class TestOtherCommands:
         def build(*args):
             raise AssertionError(f"{argv[0]} built a series it then refused")
         monkeypatch.setattr(cli, "build_series", build)
-        assert run(build_parser().parse_args(argv + ["--height", "300"])) == code
+        assert run(parse_args(argv + ["--height", "300"])) == code
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, target", [
@@ -452,7 +453,7 @@ class TestOtherCommands:
         def exhausted(*args):
             raise MemoryError("Unable to allocate 10.5 GiB")
         monkeypatch.setattr(cli, target, exhausted)
-        assert run(build_parser().parse_args(argv)) == 3
+        assert run(parse_args(argv)) == 3
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "refusal" and err["class"] == "MemoryError"
 
@@ -477,7 +478,7 @@ class TestOtherCommands:
         # truncated domain: rel_err 1.67e-3, 0.206 and 0.986 here
         out = tmp_path / "pair.json"
         argv = ["pair", "--group", "gamma0", "--level", "2", "--height", "30", *argv]
-        assert run(build_parser().parse_args(argv + ["--out", str(out)])) == 0
+        assert run(parse_args(argv + ["--out", str(out)])) == 0
         data = json.loads(out.read_text())
         assert abs(data["rel_err"] - (1.0 - data["domain_share"])) <= 1e-8
 
@@ -490,7 +491,7 @@ class TestOtherCommands:
         for workers in (1, 2):
             monkeypatch.setattr(series, "thread_cap", lambda: workers)
             outs.append(tmp_path / f"pair{workers}.json")
-            assert run(build_parser().parse_args(argv + ["--out", str(outs[-1])])) == 0
+            assert run(parse_args(argv + ["--out", str(outs[-1])])) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
@@ -518,3 +519,24 @@ def test_help_and_usage_errors_match_the_recorded_text(argv, monkeypatch, capsys
     captured = capsys.readouterr()
     assert {"code": exc.value.code, "out": captured.out, "err": captured.err} \
         == GOLDEN["text"][" ".join(argv)]
+
+
+def test_a_job_builds_only_its_own_parser(monkeypatch, capsys):
+    # the parser of all eight commands took 9 parsers and 84 add_argument
+    # calls, 2.4 ms of a 3 ms criterion job
+    calls = {"parsers": 0, "arguments": 0}
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counted_init(self, *args, **kwargs):
+        calls["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_add_argument(self, *args, **kwargs):
+        calls["arguments"] += 1
+        return add_argument(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add_argument)
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "classical", "--k", "12", "--N", "5"])
+    assert exc.value.code == 0 and json.loads(capsys.readouterr().out)["satisfied"]
+    assert calls["parsers"] <= 2 and calls["arguments"] <= 12

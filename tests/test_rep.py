@@ -11,7 +11,7 @@ import pytest
 from conftest import random_element
 import vvps.rep
 import vvps.series
-from vvps.cli import build_parser, run
+from vvps.cli import parse_args, run
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
                            enumerate_cosets, right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem, evaluate_v
@@ -424,17 +424,17 @@ class TestSpectralSplit:
             counted(owner, name)
         argv = ["eval", "--group", "gamma0", "--level", "5", "--family", "eta", "--k", "7.3",
                 "--tau", "0.1,1", "--height", "20", "--out", os.devnull]
-        assert run(build_parser().parse_args(argv)) == 0
+        assert run(parse_args(argv)) == 0
         assert calls["eig"] + calls["eigvals"] == 1
         assert calls["_exponent"] == 1  # one per eigenvalue, p = 1
         assert calls["_monodromy"] <= 3
         rho_file = str(tmp_path / "rho.json")
         argv = ["induce", "--group", "gamma0", "--level", "5", "--out", rho_file]
-        assert run(build_parser().parse_args(argv)) == 0
+        assert run(parse_args(argv)) == 0
         calls.update(dict.fromkeys(calls, 0))
         argv = ["eval", "--rep", rho_file, "--j", "2", "--tau", "0.3,1.1", "--height", "40",
                 "--out", os.devnull]
-        assert run(build_parser().parse_args(argv)) == 0
+        assert run(parse_args(argv)) == 0
         assert calls["eig"] + calls["eigvals"] == 1
 
     def test_repeated_minus_one_eigenvalue(self, rng):
