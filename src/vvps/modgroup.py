@@ -285,11 +285,19 @@ def contains(spec: GroupSpec, g):
 def _coset_key(gamma: GroupSpec, g: IntMatrix2) -> tuple:
     """What g shares exactly with the matrices of its right coset gamma g:
     the bottom row mod N up to a unit (SL2(Z), Gamma0(N)) or up to sign
-    (Gamma1pm(N)), and g mod N up to sign (GammaNpm(N))."""
+    (Gamma1pm(N)), and g mod N up to sign (GammaNpm(N)).
+
+    Up to a unit, (c : d) is the normalised point of P^1(Z/NZ) (Cremona,
+    Algorithms for Modular Elliptic Curves, 2nd ed., sec. 2.2): the unit
+    multiples with c = h = gcd(c, N) are u (c, d) with u = (c/h)^{-1}
+    mod N/h, and the key takes the least of their d, in O(h) steps."""
     n = gamma.level
+    if gamma.kind in ("SL2Z", "Gamma0"):
+        h = math.gcd(g.c, n)
+        units = range(pow(g.c // h, -1, n // h), n, n // h)
+        return h, min(u * g.d % n for u in units if math.gcd(u, n) == 1)
     v = g.entries() if gamma.kind == "GammaNpm" else (g.c, g.d)
-    units = range(1, n + 1) if gamma.kind in ("SL2Z", "Gamma0") else (1, -1)
-    return min(tuple(u * x % n for x in v) for u in units if math.gcd(u, n) == 1)
+    return min(tuple(u * x % n for x in v) for u in (1, -1))
 
 
 def st_syllables(g: IntMatrix2):

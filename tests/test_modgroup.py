@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_element, random_tau, syllable_product
+from vvps import modgroup
 from vvps.errors import DomainError
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, cocycle_j,
                            contains, cusp_width, entry_arrays, enumerate_cosets,
@@ -498,6 +499,19 @@ class TestRightCosets:
         reps = right_coset_reps(gamma)
         assert reps == _quadratic_reps(gamma)
         assert len(reps) == _index(gamma)
+
+    @pytest.mark.parametrize("level", [199, 720])
+    def test_reps_equal_those_of_the_least_unit_multiple(self, level, monkeypatch):
+        # the key before the P^1(Z/NZ) symbol: the least of the phi(N) unit
+        # multiples of (c, d) mod N, 1.4 s for the search at level 720
+        def least_multiple(gamma, g):
+            n = gamma.level
+            return min((u * g.c % n, u * g.d % n) for u in range(1, n + 1)
+                       if math.gcd(u, n) == 1)
+        gamma = GroupSpec.gamma0(level)
+        reps = right_coset_reps(gamma)
+        monkeypatch.setattr(modgroup, "_coset_key", least_multiple)
+        assert right_coset_reps(gamma) == reps
 
     @pytest.mark.parametrize("gamma", FAMILIES, ids=str)
     def test_permutations_satisfy_their_relation(self, gamma, rng):
