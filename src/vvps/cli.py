@@ -427,13 +427,13 @@ _COMMANDS = {
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse one job's argv with a parser built for this call: the command
-    that argv[0] names, with its options, or else every command without
-    options, which is all that top-level help and usage errors read."""
+    """Parse one job's argv with a parser built for this call: the command that
+    argv[0] names, with its options, or else all commands, for help and errors."""
     ap = argparse.ArgumentParser(prog="vvps", description="Poincare series workbench")
     ap.add_argument("--version", action="version", version=__version__)
     chosen = argv[0] if argv and argv[0] in _COMMANDS else None
-    # with one subparser, the metavar keeps every command in the usage line
+    # with one subparser the metavar keeps every command in the usage line;
+    # with all, errors name the argument `command`, as argparse's own metavar does
     metavar = "{" + ",".join(_COMMANDS) + "}" if chosen else None
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in [chosen] if chosen else _COMMANDS:

@@ -522,8 +522,8 @@ def test_help_and_usage_errors_match_the_recorded_text(argv, monkeypatch, capsys
 
 
 def test_a_job_builds_only_its_own_parser(monkeypatch, capsys):
-    # the parser of all eight commands took 9 parsers and 84 add_argument
-    # calls, 2.4 ms of a 3 ms criterion job
+    # a parser with the options of all eight commands makes 9 parsers and
+    # 84 add_argument calls, 2.3 ms of a 3 ms criterion job
     calls = {"parsers": 0, "arguments": 0}
     init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
 
