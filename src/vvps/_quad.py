@@ -42,23 +42,27 @@ def gauss_panels(a: float, b: float, n_panels: int, geometric: bool = False):
     """Nodes and weights for composite 4-point Gauss-Legendre panels on [a, b].
 
     With geometric=True the panel edges are geometrically spaced (a > 0
-    required), refining toward a.
+    required), refining toward a.  Refused (RefusalError) when a node or
+    weight overflows the float range, as b / a does for a large b.
     """
     if n_panels < 1:
         raise ValueError("need at least one panel")
     x0, w0 = np.polynomial.legendre.leggauss(4)
-    if geometric:
-        if a <= 0:
-            raise ValueError("geometric spacing needs a > 0")
-        edges = a * (b / a) ** (np.arange(n_panels + 1) / n_panels)
-    else:
-        edges = np.linspace(a, b, n_panels + 1)
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    weights = (half[:, None] * w0[None, :]).ravel()
+    if geometric and a <= 0:
+        raise ValueError("geometric spacing needs a > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if geometric:
+            edges = a * (b / a) ** (np.arange(n_panels + 1) / n_panels)
+        else:
+            edges = np.linspace(a, b, n_panels + 1)
+        lo = edges[:-1]
+        hi = edges[1:]
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
+        weights = (half[:, None] * w0[None, :]).ravel()
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+        raise RefusalError(f"Gauss panels on [{a}, {b}] overflow the float range")
     return nodes, weights
 
 

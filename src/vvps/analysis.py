@@ -99,49 +99,41 @@ class FourierTable:
         return "\n".join(lines) + "\n"
 
 
-def _check_extraction(y0: float, nx: int):
-    """Refuse an extraction line with nx < 1 nodes (ValueError) or below
-    series.MIN_IM (RefusalError); callers check before building a series."""
-    if nx < 1:
-        raise ValueError(f"nx must be at least 1, got {nx}")
-    if y0 < MIN_IM:
-        raise RefusalError(f"extraction height y0 < {MIN_IM} refused")
-
-
 def fourier_coefficients(F, split: SpectralSplit, M: int, ns, y0: float, nx: int,
                          sigma: IntMatrix2 = I2, ms: Optional[MultiplierSystem] = None,
                          k: Optional[float] = None) -> FourierTable:
     """Fourier coefficients of U (F |_k sigma) on the line Im = y0.
 
     Periodic rectangle rule with nx >= 1 nodes; for sigma != +-I the slash
-    needs the multiplier system and the weight.  Refused (RefusalError)
-    when y0 < series.MIN_IM or when a growth factor
+    needs the multiplier system and the weight.  Refused (RefusalError),
+    before F is evaluated, when y0 < series.MIN_IM or when a growth factor
     e^{2 pi (n + m_j) y0 / M} overflows.
     """
-    _check_extraction(y0, nx)
-    ns = tuple(int(n) for n in ns)
-    xs = np.arange(nx) * (M / nx)
-    taus = xs + 1j * y0
-    if sigma in (I2, -I2):
-        vals = _values(F, taus)
-    else:
+    if nx < 1:
+        raise ValueError(f"nx must be at least 1, got {nx}")
+    if y0 < MIN_IM:
+        raise RefusalError(f"extraction height y0 < {MIN_IM} refused")
+    if sigma not in (I2, -I2):
         if ms is None or k is None:
             raise ValueError("sigma != +-I needs ms and k for the slash action")
         if abs(ms.k - k) > 1e-12:
             raise ValueError("multiplier weight differs from the slash weight")
-        vals = slash(F, [sigma], taus, ms)[:, 0]
+    ns = tuple(int(n) for n in ns)
+    freq = np.asarray(ns, dtype=float)[None, :] + np.asarray(split.m)[:, None]  # [j, i]
+    growth = {}  # (j, i) -> Python float, whose overflowing products do not warn
+    for (j, i), f in np.ndenumerate(freq):
+        try:
+            growth[j, i] = math.exp(2.0 * math.pi * f * y0 / M)
+        except OverflowError as exc:
+            raise RefusalError(f"growth factor at n={ns[i]}, y0={y0} overflows") from exc
+    xs = np.arange(nx) * (M / nx)
+    taus = xs + 1j * y0
+    vals = _values(F, taus) if sigma in (I2, -I2) else slash(F, [sigma], taus, ms)[:, 0]
     uvals = vals @ split.U.T  # row t holds U F(tau_t)
-    p = uvals.shape[1]
-    b = np.empty((p, len(ns)), dtype=complex)
-    for j in range(p):
-        freq = np.asarray(ns, dtype=float) + split.m[j]
-        for i, _ in enumerate(ns):
-            phase = np.exp(-2j * math.pi * freq[i] * xs / M)
-            try:
-                growth = math.exp(2.0 * math.pi * freq[i] * y0 / M)
-            except OverflowError as exc:
-                raise RefusalError(f"growth factor at n={ns[i]}, y0={y0} overflows") from exc
-            b[j, i] = growth / nx * comp_sum_complex(uvals[:, j] * phase)
+    b = np.empty(freq.shape, dtype=complex)
+    for (j, i), f in np.ndenumerate(freq):
+        phase = np.exp(-2j * math.pi * f * xs / M)
+        b[j, i] = growth[j, i] / nx * comp_sum_complex(uvals[:, j] * phase)
     return FourierTable(sigma, M, split.m, ns, b, y0)
 
 

@@ -27,16 +27,15 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .analysis import (QuadratureSpec, _check_extraction, classical_pairing_closed_form,
+from .analysis import (QuadratureSpec, classical_pairing_closed_form,
                        domain_share, elliptic_expansion_coeffs,
                        elliptic_pairing_closed_form, fourier_coefficients, petersson_strip)
 from .errors import RefusalError
 from .modgroup import (GroupSpec, I2, S, cocycle_j, cusp_width, enumerate_cosets,
                        mobius_act, right_coset_reps, st_syllables, t_power)
 from .multiplier import MultiplierSystem, _random_element, check_consistency
-from .nonvanish import (CriterionReport, beta_median, classical_criterion,
-                        elliptic_criterion, find_radius, gamma_median, region_test_a,
-                        region_test_c)
+from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
+                        gamma_median, region_test_a, region_test_c)
 from .rep import RepSpec, induce, spectral_split, trivial_rep
 from .seeds import ClassicalSeed, EllipticSeed
 from .series import build_series
@@ -154,7 +153,6 @@ def _run_fourier(ns) -> dict:
         raise ConfigError(f"need --n0 <= --n1, got {ns.n0} > {ns.n1}")
     if ns.seed != "classical":
         raise ConfigError("fourier needs a classical seed configuration")
-    _check_extraction(ns.y0, ns.nx_fourier)
     handle = _build_series(ns)
     seed = handle.seed
     ns_range = list(range(ns.n0, ns.n1 + 1))
@@ -204,13 +202,7 @@ def _run_criterion(ns) -> dict:
         seed = _classical_seed(group, trivial_rep(1, group), ms, ns.nu, 1)
         report = region_test_a(seed, group, ns.k)
     else:
-        r = ns.r if ns.r is not None else find_radius(ns.k, ns.nu, ns.N)
-        if r is None:
-            report = CriterionReport("regionC", elliptic_criterion(ns.k, ns.N, ns.nu).margin,
-                                     {"k": ns.k, "nu": ns.nu, "N": ns.N, "r": None},
-                                     {"note": "no feasible radius"})
-        else:
-            report = region_test_c(ns.k, ns.nu, ns.N, r)
+        report = region_test_c(ns.k, ns.nu, ns.N, ns.r)
     return report.to_json()
 
 

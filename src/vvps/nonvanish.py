@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ._quad import (_bisect_then_newton, log_beta, regularized_incomplete_beta,
                     regularized_incomplete_gamma)
@@ -166,7 +167,7 @@ def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionR
                            details=details)
 
 
-def region_test_c(k: float, nu: int, N: int, r: float) -> CriterionReport:
+def region_test_c(k: float, nu: int, N: int, r: Optional[float] = None) -> CriterionReport:
     """Closed-form test of the Cartan-ball conditions for an elliptic seed at i.
 
     The ball of radius r must inject into the level-N quotient, which holds
@@ -174,8 +175,16 @@ def region_test_c(k: float, nu: int, N: int, r: float) -> CriterionReport:
     seed's radial mass.  The substitution s = tanh^2 t turns the head
     (0 <= t <= r) and the tail of that mass into B I and B (1 - I), with
     I = I_{tanh^2 r}(nu/2 + 1, k/2 - 1) and B the complete beta value, so
-    the mass margin is 2 I - 1.
+    the mass margin is 2 I - 1.  Without r the radius is find_radius's;
+    when no radius is feasible the report carries the elliptic criterion's
+    margin, r None and a note.
     """
+    if r is None:
+        r = find_radius(k, nu, N)
+        if r is None:
+            return CriterionReport("regionC", elliptic_criterion(k, N, nu).margin,
+                                   {"k": k, "nu": nu, "N": N, "r": None},
+                                   {"note": "no feasible radius"})
     if k <= 2:
         raise DomainError("region test requires k > 2")
     if N < 2:

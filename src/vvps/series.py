@@ -1,9 +1,11 @@
 """Slash actions and truncated evaluation of Poincare series.
 
-A SeriesHandle bundles a seed, the representation, the multiplier system
-and a coset table, and nothing these determine: the weight is ms.k, the
-groups are the table's, whose stabiliser must be seed.lam.  Evaluation
-sums the slashed seed over the table with exactly-rounded (compensated)
+A SeriesHandle holds a seed, the representation, the multiplier system,
+the group gamma and the height of its coset table, and nothing these
+determine: the weight is ms.k and the table's stabiliser seed.lam.  It
+refuses at construction whatever needs no table, and enumerates the table
+on first evaluation, so a refused job never builds one.  Evaluation sums
+the slashed seed over the table with exactly-rounded (compensated)
 summation, computing j^{-k} once per bottom row of the table and g.tau
 once per coset, and reports an empirical tail proxy, the mass of the
 outermost tenth of the included cosets by Frobenius norm.  evaluate_many
@@ -109,16 +111,35 @@ def slash_k(F, g: IntMatrix2, ms: MultiplierSystem, rep: Optional[RepSpec] = Non
 
 @dataclass(eq=False)
 class SeriesHandle:
-    """A truncated Poincare series ready for evaluation."""
+    """A truncated Poincare series over the seed.lam-cosets in gamma of
+    Frobenius norm at most height."""
 
     seed: SeedFn
     rep: RepSpec
     ms: MultiplierSystem
-    cosets: CosetTable
+    gamma: GroupSpec
+    height: float
     _data: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        _validate(self.seed, self.cosets.lam, self.cosets.gamma, self.rep, self.ms)
+        seed, rep, ms = self.seed, self.rep, self.ms
+        if ms.k <= 2:
+            raise DomainError("series are only supported in the convergent range k > 2")
+        if isinstance(seed, EllipticSeed) and abs(seed.k - ms.k) > 1e-12:
+            raise ValueError("elliptic seed weight differs from the series weight")
+        if seed.p != rep.p:
+            raise ValueError("seed dimension does not match the representation")
+        if check_normal(rep, ms, self.gamma) is None:
+            raise ValueError("representation is not normal")
+        if isinstance(seed, ClassicalSeed) and seed.split.residual(rep, ms, seed.M) > _UNITARY_TOL:
+            raise ValueError("seed spectral data does not diagonalise rho(T^M)")
+
+    @property
+    def cosets(self) -> CosetTable:
+        """The coset table, enumerated on first use."""
+        if "cosets" not in self._data:
+            self._data["cosets"] = enumerate_cosets(self.seed.lam, self.gamma, self.height)
+        return self._data["cosets"]
 
     @property
     def k(self) -> float:
@@ -129,10 +150,6 @@ class SeriesHandle:
     def p(self) -> int:
         return self.seed.p
 
-    @property
-    def height(self) -> float:
-        return self.cosets.height
-
     def _prepared(self):
         """Per-coset folded vectors W_i = conj(v(g_i)) rho(g_i)^* w, where
         the seed is scalar * w.
@@ -140,7 +157,7 @@ class SeriesHandle:
         Array work over the table's integer entries: v from the
         multiplier's closed form, rho(g_i)^* w from rep.fold_rho (a lookup
         by residue class whenever rho factors through SL2(Z/NZ))."""
-        if self._data:
+        if "w" in self._data:
             return self._data
         ents = self.cosets.ents
         if len(ents) == 0:
@@ -217,30 +234,15 @@ class SeriesHandle:
         return values[0], float(tails[0])
 
 
-def _validate(seed: SeedFn, lam: GroupSpec, gamma: GroupSpec, rep: RepSpec, ms: MultiplierSystem):
-    """Refuse what needs no coset table; the handle repeats it from rep's cache."""
-    if ms.k <= 2:
-        raise DomainError("series are only supported in the convergent range k > 2")
-    if lam != seed.lam:
-        raise ValueError(f"table stabiliser {lam} is not seed.lam {seed.lam}")
-    if isinstance(seed, EllipticSeed) and abs(seed.k - ms.k) > 1e-12:
-        raise ValueError("elliptic seed weight differs from the series weight")
-    if seed.p != rep.p:
-        raise ValueError("seed dimension does not match the representation")
-    if check_normal(rep, ms, gamma) is None:
-        raise ValueError("representation is not normal")
-    if isinstance(seed, ClassicalSeed) and seed.split.residual(rep, ms, seed.M) > _UNITARY_TOL:
-        raise ValueError("seed spectral data does not diagonalise rho(T^M)")
-
-
 def build_series(seed: SeedFn, lam: GroupSpec, gamma: GroupSpec, rep: RepSpec,
                  ms: MultiplierSystem, k: float, height: float) -> SeriesHandle:
-    """Enumerate the lam-cosets in gamma up to the given norm and wrap them
-    in a handle.  lam must be the seed's stabiliser and k the weight of ms."""
+    """The handle on the lam-cosets in gamma up to the given norm.  lam must
+    be the seed's stabiliser and k the weight of ms."""
     if abs(ms.k - k) > 1e-12:
         raise ValueError("multiplier weight differs from the series weight")
-    _validate(seed, lam, gamma, rep, ms)
-    return SeriesHandle(seed, rep, ms, enumerate_cosets(lam, gamma, height))
+    if lam != seed.lam:
+        raise ValueError(f"table stabiliser {lam} is not seed.lam {seed.lam}")
+    return SeriesHandle(seed, rep, ms, gamma, height)
 
 
 class TransformationCheck(NamedTuple):
@@ -257,9 +259,9 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
     """
     gammas = list(gammas)
     ents = entry_arrays(gammas)
-    outside = ~contains(handle.cosets.gamma, ents)
+    outside = ~contains(handle.gamma, ents)
     if outside.any():
-        raise ValueError(f"{gammas[outside.argmax()]} is not in {handle.cosets.gamma}")
+        raise ValueError(f"{gammas[outside.argmax()]} is not in {handle.gamma}")
     taus = np.array([_as_complex(t) for t in taus], dtype=complex)
     if not gammas or not len(taus):
         return TransformationCheck(0.0, 0.0)

@@ -52,6 +52,13 @@ class TestFourier:
         with pytest.raises(RefusalError):
             fourier_coefficients(F, plain_split(), 1, [0], 0.01, 64)
 
+    def test_growth_overflow_refused_before_evaluation(self):
+        # e^{2 pi (n + 1) 3} overflows from n = 37 on
+        def F(tau):
+            raise AssertionError("F evaluated before the refusal")
+        with pytest.raises(RefusalError, match="growth factor at n=37, y0=3"):
+            fourier_coefficients(F, plain_split(), 1, range(401), 3.0, 64)
+
     @pytest.mark.parametrize("nx", [0, -4])
     def test_too_few_nodes_rejected(self, nx):
         F = lambda tau: np.array([np.exp(2j * math.pi * tau)])
@@ -247,6 +254,12 @@ class TestDiskRefusal:
         seed = EllipticSeed(0, xi, np.array([1.0 + 0j]), 12.0)
         with pytest.raises(ValueError, match="no disk about xi"):
             petersson_strip(seed, seed, 12.0, q)
+
+    def test_box_overflowing_the_float_range_refused(self):
+        # 1e308 / 0.05 is inf: the geometric panel edges were inf, the nodes nan
+        seed = ClassicalSeed(0, 1, plain_split(), 1)
+        with pytest.raises(RefusalError, match=r"Gauss panels on \[0.05, 1e\+308\]"):
+            petersson_strip(seed, seed, 12.0, QuadratureSpec(0.05, 1e308))
 
     def test_second_argument_without_xi_refused(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)

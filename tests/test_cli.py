@@ -403,9 +403,9 @@ class TestOtherCommands:
 
     def test_fourier_refuses_an_elliptic_seed_before_enumerating(self, monkeypatch, capsys):
         # at --height 300 the refused series took 0.69 s to build
-        def build(*args):
-            raise AssertionError("fourier built a series it then refused")
-        monkeypatch.setattr(cli, "build_series", build)
+        def enumerate_cosets(*args):
+            raise AssertionError("fourier enumerated cosets for a seed it then refused")
+        monkeypatch.setattr(series, "enumerate_cosets", enumerate_cosets)
         code = run(parse_args(["fourier", "--seed", "elliptic", "--height", "300"]))
         assert code == 2
         assert "classical seed" in capsys.readouterr().err
@@ -434,25 +434,34 @@ class TestOtherCommands:
         (["fourier", "--y0", "0.01"], 3, "extraction height y0 < 0.05"),
         (["fourier", "--nx-fourier", "0"], 2, "nx must be at least 1"),
         (["pair", "--ymin", "2", "--ymax", "1"], 2, "need 0 < y_min < y_max"),
-    ], ids=["fourier-y0", "fourier-nx", "pair-box"])
+        (["eval", "--tau", "0.1,0.01"], 3, "Im(tau) < 0.05"),
+        (["eval", "--tau", "garbage"], 2, "--tau must be 'x,y'"),
+        (["eval", "--tau", "0.1,-1"], 2, "tau must lie in the upper half-plane"),
+        (["pair", "--seed", "elliptic", "--xi", "0,20", "--ymax", "14"], 2,
+         "no disk about xi=20j fits the box"),
+        (["fourier", "--n1", "400", "--y0", "3"], 3, "growth factor at n=37, y0=3.0 overflows"),
+        (["pair", "--ymax", "1e308"], 3, "Gauss panels on [0.05, 1e+308] overflow"),
+    ], ids=["fourier-y0", "fourier-nx", "pair-box", "eval-near-real-line", "eval-tau-garbage",
+            "eval-tau-lower-half", "pair-no-disk", "fourier-growth", "pair-box-overflow"])
     def test_refuses_bad_quadrature_before_enumerating(self, argv, code, message,
                                                        monkeypatch, capsys):
-        # at --height 300 each refused series took 0.21 s to build
-        def build(*args):
-            raise AssertionError(f"{argv[0]} built a series it then refused")
-        monkeypatch.setattr(cli, "build_series", build)
-        assert run(parse_args(argv + ["--height", "300"])) == code
+        # at --height 600 the refused series enumerated 269,759 cosets (1,078,330
+        # for the elliptic pair) before its refusal
+        def enumerate_cosets(*args):
+            raise AssertionError(f"{argv[0]} enumerated cosets for a job it then refused")
+        monkeypatch.setattr(series, "enumerate_cosets", enumerate_cosets)
+        assert run(parse_args(argv + ["--height", "600"])) == code
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, target", [
-        (["cosets", "--height", "30000"], "enumerate_cosets"),
-        (["eval", "--tau", "0.3,1.1", "--height", "30000"], "build_series"),
+    @pytest.mark.parametrize("argv, module", [
+        (["cosets", "--height", "30000"], cli),
+        (["eval", "--tau", "0.3,1.1", "--height", "30000"], series),
     ], ids=["cosets", "eval"])
-    def test_memory_exhaustion_is_a_refusal(self, argv, target, monkeypatch, capsys):
+    def test_memory_exhaustion_is_a_refusal(self, argv, module, monkeypatch, capsys):
         # vvps cosets --height 30000 asks numpy for 10.5 GiB
         def exhausted(*args):
             raise MemoryError("Unable to allocate 10.5 GiB")
-        monkeypatch.setattr(cli, target, exhausted)
+        monkeypatch.setattr(module, "enumerate_cosets", exhausted)
         assert run(parse_args(argv)) == 3
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "refusal" and err["class"] == "MemoryError"

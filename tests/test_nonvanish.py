@@ -355,6 +355,18 @@ class TestRegionC:
         assert r < math.acosh(3.0) / 4.0
 
 
+    def test_radius_defaults_to_find_radius(self):
+        for k, nu, n in ((12.0, 0, 2), (6.0, 1, 5), (20.5, 3, 11)):
+            assert region_test_c(k, nu, n) == region_test_c(k, nu, n, find_radius(k, nu, n))
+
+    def test_no_feasible_radius_is_reported(self):
+        rep = region_test_c(4.0, 0, 2)
+        assert find_radius(4.0, 0, 2) is None
+        assert rep.margin == elliptic_criterion(4.0, 2, 0).margin and not rep.satisfied
+        assert rep.inputs == {"k": 4.0, "nu": 0, "N": 2, "r": None}
+        assert rep.details == {"note": "no feasible radius"}
+
+
 class TestFindRadius:
     def test_feasibility_equivalence_on_grid(self):
         for k in GRID_K:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_element, random_tau
+from vvps import series
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
                            enumerate_cosets, kernel_workspace, mobius_act,
@@ -132,6 +133,54 @@ class TestHandleValidation:
                          rep, MS12, 12.0, 10.0)
 
 
+class TestTableOnFirstEvaluation:
+    """A handle enumerates its coset table on first use, once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The argument tuples of every enumerate_cosets call of the series."""
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return enumerate_cosets(*args)
+        monkeypatch.setattr(series, "enumerate_cosets", counted)
+        return made
+
+    def test_construction_enumerates_nothing(self, calls):
+        classical_handle(height=20.0)
+        elliptic_handle(height=20.0)
+        seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
+        SeriesHandle(seed, trivial_rep(1), MS12, GroupSpec.sl2z(), 20.0)
+        assert calls == []
+
+    def test_first_evaluation_enumerates_once(self, calls):
+        h = classical_handle(height=20.0)
+        first = h.evaluate_many([0.1 + 1.2j, 0.3 + 0.9j])
+        assert calls == [(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 20.0)]
+        table = h.cosets
+        again = h.evaluate_many([0.1 + 1.2j, 0.3 + 0.9j])
+        assert len(calls) == 1 and h.cosets is table
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
+
+    def test_reading_the_table_first(self, calls):
+        h = elliptic_handle(height=20.0)
+        table = h.cosets
+        h.evaluate(0.2 + 1.1j)
+        check_transformation(h, [T], [0.2 + 1.1j])
+        assert len(calls) == 1 and h.cosets is table
+
+    def test_refusals_enumerate_nothing(self, calls):
+        h = classical_handle(gamma=GroupSpec.gamma0(2), height=20.0)
+        with pytest.raises(RefusalError):
+            h.evaluate(0.1 + 0.01j)
+        with pytest.raises(DomainError):
+            h.evaluate(0.1 - 1j)
+        with pytest.raises(ValueError, match="is not in"):
+            check_transformation(h, [S], [0.2 + 1.1j])
+        assert calls == []
+
+
 class TestEvaluate:
     def test_single_coset_returns_seed(self):
         pmi = GroupSpec.plus_minus_identity()
@@ -167,10 +216,9 @@ class TestEvaluate:
 
     def test_empty_table_rejected(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
-        pmi = GroupSpec.plus_minus_identity()
-        h = SeriesHandle(seed, trivial_rep(1), MS12,
-                         enumerate_cosets(pmi, GroupSpec.sl2z(), 1.0))
-        with pytest.raises(ValueError):
+        # the <-I>-cosets in SL2(Z) of norm at most 1: none, since |I| = sqrt(2)
+        h = SeriesHandle(seed, trivial_rep(1), MS12, GroupSpec.sl2z(), 1.0)
+        with pytest.raises(ValueError, match="empty coset table"):
             h.evaluate(1j)
 
     def test_matches_brute_force_sum(self):
