@@ -445,8 +445,8 @@ class TestOtherCommands:
             "eval-tau-lower-half", "pair-no-disk", "fourier-growth", "pair-box-overflow"])
     def test_refuses_bad_quadrature_before_enumerating(self, argv, code, message,
                                                        monkeypatch, capsys):
-        # at --height 600 the refused series enumerated 269,759 cosets (1,078,330
-        # for the elliptic pair) before its refusal
+        # at --height 600 the last six used to enumerate their table first:
+        # 269,759 cosets, and 1,078,330 for the elliptic pair
         def enumerate_cosets(*args):
             raise AssertionError(f"{argv[0]} enumerated cosets for a job it then refused")
         monkeypatch.setattr(series, "enumerate_cosets", enumerate_cosets)

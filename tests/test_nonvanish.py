@@ -354,7 +354,6 @@ class TestRegionC:
         assert region_test_c(12.0, 0, 2, r).satisfied
         assert r < math.acosh(3.0) / 4.0
 
-
     def test_radius_defaults_to_find_radius(self):
         for k, nu, n in ((12.0, 0, 2), (6.0, 1, 5), (20.5, 3, 11)):
             assert region_test_c(k, nu, n) == region_test_c(k, nu, n, find_radius(k, nu, n))
