@@ -71,7 +71,13 @@ JOBS = [
     ("criterion regionC radius given", ["criterion", "regionC", "--k", "12", "--N", "3",
                                         "--nu", "1", "--r", "0.3"]),
     ("criterion regionC no radius", ["criterion", "regionC", "--k", "4", "--N", "2"]),
+    ("criterion elliptic median next to 1", ["criterion", "elliptic", "--k", "2.05",
+                                             "--N", "3"]),
+    ("criterion classical gamma median at 499", ["criterion", "classical", "--k", "1000",
+                                                 "--N", "5", "--nu", "20"]),
     ("table", ["table"]),
+    ("table 84 beta medians", ["table", "--k-list", "2.05,4,24,1000", "--n-list", "2,13",
+                               "--nu-max", "20"]),
     ("cosets gammainf", ["cosets", "--group", "gamma0", "--level", "3", "--height", "20"]),
     ("cosets pmi", ["cosets", "--group", "gamma1pm", "--level", "5",
                     "--stabiliser", "pmi", "--height", "15"]),
