@@ -175,6 +175,8 @@ class TestEval:
         # the region A scale M Gamma(s) / alpha^s itself beyond the float
         # range (k = 400 is finite in log space; see test_region_a_large_weight)
         ["criterion", "regionA", "--k", "1000", "--N", "5"],
+        # cosh(4r) is inf, so the separation margin was -inf in the artifact
+        ["criterion", "regionC", "--k", "12", "--N", "2", "--r", "1e308"],
     ])
     def test_overflow_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -319,6 +320,13 @@ class TestRegionC:
         assert small.details["mass_margin"] < 0
         large = region_test_c(12.0, 0, 2, 5.0)
         assert large.details["mass_margin"] > 0 and large.details["separation_margin"] < 0
+
+    @pytest.mark.parametrize("r", [178.0, 1e300, 1e308, math.nan])
+    def test_radius_without_a_finite_separation_refused(self, r):
+        # cosh(4r) overflows from r = 178 on (OverflowError), and at 1e308
+        # 4r is inf, where the margin was -inf
+        with pytest.raises(RefusalError, match=re.escape(f"r={r}")):
+            region_test_c(12.0, 0, 2, r)
 
     def test_quadrature_head_matches_beta(self):
         # independent check of both mass integrals against scipy quadrature;
