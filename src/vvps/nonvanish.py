@@ -177,7 +177,8 @@ def region_test_c(k: float, nu: int, N: int, r: Optional[float] = None) -> Crite
     I = I_{tanh^2 r}(nu/2 + 1, k/2 - 1) and B the complete beta value, so
     the mass margin is 2 I - 1.  Without r the radius is find_radius's;
     when no radius is feasible the report carries the elliptic criterion's
-    margin, r None and a note.
+    margin, r None and a note.  A radius whose separation margin is not a
+    finite float (cosh(4r) overflows from r = 178 on) is refused.
     """
     if r is None:
         r = find_radius(k, nu, N)
@@ -193,7 +194,12 @@ def region_test_c(k: float, nu: int, N: int, r: Optional[float] = None) -> Crite
         raise ValueError(f"need nu >= 0, got {nu}")
     if r <= 0:
         raise ValueError("need r > 0")
-    sep = math.sqrt(N * N + 2.0) - math.sqrt(2.0 * math.cosh(4.0 * r))
+    try:
+        sep = math.sqrt(N * N + 2.0) - math.sqrt(2.0 * math.cosh(4.0 * r))
+    except OverflowError:
+        sep = math.inf
+    if not math.isfinite(sep):
+        raise RefusalError(f"the separation margin at r={r} is not a finite float")
     a = nu / 2.0 + 1.0
     b = k / 2.0 - 1.0
     frac = regularized_incomplete_beta(a, b, math.tanh(r) ** 2)
