@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -255,11 +256,16 @@ class TestDiskRefusal:
         with pytest.raises(ValueError, match="no disk about xi"):
             petersson_strip(seed, seed, 12.0, q)
 
-    def test_box_overflowing_the_float_range_refused(self):
+    @pytest.mark.parametrize("y_max, message", [
         # 1e308 / 0.05 is inf: the geometric panel edges were inf, the nodes nan
+        (1e308, "Gauss panels on [0.05, 1e+308]"),
+        # finite nodes, but y^(k - 2) = y^10 overflows in the weights
+        (1e300, "weight y^10 on [0.05, 1e+300]"),
+    ], ids=["panels", "weights"])
+    def test_box_overflowing_the_float_range_refused(self, y_max, message):
         seed = ClassicalSeed(0, 1, plain_split(), 1)
-        with pytest.raises(RefusalError, match=r"Gauss panels on \[0.05, 1e\+308\]"):
-            petersson_strip(seed, seed, 12.0, QuadratureSpec(0.05, 1e308))
+        with pytest.raises(RefusalError, match=re.escape(message)):
+            petersson_strip(seed, seed, 12.0, QuadratureSpec(0.05, y_max))
 
     def test_second_argument_without_xi_refused(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)

@@ -443,8 +443,10 @@ class TestOtherCommands:
          "no disk about xi=20j fits the box"),
         (["fourier", "--n1", "400", "--y0", "3"], 3, "growth factor at n=37, y0=3.0 overflows"),
         (["pair", "--ymax", "1e308"], 3, "Gauss panels on [0.05, 1e+308] overflow"),
+        (["pair", "--ymax", "1e300"], 3, "weight y^10 on [0.05, 1e+300] overflows"),
     ], ids=["fourier-y0", "fourier-nx", "pair-box", "eval-near-real-line", "eval-tau-garbage",
-            "eval-tau-lower-half", "pair-no-disk", "fourier-growth", "pair-box-overflow"])
+            "eval-tau-lower-half", "pair-no-disk", "fourier-growth", "pair-box-overflow",
+            "pair-weight-overflow"])
     def test_refuses_bad_quadrature_before_enumerating(self, argv, code, message,
                                                        monkeypatch, capsys):
         # at --height 600 the last six used to enumerate their table first:
