@@ -178,7 +178,8 @@ def _strip_nodes(f, k: float, q: QuadratureSpec):
     """Flat (taus, weights) over a fundamental domain of f.lam, the weights
     carrying Im(tau)^k dv: the period strip for GammaInfinity, the disk
     about f.xi for <-I>, where dv = 4 rho drho dtheta/(1 - rho^2)^2 in
-    w = rho e^{i theta} = (tau - xi)/(tau - conj(xi))."""
+    w = rho e^{i theta} = (tau - xi)/(tau - conj(xi)).  Refused
+    (RefusalError) when a weight overflows the float range."""
     lam = getattr(f, "lam", None)
     if lam is None:
         raise ValueError("the pairing needs a seed as its second argument: a classical "
@@ -188,15 +189,20 @@ def _strip_nodes(f, k: float, q: QuadratureSpec):
         wx = np.full(q.nx, lam.n / q.nx)
         ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, geometric=True)
         taus = (xs[:, None] + 1j * ys[None, :]).ravel()
-        weights = (wx[:, None] * (wy * ys ** (k - 2.0))[None, :]).ravel()
-        return taus, weights
-    xi = complex(f.xi)
-    rhos, wr = gauss_panels(0.0, _disk_radius(xi, q), max(4, q.ny // 4))
-    thetas = 2.0 * math.pi * np.arange(q.nx) / q.nx
-    ws = (rhos[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
-    wmeas = 4.0 * rhos * wr / (1.0 - rhos ** 2) ** 2 * (2.0 * math.pi / q.nx)
-    weights = np.repeat(wmeas, q.nx) * taus.imag ** k
+        power = k - 2.0
+        weights = (wx[:, None] * (wy * ys ** power)[None, :]).ravel()
+    else:
+        xi = complex(f.xi)
+        rhos, wr = gauss_panels(0.0, _disk_radius(xi, q), max(4, q.ny // 4))
+        thetas = 2.0 * math.pi * np.arange(q.nx) / q.nx
+        ws = (rhos[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+        taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
+        wmeas = 4.0 * rhos * wr / (1.0 - rhos ** 2) ** 2 * (2.0 * math.pi / q.nx)
+        power = k
+        weights = np.repeat(wmeas, q.nx) * taus.imag ** power
+    if not np.isfinite(weights).all():
+        raise RefusalError(f"the weight y^{power:g} on [{q.y_min}, {q.y_max}] "
+                           "overflows the float range")
     return taus, weights
 
 
