@@ -1,5 +1,4 @@
 import math
-import re
 import sys
 
 import numpy as np
@@ -256,16 +255,17 @@ class TestDiskRefusal:
         with pytest.raises(ValueError, match="no disk about xi"):
             petersson_strip(seed, seed, 12.0, q)
 
-    @pytest.mark.parametrize("y_max, message", [
+    def test_box_overflowing_the_float_range_refused(self):
         # 1e308 / 0.05 is inf: the geometric panel edges were inf, the nodes nan
-        (1e308, "Gauss panels on [0.05, 1e+308]"),
-        # finite nodes, but y^(k - 2) = y^10 overflows in the weights
-        (1e300, "weight y^10 on [0.05, 1e+300]"),
-    ], ids=["panels", "weights"])
-    def test_box_overflowing_the_float_range_refused(self, y_max, message):
         seed = ClassicalSeed(0, 1, plain_split(), 1)
-        with pytest.raises(RefusalError, match=re.escape(message)):
-            petersson_strip(seed, seed, 12.0, QuadratureSpec(0.05, y_max))
+        with pytest.raises(RefusalError, match=r"Gauss panels on \[0.05, 1e\+308\]"):
+            petersson_strip(seed, seed, 12.0, QuadratureSpec(0.05, 1e308))
+
+    def test_weight_overflowing_the_float_range_refused(self):
+        # finite nodes, but y^(k - 2) = y^10 overflows in the weights
+        seed = ClassicalSeed(0, 1, plain_split(), 1)
+        with pytest.raises(RefusalError, match=r"weight y\^10 on \[0.05, 1e\+300\]"):
+            petersson_strip(seed, seed, 12.0, QuadratureSpec(0.05, 1e300))
 
     def test_second_argument_without_xi_refused(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
