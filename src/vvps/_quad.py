@@ -36,6 +36,10 @@ _BLOCK = 4096  # terms per pairwise partial of block_sum
 _EPS = 1e-16
 _FPMIN = 1e-300
 _ITMAX = 600
+# the median finder assumes |float cdf - cdf| < _SURE / 2, 150x the errors above
+_SURE = 1e-10
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-5  # ~ sqrt(_SURE): one more Newton step leaves a residual near _SURE
 
 
 def gauss_panels(a: float, b: float, n_panels: int, geometric: bool = False):
@@ -189,17 +193,63 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
 
 
-def _bisect_then_newton(cdf, pdf, lo, hi):
+def _bisect_then_newton(cdf, pdf, lo, hi, start):
     """Median finder: bisection bracket, then a few Newton polish steps.
 
-    The returned point satisfies |cdf - 1/2| well below 1e-12.
+    The returned point satisfies |cdf - 1/2| well below 1e-12.  It is the
+    point that plain bisection of [lo, hi] and the same polish return, but
+    the bisection evaluates cdf only where no earlier evaluation has
+    certified the side of 1/2; a Newton estimate from start, inside
+    [lo, hi], and a window about it make those earlier evaluations.
     """
-    flo = cdf(lo) - 0.5
+    below, above = -math.inf, math.inf  # cdf < 1/2 up to below, > 1/2 from above
+
+    def certify(x):
+        nonlocal below, above
+        fx = cdf(x) - 0.5
+        if fx < -_SURE:
+            below = max(below, x)
+        elif fx > _SURE:
+            above = min(above, x)
+        return fx
+
+    a, b = lo, hi
+    x = start if lo < start < hi else 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        fx = certify(x)
+        dens = pdf(x)
+        if not 0 < dens < math.inf:
+            break
+        if abs(fx) <= _NEWTON_TOL:
+            # the step squares the residual; widen x4 until both ends certify
+            x -= fx / dens
+            half = 4.0 * _SURE / dens
+            w = half
+            while x - w > max(lo, below) and certify(x - w) >= -_SURE:
+                w *= 4.0
+            w = half
+            while x + w < min(hi, above) and certify(x + w) <= _SURE:
+                w *= 4.0
+            break
+        a, b = (x, b) if fx < 0 else (a, x)
+        x -= fx / dens
+        if not a < x < b:
+            x = 0.5 * (a + b)
+
+    def side(x):
+        # cdf(x) - 1/2, or a value of the same sign where that sign is certified
+        if x <= below:
+            return -0.5
+        if x >= above:
+            return 0.5
+        return cdf(x) - 0.5
+
+    flo = side(lo)
     for _ in range(200):
         if hi - lo < 1e-13 * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        fm = cdf(mid) - 0.5
+        fm = side(mid)
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:

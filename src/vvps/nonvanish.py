@@ -63,7 +63,9 @@ def gamma_median(a: float) -> float:
     def pdf(x):
         return math.exp((a - 1.0) * math.log(x) - x - lg) if x > 0 else 0.0
 
-    return _bisect_then_newton(lambda x: regularized_incomplete_gamma(a, x), pdf, lo, hi)
+    # the asymptotic expansion of the median (Choi 1994) starts the search
+    return _bisect_then_newton(lambda x: regularized_incomplete_gamma(a, x), pdf, lo, hi,
+                               a - 1.0 / 3.0 + 8.0 / (405.0 * a))
 
 
 @functools.lru_cache(maxsize=256)
@@ -78,8 +80,10 @@ def beta_median(a: float, b: float) -> float:
             return 0.0
         return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - lb)
 
+    # Kerman's closed-form approximation starts the search
+    start = (a - 1.0 / 3.0) / (a + b - 2.0 / 3.0) if a + b > 1.0 else 0.5
     return _bisect_then_newton(lambda x: regularized_incomplete_beta(a, b, x),
-                               pdf, 0.0, 1.0)
+                               pdf, 0.0, 1.0, start)
 
 
 def classical_criterion(k: float, M: int, N: int, nu: int, m_j: float) -> CriterionReport:
