@@ -11,12 +11,24 @@ for P; a = nu/2 + 1, nu <= 20, b = k/2 - 1, k <= 1000, x = tanh^2 r,
 | P(a, x) | a > 0, x >= 0 | series if x < a + 1, else continued fraction | 1.7e-13 |
 | I_x(a, b) | a, b > 0, 0 <= x <= 1 | continued fraction (in 1 - x past the mean) | 6.5e-13 |
 | log B(a, b) | a, b > 0 | sum and difference of three lgamma values | 6.4e-13 absolute |
-| medians | a bracket of cdf = 1/2 | bisection to 1e-13, <= 4 Newton steps | see below |
+| medians | a bracket of cdf = 1/2, a start | bisection to 1e-13, <= 4 Newton steps; certified steps skipped | see below |
 
 P is regularized_incomplete_gamma, I_x regularized_incomplete_beta, log B
 log_beta, and the median finder _bisect_then_newton, which
 nonvanish.gamma_median (error 1.4e-14) and beta_median (4.9e-13) call;
 the continued fractions are modified Lentz.
+
+The median finder returns the bits of plain bisection and polish with
+about half the cdf evaluations (20 instead of 48 per median on the
+criteria's shapes).  A cdf value below 1/2 - _SURE certifies that every
+point at or left of it lies below 1/2, one above 1/2 + _SURE that every
+point at or right of it lies above, and the bisection evaluates only the
+midpoints that no value certifies.  Those values come from Newton steps
+from a closed-form start and from a window about the Newton estimate, of
+half-width 4 _SURE / pdf, widened x4 until both ends certify; where none
+certifies, the finder is plain bisection.  The certificate assumes the
+float cdf within _SURE / 2 = 5e-11 of the true, nondecreasing cdf: 77
+times the worst error of I_x on the grid above, 290 times that of P.
 
 The errors of I_x, log B and the beta median come from lgamma terms near
 2,600 that cancel at b = 499: the worst grid point is I_x(9, 499), and
@@ -36,8 +48,7 @@ _BLOCK = 4096  # terms per pairwise partial of block_sum
 _EPS = 1e-16
 _FPMIN = 1e-300
 _ITMAX = 600
-# the median finder assumes |float cdf - cdf| < _SURE / 2, 150x the errors above
-_SURE = 1e-10
+_SURE = 1e-10  # a cdf this far from 1/2 certifies its side (see the docstring)
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-5  # ~ sqrt(_SURE): one more Newton step leaves a residual near _SURE
 
@@ -213,7 +224,7 @@ def _bisect_then_newton(cdf, pdf, lo, hi, start):
             above = min(above, x)
         return fx
 
-    a, b = lo, hi
+    left, right = lo, hi
     x = start if lo < start < hi else 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
         fx = certify(x)
@@ -231,10 +242,10 @@ def _bisect_then_newton(cdf, pdf, lo, hi, start):
             while x + w < min(hi, above) and certify(x + w) <= _SURE:
                 w *= 4.0
             break
-        a, b = (x, b) if fx < 0 else (a, x)
+        left, right = (x, right) if fx < 0 else (left, x)
         x -= fx / dens
-        if not a < x < b:
-            x = 0.5 * (a + b)
+        if not left < x < right:
+            x = 0.5 * (left + right)
 
     def side(x):
         # cdf(x) - 1/2, or a value of the same sign where that sign is certified

@@ -200,8 +200,8 @@ def region_test_c(k: float, nu: int, N: int, r: Optional[float] = None) -> Crite
         raise ValueError("need r > 0")
     try:
         sep = math.sqrt(N * N + 2.0) - math.sqrt(2.0 * math.cosh(4.0 * r))
-    except OverflowError:
-        sep = math.inf
+    except OverflowError:  # cosh(4r), from r = 178 on
+        sep = -math.inf
     if not math.isfinite(sep):
         raise RefusalError(f"the separation margin at r={r} is not a finite float")
     a = nu / 2.0 + 1.0
