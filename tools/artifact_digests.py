@@ -55,6 +55,9 @@ JOBS = [
                                        "--height", "60", "--n1", "2"]),
     ("pair classical", ["pair", *SERIES, "--height", "40", "--ymax", "8",
                         "--nx", "24", "--ny", "20"]),
+    ("pair classical closed form at Gamma(171)", ["pair", "--group", "gamma0", "--level", "2",
+                                                  "--k", "172", "--height", "20", "--ymax", "8",
+                                                  "--nx", "24", "--ny", "20"]),
     ("pair elliptic", ["pair", *SERIES, "--seed", "elliptic", "--nu", "1",
                        "--height", "20", "--ymax", "14", "--nx", "64", "--ny", "16"]),
     ("pair elliptic off i", ["pair", "--group", "gamma0", "--level", "3", "--seed",
@@ -75,6 +78,8 @@ JOBS = [
                                              "--N", "3"]),
     ("criterion classical gamma median at 499", ["criterion", "classical", "--k", "1000",
                                                  "--N", "5", "--nu", "20"]),
+    ("criterion classical gamma median at 4499", ["criterion", "classical", "--k", "9000",
+                                                  "--N", "5"]),
     ("table", ["table"]),
     ("table 84 beta medians", ["table", "--k-list", "2.05,4,24,1000", "--n-list", "2,13",
                                "--nu-max", "20"]),
