@@ -220,6 +220,14 @@ class TestCriterion:
         assert data["satisfied"] is True
         assert data["margin"] == pytest.approx(35.0 / (3 * math.pi) - 3.0)
 
+    def test_median_beyond_the_measured_domain_refused(self, capsys):
+        # printed gamma_median 99998.99999999504, the top of its bracket
+        # (scipy: 99998.6666668642)
+        assert run(parse_args(["criterion", "classical", "--k", "200000", "--N", "5"])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a = 99999.0" in json.loads(captured.err)["error"]["message"]
+
     def test_region_c_auto_radius(self):
         proc = invoke(["criterion", "regionC", "--k", "12", "--N", "2", "--nu", "0"])
         data = json.loads(proc.stdout)

@@ -32,9 +32,41 @@ ACC_BETA_A = [nu / 2.0 + 1.0 for nu in (0, 1, 2, 4, 8, 12, 16, 20)]
 ACC_BETA_B = np.geomspace(2.25, 1000.0, 12) / 2.0 - 1.0
 ACC_R = np.geomspace(0.02, 3.0, 8)
 
+# The extended grid, up to the edge of the measured domain (a <= 1e4 for
+# P; a <= 1e3, b <= 1e4 for I_x): x at ACC_SPREAD standard deviations
+# about the mean, where the medians evaluate, besides the grids above.
+EXT_GAMMA_A = np.geomspace(400.0, 20002.0, 8) / 2.0 - 1.0
+EXT_BETA_A = [1.0, 3.0, 11.0, 100.0, 1000.0]
+EXT_BETA_B = np.geomspace(1000.0, 20002.0, 5) / 2.0 - 1.0
+ACC_SPREAD = np.linspace(-4.0, 4.0, 9)
+
 
 def rel_err(got: float, ref) -> float:
     return float(abs(ref - got) / abs(ref))
+
+
+def mp_gamma_p(mpmath, a, x):
+    # mpmath.gammainc's own series gives up past a ~ 1e4: below the mean,
+    # P = x^a e^-x / Gamma(a + 1) 1F1(1; a + 1; x) (DLMF 8.5.1, 13.6.5)
+    a, x = mpmath.mpf(a), mpmath.mpf(x)
+    if x < a:
+        return (mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
+                * mpmath.hyp1f1(1, a + 1, x, maxterms=10 ** 6))
+    return 1 - mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+
+
+def mp_beta_i(mpmath, a, b, x):
+    # past the mean through the other tail, whose series converges there
+    x = mpmath.mpf(x)
+    if x < a / (a + b):
+        return mpmath.betainc(a, b, 0, x, regularized=True)
+    return 1 - mpmath.betainc(b, a, 0, 1 - x, regularized=True)
+
+
+def beta_spread(a, b):
+    mean = a / (a + b)
+    sd = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+    return [x for x in mean + sd * ACC_SPREAD if 0.0 < x < 1.0]
 
 
 def classical_seed(gamma, nu):
@@ -75,6 +107,19 @@ class TestIncompleteGamma:
                         worst = max(worst, rel_err(regularized_incomplete_gamma(a, x), ref))
         assert worst <= 1.7e-13
 
+    def test_accuracy_against_mpmath_to_the_domain_edge(self):
+        # the series needs ~8 sqrt(a) terms: 600 used to stop it short from
+        # a ~ 5e3 on, and P(9999, 9999 - 1/3) read 0.4998 instead of 0.4999987
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a in EXT_GAMMA_A:
+                for x in [*(a + math.sqrt(a) * ACC_SPREAD), *(a * ACC_X_OVER_A)]:
+                    ref = mp_gamma_p(mpmath, a, x)
+                    if ref >= sys.float_info.min:
+                        worst = max(worst, rel_err(regularized_incomplete_gamma(a, x), ref))
+        assert worst <= 1.3e-11
+
     def test_bisection_self_consistency(self):
         m = gamma_median(5.0)
         assert m == pytest.approx(4.670909, abs=1e-6)
@@ -109,6 +154,19 @@ class TestIncompleteBeta:
             worst = max(float(abs(mpmath.log(mpmath.beta(a, b)) - log_beta(a, b)))
                         for a in ACC_BETA_A for b in ACC_BETA_B)
         assert worst <= 6.4e-13
+
+    def test_accuracy_against_mpmath_to_the_domain_edge(self):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a in EXT_BETA_A:
+                for b in map(float, EXT_BETA_B):
+                    for x in [*beta_spread(a, b), *np.tanh(ACC_R) ** 2]:
+                        ref = mp_beta_i(mpmath, a, b, x)
+                        if ref >= sys.float_info.min:
+                            worst = max(worst,
+                                        rel_err(regularized_incomplete_beta(a, b, x), ref))
+        assert worst <= 1.31e-11
 
     def test_endpoints(self):
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
@@ -176,6 +234,28 @@ class TestMedians:
         assert worst_gamma <= 1.4e-14
         assert worst_beta <= 4.9e-13
 
+    def test_medians_match_scipy_to_the_domain_edge(self):
+        # gamma_median(9999) was the bracket's top, 9999.0, not 9998.6666667
+        worst_gamma = max(rel_err(gamma_median(a), special.gammaincinv(a, 0.5))
+                          for a in map(float, EXT_GAMMA_A))
+        worst_beta = max(rel_err(beta_median(a, b), special.betaincinv(a, b, 0.5))
+                         for a in EXT_BETA_A for b in map(float, EXT_BETA_B))
+        assert worst_gamma <= 7.5e-14
+        assert worst_beta <= 1.4e-11
+
+    @pytest.mark.parametrize("call, shape", [
+        (lambda: regularized_incomplete_gamma(10001.0, 1e4), "a = 10001.0"),
+        (lambda: gamma_median(99999.0), "a = 99999.0"),
+        (lambda: regularized_incomplete_beta(1001.0, 2.0, 0.5), "a = 1001.0, b = 2.0"),
+        (lambda: regularized_incomplete_beta(2.0, 10001.0, 1e-4), "a = 2.0, b = 10001.0"),
+        (lambda: beta_median(11.0, 99999.0), "a = 11.0, b = 99999.0"),
+    ], ids=["P", "gamma-median", "I-a", "I-b", "beta-median"])
+    def test_shapes_beyond_the_measured_domain_refused(self, call, shape):
+        # past the domain the error of P and I_x exceeds the 5e-11 that the
+        # median finder's certificate assumes: 7.4e-11 at P(15631, x)
+        with pytest.raises(RefusalError, match=re.escape(shape)):
+            call()
+
     def test_beta_condition_holds(self):
         for a, b in ((0.5, 2.0), (2.0, 7.0), (4.5, 1.5)):
             assert abs(regularized_incomplete_beta(a, b, beta_median(a, b)) - 0.5) <= 1e-12
@@ -237,9 +317,9 @@ CRITERIA_GAMMA = [k / 2.0 - 1.0 for k in CRITERIA_K]
 
 
 def _random_shapes():
-    # weights 2 < k <= 2e5, log-uniform; nu <= 20
+    # weights 2 < k <= 2e4, log-uniform, inside the measured domain; nu <= 20
     rng = np.random.default_rng(24)
-    ks = np.exp(rng.uniform(math.log(2.01), math.log(2e5), 400))
+    ks = np.exp(rng.uniform(math.log(2.01), math.log(2e4), 400))
     nus = rng.integers(0, 21, 200)
     beta = [(nu / 2.0 + 1.0, k / 2.0 - 1.0) for nu, k in zip(nus, ks[:200])]
     return beta, [k / 2.0 - 1.0 for k in ks[200:]]
