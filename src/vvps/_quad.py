@@ -1,17 +1,32 @@
 """Shared numerics: Gauss-Legendre panels, compensated sums, and the
 Gamma/Beta-family functions of the non-vanishing criteria.
 
-Measured maximum error against mpmath at 40 digits on the grid of
-tests/test_nonvanish.py (a = k/2 - 1, 2.2 < k <= 400, x in a [0.01, 3]
-for P; a = nu/2 + 1, nu <= 20, b = k/2 - 1, k <= 1000, x = tanh^2 r,
-0.02 <= r <= 3 for I_x and log B), relative unless marked:
+Measured maximum error against mpmath at 40 digits, relative unless
+marked, on the grids of tests/test_nonvanish.py: the criteria's grid
+(a = k/2 - 1, 2.2 < k <= 400, x in a [0.01, 3] for P; a = nu/2 + 1,
+nu <= 20, b = k/2 - 1, k <= 1000, x = tanh^2 r, 0.02 <= r <= 3 for I_x
+and log B) and the extended grid up to the domain's edge (P: 199 <= a
+<= 1e4; I_x: a <= 1e3, 499 <= b <= 1e4; both also at -4..4 standard
+deviations about the mean).  The extended column's second figure is
+the worst of a denser random sample (9,000 points of a in [5e3, 1e4]
+for P, 6,000 of b in [3e3, 1e4] for I_x); medians there are against
+scipy:
 
-| function | domain | method | max error |
-|---|---|---|---|
-| P(a, x) | a > 0, x >= 0 | series if x < a + 1, else continued fraction | 1.7e-13 |
-| I_x(a, b) | a, b > 0, 0 <= x <= 1 | continued fraction (in 1 - x past the mean) | 6.5e-13 |
-| log B(a, b) | a, b > 0 | sum and difference of three lgamma values | 6.4e-13 absolute |
-| medians | a bracket of cdf = 1/2, a start | bisection to 1e-13, <= 4 Newton steps; certified steps skipped | see below |
+| function | domain | method | criteria grid | extended |
+|---|---|---|---|---|
+| P(a, x) | 0 < a <= 1e4, x >= 0 | series if x < a + 1, else continued fraction | 1.7e-13 | 1.3e-11; 3.5e-11 |
+| I_x(a, b) | 0 < a <= 1e3, 0 < b <= 1e4, 0 <= x <= 1 | continued fraction (in 1 - x past the mean) | 6.5e-13 | 1.3e-11; 2.4e-11 |
+| log B(a, b) | a, b > 0 | sum and difference of three lgamma values | 6.4e-13 absolute | |
+| medians | a bracket of cdf = 1/2, a start | bisection to 1e-13, <= 4 Newton steps; certified steps skipped | see below | gamma 7.5e-14, beta 1.4e-11 |
+
+Past its domain P or I_x raises RefusalError naming the shape.  Their
+error is the rounding of terms like a log x and lgamma(a), so it grows
+like a log a, and it passes the 5e-11 that the median finder assumes
+(below) from about a = 1.5e4 (7.4e-11 at P(15631, x)) and b = 1.8e4
+(5.3e-11 at I_x(3, 17893)); with a large a and b < 1 earlier (1.4e-10 at
+I_x(1e4, 0.5)).  P's series runs to
+convergence, which takes ~8 sqrt(a) terms near x = a, within a cap of
+600 + 10 sqrt(a).
 
 P is regularized_incomplete_gamma, I_x regularized_incomplete_beta, log B
 log_beta, and the median finder _bisect_then_newton, which
@@ -28,7 +43,8 @@ from a closed-form start and from a window about the Newton estimate, of
 half-width 4 _SURE / pdf, widened x4 until both ends certify; where none
 certifies, the finder is plain bisection.  The certificate assumes the
 float cdf within _SURE / 2 = 5e-11 of the true, nondecreasing cdf: 77
-times the worst error of I_x on the grid above, 290 times that of P.
+times the worst error of I_x on the criteria grid, 290 times that of P,
+and 1.4 times the worst error sampled in either domain.
 
 The errors of I_x, log B and the beta median come from lgamma terms near
 2,600 that cancel at b = 499: the worst grid point is I_x(9, 499), and
@@ -48,6 +64,8 @@ _BLOCK = 4096  # terms per pairwise partial of block_sum
 _EPS = 1e-16
 _FPMIN = 1e-300
 _ITMAX = 600
+_GAMMA_A_MAX = 1e4  # P's measured domain (see the docstring)
+_BETA_A_MAX, _BETA_B_MAX = 1e3, 1e4  # I_x's
 _SURE = 1e-10  # a cdf this far from 1/2 certifies its side (see the docstring)
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-5  # ~ sqrt(_SURE): one more Newton step leaves a residual near _SURE
@@ -115,6 +133,9 @@ def regularized_incomplete_gamma(a: float, x: float) -> float:
         raise DomainError("need a > 0")
     if x < 0:
         raise DomainError("need x >= 0")
+    if a > _GAMMA_A_MAX:
+        raise RefusalError(f"P(a, x) is measured for a <= {_GAMMA_A_MAX:g} only, "
+                           f"not a = {a}")
     if x == 0.0:
         return 0.0
     lg = math.lgamma(a)
@@ -122,7 +143,8 @@ def regularized_incomplete_gamma(a: float, x: float) -> float:
         ap = a
         term = 1.0 / a
         total = term
-        for _ in range(_ITMAX):
+        # near x = a the series needs ~8 sqrt(a) terms
+        for _ in range(_ITMAX + int(10.0 * math.sqrt(a))):
             ap += 1.0
             term *= x / ap
             total += term
@@ -194,6 +216,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise DomainError("need a, b > 0")
     if x < 0 or x > 1:
         raise DomainError("need 0 <= x <= 1")
+    if a > _BETA_A_MAX or b > _BETA_B_MAX:
+        raise RefusalError(f"I_x(a, b) is measured for a <= {_BETA_A_MAX:g} and "
+                           f"b <= {_BETA_B_MAX:g} only, not a = {a}, b = {b}")
     if x == 0.0 or x == 1.0:
         return float(x)
     # not log_beta: another summation order moves beta_median's last bits
