@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import (comp_sum_complex, gauss_panels, regularized_incomplete_beta,
+from ._quad import (comp_sum_complex, gamma_over_power, gauss_panels,
+                    regularized_incomplete_beta,
                     regularized_incomplete_gamma)
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
@@ -283,10 +284,15 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
 def classical_pairing_closed_form(b_nu: complex, M: int, k: float, nu: int,
                                   m_j: float) -> complex:
     """Closed form b * M^k Gamma(k-1) / (4 pi (nu + m_j))^{k-1} for the
-    pairing of a cusp form against a classical Poincare series."""
+    pairing of a cusp form against a classical Poincare series
+    (_quad.gamma_over_power); RefusalError when it exceeds the float range."""
     if k <= 2:
         raise DomainError("pairing formula requires k > 2")
-    return b_nu * M ** k * math.gamma(k - 1.0) / (4.0 * math.pi * (nu + m_j)) ** (k - 1.0)
+    try:
+        return gamma_over_power(b_nu * M ** k, k - 1.0, 4.0 * math.pi * (nu + m_j))
+    except OverflowError as exc:
+        raise RefusalError(f"the classical pairing b M^k Gamma(k-1) / (4 pi (nu + m_j))^(k-1) "
+                           f"overflows the float range at k={k}") from exc
 
 
 def elliptic_pairing_closed_form(b_nu_xi: complex, k: float, nu: int, xi) -> complex:

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from ._quad import log_beta
+from ._quad import gamma_over_power, log_beta
 from .errors import DomainError
 from .modgroup import GroupSpec, _as_complex, principal_power
 from .rep import SpectralSplit
@@ -137,26 +137,17 @@ def seed_strip_integral(seed: SeedFn, k: float) -> float:
     stabiliser, integral of ||f(tau)|| Im(tau)^{k/2} dv.
 
     Classical seeds have the closed form M Gamma(s) / alpha^s with
-    s = k/2 - 1 and alpha = 2 pi (nu + m_j) / M, computed directly while
-    Gamma(s) and alpha^s are finite and as exp(log M + lgamma(s) - s log
-    alpha) beyond (exp of a logarithm near 700 carries up to ~3e-13
-    relative error); OverflowError when the value itself exceeds the float
-    range.  For elliptic seeds the proof-level upper bound is the product
-    of two one-dimensional integrals, both Beta values in closed form,
-    scaled by ||u|| / Im(xi)^{k/2}.
+    s = k/2 - 1 and alpha = 2 pi (nu + m_j) / M (_quad.gamma_over_power);
+    OverflowError when the value itself exceeds the float range.  For
+    elliptic seeds the proof-level upper bound is the product of two
+    one-dimensional integrals, both Beta values in closed form, scaled by
+    ||u|| / Im(xi)^{k/2}.
     """
     if k <= 2:
         raise DomainError("the strip integral diverges for k <= 2")
     if isinstance(seed, ClassicalSeed):
-        s = k / 2.0 - 1.0
-        alpha = 2.0 * math.pi * (seed.nu + seed.m_j) / seed.M
-        try:
-            mass = seed.M * math.gamma(s) / alpha ** s
-        except (OverflowError, ZeroDivisionError):
-            mass = math.inf
-        if math.isinf(mass):
-            mass = math.exp(math.log(seed.M) + math.lgamma(s) - s * math.log(alpha))
-        return mass
+        return gamma_over_power(seed.M, k / 2.0 - 1.0,
+                                2.0 * math.pi * (seed.nu + seed.m_j) / seed.M)
     if isinstance(seed, EllipticSeed):
         # int_R dx/(x^2+1)^{k/2} = B(1/2, (k-1)/2)
         log_ix = log_beta(0.5, (k - 1.0) / 2.0)

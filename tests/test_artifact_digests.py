@@ -25,7 +25,7 @@ def _this_platform() -> dict:
 @pytest.mark.skipif(_this_platform() != RECORDED_ON,
                     reason="float results differ across numpy versions and SIMD paths")
 def test_artifacts_match_the_recorded_digests():
-    # the 34 artifacts of tools/artifact_digests.py, byte for byte
+    # the 35 artifacts of tools/artifact_digests.py, byte for byte
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_digests.py")],

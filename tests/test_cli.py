@@ -187,7 +187,7 @@ class TestEval:
         assert json.loads(captured.err)["error"]["type"] == "refusal"
 
     @pytest.mark.parametrize("argv", [
-        ["--k", "180"],
+        ["--k", "300", "--ymin", "1"],
         ["--k", "400"],
         ["--k", "400", "--seed", "elliptic"],
         ["--k", "400", "--seed", "elliptic", "--xi", "0,3", "--ymin", "1"],
@@ -204,6 +204,24 @@ class TestEval:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "refusal"
+
+    def test_closed_form_overflow_names_k(self, capsys):
+        # the strip is finite; b Gamma(299) / (4 pi)^299 is not
+        assert run(parse_args(["pair", "--k", "300", "--ymin", "1", "--height", "10",
+                               "--ymax", "8", "--nx", "16", "--ny", "16"])) == 3
+        assert "at k=300.0" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    def test_closed_form_past_gamma_171(self, capsys):
+        # gamma(179) overflows, the pairing b Gamma(179) / (4 pi)^179 does
+        # not; this job exited 3 with "math range error"
+        mpmath = pytest.importorskip("mpmath")
+        assert run(parse_args(["pair", "--k", "180", "--height", "10", "--ymax", "8",
+                               "--nx", "16", "--ny", "16"])) == 0
+        data = json.loads(capsys.readouterr().out)
+        with mpmath.workdps(40):
+            ref = (mpmath.mpc(*data["coefficient"]) * mpmath.gamma(179)
+                   / mpmath.mpf(4.0 * math.pi) ** 179)
+            assert abs(mpmath.mpc(*data["closed_form"]) - ref) / abs(ref) <= 6.5e-13
 
     def test_zero_dimension_is_config_error(self):
         # --p 0 used to be read as p = 1

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import sys
@@ -7,7 +8,7 @@ import pytest
 from scipy import integrate, special
 
 from vvps import nonvanish
-from vvps._quad import _bisect_then_newton, log_beta
+from vvps._quad import _bisect_then_newton, gamma_over_power, log_beta
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import GroupSpec
 from vvps.multiplier import MultiplierSystem
@@ -171,6 +172,65 @@ class TestIncompleteBeta:
     def test_endpoints(self):
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
         assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+
+
+def literal_gamma_over_power(c, s, x):
+    """c Gamma(s) / x^s as the seed mass and the classical pairing wrote
+    it, or None where that is not a finite float."""
+    try:
+        value = c * math.gamma(s) / x ** s
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return value if cmath.isfinite(value) else None
+
+
+def closed_form_shapes():
+    """(c, s, x) of the classical pairing, c = M^k, and of the classical
+    seed mass, c = M, for k <= 400, nu in {0, 3, 20}, M in {1, 2, 7}."""
+    for M in (1, 2, 7):
+        for nu in (0, 3, 20):
+            for k in map(float, range(3, 401)):
+                if M ** int(k) < sys.float_info.max:
+                    yield M ** k, k - 1.0, 4.0 * math.pi * (nu + 1.0)
+                yield M, k / 2.0 - 1.0, 2.0 * math.pi * (nu + 1.0) / M
+
+
+class TestGammaOverPower:
+    def test_bits_of_the_direct_expression(self):
+        # wherever c * gamma(s) / x ** s is finite, the same bits
+        grid = 0
+        for c in (1, 2, 7, 0.3, -2.5, 1e-300, 1e300, 0.0, 1.5 - 0.7j, -1e-200 + 3e-210j):
+            for s in [*np.geomspace(0.05, 171.0, 40), 171.5, 171.6, 172.0, 180.0]:
+                for x in (1e-3, 0.05, 1.0, 2.0 * math.pi, 4.0 * math.pi * 20.5, 1e4):
+                    value = literal_gamma_over_power(c, float(s), x)
+                    if value is not None:
+                        grid += 1
+                        assert gamma_over_power(c, float(s), x) == value, (c, s, x)
+        assert grid > 1500
+
+    def test_accuracy_against_mpmath(self):
+        # direct while the literal expression is finite, logarithms past it
+        mpmath = pytest.importorskip("mpmath")
+        worst = {True: 0.0, False: 0.0}
+        with mpmath.workdps(40):
+            for c, s, x in closed_form_shapes():
+                ref = mpmath.mpf(c) * mpmath.gamma(s) / mpmath.mpf(x) ** s
+                if ref < sys.float_info.max:
+                    direct = literal_gamma_over_power(c, s, x) is not None
+                    worst[direct] = max(worst[direct], rel_err(gamma_over_power(c, s, x), ref))
+        assert worst[True] <= 6.6e-16
+        assert worst[False] <= 6.5e-13
+
+    def test_complex_and_zero_past_the_direct_form(self):
+        # gamma(200) overflows: log|c| carries the size and c/|c| the phase
+        z = gamma_over_power(3.0 - 4.0j, 200.0, 1e3)
+        assert z == pytest.approx((0.6 - 0.8j) * gamma_over_power(5.0, 200.0, 1e3), rel=1e-15)
+        assert gamma_over_power(0.0, 200.0, 1.0) == 0.0
+        assert gamma_over_power(0j, 200.0, 1.0) == 0j
+
+    def test_value_beyond_the_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            gamma_over_power(1.0, 300.0, 1.0)
 
 
 class TestMedians:

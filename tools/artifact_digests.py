@@ -58,6 +58,9 @@ JOBS = [
     ("pair classical closed form at Gamma(171)", ["pair", "--group", "gamma0", "--level", "2",
                                                   "--k", "172", "--height", "20", "--ymax", "8",
                                                   "--nx", "24", "--ny", "20"]),
+    ("pair classical closed form past Gamma(171)", ["pair", "--group", "gamma0", "--level", "2",
+                                                    "--k", "180", "--height", "20", "--ymax", "8",
+                                                    "--nx", "24", "--ny", "20"]),
     ("pair elliptic", ["pair", *SERIES, "--seed", "elliptic", "--nu", "1",
                        "--height", "20", "--ymax", "14", "--nx", "64", "--ny", "16"]),
     ("pair elliptic off i", ["pair", "--group", "gamma0", "--level", "3", "--seed",
