@@ -249,7 +249,7 @@ def domain_share(f, k: float, q: QuadratureSpec) -> float:
     return regularized_incomplete_beta(f.nu + 1.0, k - 1.0, rho_max ** 2)
 
 
-def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
+def petersson_pair_full(F, G, gamma: GroupSpec, k: float,
                         q: Optional[QuadratureSpec] = None) -> complex:
     """Petersson pairing over a fundamental domain of gamma, realised as the
     translates by right-coset representatives of the standard domain
@@ -260,8 +260,7 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float, cosets=None,
     """
     if q is None:
         q = QuadratureSpec(0.05, 6.0, 32, 24)
-    if cosets is None:
-        cosets = right_coset_reps(gamma)
+    cosets = right_coset_reps(gamma)
     xs, wx = gauss_panels(-0.5, 0.5, max(4, q.nx // 4))
     # one column of geometric Gauss nodes per x, clipped at the unit circle
     cols = [gauss_panels(max(q.y_min, math.sqrt(max(1.0 - x * x, 0.0))), q.y_max,

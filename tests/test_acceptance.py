@@ -214,13 +214,12 @@ def test_criterion_6_isometry():
     h = classical_series(gamma, 60.0)
     cosets = right_coset_reps(gamma)
     q = QuadratureSpec(0.05, 6.0, nx=32, ny=24)
-    direct = petersson_pair_full(h, h, gamma, 12.0, cosets=cosets, q=q)
+    direct = petersson_pair_full(h, h, gamma, 12.0, q=q)
 
     rho0 = induce(trivial_rep(1, gamma), cosets)
     slashed = [slash_k(lambda t: h.evaluate(t)[0], g, MS12) for g in cosets]
     tuple_fn = lambda tau: np.concatenate([f(tau) for f in slashed])
-    induced_norm = petersson_pair_full(tuple_fn, tuple_fn, GroupSpec.sl2z(), 12.0,
-                                       cosets=[I2], q=q)
+    induced_norm = petersson_pair_full(tuple_fn, tuple_fn, GroupSpec.sl2z(), 12.0, q=q)
     rel = abs(direct - induced_norm) / abs(direct)
 
     # the induced tuple transforms under rho0 (spot check at one element)

@@ -401,10 +401,9 @@ class TestPairFull:
         h, _ = classical_handle(gamma, 40.0)
         cosets = right_coset_reps(gamma)
         q = QuadratureSpec(0.05, 6.0, nx=32, ny=24)
-        direct = petersson_pair_full(h, h, gamma, 12.0, cosets=cosets, q=q)
+        direct = petersson_pair_full(h, h, gamma, 12.0, q=q)
 
         slashed = [slash_k(lambda t: h.evaluate(t)[0], g, MS12) for g in cosets]
         tuple_fn = lambda tau: np.concatenate([f(tau) for f in slashed])
-        induced = petersson_pair_full(tuple_fn, tuple_fn, GroupSpec.sl2z(), 12.0,
-                                      cosets=[right_coset_reps(GroupSpec.sl2z())[0]], q=q)
+        induced = petersson_pair_full(tuple_fn, tuple_fn, GroupSpec.sl2z(), 12.0, q=q)
         assert abs(direct - induced) <= 1e-2 * abs(direct)
