@@ -38,7 +38,7 @@ from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
                         gamma_median, region_test_a, region_test_c)
 from .rep import RepSpec, induce, spectral_split, trivial_rep
 from .seeds import ClassicalSeed, EllipticSeed
-from .series import build_series
+from .series import SeriesHandle
 
 __all__ = ["run", "parse_args", "emit_threshold_table", "main"]
 
@@ -135,7 +135,7 @@ def _build_series(ns):
         u = np.zeros(rep.p, dtype=complex)
         u[ns.j - 1] = 1.0
         seed = EllipticSeed(ns.nu, xi, u, ns.k)
-    return build_series(seed, seed.lam, group, rep, ms, ns.k, ns.height)
+    return SeriesHandle(seed, rep, ms, group, ns.height)
 
 
 def _run_eval(ns) -> dict:

@@ -119,7 +119,7 @@ class SeriesHandle:
     ms: MultiplierSystem
     gamma: GroupSpec
     height: float
-    _data: dict = field(default_factory=dict, repr=False)
+    _data: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         seed, rep, ms = self.seed, self.rep, self.ms

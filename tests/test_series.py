@@ -154,6 +154,12 @@ class TestTableOnFirstEvaluation:
         SeriesHandle(seed, trivial_rep(1), MS12, GroupSpec.sl2z(), 20.0)
         assert calls == []
 
+    def test_the_constructor_takes_five_values(self):
+        # the memo dict is the handle's own, not a sixth argument
+        seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
+        with pytest.raises(TypeError):
+            SeriesHandle(seed, trivial_rep(1), MS12, GroupSpec.sl2z(), 20.0, {})
+
     def test_first_evaluation_enumerates_once(self, calls):
         h = classical_handle(height=20.0)
         first = h.evaluate_many([0.1 + 1.2j, 0.3 + 0.9j])

@@ -32,7 +32,7 @@ from vvps.modgroup import GroupSpec
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import build_series, thread_cap
+from vvps.series import SeriesHandle, thread_cap
 
 SHAPES = ("cusp-fourier", "elliptic")
 
@@ -43,12 +43,11 @@ def _handle_and_points(shape: str):
         gamma = GroupSpec.sl2z()
         rep = trivial_rep(1, gamma)
         seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
-        h = build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, 12.0, 300.0)
+        h = SeriesHandle(seed, rep, ms, gamma, 300.0)
         return h, np.arange(64) / 64 + 0.5j
     gamma = GroupSpec.gamma0(2)
     seed = EllipticSeed(1, 1j, np.array([1.0 + 0j]), 12.0)
-    h = build_series(seed, GroupSpec.plus_minus_identity(), gamma, trivial_rep(1, gamma),
-                     ms, 12.0, 40.0)
+    h = SeriesHandle(seed, trivial_rep(1, gamma), ms, gamma, 40.0)
     return h, _strip_nodes(seed, 12.0, QuadratureSpec(0.05, 14.0, 160, 28, 8.0))[0]
 
 
