@@ -223,8 +223,11 @@ class TestGammaOverPower:
 
     def test_complex_and_zero_past_the_direct_form(self):
         # gamma(200) overflows: log|c| carries the size and c/|c| the phase
-        z = gamma_over_power(3.0 - 4.0j, 200.0, 1e3)
-        assert z == pytest.approx((0.6 - 0.8j) * gamma_over_power(5.0, 200.0, 1e3), rel=1e-15)
+        z = gamma_over_power(3.0 - 4.0j, 200.0, 10.0)
+        assert z == pytest.approx((0.6 - 0.8j) * gamma_over_power(5.0, 200.0, 10.0),
+                                  rel=1e-15, abs=0.0)
+        # |3 - 4i| Gamma(200) / 10^200
+        assert abs(z) == pytest.approx(5.0 * 3.943289336823953e172, rel=1e-12)
         assert gamma_over_power(0.0, 200.0, 1.0) == 0.0
         assert gamma_over_power(0j, 200.0, 1.0) == 0j
 
