@@ -9,8 +9,8 @@ and log B) and the extended grid up to the domain's edge (P: 199 <= a
 <= 1e4; I_x: a <= 1e3, 499 <= b <= 1e4; both also at -4..4 standard
 deviations about the mean).  The extended column's second figure is
 the worst of a denser random sample (9,000 points of a in [5e3, 1e4]
-for P, 6,000 of b in [3e3, 1e4] for I_x); medians there are against
-scipy:
+for P, 6,000 of b in [3e3, 1e4] for I_x, 1,000 shapes in the domain for
+each median); medians there are against scipy:
 
 | function | domain | method | criteria grid | extended |
 |---|---|---|---|---|
@@ -18,7 +18,7 @@ scipy:
 | I_x(a, b) | 0 < a <= 1e3, 0 < b <= 1e4, 0 <= x <= 1 | continued fraction (in 1 - x past the mean) | 6.5e-13 | 1.3e-11; 2.4e-11 |
 | log B(a, b) | a, b > 0 | sum and difference of three lgamma values | 6.4e-13 absolute | |
 | c Gamma(s) / x^s | s, x > 0, c real or complex | c * gamma(s) / x ** s while finite, else exp(log abs(c) + lgamma(s) - s log x) c / abs(c) | 6.6e-16 direct; 6.5e-13 past it | |
-| medians | a bracket of cdf = 1/2, a start | bisection to 1e-13, <= 4 Newton steps; certified steps skipped | see below | gamma 7.5e-14, beta 1.4e-11 |
+| medians | a bracket of cdf = 1/2, a start | bisection to 1e-13, <= 4 Newton steps; certified steps skipped | see below | gamma 7.5e-14; 2.4e-13, beta 1.4e-11; 2.0e-11 |
 
 Past its domain P or I_x raises RefusalError naming the shape.  Their
 error is the rounding of terms like a log x and lgamma(a), so it grows
