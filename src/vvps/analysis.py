@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._quad import (comp_sum_complex, gamma_over_power, gauss_panels,
-                    regularized_incomplete_beta,
-                    regularized_incomplete_gamma)
+                    regularized_incomplete_beta, regularized_incomplete_gamma)
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
                        principal_power, right_coset_reps, slash_kernel)
