@@ -1,11 +1,11 @@
 """MD5 digests of the artifacts of a fixed list of CLI jobs.
 
 Each job runs in-process through `vvps.cli.main`; the script prints one
-`md5  label` line per job, and exits 1 if a job exits nonzero.  The two
+`md5  label` line per job, and exits 1 if a job exits nonzero.  The three
 rep files the list reads (an induced representation written by `vvps
-induce` and a Legendre character mod 5) are written to a temporary
-directory, and no label names a path, so the output of two checkouts
-compares with one diff:
+induce`, a Legendre character mod 5 and a non-congruence permutation
+representation) are written to a temporary directory, and no label names
+a path, so the output of two checkouts compares with one diff:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > new.txt
     PYTHONPATH=../other/src python3 tools/artifact_digests.py > old.txt
@@ -22,11 +22,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import vvps.cli
+import vvps.rep
 
 SERIES = ["--group", "gamma0", "--level", "2", "--k", "12"]
 
-# (label, argv); {induced} and {dirichlet} name the rep files
+# (label, argv); {induced}, {dirichlet} and {noncongruence} name the rep files
 JOBS = [
     ("eval classical", ["eval", "--group", "gamma0", "--level", "5", "--k", "12",
                         "--tau", "0.3,1.1", "--height", "60"]),
@@ -38,6 +41,8 @@ JOBS = [
                        "--xi=-0.5,1", "--tau", "0.25,1.3", "--height", "40"]),
     ("eval induced rep file", ["eval", "--rep", "{induced}", "--j", "2",
                                "--tau", "0.3,1.1", "--height", "40"]),
+    ("eval non-congruence rep file", ["eval", "--rep", "{noncongruence}", "--j", "2",
+                                      "--tau", "0.3,1.1", "--height", "40"]),
     ("eval dirichlet rep file", ["eval", "--group", "gamma0", "--level", "5",
                                  "--rep", "{dirichlet}", "--tau", "0.1,0.8",
                                  "--height", "60"]),
@@ -99,6 +104,18 @@ LEGENDRE_MOD5 = {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n":
                  "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}
 
 
+def _permutation(images) -> np.ndarray:
+    """The matrix P with P e_i = e_{images[i]}."""
+    return np.eye(len(images))[:, images]
+
+
+# rho(S) = P(x), rho(T) = P(x) P(y): rho(T) has order 6, and rho does not
+# factor through SL2(Z/6Z), so its kernel is not a congruence subgroup and
+# fold_rho walks the S/T word of every coset
+_X, _Y = _permutation([3, 1, 5, 0, 6, 2, 4]), _permutation([1, 4, 5, 2, 0, 3, 6])
+NONCONGRUENCE = vvps.rep.st_rep(_X, _X @ _Y).to_json()
+
+
 def run_job(argv) -> tuple[int, bytes]:
     """Exit code and stdout of one command line."""
     out = io.StringIO()
@@ -114,8 +131,10 @@ def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         files = {"induced": str(Path(tmp) / "induced.json"),
-                 "dirichlet": str(Path(tmp) / "dirichlet.json")}
+                 "dirichlet": str(Path(tmp) / "dirichlet.json"),
+                 "noncongruence": str(Path(tmp) / "noncongruence.json")}
         Path(files["dirichlet"]).write_text(json.dumps(LEGENDRE_MOD5))
+        Path(files["noncongruence"]).write_text(json.dumps(NONCONGRUENCE))
         code, _ = run_job(["induce", "--group", "gamma0", "--level", "5",
                            "--out", files["induced"]])
         if code != 0:
