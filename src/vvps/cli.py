@@ -19,6 +19,7 @@ includes a job that runs out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -308,15 +309,14 @@ def run(ns: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         _emit_error("invalid_config", exc)
         return 2
-    if isinstance(result, str):
-        payload = result
-    else:
-        payload = json.dumps(result, sort_keys=True, indent=2) + "\n"
-    if ns.out == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(ns.out, "w") as fh:
-            fh.write(payload)
+    # a dict is encoded straight into the file: the whole string of a large
+    # artifact would double the peak memory of the job
+    with contextlib.nullcontext(sys.stdout) if ns.out == "-" else open(ns.out, "w") as fh:
+        if isinstance(result, str):
+            fh.write(result)
+        else:
+            json.dump(result, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     if ns.command == "selftest" and result.get("selftest") != "pass":
         return 1
     return 0

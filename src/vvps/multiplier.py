@@ -5,9 +5,8 @@ and the family derived from powers of the eta function, which realises
 every real weight.  Its values come in closed form from Dedekind's
 transformation law of eta, with the Dedekind sum computed in integers by
 reciprocity; the phase is exponentiated once, so the result is exactly
-unimodular.  The formula works on int64 entry arrays, so `evaluate_v_many`
-serves a whole coset table at once and `evaluate_v` is its one-matrix
-case.
+unimodular.  The formula works on int64 entry arrays, so `evaluate_v`
+serves a whole coset table at once as well as one matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import RefusalError
 from .modgroup import I2, S, IntMatrix2, cocycle_j, mobius_act, real_power, t_power
 
-__all__ = ["MultiplierSystem", "evaluate_v", "evaluate_v_many", "check_consistency"]
+__all__ = ["MultiplierSystem", "evaluate_v", "check_consistency"]
 
 
 @dataclass(frozen=True)
@@ -100,26 +99,25 @@ def _eta_phase(ms: MultiplierSystem, ents: np.ndarray) -> np.ndarray:
     return np.where(top, lower, upper)
 
 
-def evaluate_v_many(ms: MultiplierSystem, ents) -> np.ndarray:
-    """Values v(g) on the unit circle, one per row (a, b, c, d) of the
-    integer array ents, of shape (n, 4).
+def evaluate_v(ms: MultiplierSystem, g):
+    """Values v(g) on the unit circle: a complex for one IntMatrix2, an
+    array with one value per row (a, b, c, d) of an integer array of shape
+    (n, 4).  One body serves both.
 
     The eta family exponentiates its phase once per row; entries of
     absolute value 2^20 or more are refused rather than left to wrap in
     int64 arithmetic.
     """
-    ents = np.asarray(ents).reshape(-1, 4)
+    one = isinstance(g, IntMatrix2)
+    ents = np.asarray(g.entries() if one else g).reshape(-1, 4)
     if ms.family == "trivial_even":
-        return np.ones(len(ents), dtype=complex)
-    if np.max(np.abs(ents), initial=0) >= _MAX_ENTRY:
+        vals = np.ones(len(ents), dtype=complex)
+    elif np.max(np.abs(ents), initial=0) >= _MAX_ENTRY:
         raise RefusalError(f"multiplier values need matrix entries below 2^20, got "
                            f"{np.max(np.abs(ents))}")
-    return np.exp(1j * _eta_phase(ms, ents.astype(np.int64)))
-
-
-def evaluate_v(ms: MultiplierSystem, g: IntMatrix2) -> complex:
-    """Value v(g) on the unit circle: evaluate_v_many on one matrix."""
-    return complex(evaluate_v_many(ms, [g.entries()])[0])
+    else:
+        vals = np.exp(1j * _eta_phase(ms, ents.astype(np.int64)))
+    return complex(vals[0]) if one else vals
 
 
 def _random_element(rng, max_len: int = 10) -> IntMatrix2:

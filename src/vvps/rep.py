@@ -7,18 +7,18 @@ finite-index subgroup assembles the block-permutation images of S and T
 once, so an induced representation is one given by its generator images.
 
 evaluate_rho(rep, g) gives one matrix, walking the S/T word of g for a
-generator-image representation.  fold_rho gives rho(g)^* w for a whole
-array of matrices without a loop over them.  Every other evaluation looks
-conj(rho) up by class in one place (_class_lookup): one class for the
-trivial recipe and d mod N for a Dirichlet character mod N, with one
-refusal of a matrix outside the group.  A generator-image rho that
-factors through SL2(Z/NZ), N the order of rho(T) -- every rho induced from
-a congruence subgroup does -- has one class per element of that finite
-group, tabulated once by a breadth-first search that checks every edge of
-its Cayley graph, and each matrix then costs one lookup by its residues
-mod N.  fold_rho walks the word only for a rho that does not factor (a
-non-congruence kernel, or rho(T) of no finite order) and for tables
-beyond 2^18 matrix entries.
+generator-image representation.  fold_rho gives rho(g)^* w, for a vector
+or a matrix w, for a whole array of matrices without a loop over them.
+Every other evaluation looks conj(rho) up by class in one place
+(_class_lookup): one class for the trivial recipe and d mod N for a
+Dirichlet character mod N, with one refusal of a matrix outside the
+group.  A generator-image rho that factors through SL2(Z/NZ), N the
+order of rho(T) -- every rho induced from a congruence subgroup does --
+has one class per element of that finite group, tabulated once by a
+breadth-first search that checks every edge of its Cayley graph, and each
+matrix then costs one lookup by its residues mod N.  fold_rho walks the
+word only for a rho that does not factor (a non-congruence kernel, or
+rho(T) of no finite order) and for tables beyond 2^18 matrix entries.
 
 One analysis (_analysis) of the cusp monodromy e^{2 pi i kappa M}
 rho(T^M), memoised by (rho, kappa, M), decides finite order: one
@@ -272,8 +272,9 @@ def _class_lookup(rep: RepSpec, ents: np.ndarray):
 
 
 def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
-    """The vectors rho(g)^* w, one row per row (a, b, c, d) of the integer
-    array ents of shape (n, 4).
+    """The products rho(g)^* w, one per row (a, b, c, d) of the integer
+    array ents of shape (n, 4), for a vector or a p x p matrix w: shape
+    (n,) + shape(w), so w = I gives the matrices rho(g)^* themselves.
 
     The conjugate of rho is looked up by class (_class_lookup), folded
     with w once per class and gathered by the class of each row.  An
@@ -283,7 +284,7 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     ents = np.asarray(ents, dtype=np.int64).reshape(-1, 4)
     lookup = _class_lookup(rep, ents)
     if lookup is None:
-        out = np.empty((len(ents), rep.p), dtype=complex)
+        out = np.empty((len(ents),) + np.shape(w), dtype=complex)
         for i, row in enumerate(ents):
             out[i] = evaluate_rho(rep, IntMatrix2(*map(int, row))).conj().T @ w
         return out

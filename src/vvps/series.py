@@ -22,13 +22,13 @@ the system.
 
 Preparation folds the inverse multiplier and representation factors into
 one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
-table's integer entries: v from multiplier.evaluate_v_many and
-rho(g)^* w from rep.fold_rho, a lookup by residue class mod N whenever rho
-factors through SL2(Z/NZ).  Only a generator-image rho that does not
-factor walks an S/T word per coset.  Every other use of the slash action
-(its one-point view slash_k, Fourier extraction at a cusp, both invariance
-checks) goes through `slash` or its factor step, which applies conj(v(g))
-and rho(g)^* per matrix.
+table's integer entries: v from multiplier.evaluate_v and rho(g)^* w from
+rep.fold_rho, a lookup by residue class mod N whenever rho factors through
+SL2(Z/NZ).  Only a generator-image rho that does not factor walks an S/T
+word per coset.  Every other use of the slash action (its one-point view
+slash_k, Fourier extraction at a cusp, both invariance checks) goes
+through `slash` or its factor step, which takes conj(v(g)) and rho(g)^*
+from the same two calls on the entry array of its matrices.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .errors import DomainError, RefusalError
 from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, _as_complex, _shaped,
                        contains, entry_arrays, enumerate_cosets, kernel_workspace,
                        slash_kernel, t_power)
-from .multiplier import MultiplierSystem, evaluate_v, evaluate_v_many
-from .rep import _UNITARY_TOL, RepSpec, check_normal, evaluate_rho, fold_rho
+from .multiplier import MultiplierSystem, evaluate_v
+from .rep import _UNITARY_TOL, RepSpec, check_normal, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
 __all__ = ["SeriesHandle", "build_series", "slash", "slash_k",
@@ -80,15 +80,16 @@ def _values(F, taus: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _act(vals, jmk, gs, ms: MultiplierSystem, rep: Optional[RepSpec] = None):
+def _act(vals, jmk, ents, ms: MultiplierSystem, rep: Optional[RepSpec] = None):
     """The factors of the slash action on vals[t, i] = F(g_i.tau_t), with
-    jmk[t, i] = j(g_i, tau_t)^{-k}: conj(v(g_i)) j^{-k} vals, then rho(g_i)^*
-    when rep is given.  Shape (points, matrices, p)."""
-    out = (np.array([evaluate_v(ms, g) for g in gs]).conj() * jmk)[..., None] * vals
+    jmk[t, i] = j(g_i, tau_t)^{-k} and g_i the row (a, b, c, d) of ents:
+    conj(v(g_i)) j^{-k} vals, then rho(g_i)^* when rep is given.  Shape
+    (points, matrices, p)."""
+    out = (evaluate_v(ms, ents).conj() * jmk)[..., None] * vals
     if rep is None:
         return out
-    rho_bar = np.array([evaluate_rho(rep, g).conj() for g in gs])
-    return np.einsum("tip,ipq->tiq", out, rho_bar)  # row t, i times conj(rho(g_i))
+    rho_star = fold_rho(rep, np.eye(rep.p), ents)
+    return np.einsum("tip,iqp->tiq", out, rho_star)  # rho(g_i)^* times row t, i
 
 
 def slash(F, gs, taus, ms: MultiplierSystem, rep: Optional[RepSpec] = None) -> np.ndarray:
@@ -96,10 +97,10 @@ def slash(F, gs, taus, ms: MultiplierSystem, rep: Optional[RepSpec] = None) -> n
     the weight k = ms.k, for every point tau of taus and matrix g of gs,
     as an array of shape (points, matrices, p); rho enters when rep is
     given.  F is a handle, a seed or a callable of one point."""
-    gs = list(gs)
-    jmk, moved = slash_kernel(entry_arrays(gs), taus, ms.k)
+    ents = entry_arrays(gs)
+    jmk, moved = slash_kernel(ents, taus, ms.k)
     vals = _values(F, moved.ravel()).reshape(moved.shape + (-1,))
-    return _act(vals, jmk, gs, ms, rep)
+    return _act(vals, jmk, ents, ms, rep)
 
 
 def slash_k(F, g: IntMatrix2, ms: MultiplierSystem, rep: Optional[RepSpec] = None):
@@ -155,15 +156,17 @@ class SeriesHandle:
         the seed is scalar * w.
 
         Array work over the table's integer entries: v from the
-        multiplier's closed form, rho(g_i)^* w from rep.fold_rho (a lookup
-        by residue class whenever rho factors through SL2(Z/NZ))."""
+        multiplier's closed form, skipped for the trivial system where
+        v = 1, and rho(g_i)^* w from rep.fold_rho (a lookup by residue
+        class whenever rho factors through SL2(Z/NZ))."""
         if "w" in self._data:
             return self._data
         ents = self.cosets.ents
         if len(ents) == 0:
             raise ValueError("empty coset table")
         wmat = fold_rho(self.rep, self.seed.vector, ents)
-        wmat *= evaluate_v_many(self.ms, ents).conj()[:, None]
+        if self.ms.family != "trivial_even":
+            wmat *= evaluate_v(self.ms, ents).conj()[:, None]
         self._data.update(w=wmat, wnorm=np.linalg.norm(wmat, axis=1),
                           n_tail=max(1, math.ceil(len(ents) / 10)))
         return self._data
@@ -268,7 +271,7 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
     jmk, moved = slash_kernel(ents, taus, handle.k)
     base, tail0 = handle.evaluate_many(taus)
     image, tail1 = handle.evaluate_many(moved.ravel())
-    acted = _act(image.reshape(moved.shape + (handle.p,)), jmk, gammas, handle.ms, handle.rep)
+    acted = _act(image.reshape(moved.shape + (handle.p,)), jmk, ents, handle.ms, handle.rep)
     worst = float(np.max(np.linalg.norm(acted - base[:, None], axis=2)))
     return TransformationCheck(worst, float(max(tail0.max(), tail1.max())))
 

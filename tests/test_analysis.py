@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,24 @@ class TestPeterssonStrip:
         closed = classical_pairing_closed_form(tab.coeff(1, 0), 1, 12.0, 0, 1.0)
         assert abs(strip - closed) <= 1e-3 * abs(closed)
         assert err <= 1e-2 * abs(closed)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, 0.0)],
+                             ids=["inf", "nan", "complex-inf"])
+    @pytest.mark.parametrize("domain", ["strip", "disk"])
+    def test_non_finite_values_refused(self, bad, domain):
+        # F is finite at the nodes with Im(tau) < 1 and not above: the sum of
+        # the pairing is refused, and no RuntimeWarning is raised on the way
+        if domain == "strip":
+            seed = ClassicalSeed(0, 1, plain_split(), 1)
+            q = QuadratureSpec(0.05, 5.0, nx=16, ny=16)
+        else:
+            seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
+            q = QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)
+        F = lambda tau: np.array([bad if tau.imag >= 1.0 else 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RefusalError, match="a sum has non-finite terms"):
+                petersson_strip(F, seed, 12.0, q)
 
     @pytest.mark.parametrize("k, tol", [(4.0, 2e-8), (7.3, 2e-8), (12.0, 2e-8), (40.0, 2e-6)])
     @pytest.mark.parametrize("nu", [0, 1, 3])

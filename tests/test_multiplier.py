@@ -9,7 +9,7 @@ from vvps.errors import RefusalError
 from vvps.modgroup import (I2, S, T, GroupSpec, IntMatrix2, cocycle_j, enumerate_cosets,
                            mobius_act, real_power, t_power)
 from vvps.multiplier import (MultiplierSystem, _dedekind12, _eta_phase, check_consistency,
-                             evaluate_v, evaluate_v_many)
+                             evaluate_v)
 
 
 def log_eta(tau: complex) -> complex:
@@ -156,14 +156,19 @@ class TestArrayPhase:
             phases = [eta_phase_scalar(ms, h) for h in mats]
             assert list(_eta_phase(ms, ents)) == phases
             expected = np.array([cmath.exp(1j * phi) for phi in phases])
-            got = evaluate_v_many(ms, ents)
+            got = evaluate_v(ms, ents)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    def test_one_matrix_is_the_array_case(self, rng):
-        ms = MultiplierSystem("eta_power", 3.7)
-        for _ in range(20):
-            g = random_element(rng)
-            assert evaluate_v(ms, g) == evaluate_v_many(ms, [g.entries()])[0]
+    def test_one_matrix_is_the_array_case(self):
+        # bit for bit, over a coset table and the negatives of its rows
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 60.0).reps
+        mats = [h for g in reps for h in (g, -g)]
+        ents = np.array([h.entries() for h in mats], dtype=np.int64)
+        for ms in (MultiplierSystem("trivial_even", 12.0), MultiplierSystem("eta_power", 3.7)):
+            one = [evaluate_v(ms, h) for h in mats]
+            assert all(type(z) is complex for z in one)
+            assert np.array_equal(evaluate_v(ms, ents).view(np.uint64),
+                                  np.array(one).view(np.uint64))
 
     @pytest.mark.parametrize("g", [t_power(1 << 20), IntMatrix2(1, 0, 1 << 20, 1),
                                    IntMatrix2(1 - (1 << 40), 1 << 20, -(1 << 20), 1),
@@ -173,7 +178,7 @@ class TestArrayPhase:
         with pytest.raises(RefusalError):
             evaluate_v(ms, g)
         with pytest.raises(RefusalError):
-            evaluate_v_many(ms, [I2.entries(), g.entries()])
+            evaluate_v(ms, [I2.entries(), g.entries()])
 
     def test_entries_below_the_bound_are_exact(self):
         ms = MultiplierSystem("eta_power", 7.3)

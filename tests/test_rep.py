@@ -10,7 +10,6 @@ import pytest
 
 from conftest import random_element
 import vvps.rep
-import vvps.series
 from vvps.cli import parse_args, run
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
                            enumerate_cosets, right_coset_reps, t_power)
@@ -19,7 +18,7 @@ from vvps.rep import (RepSpec, _analysis, _level_table, _residue_keys, _sl2_orde
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
                       permutation_ell, spectral_split, st_rep, trivial_rep)
 from vvps.seeds import ClassicalSeed
-from vvps.series import build_series
+from vvps.series import build_series, check_transformation, slash
 
 TRIVIAL_MS = MultiplierSystem("trivial_even", 12.0)
 
@@ -597,8 +596,31 @@ class TestLevelTable:
         def walk(*args):
             raise AssertionError("per-coset preparation walked an S/T word")
         monkeypatch.setattr(vvps.rep, "evaluate_rho", walk)
-        monkeypatch.setattr(vvps.series, "evaluate_rho", walk)
         assert np.array_equal(h._prepared()["w"], expected)
+
+    def test_slash_never_walks(self, monkeypatch):
+        # slash and check_transformation read rho(g)^* from the level table,
+        # as preparation does
+        rep = induced_trivial(5)
+        seed = ClassicalSeed(0, 1, spectral_split(rep, TRIVIAL_MS, 1), 1)
+        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep,
+                         TRIVIAL_MS, 12.0, 30.0)
+        gs = [S, T, IntMatrix2(2, 1, 1, 1), -I2]
+        taus = [complex(0.3, 1.1), complex(-0.2, 0.9)]
+        # rho(g)^* along the S/T word, applied to the untwisted slash
+        untwisted = slash(seed, gs, taus, TRIVIAL_MS)
+        expected = np.einsum("iqp,tip->tiq",
+                             np.array([evaluate_rho(rep, g).conj().T for g in gs]), untwisted)
+
+        def walk(*args):
+            raise AssertionError("the slash action walked an S/T word")
+        monkeypatch.setattr(vvps.rep, "evaluate_rho", walk)
+        # st_syllables is looked up at each walk, so this also catches a caller
+        # that holds its own binding of evaluate_rho
+        monkeypatch.setattr(vvps.rep, "st_syllables", walk)
+        assert np.array_equal(slash(seed, gs, taus, TRIVIAL_MS, rep), expected)
+        check = check_transformation(h, gs, taus)
+        assert check.residual <= check.tail
 
     def test_members_outside_the_group_are_refused(self):
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 5.0).reps
