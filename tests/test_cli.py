@@ -377,7 +377,7 @@ class TestOtherCommands:
         ms = MultiplierSystem("trivial_even", 12.0)
         seed = ClassicalSeed(0, 3, spectral_split(rep, ms, 1), 1)
         tau = complex(-0.2, 0.9)
-        terms = [slash_k(seed.eval, g, ms, rep)(tau) for g in
+        terms = [evaluate_rho(rep, g).conj().T @ slash_k(seed.eval, g, ms)(tau) for g in
                  enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 30.0).reps]
         oracle = np.array([complex(math.fsum(t.real for t in col), math.fsum(t.imag for t in col))
                            for col in zip(*terms)])

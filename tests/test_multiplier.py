@@ -161,7 +161,7 @@ class TestArrayPhase:
 
     def test_one_matrix_is_the_array_case(self):
         # bit for bit, over a coset table and the negatives of its rows
-        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 60.0).reps
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 30.0).reps
         mats = [h for g in reps for h in (g, -g)]
         ents = np.array([h.entries() for h in mats], dtype=np.int64)
         for ms in (MultiplierSystem("trivial_even", 12.0), MultiplierSystem("eta_power", 3.7)):

@@ -18,7 +18,7 @@ from vvps.rep import (RepSpec, _analysis, _level_table, _residue_keys, _sl2_orde
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
                       permutation_ell, spectral_split, st_rep, trivial_rep)
 from vvps.seeds import ClassicalSeed
-from vvps.series import build_series, check_transformation, slash
+from vvps.series import SeriesHandle, build_series, check_transformation, slash
 
 TRIVIAL_MS = MultiplierSystem("trivial_even", 12.0)
 
@@ -603,8 +603,7 @@ class TestLevelTable:
         # as preparation does
         rep = induced_trivial(5)
         seed = ClassicalSeed(0, 1, spectral_split(rep, TRIVIAL_MS, 1), 1)
-        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep,
-                         TRIVIAL_MS, 12.0, 30.0)
+        h = SeriesHandle(seed, rep, TRIVIAL_MS, GroupSpec.sl2z(), 30.0)
         gs = [S, T, IntMatrix2(2, 1, 1, 1), -I2]
         taus = [complex(0.3, 1.1), complex(-0.2, 0.9)]
         # rho(g)^* along the S/T word, applied to the untwisted slash
