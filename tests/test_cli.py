@@ -575,3 +575,21 @@ def test_a_job_builds_only_its_own_parser(monkeypatch, capsys):
         main(["criterion", "classical", "--k", "12", "--N", "5"])
     assert exc.value.code == 0 and json.loads(capsys.readouterr().out)["satisfied"]
     assert calls["parsers"] <= 2 and calls["arguments"] <= 12
+
+
+def test_parsers_are_built_once_per_process(monkeypatch):
+    # a second job of the same command only parses: it used to build the
+    # top-level parser and the command's subparser again, ~0.5 ms a job
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    argv = ["criterion", "elliptic", "--k", "12", "--N", "3", "--nu", "1"]
+    first = parse_args(argv)
+    after_first = len(built)
+    second = parse_args(argv)
+    assert after_first <= 2 and len(built) == after_first
+    assert vars(first) == vars(second) and first is not second

@@ -280,6 +280,17 @@ class TestMedians:
         assert gamma_median.cache_info().hits == 1
         assert beta_median.cache_info().hits == 1
 
+    def test_the_criteria_grid_medians_stay_cached(self):
+        # the benchmark's criteria asks for Beta(nu/2 + 1, k/2 - 1) at k in
+        # 4, 4.5, ..., 24 and nu in 0..8: 369 shapes, which a bound of 256
+        # evicted before their second use (738 misses for two passes)
+        beta_median.cache_clear()
+        for _ in range(2):
+            for k in (4.0 + 0.5 * i for i in range(41)):
+                for nu in range(9):
+                    beta_median(nu / 2.0 + 1.0, k / 2.0 - 1.0)
+        assert beta_median.cache_info().misses == 369
+
     def test_accuracy_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         worst_gamma = worst_beta = 0.0
