@@ -7,9 +7,11 @@ fourier, JSON otherwise.  Identical configurations (including selftest's
 --rng-seed) produce byte-identical artifacts.  A subcommand takes only
 the options its job reads; any other option is a usage error.  One
 table, `_COMMANDS`, gives each subcommand its help line, runner and
-options; each `parse_args` call builds a parser with the options of the
-one subcommand that argv names, which binds its runner as `job`, and
-`run(ns)` calls `ns.job(ns)`.  Numbers must be finite: nan and +-inf are
+options.  `parse_args` parses with the parser of the one subcommand
+that argv names, which holds only that subcommand's options and binds its
+runner as `job`, and `run(ns)` calls `ns.job(ns)`.  A process builds each
+such parser once, on its first job of that subcommand, and parsing never
+changes it, so the jobs of one process share it.  Numbers must be finite: nan and +-inf are
 refused.  A point "x,y" with negative x is written with "=", as in
 --tau=-0.2,0.2, since argparse reads a bare "-0.2,0.2" as an option.
 Exit codes: 0 success, 2 invalid configuration, 3 numeric refusal, which
@@ -23,7 +25,7 @@ import contextlib
 import json
 import math
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -309,13 +311,13 @@ def run(ns: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         _emit_error("invalid_config", exc)
         return 2
-    # a dict is encoded straight into the file: the whole string of a large
-    # artifact would double the peak memory of the job
+    # a dict is encoded into the file chunk by chunk: the whole string of a
+    # large artifact would double the peak memory of the job
     with contextlib.nullcontext(sys.stdout) if ns.out == "-" else open(ns.out, "w") as fh:
         if isinstance(result, str):
             fh.write(result)
         else:
-            json.dump(result, fh, sort_keys=True, indent=2)
+            fh.writelines(json.JSONEncoder(sort_keys=True, indent=2).iterencode(result))
             fh.write("\n")
     if ns.command == "selftest" and result.get("selftest") != "pass":
         return 1
@@ -419,11 +421,19 @@ _COMMANDS = {
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse one job's argv with a parser built for this call: the command that
-    argv[0] names, with its options, or else all commands, for help and errors."""
+    """Parse one job's argv with the parser of the command that argv[0] names,
+    or else with the one of all commands, for help and errors.  Parsing
+    reads a parser and never changes it, so each is built once per process."""
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
+    return _parser(chosen).parse_args(argv)
+
+
+@lru_cache(maxsize=None)
+def _parser(chosen) -> argparse.ArgumentParser:
+    """The parser of command `chosen` with its options, or of all commands
+    without options when chosen is None."""
     ap = argparse.ArgumentParser(prog="vvps", description="Poincare series workbench")
     ap.add_argument("--version", action="version", version=__version__)
-    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
     # with one subparser the metavar keeps every command in the usage line;
     # with all, errors name the argument `command`, as argparse's own metavar does
     metavar = "{" + ",".join(_COMMANDS) + "}" if chosen else None
@@ -435,7 +445,7 @@ def parse_args(argv) -> argparse.Namespace:
             sp.set_defaults(job=job)
             sp.add_argument("--out", default="-")
             add_options(sp)
-    return ap.parse_args(argv)
+    return ap
 
 
 def main(argv=None) -> None:

@@ -593,3 +593,35 @@ def test_parsers_are_built_once_per_process(monkeypatch):
     second = parse_args(argv)
     assert after_first <= 2 and len(built) == after_first
     assert vars(first) == vars(second) and first is not second
+
+
+REUSED_JOBS = [
+    ["criterion", "classical", "--k", "12", "--N", "5", "--nu", "2", "--M", "2", "--m", "0.5"],
+    ["criterion", "elliptic", "--k", "12", "--N", "3", "--nu", "1"],
+    ["criterion", "regionA", "--k", "12", "--N", "5", "--nu", "2"],
+    ["criterion", "regionC", "--k", "12", "--N", "2"],
+    ["table", "--k-list", "4,12.5", "--n-list", "2,5", "--nu-max", "3"],
+    ["cosets", "--group", "gamma0", "--level", "3", "--height", "20"],
+    ["fourier", "--group", "gamma0", "--level", "2", "--height", "20"],
+]
+
+
+def test_jobs_in_one_process_match_fresh_processes(capsys):
+    # parsers, medians and tables outlive a job: running the jobs forward,
+    # through a usage error, and in reverse must give the bytes of one fresh
+    # interpreter per job
+    def in_process(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out.encode()
+
+    forward = [in_process(argv) for argv in REUSED_JOBS]
+    code, out = in_process(["criterion", "elliptic", "--k", "12", "--N", "3", "--bogus", "1"])
+    assert code == 2 and out == b""
+    backward = [in_process(argv) for argv in reversed(REUSED_JOBS)][::-1]
+    fresh = [subprocess.run([sys.executable, "-m", "vvps.cli", *argv], capture_output=True)
+             for argv in REUSED_JOBS]
+    for argv, one, two, proc in zip(REUSED_JOBS, forward, backward, fresh):
+        assert proc.returncode == 0, proc.stderr
+        assert one == two == (0, proc.stdout), argv

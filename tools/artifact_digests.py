@@ -1,7 +1,11 @@
 """MD5 digests of the artifacts of a fixed list of CLI jobs.
 
 Each job runs in-process through `vvps.cli.main`; the script prints one
-`md5  label` line per job, and exits 1 if a job exits nonzero.  The three
+`md5  label` line per job, and exits 1 if a job exits nonzero.  It then
+runs the list once more in reverse order in the same process and exits 1,
+naming each job on stderr, if an artifact's bytes differ from the first
+pass: a job must not change the artifact of a later one through state the
+process keeps (cached parsers, medians or tables).  The three
 rep files the list reads (an induced representation written by `vvps
 induce`, a Legendre character mod 5 and a non-congruence permutation
 representation) are written to a temporary directory, and no label names
@@ -140,12 +144,17 @@ def main() -> int:
         if code != 0:
             sys.stderr.write("writing the induced rep file failed\n")
             return 1
+        artifacts = {}
         for label, argv in JOBS:
-            code, artifact = run_job([a.format(**files) for a in argv])
+            code, artifacts[label] = run_job([a.format(**files) for a in argv])
             if code != 0:
                 sys.stderr.write(f"{label}: exit {code}\n")
                 status = 1
-            print(f"{hashlib.md5(artifact).hexdigest()}  {label}")
+            print(f"{hashlib.md5(artifacts[label]).hexdigest()}  {label}")
+        for label, argv in reversed(JOBS):
+            if run_job([a.format(**files) for a in argv])[1] != artifacts[label]:
+                sys.stderr.write(f"{label}: the reverse pass wrote other bytes\n")
+                status = 1
     return status
 
 
