@@ -11,11 +11,12 @@ options.  `parse_args` parses with the parser of the one subcommand
 that argv names, which holds only that subcommand's options and binds its
 runner as `job`, and `run(ns)` calls `ns.job(ns)`.  A process builds each
 such parser once, on its first job of that subcommand, and parsing never
-changes it, so the jobs of one process share it.  Numbers must be finite: nan and +-inf are
-refused.  A point "x,y" with negative x is written with "=", as in
---tau=-0.2,0.2, since argparse reads a bare "-0.2,0.2" as an option.
-Exit codes: 0 success, 2 invalid configuration, 3 numeric refusal, which
-includes a job that runs out of memory.
+changes it, so the jobs of one process share it.  Numbers must be
+finite: nan and +-inf are refused.  A point "x,y" with negative x is
+written with "=", as in --tau=-0.2,0.2, since argparse reads a bare
+"-0.2,0.2" as an option.  Exit codes: 0 success, 2 invalid
+configuration, 3 numeric refusal, which includes a job that runs out of
+memory.
 """
 
 from __future__ import annotations
