@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -397,6 +398,43 @@ class TestOtherCommands:
         err = json.loads(proc.stderr)["error"]
         assert err["type"] == "invalid_config" and "--p" in err["message"]
 
+    def test_induce_from_a_rep_file_on_another_group_is_refused(self, tmp_path, capsys):
+        # a Legendre character mod 5 lives on Gamma0(5): inducing it through
+        # the cosets of Gamma0(3) is refused before any coset is listed
+        rho_file = tmp_path / "legendre5.json"
+        rho_file.write_text(json.dumps(
+            {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
+             "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}))
+        argv = ["induce", "--group", "gamma0", "--level", "3", "--rep", str(rho_file)]
+        assert run(parse_args(argv)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "invalid_config"
+        assert "Gamma0(5)" in err["message"] and "Gamma0(3)" in err["message"]
+
+    def test_eta_fourier_matches_the_q_product(self, capsys):
+        # for 2 < k < 12 the cusp forms of weight k for the eta multiplier
+        # are spanned by eta^(2k) = q^(k/12) prod (1 - q^m)^(2k), so
+        # b_n / b_0 are the coefficients of that product, taken here from
+        # the binomial series of each factor; the error grows like
+        # e^(2 pi (n + k/12) y0), and each gate is ~3x the one measured
+        k, order = 7.3, 3
+        product = [1.0] + [0.0] * order
+        for m in range(1, order + 1):
+            factor, binom = [0.0] * (order + 1), 1.0
+            for j in range(order // m + 1):
+                factor[m * j] = binom
+                binom *= -(2 * k - j) / (j + 1)
+            product = [sum(product[i] * factor[n - i] for i in range(n + 1))
+                       for n in range(order + 1)]
+        assert np.allclose(product, [1.0, -14.6, 84.68, -218.416], rtol=1e-14, atol=0)
+        argv = ["fourier", "--group", "sl2z", "--k", str(k), "--family", "eta",
+                "--seed", "classical", "--nu", "0", "--n0", "0", "--n1", str(order),
+                "--height", "150", "--y0", "0.8"]
+        assert run(parse_args(argv)) == 0
+        b = [complex(*entry["value"]) for entry in json.loads(capsys.readouterr().out)["b"]]
+        for n, gate in ((1, 4e-11), (2, 5e-10), (3, 2e-8)):
+            assert abs(b[n] / b[0] - product[n]) <= gate * abs(product[n]), n
+
     @pytest.mark.parametrize("broken", [
         {"recipe": "st_generated", "p": 1},
         {"recipe": "st_generated", "p": 1, "group": {"kind": "SL2Z"},
@@ -579,9 +617,10 @@ def test_a_job_builds_only_its_own_parser(monkeypatch, capsys):
     assert calls["parsers"] <= 2 and calls["arguments"] <= 12
 
 
-def test_parsers_are_built_once_per_process(monkeypatch):
-    # a second job of the same command only parses: it used to build the
-    # top-level parser and the command's subparser again, ~0.5 ms a job
+def test_one_parser_serves_every_command(monkeypatch):
+    # the first job of a process builds the parser of all eight commands;
+    # a second job, of the same command or of another, only parses
+    cli._parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -589,11 +628,33 @@ def test_parsers_are_built_once_per_process(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    argv = ["criterion", "elliptic", "--k", "12", "--N", "3", "--nu", "1"]
+    argv = ["criterion", "elliptic", "--k", "12", "--N", "3", "--nu", "1", "--out", os.devnull]
     first = parse_args(argv)
+    assert run(first) == 0
     after_first = len(built)
     assert vars(parse_args(argv)) == vars(first)
-    assert after_first <= 2 and len(built) == after_first
+    for argv in (["table", "--k-list", "12", "--n-list", "2", "--nu-max", "1"],
+                 ["cosets", "--group", "gamma0", "--level", "3", "--height", "10"],
+                 ["selftest"]):
+        assert run(parse_args(argv + ["--out", os.devnull])) == 0
+    assert after_first > 0 and len(built) == after_first
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first parse, not at import: a tree built at
+    # import would cost ~2 ms to every process that only imports vvps.cli
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted_init(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted_init\n"
+            "import vvps.cli\n"
+            "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 REUSED_JOBS = [

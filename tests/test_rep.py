@@ -1,8 +1,10 @@
 import cmath
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -435,6 +437,19 @@ class TestSpectralSplit:
                 "--out", os.devnull]
         assert run(parse_args(argv)) == 0
         assert calls["eig"] + calls["eigvals"] == 1
+
+    def test_analyses_do_not_keep_a_rep_alive(self):
+        # a rep holds its own analyses: a memo keyed by the rep kept up to
+        # 64 reps alive, each with its images and its split (~21 MB for
+        # one induced from GammaNpm(11))
+        group = GroupSpec.gamma_npm(5)
+        rep = induce(trivial_rep(1, group), right_coset_reps(group))
+        assert check_normal(rep, TRIVIAL_MS, GroupSpec.sl2z()) is not None
+        assert spectral_split(rep, TRIVIAL_MS, 1).U.shape == (60, 60)
+        alive = weakref.ref(rep)
+        del rep
+        gc.collect()
+        assert alive() is None
 
     def test_repeated_minus_one_eigenvalue(self, rng):
         # rho = Ind(trivial, Gamma0(2)) has rho(T) eigenvalues 1, 1, -1; a
