@@ -7,16 +7,15 @@ fourier, JSON otherwise.  Identical configurations (including selftest's
 --rng-seed) produce byte-identical artifacts.  A subcommand takes only
 the options its job reads; any other option is a usage error.  One
 table, `_COMMANDS`, gives each subcommand its help line, runner and
-options.  `parse_args` parses with the parser of the one subcommand
-that argv names, which holds only that subcommand's options and binds its
-runner as `job`, and `run(ns)` calls `ns.job(ns)`.  A process builds each
-such parser once, on its first job of that subcommand, and parsing never
-changes it, so the jobs of one process share it.  Numbers must be
-finite: nan and +-inf are refused.  A point "x,y" with negative x is
-written with "=", as in --tau=-0.2,0.2, since argparse reads a bare
-"-0.2,0.2" as an option.  Exit codes: 0 success, 2 invalid
-configuration, 3 numeric refusal, which includes a job that runs out of
-memory.
+options.  `parse_args` parses with one parser of all subcommands, which
+binds each subcommand's runner as `job`, and `run(ns)` calls
+`ns.job(ns)`.  A process builds that parser on its first parse, not at
+import, and parsing never changes it, so the jobs of one process share
+it.  Numbers must be finite: nan and +-inf are refused.  A point "x,y"
+with negative x is written with "=", as in --tau=-0.2,0.2, since
+argparse reads a bare "-0.2,0.2" as an option.  Exit codes: 0 success,
+2 invalid configuration, 3 numeric refusal, which includes a job that
+runs out of memory.
 """
 
 from __future__ import annotations
@@ -213,6 +212,9 @@ def _run_criterion(ns) -> dict:
 def _run_induce(ns) -> dict:
     group = _parse_group(ns)
     rep = _parse_rep(ns, group)
+    if rep.group != group:
+        raise ConfigError(f"the rep file is a representation of {rep.group}; "
+                          f"it cannot be induced from {group}")
     cosets = right_coset_reps(group)
     return {**induce(rep, cosets).to_json(), "cosets": [list(g.entries()) for g in cosets]}
 
@@ -422,30 +424,21 @@ _COMMANDS = {
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse one job's argv with the parser of the command that argv[0] names,
-    or else with the one of all commands, for help and errors.  Parsing
-    reads a parser and never changes it, so each is built once per process."""
-    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
-    return _parser(chosen).parse_args(argv)
+    """Parse one job's argv with the parser that every job of the process shares."""
+    return _parser().parse_args(argv)
 
 
 @lru_cache(maxsize=None)
-def _parser(chosen) -> argparse.ArgumentParser:
-    """The parser of command `chosen` with its options, or of all commands
-    without options when chosen is None."""
+def _parser() -> argparse.ArgumentParser:
+    """The parser of all commands, each with its options and its runner as `job`."""
     ap = argparse.ArgumentParser(prog="vvps", description="Poincare series workbench")
     ap.add_argument("--version", action="version", version=__version__)
-    # with one subparser the metavar keeps every command in the usage line;
-    # with all, errors name the argument `command`, as argparse's own metavar does
-    metavar = "{" + ",".join(_COMMANDS) + "}" if chosen else None
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [chosen] if chosen else _COMMANDS:
-        help, job, add_options = _COMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help, job, add_options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help)
-        if chosen:
-            sp.set_defaults(job=job)
-            sp.add_argument("--out", default="-")
-            add_options(sp)
+        sp.set_defaults(job=job)
+        sp.add_argument("--out", default="-")
+        add_options(sp)
     return ap
 
 

@@ -21,7 +21,7 @@ word only for a rho that does not factor (a non-congruence kernel, or
 rho(T) of no finite order) and for tables beyond 2^18 matrix entries.
 
 One analysis (_analysis) of the cusp monodromy e^{2 pi i kappa M}
-rho(T^M), memoised by (rho, kappa, M), decides finite order: one
+rho(T^M), kept on rho by (kappa, M), decides finite order: one
 eigendecomposition, the root of unity e^{2 pi i r/n} of each eigenvalue
 (_exponent: r/n a convergent of arg / 2 pi), and a split into a unitary
 U and exponents m_j = r/n in ]0, 1], accepted only when it rebuilds the
@@ -33,9 +33,8 @@ SpectralSplit.residual measures how far any split is from the monodromy.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -67,6 +66,7 @@ class RepSpec:
     chi: Optional[tuple] = None          # dirichlet: values indexed mod N
     s_img: Optional[np.ndarray] = None   # st_generated
     t_img: Optional[np.ndarray] = None
+    _analyses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.recipe not in ("trivial", "dirichlet", "st_generated"):
@@ -361,12 +361,18 @@ def _exponent(lam: complex) -> Optional[tuple]:
     return ((r - 1) % n + 1, n) if abs(lam - cmath.exp(2j * math.pi * r / n)) <= 1e-8 else None
 
 
-@functools.lru_cache(maxsize=64)
 def _analysis(rep: RepSpec, kappa: float, m_width: int):
     """(split, order) of the cusp monodromy at width M, or None: the split
     of spectral_split if it rebuilds the monodromy within _UNITARY_TOL, and
-    the lcm of the n of m_j = r/n.  A RepSpec hashes by identity; kappa =
-    0, M = 1 analyses rho(T) itself."""
+    the lcm of the n of m_j = r/n, kept in rep._analyses by (kappa, M), so
+    it is freed with rep.  kappa = 0, M = 1 analyses rho(T) itself."""
+    key = (kappa, m_width)
+    if key not in rep._analyses:
+        rep._analyses[key] = _analyse(rep, kappa, m_width)
+    return rep._analyses[key]
+
+
+def _analyse(rep: RepSpec, kappa: float, m_width: int):
     mono = _monodromy(rep, kappa, m_width)
     eigvals, eigvecs = np.linalg.eig(mono)
     exps = [_exponent(lam) for lam in eigvals]

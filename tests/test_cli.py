@@ -594,29 +594,6 @@ def test_help_and_usage_errors_match_the_recorded_text(argv, monkeypatch, capsys
         == GOLDEN["text"][" ".join(argv)]
 
 
-def test_a_job_builds_only_its_own_parser(monkeypatch, capsys):
-    # a parser with the options of all eight commands makes 9 parsers and
-    # 84 add_argument calls, 2.3 ms of a 3 ms criterion job; the cache is
-    # cleared, as earlier jobs of this process built the criterion parser
-    cli._parser.cache_clear()
-    calls = {"parsers": 0, "arguments": 0}
-    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
-
-    def counted_init(self, *args, **kwargs):
-        calls["parsers"] += 1
-        init(self, *args, **kwargs)
-
-    def counted_add_argument(self, *args, **kwargs):
-        calls["arguments"] += 1
-        return add_argument(self, *args, **kwargs)
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add_argument)
-    with pytest.raises(SystemExit) as exc:
-        main(["criterion", "classical", "--k", "12", "--N", "5"])
-    assert exc.value.code == 0 and json.loads(capsys.readouterr().out)["satisfied"]
-    assert calls["parsers"] <= 2 and calls["arguments"] <= 12
-
-
 def test_one_parser_serves_every_command(monkeypatch):
     # the first job of a process builds the parser of all eight commands;
     # a second job, of the same command or of another, only parses

@@ -2,14 +2,16 @@
 
 Each job runs in-process through `vvps.cli.main`; the script prints one
 `md5  label` line per job, and exits 1 if a job exits nonzero.  It then
-runs the list once more in reverse order in the same process and exits 1,
-naming each job on stderr, if an artifact's bytes differ from the first
-pass: a job must not change the artifact of a later one through state the
-process keeps (cached parsers, medians or tables).  The three
-rep files the list reads (an induced representation written by `vvps
-induce`, a Legendre character mod 5 and a non-congruence permutation
-representation) are written to a temporary directory, and no label names
-a path, so the output of two checkouts compares with one diff:
+runs a usage error and a help text (GUARDS), whose output it discards,
+and the list once more in reverse order in the same process.  It exits 1,
+naming the culprit on stderr, if a guard exits with the wrong code or an
+artifact's bytes differ from the first pass: a job must not change the
+artifact of a later one through state the process keeps (the cached
+parser, medians or tables).  The three rep files the list reads (an
+induced representation written by `vvps induce`, a Legendre character
+mod 5 and a non-congruence permutation representation) are written to a
+temporary directory, and no label names a path, so the output of two
+checkouts compares with one diff:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > new.txt
     PYTHONPATH=../other/src python3 tools/artifact_digests.py > old.txt
@@ -104,6 +106,14 @@ JOBS = [
     ("selftest", ["selftest", "--rng-seed", "3"]),
 ]
 
+# (argv, exit code) of a usage error and a help text, run between the two
+# passes and their output discarded: both go through the parser that every
+# job of the process shares
+GUARDS = [
+    (["criterion", "elliptic", "--k", "12", "--N", "3", "--bogus", "1"], 2),
+    (["eval", "-h"], 0),
+]
+
 LEGENDRE_MOD5 = {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
                  "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}
 
@@ -151,6 +161,12 @@ def main() -> int:
                 sys.stderr.write(f"{label}: exit {code}\n")
                 status = 1
             print(f"{hashlib.md5(artifacts[label]).hexdigest()}  {label}")
+        with contextlib.redirect_stderr(io.StringIO()):
+            guards = [(argv, code, run_job(argv)[0]) for argv, code in GUARDS]
+        for argv, expected, code in guards:
+            if code != expected:
+                sys.stderr.write(f"{' '.join(argv)}: exit {code}, not {expected}\n")
+                status = 1
         for label, argv in reversed(JOBS):
             if run_job([a.format(**files) for a in argv])[1] != artifacts[label]:
                 sys.stderr.write(f"{label}: the reverse pass wrote other bytes\n")
