@@ -13,7 +13,7 @@ from vvps import cli, modgroup, series
 from vvps.cli import emit_threshold_table, main, parse_args, run
 from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
 from vvps.multiplier import MultiplierSystem
-from vvps.nonvanish import elliptic_criterion
+from vvps.nonvanish import beta_median, classical_criterion, elliptic_criterion, gamma_median
 from vvps.rep import evaluate_rho, induce, spectral_split, st_rep, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import build_series, slash_k
@@ -23,6 +23,15 @@ def invoke(argv):
     proc = subprocess.run([sys.executable, "-m", "vvps.cli", *argv],
                           capture_output=True, text=True)
     return proc
+
+
+def legendre5(tmp_path):
+    """A rep file of the Legendre character mod 5, a representation of Gamma0(5)."""
+    rho_file = tmp_path / "legendre5.json"
+    rho_file.write_text(json.dumps(
+        {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
+         "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}))
+    return rho_file
 
 
 class TestEval:
@@ -289,6 +298,49 @@ class TestTable:
         proc = invoke(["table", "--k-list", "", "--n-list", "5", "--nu-max", "2"])
         assert proc.returncode == 2
 
+    def test_fields_are_the_criteria_report_fields(self):
+        # k <= 8/3 has no sharp margin and N = 1 no elliptic margin
+        ks, levels, nus = [2.05, 2.5, 4.0, 12.5, 1000.0], [1, 2, 13], list(range(9))
+        seen = set()
+        for M in (1, 2):
+            for m_j in (0.5, 1.0):
+                lines = emit_threshold_table(ks, levels, nus, m_j=m_j, M=M).splitlines()
+                cells = [(k, n, nu) for k in ks for n in levels for nu in nus]
+                assert len(lines) == 1 + len(cells)
+                for line, (k, n, nu) in zip(lines[1:], cells):
+                    cl = classical_criterion(k, M, n, nu, m_j)
+                    el = elliptic_criterion(k, n, nu).margin if n >= 2 else math.nan
+                    fields = line.split(",")
+                    assert fields == [repr(k), str(n), str(nu), repr(cl.margin), repr(el),
+                                      repr(cl.details.get("sharp_margin"))], line
+                    seen.update(fields[4:])
+        assert {"nan", "None"} <= seen
+
+    def test_medians_are_asked_once_per_shape(self):
+        # gamma_median(k/2 - 1) depends on k only, and M_B on (k, nu) only
+        def calls(fn):
+            info = fn.cache_info()
+            return info.hits + info.misses
+        before = calls(gamma_median), calls(beta_median)
+        emit_threshold_table([3.0, 4.0, 6.5, 12.0, 20.5, 40.0], [2, 3, 5, 7, 11],
+                             list(range(9)))
+        assert calls(gamma_median) - before[0] == 6
+        assert calls(beta_median) - before[1] == 54
+
+    @pytest.mark.parametrize("argv, cls, message", [
+        (["--k-list", "2"], "DomainError", "criterion requires weight k > 2"),
+        (["--m", "0"], "ValueError", "m_j must lie in ]0, 1]"),
+        (["--m", "1.5"], "ValueError", "m_j must lie in ]0, 1]"),
+        (["--M", "0", "--n-list", "5"], "ValueError", "need M >= 1 and N >= 1, got M=0, N=5"),
+        (["--k-list", "12,2", "--n-list", "0"], "ValueError",
+         "need M >= 1 and N >= 1, got M=1, N=0"),
+    ], ids=["weight", "m-zero", "m-above-one", "M-zero", "first-failing-row"])
+    def test_refusals_keep_their_text(self, argv, cls, message, capsys):
+        # the refusal is the one of the first row that fails, in row order
+        assert run(parse_args(["table", *argv])) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "invalid_config", "class": cls, "message": message}
+
 
 class TestOtherCommands:
     def test_selftest(self):
@@ -401,15 +453,37 @@ class TestOtherCommands:
     def test_induce_from_a_rep_file_on_another_group_is_refused(self, tmp_path, capsys):
         # a Legendre character mod 5 lives on Gamma0(5): inducing it through
         # the cosets of Gamma0(3) is refused before any coset is listed
-        rho_file = tmp_path / "legendre5.json"
-        rho_file.write_text(json.dumps(
-            {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
-             "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}))
-        argv = ["induce", "--group", "gamma0", "--level", "3", "--rep", str(rho_file)]
+        argv = ["induce", "--group", "gamma0", "--level", "3", "--rep", str(legendre5(tmp_path))]
         assert run(parse_args(argv)) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "invalid_config"
         assert "Gamma0(5)" in err["message"] and "Gamma0(3)" in err["message"]
+
+    @pytest.mark.parametrize("group, name", [
+        (["--group", "gamma0", "--level", "3"], "Gamma0(3)"),
+        (["--group", "sl2z"], "SL2(Z)"),
+    ], ids=["gamma0-3", "sl2z"])
+    @pytest.mark.parametrize("command", [["eval", "--tau", "0.3,1.1"], ["fourier"], ["pair"]],
+                             ids=["eval", "fourier", "pair"])
+    def test_series_on_a_group_the_rep_file_misses_is_refused(self, command, group, name,
+                                                              tmp_path, monkeypatch, capsys):
+        # a character of Gamma0(5) is no representation of Gamma0(3) or SL2(Z)
+        def enumerate_cosets(*args):
+            raise AssertionError(f"{command[0]} enumerated cosets for a rep it then refused")
+        monkeypatch.setattr(series, "enumerate_cosets", enumerate_cosets)
+        argv = [*command, *group, "--rep", str(legendre5(tmp_path)), "--height", "30"]
+        assert run(parse_args(argv)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "invalid_config"
+        assert "Gamma0(5)" in err["message"] and name in err["message"]
+
+    def test_series_on_a_subgroup_of_the_rep_file_group(self, tmp_path, capsys):
+        # Gamma0(10) lies in Gamma0(5), where the Legendre character lives
+        argv = ["eval", "--group", "gamma0", "--level", "10", "--rep", str(legendre5(tmp_path)),
+                "--tau", "0.3,1.1", "--height", "20"]
+        assert run(parse_args(argv)) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert len(value) == 1 and all(math.isfinite(x) for x in value[0])
 
     def test_eta_fourier_matches_the_q_product(self, capsys):
         # for 2 < k < 12 the cusp forms of weight k for the eta multiplier
