@@ -35,10 +35,10 @@ from .analysis import (QuadratureSpec, classical_pairing_closed_form,
                        elliptic_pairing_closed_form, fourier_coefficients, petersson_strip)
 from .errors import RefusalError
 from .modgroup import (GroupSpec, I2, S, cocycle_j, cusp_width, enumerate_cosets,
-                       mobius_act, right_coset_reps, st_syllables, t_power)
+                       is_subgroup, mobius_act, right_coset_reps, st_syllables, t_power)
 from .multiplier import MultiplierSystem, _random_element, check_consistency
 from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
-                        gamma_median, region_test_a, region_test_c)
+                        gamma_median, margin_grid, region_test_a, region_test_c)
 from .rep import RepSpec, induce, spectral_split, trivial_rep
 from .seeds import ClassicalSeed, EllipticSeed
 from .series import SeriesHandle
@@ -126,6 +126,9 @@ def _build_series(ns):
     group = _parse_group(ns)
     ms = _parse_ms(ns)
     rep = _parse_rep(ns, group)
+    if not is_subgroup(group, rep.group):
+        raise ConfigError(f"the rep file is a representation of {rep.group}, "
+                          f"which does not contain {group}")
     if ns.seed == "classical":
         if ns.xi is not None:
             raise ConfigError("--xi is the centre of an elliptic seed; "
@@ -282,16 +285,8 @@ def emit_threshold_table(ks, ns_levels, nus, m_j: float = 1.0, M: int = 1) -> st
     if not ks or not ns_levels or not nus:
         raise ConfigError("table ranges must be nonempty")
     lines = ["k,N,nu,classical_margin,elliptic_margin,sharp_classical"]
-    for k in ks:
-        for n in ns_levels:
-            for nu in nus:
-                cl = classical_criterion(k, M, n, nu, m_j)
-                sharp = cl.details.get("sharp_margin")
-                if n >= 2:
-                    el = elliptic_criterion(k, n, nu).margin
-                else:
-                    el = float("nan")
-                lines.append(f"{k!r},{n},{nu},{cl.margin!r},{el!r},{sharp!r}")
+    lines += [f"{k!r},{n},{nu},{cl!r},{el!r},{sharp!r}"
+              for k, n, nu, cl, el, sharp in margin_grid(ks, ns_levels, nus, m_j, M)]
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ __all__ = [
     "I2", "S", "T", "t_power",
     "mobius_act", "cocycle_j", "arg_principal", "real_power",
     "principal_power", "entry_arrays", "kernel_workspace", "slash_kernel",
-    "contains", "st_syllables",
+    "contains", "is_subgroup", "st_syllables",
     "enumerate_cosets", "cusp_width", "right_coset_reps",
 ]
 
@@ -280,6 +280,21 @@ def contains(spec: GroupSpec, g):
     if spec.kind == "Gamma1pm":
         return (c % n == 0) & unit
     return (b % n == 0) & (c % n == 0) & unit
+
+
+def is_subgroup(inner: GroupSpec, outer: GroupSpec) -> bool:
+    """Whether the finite-index group inner lies in the finite-index group
+    outer, from their kinds and levels."""
+    n, m = outer.level, inner.level
+    if n == 1:  # outer is SL2(Z)
+        return True
+    if m % n:  # inner holds (1 0; m 1), outer lies in Gamma0(n)
+        return False
+    if outer.kind == "Gamma0" or inner.kind == "GammaNpm":
+        return True
+    # Gamma0(m) maps onto every unit d mod n, Gamma1pm(n) keeps only d = +-1;
+    # GammaNpm(n) misses T, which Gamma0(m) and Gamma1pm(m) hold
+    return outer.kind == "Gamma1pm" and (inner.kind == "Gamma1pm" or n in (2, 3, 4, 6))
 
 
 def _coset_key(gamma: GroupSpec, g: IntMatrix2) -> tuple:

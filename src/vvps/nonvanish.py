@@ -3,10 +3,13 @@
 The classical criterion compares nu + m_j against a closed-form threshold
 linear in the weight; its sharp version compares against the median of a
 gamma distribution.  The elliptic criterion bounds the level from below by
-an expression in a beta-distribution median.  The region tests evaluate
-each region's mass condition as one incomplete gamma or beta CDF at the
-given cut, independently of the median route.  The special functions, the
-median finder and their accuracy live in _quad.
+an expression in a beta-distribution median.  margin_grid gives the
+margins of both criteria over a (k, N, nu) grid, each median once per
+shape and each threshold once per (k, N); it shares the criteria's
+arithmetic, so every margin is the one the criterion reports.  The region
+tests evaluate each region's mass condition as one incomplete gamma or
+beta CDF at the given cut, independently of the median route.  The
+special functions, the median finder and their accuracy live in _quad.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ __all__ = [
     "CriterionReport",
     "regularized_incomplete_gamma", "regularized_incomplete_beta",
     "gamma_median", "beta_median",
-    "classical_criterion", "elliptic_criterion",
+    "classical_criterion", "elliptic_criterion", "margin_grid",
     "region_test_a", "region_test_c", "find_radius",
 ]
 
@@ -91,29 +94,70 @@ def beta_median(a: float, b: float) -> float:
                                pdf, 0.0, 1.0, start)
 
 
-def classical_criterion(k: float, M: int, N: int, nu: int, m_j: float) -> CriterionReport:
-    """Non-vanishing test for a classical series: satisfied when
-    nu + m_j <= M N (k - 8/3) / (4 pi), with the sharper median form
-    2 pi (nu + m_j)/(M N) < gamma_median(k/2 - 1) reported in details."""
+def _check_classical(k: float, M: int, N: int, m_j: float, nus) -> None:
+    """The classical criterion's refusals, in the order it makes them."""
     if k <= 2:
         raise DomainError("criterion requires weight k > 2")
     if not 0 < m_j <= 1:
         raise ValueError("m_j must lie in ]0, 1]")
     if M < 1 or N < 1:
         raise ValueError(f"need M >= 1 and N >= 1, got M={M}, N={N}")
-    if nu < 0:
-        raise ValueError(f"need nu >= 0, got {nu}")
-    threshold = M * N * (k - 8.0 / 3.0) / (4.0 * math.pi)
+    _check_nus(nus)
+
+
+def _check_nus(nus) -> None:
+    for nu in nus:
+        if nu < 0:
+            raise ValueError(f"need nu >= 0, got {nu}")
+
+
+def _threshold(k: float, M: int, N: int) -> float:
+    """The classical bound M N (k - 8/3) / (4 pi) on nu + m_j."""
+    return M * N * (k - 8.0 / 3.0) / (4.0 * math.pi)
+
+
+def _sharp_median(k: float) -> Optional[float]:
+    """gamma_median(k/2 - 1), or None where the classical bound is vacuous."""
+    return gamma_median(k / 2.0 - 1.0) if k > 8.0 / 3.0 else None
+
+
+def _classical_margins(threshold: float, med: Optional[float], M: int, N: int,
+                       nu: int, m_j: float):
+    """(margin, x0, sharp margin); x0 and the sharp margin are None without
+    a median."""
     margin = threshold - (nu + m_j)
+    if med is None:
+        return margin, None, None
+    x0 = 2.0 * math.pi * (nu + m_j) / (M * N)
+    return margin, x0, med - x0
+
+
+def _elliptic_rhs(k: float, nu: int):
+    """(M_B, 4 sqrt(M_B) / (1 - M_B)) with M_B the median of
+    Beta(nu/2 + 1, k/2 - 1)."""
+    mb = beta_median(nu / 2.0 + 1.0, k / 2.0 - 1.0)
+    return mb, 4.0 * math.sqrt(mb) / (1.0 - mb)
+
+
+def _elliptic_margin(N: int, rhs: float) -> float:
+    return N - rhs
+
+
+def classical_criterion(k: float, M: int, N: int, nu: int, m_j: float) -> CriterionReport:
+    """Non-vanishing test for a classical series: satisfied when
+    nu + m_j <= M N (k - 8/3) / (4 pi), with the sharper median form
+    2 pi (nu + m_j)/(M N) < gamma_median(k/2 - 1) reported in details."""
+    _check_classical(k, M, N, m_j, (nu,))
+    threshold = _threshold(k, M, N)
+    med = _sharp_median(k)
+    margin, x0, sharp = _classical_margins(threshold, med, M, N, nu, m_j)
     details = {"threshold": threshold}
-    if k <= 8.0 / 3.0:
+    if med is None:
         details["note"] = "vacuous: the right-hand side is nonpositive"
         details["sharp_satisfied"] = None
     else:
-        x0 = 2.0 * math.pi * (nu + m_j) / (M * N)
-        med = gamma_median(k / 2.0 - 1.0)
         details.update(x0=x0, gamma_median=med,
-                       sharp_satisfied=bool(x0 < med), sharp_margin=med - x0)
+                       sharp_satisfied=bool(x0 < med), sharp_margin=sharp)
     return CriterionReport("classical", margin,
                            inputs={"k": k, "M": M, "N": N, "nu": nu, "m_j": m_j},
                            details=details)
@@ -127,17 +171,39 @@ def elliptic_criterion(k: float, N: int, nu: int) -> CriterionReport:
         raise DomainError("criterion requires weight k > 2")
     if N < 2:
         raise ValueError("the elliptic criterion assumes level N >= 2")
-    if nu < 0:
-        raise ValueError(f"need nu >= 0, got {nu}")
-    mb = beta_median(nu / 2.0 + 1.0, k / 2.0 - 1.0)
-    rhs = 4.0 * math.sqrt(mb) / (1.0 - mb)
-    margin = N - rhs
+    _check_nus((nu,))
+    mb, rhs = _elliptic_rhs(k, nu)
     details = {"beta_median": mb, "rhs": rhs}
     r_max = math.acosh((N * N + 2.0) / 2.0) / 4.0
     r_star = math.atanh(math.sqrt(mb))
     details["radius_interval"] = ([r_star, r_max] if r_star < r_max else None)
-    return CriterionReport("elliptic", margin,
+    return CriterionReport("elliptic", _elliptic_margin(N, rhs),
                            inputs={"k": k, "N": N, "nu": nu}, details=details)
+
+
+def margin_grid(ks, levels, nus, m_j: float = 1.0, M: int = 1):
+    """Rows (k, N, nu, classical margin, elliptic margin, sharp margin) over
+    ks x levels x nus in that order, each margin the one classical_criterion
+    and elliptic_criterion report (the elliptic one nan for N < 2, the sharp
+    one None for k <= 8/3).  gamma_median is asked once per k, beta_median
+    once per (k, nu) and the threshold computed once per (k, N); the
+    refusals are the criteria's, checked once per (k, N) in row order."""
+    rows = []
+    for k in ks:
+        med = rhs = None
+        for n in levels:
+            _check_classical(k, M, n, m_j, nus)
+            threshold = _threshold(k, M, n)
+            # the medians wait for the first (k, N) that passes, as rows do
+            if med is None:
+                med = _sharp_median(k)
+            if n >= 2 and rhs is None:
+                rhs = [_elliptic_rhs(k, nu)[1] for nu in nus]
+            for i, nu in enumerate(nus):
+                margin, _, sharp = _classical_margins(threshold, med, M, n, nu, m_j)
+                el = _elliptic_margin(n, rhs[i]) if n >= 2 else math.nan
+                rows.append((k, n, nu, margin, el, sharp))
+    return rows
 
 
 def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionReport:
@@ -199,8 +265,7 @@ def region_test_c(k: float, nu: int, N: int, r: Optional[float] = None) -> Crite
         raise DomainError("region test requires k > 2")
     if N < 2:
         raise ValueError("need N >= 2")
-    if nu < 0:
-        raise ValueError(f"need nu >= 0, got {nu}")
+    _check_nus((nu,))
     if r <= 0:
         raise ValueError("need r > 0")
     try:

@@ -11,7 +11,7 @@ from vvps import modgroup
 from vvps.errors import DomainError
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, cocycle_j,
                            contains, cusp_width, entry_arrays, enumerate_cosets,
-                           mobius_act, real_power, right_coset_reps,
+                           is_subgroup, mobius_act, real_power, right_coset_reps,
                            slash_kernel, st_syllables, t_power)
 from vvps.rep import permutation_ell
 
@@ -193,6 +193,38 @@ class TestContainsOnArrays:
         assert mask.tolist() == expect
         assert [contains(spec, g) for g in _BALL] == expect
         assert all(expect) == (spec.finite_index and spec.level == 1)
+
+
+class TestIsSubgroup:
+    def test_examples(self):
+        assert is_subgroup(GroupSpec.gamma0(10), GroupSpec.gamma0(5))
+        assert not is_subgroup(GroupSpec.gamma0(3), GroupSpec.gamma0(5))
+        assert not is_subgroup(GroupSpec.sl2z(), GroupSpec.gamma0(5))
+        assert is_subgroup(GroupSpec.gamma0(12), GroupSpec.gamma1pm(4))
+        assert not is_subgroup(GroupSpec.gamma0(5), GroupSpec.gamma1pm(5))
+        assert not is_subgroup(GroupSpec.gamma1pm(6), GroupSpec.gamma_npm(2))
+
+    def test_matches_membership_of_sampled_elements(self):
+        # contains reads residues only, so elements of SL2(Z/120Z), random
+        # S/T^j words, stand for their lifts to SL2(Z); each group gets
+        # hundreds of them, and inner lies in outer when all of its do
+        mod, rng = 120, np.random.default_rng(3)
+        ents = np.tile(np.array([1, 0, 0, 1], dtype=np.int64), (40000, 1))
+        for _ in range(30):
+            j = rng.integers(0, mod, len(ents))[:, None]
+            a, b, c, d = ents.T[:, :, None]
+            by_s = np.hstack([b, -a, d, -c])
+            by_t = np.hstack([a, a * j + b, c, c * j + d])
+            ents = np.where(rng.integers(0, 2, (len(ents), 1)) == 1, by_s, by_t) % mod
+        specs = [GroupSpec.sl2z()] + [GroupSpec(kind, n) for kind in
+                                      ("Gamma0", "Gamma1pm", "GammaNpm")
+                                      for n in (1, 2, 3, 4, 5, 6, 8)]
+        for inner in specs:
+            members = ents[contains(inner, ents)]
+            assert len(members) >= 100, inner
+            for outer in specs:
+                assert is_subgroup(inner, outer) == bool(contains(outer, members).all()), \
+                    (inner, outer)
 
 
 class TestStSyllables:
