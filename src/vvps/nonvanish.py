@@ -140,6 +140,7 @@ def _elliptic_rhs(k: float, nu: int):
 
 
 def _elliptic_margin(N: int, rhs: float) -> float:
+    """The elliptic margin N - 4 sqrt(M_B) / (1 - M_B), given the bound rhs."""
     return N - rhs
 
 
