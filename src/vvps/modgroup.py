@@ -6,9 +6,11 @@ principal-branch real powers, membership tests for the supported subgroup
 families, the S/T syllables of a matrix, coset enumeration inside a
 Frobenius-norm ball, and cusp widths.  Enumeration serves both
 stabilisers, Gamma_inf(M) and <-I>, as array arithmetic over all coprime
-bottom rows (c, d) at once and a window of translation parameters t per
-row; a coset table keeps each coset's bottom row, so the cocycle power
-j^{-k} is computed once per row and shared by its cosets.
+left columns (a, c) at once, c first and a in the stabiliser's range, and
+then the exact window of parameters s per column that keeps the right
+column (b0 + s a, d0 + s c) inside the ball; a coset table keeps each
+coset's bottom row, so the cocycle power j^{-k} is computed once per row
+and shared by its cosets.
 """
 
 from __future__ import annotations
@@ -386,9 +388,9 @@ class CosetTable:
     canonical representative has Frobenius norm <= height, as the rows
     (a, b, c, d) of the int64 array ents of shape (n, 4).
 
-    rows holds the distinct bottom rows (c, d), an int64 array of shape
-    (r, 2), each used by some coset; row is the int64 index of each coset's
-    bottom row, so rows[row] equals ents[:, 2:]."""
+    rows holds the distinct bottom rows (c, d) in (c, d) order, an int64
+    array of shape (r, 2), each used by some coset; row is the int64 index
+    of each coset's bottom row, so rows[row] equals ents[:, 2:]."""
 
     lam: GroupSpec
     gamma: GroupSpec
@@ -435,6 +437,59 @@ def _inverse_mod(d: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x % c
 
 
+def _left_columns(lam: GroupSpec, h2: int, step: int) -> tuple:
+    """The coprime left columns (a, c) of the cosets inside the ball of
+    squared radius h2, with a solution (b0, d0) of a d0 - b0 c = 1 each.
+
+    c runs over the multiples of step with c^2 <= h2 - 1, and a over the
+    canonical range of lam: [0, M c) for GammaInfinity(M), every a for <-I>,
+    both cut to a^2 <= h2 - 1 - c^2, because the other column is not zero.
+    d0 = a^{-1} mod c comes from one lockstep Euclid.  The column (1, 0)
+    comes first, with (b0, d0) = (0, 1), whenever h2 >= 2."""
+    cs = np.arange(step, math.isqrt(max(h2 - 1, 0)) + 1, step, dtype=np.int64)
+    amax = np.sqrt(h2 - 1 - cs * cs).astype(np.int64)
+    if lam.kind == "GammaInfinity":
+        a_lo, n_a = np.zeros_like(cs), np.minimum(lam.n * cs, amax + 1)
+    else:
+        a_lo, n_a = -amax, 2 * amax + 1
+    c = np.repeat(cs, n_a)
+    a = np.arange(len(c)) + np.repeat(a_lo - (np.cumsum(n_a) - n_a), n_a)
+    coprime = np.gcd(a, c) == 1
+    c, a = c[coprime], a[coprime]
+    d0 = _inverse_mod(a, c)
+    b0 = (a * d0 - 1) // c
+    if h2 < 2:  # then cs is empty too
+        return a, b0, c, d0
+    one, zero = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    return tuple(np.concatenate(x) for x in ((one, a), (zero, b0), (zero, c), (one, d0)))
+
+
+def _s_window(a, b0, c, d0, rem) -> tuple:
+    """The least and greatest s with (b0 + s a)^2 + (d0 + s c)^2 <= rem,
+    exactly (hi < lo when there is none).
+
+    With qa = a^2 + c^2, u = a b0 + c d0 and a d0 - b0 c = 1, qa times the
+    left side is (qa s + u)^2 + 1, so s lies within sqrt(qa rem - 1) / qa
+    of -u / qa.  That product can pass 2^63, so the bounds are taken in
+    floats, whose error stays far below 1 for heights under 2^26, and then
+    moved by at most one step each way by the exact integer test."""
+    qa, u = a * a + c * c, a * b0 + c * d0
+    root = np.sqrt(qa * rem.astype(float) - 1.0)
+    lo = np.ceil((-root - u) / qa).astype(np.int64)
+    hi = np.floor((root - u) / qa).astype(np.int64)
+
+    def inside(s):
+        b, d = b0 + s * a, d0 + s * c
+        return b * b + d * d <= rem
+
+    # "not above the window" and "not below it", each monotone in s
+    hi += (qa * (hi + 1) + u <= 0) | inside(hi + 1)
+    hi -= (qa * hi + u > 0) & ~inside(hi)
+    lo -= (qa * (lo - 1) + u >= 0) | inside(lo - 1)
+    lo += (qa * lo + u < 0) & ~inside(lo)
+    return lo, hi
+
+
 def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTable:
     """Enumerate canonical left lam-coset representatives in gamma with
     Frobenius norm at most height.
@@ -445,14 +500,14 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     and (a, d) = (1, 1) with b in [0, M) when c = 0), so tables are
     deterministic.
 
-    A coset of either stabiliser is a coprime bottom row (c, d), c > 0 or
-    (c, d) = (0, 1), plus a translation parameter t: with a0 d - b0 c = 1
-    every top row is (a0 + t c, b0 + t d).  Everything is array work over
-    all rows at once: the coprime rows inside the ball, a0 = d^{-1} mod c
-    by a lockstep extended Euclid, a window of t per row (the same for both
-    stabilisers, cut to [0, M) for GammaInfinity(M)), then the ball,
-    membership in gamma and the table order (norm, c, d, a, b).  The table
-    keeps the rows that hold a coset, and each coset's index into them.
+    A coset of either stabiliser is a coprime left column (a, c) in lam's
+    canonical range (see _left_columns) plus a parameter s: with
+    a d0 - b0 c = 1, every right column is (b0 + s a, d0 + s c).  Everything
+    is array work over all columns at once: the columns inside the ball,
+    d0 = a^{-1} mod c by a lockstep extended Euclid, the exact window of s
+    inside the ball per column (_s_window), then membership in gamma and
+    one sort into the table order (norm, c, d, a, b).  The table keeps
+    the rows that hold a coset, and each coset's index into them.
     """
     if lam.kind not in ("GammaInfinity", "PlusMinusIdentity"):
         raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
@@ -461,54 +516,64 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     if not 0 <= height < _MAX_HEIGHT:
         raise ValueError(f"height must lie in [0, {_MAX_HEIGHT}), got {height}")
     h2 = int(math.floor(height * height + 1e-9))
-    # int64 holds every product below: |c|, |d|, a0 and |b0| - 1 are at most
-    # height, and |t - t0| <= r gives |a|, |b| <= 5 height + 1, so all stay
-    # O(height^2), under 2^58.  And h2 < 2^52, where the float sqrt of an
-    # integer floors to its exact isqrt.
-    #
     # every supported finite-index group of level N (Gamma0, Gamma1pm,
-    # GammaNpm) has N | c, so other rows cannot occur
+    # GammaNpm) has N | c, so other columns cannot occur
     step = gamma.level if gamma.finite_index else 1
-    cs = np.arange(step, math.isqrt(h2) + 1, step, dtype=np.int64)
-    dmax = np.sqrt(h2 - cs * cs).astype(np.int64)
-    n_d = 2 * dmax + 1
-    c = np.concatenate(([0], np.repeat(cs, n_d)))
-    zero = np.cumsum(n_d) - n_d + dmax  # where d = 0 falls for each c
-    d = np.concatenate(([1], np.arange(n_d.sum()) - np.repeat(zero, n_d)))
-    rem = h2 - c * c - d * d
-    keep = (rem >= 1) & (np.gcd(c, d) == 1)
-    c, d, rem = c[keep], d[keep], rem[keep]
-    c1 = np.maximum(c, 1)  # (0, 1) takes a0 = 1, b0 = 0
-    a0 = np.where(c > 0, _inverse_mod(d, c1), 1)
-    b0 = (a0 * d - 1) // c1
-    # every t with (a0 + t c)^2 + (b0 + t d)^2 <= rem has qa (t - t*)^2 <= rem,
-    # t* = -(a0 c + b0 d) / qa, so it lies within r of t0 = ceil(t*)
-    qa = c * c + d * d
-    t0 = -((a0 * c + b0 * d) // qa)
-    r = np.sqrt(rem // qa).astype(np.int64) + 1
-    lo, hi = t0 - r, t0 + r + 1
-    if lam.kind == "GammaInfinity":
-        lo, hi = np.maximum(lo, 0), np.minimum(hi, lam.n)
-    n_t = np.maximum(hi - lo, 0)
-    row = np.repeat(np.arange(len(c)), n_t)
-    t = np.arange(len(row)) + np.repeat(lo - (np.cumsum(n_t) - n_t), n_t)
-    del c1, t0, r, lo, hi, n_t  # keep the peak low: candidates come next
-    a, b = a0[row] + t * c[row], b0[row] + t * d[row]
-    norm = a * a + b * b
-    inside = norm <= rem[row]
-    row = row[inside]
-    ents = np.stack((a[inside], b[inside], c[row], d[row]), axis=1)
-    norm = norm[inside] + qa[row]
-    del a, b, t, inside  # the candidates, freed before the sort
+    # the table order is that of one int64 key, (norm, c / step, d, side)
+    # in mixed radix: |d| <= dmax, and side = (a c + b d > 0) tells apart
+    # the at most two cosets that share norm and bottom row (the line
+    # a d - b c = 1 meets the circle of a^2 + b^2 twice, on either side of
+    # its foot, and a grows along (c, d) there, or b when c = 0)
+    dmax = math.isqrt(max(h2 - step * step - 1, 1))
+    n_c, n_d = math.isqrt(max(h2 - 1, 0)) // step + 1, 2 * dmax + 1
+    if (h2 + 1) * n_c * n_d * 2 > 2 ** 63:
+        raise ValueError(f"height {height} is too large for {gamma}: "
+                         "the table order would overflow int64")
+    # int64 holds every product below: all entries of the columns and of
+    # the cosets are at most height, and _s_window's tests stay under 9 h2.
+    # And h2 < 2^52, where the float sqrt of an integer floors to its exact
+    # isqrt
+    a, b0, c, d0 = _left_columns(lam, h2, step)
+    lo, hi = _s_window(a, b0, c, d0, h2 - a * a - c * c)
+    if lam.kind == "GammaInfinity" and len(a):  # b in [0, M) on the column (1, 0)
+        lo[0], hi[0] = max(lo[0], 0), min(hi[0], lam.n - 1)
+    n_s = np.maximum(hi - lo + 1, 0)
+    s = np.repeat(lo - (np.cumsum(n_s) - n_s), n_s)
+    s += np.arange(len(s))
+    ents = np.repeat(np.stack((a, b0, c, d0), axis=1), n_s, axis=0)
+    ents[:, 1] += s * ents[:, 0]
+    ents[:, 3] += s * ents[:, 2]
+    del a, b0, c, d0, s, lo, hi, n_s  # keep the peak low: the sort comes next
     member = contains(gamma, ents)
-    ents, row, norm = ents[member], row[member], norm[member]
-    # renumber the rows that hold a coset
-    used = np.zeros(len(c), dtype=bool)
-    used[row] = True
-    row = (np.cumsum(used) - 1)[row]
-    rows = np.stack((c[used], d[used]), axis=1)
-    # the rows come by c, then d, and a = a0 + t c grows with t (b = t when
-    # c = 0), so the entries are in (c, d, a, b) order already and a stable
-    # sort by norm gives the table order
-    order = np.argsort(norm, kind="stable")
-    return CosetTable(lam, gamma, float(height), ents[order], rows, row[order])
+    if not member.all():
+        ents = ents[member]
+    del member
+    a, b, c, d = ents.T
+    key = np.einsum("ij,ij->i", ents, ents)
+    key *= n_c
+    key += c // step
+    key *= n_d
+    key += d + dmax
+    key *= 2
+    key += a * c + b * d > 0
+    order = np.argsort(key)
+    del key, a, b, c, d
+    ents = np.take(ents, order, axis=0)
+    del order
+    # the rows that hold a coset, in (c, d) order: the kernel's complex exp
+    # runs faster over them in that order than in table order
+    slot = ents[:, 2] // step * n_d + ents[:, 3] + dmax
+    used = np.zeros(n_c * n_d, dtype=bool)
+    used[slot] = True
+    held = np.flatnonzero(used)
+    del used
+    rank = np.empty(n_c * n_d, dtype=np.int64)  # read only where held
+    rank[held] = np.arange(len(held))
+    row = rank[slot]
+    del rank, slot
+    rows = np.empty((len(held), 2), dtype=np.int64)
+    np.floor_divide(held, n_d, out=rows[:, 0])
+    rows[:, 0] *= step
+    np.remainder(held, n_d, out=rows[:, 1])
+    rows[:, 1] -= dmax
+    return CosetTable(lam, gamma, float(height), ents, rows, row)

@@ -374,22 +374,28 @@ def _analysis(rep: RepSpec, kappa: float, m_width: int):
 
 def _analyse(rep: RepSpec, kappa: float, m_width: int):
     mono = _monodromy(rep, kappa, m_width)
-    eigvals, eigvecs = np.linalg.eig(mono)
-    exps = [_exponent(lam) for lam in eigvals]
-    if None in exps:
-        return None
-    order = sorted(range(rep.p), key=lambda i: exps[i][0] / exps[i][1])
-    m = [exps[i][0] / exps[i][1] for i in order]
-    eigvecs = eigvecs[:, order]
-    # orthonormalise within clusters of equal m; distinct eigenspaces of a
-    # unitary matrix are already orthogonal
-    i = 0
-    for j in range(1, rep.p + 1):
-        if j == rep.p or m[j] != m[i]:
-            eigvecs[:, i:j] = np.linalg.qr(eigvecs[:, i:j])[0]
-            i = j
-    eigvecs /= np.linalg.norm(eigvecs, axis=0, keepdims=True)
-    split = SpectralSplit(np.array([_phase_fix(v.conj()) for v in eigvecs.T]), tuple(m))
+    if rep.p == 1:  # the entry is the eigenvalue, and U = [[1]]
+        exps = [_exponent(complex(mono[0, 0]))]
+        if None in exps:
+            return None
+        split = SpectralSplit(np.ones((1, 1), dtype=complex), (exps[0][0] / exps[0][1],))
+    else:
+        eigvals, eigvecs = np.linalg.eig(mono)
+        exps = [_exponent(lam) for lam in eigvals]
+        if None in exps:
+            return None
+        order = sorted(range(rep.p), key=lambda i: exps[i][0] / exps[i][1])
+        m = [exps[i][0] / exps[i][1] for i in order]
+        eigvecs = eigvecs[:, order]
+        # orthonormalise within clusters of equal m; distinct eigenspaces of
+        # a unitary matrix are already orthogonal
+        i = 0
+        for j in range(1, rep.p + 1):
+            if j == rep.p or m[j] != m[i]:
+                eigvecs[:, i:j] = np.linalg.qr(eigvecs[:, i:j])[0]
+                i = j
+        eigvecs /= np.linalg.norm(eigvecs, axis=0, keepdims=True)
+        split = SpectralSplit(np.array([_phase_fix(v.conj()) for v in eigvecs.T]), tuple(m))
     split.U.setflags(write=False)  # every caller shares the memoised split
     return None if split._misfit(mono) > _UNITARY_TOL else (split, math.lcm(*(n for _, n in exps)))
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,22 @@ DIGEST_GROUPS = ([GroupSpec.sl2z()] + [GroupSpec.gamma0(n) for n in (2, 3, 5, 11
                  + [GroupSpec.gamma_npm(n) for n in (2, 3, 4)])
 
 
+def _assert_matches_oracle(lam, gamma, height):
+    """The table equals the scalar enumerator's, and its rows are the
+    distinct coprime bottom rows, in (c, d) order."""
+    table = enumerate_cosets(lam, gamma, height)
+    ents, rows, row = table.ents, table.rows, table.row
+    assert np.array_equal(ents, _oracle_entries(lam, gamma, height))
+    assert ents.dtype == rows.dtype == row.dtype == np.int64
+    assert rows.shape == (len(rows), 2) and row.shape == (len(ents),)
+    assert np.array_equal(rows[row], ents[:, 2:])
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    assert np.all(np.gcd(rows[:, 0], rows[:, 1]) == 1)
+    assert np.all(np.bincount(row, minlength=len(rows)) > 0)
+    assert np.array_equal(np.lexsort((rows[:, 1], rows[:, 0])), np.arange(len(rows)))
+    return table
+
+
 class TestEnumerateCosets:
     @pytest.mark.parametrize("gamma", DIGEST_GROUPS, ids=str)
     def test_array_enumerator_matches_row_loop(self, gamma):
@@ -328,15 +345,69 @@ class TestEnumerateCosets:
         for lam in (GroupSpec.plus_minus_identity(), GroupSpec.gamma_infinity(w),
                     GroupSpec.gamma_infinity(2 * w)):
             for height in (0.0, 1.0, math.sqrt(2), 1.5, math.sqrt(5), 2.5, 10.0, 40.0, 150.0):
-                table = enumerate_cosets(lam, gamma, height)
-                ents, rows, row = table.ents, table.rows, table.row
-                assert np.array_equal(ents, _oracle_entries(lam, gamma, height))
-                assert ents.dtype == rows.dtype == row.dtype == np.int64
-                assert rows.shape == (len(rows), 2) and row.shape == (len(ents),)
-                assert np.array_equal(rows[row], ents[:, 2:])
-                assert len(np.unique(rows, axis=0)) == len(rows)
-                assert np.all(np.gcd(rows[:, 0], rows[:, 1]) == 1)
-                assert np.all(np.bincount(row, minlength=len(rows)) > 0)
+                _assert_matches_oracle(lam, gamma, height)
+
+    @pytest.mark.parametrize("lam, gamma, height, size", [
+        (GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 300.0, 67547),
+        (GroupSpec.gamma_infinity(1), GroupSpec.gamma0(5), 200.0, None),
+        (GroupSpec.gamma_infinity(7), GroupSpec.gamma1pm(7), 120.0, None),
+        (GroupSpec.plus_minus_identity(), GroupSpec.gamma0(2), 60.0, None),
+    ], ids=["sl2z-300", "gamma0_5-200", "gamma1pm_7-120", "pmi-gamma0_2-60"])
+    def test_benchmark_heights_match_row_loop(self, lam, gamma, height, size):
+        # the shapes the benchmark enumerates, at its largest heights
+        table = _assert_matches_oracle(lam, gamma, height)
+        assert size is None or len(table) == size
+
+    def test_enumeration_memory_per_coset(self):
+        # the transient peak of the largest benchmark table: it was
+        # 178 B/coset when the rows (c, d) came first and 77.3 B/coset since
+        lam, gamma = GroupSpec.gamma_infinity(1), GroupSpec.sl2z()
+        enumerate_cosets(lam, gamma, 300.0)
+        tracemalloc.start()
+        try:
+            table = enumerate_cosets(lam, gamma, 300.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(table) <= 78.0
+
+    def test_s_window_exact_at_large_heights(self):
+        # the window is taken in floats and moved by exact integer tests;
+        # on columns near height 2^26, with rem set so that a right column
+        # lies exactly on the sphere or one unit outside it, it must agree
+        # with the window computed in Python integers
+        rng = np.random.default_rng(7)
+        cols, rems = [], []
+        while len(cols) < 6000:
+            c = int(rng.integers(1, 2 ** 25))
+            a = int(rng.integers(-2 ** 25, 2 ** 25))
+            if math.gcd(a, c) != 1:
+                continue
+            d0 = pow(a, -1, c)
+            b0 = (a * d0 - 1) // c
+            s = int(rng.integers(-3, 4))
+            edge = (b0 + s * a) ** 2 + (d0 + s * c) ** 2
+            for rem in (edge, edge - 1, edge + 1):
+                if a * a + c * c + rem < 2 ** 52:
+                    cols.append((a, b0, c, d0))
+                    rems.append(rem)
+        a, b0, c, d0 = np.array(cols, dtype=np.int64).T
+        lo, hi = modgroup._s_window(a, b0, c, d0, np.array(rems, dtype=np.int64))
+        for i, (col, rem) in enumerate(zip(cols, rems)):
+            x, y, z, w = col
+            qa, u = x * x + z * z, x * y + z * w
+            root = math.isqrt(qa * rem - 1)
+            assert (lo[i], hi[i]) == (-((u + root) // qa), (root - u) // qa)
+
+    def test_table_order_beyond_int64_refused(self):
+        # the table order is one int64 key of (norm, c, d, side); from
+        # height 38,969 on it could overflow for SL2(Z), where
+        # Gamma_inf(1) would have ~1.1e9 cosets
+        lam = GroupSpec.gamma_infinity(1)
+        with pytest.raises(ValueError, match="height"):
+            enumerate_cosets(lam, GroupSpec.sl2z(), 38969.0)
+        with pytest.raises(ValueError, match="height"):
+            enumerate_cosets(GroupSpec.plus_minus_identity(), GroupSpec.gamma0(11), 70966.0)
 
     @pytest.mark.parametrize("gamma", [GroupSpec.sl2z(), GroupSpec.gamma0(5),
                                        GroupSpec.gamma1pm(5), GroupSpec.gamma_npm(3)],

@@ -408,9 +408,10 @@ class TestSpectralSplit:
 
     def test_one_analysis_per_job(self, monkeypatch, tmp_path):
         # the CLI eta job builds its seed's split, then checks the series
-        # data before and after enumerating; one decomposition serves all.
-        # An induced rep file also takes its level table's modulus, the
-        # order of rho(T), from that decomposition
+        # data before and after enumerating; one analysis serves all, and
+        # at p = 1 it reads the eigenvalue off the monodromy with no
+        # decomposition.  An induced rep file also takes its level table's
+        # modulus, the order of rho(T), from its one decomposition
         calls = {"eig": 0, "eigvals": 0, "_exponent": 0, "_monodromy": 0}
 
         def counted(owner, name):
@@ -426,7 +427,7 @@ class TestSpectralSplit:
         argv = ["eval", "--group", "gamma0", "--level", "5", "--family", "eta", "--k", "7.3",
                 "--tau", "0.1,1", "--height", "20", "--out", os.devnull]
         assert run(parse_args(argv)) == 0
-        assert calls["eig"] + calls["eigvals"] == 1
+        assert calls["eig"] + calls["eigvals"] == 0
         assert calls["_exponent"] == 1  # one per eigenvalue, p = 1
         assert calls["_monodromy"] <= 3
         rho_file = str(tmp_path / "rho.json")

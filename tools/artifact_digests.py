@@ -100,6 +100,10 @@ JOBS = [
     ("cosets gammainf", ["cosets", "--group", "gamma0", "--level", "3", "--height", "20"]),
     ("cosets pmi", ["cosets", "--group", "gamma1pm", "--level", "5",
                     "--stabiliser", "pmi", "--height", "15"]),
+    ("cosets gammainf height 150", ["cosets", "--group", "gamma0", "--level", "3",
+                                    "--height", "150"]),
+    ("cosets pmi height 60", ["cosets", "--group", "gamma1pm", "--level", "5",
+                              "--stabiliser", "pmi", "--height", "60"]),
     ("induce gamma0 5", ["induce", "--group", "gamma0", "--level", "5"]),
     ("induce gamma1pm 7", ["induce", "--group", "gamma1pm", "--level", "7"]),
     ("induce gammanpm 7", ["induce", "--group", "gammanpm", "--level", "7"]),
