@@ -220,6 +220,23 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             h.evaluate_many([complex(0.2, 0.02), complex(0.3, -1.0)])
 
+    @pytest.mark.parametrize("handle", [classical_handle, induced_handle, elliptic_handle],
+                             ids=["classical", "induced-p4", "elliptic"])
+    def test_zero_points(self, handle):
+        # no points, no blocks: empty results of the right shapes, not a
+        # thread pool of zero workers
+        h = handle()
+        values, tails = h.evaluate_many([])
+        assert values.shape == (0, h.p) and values.dtype == complex
+        assert tails.shape == (0,) and tails.dtype == float
+        acted = series.slash(h, [I2, T], [], h.ms, h.rep)
+        assert acted.shape == (0, 2, h.p)
+
+    def test_slash_of_no_matrices(self):
+        h = induced_handle()
+        acted = series.slash(h, [], [complex(0.1, 1.2), 2j], h.ms, h.rep)
+        assert acted.shape == (2, 0, h.p)
+
     def test_empty_table_rejected(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
         # the <-I>-cosets in SL2(Z) of norm at most 1: none, since |I| = sqrt(2)
