@@ -99,8 +99,8 @@ def slash(F, gs, taus, ms: MultiplierSystem, rep: Optional[RepSpec] = None) -> n
     given.  F is a handle, a seed or a callable of one point."""
     ents = entry_arrays(gs)
     jmk, moved = slash_kernel(ents, taus, ms.k)
-    vals = _values(F, moved.ravel()).reshape(moved.shape + (-1,))
-    return _act(vals, jmk, ents, ms, rep)
+    vals = _values(F, moved.ravel())
+    return _act(vals.reshape(moved.shape + vals.shape[1:]), jmk, ents, ms, rep)
 
 
 def slash_k(F, g: IntMatrix2, ms: MultiplierSystem, rep: Optional[RepSpec] = None):
@@ -200,6 +200,8 @@ class SeriesHandle:
         if np.any(taus.imag < MIN_IM):
             raise RefusalError(f"evaluation refused for Im(tau) < {MIN_IM}: "
                                "truncation error blows up near the real line")
+        if not len(taus):
+            return np.empty((0, self.p), dtype=complex), np.empty(0)
         dat = self._prepared()
         wmat, wnorm, n_tail = dat["w"], dat["wnorm"], dat["n_tail"]
         n = wmat.shape[0]
