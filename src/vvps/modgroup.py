@@ -8,9 +8,10 @@ Frobenius-norm ball, and cusp widths.  Enumeration serves both
 stabilisers, Gamma_inf(M) and <-I>, as array arithmetic over all coprime
 left columns (a, c) at once, c first and a in the stabiliser's range, and
 then the exact window of parameters s per column that keeps the right
-column (b0 + s a, d0 + s c) inside the ball; a coset table keeps each
-coset's bottom row, so the cocycle power j^{-k} is computed once per row
-and shared by its cosets.
+column (b0 + s a, d0 + s c) inside the ball.  A coset table stores its
+cosets once, in that (c, a, s) order, with the permutation into the table
+order by norm, and keeps each coset's bottom row, so the cocycle power
+j^{-k} is computed once per row and shared by its cosets.
 """
 
 from __future__ import annotations
@@ -158,6 +159,11 @@ def slash_kernel(ents, taus, k: float, rows=None, row=None, ws=None) -> tuple:
     tau over taus.  j^{-k} is computed once per bottom row and gathered:
     rows holds the bottom rows (c, d) and row each matrix's index into
     them, as in a CosetTable; without them every matrix is its own row.
+    The results follow the order of ents: a SeriesHandle passes a table's
+    ents as stored, by left column (c, a), where g.tau moves steadily and
+    the seed's complex exp runs fastest, and takes its per-term scalars
+    through CosetTable.order into table order before it sums them, so that
+    the bits of the blockwise pairwise sum stay those of the table order.
     Im tau > 0 and c is an integer, so Im(c tau + d) is +0.0 when c = 0: a
     negative real j lies on the upper side of the cut, where arctan2 and
     arg_principal both put it (arg = pi).
@@ -388,9 +394,18 @@ class CosetTable:
     canonical representative has Frobenius norm <= height, as the rows
     (a, b, c, d) of the int64 array ents of shape (n, 4).
 
+    ents is stored once, in the order enumerate_cosets generates it: by
+    left column (c, a), then by the parameter s of the right column (so by
+    d, or by b when c = 0).  order is the int64 permutation into the table
+    order (norm, c, d, a, b): ents[order] is the table, and reps and
+    to_json list it so.  The series kernel runs over ents as stored, where
+    Re(g.tau) ~ a/c rises steadily within each c and the seed's complex exp
+    runs fastest, and takes its per-coset scalars back through order: the
+    sums are pairwise within blocks, so their bits follow the table order.
+
     rows holds the distinct bottom rows (c, d) in (c, d) order, an int64
     array of shape (r, 2), each used by some coset; row is the int64 index
-    of each coset's bottom row, so rows[row] equals ents[:, 2:]."""
+    of each coset of ents into them, so rows[row] equals ents[:, 2:]."""
 
     lam: GroupSpec
     gamma: GroupSpec
@@ -398,6 +413,7 @@ class CosetTable:
     ents: np.ndarray
     rows: np.ndarray
     row: np.ndarray
+    order: np.ndarray
 
     def __len__(self):
         return len(self.ents)
@@ -405,14 +421,14 @@ class CosetTable:
     @property
     def reps(self) -> tuple:
         """The representatives as matrices, in table order."""
-        return tuple(IntMatrix2(*row) for row in self.ents.tolist())
+        return tuple(IntMatrix2(*row) for row in self.ents[self.order].tolist())
 
     def to_json(self) -> dict:
         return {
             "lambda": self.lam.to_json(),
             "gamma": self.gamma.to_json(),
             "height": self.height,
-            "reps": self.ents.tolist(),
+            "reps": self.ents[self.order].tolist(),
         }
 
 
@@ -505,9 +521,10 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     a d0 - b0 c = 1, every right column is (b0 + s a, d0 + s c).  Everything
     is array work over all columns at once: the columns inside the ball,
     d0 = a^{-1} mod c by a lockstep extended Euclid, the exact window of s
-    inside the ball per column (_s_window), then membership in gamma and
-    one sort into the table order (norm, c, d, a, b).  The table keeps
-    the rows that hold a coset, and each coset's index into them.
+    inside the ball per column (_s_window), then membership in gamma.  The
+    table keeps the cosets in that order, (c, a, s), with the rows that
+    hold a coset, each coset's index into them, and one argsort: the
+    permutation into the table order (norm, c, d, a, b).
     """
     if lam.kind not in ("GammaInfinity", "PlusMinusIdentity"):
         raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
@@ -548,32 +565,34 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     if not member.all():
         ents = ents[member]
     del member
-    a, b, c, d = ents.T
-    key = np.einsum("ij,ij->i", ents, ents)
-    key *= n_c
-    key += c // step
-    key *= n_d
-    key += d + dmax
-    key *= 2
-    key += a * c + b * d > 0
-    order = np.argsort(key)
-    del key, a, b, c, d
-    ents = np.take(ents, order, axis=0)
-    del order
     # the rows that hold a coset, in (c, d) order: the kernel's complex exp
     # runs faster over them in that order than in table order
     slot = ents[:, 2] // step * n_d + ents[:, 3] + dmax
     used = np.zeros(n_c * n_d, dtype=bool)
     used[slot] = True
+    rank = used.astype(np.int64)
+    np.cumsum(rank, out=rank)  # one more than the rank where used
+    row = rank[slot]
+    row -= 1
+    del rank, slot
     held = np.flatnonzero(used)
     del used
-    rank = np.empty(n_c * n_d, dtype=np.int64)  # read only where held
-    rank[held] = np.arange(len(held))
-    row = rank[slot]
-    del rank, slot
     rows = np.empty((len(held), 2), dtype=np.int64)
     np.floor_divide(held, n_d, out=rows[:, 0])
     rows[:, 0] *= step
     np.remainder(held, n_d, out=rows[:, 1])
     rows[:, 1] -= dmax
-    return CosetTable(lam, gamma, float(height), ents, rows, row)
+    del held
+    # the key, with one int64 temporary beside it
+    key = np.einsum("ij,ij->i", ents, ents)
+    key *= n_c
+    tmp = ents[:, 2] // step
+    key += tmp
+    key *= n_d
+    np.add(ents[:, 3], dmax, out=tmp)
+    key += tmp
+    key *= 2
+    np.einsum("ij,ij->i", ents[:, :2], ents[:, 2:], out=tmp)  # a c + b d
+    key += np.greater(tmp, 0, out=tmp)
+    del tmp
+    return CosetTable(lam, gamma, float(height), ents, rows, row, np.argsort(key))

@@ -4,14 +4,19 @@ A SeriesHandle holds a seed, the representation, the multiplier system,
 the group gamma and the height of its coset table, and nothing these
 determine: the weight is ms.k and the table's stabiliser seed.lam.  It
 refuses at construction whatever needs no table, and enumerates the table
-on first evaluation, so a refused job never builds one.  Evaluation sums
-the slashed seed over the table with exactly-rounded (compensated)
-summation, computing j^{-k} once per bottom row of the table and g.tau
-once per coset, and reports an empirical tail proxy, the mass of the
-outermost tenth of the included cosets by Frobenius norm.  evaluate_many
-splits its points into blocks of about 65,536 terms and maps them over
-thread_cap() workers, one per usable CPU; the blocks do not depend on the
-worker count, so neither does any result.  Each worker allocates one
+on first evaluation, so a refused job never builds one.  Evaluation
+computes j^{-k} once per bottom row of the table and g.tau and the seed
+once per coset, over the cosets as the table stores them (by left column
+(c, a), where the seed's complex exp runs fastest), takes the terms into
+table order and sums them there with _quad.block_sum: pairwise within
+blocks of 4,096 terms, then an fsum of the block partials.  That sum is
+deterministic but not exactly rounded, and its bits follow the order of
+the terms, so the order of the sum is the table's.  It reports an
+empirical tail proxy, the mass of the outermost tenth of the included
+cosets by Frobenius norm.  evaluate_many splits its points into blocks of
+about 65,536 terms and maps them over thread_cap() workers, one per usable
+CPU; the blocks do not depend on the worker count, so neither does any
+result.  Each worker allocates one
 workspace per call (modgroup.kernel_workspace: three complex and two float
 arrays of one block) and every step of the kernel, slash_kernel and the
 seed's scalar_many, the products and the tail masses, writes into it with
@@ -25,7 +30,9 @@ one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
 table's integer entries: v from multiplier.evaluate_v and rho(g)^* w from
 rep.fold_rho, a lookup by residue class mod N whenever rho factors through
 SL2(Z/NZ).  Only a generator-image rho that does not factor walks an S/T
-word per coset.  Every other use of the slash action (its one-point view
+word per coset.  Every factor is elementwise in the coset, so the vectors
+are computed over the stored order and then taken into table order, once
+per handle.  Every other use of the slash action (its one-point view
 slash_k, Fourier extraction at a cusp, both invariance checks) goes
 through `slash` or its factor step, which takes conj(v(g)) and rho(g)^*
 from the same two calls on the entry array of its matrices.
@@ -153,28 +160,32 @@ class SeriesHandle:
 
     def _prepared(self):
         """Per-coset folded vectors W_i = conj(v(g_i)) rho(g_i)^* w, where
-        the seed is scalar * w.
+        the seed is scalar * w, in table order.
 
-        Array work over the table's integer entries: v from the
+        Array work over the table's integer entries as stored: v from the
         multiplier's closed form, skipped for the trivial system where
         v = 1, and rho(g_i)^* w from rep.fold_rho (a lookup by residue
-        class whenever rho factors through SL2(Z/NZ))."""
+        class whenever rho factors through SL2(Z/NZ)), then taken into
+        table order."""
         if "w" in self._data:
             return self._data
-        ents = self.cosets.ents
-        if len(ents) == 0:
+        tab = self.cosets
+        if len(tab) == 0:
             raise ValueError("empty coset table")
-        wmat = fold_rho(self.rep, self.seed.vector, ents)
+        wmat = fold_rho(self.rep, self.seed.vector, tab.ents)
         if self.ms.family != "trivial_even":
-            wmat *= evaluate_v(self.ms, ents).conj()[:, None]
+            wmat *= evaluate_v(self.ms, tab.ents).conj()[:, None]
+        wmat = wmat[tab.order]
         self._data.update(w=wmat, wnorm=np.linalg.norm(wmat, axis=1),
-                          n_tail=max(1, math.ceil(len(ents) / 10)))
+                          n_tail=max(1, math.ceil(len(tab) / 10)))
         return self._data
 
     def _scalars(self, taus: np.ndarray, ws=None):
-        """Per-(point, coset) scalars s = j^{-k} * seed_scalar(g.tau), with
-        j^{-k} computed once per bottom row of the table.  With ws, a
-        kernel_workspace, s is a view of ws[1] and ws[2:] is free again."""
+        """Per-(point, coset) scalars s = j^{-k} * seed_scalar(g.tau) in
+        table order, with j^{-k} computed once per bottom row of the table.
+        The terms run over the cosets as stored, by left column, and are
+        then taken into table order.  With ws, a kernel_workspace, s is a
+        view of ws[0] and ws[1:] is free again."""
         tab = self.cosets
         jmk, z = slash_kernel(tab.ents, taus, self.k, tab.rows, tab.row, ws)
         scratch = None if ws is None else [_shaped(b, z.shape) for b in ws[2:]]
@@ -183,8 +194,11 @@ class SeriesHandle:
         # then multiplies scalar_many(z) * jmk; complex products are not
         # bitwise commutative, so each size keeps the order it had
         if s.nbytes >= _ELIDE_BYTES:
-            return np.multiply(s, jmk, out=s)
-        return np.multiply(jmk, s, out=s)
+            np.multiply(s, jmk, out=s)
+        else:
+            np.multiply(jmk, s, out=s)
+        # the indices are valid; mode "raise" would copy through a temporary
+        return np.take(s, tab.order, axis=1, out=jmk, mode="clip")
 
     def evaluate_many(self, taus):
         """Truncated values and tail proxies at an array of points.

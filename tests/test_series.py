@@ -39,6 +39,15 @@ def induced_handle():
                         12.0, 30.0)
 
 
+def eta_handle(height=30.0, k=7.3):
+    """A scalar series with the eta multiplier of weight k on SL2(Z)."""
+    ms = MultiplierSystem("eta_power", k)
+    rep = trivial_rep(1)
+    seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
+    return build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, ms, k,
+                        height)
+
+
 def elliptic_handle(gamma=GroupSpec.gamma0(2), height=25.0, nu=0, k=12.0):
     ms = MultiplierSystem("trivial_even", k)
     rep = trivial_rep(1, gamma)
@@ -282,24 +291,31 @@ class TestEvaluate:
         lambda: elliptic_handle(height=40.0, nu=2),
         lambda: elliptic_handle(gamma=GroupSpec.gamma0(3), height=30.0, nu=3),
         induced_handle,
+        eta_handle,
+        lambda: classical_handle(height=150.0),
     ], ids=["inf1-sl2z", "inf2-gamma0(2)", "inf5-gamma1pm(5)", "pmi-gamma0(2)", "pmi-sl2z",
-            "pmi-gamma0(2)-nu0", "pmi-gamma0(2)-nu2", "pmi-gamma0(3)-nu3", "inf1-induced-p4"])
+            "pmi-gamma0(2)-nu0", "pmi-gamma0(2)-nu2", "pmi-gamma0(3)-nu3", "inf1-induced-p4",
+            "inf1-eta-7.3", "inf1-sl2z-16883"])
     @pytest.mark.parametrize("points", [1, 7, 64, "below-elision", "above-elision"])
     def test_kernel_per_row_is_bitwise_per_coset(self, handle, points, rng):
-        # j^{-k} once per bottom row, gathered, against one j^{-k} per coset,
-        # with and without a workspace.  numpy elides the temporary of a
-        # product from 16,384 complex terms (256 KB) on, so blocks just below
-        # and just above that size take both operand orders
+        # j^{-k} once per bottom row, gathered, and every term computed in
+        # the stored (c, a, s) order and taken into table order, against one
+        # j^{-k} per coset over the table in table order, with and without a
+        # workspace.  numpy elides the temporary of a product from 16,384
+        # complex terms (256 KB) on, so blocks just below and just above that
+        # size take both operand orders; a table of more than 16,384 cosets
+        # is above it from one point on (and below it with none)
         h = handle()
-        n = len(h.cosets)
-        if h.cosets.lam != GroupSpec.gamma_infinity(1):
-            assert len(h.cosets.rows) < n  # cosets share rows
+        tab = h.cosets
+        n = len(tab)
+        if tab.lam != GroupSpec.gamma_infinity(1):
+            assert len(tab.rows) < n  # cosets share rows
         if points == "below-elision":
             points = 16_383 // n
         elif points == "above-elision":
             points = 16_384 // n + 1
         taus = np.array([random_tau(rng) for _ in range(points)])
-        jmk, z = slash_kernel(h.cosets.ents, taus, h.k)
+        jmk, z = slash_kernel(tab.ents[tab.order], taus, h.k)
         expect = jmk * h.seed.scalar_many(z)
         assert np.array_equal(h._scalars(taus).view(np.uint64), expect.view(np.uint64))
         # a workspace larger than the block, as for a short last block
