@@ -10,8 +10,9 @@ Two kernel shapes, each on 1 worker and on thread_cap() workers:
 Each configuration runs in a fresh interpreter, which restricts its own CPU
 affinity to the worker count, builds and prepares the handle, calls
 evaluate_many once to warm up and once measured.  Printed per line: wall,
-user and system seconds and minor page faults of the measured call, and
-the growth of ru_maxrss from before the first call to after the second.
+user and system seconds and minor page faults of the measured call, its
+wall nanoseconds per (point, coset) term, the kernel's unit, and the
+growth of ru_maxrss from before the first call to after the second.
 
     PYTHONPATH=src python3 tools/kernel_faults.py
 """
@@ -65,6 +66,7 @@ def measure(shape: str, workers: int) -> dict:
     r1 = resource.getrusage(resource.RUSAGE_SELF)
     return {"shape": shape, "workers": thread_cap(), "points": len(taus),
             "cosets": len(h.cosets), "wall_s": wall,
+            "ns_per_term": wall * 1e9 / (len(taus) * len(h.cosets)),
             "user_s": r1.ru_utime - r0.ru_utime, "sys_s": r1.ru_stime - r0.ru_stime,
             "minflt": r1.ru_minflt - r0.ru_minflt,
             "maxrss_growth_mb": (r1.ru_maxrss - rss0) / 1024.0}
@@ -76,7 +78,7 @@ def main() -> None:
         return
     cap = len(os.sched_getaffinity(0))
     print(f"{'shape':<13}{'workers':>8}{'points':>8}{'cosets':>8}{'wall_s':>9}"
-          f"{'user_s':>9}{'sys_s':>8}{'minflt':>9}{'maxrss+MB':>11}")
+          f"{'user_s':>9}{'sys_s':>8}{'minflt':>9}{'ns/term':>9}{'maxrss+MB':>11}")
     for shape in SHAPES:
         for workers in sorted({1, cap}):
             proc = subprocess.run([sys.executable, __file__, shape, str(workers)],
@@ -84,7 +86,7 @@ def main() -> None:
             r = json.loads(proc.stdout)
             print(f"{r['shape']:<13}{r['workers']:>8}{r['points']:>8}{r['cosets']:>8}"
                   f"{r['wall_s']:>9.3f}{r['user_s']:>9.3f}{r['sys_s']:>8.3f}"
-                  f"{r['minflt']:>9}{r['maxrss_growth_mb']:>11.1f}")
+                  f"{r['minflt']:>9}{r['ns_per_term']:>9.1f}{r['maxrss_growth_mb']:>11.1f}")
 
 
 if __name__ == "__main__":
