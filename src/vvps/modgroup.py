@@ -159,11 +159,11 @@ def slash_kernel(ents, taus, k: float, rows=None, row=None, ws=None) -> tuple:
     tau over taus.  j^{-k} is computed once per bottom row and gathered:
     rows holds the bottom rows (c, d) and row each matrix's index into
     them, as in a CosetTable; without them every matrix is its own row.
-    The results follow the order of ents: a SeriesHandle passes a table's
-    ents as stored, by left column (c, a), where g.tau moves steadily and
-    the seed's complex exp runs fastest, and takes its per-term scalars
-    through CosetTable.order into table order before it sums them, so that
-    the bits of the blockwise pairwise sum stay those of the table order.
+    The results follow the order of ents.  A SeriesHandle passes a table's
+    ents as stored, by left column (c, a), where the seed's complex exp
+    runs fastest, and takes the terms through CosetTable.order into table
+    order before it sums them: the bits of a pairwise sum follow the order
+    of its terms.
     Im tau > 0 and c is an integer, so Im(c tau + d) is +0.0 when c = 0: a
     negative real j lies on the upper side of the cut, where arctan2 and
     arg_principal both put it (arg = pi).
@@ -560,7 +560,7 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     ents = np.repeat(np.stack((a, b0, c, d0), axis=1), n_s, axis=0)
     ents[:, 1] += s * ents[:, 0]
     ents[:, 3] += s * ents[:, 2]
-    del a, b0, c, d0, s, lo, hi, n_s  # keep the peak low: the sort comes next
+    del a, b0, c, d0, s, lo, hi, n_s  # keep the peak low: rows and key come next
     member = contains(gamma, ents)
     if not member.all():
         ents = ents[member]

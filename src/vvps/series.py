@@ -16,14 +16,14 @@ empirical tail proxy, the mass of the outermost tenth of the included
 cosets by Frobenius norm.  evaluate_many splits its points into blocks of
 about 65,536 terms and maps them over thread_cap() workers, one per usable
 CPU; the blocks do not depend on the worker count, so neither does any
-result.  Each worker allocates one
-workspace per call (modgroup.kernel_workspace: three complex and two float
-arrays of one block) and every step of the kernel, slash_kernel and the
-seed's scalar_many, the products and the tail masses, writes into it with
-out=.  A block's dozen ~1 MB temporaries, allocated and freed, went back
-to the OS and were faulted in again by the next block: ~150k page faults
-per call of an elliptic pairing, and a quarter of its CPU time spent in
-the system.
+result.  Each worker allocates one workspace per call
+(modgroup.kernel_workspace: three complex and two float arrays of one
+block) and every step of the kernel, slash_kernel and the seed's
+scalar_many, the gather into table order, the products and the tail
+masses, writes into it with out=.  A block's dozen ~1 MB temporaries,
+allocated and freed, went back to the OS and were faulted in again by the
+next block: ~150k page faults per call of an elliptic pairing, and a
+quarter of its CPU time spent in the system.
 
 Preparation folds the inverse multiplier and representation factors into
 one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
