@@ -637,6 +637,22 @@ class TestLevelTable:
         check = check_transformation(h, gs, taus)
         assert check.residual <= check.tail
 
+    def test_few_rows_fold_as_the_full_table(self):
+        # rho induced from a Dirichlet character mod 7 keeps the dense table
+        # (its images are not permutations); a call with fewer rows than the
+        # 336 classes of SL2(Z/7Z) gives the bits of a call with more
+        chi = [0] + [cmath.exp(1j * math.pi * [0, 2, 1, 4, 5, 3][r - 1] / 3) for r in range(1, 7)]
+        rho = induce(dirichlet_rep(7, chi), right_coset_reps(GroupSpec.gamma0(7)))
+        assert not np.isin(rho.s_img, (0, 1)).all()
+        ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 40.0).reps)
+        assert len(ents) > _sl2_order(7)
+        rng = np.random.default_rng(7)
+        picks = [np.array([0]), rng.choice(len(ents), 5), rng.choice(len(ents), 300)]
+        for w in (rng.normal(size=(rho.p, 2)) @ [1.0, 1j], np.eye(rho.p)):
+            full = fold_rho(rho, w, ents)
+            for rows in picks:
+                assert np.array_equal(fold_rho(rho, w, ents[rows]), full[rows])
+
     def test_members_outside_the_group_are_refused(self):
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 5.0).reps
         with pytest.raises(ValueError, match="is not in Gamma0"):

@@ -7,9 +7,10 @@ and the list once more in reverse order in the same process.  It exits 1,
 naming the culprit on stderr, if a guard exits with the wrong code or an
 artifact's bytes differ from the first pass: a job must not change the
 artifact of a later one through state the process keeps (the cached
-parser, medians or tables).  The three rep files the list reads (an
-induced representation written by `vvps induce`, a Legendre character
-mod 5 and a non-congruence permutation representation) are written to a
+parser, medians or tables).  The four rep files the list reads (the
+representations induced from the trivial representations of Gamma0(5)
+and Gamma0(13), written by `vvps induce`, a Legendre character mod 5 and
+a non-congruence permutation representation) are written to a
 temporary directory, and no label names a path, so the output of two
 checkouts compares with one diff:
 
@@ -35,7 +36,8 @@ import vvps.rep
 
 SERIES = ["--group", "gamma0", "--level", "2", "--k", "12"]
 
-# (label, argv); {induced}, {dirichlet} and {noncongruence} name the rep files
+# (label, argv); {induced}, {induced13}, {dirichlet} and {noncongruence} name
+# the rep files
 JOBS = [
     ("eval classical", ["eval", "--group", "gamma0", "--level", "5", "--k", "12",
                         "--tau", "0.3,1.1", "--height", "60"]),
@@ -47,6 +49,8 @@ JOBS = [
                        "--xi=-0.5,1", "--tau", "0.25,1.3", "--height", "40"]),
     ("eval induced rep file", ["eval", "--rep", "{induced}", "--j", "2",
                                "--tau", "0.3,1.1", "--height", "40"]),
+    ("eval induced Gamma0(13) rep file", ["eval", "--rep", "{induced13}", "--j", "2",
+                                          "--tau", "0.3,1.1", "--height", "40"]),
     ("eval non-congruence rep file", ["eval", "--rep", "{noncongruence}", "--j", "2",
                                       "--tau", "0.3,1.1", "--height", "40"]),
     ("eval dirichlet rep file", ["eval", "--group", "gamma0", "--level", "5",
@@ -149,15 +153,17 @@ def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         files = {"induced": str(Path(tmp) / "induced.json"),
+                 "induced13": str(Path(tmp) / "induced13.json"),
                  "dirichlet": str(Path(tmp) / "dirichlet.json"),
                  "noncongruence": str(Path(tmp) / "noncongruence.json")}
         Path(files["dirichlet"]).write_text(json.dumps(LEGENDRE_MOD5))
         Path(files["noncongruence"]).write_text(json.dumps(NONCONGRUENCE))
-        code, _ = run_job(["induce", "--group", "gamma0", "--level", "5",
-                           "--out", files["induced"]])
-        if code != 0:
-            sys.stderr.write("writing the induced rep file failed\n")
-            return 1
+        for name, level in (("induced", "5"), ("induced13", "13")):
+            code, _ = run_job(["induce", "--group", "gamma0", "--level", level,
+                               "--out", files[name]])
+            if code != 0:
+                sys.stderr.write(f"writing the {name} rep file failed\n")
+                return 1
         artifacts = {}
         for label, argv in JOBS:
             code, artifacts[label] = run_job([a.format(**files) for a in argv])
