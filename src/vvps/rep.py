@@ -52,8 +52,9 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 # largest root order of a monodromy eigenvalue that check_normal accepts
 _MAX_ORDER = 360
-# largest |SL2(Z/NZ)| p^2 of a lookup table of rho, in matrix entries (4 MB)
-_TABLE_ENTRIES = 1 << 18
+# largest stored level table of rho, in bytes: |SL2(Z/NZ)| p int32
+# permutations or |SL2(Z/NZ)| p^2 complex entries
+_TABLE_BYTES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,26 +195,105 @@ def _residue_keys(ents: np.ndarray, n: int) -> np.ndarray:
 
 
 def _level_table(rep: RepSpec):
-    """rho-bar on SL2(Z/NZ) for an st_generated rho, N the order of rho(T).
+    """rho on SL2(Z/NZ) for an st_generated rho, N the order of rho(T).
 
-    Returns (N, keys, mats): mats[i] is the complex conjugate of rho(g)
-    for every g whose residues mod N have the _residue_keys value keys[i].
-    The table is filled breadth first from the identity along right
-    multiplication by S and T, and every edge x -> x g of the Cayley graph
-    that does not create a node is checked, rho-bar(x g) = rho-bar(x) rho(g)
-    to 1e-10; those identities make rho(g) = rho-bar(g mod N).  By Wohlfahrt's level
+    Returns (N, keys, table): row i of table stores rho(g) for every g
+    whose residues mod N have the _residue_keys value keys[i].  When
+    rho(S) and rho(T) are permutation matrices (every entry exactly 0 or
+    1), a row is the permutation pi_g with rho(g) e_j = e_{pi_g(j)}, so
+    rho(g)^* w = w[pi_g] (_permutation_table); otherwise it is the p x p
+    complex conjugate of rho(g) (_dense_table).  By Wohlfahrt's level
     theorem a rho whose kernel is a congruence subgroup factors through
-    SL2(Z/NZ).  Returns None when it does not (an edge mismatch), when
+    SL2(Z/NZ).  Returns None when it does not (a failed edge check), when
     rho(T) has no finite order (_analysis of rho(T) finds no split), or
-    when the table would hold more than _TABLE_ENTRIES matrix entries.
+    when the stored rows would pass _TABLE_BYTES.
     """
     found = _analysis(rep, 0.0, 1)
     if found is None:
         return None
     n = found[1]
+    pi_s, pi_t = _permutation(rep.s_img), _permutation(rep.t_img)
+    if pi_s is not None and pi_t is not None:
+        return _permutation_table(n, pi_s, pi_t)
+    return _dense_table(rep, n)
+
+
+def _permutation(m: np.ndarray):
+    """pi with m e_j = e_{pi(j)}, as int32, when m is a permutation matrix
+    with every entry exactly 0 or 1, else None."""
+    if not (np.isin(m, (0, 1)).all() and (m.sum(axis=0) == 1).all()
+            and (m.sum(axis=1) == 1).all()):
+        return None
+    return m.argmax(axis=0).astype(np.int32)
+
+
+def _permutation_table(n: int, pi_s: np.ndarray, pi_t: np.ndarray):
+    """The level table of a permutation rho, built one right coset x<T> of
+    SL2(Z/NZ) at a time, and checked exactly.
+
+    A coset x<T> is named by the first column (a, c) of x; its N elements
+    x T^m get pi_x o pi_T^m in one gather, so the T-edges hold by
+    construction once pi_T^N is the identity.  The cosets are reached
+    breadth first along x T^m -> x T^m S, whose first column is the second
+    column of x T^m: a new column makes a coset with representative
+    x T^m S, and every S-edge into a known coset y<T> is checked,
+    pi_{x T^m S} = pi_{x T^m} o pi_S, at its element y T^j, j = d_y b -
+    b_y d for the second column (b, d) of x T^m S.  With the search
+    reaching all |SL2(Z/NZ)| elements, these exact identities make rho(g)
+    = pi_{g mod N} for every g."""
+    p, size = len(pi_s), _sl2_order(n)
+    if size * p * pi_s.itemsize > _TABLE_BYTES:
+        return None
+    powers = np.empty((n, p), dtype=np.int32)  # powers[m] = pi_T^m
+    powers[0] = np.arange(p)
+    for m in range(1, n):
+        powers[m] = powers[m - 1][pi_t]
+    if not np.array_equal(powers[-1][pi_t], powers[0]):
+        return None
+    count = size // n
+    perms = np.empty((count, n, p), dtype=np.int32)
+    reps = np.empty((count, 4), dtype=np.int64)  # the representative x of each coset
+    coset = np.full(n * n, -1, dtype=np.int64)   # the coset of first column (a, c), at a N + c
+    reps[0] = (1 % n, 0, 0, 1 % n)
+    coset[reps[0, 0] * n] = 0
+    perms[0] = powers
+    steps = np.arange(n)
+    # cosets leave the first-in first-out queue in blocks of at most 2^16
+    # permutation entries, which bounds the temporaries of gathers and checks
+    block = max(1, (1 << 16) // (n * p))
+    lo, known = 0, 1
+    while lo < known:
+        hi = min(lo + block, known)
+        a, b, c, d = (np.broadcast_to(e[:, None], (hi - lo, n)).ravel() for e in reps[lo:hi].T)
+        cols = ((b + np.tile(steps, hi - lo) * a) % n, (d + np.tile(steps, hi - lo) * c) % n)
+        slots = cols[0] * n + cols[1]
+        image = perms[lo:hi][:, :, pi_s].reshape(-1, p)
+        fresh = np.flatnonzero(coset[slots] < 0)
+        fresh = fresh[np.unique(slots[fresh], return_index=True)[1]]
+        made = np.arange(known, known + len(fresh))
+        known += len(fresh)
+        coset[slots[fresh]] = made
+        reps[made] = np.stack([cols[0][fresh], -a[fresh] % n, cols[1][fresh], -c[fresh] % n], 1)
+        perms[made] = image[fresh][:, powers]
+        y = coset[slots]
+        if not np.array_equal(perms[y, (reps[y, 1] * c - reps[y, 3] * a) % n], image):
+            return None
+        lo = hi
+    if known < count:  # the search stopped short of SL2(Z/NZ)
+        return None
+    a, b, c, d = (reps.T[:, :, None])
+    keys = ((a * n + (b + steps * a) % n) * n + c) * n + (d + steps * c) % n
+    return n, keys.ravel(), perms.reshape(size, p)
+
+
+def _dense_table(rep: RepSpec, n: int):
+    """The level table of any other rho: the complex conjugate of rho(g),
+    filled breadth first from the identity along right multiplication by
+    S and T.  Every edge x -> x g of the Cayley graph that does not create
+    a node is checked, rho-bar(x g) = rho-bar(x) rho-bar(g) to 1e-10."""
     p = rep.p
     size = _sl2_order(n)
-    if size * p * p > _TABLE_ENTRIES:
+    if size * p * p * 16 > _TABLE_BYTES:
         return None
     mats = np.empty((size, p, p), dtype=complex)
     mats[0] = np.eye(p)
@@ -249,19 +329,20 @@ def _level_table(rep: RepSpec):
 
 
 def _class_lookup(rep: RepSpec, ents: np.ndarray):
-    """(mats, idx): mats[i] is the complex conjugate of rho on class i of a
-    finite quotient, idx the class of each row (a, b, c, d) of ents.  The
-    trivial recipe has one class and the Dirichlet recipe one per residue
-    d mod N, and a row outside rep.group is refused; an st_generated rho
-    has one class per element of SL2(Z/NZ) (_level_table), or None when it
-    has no table."""
+    """(table, idx): row i of table holds rho on class i of a finite
+    quotient, idx the class of each row (a, b, c, d) of ents.  A row is
+    the complex conjugate of rho(g), p x p, or for a permutation rho the
+    permutation pi_g itself (_level_table).  The trivial recipe has one
+    class and the Dirichlet recipe one per residue d mod N, and a row
+    outside rep.group is refused; an st_generated rho has one class per
+    element of SL2(Z/NZ) (_level_table), or None when it has no table."""
     if rep.recipe == "st_generated":
         table = _level_table(rep)
         if table is None:
             return None
-        n, keys, mats = table
+        n, keys, rows = table
         order = np.argsort(keys)
-        return mats, order[np.searchsorted(keys, _residue_keys(ents, n), sorter=order)]
+        return rows, order[np.searchsorted(keys, _residue_keys(ents, n), sorter=order)]
     outside = ~contains(rep.group, ents)
     if outside.any():
         raise ValueError(f"{IntMatrix2(*ents[outside.argmax()].tolist())} "
@@ -276,10 +357,13 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     array ents of shape (n, 4), for a vector or a p x p matrix w: shape
     (n,) + shape(w), so w = I gives the matrices rho(g)^* themselves.
 
-    The conjugate of rho is looked up by class (_class_lookup), folded
-    with w once per class and gathered by the class of each row.  An
-    st_generated rho without a table walks the S/T word of each row with
-    evaluate_rho.  The table lives only for this call.
+    rho is looked up by class (_class_lookup) and w folded once per class
+    present -- every class when the rows outnumber them -- then gathered by
+    the class of each row.  A dense class folds as the product of its
+    conjugate transpose with w, a permutation class pi as the gather
+    w[pi], which equals that product bit for bit.  An st_generated rho
+    without a table walks the S/T word of each row with evaluate_rho.
+    The table lives only for this call.
     """
     ents = np.asarray(ents, dtype=np.int64).reshape(-1, 4)
     lookup = _class_lookup(rep, ents)
@@ -288,10 +372,16 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
         for i, row in enumerate(ents):
             out[i] = evaluate_rho(rep, IntMatrix2(*map(int, row))).conj().T @ w
         return out
-    mats, idx = lookup
+    rows, idx = lookup
     del lookup
-    folded = mats.transpose(0, 2, 1) @ w
-    del mats  # the table goes before the gather allocates one row per matrix
+    if len(idx) < len(rows):
+        used, idx = np.unique(idx, return_inverse=True)
+        rows = rows[used]
+    if rows.ndim == 2:
+        folded = np.asarray(w, dtype=complex)[rows]
+    else:
+        folded = rows.transpose(0, 2, 1) @ w
+    del rows  # the table goes before the gather allocates one row per matrix
     return folded[idx]
 
 

@@ -526,15 +526,20 @@ class TestLevelTable:
         ents = entries(reps)
         table = _level_table(rho)
         assert table is not None
-        n, keys, mats = table
+        n, keys, rows = table
         assert n == inner.group.level and len(keys) == _sl2_order(n)
+        # induced from a trivial rep, rho stores the permutation pi_g with
+        # rho(g) e_j = e_{pi_g(j)}; from CHI5, the matrix conj(rho(g))
+        dense = inner.recipe == "dirichlet"
+        assert rows.shape[1:] == ((rho.p, rho.p) if dense else (rho.p,))
         slot = {int(key): i for i, key in enumerate(keys)}
         w = np.random.default_rng(5).normal(size=(rho.p, 2)) @ [1.0, 1j]
         walked = np.empty((len(reps), rho.p), dtype=complex)
         for i, (g, key) in enumerate(zip(reps, _residue_keys(ents, n))):
             m = evaluate_rho(rho, g)
+            row = rows[slot[int(key)]]
             # permutation and character entries multiply exactly
-            assert np.array_equal(mats[slot[int(key)]].conj(), m)
+            assert np.array_equal(row.conj() if dense else np.eye(rho.p)[:, row], m)
             walked[i] = m.conj().T @ w
         assert np.array_equal(fold_rho(rho, w, ents), walked)
 
@@ -566,6 +571,11 @@ class TestLevelTable:
         rep = permutation_pair_index7()
         assert _analysis(rep, 0.0, 1)[1] == 12
         assert _level_table(rep) is None
+        # the non-congruence rep file of tools/artifact_digests.py: rho(T) of order 6
+        x, y = np.eye(7)[:, [3, 1, 5, 0, 6, 2, 4]], np.eye(7)[:, [1, 4, 5, 2, 0, 3, 6]]
+        other = st_rep(x, x @ y)
+        assert _analysis(other, 0.0, 1)[1] == 6
+        assert _level_table(other) is None
         # a witness in Gamma(12) that acts nontrivially, so no table mod 12 exists
         g = IntMatrix2(61, -72, -72, 85)
         assert np.linalg.norm(evaluate_rho(rep, g) - np.eye(7)) > 1.0
@@ -588,7 +598,10 @@ class TestLevelTable:
     def test_table_beyond_size_limit_falls_back(self, monkeypatch):
         group = GroupSpec.gamma0(5)
         rho = induce(trivial_rep(1, group), right_coset_reps(group))
-        monkeypatch.setattr(vvps.rep, "_TABLE_ENTRIES", 120 * 36 - 1)
+        # the table stores 120 permutations of 6 int32 entries
+        monkeypatch.setattr(vvps.rep, "_TABLE_BYTES", 120 * 6 * 4)
+        assert _level_table(rho) is not None
+        monkeypatch.setattr(vvps.rep, "_TABLE_BYTES", 120 * 6 * 4 - 1)
         assert _level_table(rho) is None
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 15.0).reps
         w = np.arange(6) + 1j
@@ -597,9 +610,12 @@ class TestLevelTable:
     @pytest.mark.parametrize("rep, ms", [
         (induce(trivial_rep(1, GroupSpec.gamma0(5)), right_coset_reps(GroupSpec.gamma0(5))),
          TRIVIAL_MS),
+        # 2,184 classes of 14 x 14 matrices would pass the table's 4 MB
+        (induce(trivial_rep(1, GroupSpec.gamma0(13)), right_coset_reps(GroupSpec.gamma0(13))),
+         TRIVIAL_MS),
         (legendre_mod5(), MultiplierSystem("eta_power", 12.0)),
         (trivial_rep(1, GroupSpec.gamma0(3)), MultiplierSystem("eta_power", 7.3)),
-    ], ids=["induced", "dirichlet", "trivial-eta"])
+    ], ids=["induced", "induced-13", "dirichlet", "trivial-eta"])
     def test_preparation_never_walks(self, rep, ms, monkeypatch):
         gamma = rep.group if rep.group.finite_index and rep.group.kind != "SL2Z" \
             else GroupSpec.sl2z()
@@ -636,6 +652,32 @@ class TestLevelTable:
         assert np.array_equal(slash(seed, gs, taus, TRIVIAL_MS, rep), expected)
         check = check_transformation(h, gs, taus)
         assert check.residual <= check.tail
+
+    @pytest.mark.parametrize("group", [GroupSpec.gamma0(13), GroupSpec.gamma0(23),
+                                       GroupSpec.gamma_npm(5)], ids=str)
+    def test_permutation_tables_past_the_dense_cap(self, group):
+        # |SL2(Z/NZ)| p^2 complex entries would take 6.8, 112 and 6.9 MB;
+        # the permutations take 0.1, 1.2 and 0.03 MB
+        rho = induce(trivial_rep(1, group), right_coset_reps(group))
+        n, keys, rows = _level_table(rho)
+        assert rows.shape == (_sl2_order(n), rho.p) and _sl2_order(n) * rho.p ** 2 * 16 > 1 << 22
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 40.0).reps
+        w = np.random.default_rng(13).normal(size=(rho.p, 2)) @ [1.0, 1j]
+        assert np.array_equal(fold_rho(rho, w, entries(reps)), walk_fold(rho, w, reps))
+
+    def test_eval_past_the_dense_cap_never_walks(self, monkeypatch, tmp_path):
+        rho_file = str(tmp_path / "rho.json")
+        assert run(parse_args(["induce", "--group", "gamma0", "--level", "13",
+                               "--out", rho_file])) == 0
+        walk = vvps.rep.evaluate_rho
+
+        def guarded(*args):
+            if sys._getframe(1).f_code.co_name == "fold_rho":
+                raise AssertionError("fold_rho walked an S/T word")
+            return walk(*args)
+        monkeypatch.setattr(vvps.rep, "evaluate_rho", guarded)
+        assert run(parse_args(["eval", "--rep", rho_file, "--j", "1", "--tau", "0.3,1.1",
+                               "--height", "60", "--out", os.devnull])) == 0
 
     def test_few_rows_fold_as_the_full_table(self):
         # rho induced from a Dirichlet character mod 7 keeps the dense table
