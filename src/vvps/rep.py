@@ -9,16 +9,21 @@ once, so an induced representation is one given by its generator images.
 evaluate_rho(rep, g) gives one matrix, walking the S/T word of g for a
 generator-image representation.  fold_rho gives rho(g)^* w, for a vector
 or a matrix w, for a whole array of matrices without a loop over them.
-Every other evaluation looks conj(rho) up by class in one place
+Every other evaluation looks rho up by class in one place
 (_class_lookup): one class for the trivial recipe and d mod N for a
 Dirichlet character mod N, with one refusal of a matrix outside the
 group.  A generator-image rho that factors through SL2(Z/NZ), N the
 order of rho(T) -- every rho induced from a congruence subgroup does --
-has one class per element of that finite group, tabulated once by a
-breadth-first search that checks every edge of its Cayley graph, and each
-matrix then costs one lookup by its residues mod N.  fold_rho walks the
-word only for a rho that does not factor (a non-congruence kernel, or
-rho(T) of no finite order) and for tables beyond 2^18 matrix entries.
+has one class per element of that finite group, tabulated once per
+fold_rho call by a search that checks every edge of its Cayley graph, and
+each matrix then costs one lookup by its residues mod N.  The table has
+two stored forms (_level_table).  When rho(S) and rho(T) are permutation
+matrices, as for every rho induced from a trivial representation, a class
+stores its permutation pi_g, the table is built one coset x<T> at a time
+and checked exactly, and rho(g)^* w is the gather w[pi_g].  Any other rho
+stores conj(rho(g)), p x p, checked to 1e-10.  fold_rho walks the word
+only for a rho that does not factor (a non-congruence kernel, or rho(T)
+of no finite order) and for tables whose stored form passes 4 MB.
 
 One analysis (_analysis) of the cusp monodromy e^{2 pi i kappa M}
 rho(T^M), kept on rho by (kappa, M), decides finite order: one
@@ -236,11 +241,11 @@ def _permutation_table(n: int, pi_s: np.ndarray, pi_t: np.ndarray):
     construction once pi_T^N is the identity.  The cosets are reached
     breadth first along x T^m -> x T^m S, whose first column is the second
     column of x T^m: a new column makes a coset with representative
-    x T^m S, and every S-edge into a known coset y<T> is checked,
-    pi_{x T^m S} = pi_{x T^m} o pi_S, at its element y T^j, j = d_y b -
-    b_y d for the second column (b, d) of x T^m S.  With the search
-    reaching all |SL2(Z/NZ)| elements, these exact identities make rho(g)
-    = pi_{g mod N} for every g."""
+    x T^m S.  Then every S-edge is checked, pi_{x T^m S} = pi_{x T^m} o
+    pi_S, at the element y T^j of its coset y<T>, j = d_y b - b_y d for the
+    second column (b, d) of x T^m S.  With the search reaching all
+    |SL2(Z/NZ)| elements, these exact identities make rho(g) =
+    pi_{g mod N} for every g."""
     p, size = len(pi_s), _sl2_order(n)
     if size * p * pi_s.itemsize > _TABLE_BYTES:
         return None
@@ -264,24 +269,24 @@ def _permutation_table(n: int, pi_s: np.ndarray, pi_t: np.ndarray):
     lo, known = 0, 1
     while lo < known:
         hi = min(lo + block, known)
-        a, b, c, d = (np.broadcast_to(e[:, None], (hi - lo, n)).ravel() for e in reps[lo:hi].T)
-        cols = ((b + np.tile(steps, hi - lo) * a) % n, (d + np.tile(steps, hi - lo) * c) % n)
-        slots = cols[0] * n + cols[1]
+        a, b, c, d = np.repeat(reps[lo:hi], n, axis=0).T  # x T^m = (a, b + m a, c, d + m c)
+        m = np.tile(steps, hi - lo)
+        b, d = (b + m * a) % n, (d + m * c) % n
         image = perms[lo:hi][:, :, pi_s].reshape(-1, p)
-        fresh = np.flatnonzero(coset[slots] < 0)
-        fresh = fresh[np.unique(slots[fresh], return_index=True)[1]]
+        fresh = np.flatnonzero(coset[b * n + d] < 0)
+        fresh = fresh[np.unique(b[fresh] * n + d[fresh], return_index=True)[1]]
         made = np.arange(known, known + len(fresh))
         known += len(fresh)
-        coset[slots[fresh]] = made
-        reps[made] = np.stack([cols[0][fresh], -a[fresh] % n, cols[1][fresh], -c[fresh] % n], 1)
+        coset[b[fresh] * n + d[fresh]] = made
+        reps[made] = np.stack([b[fresh], -a[fresh] % n, d[fresh], -c[fresh] % n], axis=1)
         perms[made] = image[fresh][:, powers]
-        y = coset[slots]
+        y = coset[b * n + d]
         if not np.array_equal(perms[y, (reps[y, 1] * c - reps[y, 3] * a) % n], image):
             return None
         lo = hi
     if known < count:  # the search stopped short of SL2(Z/NZ)
         return None
-    a, b, c, d = (reps.T[:, :, None])
+    a, b, c, d = reps.T[:, :, None]
     keys = ((a * n + (b + steps * a) % n) * n + c) * n + (d + steps * c) % n
     return n, keys.ravel(), perms.reshape(size, p)
 
