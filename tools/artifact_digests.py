@@ -7,12 +7,12 @@ and the list once more in reverse order in the same process.  It exits 1,
 naming the culprit on stderr, if a guard exits with the wrong code or an
 artifact's bytes differ from the first pass: a job must not change the
 artifact of a later one through state the process keeps (the cached
-parser, medians or tables).  The four rep files the list reads (the
+parser, medians or tables).  The five rep files the list reads (the
 representations induced from the trivial representations of Gamma0(5)
-and Gamma0(13), written by `vvps induce`, a Legendre character mod 5 and
-a non-congruence permutation representation) are written to a
-temporary directory, and no label names a path, so the output of two
-checkouts compares with one diff:
+and Gamma0(13) and from the Legendre character mod 5, written by `vvps
+induce`, that character itself and a non-congruence permutation
+representation) are written to a temporary directory, and no label names
+a path, so the output of two checkouts compares with one diff:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > new.txt
     PYTHONPATH=../other/src python3 tools/artifact_digests.py > old.txt
@@ -36,8 +36,8 @@ import vvps.rep
 
 SERIES = ["--group", "gamma0", "--level", "2", "--k", "12"]
 
-# (label, argv); {induced}, {induced13}, {dirichlet} and {noncongruence} name
-# the rep files
+# (label, argv); {induced}, {induced13}, {induced_legendre}, {dirichlet} and
+# {noncongruence} name the rep files
 JOBS = [
     ("eval classical", ["eval", "--group", "gamma0", "--level", "5", "--k", "12",
                         "--tau", "0.3,1.1", "--height", "60"]),
@@ -51,6 +51,10 @@ JOBS = [
                                "--tau", "0.3,1.1", "--height", "40"]),
     ("eval induced Gamma0(13) rep file", ["eval", "--rep", "{induced13}", "--j", "2",
                                           "--tau", "0.3,1.1", "--height", "40"]),
+    # the images of S and T have entries -1, so rho keeps the complex level
+    # table; its entries 0 and +-1 multiply exactly
+    ("eval induced Legendre mod 5 rep file", ["eval", "--rep", "{induced_legendre}", "--j", "2",
+                                              "--tau", "0.3,1.1", "--height", "40"]),
     ("eval non-congruence rep file", ["eval", "--rep", "{noncongruence}", "--j", "2",
                                       "--tau", "0.3,1.1", "--height", "40"]),
     ("eval dirichlet rep file", ["eval", "--group", "gamma0", "--level", "5",
@@ -154,12 +158,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files = {"induced": str(Path(tmp) / "induced.json"),
                  "induced13": str(Path(tmp) / "induced13.json"),
+                 "induced_legendre": str(Path(tmp) / "induced_legendre.json"),
                  "dirichlet": str(Path(tmp) / "dirichlet.json"),
                  "noncongruence": str(Path(tmp) / "noncongruence.json")}
         Path(files["dirichlet"]).write_text(json.dumps(LEGENDRE_MOD5))
         Path(files["noncongruence"]).write_text(json.dumps(NONCONGRUENCE))
-        for name, level in (("induced", "5"), ("induced13", "13")):
-            code, _ = run_job(["induce", "--group", "gamma0", "--level", level,
+        for name, level, rep in (("induced", "5", []), ("induced13", "13", []),
+                                 ("induced_legendre", "5", ["--rep", files["dirichlet"]])):
+            code, _ = run_job(["induce", "--group", "gamma0", "--level", level, *rep,
                                "--out", files[name]])
             if code != 0:
                 sys.stderr.write(f"writing the {name} rep file failed\n")
