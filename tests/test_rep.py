@@ -16,7 +16,7 @@ from vvps.cli import parse_args, run
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
                            enumerate_cosets, right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem, evaluate_v
-from vvps.rep import (RepSpec, _analysis, _level_table, _residue_keys, _sl2_order,
+from vvps.rep import (RepSpec, _analysis, _class_lookup, _level_table, _residue_keys, _sl2_order,
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
                       permutation_ell, spectral_split, st_rep, trivial_rep)
 from vvps.seeds import ClassicalSeed
@@ -507,6 +507,15 @@ def infinite_order_pair():
 CHI5 = [0, 1, 1j, -1j, -1]  # the Dirichlet character mod 5 with chi(2) = i
 
 
+def power_character(n: int, root: int, order: int) -> RepSpec:
+    """rho induced from the Dirichlet character mod the prime n with
+    chi(root^k) = e^{2 pi i k / order}, root a primitive root mod n."""
+    chi = [0j] * n
+    for k in range(n - 1):
+        chi[pow(root, k, n)] = cmath.exp(2j * math.pi * k / order)
+    return induce(dirichlet_rep(n, chi), right_coset_reps(GroupSpec.gamma0(n)))
+
+
 class TestLevelTable:
     def test_sl2_order_by_counting(self):
         for n in range(1, 13):
@@ -694,6 +703,42 @@ class TestLevelTable:
             full = fold_rho(rho, w, ents)
             for rows in picks:
                 assert np.array_equal(fold_rho(rho, w, ents[rows]), full[rows])
+
+    # each height is the least multiple of 5 at which the Gamma_inf(1)\SL2(Z)
+    # table reaches every class of SL2(Z/NZ)
+    @pytest.mark.parametrize("rho, height, exact", [
+        *((induced_trivial(n), h, True) for n, h in ((2, 10), (3, 10), (5, 30), (7, 45),
+                                                     (11, 135), (13, 135))),
+        (induce(dirichlet_rep(5, CHI5), right_coset_reps(GroupSpec.gamma0(5))), 30, True),
+        (st_rep(np.eye(2), np.eye(2)), 10, True),
+        (power_character(7, 3, 6), 45, False),
+        (power_character(11, 2, 5), 135, False),
+    ], ids=[*(f"gamma0-{n}" for n in (2, 3, 5, 7, 11, 13)), "chi5", "identity",
+            "order6-mod7", "order5-mod11"])
+    def test_lookup_on_every_class(self, rho, height, exact):
+        n = _analysis(rho, 0.0, 1)[1]
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), float(height)).reps
+        rows, idx = _class_lookup(rho, entries(reps))
+        assert np.array_equal(np.unique(idx), np.arange(_sl2_order(n)))
+        # a permutation class stores pi_g with rho(g) e_j = e_{pi_g(j)}, a
+        # dense class conj(rho(g)); permutation and CHI5 entries multiply exactly
+        images = np.eye(rho.p)[:, rows].swapaxes(0, 1) if rows.ndim == 2 else rows.conj()
+        for g, image in zip(reps, images[idx]):
+            m = evaluate_rho(rho, g)
+            if exact:
+                assert np.array_equal(image, m)
+            else:
+                assert np.max(np.abs(image - m)) <= 1e-12 * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("rep", [induced_trivial(5), trivial_rep(1, GroupSpec.gamma0(5))],
+                             ids=["induced", "trivial"])
+    def test_rows_outside_sl2z_are_refused(self, rep):
+        w = np.ones(rep.p)
+        with pytest.raises(ValueError, match=r"\[1, 0, 0, 2\] is not in SL2\(Z\)"):
+            fold_rho(rep, w, [[1, 0, 0, 2]])
+        # the first such row is named, before any group membership is asked
+        with pytest.raises(ValueError, match=r"\[0, 1, 1, 0\] is not in SL2\(Z\)"):
+            fold_rho(rep, w, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 2]])
 
     def test_members_outside_the_group_are_refused(self):
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 5.0).reps
