@@ -10,20 +10,23 @@ evaluate_rho(rep, g) gives one matrix, walking the S/T word of g for a
 generator-image representation.  fold_rho gives rho(g)^* w, for a vector
 or a matrix w, for a whole array of matrices without a loop over them.
 Every other evaluation looks rho up by class in one place
-(_class_lookup): one class for the trivial recipe and d mod N for a
-Dirichlet character mod N, with one refusal of a matrix outside the
-group.  A generator-image rho that factors through SL2(Z/NZ), N the
-order of rho(T) -- every rho induced from a congruence subgroup does --
-has one class per element of that finite group, tabulated once per
-fold_rho call by a search that checks every edge of its Cayley graph, and
-each matrix then costs one lookup by its residues mod N.  The table has
-two stored forms (_level_table).  When rho(S) and rho(T) are permutation
-matrices, as for every rho induced from a trivial representation, a class
-stores its permutation pi_g, the table is built one coset x<T> at a time
-and checked exactly, and rho(g)^* w is the gather w[pi_g].  Any other rho
-stores conj(rho(g)), p x p, checked to 1e-10.  fold_rho walks the word
-only for a rho that does not factor (a non-congruence kernel, or rho(T)
-of no finite order) and for tables whose stored form passes 4 MB.
+(_class_lookup), which first refuses any matrix with ad - bc != 1: one
+class for the trivial recipe and d mod N for a Dirichlet character mod N,
+with one refusal of a matrix outside the group.  A generator-image rho
+that factors through SL2(Z/NZ), N the order of rho(T) -- every rho
+induced from a congruence subgroup does -- has one class per element of
+that finite group, tabulated once per fold_rho call one right coset x<T>
+at a time with every edge of its Cayley graph checked (_level_table).
+Class y N + j is x_y T^j, y the coset of the first column of x_y, so a
+matrix finds its class from its residues mod N by arithmetic (_element).
+One builder fills both stored forms, which differ only in how a class
+composes with rho(S) and rho(T).  When those are permutation matrices, as
+for every rho induced from a trivial representation, a class stores its
+permutation pi_g, composed by a gather and checked exactly, and
+rho(g)^* w is the gather w[pi_g].  Any other rho stores conj(rho(g)),
+p x p, composed by a matrix product and checked to 1e-10.  fold_rho walks
+the word only for a rho that does not factor (a non-congruence kernel, or
+rho(T) of no finite order) and for tables whose stored form passes 4 MB.
 
 One analysis (_analysis) of the cusp monodromy e^{2 pi i kappa M}
 rho(T^M), kept on rho by (kappa, M), decides finite order: one
@@ -193,21 +196,18 @@ def _sl2_order(n: int) -> int:
     return out
 
 
-def _residue_keys(ents: np.ndarray, n: int) -> np.ndarray:
-    """One integer per row (a, b, c, d): its residues mod n in base n."""
-    r = ents % n
-    return ((r[:, 0] * n + r[:, 1]) * n + r[:, 2]) * n + r[:, 3]
-
-
 def _level_table(rep: RepSpec):
     """rho on SL2(Z/NZ) for an st_generated rho, N the order of rho(T).
 
-    Returns (N, keys, table): row i of table stores rho(g) for every g
-    whose residues mod N have the _residue_keys value keys[i].  When
-    rho(S) and rho(T) are permutation matrices (every entry exactly 0 or
-    1), a row is the permutation pi_g with rho(g) e_j = e_{pi_g(j)}, so
-    rho(g)^* w = w[pi_g] (_permutation_table); otherwise it is the p x p
-    complex conjugate of rho(g) (_dense_table).  By Wohlfahrt's level
+    Returns (N, coset, reps, table): row y N + j of table stores rho on
+    the element x T^j of the right coset x<T> of SL2(Z/NZ) with
+    representative x = reps[y], and coset[a N + c] = y names that coset by
+    the first column (a, c) of x (_element).  When rho(S) and rho(T) are
+    permutation matrices (every entry exactly 0 or 1), a row is the
+    permutation pi_g with rho(g) e_j = e_{pi_g(j)}, so rho(g)^* w = w[pi_g],
+    and a class composes with rho(S) and rho(T) by a gather, checked
+    exactly; otherwise it is the p x p complex conjugate of rho(g), which
+    composes by a matrix product, checked to 1e-10.  By Wohlfahrt's level
     theorem a rho whose kernel is a congruence subgroup factors through
     SL2(Z/NZ).  Returns None when it does not (a failed edge check), when
     rho(T) has no finite order (_analysis of rho(T) finds no split), or
@@ -216,11 +216,13 @@ def _level_table(rep: RepSpec):
     found = _analysis(rep, 0.0, 1)
     if found is None:
         return None
-    n = found[1]
     pi_s, pi_t = _permutation(rep.s_img), _permutation(rep.t_img)
     if pi_s is not None and pi_t is not None:
-        return _permutation_table(n, pi_s, pi_t)
-    return _dense_table(rep, n)
+        return _coset_table(found[1], np.arange(rep.p, dtype=np.int32), pi_s, pi_t,
+                            lambda x, g: x[:, g], np.array_equal)
+    return _coset_table(found[1], np.eye(rep.p, dtype=complex), rep.s_img.conj(),
+                        rep.t_img.conj(), lambda x, g: x[:, None] @ g,
+                        lambda x, y: np.linalg.norm(x - y, axis=(-2, -1)).max() <= _UNITARY_TOL)
 
 
 def _permutation(m: np.ndarray):
@@ -232,122 +234,93 @@ def _permutation(m: np.ndarray):
     return m.argmax(axis=0).astype(np.int32)
 
 
-def _permutation_table(n: int, pi_s: np.ndarray, pi_t: np.ndarray):
-    """The level table of a permutation rho, built one right coset x<T> of
-    SL2(Z/NZ) at a time, and checked exactly.
+def _coset_table(n: int, one: np.ndarray, s: np.ndarray, t: np.ndarray, compose, agree):
+    """The level table in the stored form of one, s and t, the classes of
+    I, S and T, built one right coset x<T> of SL2(Z/NZ) at a time; None if
+    a check fails or the table would pass _TABLE_BYTES.  compose(x, g)
+    stacks the classes x_i g_k of two stacks of classes, and agree(x, y)
+    decides whether two stacks are equal.
 
     A coset x<T> is named by the first column (a, c) of x; its N elements
-    x T^m get pi_x o pi_T^m in one gather, so the T-edges hold by
-    construction once pi_T^N is the identity.  The cosets are reached
-    breadth first along x T^m -> x T^m S, whose first column is the second
-    column of x T^m: a new column makes a coset with representative
-    x T^m S.  Then every S-edge is checked, pi_{x T^m S} = pi_{x T^m} o
-    pi_S, at the element y T^j of its coset y<T>, j = d_y b - b_y d for the
-    second column (b, d) of x T^m S.  With the search reaching all
-    |SL2(Z/NZ)| elements, these exact identities make rho(g) =
-    pi_{g mod N} for every g."""
-    p, size = len(pi_s), _sl2_order(n)
-    if size * p * pi_s.itemsize > _TABLE_BYTES:
+    x T^m get x T^m in one compose, so the T-edges hold by construction
+    once T^N agrees with I.  The cosets are reached breadth first along
+    x T^m -> x T^m S, whose first column is the second column of x T^m: a
+    new column makes a coset with representative x T^m S.  Then every
+    S-edge is checked, x T^m S against the stored element (_element) of
+    its coset.  With the search reaching all |SL2(Z/NZ)| elements, these
+    identities make the row of g mod N the class of g for every g."""
+    size = _sl2_order(n)
+    if size * one.nbytes > _TABLE_BYTES:
         return None
-    powers = np.empty((n, p), dtype=np.int32)  # powers[m] = pi_T^m
-    powers[0] = np.arange(p)
-    for m in range(1, n):
-        powers[m] = powers[m - 1][pi_t]
-    if not np.array_equal(powers[-1][pi_t], powers[0]):
+    powers = [one]  # powers[m] = T^m
+    for _ in range(n):
+        powers.append(compose(powers[-1][None], t[None])[0, 0])
+    if not agree(powers.pop(), one):
         return None
+    powers = np.array(powers)
     count = size // n
-    perms = np.empty((count, n, p), dtype=np.int32)
+    rows = np.empty((count, n) + one.shape, dtype=one.dtype)
     reps = np.empty((count, 4), dtype=np.int64)  # the representative x of each coset
     coset = np.full(n * n, -1, dtype=np.int64)   # the coset of first column (a, c), at a N + c
     reps[0] = (1 % n, 0, 0, 1 % n)
     coset[reps[0, 0] * n] = 0
-    perms[0] = powers
+    rows[0] = powers
+    flat = rows.reshape((size,) + one.shape)  # a view: row y N + m is rows[y, m]
     steps = np.arange(n)
-    # cosets leave the first-in first-out queue in blocks of at most 2^16
-    # permutation entries, which bounds the temporaries of gathers and checks
-    block = max(1, (1 << 16) // (n * p))
+    # cosets leave the first-in first-out queue in blocks of at most 2^18
+    # bytes of table, which bounds the temporaries of composes and checks
+    block = max(1, (1 << 18) // powers.nbytes)
     lo, known = 0, 1
     while lo < known:
         hi = min(lo + block, known)
         a, b, c, d = np.repeat(reps[lo:hi], n, axis=0).T  # x T^m = (a, b + m a, c, d + m c)
         m = np.tile(steps, hi - lo)
         b, d = (b + m * a) % n, (d + m * c) % n
-        image = perms[lo:hi][:, :, pi_s].reshape(-1, p)
+        image = compose(rows[lo:hi].reshape((-1,) + one.shape), s[None])[:, 0]
         fresh = np.flatnonzero(coset[b * n + d] < 0)
         fresh = fresh[np.unique(b[fresh] * n + d[fresh], return_index=True)[1]]
         made = np.arange(known, known + len(fresh))
         known += len(fresh)
         coset[b[fresh] * n + d[fresh]] = made
         reps[made] = np.stack([b[fresh], -a[fresh] % n, d[fresh], -c[fresh] % n], axis=1)
-        perms[made] = image[fresh][:, powers]
-        y = coset[b * n + d]
-        if not np.array_equal(perms[y, (reps[y, 1] * c - reps[y, 3] * a) % n], image):
+        rows[made] = compose(image[fresh], powers)
+        if not agree(flat[_element(coset, reps, n, b, -a % n, d, -c % n)], image):
             return None
         lo = hi
     if known < count:  # the search stopped short of SL2(Z/NZ)
         return None
-    a, b, c, d = reps.T[:, :, None]
-    keys = ((a * n + (b + steps * a) % n) * n + c) * n + (d + steps * c) % n
-    return n, keys.ravel(), perms.reshape(size, p)
+    return n, coset, reps, flat
 
 
-def _dense_table(rep: RepSpec, n: int):
-    """The level table of any other rho: the complex conjugate of rho(g),
-    filled breadth first from the identity along right multiplication by
-    S and T.  Every edge x -> x g of the Cayley graph that does not create
-    a node is checked, rho-bar(x g) = rho-bar(x) rho-bar(g) to 1e-10."""
-    p = rep.p
-    size = _sl2_order(n)
-    if size * p * p * 16 > _TABLE_BYTES:
-        return None
-    mats = np.empty((size, p, p), dtype=complex)
-    mats[0] = np.eye(p)
-    ents = [(1 % n, 0, 0, 1 % n)]
-    slot = {ents[0]: 0}
-    gens = (((0, -1 % n, 1 % n, 0), rep.s_img.conj()),
-            ((1 % n, 1 % n, 0, 1 % n), rep.t_img.conj()))
-    # nodes leave the first-in first-out queue in blocks of at most 2^14
-    # matrix entries, which bounds the temporaries of products and checks
-    block = max(1, (1 << 14) // (p * p))
-    lo = 0
-    while lo < len(ents):
-        hi = min(lo + block, len(ents))
-        for (ga, gb, gc, gd), img in gens:
-            grown, src, dst = [], [], []
-            for i in range(lo, hi):
-                a, b, c, d = ents[i]
-                key = ((a * ga + b * gc) % n, (a * gb + b * gd) % n,
-                       (c * ga + d * gc) % n, (c * gb + d * gd) % n)
-                j = slot.setdefault(key, len(ents))
-                if j == len(ents):
-                    ents.append(key)
-                    grown.append(i)
-                else:
-                    src.append(i)
-                    dst.append(j)
-            mats[len(ents) - len(grown):len(ents)] = mats[grown] @ img
-            if src and np.max(np.linalg.norm(mats[src] @ img - mats[dst],
-                                             axis=(1, 2))) > _UNITARY_TOL:
-                return None
-        lo = hi
-    return n, _residue_keys(np.array(ents, dtype=np.int64), n), mats
+def _element(coset, reps, n: int, a, b, c, d):
+    """The table row y N + j of the matrices (a, b, c, d) of SL2(Z/NZ),
+    given by their residues mod N: y = coset[a N + c] is the coset x<T>
+    of their first column, x = reps[y], and j = d_x b - b_x d is the power
+    with x T^j = (a, b, c, d), since a d_x - b_x c = 1."""
+    y = coset[a * n + c]
+    return y * n + (reps[y, 3] * b - reps[y, 1] * d) % n
 
 
 def _class_lookup(rep: RepSpec, ents: np.ndarray):
     """(table, idx): row i of table holds rho on class i of a finite
     quotient, idx the class of each row (a, b, c, d) of ents.  A row is
     the complex conjugate of rho(g), p x p, or for a permutation rho the
-    permutation pi_g itself (_level_table).  The trivial recipe has one
-    class and the Dirichlet recipe one per residue d mod N, and a row
-    outside rep.group is refused; an st_generated rho has one class per
-    element of SL2(Z/NZ) (_level_table), or None when it has no table."""
+    permutation pi_g itself (_level_table).  A row with ad - bc != 1 is
+    refused for every recipe.  The trivial recipe has one class and the
+    Dirichlet recipe one per residue d mod N, and a row outside rep.group
+    is refused; an st_generated rho has one class per element of
+    SL2(Z/NZ), found from the residues mod N by _element, or None when it
+    has no table."""
+    a, b, c, d = ents.T
+    unimodular = a * d - b * c == 1
+    if not unimodular.all():
+        raise ValueError(f"{ents[unimodular.argmin()].tolist()} is not in SL2(Z): ad - bc != 1")
     if rep.recipe == "st_generated":
         table = _level_table(rep)
         if table is None:
             return None
-        n, keys, rows = table
-        order = np.argsort(keys)
-        return rows, order[np.searchsorted(keys, _residue_keys(ents, n), sorter=order)]
+        n, coset, reps, rows = table
+        return rows, _element(coset, reps, n, *(ents % n).T)
     outside = ~contains(rep.group, ents)
     if outside.any():
         raise ValueError(f"{IntMatrix2(*ents[outside.argmax()].tolist())} "
@@ -362,7 +335,9 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     array ents of shape (n, 4), for a vector or a p x p matrix w: shape
     (n,) + shape(w), so w = I gives the matrices rho(g)^* themselves.
 
-    rho is looked up by class (_class_lookup) and w folded once per class
+    A row with ad - bc != 1 is refused with a ValueError that names the
+    first one.  rho is looked up by class (_class_lookup, by arithmetic on
+    the residues mod N for a level table) and w folded once per class
     present -- every class when the rows outnumber them -- then gathered by
     the class of each row.  A dense class folds as the product of its
     conjugate transpose with w, a permutation class pi as the gather

@@ -16,7 +16,7 @@ from vvps.cli import parse_args, run
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
                            enumerate_cosets, right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem, evaluate_v
-from vvps.rep import (RepSpec, _analysis, _class_lookup, _level_table, _residue_keys, _sl2_order,
+from vvps.rep import (RepSpec, _analysis, _class_lookup, _level_table, _sl2_order,
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
                       permutation_ell, spectral_split, st_rep, trivial_rep)
 from vvps.seeds import ClassicalSeed
@@ -535,18 +535,17 @@ class TestLevelTable:
         ents = entries(reps)
         table = _level_table(rho)
         assert table is not None
-        n, keys, rows = table
-        assert n == inner.group.level and len(keys) == _sl2_order(n)
+        n, _, _, rows = table
+        assert n == inner.group.level and len(rows) == _sl2_order(n)
         # induced from a trivial rep, rho stores the permutation pi_g with
         # rho(g) e_j = e_{pi_g(j)}; from CHI5, the matrix conj(rho(g))
         dense = inner.recipe == "dirichlet"
         assert rows.shape[1:] == ((rho.p, rho.p) if dense else (rho.p,))
-        slot = {int(key): i for i, key in enumerate(keys)}
         w = np.random.default_rng(5).normal(size=(rho.p, 2)) @ [1.0, 1j]
         walked = np.empty((len(reps), rho.p), dtype=complex)
-        for i, (g, key) in enumerate(zip(reps, _residue_keys(ents, n))):
+        for i, (g, y) in enumerate(zip(reps, _class_lookup(rho, ents)[1])):
             m = evaluate_rho(rho, g)
-            row = rows[slot[int(key)]]
+            row = rows[y]
             # permutation and character entries multiply exactly
             assert np.array_equal(row.conj() if dense else np.eye(rho.p)[:, row], m)
             walked[i] = m.conj().T @ w
@@ -668,7 +667,7 @@ class TestLevelTable:
         # |SL2(Z/NZ)| p^2 complex entries would take 6.8, 112 and 6.9 MB;
         # the permutations take 0.1, 1.2 and 0.03 MB
         rho = induce(trivial_rep(1, group), right_coset_reps(group))
-        n, keys, rows = _level_table(rho)
+        n, _, _, rows = _level_table(rho)
         assert rows.shape == (_sl2_order(n), rho.p) and _sl2_order(n) * rho.p ** 2 * 16 > 1 << 22
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 40.0).reps
         w = np.random.default_rng(13).normal(size=(rho.p, 2)) @ [1.0, 1j]
