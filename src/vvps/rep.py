@@ -237,8 +237,8 @@ def _permutation(m: np.ndarray):
 def _coset_table(n: int, one: np.ndarray, s: np.ndarray, t: np.ndarray, compose, agree):
     """The level table in the stored form of one, s and t, the classes of
     I, S and T, built one right coset x<T> of SL2(Z/NZ) at a time; None if
-    a check fails or the table would pass _TABLE_BYTES.  compose(x, g)
-    stacks the classes x_i g_k of two stacks of classes, and agree(x, y)
+    a check fails or the table would pass _TABLE_BYTES.  For stacks x and
+    g of classes, compose(x, g)[i, k] is the class x_i g_k, and agree(x, y)
     decides whether two stacks are equal.
 
     A coset x<T> is named by the first column (a, c) of x; its N elements
