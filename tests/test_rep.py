@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -504,6 +505,20 @@ def infinite_order_pair():
     return st_rep(s, s.conj().T @ st)
 
 
+def order6_noncongruence():
+    """The non-congruence rep file of tools/artifact_digests.py: rho(T) of
+    order 6, and rho does not factor through SL2(Z/6Z)."""
+    x, y = np.eye(7)[:, [3, 1, 5, 0, 6, 2, 4]], np.eye(7)[:, [1, 4, 5, 2, 0, 3, 6]]
+    return st_rep(x, x @ y)
+
+
+def counted_builds(monkeypatch) -> list:
+    """The reps that vvps.rep._level_table is called on, one entry per call."""
+    calls, build = [], vvps.rep._level_table
+    monkeypatch.setattr(vvps.rep, "_level_table", lambda rep: calls.append(rep) or build(rep))
+    return calls
+
+
 CHI5 = [0, 1, 1j, -1j, -1]  # the Dirichlet character mod 5 with chi(2) = i
 
 
@@ -579,9 +594,7 @@ class TestLevelTable:
         rep = permutation_pair_index7()
         assert _analysis(rep, 0.0, 1)[1] == 12
         assert _level_table(rep) is None
-        # the non-congruence rep file of tools/artifact_digests.py: rho(T) of order 6
-        x, y = np.eye(7)[:, [3, 1, 5, 0, 6, 2, 4]], np.eye(7)[:, [1, 4, 5, 2, 0, 3, 6]]
-        other = st_rep(x, x @ y)
+        other = order6_noncongruence()
         assert _analysis(other, 0.0, 1)[1] == 6
         assert _level_table(other) is None
         # a witness in Gamma(12) that acts nontrivially, so no table mod 12 exists
@@ -728,6 +741,78 @@ class TestLevelTable:
                 assert np.array_equal(image, m)
             else:
                 assert np.max(np.abs(image - m)) <= 1e-12 * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("inner", [trivial_rep(1, GroupSpec.gamma0(11)), legendre_mod5()],
+                             ids=["gamma0-11", "legendre-mod5"])
+    def test_one_table_per_rep(self, inner, monkeypatch):
+        # fold_rho, slash and check_transformation share the one level table
+        # of rho, a permutation table (induced from Gamma0(11)) or a dense one
+        # (induced from the Legendre character mod 5), however often they run
+        rho = induce(inner, right_coset_reps(inner.group))
+        calls = counted_builds(monkeypatch)
+        ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 20.0).reps)
+        first = fold_rho(rho, np.eye(rho.p), ents)
+        assert np.array_equal(fold_rho(rho, np.eye(rho.p), ents), first)
+        seed = ClassicalSeed(0, 1, spectral_split(rho, TRIVIAL_MS, 1), 1)
+        gs, taus = [IntMatrix2(3, 1, 11, 4), S], [complex(0.3, 1.1)]
+        once = slash(seed, gs, taus, TRIVIAL_MS, rho)
+        assert np.array_equal(slash(seed, gs, taus, TRIVIAL_MS, rho), once)
+        h = SeriesHandle(seed, rho, TRIVIAL_MS, GroupSpec.sl2z(), 20.0)
+        for _ in range(2):
+            check = check_transformation(h, [S, IntMatrix2(2, 1, 1, 1)], taus)
+            assert check.residual <= check.tail
+        assert calls == [rho]
+
+    def test_one_failing_search_per_rep(self, monkeypatch):
+        # a rho without a table keeps that finding: the search runs once
+        rep = order6_noncongruence()
+        calls = counted_builds(monkeypatch)
+        reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 10.0).reps
+        w = np.arange(7) + 1j
+        for _ in range(3):
+            assert np.array_equal(fold_rho(rep, w, entries(reps)), walk_fold(rep, w, reps))
+        assert calls == [rep]
+
+    def test_table_is_freed_with_its_rep(self, monkeypatch):
+        # rho holds its read-only table as long as it lives, and no longer
+        rho = induced_trivial(11)
+        tables, build = [], vvps.rep._level_table
+
+        def kept(rep):
+            table = build(rep)
+            tables.append(weakref.ref(table[3]))
+            return table
+        monkeypatch.setattr(vvps.rep, "_level_table", kept)
+        ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 10.0).reps)
+        rows = _class_lookup(rho, ents)[0]
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = rows[1]
+        del rows
+        fold_rho(rho, np.ones(rho.p), ents)
+        assert len(tables) == 1 and tables[0]() is not None
+        alive = weakref.ref(rho)
+        del rho
+        gc.collect()
+        assert alive() is None and tables[0]() is None
+
+    @pytest.mark.parametrize("rep", [
+        induced_trivial(5),
+        induce(legendre_mod5(), right_coset_reps(GroupSpec.gamma0(5))),
+        trivial_rep(1, GroupSpec.gamma0(5)),
+        trivial_rep(3),
+        legendre_mod5(),
+        order6_noncongruence(),
+    ], ids=["permutation", "dense", "trivial", "trivial-p3", "dirichlet", "walk"])
+    def test_w_of_another_dimension_is_refused(self, rep):
+        # every recipe, table form and the word walk refuse w whose leading
+        # dimension is not p (was: a permutation table dropped or missed entries)
+        ents = entries([I2, T, IntMatrix2(1, 0, 5, 1)])
+        for shape in ((rep.p + 1,), (rep.p - 1,), (rep.p + 1, rep.p), ()):
+            with pytest.raises(ValueError, match=rf"w has shape {re.escape(str(shape))}.*"
+                                                 rf"p = {rep.p}"):
+                fold_rho(rep, np.ones(shape), ents)
+        assert fold_rho(rep, np.ones(rep.p), ents).shape == (3, rep.p)
 
     @pytest.mark.parametrize("rep", [induced_trivial(5), trivial_rep(1, GroupSpec.gamma0(5))],
                              ids=["induced", "trivial"])
