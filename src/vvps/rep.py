@@ -15,18 +15,17 @@ class for the trivial recipe and d mod N for a Dirichlet character mod N,
 with one refusal of a matrix outside the group.  A generator-image rho
 that factors through SL2(Z/NZ), N the order of rho(T) -- every rho
 induced from a congruence subgroup does -- has one class per element of
-that finite group, tabulated once per fold_rho call one right coset x<T>
-at a time with every edge of its Cayley graph checked (_level_table).
-Class y N + j is x_y T^j, y the coset of the first column of x_y, so a
-matrix finds its class from its residues mod N by arithmetic (_element).
-One builder fills both stored forms, which differ only in how a class
-composes with rho(S) and rho(T).  When those are permutation matrices, as
-for every rho induced from a trivial representation, a class stores its
-permutation pi_g, composed by a gather and checked exactly, and
-rho(g)^* w is the gather w[pi_g].  Any other rho stores conj(rho(g)),
-p x p, composed by a matrix product and checked to 1e-10.  fold_rho walks
-the word only for a rho that does not factor (a non-congruence kernel, or
-rho(T) of no finite order) and for tables whose stored form passes 4 MB.
+that finite group, tabulated one right coset x<T> at a time with every
+edge of its Cayley graph checked (_level_table) and kept on rho beside
+its analyses, read-only: one build per rho, freed with it.  Class y N + j
+is x_y T^j, y the coset of the first column of x_y, so a matrix finds its
+class from its residues mod N by arithmetic (_element).
+A class stores the permutation pi_g, so that rho(g)^* w is the gather
+w[pi_g], when rho(S) and rho(T) are permutation matrices (every rho
+induced from a trivial representation), and conj(rho(g)) otherwise.  A
+rho that does not factor (a non-congruence kernel, or rho(T) of no
+finite order), or whose table would pass 4 MB, keeps None in its place,
+and fold_rho walks the S/T word of each matrix.
 
 One analysis (_analysis) of the cusp monodromy e^{2 pi i kappa M}
 rho(T^M), kept on rho by (kappa, M), decides finite order: one
@@ -289,6 +288,8 @@ def _coset_table(n: int, one: np.ndarray, s: np.ndarray, t: np.ndarray, compose,
         lo = hi
     if known < count:  # the search stopped short of SL2(Z/NZ)
         return None
+    for kept in (coset, reps, flat):
+        kept.setflags(write=False)  # every caller shares the memoised table
     return n, coset, reps, flat
 
 
@@ -309,14 +310,15 @@ def _class_lookup(rep: RepSpec, ents: np.ndarray):
     refused for every recipe.  The trivial recipe has one class and the
     Dirichlet recipe one per residue d mod N, and a row outside rep.group
     is refused; an st_generated rho has one class per element of
-    SL2(Z/NZ), found from the residues mod N by _element, or None when it
-    has no table."""
-    a, b, c, d = ents.T
-    unimodular = a * d - b * c == 1
+    SL2(Z/NZ), found from the residues mod N by _element in the table
+    kept in rep._analyses under "table", or None when it has no table."""
+    unimodular = ents[:, 0] * ents[:, 3] - ents[:, 1] * ents[:, 2] == 1
     if not unimodular.all():
         raise ValueError(f"{ents[unimodular.argmin()].tolist()} is not in SL2(Z): ad - bc != 1")
     if rep.recipe == "st_generated":
-        table = _level_table(rep)
+        if "table" not in rep._analyses:
+            rep._analyses["table"] = _level_table(rep)
+        table = rep._analyses["table"]
         if table is None:
             return None
         n, coset, reps, rows = table
@@ -335,16 +337,17 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     array ents of shape (n, 4), for a vector or a p x p matrix w: shape
     (n,) + shape(w), so w = I gives the matrices rho(g)^* themselves.
 
-    A row with ad - bc != 1 is refused with a ValueError that names the
-    first one.  rho is looked up by class (_class_lookup, by arithmetic on
-    the residues mod N for a level table) and w folded once per class
-    present -- every class when the rows outnumber them -- then gathered by
-    the class of each row.  A dense class folds as the product of its
-    conjugate transpose with w, a permutation class pi as the gather
-    w[pi], which equals that product bit for bit.  An st_generated rho
-    without a table walks the S/T word of each row with evaluate_rho.
-    The table lives only for this call.
+    A ValueError refuses a w whose leading dimension is not p, then the
+    first row with ad - bc != 1.  rho is looked up by class (_class_lookup,
+    by arithmetic on the residues mod N in the level table rho keeps) and
+    w folded once per class present -- every class when the rows outnumber
+    them -- then gathered by the class of each row.  A dense class folds as
+    the product of its conjugate transpose with w, a permutation class pi
+    as the gather w[pi], which equals that product bit for bit.  Without a
+    table, an st_generated rho walks each row's S/T word (evaluate_rho).
     """
+    if np.shape(w)[:1] != (rep.p,):
+        raise ValueError(f"w has shape {np.shape(w)}, not a leading dimension p = {rep.p}")
     ents = np.asarray(ents, dtype=np.int64).reshape(-1, 4)
     lookup = _class_lookup(rep, ents)
     if lookup is None:
@@ -353,15 +356,11 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
             out[i] = evaluate_rho(rep, IntMatrix2(*map(int, row))).conj().T @ w
         return out
     rows, idx = lookup
-    del lookup
     if len(idx) < len(rows):
         used, idx = np.unique(idx, return_inverse=True)
         rows = rows[used]
-    if rows.ndim == 2:
-        folded = np.asarray(w, dtype=complex)[rows]
-    else:
-        folded = rows.transpose(0, 2, 1) @ w
-    del rows  # the table goes before the gather allocates one row per matrix
+    folded = (np.asarray(w, dtype=complex)[rows] if rows.ndim == 2
+              else rows.transpose(0, 2, 1) @ w)
     return folded[idx]
 
 
