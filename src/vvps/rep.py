@@ -312,7 +312,8 @@ def _class_lookup(rep: RepSpec, ents: np.ndarray):
     is refused; an st_generated rho has one class per element of
     SL2(Z/NZ), found from the residues mod N by _element in the table
     kept in rep._analyses under "table", or None when it has no table."""
-    unimodular = ents[:, 0] * ents[:, 3] - ents[:, 1] * ents[:, 2] == 1
+    a, b, c, d = ents.T
+    unimodular = a * d - b * c == 1
     if not unimodular.all():
         raise ValueError(f"{ents[unimodular.argmin()].tolist()} is not in SL2(Z): ad - bc != 1")
     if rep.recipe == "st_generated":
@@ -347,7 +348,7 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     table, an st_generated rho walks each row's S/T word (evaluate_rho).
     """
     if np.shape(w)[:1] != (rep.p,):
-        raise ValueError(f"w has shape {np.shape(w)}, not a leading dimension p = {rep.p}")
+        raise ValueError(f"w has shape {np.shape(w)}; its leading dimension must be p = {rep.p}")
     ents = np.asarray(ents, dtype=np.int64).reshape(-1, 4)
     lookup = _class_lookup(rep, ents)
     if lookup is None:

@@ -7,12 +7,14 @@ and the list once more in reverse order in the same process.  It exits 1,
 naming the culprit on stderr, if a guard exits with the wrong code or an
 artifact's bytes differ from the first pass: a job must not change the
 artifact of a later one through state the process keeps (the cached
-parser, medians or tables).  The five rep files the list reads (the
-representations induced from the trivial representations of Gamma0(5)
-and Gamma0(13) and from the Legendre character mod 5, written by `vvps
-induce`, that character itself and a non-congruence permutation
-representation) are written to a temporary directory, and no label names
-a path, so the output of two checkouts compares with one diff:
+parser and medians).  A level table lives on its rho, and each job reads
+its rep file afresh, so no rho and no table outlives its job; the reverse
+pass still guards every state kept across jobs.  The five rep files the
+list reads (the representations induced from the trivial representations
+of Gamma0(5) and Gamma0(13) and from the Legendre character mod 5,
+written by `vvps induce`, that character itself and a non-congruence
+permutation representation) are written to a temporary directory, and no
+label names a path, so the output of two checkouts compares with one diff:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > new.txt
     PYTHONPATH=../other/src python3 tools/artifact_digests.py > old.txt
