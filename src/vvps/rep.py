@@ -13,19 +13,18 @@ Every other evaluation looks rho up by class in one place
 (_class_lookup), which first refuses any matrix with ad - bc != 1: one
 class for the trivial recipe and d mod N for a Dirichlet character mod N,
 with one refusal of a matrix outside the group.  A generator-image rho
-that factors through SL2(Z/NZ), N the order of rho(T) -- every rho
-induced from a congruence subgroup does -- has one class per element of
-that finite group, tabulated one right coset x<T> at a time with every
-edge of its Cayley graph checked (_level_table) and kept on rho beside
-its analyses, read-only: one build per rho, freed with it.  Class y N + j
-is x_y T^j, y the coset of the first column of x_y, so a matrix finds its
-class from its residues mod N by arithmetic (_element).
-A class stores the permutation pi_g, so that rho(g)^* w is the gather
-w[pi_g], when rho(S) and rho(T) are permutation matrices (every rho
-induced from a trivial representation), and conj(rho(g)) otherwise.  A
-rho that does not factor (a non-congruence kernel, or rho(T) of no
-finite order), or whose table would pass 4 MB, keeps None in its place,
-and fold_rho walks the S/T word of each matrix.
+that factors through SL2(Z/NZ), N the order of rho(T) -- every rho induced
+from a congruence subgroup does -- has one class per element of that
+finite group, tabulated one right coset x<T> at a time with every edge of
+its Cayley graph checked (_level_table), once per rho, which keeps the
+table read-only beside its analyses.  Class y N + j is x_y T^j, y the
+coset of the first column of x_y, so a matrix finds its class from its
+residues mod N by arithmetic (_element).  A class stores the permutation
+pi_g, with rho(g)^* w the gather w[pi_g], when rho(S) and rho(T) are
+permutation matrices (every rho induced from a trivial representation),
+else conj(rho(g)).  A rho that does not factor (a non-congruence kernel,
+or rho(T) of no finite order), or whose table would pass 4 MB, keeps None
+instead, and fold_rho walks the S/T word of each matrix.
 
 One analysis (_analysis) of the cusp monodromy e^{2 pi i kappa M}
 rho(T^M), kept on rho by (kappa, M), decides finite order: one
@@ -319,10 +318,9 @@ def _class_lookup(rep: RepSpec, ents: np.ndarray):
     if rep.recipe == "st_generated":
         if "table" not in rep._analyses:
             rep._analyses["table"] = _level_table(rep)
-        table = rep._analyses["table"]
-        if table is None:
+        if rep._analyses["table"] is None:
             return None
-        n, coset, reps, rows = table
+        n, coset, reps, rows = rep._analyses["table"]
         return rows, _element(coset, reps, n, *(ents % n).T)
     outside = ~contains(rep.group, ents)
     if outside.any():
@@ -340,12 +338,12 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
 
     A ValueError refuses a w whose leading dimension is not p, then the
     first row with ad - bc != 1.  rho is looked up by class (_class_lookup,
-    by arithmetic on the residues mod N in the level table rho keeps) and
-    w folded once per class present -- every class when the rows outnumber
-    them -- then gathered by the class of each row.  A dense class folds as
-    the product of its conjugate transpose with w, a permutation class pi
-    as the gather w[pi], which equals that product bit for bit.  Without a
-    table, an st_generated rho walks each row's S/T word (evaluate_rho).
+    in the level table rho keeps) and w folded once per class present --
+    every class when the rows outnumber them -- then gathered by the class
+    of each row.  A dense class folds as the product of its conjugate
+    transpose with w, a permutation class pi as the gather w[pi], which
+    equals that product bit for bit.  Without a table, an st_generated rho
+    walks each row's S/T word (evaluate_rho).
     """
     if np.shape(w)[:1] != (rep.p,):
         raise ValueError(f"w has shape {np.shape(w)}; its leading dimension must be p = {rep.p}")
@@ -360,8 +358,10 @@ def fold_rho(rep: RepSpec, w, ents) -> np.ndarray:
     if len(idx) < len(rows):
         used, idx = np.unique(idx, return_inverse=True)
         rows = rows[used]
-    folded = (np.asarray(w, dtype=complex)[rows] if rows.ndim == 2
-              else rows.transpose(0, 2, 1) @ w)
+    if rows.ndim == 2:
+        folded = np.asarray(w, dtype=complex)[rows]
+    else:
+        folded = rows.transpose(0, 2, 1) @ w
     return folded[idx]
 
 
