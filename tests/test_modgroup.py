@@ -3,6 +3,9 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,9 +15,11 @@ from vvps import modgroup
 from vvps.errors import DomainError
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, cocycle_j,
                            contains, cusp_width, entry_arrays, enumerate_cosets,
-                           is_subgroup, mobius_act, real_power, right_coset_reps,
-                           slash_kernel, st_syllables, t_power)
+                           is_subgroup, mobius_act, principal_power, real_power,
+                           right_coset_reps, slash_kernel, st_syllables, t_power)
+from vvps.multiplier import MultiplierSystem
 from vvps.rep import permutation_ell
+from vvps.series import slash
 
 
 class TestIntMatrix2:
@@ -105,6 +110,95 @@ class TestRealPower:
 
     def test_negative_zero_imag_uses_upper_branch(self):
         assert real_power(complex(-4.0, -0.0), 0.5) == pytest.approx(2j)
+
+
+def _log_route(z, k):
+    """exp(k (log|z| + i arg z)), step for step as principal_power's log
+    route takes it."""
+    out = 1j * np.arctan2(z.imag, z.real)
+    out += np.log(np.abs(z))
+    out *= k
+    return np.exp(out)
+
+
+@lru_cache(maxsize=1)
+def _fourier_line():
+    """z = c tau + d for 50 bottom rows (c, d) of the cosets of
+    Gamma_inf(1) in SL2(Z) up to height 300, spread over the table, and the
+    64 points tau = t/64 + i/2: z = w/64 with the Gaussian integer
+    w = (c t + 64 d) + 32 c i, so every z is exact in floats."""
+    rows = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 300.0).rows
+    rows = rows[np.linspace(0, len(rows) - 1, 50).astype(int)]
+    ws = [(int(c) * t + 64 * int(d), 32 * int(c)) for c, d in rows for t in range(64)]
+    return ws, np.array([complex(a / 64, b / 64) for a, b in ws])
+
+
+def _exact_relative_error(got: complex, w: tuple, k: int) -> float:
+    """|got - z^-k| / |z^-k| for z = w/64, in exact rational arithmetic:
+    z^-k = 64^k conj(W) / |W|^2 with W = w^k."""
+    p, q = 1, 0
+    for _ in range(k):
+        p, q = p * w[0] - q * w[1], p * w[1] + q * w[0]
+    norm, scale = p * p + q * q, 64 ** k
+    dx = Fraction(got.real) - Fraction(scale * p, norm)
+    dy = Fraction(got.imag) + Fraction(scale * q, norm)
+    return math.sqrt((dx * dx + dy * dy) * norm / (scale * scale))
+
+
+class TestPrincipalPower:
+    # z^-k on the Fourier line against exact rationals; each gate is about 3x
+    # the measured worst over the 3,200 values
+    @pytest.mark.parametrize("k, gate", [(4, 1e-15), (12, 1.5e-15), (20, 2.4e-15),
+                                         (60, 7.8e-15)])
+    def test_integer_weights_against_exact_powers(self, k, gate):
+        ws, z = _fourier_line()
+        got = principal_power(z, -float(k))
+        worst = max(_exact_relative_error(g, w, k) for g, w in zip(got.tolist(), ws))
+        assert worst <= gate
+
+    def test_minus_one_is_exact(self):
+        # j(-I, tau) = -1: an integer power of it has no rounding
+        assert principal_power(np.array([complex(-1.0, 0.0)]), -12.0)[0] == 1.0
+        assert principal_power(np.array([complex(-1.0, 0.0)]), -7.0)[0] == -1.0
+
+    def test_overflow_falls_back_to_the_log_route(self):
+        # 2000^99 overflows, so binary powering alone would return nan
+        z = np.array([complex(2000.0, 1.0), complex(0.3, 1.1), complex(-1.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = principal_power(z, -99.0)
+            inplace = z.copy()
+            scratch = (np.empty(3), np.empty(3))
+            same = principal_power(inplace, -99.0, inplace, scratch)
+        assert np.isfinite(got).all()
+        assert abs(got[0]) < 1e-307
+        assert got[0] == _log_route(z[:1], -99.0)[0]
+        assert got[1:].tolist() == np.power(z[1:], -99).tolist()
+        assert same is inplace and same.tolist() == got.tolist()
+
+    def test_slash_warns_nothing_where_the_power_overflows(self):
+        # j = 2000 + i at tau = i; j^-98 is subnormal or 0
+        g = IntMatrix2(1, 1999, 1, 2000)
+        ms = MultiplierSystem("trivial_even", 98.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = slash(lambda tau: 1.0, [g], [complex(0.0, 1.0)], ms)
+        assert np.isfinite(val).all() and abs(val[0, 0, 0]) < 1e-307
+
+    @pytest.mark.parametrize("k", [7.3, -7.3, 2.05, -5.5, 100.0, -100.0, 120.0, -198.0])
+    def test_other_weights_keep_the_log_route(self, k, rng):
+        z = rng.uniform(-3, 3, 40) + 1j * rng.uniform(0.05, 3, 40)
+        z = np.append(z, [complex(-1.0, 0.0), complex(2.0, 0.0)])
+        assert principal_power(z, k).tolist() == _log_route(z, k).tolist()
+
+    def test_out_and_scratch_keep_the_bits(self, rng):
+        z = rng.uniform(-3, 3, 30) + 1j * rng.uniform(0.05, 3, 30)
+        for k in (-12.0, 7.3):
+            expect = principal_power(z, k)
+            out, scratch = np.empty_like(z), (np.empty(30), np.empty(30))
+            assert principal_power(z, k, out, scratch).tolist() == expect.tolist()
+            inplace = z.copy()
+            assert principal_power(inplace, k, inplace, scratch).tolist() == expect.tolist()
 
 
 class TestSlashKernel:
