@@ -119,7 +119,9 @@ class EllipticSeed(_ScalarTimesVector):
 
     def scalar_many(self, taus: np.ndarray, out=None, scratch=None) -> np.ndarray:
         # Im(tau - conj(xi)) > 0 always, principal branch; the denominator
-        # comes first, as out may be taus
+        # comes first, as out may be taus.  At integer nu + k the power is
+        # binary powering in place, and mod and arg keep a copy of den for
+        # the entries that leave the float range
         tmp, mod, arg = (None,) * 3 if scratch is None else scratch
         den = np.subtract(taus, self.xi.conjugate(), out=tmp)
         den = principal_power(den, -(self.nu + self.k), den, (mod, arg))

@@ -55,9 +55,9 @@ def eisenstein_table():
 
 
 # measured worst relative errors over both points at H = 400 (120,036
-# cosets): 1.7e-8 (E_4), 9.0e-14 (E_6), 1.4e-15 (E_8)
+# cosets): 1.74e-8 (E_4), 8.96e-14 (E_6), 1.37e-15 (E_8)
 @pytest.mark.parametrize("k, c_k, gate", [(4, 240, 5e-8), (6, -504, 2.7e-13),
-                                          (8, 480, 4.2e-15)])
+                                          (8, 480, 4.1e-15)])
 def test_eisenstein_series(k, c_k, gate):
     tab = eisenstein_table()
     taus = np.array([complex(0.3, 1.1), complex(0.1, 0.4)])
@@ -70,9 +70,9 @@ def test_eisenstein_series(k, c_k, gate):
 
 
 # b_1 / b_0, b_2 / b_0, b_3 / b_0 at H = 300 on the line y0 = 0.5 with 64
-# nodes; measured worst relative errors 3.7e-15 (S_16) and 1.7e-12 (S_8)
+# nodes; measured worst relative errors 6.6e-16 (S_16) and 1.7e-12 (S_8)
 @pytest.mark.parametrize("gamma, k, form, ratios, gate", [
-    (GroupSpec.sl2z(), 16, e4_delta(3), (216, -3348, 13888), 1.1e-14),
+    (GroupSpec.sl2z(), 16, e4_delta(3), (216, -3348, 13888), 2e-15),
     (GroupSpec.gamma0(2), 8, eta_product({1: 8, 2: 8}, 3), (-8, 12, 64), 5.2e-12),
 ], ids=["S16-SL2Z-E4-Delta", "S8-Gamma0(2)-eta-eta2"])
 def test_one_dimensional_cusp_space(gamma, k, form, ratios, gate):
