@@ -12,7 +12,9 @@ then the exact window of parameters s per column that keeps the right
 column (b0 + s a, d0 + s c) inside the ball.  A coset table stores its
 cosets once, in that (c, a, s) order, with the permutation into the table
 order by norm, and keeps each coset's bottom row, so the cocycle power
-j^{-k} is computed once per row and shared by its cosets.
+j^{-k} is computed once per row and shared by its cosets.  c tau + d over
+arrays of points and integer pairs is also taken with Re tau split
+(_cocycle), accurate where c Re(tau) and d cancel.
 """
 
 from __future__ import annotations
@@ -133,36 +135,27 @@ def principal_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarr
     """Elementwise z**k = |z|**k e^{ik arg z} for complex arrays, with
     arg = arctan2(Im z, Re z) in [-pi, pi].  Callers pass values with
     Im z > 0 or Im z = +0.0, so a negative real gets arg = pi as in
-    arg_principal.  With out, a complex array shaped like z that may be z
-    itself, and scratch, two float arrays of that shape, every step writes
-    into them; without them each step allocates.
+    arg_principal, or correct the branch themselves.  With out, a complex
+    array shaped like z that does not overlap it, and scratch, two float
+    arrays of that shape, every step writes into them; without them each
+    step allocates.
 
     An integer k with |k| < 100 has no branch, and np.power takes it by
     binary powering, with one reciprocal for k < 0: about twice as fast as
     the log route exp(k (log|z| + i arg z)), and against exact powers on
     the Fourier line 10-25x more accurate (worst 5.4e-16 relative at
     k = 12, 2.5e-15 at k = 60).  Where z^|k| leaves the float range it
-    gives nan or inf, and those entries alone are recomputed by the log
-    route (2000^-99 is then 0); when out is z, z's parts are first copied
-    into scratch for them.  Other k take the log route everywhere.
+    gives nan or inf, and those entries alone are recomputed from z by the
+    log route (2000^-99 is then 0).  Other k take the log route everywhere.
     """
     if not (float(k).is_integer() and abs(k) < 100):
         return _log_power(z, k, out, scratch)
-    parts = None
-    if out is not None and np.may_share_memory(out, z):
-        re, im = (None, None) if scratch is None else scratch
-        parts = (np.positive(z.real, out=re), np.positive(z.imag, out=im))  # copies
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.power(z, int(k), out=out)
     finite = np.isfinite(out)
     if not finite.all():
         bad = ~finite
-        if parts is None:
-            redo = z[bad]
-        else:
-            redo = np.empty(np.count_nonzero(bad), dtype=complex)
-            redo.real, redo.imag = parts[0][bad], parts[1][bad]
-        out[bad] = _log_power(redo, k)
+        out[bad] = _log_power(z[bad], k)
     return out
 
 
@@ -173,8 +166,8 @@ def entry_arrays(mats) -> np.ndarray:
 
 
 def kernel_workspace(terms: int) -> tuple:
-    """Buffers for slash_kernel and a seed's scalar_many over up to terms
-    (point, matrix) pairs: three complex and two float flat arrays."""
+    """Buffers for the series kernel, a seed's slashed scalars, over up to
+    terms (point, coset) pairs: three complex and two float flat arrays."""
     return (*(np.empty(terms, dtype=complex) for _ in range(3)),
             *(np.empty(terms) for _ in range(2)))
 
@@ -185,51 +178,48 @@ def _shaped(buf, shape):
     return None if buf is None else buf[:shape[0] * shape[1]].reshape(shape)
 
 
-def slash_kernel(ents, taus, k: float, rows=None, row=None, ws=None) -> tuple:
+# Veltkamp's splitter 2^27 + 1: x = head + tail with a 26-bit head
+_SPLIT = 134217729.0
+
+
+def _cocycle(c, d, taus, out=None) -> np.ndarray:
+    """c tau + d for every point tau of taus (rows) and pair of the float
+    arrays of integers c, d (columns), |c| < 2^26, into out if given.
+
+    Re tau is split into a 26-bit head and a tail, so c * head is exact and
+    Re(c tau + d) carries about one rounding of its own size where c Re(tau)
+    and d cancel, as they do near a cusp -a/c; the plain product would first
+    round c Re(tau), an error of u |c Re(tau)|."""
+    x, y = taus.real, taus.imag
+    head = x * _SPLIT
+    head -= head - x
+    tail = (x - head)[:, None]
+    out = np.empty((len(taus), len(c)), dtype=complex) if out is None else out
+    re, im = out.real, out.imag
+    np.multiply(c, head[:, None], out=re)
+    re += d
+    re += np.multiply(c, tail, out=im)
+    np.multiply(c, y[:, None], out=im)
+    return out
+
+
+def slash_kernel(ents, taus, k: float) -> tuple:
     """The weight-k slash factors for every (point, matrix) pair.
 
     Returns (j(g, tau)^{-k}, g.tau) as arrays of shape (points, matrices),
     with g running over the rows (a, b, c, d) of the integer array ents and
-    tau over taus.  j^{-k} is computed once per bottom row and gathered:
-    rows holds the bottom rows (c, d) and row each matrix's index into
-    them, as in a CosetTable; without them every matrix is its own row.
-    The results follow the order of ents.  A SeriesHandle passes a table's
-    ents as stored, by left column (c, a), where the seed's complex exp
-    runs fastest, and takes the terms through CosetTable.order into table
-    order before it sums them: the bits of a pairwise sum follow the order
-    of its terms.
+    tau over taus, for `series.slash` and its users; the series kernel
+    takes its terms from the seeds instead.
     Im tau > 0 and c is an integer, so Im(c tau + d) is +0.0 when c = 0: a
     negative real j lies on the upper side of the cut, where arctan2 and
     arg_principal both put it (arg = pi).
-
-    With ws, a kernel_workspace of at least len(taus) * len(ents) terms,
-    every step writes into its three complex arrays: the two results are
-    views of ws[0] and ws[1], and ws[2] and the float arrays are left to
-    the seed.  The float halves of ws[0] are principal_power's scratch,
-    which only its log route (a non-integer k, or |k| >= 100) writes.
-    Without ws each step allocates.
     """
-    if rows is None:
-        rows, row = ents[:, 2:], np.arange(len(ents))
     tt = np.asarray(taus, dtype=complex)[:, None]
-    jmk_buf, moved_buf, tmp = (None,) * 3 if ws is None else ws[:3]
-    by_row, full = (len(tt), len(rows)), (len(tt), len(ents))
-    scratch = None
-    if ws is not None:
-        # the float halves of jmk's buffer, free until the gather, for the log
-        # route: a classical seed then leaves the float arrays unwritten, and
-        # out of the RSS
-        halves = jmk_buf.view(float).reshape(2, -1)
-        scratch = (_shaped(halves[0], by_row), _shaped(halves[1], by_row))
-    jj = np.multiply(rows[:, 0], tt, out=_shaped(tmp, by_row))
-    jj += rows[:, 1]
-    pw = principal_power(jj, -k, _shaped(moved_buf, by_row), scratch)
-    # the indices are valid; mode "raise" would copy through a temporary
-    jmk = np.take(pw, row, axis=1, out=_shaped(jmk_buf, full), mode="clip")
-    jj = np.take(jj, row, axis=1, out=_shaped(moved_buf, full), mode="clip")
-    num = np.multiply(ents[:, 0], tt, out=_shaped(tmp, full))
+    jj = ents[:, 2] * tt
+    jj += ents[:, 3]
+    num = ents[:, 0] * tt
     num += ents[:, 1]
-    return jmk, np.divide(num, jj, out=jj)
+    return principal_power(jj, -k), np.divide(num, jj, out=num)
 
 
 _KINDS = ("SL2Z", "Gamma0", "Gamma1pm", "GammaNpm", "GammaInfinity", "PlusMinusIdentity")

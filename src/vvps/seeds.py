@@ -7,12 +7,19 @@ evaluate to vectors in C^p and factor as scalar(tau) * fixed_vector, which
 the series module exploits; the two share that evaluation.  Each seed
 carries its stabiliser `lam`, the group its series sums over the cosets
 of: GammaInfinity(M) for a classical seed of width M, <-I> for an
-elliptic seed.  The invariance check of a seed under its stabiliser is
+elliptic seed.  Each seed also gives the series kernel its slashed scalar
+j(g, tau)^-k scalar(g.tau) over a coset table: _slash_constants takes what
+the seed needs from the table once per series, and _slashed_many the
+scalars at a block of points, in table order.  The elliptic seed's is a
+closed form in the coset's integers that never forms g.tau; the classical
+seed's forms g.tau once per coset and j^-k once per bottom row.  The
+invariance check of a seed under its stabiliser is
 series.check_seed_invariance, beside the slash action it applies.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -21,18 +28,14 @@ import numpy as np
 
 from ._quad import gamma_over_power, log_beta
 from .errors import DomainError
-from .modgroup import GroupSpec, _as_complex, principal_power
+from .modgroup import GroupSpec, _as_complex, _cocycle, _shaped, principal_power
 from .rep import SpectralSplit
 
 __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn", "seed_strip_integral"]
 
 
 class _ScalarTimesVector:
-    """Evaluation of a seed scalar_many(tau) * vector.
-
-    scalar_many(taus, out=None, scratch=None) writes into out, which may be
-    taus itself, and uses scratch, one complex and two float arrays shaped
-    like taus, for its intermediates; without them it allocates."""
+    """Evaluation of a seed scalar_many(tau) * vector."""
 
     def eval_many(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=complex)
@@ -40,6 +43,12 @@ class _ScalarTimesVector:
 
     def eval(self, tau) -> np.ndarray:
         return self.eval_many(np.array([_as_complex(tau)]))[0]
+
+
+def _buffers(ws, shape) -> tuple:
+    """The buffers of a kernel_workspace in the given shape, three complex
+    then two float, or five None without ws."""
+    return (None,) * 5 if ws is None else tuple(_shaped(b, shape) for b in ws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +90,46 @@ class ClassicalSeed(_ScalarTimesVector):
         """U^{-1} e_j, the j-th column of U*."""
         return self.split.U[self.j - 1].conj()
 
-    def scalar_many(self, taus: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        return np.exp(np.multiply(2j * math.pi * self.alpha, taus, out=out), out=out)
+    def scalar_many(self, taus: np.ndarray) -> np.ndarray:
+        return np.exp(np.multiply(2j * math.pi * self.alpha, taus))
+
+    def _slash_constants(self, tab, k: float) -> tuple:
+        """The constants of the slashed seed j(g, tau)^-k f(g.tau) over a
+        CosetTable of Gamma_inf(M): k and the table's own arrays."""
+        return float(k), tab.rows, tab.row, tab.ents, tab.order
+
+    def _slashed_many(self, taus: np.ndarray, consts: tuple, ws=None) -> np.ndarray:
+        """The scalars j^-k e(alpha g.tau) of the slashed seed for every
+        point of taus and coset of the table, in table order.
+
+        j = c tau + d and j^-k are computed once per bottom row and
+        gathered, g.tau = (a tau + b) / j and its exponential once per
+        coset in stored order, by left column (c, a), where Re(g.tau) ~ a/c
+        rises steadily within each c and numpy's complex exp runs fastest;
+        the terms are then taken into table order.  With ws, a
+        kernel_workspace, the result is a view of ws[0] and every step
+        writes into its complex buffers; the log route of j^-k (non-integer
+        k) uses the float halves of ws[0], free until the gather."""
+        k, rows, row, ents, order = consts
+        tt = taus[:, None]
+        by_row, full = (len(taus), len(rows)), (len(taus), len(ents))
+        _, moved, tmp, *_ = _buffers(ws, by_row)
+        jmk, jj, num, *_ = _buffers(ws, full)
+        halves = None if ws is None else ws[0].view(float).reshape(2, -1)
+        scratch = None if ws is None else tuple(_shaped(h, by_row) for h in halves)
+        tmp = np.multiply(rows[:, 0], tt, out=tmp)
+        tmp += rows[:, 1]
+        pw = principal_power(tmp, -k, moved, scratch)
+        # the indices are valid; mode "raise" would copy through a temporary
+        jmk = np.take(pw, row, axis=1, out=jmk, mode="clip")
+        jj = np.take(tmp, row, axis=1, out=jj, mode="clip")
+        num = np.multiply(ents[:, 0], tt, out=num)
+        num += ents[:, 1]
+        s = np.divide(num, jj, out=jj)
+        np.multiply(2j * math.pi * self.alpha, s, out=s)
+        np.exp(s, out=s)
+        np.multiply(jmk, s, out=s)
+        return np.take(s, order, axis=1, out=jmk, mode="clip")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,18 +164,67 @@ class EllipticSeed(_ScalarTimesVector):
     def vector(self) -> np.ndarray:
         return self.u
 
-    def scalar_many(self, taus: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        # Im(tau - conj(xi)) > 0 always, principal branch; the denominator
-        # comes first, as out may be taus.  At integer nu + k the power is
-        # binary powering in place, and mod and arg keep a copy of den for
-        # the entries that leave the float range
-        tmp, mod, arg = (None,) * 3 if scratch is None else scratch
-        den = np.subtract(taus, self.xi.conjugate(), out=tmp)
-        den = principal_power(den, -(self.nu + self.k), den, (mod, arg))
-        num = np.subtract(taus, self.xi, out=out)
+    def scalar_many(self, taus: np.ndarray) -> np.ndarray:
+        # Im(tau - conj(xi)) > 0 always, principal branch
+        den = principal_power(np.subtract(taus, self.xi.conjugate()), -(self.nu + self.k))
+        num = np.subtract(taus, self.xi)
         num **= self.nu
         num *= den
         return num
+
+    def _slash_constants(self, tab, k: float) -> tuple:
+        """The constants of the slashed seed j(g, tau)^-k f(g.tau) over a
+        CosetTable of <-I>.
+
+        With A = j (g.tau - xi) and B = j (g.tau - conj(xi)), j^-k cancels
+        and the scalar is A^nu B^-(nu + k).  For c > 0,
+        g.tau = a/c - 1/(c j), so B = (a/c - conj(xi)) j - 1/c and A is the
+        same with xi; the cosets (1 b; 0 1) have B = tau + b - conj(xi).
+        So B = lam z + mu with z = c tau + d, or z = tau when c = 0, and
+        A = conj(lam) z + conj(mu): one complex pair per coset serves both.
+        Returns c and d (1 and 0 when c = 0) as floats and lam and mu, per
+        coset in table order, and the largest |lam|, |mu|, |c| and |d|,
+        which bound |A| for the overflow test of _slashed_many."""
+        a, b, c, d = (tab.ents[tab.order, i].astype(float) for i in range(4))
+        xb = self.xi.conjugate()
+        at_inf = c == 0  # then a = d = 1
+        c[at_inf], d[at_inf] = 1.0, 0.0
+        lam = a / c - xb
+        mu = (-1.0 / c).astype(complex)
+        lam[at_inf], mu[at_inf] = 1.0, b[at_inf] - xb
+        return c, d, lam, mu, tuple(float(np.abs(v).max()) for v in (lam, mu, c, d))
+
+    def _slashed_many(self, taus: np.ndarray, consts: tuple, ws=None) -> np.ndarray:
+        """The scalars A^nu B^-(nu + k) of the slashed seed for every point
+        of taus and coset of the table, in table order, with no j^-k and no
+        division.
+
+        arg B = arg j + arg(g.tau - conj(xi)) lies in (0, 2 pi): the
+        cosets of a table have c > 0, or c = 0 and d = 1, so arg j lies in
+        [0, pi).  So at non-integer nu + k the principal power takes
+        e(-(nu + k)) where Im B < 0 (sign bit set).  Where |A|^nu could
+        leave the float range, by the bound from consts, the scalar is
+        (A/B)^nu B^-k, |A/B| < 1, instead.  With ws, a kernel_workspace,
+        the result is a view of ws[0] and every step writes into ws."""
+        c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
+        out, den, z, *scratch = _buffers(ws, (len(taus), len(lam)))
+        z = _cocycle(c, d, taus, z)
+        den = np.multiply(lam, z, out=den)
+        den += mu
+        power = -(self.nu + self.k)
+        if self.nu:
+            num = np.multiply(lam.conj(), z, out=z)
+            num += mu.conj()
+            bound = lam_max * (c_max * float(np.abs(taus).max(initial=0.0)) + d_max) + mu_max
+            if self.nu * math.log(bound) > 700.0:
+                num /= den
+                power = -self.k
+        out = principal_power(den, power, out, None if ws is None else scratch)
+        if not float(power).is_integer():
+            out[np.signbit(den.imag)] *= cmath.exp(2j * math.pi * power)
+        if self.nu:
+            out *= num if self.nu == 1 else principal_power(num, self.nu, den)
+        return out
 
 
 SeedFn = Union[ClassicalSeed, EllipticSeed]

@@ -4,26 +4,28 @@ A SeriesHandle holds a seed, the representation, the multiplier system,
 the group gamma and the height of its coset table, and nothing these
 determine: the weight is ms.k and the table's stabiliser seed.lam.  It
 refuses at construction whatever needs no table, and enumerates the table
-on first evaluation, so a refused job never builds one.  Evaluation
-computes j^{-k} once per bottom row of the table and g.tau and the seed
-once per coset, over the cosets as the table stores them (by left column
-(c, a), where the seed's complex exp runs fastest), takes the terms into
-table order and sums them there with _quad.block_sum: pairwise within
-blocks of 4,096 terms, then an fsum of the block partials.  That sum is
-deterministic but not exactly rounded, and its bits follow the order of
-the terms, so the order of the sum is the table's.  It reports an
-empirical tail proxy, the mass of the outermost tenth of the included
-cosets by Frobenius norm.  evaluate_many splits its points into blocks of
-about 65,536 terms and maps them over thread_cap() workers, one per usable
-CPU; the blocks do not depend on the worker count, so neither does any
-result.  Each worker allocates one workspace per call
-(modgroup.kernel_workspace: three complex and two float arrays of one
-block) and every step of the kernel, slash_kernel and the seed's
-scalar_many, the gather into table order, the products and the tail
-masses, writes into it with out=.  A block's dozen ~1 MB temporaries,
-allocated and freed, went back to the OS and were faulted in again by the
-next block: ~150k page faults per call of an elliptic pairing, and a
-quarter of its CPU time spent in the system.
+on first evaluation, so a refused job never builds one.  Evaluation asks
+the seed for its slashed scalar j(g, tau)^{-k} f(g.tau) / w over the
+cosets, from constants the seed takes once per handle from the table's
+integer entries (see seeds): the classical seed computes j^{-k} once per
+bottom row and g.tau and its exponential once per coset in the stored
+order (by left column (c, a), where the complex exp runs fastest); the
+elliptic seed takes A^nu B^{-(nu + k)} in closed form from each coset's
+integers, with no j^{-k} and no g.tau.  The scalars come in table order,
+and block_sum of _quad sums them there: pairwise within blocks of 4,096
+terms, then an fsum of the block partials.  That sum is deterministic but
+not exactly rounded, and its bits follow the order of the terms, so the
+order of the sum is the table's.  It reports an empirical tail proxy, the
+mass of the outermost tenth of the included cosets by Frobenius norm.
+evaluate_many splits its points into blocks of about 65,536 terms and
+maps them over thread_cap() workers, one per usable CPU; no result
+depends on the blocks or the worker count.  Each worker allocates one
+workspace per call (modgroup.kernel_workspace: three complex and two float
+arrays of one block) and every step of the kernel, the seed's slashed
+scalars, the products and the tail masses, writes into it with out=.  A
+block's dozen ~1 MB temporaries, allocated and freed, went back to the OS
+and were faulted in again by the next block: ~150k page faults per call
+of an elliptic pairing, and a quarter of its CPU time spent in the system.
 
 Preparation folds the inverse multiplier and representation factors into
 one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
@@ -61,7 +63,6 @@ __all__ = ["SeriesHandle", "build_series", "slash", "slash_k",
            "check_transformation", "check_seed_invariance", "thread_cap", "MIN_IM"]
 
 MIN_IM = 0.05  # evaluation closer to the real line than this is refused
-_ELIDE_BYTES = 1 << 18  # numpy's threshold for reusing a temporary operand
 
 
 def thread_cap() -> int:
@@ -160,7 +161,8 @@ class SeriesHandle:
 
     def _prepared(self):
         """Per-coset folded vectors W_i = conj(v(g_i)) rho(g_i)^* w, where
-        the seed is scalar * w, in table order.
+        the seed is scalar * w, in table order, and the seed's constants of
+        its slashed scalars.
 
         Array work over the table's integer entries as stored: v from the
         multiplier's closed form, skipped for the trivial system where
@@ -177,28 +179,17 @@ class SeriesHandle:
             wmat *= evaluate_v(self.ms, tab.ents).conj()[:, None]
         wmat = wmat[tab.order]
         self._data.update(w=wmat, wnorm=np.linalg.norm(wmat, axis=1),
+                          consts=self.seed._slash_constants(tab, self.k),
                           n_tail=max(1, math.ceil(len(tab) / 10)))
         return self._data
 
     def _scalars(self, taus: np.ndarray, ws=None):
-        """Per-(point, coset) scalars s = j^{-k} * seed_scalar(g.tau) in
-        table order, with j^{-k} computed once per bottom row of the table.
-        The terms run over the cosets as stored, by left column, and are
-        then taken into table order.  With ws, a kernel_workspace, s is a
-        view of ws[0] and ws[1:] is free again."""
-        tab = self.cosets
-        jmk, z = slash_kernel(tab.ents, taus, self.k, tab.rows, tab.row, ws)
-        scratch = None if ws is None else [_shaped(b, z.shape) for b in ws[2:]]
-        s = self.seed.scalar_many(z, z, scratch)
-        # numpy elides the temporary of jmk * scalar_many(z) from 256 KB on and
-        # then multiplies scalar_many(z) * jmk; complex products are not
-        # bitwise commutative, so each size keeps the order it had
-        if s.nbytes >= _ELIDE_BYTES:
-            np.multiply(s, jmk, out=s)
-        else:
-            np.multiply(jmk, s, out=s)
-        # the indices are valid; mode "raise" would copy through a temporary
-        return np.take(s, tab.order, axis=1, out=jmk, mode="clip")
+        """Per-(point, coset) scalars s in table order, s_i W_i the slashed
+        seed conj(v(g_i)) rho(g_i)^* j(g_i, tau)^{-k} f(g_i tau): the seed's
+        closed form over its constants from _prepared.  With ws, a
+        kernel_workspace, s is a view of ws[0] and ws[1:] is free again."""
+        taus = np.asarray(taus, dtype=complex)
+        return self.seed._slashed_many(taus, self._prepared()["consts"], ws)
 
     def evaluate_many(self, taus):
         """Truncated values and tail proxies at an array of points.
@@ -221,8 +212,7 @@ class SeriesHandle:
         n = wmat.shape[0]
         total = np.empty((len(taus), self.p), dtype=complex)
         tails = np.empty(len(taus))
-        # blocks of ~1 MB of terms stay in cache.  The partition must not depend
-        # on the worker count: numpy orders a block's complex products by its size
+        # blocks of ~1 MB of terms stay in cache
         chunk = max(1, 65_536 // n)
         blocks = [slice(lo, lo + chunk) for lo in range(0, len(taus), chunk)]
         workers = min(len(blocks), thread_cap())

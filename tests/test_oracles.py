@@ -61,7 +61,7 @@ def eisenstein_table():
 def test_eisenstein_series(k, c_k, gate):
     tab = eisenstein_table()
     taus = np.array([complex(0.3, 1.1), complex(0.1, 0.4)])
-    jmk, _ = slash_kernel(tab.ents, taus, float(k), tab.rows, tab.row)
+    jmk, _ = slash_kernel(tab.ents, taus, float(k))
     for tau, terms in zip(taus, jmk):
         got = complex(math.fsum(terms.real), math.fsum(terms.imag))
         q = cmath.exp(2j * math.pi * tau)  # |q| <= 0.081: 80 terms reach rounding
