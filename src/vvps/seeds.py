@@ -45,12 +45,6 @@ class _ScalarTimesVector:
         return self.eval_many(np.array([_as_complex(tau)]))[0]
 
 
-def _buffers(ws, shape) -> tuple:
-    """The buffers of a kernel_workspace in the given shape, three complex
-    then two float, or five None without ws."""
-    return (None,) * 5 if ws is None else tuple(_shaped(b, shape) for b in ws)
-
-
 @dataclass(frozen=True, eq=False)
 class ClassicalSeed(_ScalarTimesVector):
     """tau -> e^{2 pi i (nu + m_j) tau / M} U^{-1} e_j (j is 1-based)."""
@@ -113,10 +107,11 @@ class ClassicalSeed(_ScalarTimesVector):
         k, rows, row, ents, order = consts
         tt = taus[:, None]
         by_row, full = (len(taus), len(rows)), (len(taus), len(ents))
-        _, moved, tmp, *_ = _buffers(ws, by_row)
-        jmk, jj, num, *_ = _buffers(ws, full)
-        halves = None if ws is None else ws[0].view(float).reshape(2, -1)
-        scratch = None if ws is None else tuple(_shaped(h, by_row) for h in halves)
+        moved = tmp = jmk = jj = num = scratch = None
+        if ws is not None:
+            moved, tmp = _shaped(ws[1], by_row), _shaped(ws[2], by_row)
+            jmk, jj, num = (_shaped(b, full) for b in ws[:3])
+            scratch = tuple(_shaped(h, by_row) for h in ws[0].view(float).reshape(2, -1))
         tmp = np.multiply(rows[:, 0], tt, out=tmp)
         tmp += rows[:, 1]
         pw = principal_power(tmp, -k, moved, scratch)
@@ -207,7 +202,8 @@ class EllipticSeed(_ScalarTimesVector):
         (A/B)^nu B^-k, |A/B| < 1, instead.  With ws, a kernel_workspace,
         the result is a view of ws[0] and every step writes into ws."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
-        out, den, z, *scratch = _buffers(ws, (len(taus), len(lam)))
+        shape = (len(taus), len(lam))
+        out, den, z, *scratch = (None,) * 5 if ws is None else (_shaped(b, shape) for b in ws)
         z = _cocycle(c, d, taus, z)
         den = np.multiply(lam, z, out=den)
         den += mu
