@@ -28,7 +28,8 @@ import numpy as np
 
 from ._quad import gamma_over_power, log_beta
 from .errors import DomainError
-from .modgroup import GroupSpec, _as_complex, _cocycle, _shaped, principal_power
+from .modgroup import (GroupSpec, _as_complex, _cocycle, _integer_power, _shaped,
+                       principal_power)
 from .rep import SpectralSplit
 
 __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn", "seed_strip_integral"]
@@ -199,11 +200,13 @@ class EllipticSeed(_ScalarTimesVector):
         [0, pi).  So at non-integer nu + k the principal power takes
         e(-(nu + k)) where Im B < 0 (sign bit set).  Where |A|^nu could
         leave the float range, by the bound from consts, the scalar is
-        (A/B)^nu B^-k, |A/B| < 1, instead.  With ws, a kernel_workspace,
-        the result is a view of ws[0] and every step writes into ws."""
+        (A/B)^nu B^-k, |A/B| < 1, instead.  Integer powers below 100 are
+        taken by modgroup._integer_power, in array operations.  With ws, a
+        kernel_workspace, the result is a view of ws[0] and every step
+        writes into ws."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
         shape = (len(taus), len(lam))
-        out, den, z, *scratch = (None,) * 5 if ws is None else (_shaped(b, shape) for b in ws)
+        out, den, z, spare = (None,) * 4 if ws is None else (_shaped(b, shape) for b in ws)
         z = _cocycle(c, d, taus, z)
         den = np.multiply(lam, z, out=den)
         den += mu
@@ -215,11 +218,18 @@ class EllipticSeed(_ScalarTimesVector):
             if self.nu * math.log(bound) > 700.0:
                 num /= den
                 power = -self.k
-        out = principal_power(den, power, out, None if ws is None else scratch)
-        if not float(power).is_integer():
-            out[np.signbit(den.imag)] *= cmath.exp(2j * math.pi * power)
-        if self.nu:
-            out *= num if self.nu == 1 else principal_power(num, self.nu, den)
+        if float(power).is_integer() and abs(power) < 100:
+            out = _integer_power(den, int(power), out, spare)
+        else:
+            halves = None if ws is None else spare.view(float).reshape(2, *shape)
+            out = principal_power(den, power, out, halves)
+            if not float(power).is_integer():
+                out[np.signbit(den.imag)] *= cmath.exp(2j * math.pi * power)
+        if self.nu == 1:
+            out *= num
+        elif self.nu:
+            out *= (_integer_power(num, self.nu, den, spare) if self.nu < 100
+                    else principal_power(num, self.nu, den))
         return out
 
 

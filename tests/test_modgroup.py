@@ -13,8 +13,8 @@ import pytest
 from conftest import random_element, random_tau, syllable_product
 from vvps import modgroup
 from vvps.errors import DomainError
-from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, cocycle_j,
-                           contains, cusp_width, entry_arrays, enumerate_cosets,
+from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, _integer_power,
+                           cocycle_j, contains, cusp_width, entry_arrays, enumerate_cosets,
                            is_subgroup, mobius_act, principal_power, real_power,
                            right_coset_reps, slash_kernel, st_syllables, t_power)
 from vvps.multiplier import MultiplierSystem
@@ -156,6 +156,24 @@ class TestPrincipalPower:
         got = principal_power(z, -float(k))
         worst = max(_exact_relative_error(g, w, k) for g, w in zip(got.tolist(), ws))
         assert worst <= gate
+
+    # _integer_power, binary powering in array operations for the elliptic
+    # kernel: measured worst 2.6e-16, 4.8e-16, 6.9e-16 and 2.2e-15
+    @pytest.mark.parametrize("k, gate", [(4, 8e-16), (12, 1.5e-15), (20, 2.1e-15),
+                                         (60, 6.6e-15)])
+    def test_array_powers_against_exact_powers(self, k, gate):
+        ws, z = _fourier_line()
+        got = _integer_power(z, -k, np.empty_like(z), np.empty_like(z))
+        worst = max(_exact_relative_error(g, w, k) for g, w in zip(got.tolist(), ws))
+        assert worst <= gate
+
+    def test_array_powers_fall_back_to_the_log_route(self):
+        z = np.array([complex(2000.0, 1.0), complex(0.3, 1.1), complex(-1.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _integer_power(z, -99)
+        assert got[0] == _log_route(z[:1], -99.0)[0]
+        assert got[2] == -1.0 and np.isfinite(got).all()
 
     def test_minus_one_is_exact(self):
         # j(-I, tau) = -1: an integer power of it has no rounding
