@@ -152,12 +152,6 @@ def principal_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarr
         return _log_power(z, k, out, scratch)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.power(z, int(k), out=out)
-    return _finite_or_log(out, z, k)
-
-
-def _finite_or_log(out: np.ndarray, z: np.ndarray, k: float) -> np.ndarray:
-    """out = z**k, with the entries that left the float range recomputed
-    from z by the log route."""
     finite = np.isfinite(out)
     if not finite.all():
         bad = ~finite
@@ -165,32 +159,32 @@ def _finite_or_log(out: np.ndarray, z: np.ndarray, k: float) -> np.ndarray:
     return out
 
 
-def _integer_power(z: np.ndarray, k: int, out=None, scratch=None) -> np.ndarray:
-    """z**k for an integer k, 0 < |k| < 100, as principal_power gives it
-    but with every step an array operation: binary powering over the set
-    bits of |k|, the running square in scratch, then one reciprocal for
-    k < 0.  np.power takes integer powers of complex arrays in a scalar
-    loop: 10-16 ns per element at |k| = 12 to 20 against 5.5-9 here (2-core
-    x86_64, numpy 2.4.6).  This is as accurate on the Fourier line (worst
-    4.8e-16 against 5.4e-16 relative at k = -12), but its bits differ, and
-    the callers of principal_power keep np.power's.  out and scratch are
-    complex arrays shaped like z that overlap neither z nor each other, or
-    None."""
+def _integer_power(z: np.ndarray, k: int, out=None) -> np.ndarray:
+    """z**k for an integer k, 0 < |k| < 100, with every step an array
+    operation: binary powering over the set bits of |k|, the running square
+    in z itself, then one reciprocal for k < 0.  z is spent.  Entries past
+    the float range come out inf or nan, and the caller recomputes them.
+
+    np.power takes integer powers of complex arrays in a scalar loop: 10-16
+    ns per element at |k| = 12 to 20 against 5.5-9 here (2-core x86_64,
+    numpy 2.4.6).  This is as accurate on the Fourier line (worst 4.8e-16
+    against 5.4e-16 relative at k = -12), but its bits differ, and the
+    callers of principal_power keep np.power's."""
     out = np.empty_like(z) if out is None else out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        square, n, started = z, abs(k), False
+        n, started = abs(k), False
         while n:
             if n & 1 and started:
-                out *= square
+                out *= z
             elif n & 1:
-                np.copyto(out, square)
+                np.copyto(out, z)
                 started = True
             n >>= 1
             if n:
-                scratch = square = np.multiply(square, square, out=scratch)
+                z *= z
         if k < 0:
             np.divide(1.0, out, out=out)
-    return _finite_or_log(out, z, k)
+    return out
 
 
 def entry_arrays(mats) -> np.ndarray:
@@ -201,8 +195,9 @@ def entry_arrays(mats) -> np.ndarray:
 
 def kernel_workspace(terms: int) -> tuple:
     """Buffers for the series kernel, a seed's slashed scalars, over up to
-    terms (point, coset) pairs: four complex flat arrays."""
-    return tuple(np.empty(terms, dtype=complex) for _ in range(4))
+    terms (point, coset) pairs: three complex and two float flat arrays."""
+    return (*(np.empty(terms, dtype=complex) for _ in range(3)),
+            *(np.empty(terms) for _ in range(2)))
 
 
 def _shaped(buf, shape):

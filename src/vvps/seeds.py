@@ -201,12 +201,13 @@ class EllipticSeed(_ScalarTimesVector):
         e(-(nu + k)) where Im B < 0 (sign bit set).  Where |A|^nu could
         leave the float range, by the bound from consts, the scalar is
         (A/B)^nu B^-k, |A/B| < 1, instead.  Integer powers below 100 are
-        taken by modgroup._integer_power, in array operations.  With ws, a
-        kernel_workspace, the result is a view of ws[0] and every step
-        writes into ws."""
+        taken by modgroup._integer_power, in array operations, and the
+        entries of B^-(nu + k) past the float range by the log route.  With
+        ws, a kernel_workspace, the result is a view of ws[0] and every
+        step writes into ws."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
         shape = (len(taus), len(lam))
-        out, den, z, spare = (None,) * 4 if ws is None else (_shaped(b, shape) for b in ws)
+        out, den, z, *scratch = (None,) * 5 if ws is None else (_shaped(b, shape) for b in ws)
         z = _cocycle(c, d, taus, z)
         den = np.multiply(lam, z, out=den)
         den += mu
@@ -219,16 +220,19 @@ class EllipticSeed(_ScalarTimesVector):
                 num /= den
                 power = -self.k
         if float(power).is_integer() and abs(power) < 100:
-            out = _integer_power(den, int(power), out, spare)
+            out = _integer_power(den, int(power), out)  # den is spent
+            t, i = np.nonzero(~np.isfinite(out))
+            if len(t):  # past the float range: B again, by the log route
+                b = lam[i] * (c[i] * taus[t] + d[i]) + mu[i]
+                out[t, i] = principal_power(b, power)
         else:
-            halves = None if ws is None else spare.view(float).reshape(2, *shape)
-            out = principal_power(den, power, out, halves)
+            out = principal_power(den, power, out, None if ws is None else scratch)
             if not float(power).is_integer():
                 out[np.signbit(den.imag)] *= cmath.exp(2j * math.pi * power)
         if self.nu == 1:
             out *= num
-        elif self.nu:
-            out *= (_integer_power(num, self.nu, den, spare) if self.nu < 100
+        elif self.nu:  # |A|^nu stays in the float range, by the bound above
+            out *= (_integer_power(num, self.nu, den) if self.nu < 100
                     else principal_power(num, self.nu, den))
         return out
 

@@ -20,8 +20,8 @@ mass of the outermost tenth of the included cosets by Frobenius norm.
 evaluate_many splits its points into blocks of about 65,536 terms and
 maps them over thread_cap() workers, one per usable CPU; no result
 depends on the blocks or the worker count.  Each worker allocates one
-workspace per call (modgroup.kernel_workspace: four complex arrays of one
-block) and every step of the kernel, the seed's slashed
+workspace per call (modgroup.kernel_workspace: three complex and two float
+arrays of one block) and every step of the kernel, the seed's slashed
 scalars, the products and the tail masses, writes into it with out=.  A
 block's dozen ~1 MB temporaries, allocated and freed, went back to the OS
 and were faulted in again by the next block: ~150k page faults per call
@@ -226,7 +226,7 @@ class SeriesHandle:
                     prod = _shaped(ws[2], s.shape)
                     for l in range(self.p):
                         total[sl, l] = block_sum(np.multiply(s, wmat[None, :, l], out=prod))
-                    mass = _shaped(ws[3].view(float), (len(s), n_tail))
+                    mass = _shaped(ws[3], (len(s), n_tail))
                     np.abs(s[:, n - n_tail:], out=mass)
                     mass *= wnorm[None, n - n_tail:]
                     np.sum(mass, axis=1, out=tails[sl])

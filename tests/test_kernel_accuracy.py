@@ -192,3 +192,15 @@ def test_large_nu_keeps_the_far_terms():
             exact = big_a ** 140 * big_b ** -152
             worst = max(worst, float(abs(_mpc(z) - exact) / abs(exact)))
     assert worst <= 1e-13
+
+
+def test_powers_past_the_float_range_are_recomputed():
+    # k = 98 at tau = 30 + i: |B| passes 1.4e3 on 429 of the 3,549 cosets,
+    # where B^98 leaves the float range, and those entries are taken again by
+    # the log route.  Against an fsum of slash's terms: measured 2.2e-16
+    h = elliptic(GroupSpec.gamma0(2), 1j, 0, k=98.0, height=60.0)
+    taus = np.array([complex(30.0, 1.0)])
+    values, _ = h.evaluate_many(taus)
+    terms = slash(h.seed, h.cosets.reps, taus, h.ms, h.rep)[0, :, 0]
+    exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    assert abs(values[0, 0] - exact) <= 4e-16 * math.fsum(np.abs(terms))

@@ -342,8 +342,8 @@ class TestEvaluate:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         faults, n = result["minflt"], result["cosets"]
-        # two workers, each with four complex buffers of one block
-        pages = 2 * (65_536 // n) * n * 4 * 16 // 4096
+        # two workers, each with three complex and two float buffers of one block
+        pages = 2 * (65_536 // n) * n * (3 * 16 + 2 * 8) // 4096
         assert faults < 2 * pages
 
     def test_batch_matches_pointwise(self):
