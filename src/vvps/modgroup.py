@@ -160,16 +160,13 @@ def principal_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarr
 
 
 def _integer_power(z: np.ndarray, k: int, out=None) -> np.ndarray:
-    """z**k for an integer k, 0 < |k| < 100, with every step an array
-    operation: binary powering over the set bits of |k|, the running square
-    in z itself, then one reciprocal for k < 0.  z is spent.  Entries past
-    the float range come out inf or nan, and the caller recomputes them.
-
-    np.power takes integer powers of complex arrays in a scalar loop: 10-16
-    ns per element at |k| = 12 to 20 against 5.5-9 here (2-core x86_64,
-    numpy 2.4.6).  This is as accurate on the Fourier line (worst 4.8e-16
-    against 5.4e-16 relative at k = -12), but its bits differ, and the
-    callers of principal_power keep np.power's."""
+    """z**k for a nonzero integer k by binary powering in array operations,
+    the running square in z (which is spent), one reciprocal for k < 0;
+    entries past the float range come out inf or nan for the caller.
+    np.power's complex integer power is a scalar loop, 10-16 ns per element
+    at |k| = 12 to 20 against 5.5-9 here (2-core x86_64, numpy 2.4.6), and
+    no more accurate on the Fourier line (4.8e-16 here, 5.4e-16 at k = -12);
+    principal_power keeps its bits."""
     out = np.empty_like(z) if out is None else out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n, started = abs(k), False
@@ -211,13 +208,10 @@ _SPLIT = 134217729.0
 
 
 def _cocycle(c, d, taus, out=None) -> np.ndarray:
-    """c tau + d for every point tau of taus (rows) and pair of the float
-    arrays of integers c, d (columns), |c| < 2^26, into out if given.
-
-    Re tau is split into a 26-bit head and a tail, so c * head is exact and
-    Re(c tau + d) carries about one rounding of its own size where c Re(tau)
-    and d cancel, as they do near a cusp -a/c; the plain product would first
-    round c Re(tau), an error of u |c Re(tau)|."""
+    """c tau + d for every point of taus (rows) and pair of float integers
+    c, d (columns), |c| < 2^26.  Re tau is split into a 26-bit head, whose
+    product with c is exact, and a tail, so Re(c tau + d) is accurate where
+    c Re(tau) and d cancel; the plain product errs by u |c Re(tau)|."""
     x, y = taus.real, taus.imag
     head = x * _SPLIT
     head -= head - x

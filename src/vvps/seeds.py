@@ -7,13 +7,10 @@ evaluate to vectors in C^p and factor as scalar(tau) * fixed_vector, which
 the series module exploits; the two share that evaluation.  Each seed
 carries its stabiliser `lam`, the group its series sums over the cosets
 of: GammaInfinity(M) for a classical seed of width M, <-I> for an
-elliptic seed.  Each seed also gives the series kernel its slashed scalar
-j(g, tau)^-k scalar(g.tau) over a coset table: _slash_constants takes what
-the seed needs from the table once per series, and _slashed_many the
-scalars at a block of points, in table order.  The elliptic seed's is a
-closed form in the coset's integers that never forms g.tau; the classical
-seed's forms g.tau once per coset and j^-k once per bottom row.  The
-invariance check of a seed under its stabiliser is
+elliptic seed.  Each seed gives the series kernel its slashed scalar
+j(g, tau)^-k scalar(g.tau) over a coset table, from constants taken once
+per series (_slash_constants, _slashed_many).  The invariance check of a
+seed under its stabiliser is
 series.check_seed_invariance, beside the slash action it applies.
 """
 
@@ -94,17 +91,12 @@ class ClassicalSeed(_ScalarTimesVector):
         return float(k), tab.rows, tab.row, tab.ents, tab.order
 
     def _slashed_many(self, taus: np.ndarray, consts: tuple, ws=None) -> np.ndarray:
-        """The scalars j^-k e(alpha g.tau) of the slashed seed for every
-        point of taus and coset of the table, in table order.
-
-        j = c tau + d and j^-k are computed once per bottom row and
-        gathered, g.tau = (a tau + b) / j and its exponential once per
-        coset in stored order, by left column (c, a), where Re(g.tau) ~ a/c
-        rises steadily within each c and numpy's complex exp runs fastest;
-        the terms are then taken into table order.  With ws, a
-        kernel_workspace, the result is a view of ws[0] and every step
-        writes into its complex buffers; the log route of j^-k (non-integer
-        k) uses the float halves of ws[0], free until the gather."""
+        """The scalars j^-k e(alpha g.tau) of the slashed seed at every
+        point and coset, in table order: j^-k once per bottom row, g.tau and
+        its exp once per coset in stored order (by left column, where the
+        exp runs fastest), then taken into table order.  With ws, a
+        kernel_workspace, the result is a view of ws[0]; the float halves
+        of ws[0] serve the log route of j^-k."""
         k, rows, row, ents, order = consts
         tt = taus[:, None]
         by_row, full = (len(taus), len(rows)), (len(taus), len(ents))
@@ -170,17 +162,12 @@ class EllipticSeed(_ScalarTimesVector):
 
     def _slash_constants(self, tab, k: float) -> tuple:
         """The constants of the slashed seed j(g, tau)^-k f(g.tau) over a
-        CosetTable of <-I>.
-
-        With A = j (g.tau - xi) and B = j (g.tau - conj(xi)), j^-k cancels
-        and the scalar is A^nu B^-(nu + k).  For c > 0,
-        g.tau = a/c - 1/(c j), so B = (a/c - conj(xi)) j - 1/c and A is the
-        same with xi; the cosets (1 b; 0 1) have B = tau + b - conj(xi).
-        So B = lam z + mu with z = c tau + d, or z = tau when c = 0, and
-        A = conj(lam) z + conj(mu): one complex pair per coset serves both.
-        Returns c and d (1 and 0 when c = 0) as floats and lam and mu, per
-        coset in table order, and the largest |lam|, |mu|, |c| and |d|,
-        which bound |A| for the overflow test of _slashed_many."""
+        CosetTable of <-I>.  With A = j (g.tau - xi) and
+        B = j (g.tau - conj(xi)) the scalar is A^nu B^-(nu + k), and as
+        g.tau = a/c - 1/(c j), B = lam z + mu and A = conj(lam) z + conj(mu)
+        with z = c tau + d, lam = a/c - conj(xi), mu = -1/c; the cosets
+        (1 b; 0 1) take z = tau, lam = 1, mu = b - conj(xi).  Returns c, d,
+        lam and mu per coset in table order, and max |lam|, |mu|, |c|, |d|."""
         a, b, c, d = (tab.ents[tab.order, i].astype(float) for i in range(4))
         xb = self.xi.conjugate()
         at_inf = c == 0  # then a = d = 1
@@ -191,20 +178,16 @@ class EllipticSeed(_ScalarTimesVector):
         return c, d, lam, mu, tuple(float(np.abs(v).max()) for v in (lam, mu, c, d))
 
     def _slashed_many(self, taus: np.ndarray, consts: tuple, ws=None) -> np.ndarray:
-        """The scalars A^nu B^-(nu + k) of the slashed seed for every point
-        of taus and coset of the table, in table order, with no j^-k and no
-        division.
+        """The scalars A^nu B^-(nu + k) of the slashed seed at every point
+        and coset, in table order, with no j^-k and no division.
 
-        arg B = arg j + arg(g.tau - conj(xi)) lies in (0, 2 pi): the
-        cosets of a table have c > 0, or c = 0 and d = 1, so arg j lies in
-        [0, pi).  So at non-integer nu + k the principal power takes
-        e(-(nu + k)) where Im B < 0 (sign bit set).  Where |A|^nu could
-        leave the float range, by the bound from consts, the scalar is
-        (A/B)^nu B^-k, |A/B| < 1, instead.  Integer powers below 100 are
-        taken by modgroup._integer_power, in array operations, and the
-        entries of B^-(nu + k) past the float range by the log route.  With
-        ws, a kernel_workspace, the result is a view of ws[0] and every
-        step writes into ws."""
+        arg B = arg j + arg(g.tau - conj(xi)) lies in (0, 2 pi), as c > 0,
+        or c = 0 and d = 1, puts arg j in [0, pi): at non-integer nu + k the
+        principal power takes e(-(nu + k)) where Im B < 0.  Where |A|^nu
+        could pass the float range, by the bound from consts, the scalar is
+        (A/B)^nu B^-k, |A/B| < 1.  Integer powers are array binary powering;
+        entries past the float range are B again by the log route.  With
+        ws, a kernel_workspace, the result is a view of ws[0]."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
         shape = (len(taus), len(lam))
         out, den, z, *scratch = (None,) * 5 if ws is None else (_shaped(b, shape) for b in ws)
@@ -219,7 +202,7 @@ class EllipticSeed(_ScalarTimesVector):
             if self.nu * math.log(bound) > 700.0:
                 num /= den
                 power = -self.k
-        if float(power).is_integer() and abs(power) < 100:
+        if float(power).is_integer():
             out = _integer_power(den, int(power), out)  # den is spent
             t, i = np.nonzero(~np.isfinite(out))
             if len(t):  # past the float range: B again, by the log route
@@ -232,8 +215,7 @@ class EllipticSeed(_ScalarTimesVector):
         if self.nu == 1:
             out *= num
         elif self.nu:  # |A|^nu stays in the float range, by the bound above
-            out *= (_integer_power(num, self.nu, den) if self.nu < 100
-                    else principal_power(num, self.nu, den))
+            out *= _integer_power(num, self.nu, den)
         return out
 
 

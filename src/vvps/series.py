@@ -6,13 +6,9 @@ determine: the weight is ms.k and the table's stabiliser seed.lam.  It
 refuses at construction whatever needs no table, and enumerates the table
 on first evaluation, so a refused job never builds one.  Evaluation asks
 the seed for its slashed scalar j(g, tau)^{-k} f(g.tau) / w over the
-cosets, from constants the seed takes once per handle from the table's
-integer entries (see seeds): the classical seed computes j^{-k} once per
-bottom row and g.tau and its exponential once per coset in the stored
-order (by left column (c, a), where the complex exp runs fastest); the
-elliptic seed takes A^nu B^{-(nu + k)} in closed form from each coset's
-integers, with no j^{-k} and no g.tau.  The scalars come in table order,
-and block_sum of _quad sums them there: pairwise within blocks of 4,096
+cosets in table order, from constants it takes once per handle (see seeds;
+the elliptic seed's is a closed form in each coset's integers), and
+block_sum of _quad sums them there: pairwise within blocks of 4,096
 terms, then an fsum of the block partials.  That sum is deterministic but
 not exactly rounded, and its bits follow the order of the terms, so the
 order of the sum is the table's.  It reports an empirical tail proxy, the
