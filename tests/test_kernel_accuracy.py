@@ -11,7 +11,7 @@
   per-coset scalar times the prepared vector, which is 1 for trivial
   data), and the exact sum against evaluate_many.
 
-Each gate is the figure measured at the stated grid, rounded up.
+Each gate stands beside the figure it was set from.
 """
 
 import math
