@@ -11,10 +11,8 @@ left columns (a, c) at once, c first and a in the stabiliser's range, and
 then the exact window of parameters s per column that keeps the right
 column (b0 + s a, d0 + s c) inside the ball.  A coset table stores its
 cosets once, in that (c, a, s) order, with the permutation into the table
-order by norm, and keeps each coset's bottom row, so the cocycle power
-j^{-k} is computed once per row and shared by its cosets.  c tau + d over
-arrays of points and integer pairs is also taken with Re tau split
-(_cocycle), accurate where c Re(tau) and d cancel.
+order by norm.  c tau + d over arrays of points and integer pairs is also
+taken with Re tau split (_cocycle), accurate where c Re(tau) and d cancel.
 """
 
 from __future__ import annotations
@@ -198,9 +196,8 @@ def kernel_workspace(terms: int) -> tuple:
 
 
 def _shaped(buf, shape):
-    """The leading entries of a flat buffer in the given 2-d shape, or None
-    without a buffer."""
-    return None if buf is None else buf[:shape[0] * shape[1]].reshape(shape)
+    """The leading entries of a flat buffer in the given 2-d shape."""
+    return buf[:shape[0] * shape[1]].reshape(shape)
 
 
 # Veltkamp's splitter 2^27 + 1: x = head + tail with a 26-bit head
@@ -450,18 +447,12 @@ class CosetTable:
     to_json list it so.  The series kernel runs over ents as stored, where
     Re(g.tau) ~ a/c rises steadily within each c and the seed's complex exp
     runs fastest, and takes its per-coset scalars back through order: the
-    sums are pairwise within blocks, so their bits follow the table order.
-
-    rows holds the distinct bottom rows (c, d) in (c, d) order, an int64
-    array of shape (r, 2), each used by some coset; row is the int64 index
-    of each coset of ents into them, so rows[row] equals ents[:, 2:]."""
+    sums are pairwise within blocks, so their bits follow the table order."""
 
     lam: GroupSpec
     gamma: GroupSpec
     height: float
     ents: np.ndarray
-    rows: np.ndarray
-    row: np.ndarray
     order: np.ndarray
 
     def __len__(self):
@@ -571,8 +562,7 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     is array work over all columns at once: the columns inside the ball,
     d0 = a^{-1} mod c by a lockstep extended Euclid, the exact window of s
     inside the ball per column (_s_window), then membership in gamma.  The
-    table keeps the cosets in that order, (c, a, s), with the rows that
-    hold a coset, each coset's index into them, and one argsort: the
+    table keeps the cosets in that order, (c, a, s), with one argsort: the
     permutation into the table order (norm, c, d, a, b).
     """
     if lam.kind not in ("GammaInfinity", "PlusMinusIdentity"):
@@ -609,29 +599,11 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     ents = np.repeat(np.stack((a, b0, c, d0), axis=1), n_s, axis=0)
     ents[:, 1] += s * ents[:, 0]
     ents[:, 3] += s * ents[:, 2]
-    del a, b0, c, d0, s, lo, hi, n_s  # keep the peak low: rows and key come next
+    del a, b0, c, d0, s, lo, hi, n_s  # keep the peak low: the key comes next
     member = contains(gamma, ents)
     if not member.all():
         ents = ents[member]
     del member
-    # the rows that hold a coset, in (c, d) order: the kernel's complex exp
-    # runs faster over them in that order than in table order
-    slot = ents[:, 2] // step * n_d + ents[:, 3] + dmax
-    used = np.zeros(n_c * n_d, dtype=bool)
-    used[slot] = True
-    rank = used.astype(np.int64)
-    np.cumsum(rank, out=rank)  # one more than the rank where used
-    row = rank[slot]
-    row -= 1
-    del rank, slot
-    held = np.flatnonzero(used)
-    del used
-    rows = np.empty((len(held), 2), dtype=np.int64)
-    np.floor_divide(held, n_d, out=rows[:, 0])
-    rows[:, 0] *= step
-    np.remainder(held, n_d, out=rows[:, 1])
-    rows[:, 1] -= dmax
-    del held
     # the key, with one int64 temporary beside it
     key = np.einsum("ij,ij->i", ents, ents)
     key *= n_c
@@ -644,4 +616,4 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     np.einsum("ij,ij->i", ents[:, :2], ents[:, 2:], out=tmp)  # a c + b d
     key += np.greater(tmp, 0, out=tmp)
     del tmp
-    return CosetTable(lam, gamma, float(height), ents, rows, row, np.argsort(key))
+    return CosetTable(lam, gamma, float(height), ents, np.argsort(key))

@@ -179,14 +179,6 @@ class SeriesHandle:
                           n_tail=max(1, math.ceil(len(tab) / 10)))
         return self._data
 
-    def _scalars(self, taus: np.ndarray, ws=None):
-        """Per-(point, coset) scalars s in table order, s_i W_i the slashed
-        seed conj(v(g_i)) rho(g_i)^* j(g_i, tau)^{-k} f(g_i tau): the seed's
-        closed form over its constants from _prepared.  With ws, a
-        kernel_workspace, s is a view of ws[0] and ws[1:] is free again."""
-        taus = np.asarray(taus, dtype=complex)
-        return self.seed._slashed_many(taus, self._prepared()["consts"], ws)
-
     def evaluate_many(self, taus):
         """Truncated values and tail proxies at an array of points.
 
@@ -218,7 +210,7 @@ class SeriesHandle:
             # errstate is per thread; non-finite sums are refused by block_sum
             with np.errstate(over="ignore", invalid="ignore"):
                 for sl in mine:
-                    s = self._scalars(taus[sl], ws)
+                    s = self.seed._slashed_many(taus[sl], dat["consts"], ws)
                     prod = _shaped(ws[2], s.shape)
                     for l in range(self.p):
                         total[sl, l] = block_sum(np.multiply(s, wmat[None, :, l], out=prod))

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from vvps.errors import DomainError
-from vvps.modgroup import GroupSpec
+from vvps.modgroup import GroupSpec, I2, cusp_width, enumerate_cosets
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import SpectralSplit, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed, seed_strip_integral
@@ -87,6 +87,26 @@ class TestInvariance:
         seed = ClassicalSeed(0, 1, wrong, 1)
         res = check_seed_invariance(seed, rep, MS12)
         assert res > 1e-3
+
+
+class TestSlashConstants:
+    @pytest.mark.parametrize("gamma", [GroupSpec.sl2z(), GroupSpec.gamma0(2), GroupSpec.gamma0(11),
+                                       GroupSpec.gamma1pm(5), GroupSpec.gamma_npm(3)], ids=str)
+    @pytest.mark.parametrize("times", [1, 2], ids=["width", "twice-width"])
+    @pytest.mark.parametrize("height", [0.0, 1.0, 10.0, 60.0])
+    def test_classical_rows_in_cd_order(self, gamma, times, height):
+        # the classical kernel takes j^-k over the bottom rows in (c, d)
+        # order, where it runs fastest, and gathers it into stored order;
+        # at twice the cusp width cosets share a bottom row
+        M = times * cusp_width(gamma, I2)
+        tab = enumerate_cosets(GroupSpec.gamma_infinity(M), gamma, height)
+        k, rows, row, ents, order = ClassicalSeed(0, 1, plain_split(), M)._slash_constants(tab, 12)
+        assert k == 12.0 and ents is tab.ents and order is tab.order
+        assert rows.dtype == row.dtype == np.int64
+        assert rows.shape == (len(ents), 2) and row.shape == (len(ents),)
+        assert np.array_equal(rows[row], ents[:, 2:])
+        assert np.array_equal(np.sort(row), np.arange(len(ents)))  # one-to-one
+        assert np.array_equal(np.lexsort((rows[:, 1], rows[:, 0])), np.arange(len(rows)))
 
 
 class TestStripIntegral:

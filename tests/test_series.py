@@ -10,7 +10,7 @@ import pytest
 from conftest import random_element, random_tau
 from vvps import series
 from vvps.errors import DomainError, RefusalError
-from vvps.modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
+from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
                            enumerate_cosets, kernel_workspace, mobius_act,
                            right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem
@@ -298,33 +298,31 @@ class TestEvaluate:
             "inf1-eta-7.3", "inf1-sl2z-16883"])
     @pytest.mark.parametrize("points", [1, 7, 64, "below-elision", "above-elision"])
     def test_kernel_per_row_is_bitwise_per_coset(self, handle, points, rng):
-        # The classical seed's factor j^{-k} e(-alpha/(c j)) is computed once
-        # per bottom row and gathered into table order, the elliptic seed's
-        # A^nu B^-(nu + k) once per coset.  Against the same closed form over
-        # the table with every coset its own row, bitwise, with and without a
-        # workspace, over blocks of terms just below and just above 16,384
-        # (where numpy starts to elide temporaries), and against one point
-        # at a time
+        # The classical seed's j^{-k} is computed over the bottom rows in
+        # (c, d) order and gathered into stored order, the elliptic seed's
+        # A^nu B^-(nu + k) once per coset.  Against the same seed's constants
+        # with every coset its own row in stored order, bitwise, in a
+        # workspace larger than the block (as for a short last block), over
+        # blocks of terms just below and just above 16,384 (where numpy
+        # starts to elide temporaries), and against one point at a time
         h = handle()
-        tab = h.cosets
-        n = len(tab)
-        if tab.lam != GroupSpec.gamma_infinity(1):
-            assert len(tab.rows) < n  # cosets share rows
+        n = len(h.cosets)
         if points == "below-elision":
             points = 16_383 // n
         elif points == "above-elision":
             points = 16_384 // n + 1
         taus = np.array([random_tau(rng) for _ in range(points)], dtype=complex)
-        own_rows = CosetTable(tab.lam, tab.gamma, tab.height, tab.ents, tab.ents[:, 2:],
-                              np.arange(n), tab.order)
-        expect = h.seed._slashed_many(taus, h.seed._slash_constants(own_rows, h.k))
-        assert np.array_equal(h._scalars(taus).view(np.uint64), expect.view(np.uint64))
-        # a workspace larger than the block, as for a short last block
-        ws = kernel_workspace((points + 1) * n)
-        assert np.array_equal(h._scalars(taus, ws).view(np.uint64), expect.view(np.uint64))
+        consts = h._prepared()["consts"]
+        own_rows = consts
+        if isinstance(h.seed, ClassicalSeed):
+            k, _, _, ents, order = consts
+            own_rows = (k, ents[:, 2:], np.arange(n), ents, order)
+        expect = h.seed._slashed_many(taus, own_rows, kernel_workspace(points * n))
+        got = h.seed._slashed_many(taus, consts, kernel_workspace((points + 1) * n))
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
         if points:
-            assert np.array_equal(h._scalars(taus[-1:]).view(np.uint64),
-                                  expect[-1:].view(np.uint64))
+            one = h.seed._slashed_many(taus[-1:], consts, kernel_workspace(n))
+            assert np.array_equal(one.view(np.uint64), expect[-1:].view(np.uint64))
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
