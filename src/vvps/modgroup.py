@@ -188,6 +188,19 @@ def entry_arrays(mats) -> np.ndarray:
     return np.array([g.entries() for g in mats], dtype=np.int64).reshape(-1, 4)
 
 
+def _column_runs(ents: np.ndarray) -> np.ndarray:
+    """The first row of each run of rows (a, b, c, d) of ents with one left
+    column (a, c), c != 0, and every row with c = 0: the rows of a run
+    share d mod c = a^-1 mod c.  A coset table stores each left column as
+    one run."""
+    a, c = ents[:, 0], ents[:, 2]
+    new = c == 0
+    new[:1] = True
+    new[1:] |= a[1:] != a[:-1]
+    new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
 def kernel_workspace(terms: int) -> tuple:
     """Buffers for the series kernel, a seed's slashed scalars, over up to
     terms (point, coset) pairs: three complex and two float flat arrays."""
@@ -444,10 +457,12 @@ class CosetTable:
     left column (c, a), then by the parameter s of the right column (so by
     d, or by b when c = 0).  order is the int64 permutation into the table
     order (norm, c, d, a, b): ents[order] is the table, and reps and
-    to_json list it so.  The series kernel runs over ents as stored, where
-    Re(g.tau) ~ a/c rises steadily within each c and the seed's complex exp
-    runs fastest, and takes its per-coset scalars back through order: the
-    sums are pairwise within blocks, so their bits follow the table order."""
+    to_json list it so.  Series preparation works over ents as stored,
+    where each left column is one run (one Dedekind sum, one phase
+    e(alpha a/c)), and takes its per-coset vectors into table order; both
+    seed kernels run in table order, from constants taken once per series.
+    The sums are pairwise within blocks, so their bits follow the table
+    order."""
 
     lam: GroupSpec
     gamma: GroupSpec

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefusalError
-from .modgroup import I2, S, IntMatrix2, cocycle_j, mobius_act, real_power, t_power
+from .modgroup import (I2, S, IntMatrix2, _column_runs, cocycle_j, mobius_act, real_power,
+                       t_power)
 
 __all__ = ["MultiplierSystem", "evaluate_v", "check_consistency"]
 
@@ -67,13 +68,15 @@ def _dedekind12(d: np.ndarray, c: np.ndarray) -> np.ndarray:
     Each step's y is the previous step's x, so only the x are kept.
     """
     xs = [c, d % c]
-    while np.any(xs[-1]):
+    while xs[-1].any():
         y, x = xs[-2], xs[-1]
-        xs.append(np.where(x == 0, 0, y % np.where(x == 0, 1, x)))
+        xs.append(np.remainder(y, x, out=np.zeros_like(x), where=x != 0))
     val = np.zeros_like(c)
     for y, x in zip(xs[-3::-1], xs[-2:0:-1]):
-        val = np.where(x == 0, 0,
-                       (x * x + y * y + 1 - 3 * x * y - y * val) // np.where(x == 0, 1, x))
+        num = x * (x - 3 * y)
+        num += y * (y - val)
+        num += 1
+        val = np.floor_divide(num, x, out=np.zeros_like(x), where=x != 0)
     return val
 
 
@@ -86,6 +89,9 @@ def _eta_phase(ms: MultiplierSystem, ents: np.ndarray) -> np.ndarray:
     phi = pi k (a + d - 12 c s(d, c)) / (6 c) - pi k / 2.  For c = 0,
     g = a T^{ab} with a = +-1, and v(T^q) = e^{i pi k q / 6}.  Negating an
     element with c > 0, or T^q, multiplies v by e^{-i pi k}.
+
+    s(d, c) depends on d mod c = a^-1 mod c only, and is taken once per
+    run of rows with one left column (a, c) (modgroup._column_runs).
     """
     pk = math.pi * ms.k
     a, b, c, d = ents.T
@@ -94,7 +100,9 @@ def _eta_phase(ms: MultiplierSystem, ents: np.ndarray) -> np.ndarray:
     top = c > 0
     cs = np.where(top, c, 1)
     ds = np.where(top, d, 0)
-    lower = pk * (a + ds - _dedekind12(ds, cs)) / (6.0 * cs) - pk / 2.0 + np.where(neg, pk, 0.0)
+    starts = _column_runs(ents)
+    dedekind = np.repeat(_dedekind12(ds[starts], cs[starts]), np.diff(starts, append=len(cs)))
+    lower = pk * (a + ds - dedekind) / (6.0 * cs) - pk / 2.0 + np.where(neg, pk, 0.0)
     upper = pk * (a * b) / 6.0 - np.where(d < 0, pk, 0.0)
     return np.where(top, lower, upper)
 

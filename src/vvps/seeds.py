@@ -9,10 +9,14 @@ carries its stabiliser `lam`, the group its series sums over the cosets
 of: GammaInfinity(M) for a classical seed of width M, <-I> for an
 elliptic seed.  Each seed gives the series kernel its slashed scalar
 j(g, tau)^-k scalar(g.tau) over a coset table, in table order, from
-constants it draws from the table once per series (_slash_constants: the
-classical seed's bottom rows in (c, d) order, the elliptic seed's affine
-coefficients per coset), written into the kernel's workspace
-(_slashed_many).  The invariance check of a seed under its stabiliser is
+constants it draws from the table once per series (_slash_constants),
+written into the kernel's workspace (_slashed_many); neither needs the
+table's stored order.  Both are closed forms in each coset's integers:
+the classical term is e(alpha a/c) j^-k e^X, X = -2 pi i alpha / (c j),
+from c and d, with its phase e(alpha a/c), fixed by the coset, left to
+the series to fold into the coset's vector (_phase_runs); the elliptic
+term is A^nu B^-(nu + k) from affine coefficients per coset.  The
+invariance check of a seed under its stabiliser is
 series.check_seed_invariance, beside the slash action it applies.
 """
 
@@ -26,10 +30,10 @@ from typing import Union
 import numpy as np
 
 from ._quad import gamma_over_power, log_beta
-from .errors import DomainError
-from .modgroup import (GroupSpec, _as_complex, _cocycle, _integer_power, _shaped,
-                       principal_power)
-from .rep import SpectralSplit
+from .errors import DomainError, RefusalError
+from .modgroup import (GroupSpec, _as_complex, _cocycle, _column_runs, _integer_power,
+                       _shaped, principal_power)
+from .rep import _MAX_ORDER, SpectralSplit, _exponent
 
 __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn", "seed_strip_integral"]
 
@@ -87,49 +91,117 @@ class ClassicalSeed(_ScalarTimesVector):
     def scalar_many(self, taus: np.ndarray) -> np.ndarray:
         return np.exp(np.multiply(2j * math.pi * self.alpha, taus))
 
+    def _alpha_ratio(self) -> tuple:
+        """alpha = (nu + m_j) / M as the exact ratio (A, N) of integers, m_j
+        taken as the r/n of its eigenvalue e(m_j) plus the integer nearest
+        m_j - r/n (m_j is r/n in every split of spectral_split)."""
+        exp = _exponent(cmath.exp(2j * math.pi * self.m_j))
+        if exp is None:
+            raise ValueError(f"m_j = {self.m_j} is not a rational r/n with n <= {_MAX_ORDER}")
+        r, n = exp
+        return (self.nu + round(self.m_j - r / n)) * n + r, n * self.M
+
+    def _phase_runs(self, ents: np.ndarray) -> tuple:
+        """The factor e(alpha a/c) of the slashed seed that each coset fixes
+        (e(alpha b) where c = 0), for rows (a, b, c, d) with c >= 0, as in
+        every table of Gamma_inf(M): the angle 2 pi t, t = alpha a/c mod 1
+        in (-1/2, 1/2] taken exactly in int64 from alpha = A/N
+        (_alpha_ratio), once per run of modgroup._column_runs, and the
+        length of each run."""
+        num, den = self._alpha_ratio()
+        starts = _column_runs(ents)
+        a, b, c = ents[starts, 0], ents[starts, 1], ents[starts, 2]
+        at_inf = c == 0
+        mod = den * (c + at_inf)
+        turn = np.where(at_inf, b, a)
+        if abs(num) * int(np.abs(turn).max(initial=0)) >= 2 ** 63:
+            raise RefusalError("the phases e(alpha a/c) of this table pass int64")
+        turn *= num
+        turn %= mod
+        turn -= mod * (2 * turn > mod)
+        return (2.0 * math.pi) * (turn / mod), np.diff(starts, append=len(ents))
+
     def _slash_constants(self, tab, k: float) -> tuple:
-        """The constants of the slashed seed j(g, tau)^-k f(g.tau) over a
-        CosetTable of Gamma_inf(M): k, the cosets' bottom rows in (c, d)
-        order with each stored coset's index into them (rows[row] equals
-        ents[:, 2:]), and the table's ents and order.  j^-k runs fastest
-        over the rows in (c, d) order: np.power(z, -12) took 38.5 ms there,
-        56.1 in stored order and 63.7 in table order, over 64 points and
-        67,547 cosets (SL2(Z), H = 300; 2-core x86_64, numpy 2.4.6)."""
-        c, d = tab.ents[:, 2], tab.ents[:, 3]
-        by_row = np.argsort(c * (2 * int(np.abs(d).max(initial=0)) + 1) + d)
-        row = np.empty_like(by_row)
-        row[by_row] = np.arange(len(by_row))
-        # (c, d) of coset i is pair 2 i + 1 of ents: taking whole pairs is
-        # 4x as fast as ents[by_row, 2:]
-        rows = np.take(tab.ents.reshape(-1, 2), 2 * by_row + 1, axis=0)
-        return float(k), rows, row, tab.ents, tab.order
+        """The constants of the slashed seed over a CosetTable of
+        Gamma_inf(M), in table order: k, c and d as floats, kappa =
+        -2 pi alpha / c (0 where c = 0), the indices of the cosets with
+        c = 0 (where a = d = 1), the least c > 0, and alpha = A/N
+        (_alpha_ratio)."""
+        c, d = (tab.ents[tab.order, i].astype(float) for i in (2, 3))
+        num, den = self._alpha_ratio()
+        top = c != 0
+        kappa = np.divide(-2.0 * math.pi * (num / den), c, out=np.zeros_like(c), where=top)
+        c_low = float(c.min(where=top, initial=np.inf))
+        return float(k), c, d, kappa, np.flatnonzero(~top), c_low, (num, den)
 
     def _slashed_many(self, taus: np.ndarray, consts: tuple, ws: tuple) -> np.ndarray:
-        """The scalars j^-k e(alpha g.tau) of the slashed seed at every
-        point and coset, in table order: j^-k over the bottom rows in
-        (c, d) order, g.tau and its exp in stored order (by left column,
-        where the exp runs fastest), then taken into table order.  ws is a
-        kernel_workspace; the result is a view of ws[0], whose float halves
-        serve the log route of j^-k first."""
-        k, rows, row, ents, order = consts
-        tt = taus[:, None]
-        shape = (len(taus), len(ents))
-        moved, tmp = _shaped(ws[1], shape), _shaped(ws[2], shape)
-        jmk, jj, num = (_shaped(b, shape) for b in ws[:3])
-        scratch = tuple(_shaped(h, shape) for h in ws[0].view(float).reshape(2, -1))
-        tmp = np.multiply(rows[:, 0], tt, out=tmp)
-        tmp += rows[:, 1]
-        pw = principal_power(tmp, -k, moved, scratch)
-        # the indices are valid; mode "raise" would copy through a temporary
-        jmk = np.take(pw, row, axis=1, out=jmk, mode="clip")
-        jj = np.take(tmp, row, axis=1, out=jj, mode="clip")
-        num = np.multiply(ents[:, 0], tt, out=num)
-        num += ents[:, 1]
-        s = np.divide(num, jj, out=jj)
-        np.multiply(2j * math.pi * self.alpha, s, out=s)
-        np.exp(s, out=s)
-        np.multiply(jmk, s, out=s)
-        return np.take(s, order, axis=1, out=jmk, mode="clip")
+        """The scalars j^-k e^X of the slashed seed at every point and
+        coset, in table order, straight from each coset's c and d, with
+        X = -2 pi i alpha / (c j): as a d - b c = 1, g.tau = a/c - 1/(c j),
+        so the slashed seed is e(alpha a/c) j^-k e^X, and the series folds
+        the phase e(alpha a/c) into each coset's vector (_phase_runs).  The
+        cosets with c = 0 get e(alpha tau), their phase e(alpha b) folded
+        likewise.
+
+        |X| <= 2 pi alpha / (c^2 Im tau) is small but for small c.  Where
+        |Re X| + |Im X| > _STEEP, whose rounding would cost the term |X|
+        ulps, the term is taken again in long double from the integers, as
+        is e(alpha tau).  j^-k is 1/j^k by array binary powering for an
+        integer |k| < 100, with the entries past the float range and other
+        k by the log route.  ws is a kernel_workspace; the result is a view
+        of ws[1]."""
+        k, c, d, kappa, at_inf, c_low, (num, den) = consts
+        z, out, jmk, *scratch = (_shaped(b, (len(taus), len(c))) for b in ws)
+        z = _cocycle(c, d, taus, z)
+        out = np.divide(kappa, z, out=out)
+        out *= 1j
+        # |Re X| + |Im X| <= sqrt(2) |X|: the columns that can hold a steep
+        # entry, with room for rounding
+        y = float(taus.imag.min(initial=np.inf))
+        reach = math.sqrt(4.0 * math.pi * (num / den) / (_STEEP * y))
+        t = i = at_inf[:0]
+        if c_low <= reach:
+            cols = np.flatnonzero(c <= reach)  # and c = 0, where X = 0
+            steep = out[:, cols]
+            t, i = np.nonzero(np.abs(steep.real) + np.abs(steep.imag) > _STEEP)
+            i = cols[i]
+        if float(k).is_integer() and abs(k) < 100:
+            jmk = _integer_power(z, -int(k), jmk)  # z is spent
+            tb, ib = np.nonzero(~np.isfinite(jmk))
+            if len(tb):  # past the float range: j again, by the log route
+                jmk[tb, ib] = principal_power(c[ib] * taus[tb] + d[ib], -k)
+        else:
+            jmk = principal_power(z, -k, jmk, scratch)
+        np.exp(out, out=out)
+        out *= jmk
+        if len(t):
+            out[t, i] = _steep_term(num, den, k, c[i], d[i], taus[t])
+        out[:, at_inf] = _exp_i_alpha(num, den, taus)[:, None]
+        return out
+
+
+# |Re X| + |Im X| past which the classical kernel takes its term in long double
+_STEEP = 2.0 * math.pi
+_TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768")
+
+
+def _exp_i_alpha(num: int, den: int, taus) -> np.ndarray:
+    """e(alpha tau), alpha = num/den, for each point, in long double: in
+    floats the rounding of 2 pi i alpha tau would cost |2 pi alpha tau|
+    ulps."""
+    x = (1j * (_TWO_PI_LD * np.longdouble(num) / np.longdouble(den))) * taus.astype(np.clongdouble)
+    return np.exp(x).astype(complex)
+
+
+def _steep_term(num: int, den: int, k: float, c, d, taus) -> np.ndarray:
+    """j^-k e^X, j = c tau + d and X = -2 pi i alpha / (c j), alpha =
+    num/den, for float integers c > 0 and d and points tau, elementwise:
+    one exponential of X - k log j in long double, rounded to complex."""
+    cl = c.astype(np.longdouble)
+    z = cl * taus.astype(np.clongdouble) + d.astype(np.longdouble)
+    x = (-1j * (_TWO_PI_LD * np.longdouble(num) / np.longdouble(den))) / (cl * z)
+    x -= np.longdouble(k) * np.log(z)
+    return np.exp(x).astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +243,10 @@ class EllipticSeed(_ScalarTimesVector):
         num **= self.nu
         num *= den
         return num
+
+    def _phase_runs(self, ents: np.ndarray) -> None:
+        """No factor of the slashed seed is fixed by each coset."""
+        return None
 
     def _slash_constants(self, tab, k: float) -> tuple:
         """The constants of the slashed seed j(g, tau)^-k f(g.tau) over a

@@ -6,8 +6,10 @@ determine: the weight is ms.k and the table's stabiliser seed.lam.  It
 refuses at construction whatever needs no table, and enumerates the table
 on first evaluation, so a refused job never builds one.  Evaluation asks
 the seed for its slashed scalar j(g, tau)^{-k} f(g.tau) / w over the
-cosets in table order, from constants it takes once per handle (see seeds;
-the elliptic seed's is a closed form in each coset's integers), and
+cosets in table order, from constants it takes once per handle (see seeds:
+both are closed forms in each coset's integers, and the classical one
+leaves out the phase e(alpha a/c) that each coset fixes, which preparation
+folds into the coset's vector), and
 block_sum of _quad sums them there: pairwise within blocks of 4,096
 terms, then an fsum of the block partials.  That sum is deterministic but
 not exactly rounded, and its bits follow the order of the terms, so the
@@ -23,17 +25,19 @@ block's dozen ~1 MB temporaries, allocated and freed, went back to the OS
 and were faulted in again by the next block: ~150k page faults per call
 of an elliptic pairing, and a quarter of its CPU time spent in the system.
 
-Preparation folds the inverse multiplier and representation factors into
-one vector per coset, conj(v(g)) rho(g)^* w, as array work over the
-table's integer entries: v from multiplier.evaluate_v and rho(g)^* w from
-rep.fold_rho, a lookup by residue class mod N whenever rho factors through
-SL2(Z/NZ).  Only a generator-image rho that does not factor walks an S/T
-word per coset.  Every factor is elementwise in the coset, so the vectors
-are computed over the stored order and then taken into table order, once
-per handle.  Every other use of the slash action (its one-point view
-slash_k, Fourier extraction at a cusp, both invariance checks) goes
-through `slash` or its factor step, which takes conj(v(g)) and rho(g)^*
-from the same two calls on the entry array of its matrices.
+Preparation folds the inverse multiplier, the representation and the
+classical seed's phase into one vector per coset, conj(v(g)) e(alpha a/c)
+rho(g)^* w, as array work over the table's integer entries: v from
+multiplier.evaluate_v, rho(g)^* w from rep.fold_rho, a lookup by residue
+class mod N whenever rho factors through SL2(Z/NZ), and the phase once per
+left column.  Only a generator-image rho that does not factor walks an
+S/T word per coset.  Every factor is elementwise in the coset, so the
+vectors are computed over the stored order, where each left column is
+one run, and then taken into table order, once per handle.  Every other
+use of the slash action (its one-point view slash_k, Fourier extraction
+at a cusp, both invariance checks) goes through `slash` or its factor
+step, which takes conj(v(g)) and rho(g)^* from the same two calls on the
+entry array of its matrices.
 """
 
 from __future__ import annotations
@@ -156,15 +160,17 @@ class SeriesHandle:
         return self.seed.p
 
     def _prepared(self):
-        """Per-coset folded vectors W_i = conj(v(g_i)) rho(g_i)^* w, where
-        the seed is scalar * w, in table order, and the seed's constants of
-        its slashed scalars.
+        """Per-coset folded vectors W_i = conj(v(g_i)) e(alpha a_i/c_i)
+        rho(g_i)^* w, where the seed is scalar * w and e(alpha a/c) the
+        classical seed's phase (_phase_runs), in table order; the norms of
+        the outermost tenth of them, which the tail proxy reads; and the
+        seed's constants of its slashed scalars.
 
         Array work over the table's integer entries as stored: v from the
         multiplier's closed form, skipped for the trivial system where
-        v = 1, and rho(g_i)^* w from rep.fold_rho (a lookup by residue
-        class whenever rho factors through SL2(Z/NZ)), then taken into
-        table order."""
+        v = 1, rho(g_i)^* w from rep.fold_rho (a lookup by residue class
+        whenever rho factors through SL2(Z/NZ)) and the phase's exponential
+        once per left column, then taken into table order."""
         if "w" in self._data:
             return self._data
         tab = self.cosets
@@ -173,10 +179,13 @@ class SeriesHandle:
         wmat = fold_rho(self.rep, self.seed.vector, tab.ents)
         if self.ms.family != "trivial_even":
             wmat *= evaluate_v(self.ms, tab.ents).conj()[:, None]
+        runs = self.seed._phase_runs(tab.ents)
+        if runs is not None:
+            wmat *= np.repeat(np.exp(1j * runs[0]), runs[1])[:, None]
         wmat = wmat[tab.order]
-        self._data.update(w=wmat, wnorm=np.linalg.norm(wmat, axis=1),
-                          consts=self.seed._slash_constants(tab, self.k),
-                          n_tail=max(1, math.ceil(len(tab) / 10)))
+        n_tail = max(1, math.ceil(len(tab) / 10))
+        self._data.update(w=wmat, wnorm=np.linalg.norm(wmat[len(tab) - n_tail:], axis=1),
+                          consts=self.seed._slash_constants(tab, self.k), n_tail=n_tail)
         return self._data
 
     def evaluate_many(self, taus):
@@ -216,7 +225,7 @@ class SeriesHandle:
                         total[sl, l] = block_sum(np.multiply(s, wmat[None, :, l], out=prod))
                     mass = _shaped(ws[3], (len(s), n_tail))
                     np.abs(s[:, n - n_tail:], out=mass)
-                    mass *= wnorm[None, n - n_tail:]
+                    mass *= wnorm
                     np.sum(mass, axis=1, out=tails[sl])
 
         if workers == 1:

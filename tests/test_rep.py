@@ -603,8 +603,11 @@ class TestLevelTable:
         ms = TRIVIAL_MS
         seed = ClassicalSeed(0, 2, spectral_split(rep, ms, 1), 1)
         h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, ms, 12.0, 25.0)
-        expected = np.array([evaluate_v(ms, g).conjugate()
-                             * (evaluate_rho(rep, g).conj().T @ seed.vector)
+        # rho(g)^* w conj(v(g)) e(alpha a/c), multiplied in the order
+        # preparation multiplies
+        expected = np.array([(evaluate_rho(rep, g).conj().T @ seed.vector)
+                             * evaluate_v(ms, g).conjugate()
+                             * np.exp(1j * seed._phase_runs(entries([g]))[0])
                              for g in h.cosets.reps])
         assert np.array_equal(h._prepared()["w"], expected)
 
@@ -642,8 +645,9 @@ class TestLevelTable:
             else GroupSpec.sl2z()
         seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
         h = build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, ms.k, 40.0)
-        expected = np.array([evaluate_v(ms, g).conjugate()
-                             * (evaluate_rho(rep, g).conj().T @ seed.vector)
+        expected = np.array([(evaluate_rho(rep, g).conj().T @ seed.vector)
+                             * evaluate_v(ms, g).conjugate()
+                             * np.exp(1j * seed._phase_runs(entries([g]))[0])
                              for g in h.cosets.reps])
 
         def walk(*args):

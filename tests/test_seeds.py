@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from vvps.errors import DomainError
-from vvps.modgroup import GroupSpec, I2, cusp_width, enumerate_cosets
+from vvps.modgroup import GroupSpec, I2, cusp_width, enumerate_cosets, kernel_workspace
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import SpectralSplit, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed, seed_strip_integral
@@ -95,18 +97,46 @@ class TestSlashConstants:
     @pytest.mark.parametrize("times", [1, 2], ids=["width", "twice-width"])
     @pytest.mark.parametrize("height", [0.0, 1.0, 10.0, 60.0])
     def test_classical_rows_in_cd_order(self, gamma, times, height):
-        # the classical kernel takes j^-k over the bottom rows in (c, d)
-        # order, where it runs fastest, and gathers it into stored order;
-        # at twice the cusp width cosets share a bottom row
+        # The classical kernel no longer gathers bottom rows in (c, d) order:
+        # it runs over the table order from c and d as floats and kappa =
+        # -2 pi alpha / c, and each coset's phase e(alpha a/c), e(alpha b)
+        # where c = 0, is an exact turn in (-1/2, 1/2].  At twice the cusp
+        # width, a runs over [0, 2 M c) and b over [0, 2 M)
         M = times * cusp_width(gamma, I2)
         tab = enumerate_cosets(GroupSpec.gamma_infinity(M), gamma, height)
-        k, rows, row, ents, order = ClassicalSeed(0, 1, plain_split(), M)._slash_constants(tab, 12)
-        assert k == 12.0 and ents is tab.ents and order is tab.order
-        assert rows.dtype == row.dtype == np.int64
-        assert rows.shape == (len(ents), 2) and row.shape == (len(ents),)
-        assert np.array_equal(rows[row], ents[:, 2:])
-        assert np.array_equal(np.sort(row), np.arange(len(ents)))  # one-to-one
-        assert np.array_equal(np.lexsort((rows[:, 1], rows[:, 0])), np.arange(len(rows)))
+        seed = ClassicalSeed(3, 1, SpectralSplit(np.eye(1, dtype=complex), (0.25,)), M)
+        alpha = Fraction(13, 4 * M)
+        k, c, d, kappa, at_inf, c_low, (num, den) = seed._slash_constants(tab, 12)
+        assert k == 12.0 and Fraction(num, den) == alpha
+        ents = tab.ents[tab.order]
+        assert c.dtype == d.dtype == kappa.dtype == np.float64
+        assert np.array_equal(c, ents[:, 2]) and np.array_equal(d, ents[:, 3])
+        assert np.array_equal(at_inf, np.flatnonzero(ents[:, 2] == 0))
+        assert (ents[at_inf, 0] == 1).all() and (ents[at_inf, 3] == 1).all()
+        top = ents[:, 2] != 0
+        assert np.array_equal(kappa[top], -2.0 * math.pi * float(alpha) / c[top])
+        assert not kappa[~top].any()
+        assert c_low == (c[top].min() if top.any() else np.inf)
+        angle = np.repeat(*seed._phase_runs(tab.ents))
+        assert angle.shape == (len(tab),)
+        for (a, b, cc, _), got in zip(tab.ents.tolist(), angle.tolist()):
+            turn = alpha * (Fraction(a, cc) if cc else b)
+            turn -= math.floor(turn)
+            if turn > Fraction(1, 2):
+                turn -= 1
+            assert got == 2.0 * math.pi * float(turn)
+        # the cosets (1 b; 0 1) get e(alpha tau), taken in long double (within
+        # an ulp, where e^{2 pi i alpha tau} in floats errs by |2 pi alpha tau|
+        # ulps); e(alpha b) is their phase
+        taus = [complex(0.3, 1.1), complex(-0.45, 0.06)]
+        terms = seed._slashed_many(np.array(taus), seed._slash_constants(tab, 12),
+                                   kernel_workspace(len(taus) * len(tab)))
+        for t, tau in enumerate(taus):
+            with mpmath.workdps(30):
+                exact = mpmath.expjpi(2 * mpmath.mpf(alpha.numerator) / alpha.denominator
+                                      * mpmath.mpc(tau.real, tau.imag))
+                for z in terms[t, at_inf].tolist():
+                    assert abs(mpmath.mpc(z) - exact) <= 2.3e-16 * abs(exact)
 
 
 class TestStripIntegral:

@@ -298,13 +298,12 @@ class TestEvaluate:
             "inf1-eta-7.3", "inf1-sl2z-16883"])
     @pytest.mark.parametrize("points", [1, 7, 64, "below-elision", "above-elision"])
     def test_kernel_per_row_is_bitwise_per_coset(self, handle, points, rng):
-        # The classical seed's j^{-k} is computed over the bottom rows in
-        # (c, d) order and gathered into stored order, the elliptic seed's
-        # A^nu B^-(nu + k) once per coset.  Against the same seed's constants
-        # with every coset its own row in stored order, bitwise, in a
-        # workspace larger than the block (as for a short last block), over
-        # blocks of terms just below and just above 16,384 (where numpy
-        # starts to elide temporaries), and against one point at a time
+        # Both seeds compute each coset's term from its own constants in
+        # table order, with no row shared between cosets and no gather.
+        # Bitwise: in a workspace larger than the block (as for a short last
+        # block), over blocks of terms just below and just above 16,384
+        # (where numpy starts to elide temporaries), and one point at a time
+        # against many (the classical seed picks its steep terms per block)
         h = handle()
         n = len(h.cosets)
         if points == "below-elision":
@@ -312,17 +311,16 @@ class TestEvaluate:
         elif points == "above-elision":
             points = 16_384 // n + 1
         taus = np.array([random_tau(rng) for _ in range(points)], dtype=complex)
+        if points > 1:  # a point near the real line, with steep terms
+            taus[0] = complex(0.45, 0.06)
         consts = h._prepared()["consts"]
-        own_rows = consts
-        if isinstance(h.seed, ClassicalSeed):
-            k, _, _, ents, order = consts
-            own_rows = (k, ents[:, 2:], np.arange(n), ents, order)
-        expect = h.seed._slashed_many(taus, own_rows, kernel_workspace(points * n))
+        expect = h.seed._slashed_many(taus, consts, kernel_workspace(points * n)).copy()
         got = h.seed._slashed_many(taus, consts, kernel_workspace((points + 1) * n))
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
-        if points:
-            one = h.seed._slashed_many(taus[-1:], consts, kernel_workspace(n))
-            assert np.array_equal(one.view(np.uint64), expect[-1:].view(np.uint64))
+        ws = kernel_workspace(n)
+        for t in range(points):
+            one = h.seed._slashed_many(taus[t:t + 1], consts, ws)
+            assert np.array_equal(one.view(np.uint64), expect[t:t + 1].view(np.uint64))
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
