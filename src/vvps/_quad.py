@@ -67,7 +67,6 @@ import numpy as np
 
 from .errors import DomainError, RefusalError
 
-_BLOCK = 4096  # terms per pairwise partial of block_sum
 _EPS = 1e-16
 _FPMIN = 1e-300
 _ITMAX = 600
@@ -113,20 +112,38 @@ def comp_sum_complex(values) -> complex:
     return complex(math.fsum(v.real), math.fsum(v.imag))
 
 
-def block_sum(x: np.ndarray) -> np.ndarray:
-    """Deterministic block-compensated sum of a complex array along its
-    last axis, which must not be empty.
+def block_sum(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The sum of each row of a 2-d complex array, correctly rounded but
+    near a rounding boundary; x is overwritten with a residual, and buf, of
+    x's shape, is scratch.
 
-    Pairwise numpy sums within fixed blocks, then an fsum of the block
-    partials; the result does not depend on how callers chunk their work.
-    A non-finite term makes its block partial non-finite, which is refused.
+    One level of error-free extraction (Rump, Ogita & Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31 (2008)), per
+    row and on real and imaginary parts alike: with sigma = 2^b 2^e, 2^b >
+    n + 2 and 2^e > max |x|, q = (sigma + x) - sigma and r = x - q are
+    exact.  The q are multiples of ulp(sigma) / 2 whose partial sums stay
+    below sigma, so their sum is exact in any order; |r| <= ulp(sigma) / 2
+    <= 2^-51 (n + 2) max |x|, so the sum of the r errs by at most about
+    n^2 2^-104 max |x|, and sum q + sum r is rounded once.  The result is
+    the correctly rounded sum unless the exact one lies that close to a
+    midpoint between two floats: where terms much smaller than the largest
+    break a tie, or where the sum cancels far below max |x|.  A part
+    (real or imaginary) far smaller than the other shares its sigma and is
+    summed no worse than pairwise.  The result is a function of each row
+    alone, and of the order of its terms only through that residual.  A
+    non-finite term, or one within a factor 2(n + 2) of the float range,
+    is refused.
     """
-    parts = np.add.reduceat(x, np.arange(0, x.shape[-1], _BLOCK), axis=-1)
-    if not np.isfinite(parts).all():
+    xf, qf = x.view(float), buf.view(float)
+    big = np.maximum(xf.max(axis=-1), -xf.min(axis=-1))
+    exp = np.frexp(big)[1] + (x.shape[-1] + 2).bit_length()
+    if not (np.isfinite(big).all() and exp.max(initial=0) < 1024):
         raise RefusalError("a sum has non-finite terms: the values overflow the float range")
-    flat = parts.reshape(-1, parts.shape[-1])
-    out = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in flat])
-    return out.reshape(parts.shape[:-1])
+    sigma = np.ldexp(1.0, exp)[:, None]
+    np.add(xf, sigma, out=qf)
+    qf -= sigma
+    xf -= qf
+    return buf.sum(axis=-1) + x.sum(axis=-1)
 
 
 def gamma_over_power(c, s: float, x: float):

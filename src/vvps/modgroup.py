@@ -461,8 +461,8 @@ class CosetTable:
     where each left column is one run (one Dedekind sum, one phase
     e(alpha a/c)), and takes its per-coset vectors into table order; both
     seed kernels run in table order, from constants taken once per series.
-    The sums are pairwise within blocks, so their bits follow the table
-    order."""
+    The sums are correctly rounded but near a rounding boundary, where the
+    order of the terms can move their last bit."""
 
     lam: GroupSpec
     gamma: GroupSpec

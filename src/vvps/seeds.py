@@ -275,9 +275,9 @@ class EllipticSeed(_ScalarTimesVector):
         could pass the float range, by the bound from consts, the scalar is
         (A/B)^nu B^-k, |A/B| < 1.  Integer powers are array binary powering;
         entries past the float range are B again by the log route.  ws is
-        a kernel_workspace; the result is a view of ws[0]."""
+        a kernel_workspace; the result is a view of ws[1]."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
-        out, den, z, *scratch = (_shaped(b, (len(taus), len(lam))) for b in ws)
+        den, out, z, *scratch = (_shaped(b, (len(taus), len(lam))) for b in ws)
         z = _cocycle(c, d, taus, z)
         den = np.multiply(lam, z, out=den)
         den += mu

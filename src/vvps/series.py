@@ -9,18 +9,19 @@ the seed for its slashed scalar j(g, tau)^{-k} f(g.tau) / w over the
 cosets in table order, from constants it takes once per handle (see seeds:
 both are closed forms in each coset's integers, and the classical one
 leaves out the phase e(alpha a/c) that each coset fixes, which preparation
-folds into the coset's vector), and
-block_sum of _quad sums them there: pairwise within blocks of 4,096
-terms, then an fsum of the block partials.  That sum is deterministic but
-not exactly rounded, and its bits follow the order of the terms, so the
-order of the sum is the table's.  It reports an empirical tail proxy, the
-mass of the outermost tenth of the included cosets by Frobenius norm.
+folds into the coset's vector), and block_sum of _quad sums them there:
+one level of error-free extraction, correctly rounded but near a rounding
+boundary, and a function of each point's terms (their order moves only
+the rounding of a residual below n 2^-50 of the largest of n terms).  It
+reports an empirical tail proxy, the mass of the outermost tenth of the
+included cosets by Frobenius norm.
 evaluate_many splits its points into blocks of about 65,536 terms and
 maps them over thread_cap() workers, one per usable CPU; no result
 depends on the blocks or the worker count.  Each worker allocates one
 workspace per call (modgroup.kernel_workspace: three complex and two float
 arrays of one block) and every step of the kernel, the seed's slashed
-scalars, the products and the tail masses, writes into it with out=.  A
+scalars (in its second complex array), the products, the sums' scratch
+(in its first) and the tail masses, writes into it with out=.  A
 block's dozen ~1 MB temporaries, allocated and freed, went back to the OS
 and were faulted in again by the next block: ~150k page faults per call
 of an elliptic pairing, and a quarter of its CPU time spent in the system.
@@ -220,9 +221,9 @@ class SeriesHandle:
             with np.errstate(over="ignore", invalid="ignore"):
                 for sl in mine:
                     s = self.seed._slashed_many(taus[sl], dat["consts"], ws)
-                    prod = _shaped(ws[2], s.shape)
+                    prod, spare = _shaped(ws[2], s.shape), _shaped(ws[0], s.shape)
                     for l in range(self.p):
-                        total[sl, l] = block_sum(np.multiply(s, wmat[None, :, l], out=prod))
+                        total[sl, l] = block_sum(np.multiply(s, wmat[None, :, l], out=prod), spare)
                     mass = _shaped(ws[3], (len(s), n_tail))
                     np.abs(s[:, n - n_tail:], out=mass)
                     mass *= wnorm

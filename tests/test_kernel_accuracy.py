@@ -25,6 +25,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from vvps._quad import block_sum
+from vvps.errors import RefusalError
 from vvps.modgroup import GroupSpec, kernel_workspace, right_coset_reps
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import fold_rho, induce, spectral_split, trivial_rep
@@ -66,10 +68,12 @@ def _kernel_terms(h, taus):
 
 
 # worst |evaluate_many - fsum(terms)| / sum |terms| over the four points and
-# every component, measured 7.1e-17, 1.4e-16, 2.2e-16, 1.5e-16 for the
-# classical cases, against the kernel's own terms, and 2.7e-16, 1.6e-15,
-# 5.8e-16, 1.3e-15 for the elliptic ones, against slash's, each gated at
-# about 1.5x
+# every component.  The classical cases, against the kernel's own terms,
+# were gated at about 1.5x what a pairwise sum gave (7.1e-17, 1.4e-16,
+# 2.2e-16, 1.5e-16) and read 0 with block_sum's correctly rounded one; the
+# elliptic ones, against slash's, measured 2.7e-16, 1.6e-15, 5.8e-16,
+# 1.3e-15 then and 3.2e-16, 1.6e-15, 6.2e-16, 1.3e-15 now, gated at about
+# 1.5x the first
 @pytest.mark.parametrize("make, gate", [
     (lambda: classical(GroupSpec.sl2z(), nu=1), 1.1e-16),
     (lambda: classical(GroupSpec.gamma0(5), k=16.0, height=60.0), 2.2e-16),
@@ -100,6 +104,30 @@ def test_sum_matches_an_fsum_of_slashed_terms(make, gate):
             scale = math.fsum(np.abs(col))
             worst = max(worst, abs(values[t, l] - exact) / scale)
     assert worst <= gate
+
+
+@pytest.mark.parametrize("n", [1, 2, 98, 1195, 67547])
+def test_block_sum_is_the_correctly_rounded_sum(n):
+    # rows of terms over 30 orders of magnitude, as a series' are, and a row
+    # of zeros: each sum is math.fsum's, whatever the order of the terms or
+    # the rows beside them
+    rng = np.random.default_rng(n)
+    mag = 10.0 ** rng.uniform(-30.0, 0.0, (2, 3, n))
+    x = rng.standard_normal((3, n)) * mag[0] + 1j * rng.standard_normal((3, n)) * mag[1]
+    x[1] = 0.0
+    expect = [complex(math.fsum(row.real), math.fsum(row.imag)) for row in x]
+    assert block_sum(x.copy(), np.empty_like(x)).tolist() == expect
+    shuffled = x[::-1, rng.permutation(n)]
+    assert block_sum(shuffled.copy(), np.empty_like(x)).tolist() == expect[::-1]
+    assert block_sum(x[2:].copy(), np.empty_like(x[2:])).tolist() == expect[2:]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+def test_block_sum_refuses_terms_at_the_float_range(bad):
+    x = np.ones((2, 5), dtype=complex)
+    x[1, 3] = complex(0.0, bad)
+    with pytest.raises(RefusalError, match="overflow the float range"):
+        block_sum(x, np.empty_like(x))
 
 
 # worst |kernel term - slash term| / |slash term| over the four points, every
