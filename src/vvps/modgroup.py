@@ -2,8 +2,8 @@
 the upper half-plane.
 
 Covers the group-theoretic substrate: Moebius action and its cocycle,
-principal-branch real powers (integer ones by exact binary powering, the
-rest through log and exp), membership tests for the supported subgroup
+principal-branch real powers (integer ones by binary powering, the rest
+through log and exp), membership tests for the supported subgroup
 families, the S/T syllables of a matrix, coset enumeration inside a
 Frobenius-norm ball, and cusp widths.  Enumeration serves both
 stabilisers, Gamma_inf(M) and <-I>, as array arithmetic over all coprime
@@ -11,7 +11,7 @@ left columns (a, c) at once, c first and a in the stabiliser's range, and
 then the exact window of parameters s per column that keeps the right
 column (b0 + s a, d0 + s c) inside the ball.  A coset table stores its
 cosets once, in that (c, a, s) order, with the permutation into the table
-order by norm.  c tau + d over arrays of points and integer pairs is also
+order by norm.  c tau + d over arrays of points and integer pairs is
 taken with Re tau split (_cocycle), accurate where c Re(tau) and d cancel.
 """
 
@@ -135,25 +135,21 @@ def principal_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarr
     Im z > 0 or Im z = +0.0, so a negative real gets arg = pi as in
     arg_principal, or correct the branch themselves.  With out, a complex
     array shaped like z that does not overlap it, and scratch, two float
-    arrays of that shape, every step writes into them; without them each
-    step allocates.
+    arrays of that shape, the log route writes into them.
 
-    An integer k with |k| < 100 has no branch, and np.power takes it by
-    binary powering, with one reciprocal for k < 0: about twice as fast as
-    the log route exp(k (log|z| + i arg z)), and against exact powers on
-    the Fourier line 10-25x more accurate (worst 5.4e-16 relative at
-    k = 12, 2.5e-15 at k = 60).  Where z^|k| leaves the float range it
-    gives nan or inf, and those entries alone are recomputed from z by the
-    log route (2000^-99 is then 0).  Other k take the log route everywhere.
+    A nonzero integer k has no branch and is taken by _integer_power on a
+    copy of z, as the seed kernels take it in place, so `slash` shares
+    their bits: against exact powers on the Fourier line 4.8e-16 at k = 12
+    and 3.6e-15 at k = 172, where the log route exp(k (log|z| + i arg z))
+    reads 1.4e-14 and 1.3e-13.  Entries past the float range come out nan
+    or inf, and those alone are recomputed from z by the log route
+    (2000^-99 is then 0), which takes every other k.
     """
-    if not (float(k).is_integer() and abs(k) < 100):
+    if not float(k).is_integer() or k == 0:
         return _log_power(z, k, out, scratch)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.power(z, int(k), out=out)
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = ~finite
-        out[bad] = _log_power(z[bad], k)
+    out = _integer_power(z.copy(), int(k), out)
+    bad = ~np.isfinite(out)
+    out[bad] = _log_power(z[bad], k)
     return out
 
 
@@ -163,8 +159,9 @@ def _integer_power(z: np.ndarray, k: int, out=None) -> np.ndarray:
     entries past the float range come out inf or nan for the caller.
     np.power's complex integer power is a scalar loop, 10-16 ns per element
     at |k| = 12 to 20 against 5.5-9 here (2-core x86_64, numpy 2.4.6), and
-    no more accurate on the Fourier line (4.8e-16 here, 5.4e-16 at k = -12);
-    principal_power keeps its bits."""
+    no more accurate on the Fourier line (4.8e-16 here, 5.4e-16 at k = -12).
+    It serves principal_power and both seed kernels, which power in place
+    in their workspace."""
     out = np.empty_like(z) if out is None else out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n, started = abs(k), False
@@ -218,20 +215,21 @@ _SPLIT = 134217729.0
 
 
 def _cocycle(c, d, taus, out=None) -> np.ndarray:
-    """c tau + d for every point of taus (rows) and pair of float integers
-    c, d (columns), |c| < 2^26.  Re tau is split into a 26-bit head, whose
-    product with c is exact, and a tail, so Re(c tau + d) is accurate where
+    """c tau + d for float integers c, d, |c| < 2^26, and points taus,
+    broadcast together: a column of points against rows of pairs gives
+    every (point, pair).  Re tau is split into a 26-bit head, whose product
+    with c is exact, and a tail, so Re(c tau + d) is accurate where
     c Re(tau) and d cancel; the plain product errs by u |c Re(tau)|."""
     x, y = taus.real, taus.imag
     head = x * _SPLIT
     head -= head - x
-    tail = (x - head)[:, None]
-    out = np.empty((len(taus), len(c)), dtype=complex) if out is None else out
+    tail = x - head
+    out = np.empty(np.broadcast(c, taus).shape, dtype=complex) if out is None else out
     re, im = out.real, out.imag
-    np.multiply(c, head[:, None], out=re)
+    np.multiply(c, head, out=re)
     re += d
     re += np.multiply(c, tail, out=im)
-    np.multiply(c, y[:, None], out=im)
+    np.multiply(c, y, out=im)
     return out
 
 
@@ -240,15 +238,16 @@ def slash_kernel(ents, taus, k: float) -> tuple:
 
     Returns (j(g, tau)^{-k}, g.tau) as arrays of shape (points, matrices),
     with g running over the rows (a, b, c, d) of the integer array ents and
-    tau over taus, for `series.slash` and its users; the series kernel
-    takes its terms from the seeds instead.
+    tau over taus, for `series.slash` and its users.  The series kernel
+    takes its terms from the seeds' closed forms on the same primitives
+    (j by _cocycle, an integer j^-k by _integer_power), so the two differ
+    in g.tau alone; mpmath and exact powers are the independent references.
     Im tau > 0 and c is an integer, so Im(c tau + d) is +0.0 when c = 0: a
     negative real j lies on the upper side of the cut, where arctan2 and
     arg_principal both put it (arg = pi).
     """
     tt = np.asarray(taus, dtype=complex)[:, None]
-    jj = ents[:, 2] * tt
-    jj += ents[:, 3]
+    jj = _cocycle(ents[:, 2].astype(float), ents[:, 3].astype(float), tt)
     num = ents[:, 0] * tt
     num += ents[:, 1]
     return principal_power(jj, -k), np.divide(num, jj, out=num)

@@ -15,7 +15,10 @@ table's stored order.  Both are closed forms in each coset's integers:
 the classical term is e(alpha a/c) j^-k e^X, X = -2 pi i alpha / (c j),
 from c and d, with its phase e(alpha a/c), fixed by the coset, left to
 the series to fold into the coset's vector (_phase_runs); the elliptic
-term is A^nu B^-(nu + k) from affine coefficients per coset.  The
+term is A^nu B^-(nu + k) from affine coefficients per coset.  Kernels,
+pointwise values and `slash` share each primitive: c tau + d is
+modgroup._cocycle, integer powers modgroup._integer_power, e(alpha tau)
+_exp_i_alpha from the alpha = A/N a classical seed fixes when built.  The
 invariance check of a seed under its stabiliser is
 series.check_seed_invariance, beside the slash action it applies.
 """
@@ -65,6 +68,14 @@ class ClassicalSeed(_ScalarTimesVector):
             raise ValueError(f"index j={self.j} out of range 1..{self.split.p}")
         if self.M < 1:
             raise ValueError("M must be positive")
+        # alpha = (nu + m_j) / M as the exact ratio (A, N), m_j as the r/n of
+        # e(m_j) plus the integer nearest m_j - r/n (r/n in spectral_split)
+        exp = _exponent(cmath.exp(2j * math.pi * self.m_j))
+        if exp is None:
+            raise ValueError(f"m_j = {self.m_j} is not a rational r/n with n <= {_MAX_ORDER}")
+        r, n = exp
+        object.__setattr__(self, "_alpha_ratio",
+                           ((self.nu + round(self.m_j - r / n)) * n + r, n * self.M))
 
     @property
     def p(self) -> int:
@@ -89,17 +100,7 @@ class ClassicalSeed(_ScalarTimesVector):
         return self.split.U[self.j - 1].conj()
 
     def scalar_many(self, taus: np.ndarray) -> np.ndarray:
-        return np.exp(np.multiply(2j * math.pi * self.alpha, taus))
-
-    def _alpha_ratio(self) -> tuple:
-        """alpha = (nu + m_j) / M as the exact ratio (A, N) of integers, m_j
-        taken as the r/n of its eigenvalue e(m_j) plus the integer nearest
-        m_j - r/n (m_j is r/n in every split of spectral_split)."""
-        exp = _exponent(cmath.exp(2j * math.pi * self.m_j))
-        if exp is None:
-            raise ValueError(f"m_j = {self.m_j} is not a rational r/n with n <= {_MAX_ORDER}")
-        r, n = exp
-        return (self.nu + round(self.m_j - r / n)) * n + r, n * self.M
+        return _exp_i_alpha(*self._alpha_ratio, taus)
 
     def _phase_runs(self, ents: np.ndarray) -> tuple:
         """The factor e(alpha a/c) of the slashed seed that each coset fixes
@@ -108,7 +109,7 @@ class ClassicalSeed(_ScalarTimesVector):
         in (-1/2, 1/2] taken exactly in int64 from alpha = A/N
         (_alpha_ratio), once per run of modgroup._column_runs, and the
         length of each run."""
-        num, den = self._alpha_ratio()
+        num, den = self._alpha_ratio
         starts = _column_runs(ents)
         a, b, c = ents[starts, 0], ents[starts, 1], ents[starts, 2]
         at_inf = c == 0
@@ -128,7 +129,7 @@ class ClassicalSeed(_ScalarTimesVector):
         c = 0 (where a = d = 1), the least c > 0, and alpha = A/N
         (_alpha_ratio)."""
         c, d = (tab.ents[tab.order, i].astype(float) for i in (2, 3))
-        num, den = self._alpha_ratio()
+        num, den = self._alpha_ratio
         top = c != 0
         kappa = np.divide(-2.0 * math.pi * (num / den), c, out=np.zeros_like(c), where=top)
         c_low = float(c.min(where=top, initial=np.inf))
@@ -147,12 +148,12 @@ class ClassicalSeed(_ScalarTimesVector):
         |Re X| + |Im X| > _STEEP, whose rounding would cost the term |X|
         ulps, the term is taken again in long double from the integers, as
         is e(alpha tau).  j^-k is 1/j^k by array binary powering for an
-        integer |k| < 100, with the entries past the float range and other
-        k by the log route.  ws is a kernel_workspace; the result is a view
+        integer k, with the entries past the float range and other k by
+        the log route.  ws is a kernel_workspace; the result is a view
         of ws[1]."""
         k, c, d, kappa, at_inf, c_low, (num, den) = consts
         z, out, jmk, *scratch = (_shaped(b, (len(taus), len(c))) for b in ws)
-        z = _cocycle(c, d, taus, z)
+        z = _cocycle(c, d, taus[:, None], z)
         out = np.divide(kappa, z, out=out)
         out *= 1j
         # |Re X| + |Im X| <= sqrt(2) |X|: the columns that can hold a steep
@@ -165,11 +166,11 @@ class ClassicalSeed(_ScalarTimesVector):
             steep = out[:, cols]
             t, i = np.nonzero(np.abs(steep.real) + np.abs(steep.imag) > _STEEP)
             i = cols[i]
-        if float(k).is_integer() and abs(k) < 100:
+        if float(k).is_integer():
             jmk = _integer_power(z, -int(k), jmk)  # z is spent
             tb, ib = np.nonzero(~np.isfinite(jmk))
             if len(tb):  # past the float range: j again, by the log route
-                jmk[tb, ib] = principal_power(c[ib] * taus[tb] + d[ib], -k)
+                jmk[tb, ib] = principal_power(_cocycle(c[ib], d[ib], taus[tb]), -k)
         else:
             jmk = principal_power(z, -k, jmk, scratch)
         np.exp(out, out=out)
@@ -239,10 +240,9 @@ class EllipticSeed(_ScalarTimesVector):
     def scalar_many(self, taus: np.ndarray) -> np.ndarray:
         # Im(tau - conj(xi)) > 0 always, principal branch
         den = principal_power(np.subtract(taus, self.xi.conjugate()), -(self.nu + self.k))
-        num = np.subtract(taus, self.xi)
-        num **= self.nu
-        num *= den
-        return num
+        if self.nu:
+            den *= principal_power(np.subtract(taus, self.xi), self.nu)
+        return den
 
     def _phase_runs(self, ents: np.ndarray) -> None:
         """No factor of the slashed seed is fixed by each coset."""
@@ -278,7 +278,7 @@ class EllipticSeed(_ScalarTimesVector):
         a kernel_workspace; the result is a view of ws[1]."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
         den, out, z, *scratch = (_shaped(b, (len(taus), len(lam))) for b in ws)
-        z = _cocycle(c, d, taus, z)
+        z = _cocycle(c, d, taus[:, None], z)
         den = np.multiply(lam, z, out=den)
         den += mu
         power = -(self.nu + self.k)
@@ -293,7 +293,7 @@ class EllipticSeed(_ScalarTimesVector):
             out = _integer_power(den, int(power), out)  # den is spent
             t, i = np.nonzero(~np.isfinite(out))
             if len(t):  # past the float range: B again, by the log route
-                b = lam[i] * (c[i] * taus[t] + d[i]) + mu[i]
+                b = lam[i] * _cocycle(c[i], d[i], taus[t]) + mu[i]
                 out[t, i] = principal_power(b, power)
         else:
             out = principal_power(den, power, out, scratch)

@@ -1,13 +1,13 @@
 """The series kernel's terms and sums against two independent references.
 
 - An independent sum: evaluate_many against math.fsum of the terms that
-  the series sums.  For the elliptic seed those are the terms of `slash`,
-  which forms g.tau and evaluates the seed there: beside the seed's closed
-  form a second pipeline.  For the classical seed they are the kernel's
-  own terms, its scalars times the prepared vectors, so there the test
-  pins the summation; test_classical_terms_match_slash compares those
-  terms with `slash`'s one by one.  Errors are relative to the sum of
-  |terms|, the scale of the rounding of any sum of them.
+  the series sums, the kernel's own scalars times the prepared vectors, so
+  the test pins the summation.  test_classical_terms_match_slash and
+  test_elliptic_terms_match_slash compare those terms one by one with the
+  terms of `slash`, which forms g.tau and evaluates the seed there: beside
+  the seeds' closed forms a second pipeline on the same primitives.
+  Errors are relative to the sum of |terms|, the scale of the rounding of
+  any sum of them.
 - Exact terms: j(g, tau)^-k f(g.tau) for every coset, in mpmath at 35
   digits from the coset's integers, against the kernel's scalar (times
   the classical seed's phase e(alpha a/c), which the series folds into
@@ -60,6 +60,21 @@ def induced_gamma0_3(height=40.0):
 
 SUM_POINTS = [complex(0.3, 1.1), complex(-0.45, 0.06), complex(0.1, 0.4), complex(1.7, 2.5)]
 
+# the handles of the sum test and of the per-term tests against slash
+HANDLES = {
+    "classical-sl2z-12": lambda: classical(GroupSpec.sl2z(), nu=1),
+    "classical-gamma0(5)-16": lambda: classical(GroupSpec.gamma0(5), k=16.0, height=60.0),
+    "classical-induced-p4": induced_gamma0_3,
+    "classical-eta-7.3": lambda: classical(GroupSpec.sl2z(), k=7.3, family="eta_power"),
+    "classical-inf2-gamma0(2)": lambda: classical(GroupSpec.gamma0(2), nu=1, height=40.0, M=2),
+    "elliptic-gamma0(2)-12": lambda: elliptic(GroupSpec.gamma0(2), 1j, 1),
+    "elliptic-gamma0(3)-16": lambda: elliptic(GroupSpec.gamma0(3), complex(0.2, 0.9), 4, k=16.0),
+    "elliptic-eta-7.3-nu1": lambda: elliptic(GroupSpec.sl2z(), complex(0.1, 1.0), 1, k=7.3,
+                                             family="eta_power", height=40.0),
+    "elliptic-eta-7.3-nu0": lambda: elliptic(GroupSpec.sl2z(), complex(-0.3, 0.7), 0, k=7.3,
+                                             family="eta_power", height=40.0),
+}
+
 
 def _kernel_terms(h, taus):
     """The terms the series sums, the kernel's scalars times the prepared
@@ -68,34 +83,32 @@ def _kernel_terms(h, taus):
 
 
 # worst |evaluate_many - fsum(terms)| / sum |terms| over the four points and
-# every component.  The classical cases, against the kernel's own terms,
-# were gated at about 1.5x what a pairwise sum gave (7.1e-17, 1.4e-16,
-# 2.2e-16, 1.5e-16) and read 0 with block_sum's correctly rounded one; the
-# elliptic ones, against slash's, measured 2.7e-16, 1.6e-15, 5.8e-16,
-# 1.3e-15 then and 3.2e-16, 1.6e-15, 6.2e-16, 1.3e-15 now, gated at about
-# 1.5x the first
-@pytest.mark.parametrize("make, gate", [
-    (lambda: classical(GroupSpec.sl2z(), nu=1), 1.1e-16),
-    (lambda: classical(GroupSpec.gamma0(5), k=16.0, height=60.0), 2.2e-16),
-    (induced_gamma0_3, 3.3e-16),
-    (lambda: classical(GroupSpec.sl2z(), k=7.3, family="eta_power"), 2.3e-16),
-    (lambda: elliptic(GroupSpec.gamma0(2), 1j, 1), 4.0e-16),
-    (lambda: elliptic(GroupSpec.gamma0(3), complex(0.2, 0.9), 4, k=16.0), 2.5e-15),
-    (lambda: elliptic(GroupSpec.sl2z(), complex(0.1, 1.0), 1, k=7.3, family="eta_power",
-                      height=40.0), 9.0e-16),
-    (lambda: elliptic(GroupSpec.sl2z(), complex(-0.3, 0.7), 0, k=7.3, family="eta_power",
-                      height=40.0), 1.9e-15),
-], ids=["classical-sl2z-12", "classical-gamma0(5)-16", "classical-induced-p4",
-        "classical-eta-7.3", "elliptic-gamma0(2)-12", "elliptic-gamma0(3)-16",
-        "elliptic-eta-7.3-nu1", "elliptic-eta-7.3-nu0"])
-def test_sum_matches_an_fsum_of_slashed_terms(make, gate):
-    h = make()
+# every component, gated at about 1.5x what a pairwise sum gave (7.1e-17,
+# 1.4e-16, 2.2e-16, 1.5e-16 classical; 2.7e-16, 1.6e-15, 5.8e-16, 1.3e-15
+# elliptic, against slash's terms).  All read 0 with block_sum's correctly
+# rounded sum.  The elliptic cases summed slash's terms until slash took
+# j^-k by binary powering and c tau + d split, as the kernel does: then
+# 3.2e-16, 1.6e-15, 6.2e-16, 1.3e-15, after 5.2e-16, 6.2e-16, 6.2e-16,
+# 1.3e-15, the first above its gate with the kernel's sums unchanged; the
+# two pipelines' terms are compared one by one below instead
+SUM_GATES = {
+    "classical-sl2z-12": 1.1e-16,
+    "classical-gamma0(5)-16": 2.2e-16,
+    "classical-induced-p4": 3.3e-16,
+    "classical-eta-7.3": 2.3e-16,
+    "elliptic-gamma0(2)-12": 4.0e-16,
+    "elliptic-gamma0(3)-16": 2.5e-15,
+    "elliptic-eta-7.3-nu1": 9.0e-16,
+    "elliptic-eta-7.3-nu0": 1.9e-15,
+}
+
+
+@pytest.mark.parametrize("case", SUM_GATES)
+def test_sum_matches_an_fsum_of_slashed_terms(case):
+    h = HANDLES[case]()
     taus = np.array(SUM_POINTS)
     values, _ = h.evaluate_many(taus)
-    if isinstance(h.seed, ClassicalSeed):
-        terms = _kernel_terms(h, taus)
-    else:
-        terms = slash(h.seed, h.cosets.reps, taus, h.ms, h.rep)
+    terms = _kernel_terms(h, taus)
     worst = 0.0
     for t in range(len(taus)):
         for l in range(h.p):
@@ -103,7 +116,7 @@ def test_sum_matches_an_fsum_of_slashed_terms(make, gate):
             exact = complex(math.fsum(col.real), math.fsum(col.imag))
             scale = math.fsum(np.abs(col))
             worst = max(worst, abs(values[t, l] - exact) / scale)
-    assert worst <= gate
+    assert worst <= SUM_GATES[case]
 
 
 @pytest.mark.parametrize("n", [1, 2, 98, 1195, 67547])
@@ -130,30 +143,53 @@ def test_block_sum_refuses_terms_at_the_float_range(bad):
         block_sum(x, np.empty_like(x))
 
 
-# worst |kernel term - slash term| / |slash term| over the four points, every
-# coset and every component, measured 1.30e-14, 3.68e-15, 9.35e-15, 9.00e-15
-# and 5.80e-15, each gated at about 1.5x.  These are mostly slash's errors:
-# its exponential of 2 pi i alpha g.tau costs |2 pi alpha g.tau| ulps, which
-# the kernel's steep terms avoid (see the mpmath grid below)
-@pytest.mark.parametrize("make, gate", [
-    (lambda: classical(GroupSpec.sl2z(), nu=1), 2.0e-14),
-    (lambda: classical(GroupSpec.gamma0(5), k=16.0, height=60.0), 5.6e-15),
-    (induced_gamma0_3, 1.4e-14),
-    (lambda: classical(GroupSpec.sl2z(), k=7.3, family="eta_power"), 1.4e-14),
-    (lambda: classical(GroupSpec.gamma0(2), nu=1, height=40.0, M=2), 8.7e-15),
-], ids=["sl2z-12", "gamma0(5)-16", "induced-p4", "eta-7.3", "inf2-gamma0(2)"])
-def test_classical_terms_match_slash(make, gate):
-    # the kernel forms e(alpha a/c) j^-k e^X from each coset's integers,
-    # slash forms g.tau and evaluates the seed there: two pipelines for one
-    # term, which must agree term by term and vanish together
-    h = make()
+def _worst_against_slash(h) -> float:
+    """The worst |kernel term - slash term| / |slash term| of a handle over
+    SUM_POINTS, every coset and every component.  The kernel forms its
+    term from each coset's integers, slash forms g.tau and evaluates the
+    seed there: two pipelines for one term, which must agree term by term
+    and vanish together."""
     taus = np.array(SUM_POINTS)
     got = _kernel_terms(h, taus)
     expect = slash(h.seed, h.cosets.reps, taus, h.ms, h.rep)
     nonzero = expect != 0
     assert np.array_equal(got != 0, nonzero)
-    err = np.abs(got[nonzero] - expect[nonzero]) / np.abs(expect[nonzero])
-    assert float(err.max()) <= gate
+    return float((np.abs(got[nonzero] - expect[nonzero]) / np.abs(expect[nonzero])).max())
+
+
+# measured 6.61e-15, 2.74e-15, 2.37e-15, 2.38e-15 and 4.71e-15 (1.30e-14,
+# 3.68e-15, 9.35e-15, 6.89e-15 and 5.80e-15 while slash took j^-k by
+# np.power and e(alpha tau) in floats), each gated at about 1.5x.  These
+# are mostly slash's errors: its exponential of 2 pi i alpha g.tau costs
+# |2 pi alpha g.tau| ulps, which the kernel's steep terms avoid (see the
+# mpmath grid below)
+CLASSICAL_SLASH_GATES = {
+    "sl2z-12": 1.0e-14,
+    "gamma0(5)-16": 4.1e-15,
+    "induced-p4": 3.6e-15,
+    "eta-7.3": 3.6e-15,
+    "inf2-gamma0(2)": 7.1e-15,
+}
+
+
+@pytest.mark.parametrize("case", CLASSICAL_SLASH_GATES)
+def test_classical_terms_match_slash(case):
+    assert _worst_against_slash(HANDLES["classical-" + case]()) <= CLASSICAL_SLASH_GATES[case]
+
+
+# measured 7.89e-15, 8.82e-15, 1.79e-14 and 1.17e-14, each gated at about
+# 1.5x; g.tau costs slash a few ulps of |g.tau - conj(xi)| / |g.tau - xi|
+ELLIPTIC_SLASH_GATES = {
+    "gamma0(2)-12": 1.2e-14,
+    "gamma0(3)-16": 1.3e-14,
+    "eta-7.3-nu1": 2.7e-14,
+    "eta-7.3-nu0": 1.8e-14,
+}
+
+
+@pytest.mark.parametrize("case", ELLIPTIC_SLASH_GATES)
+def test_elliptic_terms_match_slash(case):
+    assert _worst_against_slash(HANDLES["elliptic-" + case]()) <= ELLIPTIC_SLASH_GATES[case]
 
 
 ACC_POINTS = [complex(0.3, 1.1), complex(0.45, 0.06), complex(-0.2, 0.5)]
@@ -285,16 +321,30 @@ def elliptic_grid():
     return per_term, per_sum
 
 
+def classical_high_weight(k):
+    """The shape of the digest jobs `pair classical closed form at
+    Gamma(171)` and `past Gamma(171)`: Gamma0(2), H = 20, at 0.3 + 1.1i
+    and -0.2 + 0.5i, 196 terms and 2 sums."""
+    h = classical(GroupSpec.gamma0(2), k=k, height=20.0)
+    return _errors(h, _classical_exact(h), [complex(0.3, 1.1), complex(-0.2, 0.5)])
+
+
 # worst and median per-term error, median sum error, measured (rounded up):
 # classical 5.09e-15, 5.87e-16, 1.94e-16 (1.785e-14, 8.29e-16, 7.59e-16 on
 # the parent grid when the kernel formed g.tau; 1.93e-15 worst without the
 # eta family, whose log route for j^-7.3 holds the worst term); elliptic
 # 4.40e-15, 8.97e-16, 3.21e-16 (6.22e-15, 1.04e-15, 3.42e-16 when the
-# kernel formed g.tau)
+# kernel formed g.tau).  At k = 172 and 180, 2.19e-14, 7.00e-15, 4.07e-17
+# and 2.29e-14, 7.25e-15, 2.01e-17, gated at about 1.5x: z = c tau + d
+# carries one rounding, which z^k multiplies by k, so about 1e-14 is the
+# floor (9.22e-14, 2.88e-14 and 1.05e-13, 2.98e-14 for the terms when j^-k
+# took the log route, whose error grows like |k log j| ulps)
 @pytest.mark.parametrize("grid, gates", [
     (classical_grid, (5.1e-15, 5.9e-16, 2.0e-16)),
     (elliptic_grid, (4.4e-15, 9.0e-16, 3.3e-16)),
-], ids=["classical", "elliptic"])
+    (lambda: classical_high_weight(172.0), (3.3e-14, 1.1e-14, 6.1e-17)),
+    (lambda: classical_high_weight(180.0), (3.4e-14, 1.1e-14, 3.0e-17)),
+], ids=["classical", "elliptic", "classical-k172", "classical-k180"])
 def test_terms_and_sums_against_mpmath(grid, gates):
     pytest.importorskip("mpmath")
     per_term, per_sum = grid()

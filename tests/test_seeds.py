@@ -60,6 +60,14 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             EllipticSeed(0, 1j, np.zeros(2, dtype=complex), 12.0)
 
+    def test_classical_refuses_an_inexact_exponent(self):
+        # e(alpha tau) and the kernel's phases come from the exact alpha =
+        # (nu + m_j) / M, so an m_j that is not r/n with n <= 360 is refused
+        # when the seed is built, not by the first series of it
+        split = SpectralSplit(np.eye(1, dtype=complex), (math.sqrt(0.5),))
+        with pytest.raises(ValueError, match="is not a rational r/n with n <= 360"):
+            ClassicalSeed(0, 1, split, 1)
+
 
 class TestInvariance:
     def test_classical_under_stabiliser(self):
