@@ -196,6 +196,14 @@ class TestTableOnFirstEvaluation:
         assert calls == []
 
 
+def point_checks(h):
+    """The calls that take points of a handle h: its evaluation, the slash
+    action on it and its invariance check."""
+    return (h.evaluate_many,
+            lambda taus: series.slash(h, [I2, S], taus, h.ms, h.rep),
+            lambda taus: check_transformation(h, [S], taus))
+
+
 class TestEvaluate:
     def test_single_coset_returns_seed(self):
         pmi = GroupSpec.plus_minus_identity()
@@ -219,15 +227,23 @@ class TestEvaluate:
         (complex(0.3, 0.01), RefusalError),
     ])
     def test_point_validation(self, bad, error, ndarray):
+        # the handle, the slash action on it and the invariance check refuse
+        # alike; the slash action on a seed checks the half-plane alone
         h = classical_handle(height=10.0)
         taus = [complex(0.1, 1.2), bad]
-        with pytest.raises(error):
-            h.evaluate_many(np.array(taus) if ndarray else taus)
+        taus = np.array(taus) if ndarray else taus
+        for check in point_checks(h):
+            with pytest.raises(error):
+                check(taus)
+        if error is DomainError:
+            with pytest.raises(DomainError):
+                series.slash(h.seed, [S], taus, h.ms, h.rep)
 
     def test_domain_error_before_refusal(self):
         h = classical_handle(height=10.0)
-        with pytest.raises(DomainError):
-            h.evaluate_many([complex(0.2, 0.02), complex(0.3, -1.0)])
+        for check in point_checks(h):
+            with pytest.raises(DomainError):
+                check([complex(0.2, 0.02), complex(0.3, -1.0)])
 
     @pytest.mark.parametrize("handle", [classical_handle, induced_handle, elliptic_handle],
                              ids=["classical", "induced-p4", "elliptic"])
