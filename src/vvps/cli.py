@@ -34,8 +34,8 @@ from .analysis import (QuadratureSpec, classical_pairing_closed_form,
                        domain_share, elliptic_expansion_coeffs,
                        elliptic_pairing_closed_form, fourier_coefficients, petersson_strip)
 from .errors import RefusalError
-from .modgroup import (GroupSpec, I2, S, cocycle_j, cusp_width, enumerate_cosets,
-                       is_subgroup, mobius_act, right_coset_reps, st_syllables, t_power)
+from .modgroup import (GroupSpec, I2, S, _cocycle, cusp_width, entry_arrays, enumerate_cosets,
+                       is_subgroup, right_coset_reps, slash_kernel, st_syllables, t_power)
 from .multiplier import MultiplierSystem, _random_element, check_consistency
 from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
                         gamma_median, margin_grid, region_test_a, region_test_c)
@@ -239,23 +239,27 @@ def _run_selftest(ns) -> dict:
     rng = np.random.default_rng(ns.rng_seed)
     checks = {}
 
-    worst = 0.0
-    for _ in range(100):
-        g1, g2 = _random_element(rng, 11), _random_element(rng, 11)
-        tau = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
-        jj = cocycle_j(g1 * g2, tau)
-        rhs = cocycle_j(g1, mobius_act(g2, tau)) * cocycle_j(g2, tau)
-        worst = max(worst, abs(jj - rhs) / (1.0 + abs(jj) ** 2))
-    checks["cocycle"] = worst
+    def draw(n):  # 100 samples of n random elements and a point, in that order
+        rows = [[_random_element(rng, 11) for _ in range(n)]
+                + [complex(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))] for _ in range(100)]
+        *gs, taus = zip(*rows)
+        return *gs, np.array(taus)
 
-    worst = 0.0
-    for _ in range(100):
-        g = _random_element(rng, 11)
-        tau = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
-        lhs = mobius_act(g, tau).imag
-        rhs = tau.imag / abs(cocycle_j(g, tau)) ** 2
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    checks["imaginary_part"] = worst
+    def j(gs, taus):  # j(g_i, tau_i)
+        ents = entry_arrays(gs)
+        return _cocycle(ents[:, 2].astype(float), ents[:, 3].astype(float), taus)
+
+    def act(gs, taus):  # g_i . tau_i
+        return np.diagonal(slash_kernel(entry_arrays(gs), taus, 0.0)[1])
+
+    g1, g2, taus = draw(2)
+    jj = j([a * b for a, b in zip(g1, g2)], taus)
+    rhs = j(g1, act(g2, taus)) * j(g2, taus)
+    checks["cocycle"] = float(np.max(np.abs(jj - rhs) / (1.0 + np.abs(jj) ** 2)))
+
+    g, taus = draw(1)
+    rhs = taus.imag / np.abs(j(g, taus)) ** 2
+    checks["imaginary_part"] = float(np.max(np.abs(act(g, taus).imag - rhs) / rhs))
 
     ok = True
     for _ in range(100):

@@ -1,23 +1,24 @@
 """Unimodular integer 2x2 matrices, congruence subgroups, and actions on
 the upper half-plane.
 
-Covers the group-theoretic substrate: Moebius action and its cocycle,
-principal-branch real powers (integer ones by binary powering, the rest
-through log and exp), membership tests for the supported subgroup
-families, the S/T syllables of a matrix, coset enumeration inside a
-Frobenius-norm ball, and cusp widths.  Enumeration serves both
-stabilisers, Gamma_inf(M) and <-I>, as array arithmetic over all coprime
-left columns (a, c) at once, c first and a in the stabiliser's range, and
-then the exact window of parameters s per column that keeps the right
-column (b0 + s a, d0 + s c) inside the ball.  A coset table stores its
-cosets once, in that (c, a, s) order, with the permutation into the table
-order by norm.  c tau + d over arrays of points and integer pairs is
-taken with Re tau split (_cocycle), accurate where c Re(tau) and d cancel.
+Covers the group-theoretic substrate: the factors j(g, tau)^-k and g.tau
+of the slash action over arrays of points and matrices (slash_kernel,
+which refuses a point outside the upper half-plane), principal-branch
+real powers (integer ones by binary powering, the rest through log and
+exp), membership tests for the supported subgroup families, the S/T
+syllables of a matrix, coset enumeration inside a Frobenius-norm ball, and
+cusp widths.  Enumeration serves both stabilisers, Gamma_inf(M) and <-I>,
+as array arithmetic over all coprime left columns (a, c) at once, c first
+and a in the stabiliser's range, and then the exact window of parameters s
+per column that keeps the right column (b0 + s a, d0 + s c) inside the
+ball.  A coset table stores its cosets once, in that (c, a, s) order, with
+the permutation into the table order by norm.  c tau + d over arrays of
+points and integer pairs is taken with Re tau split (_cocycle), accurate
+where c Re(tau) and d cancel.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,6 @@ from .errors import DomainError, RefusalError
 __all__ = [
     "IntMatrix2", "GroupSpec", "CosetTable",
     "I2", "S", "T", "t_power",
-    "mobius_act", "cocycle_j", "arg_principal", "real_power",
     "principal_power", "entry_arrays", "kernel_workspace", "slash_kernel",
     "contains", "is_subgroup", "st_syllables",
     "enumerate_cosets", "cusp_width", "right_coset_reps",
@@ -79,42 +79,15 @@ def t_power(n: int) -> IntMatrix2:
     return IntMatrix2(1, n, 0, 1)
 
 
-def _as_complex(tau) -> complex:
-    """Coerce a complex-like to a complex number in the half-plane."""
-    z = complex(tau)
-    if not z.imag > 0:
-        raise DomainError(f"tau must lie in the upper half-plane, got {z}")
-    return z
-
-
-def mobius_act(g: IntMatrix2, tau) -> complex:
-    """Fractional linear action g.tau = (a tau + b)/(c tau + d)."""
-    z = _as_complex(tau)
-    return (g.a * z + g.b) / (g.c * z + g.d)
-
-
-def cocycle_j(g: IntMatrix2, tau) -> complex:
-    """The automorphy cocycle j(g, tau) = c tau + d."""
-    return g.c * _as_complex(tau) + g.d
-
-
-def arg_principal(z: complex) -> float:
-    """Argument in ]-pi, pi]; negative reals get +pi regardless of the
-    sign of a zero imaginary part."""
-    z = complex(z)
-    if z.imag == 0.0:
-        if z.real == 0.0:
-            raise DomainError("argument of zero is undefined")
-        return 0.0 if z.real > 0 else math.pi
-    return math.atan2(z.imag, z.real)
-
-
-def real_power(z: complex, k: float) -> complex:
-    """z**k with |z|**k e^{ik arg z}, arg in ]-pi, pi]."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("0**k is undefined here")
-    return cmath.exp(k * (math.log(abs(z)) + 1j * arg_principal(z)))
+def _upper_half_plane(taus) -> np.ndarray:
+    """The points taus as a 1-d complex array, after a DomainError unless
+    every one has Im tau > 0 (nan has not)."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=complex))
+    outside = np.isnan(taus) | (taus.imag <= 0)
+    if np.any(outside):
+        raise DomainError("tau must lie in the upper half-plane, "
+                          f"got {complex(taus[outside][0])}")
+    return taus
 
 
 def _log_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarray:
@@ -132,8 +105,8 @@ def _log_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarray:
 def principal_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarray:
     """Elementwise z**k = |z|**k e^{ik arg z} for complex arrays, with
     arg = arctan2(Im z, Re z) in [-pi, pi].  Callers pass values with
-    Im z > 0 or Im z = +0.0, so a negative real gets arg = pi as in
-    arg_principal, or correct the branch themselves.  With out, a complex
+    Im z > 0 or Im z = +0.0, so a negative real gets arg = pi, or correct
+    the branch themselves.  With out, a complex
     array shaped like z that does not overlap it, and scratch, two float
     arrays of that shape, the log route writes into them.
 
@@ -242,11 +215,11 @@ def slash_kernel(ents, taus, k: float) -> tuple:
     takes its terms from the seeds' closed forms on the same primitives
     (j by _cocycle, an integer j^-k by _integer_power), so the two differ
     in g.tau alone; mpmath and exact powers are the independent references.
-    Im tau > 0 and c is an integer, so Im(c tau + d) is +0.0 when c = 0: a
-    negative real j lies on the upper side of the cut, where arctan2 and
-    arg_principal both put it (arg = pi).
+    A point outside the upper half-plane raises DomainError.  Im tau > 0 and
+    c is an integer, so Im(c tau + d) is +0.0 when c = 0: a negative real j
+    lies on the upper side of the cut, where arctan2 puts it (arg = pi).
     """
-    tt = np.asarray(taus, dtype=complex)[:, None]
+    tt = _upper_half_plane(taus)[:, None]
     jj = _cocycle(ents[:, 2].astype(float), ents[:, 3].astype(float), tt)
     num = ents[:, 0] * tt
     num += ents[:, 1]

@@ -34,8 +34,8 @@ import numpy as np
 
 from ._quad import gamma_over_power, log_beta
 from .errors import DomainError, RefusalError
-from .modgroup import (GroupSpec, _as_complex, _cocycle, _column_runs, _integer_power,
-                       _shaped, principal_power)
+from .modgroup import (GroupSpec, _cocycle, _column_runs, _integer_power, _shaped,
+                       principal_power)
 from .rep import _MAX_ORDER, SpectralSplit, _exponent
 
 __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn", "seed_strip_integral"]
@@ -47,9 +47,6 @@ class _ScalarTimesVector:
     def eval_many(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=complex)
         return self.scalar_many(taus)[..., None] * self.vector
-
-    def eval(self, tau) -> np.ndarray:
-        return self.eval_many(np.array([_as_complex(tau)]))[0]
 
 
 @dataclass(frozen=True, eq=False)

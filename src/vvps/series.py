@@ -35,10 +35,12 @@ left column.  Only a generator-image rho that does not factor walks an
 S/T word per coset.  Every factor is elementwise in the coset, so the
 vectors are computed over the stored order, where each left column is
 one run, and then taken into table order, once per handle.  Every other
-use of the slash action (its one-point view slash_k, Fourier extraction
-at a cusp, both invariance checks) goes through `slash` or its factor
-step, which takes conj(v(g)) and rho(g)^* from the same two calls on the
-entry array of its matrices.
+use of the slash action (Fourier extraction at a cusp, both invariance
+checks) goes through `slash` or its factor step, which takes conj(v(g))
+and rho(g)^* from the same two calls on the entry array of its matrices.
+A point outside the upper half-plane raises DomainError wherever a point
+is taken, by the one check of modgroup that `slash_kernel` and
+`evaluate_many` call.
 """
 
 from __future__ import annotations
@@ -53,15 +55,15 @@ import numpy as np
 
 from ._quad import block_sum
 from .errors import DomainError, RefusalError
-from .modgroup import (CosetTable, GroupSpec, I2, IntMatrix2, _as_complex, _shaped,
-                       contains, entry_arrays, enumerate_cosets, kernel_workspace,
-                       slash_kernel, t_power)
+from .modgroup import (CosetTable, GroupSpec, I2, _shaped, _upper_half_plane, contains,
+                       entry_arrays, enumerate_cosets, kernel_workspace, slash_kernel,
+                       t_power)
 from .multiplier import MultiplierSystem, evaluate_v
 from .rep import _UNITARY_TOL, RepSpec, check_normal, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
 
-__all__ = ["SeriesHandle", "build_series", "slash", "slash_k",
-           "check_transformation", "check_seed_invariance", "thread_cap", "MIN_IM"]
+__all__ = ["SeriesHandle", "build_series", "slash", "check_transformation",
+           "check_seed_invariance", "thread_cap", "MIN_IM"]
 
 MIN_IM = 0.05  # evaluation closer to the real line than this is refused
 
@@ -110,13 +112,6 @@ def slash(F, gs, taus, ms: MultiplierSystem, rep: Optional[RepSpec] = None) -> n
     jmk, moved = slash_kernel(ents, taus, ms.k)
     vals = _values(F, moved.ravel())
     return _act(vals.reshape(moved.shape + vals.shape[1:]), jmk, ents, ms, rep)
-
-
-def slash_k(F, g: IntMatrix2, ms: MultiplierSystem, rep: Optional[RepSpec] = None):
-    """The slash action in the weight k of ms, at one point:
-    tau -> v(g)^{-1} [rho(g)^{-1}] j(g,tau)^{-k} F(g.tau), rho when rep is
-    given."""
-    return lambda tau: slash(F, [g], [_as_complex(tau)], ms, rep)[0, 0]
 
 
 @dataclass(eq=False)
@@ -195,11 +190,7 @@ class SeriesHandle:
         Returns (values, tails): values has shape (len(taus), p), tails the
         per-point mass of the outermost tenth of cosets by norm.
         """
-        taus = np.atleast_1d(np.asarray(taus, dtype=complex))
-        outside = np.isnan(taus) | (taus.imag <= 0)
-        if np.any(outside):
-            raise DomainError("tau must lie in the upper half-plane, "
-                              f"got {complex(taus[outside][0])}")
+        taus = _upper_half_plane(taus)
         if np.any(taus.imag < MIN_IM):
             raise RefusalError(f"evaluation refused for Im(tau) < {MIN_IM}: "
                                "truncation error blows up near the real line")
@@ -269,10 +260,10 @@ def check_transformation(handle: SeriesHandle, gammas, taus) -> TransformationCh
     outside = ~contains(handle.gamma, ents)
     if outside.any():
         raise ValueError(f"{gammas[outside.argmax()]} is not in {handle.gamma}")
-    taus = np.array([_as_complex(t) for t in taus], dtype=complex)
+    taus = np.asarray(taus, dtype=complex)
+    jmk, moved = slash_kernel(ents, taus, handle.k)
     if not gammas or not len(taus):
         return TransformationCheck(0.0, 0.0)
-    jmk, moved = slash_kernel(ents, taus, handle.k)
     base, tail0 = handle.evaluate_many(taus)
     image, tail1 = handle.evaluate_many(moved.ravel())
     acted = _act(image.reshape(moved.shape + (handle.p,)), jmk, ents, handle.ms, handle.rep)

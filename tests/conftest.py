@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vvps.modgroup import I2, S, t_power
+from vvps.modgroup import I2, S, _cocycle, entry_arrays, slash_kernel, t_power
 
 
 def random_element(rng, max_len=12):
@@ -19,6 +19,17 @@ def syllable_product(syll):
     for kind, q in syll:
         g = g * (t_power(q) if kind == "T" else S)
     return g
+
+
+def act(g, tau) -> complex:
+    """g.tau for one matrix and one point, from modgroup.slash_kernel."""
+    return complex(slash_kernel(entry_arrays([g]), [tau], 0.0)[1][0, 0])
+
+
+def cocycle(g, tau) -> complex:
+    """j(g, tau) = c tau + d for one matrix and one point, from
+    modgroup._cocycle."""
+    return complex(_cocycle(float(g.c), float(g.d), np.array([tau], dtype=complex))[0])
 
 
 def random_tau(rng, y_lo=0.2, y_hi=3.0):

@@ -17,7 +17,7 @@ from vvps.multiplier import MultiplierSystem
 from vvps import series
 from vvps.rep import SpectralSplit, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import build_series, slash_k
+from vvps.series import build_series, slash
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
 
@@ -422,7 +422,7 @@ class TestPairFull:
         q = QuadratureSpec(0.05, 6.0, nx=32, ny=24)
         direct = petersson_pair_full(h, h, gamma, 12.0, q=q)
 
-        slashed = [slash_k(lambda t: h.evaluate(t)[0], g, MS12) for g in cosets]
-        tuple_fn = lambda tau: np.concatenate([f(tau) for f in slashed])
+        # the tuple (F|g_1, ..., F|g_n) at one point
+        tuple_fn = lambda tau: slash(h, cosets, [tau], MS12)[0].ravel()
         induced = petersson_pair_full(tuple_fn, tuple_fn, GroupSpec.sl2z(), 12.0, q=q)
         assert abs(direct - induced) <= 1e-2 * abs(direct)

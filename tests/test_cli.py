@@ -16,7 +16,7 @@ from vvps.multiplier import MultiplierSystem
 from vvps.nonvanish import beta_median, classical_criterion, elliptic_criterion, gamma_median
 from vvps.rep import evaluate_rho, induce, spectral_split, st_rep, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import build_series, slash_k
+from vvps.series import build_series, slash
 
 
 def invoke(argv):
@@ -430,7 +430,7 @@ class TestOtherCommands:
         ms = MultiplierSystem("trivial_even", 12.0)
         seed = ClassicalSeed(0, 3, spectral_split(rep, ms, 1), 1)
         tau = complex(-0.2, 0.9)
-        terms = [evaluate_rho(rep, g).conj().T @ slash_k(seed.eval, g, ms)(tau) for g in
+        terms = [evaluate_rho(rep, g).conj().T @ slash(seed, [g], [tau], ms)[0, 0] for g in
                  enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 30.0).reps]
         oracle = np.array([complex(math.fsum(t.real for t in col), math.fsum(t.imag for t in col))
                            for col in zip(*terms)])

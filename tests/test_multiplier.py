@@ -6,8 +6,7 @@ import pytest
 
 from conftest import random_element
 from vvps.errors import RefusalError
-from vvps.modgroup import (I2, S, T, GroupSpec, IntMatrix2, cocycle_j, enumerate_cosets,
-                           mobius_act, real_power, t_power)
+from vvps.modgroup import I2, S, T, GroupSpec, IntMatrix2, enumerate_cosets, t_power
 from vvps.multiplier import (MultiplierSystem, _dedekind12, _eta_phase, check_consistency,
                              evaluate_v)
 
@@ -26,10 +25,11 @@ def log_eta(tau: complex) -> complex:
 
 
 def v_oracle(ms: MultiplierSystem, g, tau=complex(0.37, 1.31)) -> complex:
-    """v(g) from the 2k-th eta power evaluated directly."""
-    gt = complex(mobius_act(g, tau))
-    num = cmath.exp(2.0 * ms.k * log_eta(gt))
-    return num * real_power(cocycle_j(g, tau), -ms.k) / cmath.exp(2.0 * ms.k * log_eta(tau))
+    """v(g) from the 2k-th eta power evaluated directly, with j^-k on the
+    principal branch of cmath.log (arg in ]-pi, pi])."""
+    j = g.c * tau + g.d
+    num = cmath.exp(2.0 * ms.k * log_eta((g.a * tau + g.b) / j))
+    return num * cmath.exp(-ms.k * cmath.log(j)) / cmath.exp(2.0 * ms.k * log_eta(tau))
 
 
 def dedekind12_scalar(d: int, c: int) -> int:
@@ -80,7 +80,8 @@ class TestValues:
     def test_nontriviality_value(self):
         for k in (0.5, 1.0, 12.0, 3.5):
             ms = MultiplierSystem("eta_power", k)
-            assert evaluate_v(ms, -I2) == pytest.approx(real_power(-1.0, -k), abs=1e-13)
+            # (-1)^-k on the principal branch, arg(-1) = pi
+            assert evaluate_v(ms, -I2) == pytest.approx(cmath.exp(-1j * math.pi * k), abs=1e-13)
 
     def test_v_at_t(self):
         ms = MultiplierSystem("eta_power", 0.5)

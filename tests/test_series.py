@@ -7,17 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_element, random_tau
+from conftest import act, cocycle, random_element, random_tau
 from vvps import series
 from vvps.errors import DomainError, RefusalError
-from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, cocycle_j,
-                           enumerate_cosets, kernel_workspace, mobius_act,
-                           right_coset_reps, t_power)
+from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, enumerate_cosets,
+                           kernel_workspace, right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import dirichlet_rep, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import (SeriesHandle, build_series, check_transformation,
-                         slash_k)
+from vvps.series import SeriesHandle, build_series, check_transformation, slash
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
 
@@ -56,22 +54,23 @@ def elliptic_handle(gamma=GroupSpec.gamma0(2), height=25.0, nu=0, k=12.0):
 
 
 class TestSlash:
+    # slash at one matrix and one point: slash(F, [g], [tau], ms, rep)[0, 0]
     def test_identity(self):
         F = lambda tau: np.array([tau ** 2])
         tau = complex(0.3, 1.2)
-        assert slash_k(F, I2, MS12)(tau) == pytest.approx(F(tau))
+        assert slash(F, [I2], [tau], MS12)[0, 0] == pytest.approx(F(tau))
 
     def test_minus_identity_is_identity(self, rng):
         F = lambda tau: np.array([np.exp(2j * math.pi * tau), tau ** -3])
         for ms in (MS12, MultiplierSystem("eta_power", 3.5)):
-            acted = slash_k(F, -I2, ms)
             for _ in range(20):
                 tau = random_tau(rng)
-                assert np.allclose(acted(tau), F(tau), rtol=0, atol=1e-12 * 50)
+                acted = slash(F, [-I2], [tau], ms)[0, 0]
+                assert np.allclose(acted, F(tau), rtol=0, atol=1e-12 * 50)
 
     def test_constant_under_s(self):
         F = lambda tau: np.array([1.0 + 0j])
-        val = slash_k(F, S, MS12)(2j)
+        val = slash(F, [S], [2j], MS12)[0, 0]
         assert val[0] == pytest.approx(2.0 ** -12)
 
     def test_right_action_property(self, rng):
@@ -80,8 +79,8 @@ class TestSlash:
             for _ in range(50):
                 g1, g2 = random_element(rng, 8), random_element(rng, 8)
                 tau = random_tau(rng)
-                one = slash_k(lambda t: slash_k(F, g1, ms)(t), g2, ms)(tau)
-                two = slash_k(F, g1 * g2, ms)(tau)
+                one = slash(lambda t: slash(F, [g1], [t], ms)[0, 0], [g2], [tau], ms)[0, 0]
+                two = slash(F, [g1 * g2], [tau], ms)[0, 0]
                 assert np.linalg.norm(one - two) <= 1e-10 * (1 + np.linalg.norm(two))
 
     def test_rho_twisted_two_paths(self, rng):
@@ -90,8 +89,9 @@ class TestSlash:
         for _ in range(50):
             g1, g2 = random_element(rng, 8), random_element(rng, 8)
             tau = random_tau(rng)
-            one = slash_k(lambda t: slash_k(F, g1, MS12, rep)(t), g2, MS12, rep)(tau)
-            two = slash_k(F, g1 * g2, MS12, rep)(tau)
+            one = slash(lambda t: slash(F, [g1], [t], MS12, rep)[0, 0], [g2], [tau],
+                        MS12, rep)[0, 0]
+            two = slash(F, [g1 * g2], [tau], MS12, rep)[0, 0]
             assert np.linalg.norm(one - two) <= 1e-10 * (1 + np.linalg.norm(two))
 
     def test_trivial_rep_reduces_to_plain(self, rng):
@@ -99,8 +99,8 @@ class TestSlash:
         F = lambda tau: np.array([tau ** -4])
         g = random_element(rng)
         tau = random_tau(rng)
-        assert np.allclose(slash_k(F, g, MS12, rep)(tau),
-                           slash_k(F, g, MS12)(tau))
+        assert np.allclose(slash(F, [g], [tau], MS12, rep)[0, 0],
+                           slash(F, [g], [tau], MS12)[0, 0])
 
 
 class TestHandleValidation:
@@ -200,7 +200,7 @@ def point_checks(h):
     """The calls that take points of a handle h: its evaluation, the slash
     action on it and its invariance check."""
     return (h.evaluate_many,
-            lambda taus: series.slash(h, [I2, S], taus, h.ms, h.rep),
+            lambda taus: slash(h, [I2, S], taus, h.ms, h.rep),
             lambda taus: check_transformation(h, [S], taus))
 
 
@@ -211,7 +211,7 @@ class TestEvaluate:
         h = build_series(seed, pmi, pmi, trivial_rep(1), MS12, 12.0, 1.5)
         tau = complex(0.4, 1.3)
         value, tail = h.evaluate(tau)
-        assert value == pytest.approx(seed.eval(tau))
+        assert value == pytest.approx(seed.eval_many([tau])[0])
 
     def test_refuses_near_real_line(self):
         h = classical_handle(height=10.0)
@@ -237,7 +237,7 @@ class TestEvaluate:
                 check(taus)
         if error is DomainError:
             with pytest.raises(DomainError):
-                series.slash(h.seed, [S], taus, h.ms, h.rep)
+                slash(h.seed, [S], taus, h.ms, h.rep)
 
     def test_domain_error_before_refusal(self):
         h = classical_handle(height=10.0)
@@ -254,12 +254,12 @@ class TestEvaluate:
         values, tails = h.evaluate_many([])
         assert values.shape == (0, h.p) and values.dtype == complex
         assert tails.shape == (0,) and tails.dtype == float
-        acted = series.slash(h, [I2, T], [], h.ms, h.rep)
+        acted = slash(h, [I2, T], [], h.ms, h.rep)
         assert acted.shape == (0, 2, h.p)
 
     def test_slash_of_no_matrices(self):
         h = induced_handle()
-        acted = series.slash(h, [], [complex(0.1, 1.2), 2j], h.ms, h.rep)
+        acted = slash(h, [], [complex(0.1, 1.2), 2j], h.ms, h.rep)
         assert acted.shape == (2, 0, h.p)
 
     def test_empty_table_rejected(self):
@@ -275,7 +275,7 @@ class TestEvaluate:
         tau = complex(0.3, 1.1)
         expect = np.zeros(1, dtype=complex)
         for g in h.cosets.reps:
-            expect += slash_k(h.seed.eval, g, h.ms, h.rep)(tau)
+            expect += slash(h.seed, [g], [tau], h.ms, h.rep)[0, 0]
         value, _ = h.evaluate(tau)
         assert value == pytest.approx(expect, rel=1e-12)
 
@@ -285,7 +285,7 @@ class TestEvaluate:
         # 1e-8 perturbation; the brute-force oracle above is the real check
         h = classical_handle(height=60.0)
         value, _ = h.evaluate(5j)
-        lead = h.seed.eval(5j)[0]
+        lead = h.seed.eval_many([5j])[0, 0]
         assert abs(value[0] / lead - 1.0) < 5.0
         assert abs(value[0] / lead - 1.0) > 0.5  # documents the failure of naive dominance
 
@@ -371,9 +371,9 @@ class TestEvaluate:
         h = classical_handle(height=10.0)
         tau = complex(0.17, 1.4)
         for g in h.cosets.reps[:40]:
-            term = slash_k(h.seed.eval, g, h.ms, h.rep)(tau)
-            expect = (np.linalg.norm(h.seed.eval(complex(mobius_act(g, tau))))
-                      * abs(cocycle_j(g, tau)) ** -h.k)
+            term = slash(h.seed, [g], [tau], h.ms, h.rep)[0, 0]
+            expect = (np.linalg.norm(h.seed.eval_many([act(g, tau)])[0])
+                      * abs(cocycle(g, tau)) ** -h.k)
             assert abs(np.linalg.norm(term) - expect) <= 1e-12 * max(expect, 1e-300)
 
 
@@ -472,7 +472,7 @@ class TestSupNorm:
         tau = complex(0.3, 1.1)
         g = IntMatrix2(1, 0, 2, 1)
         one = weighted_norm(h, tau)
-        two = weighted_norm(h, mobius_act(g, tau))
+        two = weighted_norm(h, act(g, tau))
         assert one == pytest.approx(two, rel=1e-6)
 
     def test_high_im_decay_profile(self):
