@@ -85,26 +85,32 @@ def _eta_phase(ms: MultiplierSystem, ents: np.ndarray) -> np.ndarray:
 
     For c > 0, Dedekind's transformation law
     eta(g.t) = exp(pi i ((a + d)/(12 c) - s(d, c))) (-i (c t + d))^{1/2} eta(t),
-    raised to the 2k-th power, gives
-    phi = pi k (a + d - 12 c s(d, c)) / (6 c) - pi k / 2.  For c = 0,
-    g = a T^{ab} with a = +-1, and v(T^q) = e^{i pi k q / 6}.  Negating an
-    element with c > 0, or T^q, multiplies v by e^{-i pi k}.
+    raised to the 2k-th power, gives phi = pi k n / 6 with the integer
+    n = (a + d - 12 c s(d, c)) / c - 3: 12 c s(d, c) = d + a mod c
+    (Rademacher and Grosswald, Dedekind Sums, 1972, ch. 3), as a d = 1 mod c.
+    For c = 0, g = a T^{ab} with a = +-1, and v(T^q) = e^{i pi k q / 6}:
+    n = ab.  Negating an element with c > 0 adds 6 to n, negating T^q
+    takes 6 from it (v times e^{+-i pi k}).
 
-    s(d, c) depends on d mod c = a^-1 mod c only, and is taken once per
-    run of rows with one left column (a, c) (modgroup._column_runs).
+    So v depends on the integer part K of k mod 12 alone, which enters as
+    K n mod 12, exact in int64 and centred on 0; only (k - K) n is rounded,
+    so phi errs by ulps of (k - K)|n|, not of k|n|.  s(d, c) depends on
+    d mod c = a^-1 mod c only, and is taken once per run of rows with one
+    left column (a, c) (modgroup._column_runs).
     """
-    pk = math.pi * ms.k
     a, b, c, d = ents.T
     neg = c < 0
     a, c, d = np.where(neg, -a, a), np.abs(c), np.where(neg, -d, d)
     top = c > 0
     cs = np.where(top, c, 1)
-    ds = np.where(top, d, 0)
     starts = _column_runs(ents)
-    dedekind = np.repeat(_dedekind12(ds[starts], cs[starts]), np.diff(starts, append=len(cs)))
-    lower = pk * (a + ds - dedekind) / (6.0 * cs) - pk / 2.0 + np.where(neg, pk, 0.0)
-    upper = pk * (a * b) / 6.0 - np.where(d < 0, pk, 0.0)
-    return np.where(top, lower, upper)
+    dedekind = np.repeat(_dedekind12(np.where(top, d, 0)[starts], cs[starts]),
+                         np.diff(starts, append=len(cs)))
+    n = np.where(top, (a + d - dedekind) // cs - 3 + 6 * neg, a * b - 6 * (d < 0))
+    whole = math.floor(ms.k)
+    exact = n * (whole % 12) % 12
+    exact -= 12 * (exact > 6)
+    return (exact + (ms.k - whole) * n) / 6.0 * math.pi
 
 
 def evaluate_v(ms: MultiplierSystem, g):

@@ -42,17 +42,21 @@ def dedekind12_scalar(d: int, c: int) -> int:
 
 def eta_phase_scalar(ms: MultiplierSystem, g) -> float:
     """The phase of v(g) one matrix at a time, in the operation order of
-    the array formula."""
-    k = ms.k
+    the array formula: pi k n / 6 with the integer part of k taken mod 12."""
     a, b, c, d = g.a, g.b, g.c, g.d
     if c == 0:
-        return math.pi * k * (a * b) / 6.0 - (math.pi * k if d < 0 else 0.0)
-    shift = 0.0
-    if c < 0:
-        a, c, d = -a, -c, -d
-        shift = math.pi * k
-    return (math.pi * k * (a + d - dedekind12_scalar(d, c)) / (6.0 * c)
-            - math.pi * k / 2.0 + shift)
+        n = a * b - (6 if d < 0 else 0)
+    else:
+        shift = 0
+        if c < 0:
+            a, c, d = -a, -c, -d
+            shift = 6
+        n = (a + d - dedekind12_scalar(d, c)) // c - 3 + shift
+    whole = math.floor(ms.k)
+    exact = n * (whole % 12) % 12
+    if exact > 6:
+        exact -= 12
+    return (exact + (ms.k - whole) * n) / 6.0 * math.pi
 
 
 class TestConstruction:
