@@ -4,7 +4,8 @@ Two families are supported: the trivial system for even integer weight,
 and the family derived from powers of the eta function, which realises
 every real weight.  Its values come in closed form from Dedekind's
 transformation law of eta, with the Dedekind sum computed in integers by
-reciprocity; the phase is exponentiated once, so the result is exactly
+reciprocity and the integer part of the weight entering the phase
+exactly; the phase is exponentiated once, so the result is exactly
 unimodular.  The formula works on int64 entry arrays, so `evaluate_v`
 serves a whole coset table at once as well as one matrix.
 """

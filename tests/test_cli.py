@@ -343,10 +343,11 @@ class TestTable:
 
 
 class TestOtherCommands:
-    def test_selftest(self):
-        proc = invoke(["selftest"])
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["selftest"] == "pass"
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_selftest(self, seed, capsys):
+        # in-process: its checks sample matrices and points by --rng-seed
+        assert run(parse_args(["selftest", "--rng-seed", str(seed)])) == 0
+        assert json.loads(capsys.readouterr().out)["selftest"] == "pass"
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--format", "csv", "--tau", "0.3,1.1"],
