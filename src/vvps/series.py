@@ -38,9 +38,9 @@ one run, and then taken into table order, once per handle.  Every other
 use of the slash action (Fourier extraction at a cusp, both invariance
 checks) goes through `slash` or its factor step, which takes conj(v(g))
 and rho(g)^* from the same two calls on the entry array of its matrices.
-A point outside the upper half-plane raises DomainError wherever a point
-is taken, by the one check of modgroup that `slash_kernel` and
-`evaluate_many` call.
+The slash action and evaluate_many raise DomainError for a point outside
+the upper half-plane, by the one check of modgroup that `slash_kernel`
+and `evaluate_many` call.
 """
 
 from __future__ import annotations
