@@ -170,6 +170,15 @@ class TestEval:
         (["criterion", "classical", "--k", "12", "--N", "5", "--r", "0.3"], "--r"),
         (["criterion", "elliptic", "--k", "12", "--N", "5", "--r", "0.1"], "--r"),
         (["criterion", "regionA", "--k", "12", "--N", "5", "--r", "0.1"], "--r"),
+        # one text per seed family, whichever criterion refuses
+        (["criterion", "regionC", "--k", "2", "--N", "5", "--r", "0.3"],
+         "criterion requires weight k > 2"),
+        (["criterion", "regionC", "--k", "12", "--N", "1", "--r", "0.3"],
+         "the elliptic criterion assumes level N >= 2"),
+        (["criterion", "regionA", "--k", "2", "--N", "5"], "criterion requires weight k > 2"),
+        (["criterion", "regionA", "--k", "12", "--N", "5", "--nu=-1"], "need nu >= 0, got -1"),
+        (["criterion", "regionA", "--k", "12", "--N", "0"],
+         "need M >= 1 and N >= 1, got M=1, N=0"),
     ])
     def test_out_of_range_input_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -257,10 +266,16 @@ class TestCriterion:
         data = json.loads(proc.stdout)
         assert data["satisfied"] is True
 
-    def test_region_a(self):
-        proc = invoke(["criterion", "regionA", "--k", "12", "--N", "5", "--nu", "2"])
-        data = json.loads(proc.stdout)
-        assert data["satisfied"] is True
+    def test_region_a(self, capsys):
+        # m_j is the kappa of the weight's multiplier, 1 where kappa = 0;
+        # kappa = 7.31/12 is no r/n with n <= 360, which region A never needed
+        for k, m_j, satisfied in (("12", 1.0, True), ("7.5", 0.625, False),
+                                  ("13", 1.0 / 12.0, True), ("7.31", 7.31 / 12.0, False)):
+            argv = ["criterion", "regionA", "--k", k, "--N", "5", "--nu", "2"]
+            assert run(parse_args(argv)) == 0, k
+            data = json.loads(capsys.readouterr().out)
+            assert data["inputs"]["m_j"] == m_j, k
+            assert data["satisfied"] is satisfied, k
 
     def test_region_a_large_weight(self):
         proc = invoke(["criterion", "regionA", "--k", "400", "--N", "5"])

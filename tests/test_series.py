@@ -228,7 +228,8 @@ class TestEvaluate:
     ])
     def test_point_validation(self, bad, error, ndarray):
         # the handle, the slash action on it and the invariance check refuse
-        # alike; the slash action on a seed checks the half-plane alone
+        # alike; the slash action on a seed and the seed itself check the
+        # half-plane alone
         h = classical_handle(height=10.0)
         taus = [complex(0.1, 1.2), bad]
         taus = np.array(taus) if ndarray else taus
@@ -238,6 +239,8 @@ class TestEvaluate:
         if error is DomainError:
             with pytest.raises(DomainError):
                 slash(h.seed, [S], taus, h.ms, h.rep)
+            with pytest.raises(DomainError):
+                h.seed.eval_many(taus)
 
     def test_domain_error_before_refusal(self):
         h = classical_handle(height=10.0)
