@@ -35,18 +35,18 @@ import numpy as np
 from ._quad import gamma_over_power, log_beta
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, _cocycle, _column_runs, _integer_power, _shaped,
-                       principal_power)
+                       _upper_half_plane, principal_power)
 from .rep import _MAX_ORDER, SpectralSplit, _exponent
 
 __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn", "seed_strip_integral"]
 
 
 class _ScalarTimesVector:
-    """Evaluation of a seed scalar_many(tau) * vector."""
+    """Evaluation of a seed scalar_many(tau) * vector, after the DomainError
+    of modgroup._upper_half_plane for a point outside H."""
 
     def eval_many(self, taus) -> np.ndarray:
-        taus = np.asarray(taus, dtype=complex)
-        return self.scalar_many(taus)[..., None] * self.vector
+        return self.scalar_many(_upper_half_plane(taus))[..., None] * self.vector
 
 
 @dataclass(frozen=True, eq=False)
