@@ -115,13 +115,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _classical_seed(group: GroupSpec, rep: RepSpec, ms: MultiplierSystem,
-                    nu: int, j: int) -> ClassicalSeed:
-    """The classical seed at the cusp infinity of group, of its width."""
-    m_width = cusp_width(group, I2)
-    return ClassicalSeed(nu, j, spectral_split(rep, ms, m_width), m_width)
-
-
 def _build_series(ns):
     group = _parse_group(ns)
     ms = _parse_ms(ns)
@@ -133,7 +126,9 @@ def _build_series(ns):
         if ns.xi is not None:
             raise ConfigError("--xi is the centre of an elliptic seed; "
                               "a classical seed does not read it")
-        seed = _classical_seed(group, rep, ms, ns.nu, ns.j)
+        # the seed at the cusp infinity of the group, of its width
+        m_width = cusp_width(group, I2)
+        seed = ClassicalSeed(ns.nu, ns.j, spectral_split(rep, ms, m_width), m_width)
     else:
         if not 1 <= ns.j <= rep.p:
             raise ConfigError(f"index j={ns.j} out of range 1..{rep.p}")
@@ -202,11 +197,10 @@ def _run_criterion(ns) -> dict:
     elif kind == "elliptic":
         report = elliptic_criterion(ns.k, ns.N, ns.nu)
     elif kind == "regionA":
-        group = GroupSpec.gamma0(ns.N)
-        ms = MultiplierSystem("trivial_even", ns.k) if ns.k % 2 == 0 \
-            else MultiplierSystem("eta_power", ns.k)
-        seed = _classical_seed(group, trivial_rep(1, group), ms, ns.nu, 1)
-        report = region_test_a(seed, group, ns.k)
+        # the seed of Gamma0(N) at infinity, of width 1: m_j is the kappa of
+        # the weight's multiplier, 1 where kappa = 0
+        ms = MultiplierSystem("trivial_even" if ns.k % 2 == 0 else "eta_power", ns.k)
+        report = region_test_a(ns.k, 1, ns.N, ns.nu, ms.kappa or 1.0)
     else:
         report = region_test_c(ns.k, ns.nu, ns.N, ns.r)
     return report.to_json()

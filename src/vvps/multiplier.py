@@ -47,10 +47,11 @@ class MultiplierSystem:
 
     @property
     def kappa(self) -> float:
-        """Cusp parameter in [0, 1) with v(T) = e^{2 pi i kappa}."""
+        """Cusp parameter in [0, 1) with v(T) = e^{2 pi i kappa}: (k mod 12)/12,
+        whose one rounding is the division's, since k mod 12 is exact."""
         if self.family == "trivial_even":
             return 0.0
-        return (self.k / 12.0) % 1.0
+        return (self.k % 12.0) / 12.0
 
 
 # Entries at or beyond this bound are refused: the Dedekind recursion forms

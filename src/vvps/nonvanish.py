@@ -8,8 +8,10 @@ margins of both criteria over a (k, N, nu) grid, each median once per
 shape and each threshold once per (k, N); it shares the criteria's
 arithmetic, so every margin is the one the criterion reports.  The region
 tests evaluate each region's mass condition as one incomplete gamma or
-beta CDF at the given cut, independently of the median route.  The
-special functions, the median finder and their accuracy live in _quad.
+beta CDF at the given cut, independently of the median route.  Every
+criterion takes plain numbers, and each seed family's criteria refuse
+through one validator, _check_classical or _check_elliptic.  The special
+functions, the median finder and their accuracy live in _quad.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ._quad import (_bisect_then_newton, log_beta, regularized_incomplete_beta,
-                    regularized_incomplete_gamma)
+from ._quad import (_bisect_then_newton, gamma_over_power, log_beta,
+                    regularized_incomplete_beta, regularized_incomplete_gamma)
 from .errors import DomainError, RefusalError
-from .modgroup import GroupSpec
-from .seeds import ClassicalSeed, seed_strip_integral
 
 __all__ = [
     "CriterionReport",
@@ -105,6 +105,15 @@ def _check_classical(k: float, M: int, N: int, m_j: float, nus) -> None:
     _check_nus(nus)
 
 
+def _check_elliptic(k: float, N: int, nus) -> None:
+    """The elliptic criterion's refusals, in the order it makes them."""
+    if k <= 2:
+        raise DomainError("criterion requires weight k > 2")
+    if N < 2:
+        raise ValueError("the elliptic criterion assumes level N >= 2")
+    _check_nus(nus)
+
+
 def _check_nus(nus) -> None:
     for nu in nus:
         if nu < 0:
@@ -139,9 +148,9 @@ def _elliptic_rhs(k: float, nu: int):
     return mb, 4.0 * math.sqrt(mb) / (1.0 - mb)
 
 
-def _elliptic_margin(N: int, rhs: float) -> float:
-    """The elliptic margin N - 4 sqrt(M_B) / (1 - M_B), given the bound rhs."""
-    return N - rhs
+def _r_max(N: int) -> float:
+    """The r with 2 cosh(4r) = N^2 + 2; the smaller balls about i inject."""
+    return math.acosh((N * N + 2.0) / 2.0) / 4.0
 
 
 def classical_criterion(k: float, M: int, N: int, nu: int, m_j: float) -> CriterionReport:
@@ -168,17 +177,12 @@ def elliptic_criterion(k: float, N: int, nu: int) -> CriterionReport:
     """Non-vanishing test for an elliptic series at xi = i: satisfied when
     N exceeds 4 sqrt(M_B) / (1 - M_B) with M_B the median of
     Beta(nu/2 + 1, k/2 - 1)."""
-    if k <= 2:
-        raise DomainError("criterion requires weight k > 2")
-    if N < 2:
-        raise ValueError("the elliptic criterion assumes level N >= 2")
-    _check_nus((nu,))
+    _check_elliptic(k, N, (nu,))
     mb, rhs = _elliptic_rhs(k, nu)
-    details = {"beta_median": mb, "rhs": rhs}
-    r_max = math.acosh((N * N + 2.0) / 2.0) / 4.0
-    r_star = math.atanh(math.sqrt(mb))
-    details["radius_interval"] = ([r_star, r_max] if r_star < r_max else None)
-    return CriterionReport("elliptic", _elliptic_margin(N, rhs),
+    r_star, r_max = math.atanh(math.sqrt(mb)), _r_max(N)
+    details = {"beta_median": mb, "rhs": rhs,
+               "radius_interval": [r_star, r_max] if r_star < r_max else None}
+    return CriterionReport("elliptic", N - rhs,
                            inputs={"k": k, "N": N, "nu": nu}, details=details)
 
 
@@ -202,33 +206,33 @@ def margin_grid(ks, levels, nus, m_j: float = 1.0, M: int = 1):
                 rhs = [_elliptic_rhs(k, nu)[1] for nu in nus]
             for i, nu in enumerate(nus):
                 margin, _, sharp = _classical_margins(threshold, med, M, n, nu, m_j)
-                el = _elliptic_margin(n, rhs[i]) if n >= 2 else math.nan
+                el = n - rhs[i] if n >= 2 else math.nan
                 rows.append((k, n, nu, margin, el, sharp))
     return rows
 
 
-def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionReport:
-    """Closed-form test of the strip-region inequality for a classical seed.
+def region_test_a(k: float, M: int, N: int, nu: int, m_j: float) -> CriterionReport:
+    """Closed-form test of the strip-region inequality for the classical
+    seed e^{2 pi i (nu + m_j) tau / M} of weight k at level N.
 
     The mass of the seed above y = y_cut = 1/N must exceed the mass
     below; after substitution both sides are incomplete-gamma integrals, so
     the margin is 1 - 2 P(k/2 - 1, 2 pi (nu + m_j)/(M N)).  The no-return
     property of the region holds for the supported congruence families
     because nontrivial elements have |c| >= N, which the report records.
-    The two sides split the seed's mass (seed_strip_integral); RefusalError
+    The two sides split the seed's mass M Gamma(s) / alpha^s
+    (_quad.gamma_over_power, as seed_strip_integral takes it); RefusalError
     when that mass exceeds the float range, which the margin does not need.
+    The refusals are the classical criterion's.
     """
-    if k <= 2:
-        raise DomainError("region test requires k > 2")
-    n_level = gamma.level
-    m_width = seed.M
-    y_cut = 1.0 / n_level
-    alpha = 2.0 * math.pi * (seed.nu + seed.m_j) / m_width
+    _check_classical(k, M, N, m_j, (nu,))
+    y_cut = 1.0 / N
+    alpha = 2.0 * math.pi * (nu + m_j) / M
     s = k / 2.0 - 1.0
     x0 = alpha * y_cut
     p_val = regularized_incomplete_gamma(s, x0)
     try:
-        scale = seed_strip_integral(seed, k)
+        scale = gamma_over_power(M, s, alpha)
     except OverflowError as exc:
         raise RefusalError(f"region A mass M Gamma(s) / alpha^s overflows at s={s}") from exc
     lhs = scale * (1.0 - p_val)
@@ -238,8 +242,8 @@ def region_test_a(seed: ClassicalSeed, gamma: GroupSpec, k: float) -> CriterionR
                "gamma_median": gamma_median(s),
                "pairwise_inequivalence": "assumed (|c| >= N for the supported families)"}
     return CriterionReport("regionA", margin,
-                           inputs={"k": k, "M": m_width, "N": n_level,
-                                   "nu": seed.nu, "m_j": seed.m_j, "y_cut": y_cut},
+                           inputs={"k": k, "M": M, "N": N, "nu": nu, "m_j": m_j,
+                                   "y_cut": y_cut},
                            details=details)
 
 
@@ -253,20 +257,17 @@ def region_test_c(k: float, nu: int, N: int, r: Optional[float] = None) -> Crite
     I = I_{tanh^2 r}(nu/2 + 1, k/2 - 1) and B the complete beta value, so
     the mass margin is 2 I - 1.  Without r the radius is find_radius's;
     when no radius is feasible the report carries the elliptic criterion's
-    margin, r None and a note.  A radius whose separation margin is not a
-    finite float (cosh(4r) overflows from r = 178 on) is refused.
+    margin, r None and a note.  The refusals of k, N and nu are the elliptic
+    criterion's, with or without r.  A radius whose separation margin is
+    not a finite float (cosh(4r) overflows from r = 178 on) is refused.
     """
+    _check_elliptic(k, N, (nu,))
     if r is None:
         r = find_radius(k, nu, N)
         if r is None:
             return CriterionReport("regionC", elliptic_criterion(k, N, nu).margin,
                                    {"k": k, "nu": nu, "N": N, "r": None},
                                    {"note": "no feasible radius"})
-    if k <= 2:
-        raise DomainError("region test requires k > 2")
-    if N < 2:
-        raise ValueError("need N >= 2")
-    _check_nus((nu,))
     if r <= 0:
         raise ValueError("need r > 0")
     try:
@@ -283,7 +284,7 @@ def region_test_c(k: float, nu: int, N: int, r: Optional[float] = None) -> Crite
     margin = min(sep, mass)
     details = {"separation_margin": sep, "mass_head": bfun * frac,
                "mass_tail": bfun * (1.0 - frac), "mass_margin": mass,
-               "r_max": math.acosh((N * N + 2.0) / 2.0) / 4.0}
+               "r_max": _r_max(N)}
     return CriterionReport("regionC", margin,
                            inputs={"k": k, "nu": nu, "N": N, "r": r},
                            details=details)

@@ -263,7 +263,7 @@ def test_criterion_8_criterion_equivalences():
             split = spectral_split(rep, MS12, 1)
             for nu in range(0, 7):
                 seed = ClassicalSeed(nu, 1, split, 1)
-                ra = region_test_a(seed, gamma, k)
+                ra = region_test_a(k, seed.M, n, nu, seed.m_j)
                 sharp = classical_criterion(k, 1, n, nu, 1.0).details["sharp_satisfied"]
                 ok_region &= (ra.satisfied == sharp)
                 r = find_radius(k, nu, n)

@@ -73,6 +73,9 @@ class TestConstruction:
         assert MultiplierSystem("eta_power", 12.0).kappa == 0.0
         assert MultiplierSystem("eta_power", 0.5).kappa == pytest.approx(1.0 / 24.0)
         assert MultiplierSystem("eta_power", 3.5).kappa == pytest.approx(3.5 / 12.0)
+        # one rounding: (13/12) mod 1 would read 0.08333333333333326
+        assert MultiplierSystem("eta_power", 13.0).kappa == 1.0 / 12.0
+        assert MultiplierSystem("eta_power", -11.0).kappa == 1.0 / 12.0
 
 
 class TestValues:

@@ -505,9 +505,7 @@ class TestRegionA:
         for k in GRID_K:
             for n in GRID_N:
                 for nu in GRID_NU:
-                    gamma = GroupSpec.gamma0(n)
-                    seed = classical_seed(gamma, nu)
-                    rep = region_test_a(seed, gamma, k)
+                    rep = region_test_a(k, 1, n, nu, 1.0)
                     sharp = classical_criterion(k, 1, n, nu, 1.0).details["sharp_satisfied"]
                     assert rep.satisfied == sharp
                     # margin is 1 - 2 P(k/2-1, x0)
@@ -515,9 +513,7 @@ class TestRegionA:
                     assert rep.margin == pytest.approx(1.0 - 2.0 * p, abs=1e-12)
 
     def test_sides_are_actual_integrals(self):
-        gamma = GroupSpec.gamma0(3)
-        seed = classical_seed(gamma, 1)
-        rep = region_test_a(seed, gamma, 6.0)
+        rep = region_test_a(6.0, 1, 3, 1, 1.0)
         alpha = 2 * math.pi * 2.0  # (nu + m_j)/M = 2
         above, _ = integrate.quad(lambda y: math.exp(-alpha * y) * y ** 1.0, 1.0 / 3.0, np.inf)
         below, _ = integrate.quad(lambda y: math.exp(-alpha * y) * y ** 1.0, 0.0, 1.0 / 3.0)
@@ -528,8 +524,7 @@ class TestRegionA:
     def test_large_weight_margin_is_not_refused(self):
         # the display scale M Gamma(s) / alpha^s overflowed math.gamma for
         # k >= ~345 and refused a finite margin
-        gamma = GroupSpec.gamma0(5)
-        rep = region_test_a(classical_seed(gamma, 0), gamma, 400.0)
+        rep = region_test_a(400.0, 1, 5, 0, 1.0)
         s, alpha = 199.0, 2.0 * math.pi
         p = regularized_incomplete_gamma(s, alpha / 5.0)
         assert rep.margin == 1.0 - 2.0 * p
@@ -540,17 +535,15 @@ class TestRegionA:
     def test_large_weight_mass_is_the_sum_of_the_sides(self):
         # the mass M Gamma(s) / alpha^s (~1e212 here) is finite, though its
         # direct form overflows math.gamma from k = 346 on
-        gamma = GroupSpec.gamma0(5)
-        seed = classical_seed(gamma, 0)
+        seed = classical_seed(GroupSpec.gamma0(5), 0)
         mass = seed_strip_integral(seed, 400.0)
-        sides = region_test_a(seed, gamma, 400.0).details
+        sides = region_test_a(400.0, seed.M, 5, seed.nu, seed.m_j).details
         assert math.isfinite(mass)
         assert mass == pytest.approx(sides["above_cut"] + sides["below_cut"], rel=1e-15)
 
     def test_scale_beyond_float_range_is_refused(self):
-        gamma = GroupSpec.gamma0(5)
         with pytest.raises(RefusalError):
-            region_test_a(classical_seed(gamma, 0), gamma, 1000.0)
+            region_test_a(1000.0, 1, 5, 0, 1.0)
 
     def test_sides_keep_the_direct_formula_values(self):
         # wherever M Gamma(s) / alpha^s was finite in direct form, the sides
@@ -573,7 +566,7 @@ class TestRegionA:
                         direct = seed.M * math.gamma(s) / alpha ** s
                     except OverflowError:
                         continue
-                    rep = region_test_a(seed, gamma, k)
+                    rep = region_test_a(k, seed.M, 5, nu, seed.m_j)
                     p = regularized_incomplete_gamma(s, rep.details["x0"])
                     assert rep.details["above_cut"] == pytest.approx(direct * (1.0 - p), rel=1e-13)
                     assert rep.details["below_cut"] == pytest.approx(direct * p, rel=1e-13)
@@ -669,7 +662,7 @@ class TestFindRadius:
                     seed = ClassicalSeed(nu, 1, split, 1)
                     ell = elliptic_criterion(k, n, nu)
                     reports = [classical_criterion(k, 1, n, nu, m_j) for m_j in (0.25, 1.0)]
-                    reports += [ell, region_test_a(seed, group, k)]
+                    reports += [ell, region_test_a(k, seed.M, n, nu, seed.m_j)]
                     r = find_radius(k, nu, n)
                     if r is None:
                         # the no-radius artifact reports this margin as unsatisfied
