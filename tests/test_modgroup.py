@@ -153,13 +153,14 @@ def _exact_relative_error(got: complex, w: tuple, k: int) -> float:
 class TestPrincipalPower:
     # z^-k on the Fourier line against exact rationals, over the entries
     # where |z^-k| lies in [e^-700, e^700] (all 3,200 up to |k| = 100, 3,191
-    # at 120, 358 at 172, 151 at 198).  Integer k go through _integer_power:
+    # at 120, 358 at 172, 151 at 198).  Integer k go through _integer_power,
+    # binary powering in array operations, as the seed kernels take it:
     # measured worst 2.6e-16, 4.8e-16, 6.9e-16, 2.2e-15 (np.power: 2.6e-16,
     # 5.4e-16, 7.7e-16, 2.5e-15), then 3.48e-15 at k = +-100, 4.24e-15 at
     # -120, 3.58e-15 at 172, 3.65e-15 at 198 (the log route: 1.1e-13,
     # 1.2e-13, 1.3e-13, 1.1e-13), each gated at about 3x
-    @pytest.mark.parametrize("k, gate", [(4, 8e-16), (12, 1.6e-15), (20, 2.3e-15),
-                                         (60, 7.4e-15), (100, 1.1e-14), (-100, 1.1e-14),
+    @pytest.mark.parametrize("k, gate", [(4, 8e-16), (12, 1.5e-15), (20, 2.1e-15),
+                                         (60, 6.6e-15), (100, 1.1e-14), (-100, 1.1e-14),
                                          (-120, 1.3e-14), (172, 1.1e-14), (198, 1.1e-14)])
     def test_integer_weights_against_exact_powers(self, k, gate):
         ws, z = _fourier_line()
@@ -167,17 +168,6 @@ class TestPrincipalPower:
         inside = (np.abs(np.log(np.abs(z))) * abs(k) < 700.0).tolist()
         worst = max(_exact_relative_error(g, w, k)
                     for g, w, keep in zip(got.tolist(), ws, inside) if keep)
-        assert worst <= gate
-
-    # _integer_power, binary powering in array operations for the seed
-    # kernels and principal_power: measured worst 2.6e-16, 4.8e-16, 6.9e-16
-    # and 2.2e-15
-    @pytest.mark.parametrize("k, gate", [(4, 8e-16), (12, 1.5e-15), (20, 2.1e-15),
-                                         (60, 6.6e-15)])
-    def test_array_powers_against_exact_powers(self, k, gate):
-        ws, z = _fourier_line()
-        got = _integer_power(z.copy(), -k)
-        worst = max(_exact_relative_error(g, w, k) for g, w in zip(got.tolist(), ws))
         assert worst <= gate
 
     def test_array_powers_leave_the_float_range_to_the_caller(self):
