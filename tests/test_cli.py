@@ -179,6 +179,8 @@ class TestEval:
         (["criterion", "regionA", "--k", "12", "--N", "5", "--nu=-1"], "need nu >= 0, got -1"),
         (["criterion", "regionA", "--k", "12", "--N", "0"],
          "need M >= 1 and N >= 1, got M=1, N=0"),
+        # the group's name is checked before its level
+        (["eval", "--group", "foo", "--tau", "0.3,1.1"], "unknown group 'foo'"),
     ])
     def test_out_of_range_input_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -76,6 +76,9 @@ class TestConstruction:
         # one rounding: (13/12) mod 1 would read 0.08333333333333326
         assert MultiplierSystem("eta_power", 13.0).kappa == 1.0 / 12.0
         assert MultiplierSystem("eta_power", -11.0).kappa == 1.0 / 12.0
+        # k mod 12 rounds up to 12 here; 0 is the nearest point of R/Z
+        assert MultiplierSystem("eta_power", -1e-20).kappa == 0.0
+        assert MultiplierSystem("eta_power", -1e-17).kappa == 0.0
 
 
 class TestValues:
