@@ -56,21 +56,18 @@ def _c2j(z: complex):
 
 
 def _parse_group(ns) -> GroupSpec:
-    kind = ns.group.lower()
-    level = ns.level
-    if kind == "sl2z":
-        if level is not None:
+    name = ns.group.lower()
+    kind = {"sl2z": "SL2Z", "gamma0": "Gamma0", "gamma1pm": "Gamma1pm",
+            "gammanpm": "GammaNpm"}.get(name)
+    if kind is None:
+        raise ConfigError(f"unknown group {name!r}")
+    if kind == "SL2Z":
+        if ns.level is not None:
             raise ConfigError("--group sl2z does not read --level")
         return GroupSpec.sl2z()
-    if level is None:
-        raise ConfigError(f"--group {kind} needs --level")
-    if kind == "gamma0":
-        return GroupSpec.gamma0(level)
-    if kind == "gamma1pm":
-        return GroupSpec.gamma1pm(level)
-    if kind == "gammanpm":
-        return GroupSpec.gamma_npm(level)
-    raise ConfigError(f"unknown group {kind!r}")
+    if ns.level is None:
+        raise ConfigError(f"--group {name} needs --level")
+    return GroupSpec(kind, ns.level)
 
 
 def _parse_ms(ns) -> MultiplierSystem:

@@ -48,10 +48,12 @@ class MultiplierSystem:
     @property
     def kappa(self) -> float:
         """Cusp parameter in [0, 1) with v(T) = e^{2 pi i kappa}: (k mod 12)/12,
-        whose one rounding is the division's, since k mod 12 is exact."""
+        whose one rounding is the division's, since k mod 12 is exact but
+        where a tiny negative k rounds it up to 12, read as 0."""
         if self.family == "trivial_even":
             return 0.0
-        return (self.k % 12.0) / 12.0
+        r = self.k % 12.0
+        return r / 12.0 if r < 12.0 else 0.0
 
 
 # Entries at or beyond this bound are refused: the Dedekind recursion forms
