@@ -1,16 +1,43 @@
 import numpy as np
 import pytest
 
-from vvps.modgroup import I2, S, _cocycle, entry_arrays, slash_kernel, t_power
+from vvps.modgroup import (I2, S, GroupSpec, _cocycle, entry_arrays, right_coset_reps,
+                           slash_kernel, t_power)
+from vvps.multiplier import MultiplierSystem, _random_element
+from vvps.rep import SpectralSplit, induce, spectral_split, trivial_rep
+from vvps.seeds import ClassicalSeed, EllipticSeed
+from vvps.series import SeriesHandle
 
 
 def random_element(rng, max_len=12):
     """Random product of the generators S, T, T^{-1}."""
-    g = I2
-    gens = (S, t_power(1), t_power(-1))
-    for _ in range(int(rng.integers(1, max_len + 1))):
-        g = g * gens[int(rng.integers(0, 3))]
-    return g
+    return _random_element(rng, max_len)
+
+
+def plain_split(p=1):
+    return SpectralSplit(np.eye(p, dtype=complex), tuple([1.0] * p))
+
+
+def induced_trivial(n: int):
+    """The rho of SL2(Z) induced from the trivial rho of Gamma0(n)."""
+    group = GroupSpec.gamma0(n)
+    return induce(trivial_rep(1, group), right_coset_reps(group))
+
+
+def classical_handle(gamma, k=12.0, nu=0, family="trivial_even", height=40.0, rep=None, j=1, M=1):
+    """The series over gamma of the classical seed of component j at the
+    cusp infinity of width M; rep is the trivial rho of gamma by default."""
+    ms = MultiplierSystem(family, k)
+    rep = trivial_rep(1, gamma) if rep is None else rep
+    seed = ClassicalSeed(nu, j, spectral_split(rep, ms, M), M)
+    return SeriesHandle(seed, rep, ms, gamma, height)
+
+
+def elliptic_handle(gamma, xi=1j, nu=0, k=12.0, family="trivial_even", height=30.0):
+    """The scalar series over gamma of the elliptic seed centred at xi."""
+    ms = MultiplierSystem(family, k)
+    seed = EllipticSeed(nu, xi, np.array([1.0 + 0j]), k)
+    return SeriesHandle(seed, trivial_rep(1, gamma), ms, gamma, height)
 
 
 def syllable_product(syll):

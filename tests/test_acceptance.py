@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import act, cocycle, random_element, random_tau, syllable_product
+from conftest import (act, classical_handle, cocycle, elliptic_handle, random_element,
+                      random_tau, syllable_product)
 from vvps.analysis import (QuadratureSpec, classical_pairing_closed_form,
                            elliptic_expansion_coeffs,
                            elliptic_pairing_closed_form, fourier_coefficients,
@@ -22,11 +23,9 @@ from vvps.nonvanish import (beta_median, classical_criterion,
 from vvps.rep import (evaluate_rho, induce, spectral_split, st_rep,
                       trivial_rep)
 from vvps.seeds import ClassicalSeed, EllipticSeed, seed_strip_integral
-from vvps.series import build_series, check_seed_invariance, check_transformation, slash
+from vvps.series import check_seed_invariance, check_transformation, slash
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
-GAMMA_INF1 = GroupSpec.gamma_infinity(1)
-PMI = GroupSpec.plus_minus_identity()
 
 _handles = {}
 
@@ -40,19 +39,14 @@ def report(num, ok, detail):
 def classical_series(gamma, height, nu=0):
     key = ("classical", gamma, height, nu)
     if key not in _handles:
-        rep = trivial_rep(1, gamma)
-        split = spectral_split(rep, MS12, 1)
-        seed = ClassicalSeed(nu, 1, split, 1)
-        _handles[key] = build_series(seed, GAMMA_INF1, gamma, rep, MS12, 12.0, height)
+        _handles[key] = classical_handle(gamma, nu=nu, height=height)
     return _handles[key]
 
 
 def elliptic_series(gamma, height, nu):
     key = ("elliptic", gamma, height, nu)
     if key not in _handles:
-        rep = trivial_rep(1, gamma)
-        seed = EllipticSeed(nu, 1j, np.array([1.0 + 0j]), 12.0)
-        _handles[key] = build_series(seed, PMI, gamma, rep, MS12, 12.0, height)
+        _handles[key] = elliptic_handle(gamma, nu=nu, height=height)
     return _handles[key]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from conftest import classical_handle, elliptic_handle, induced_trivial, plain_split
 from vvps.analysis import (QuadratureSpec,
                            classical_pairing_closed_form,
                            elliptic_expansion_coeffs,
@@ -15,29 +16,10 @@ from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import GroupSpec, S, right_coset_reps
 from vvps.multiplier import MultiplierSystem
 from vvps import series
-from vvps.rep import SpectralSplit, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import build_series, slash
+from vvps.series import slash
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
-
-
-def plain_split(p=1):
-    return SpectralSplit(np.eye(p, dtype=complex), tuple([1.0] * p))
-
-
-def classical_handle(gamma, height, nu=0):
-    rep = trivial_rep(1, gamma)
-    split = spectral_split(rep, MS12, 1)
-    seed = ClassicalSeed(nu, 1, split, 1)
-    return build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, MS12, 12.0, height), seed
-
-
-def elliptic_handle(gamma, height, nu=0):
-    rep = trivial_rep(1, gamma)
-    seed = EllipticSeed(nu, 1j, np.array([1.0 + 0j]), 12.0)
-    return build_series(seed, GroupSpec.plus_minus_identity(), gamma, rep, MS12,
-                        12.0, height), seed
 
 
 class TestFourier:
@@ -67,7 +49,7 @@ class TestFourier:
             fourier_coefficients(F, plain_split(), 1, [0], 0.5, nx)
 
     def test_two_heights_agree(self):
-        h, _ = classical_handle(GroupSpec.gamma0(2), 40.0)
+        h = classical_handle(GroupSpec.gamma0(2), height=40.0)
         t1 = fourier_coefficients(h, h.seed.split, 1, [0, 1], 0.5, 64)
         t2 = fourier_coefficients(h, h.seed.split, 1, [0, 1], 1.0, 64)
         for n in (0, 1):
@@ -76,7 +58,7 @@ class TestFourier:
 
     def test_sigma_slash_consistency(self):
         # expanding F|_k S of a level-one series equals expanding F itself
-        h, _ = classical_handle(GroupSpec.sl2z(), 40.0)
+        h = classical_handle(GroupSpec.sl2z(), height=40.0)
         plain = fourier_coefficients(h, h.seed.split, 1, [0, 1], 0.9, 64)
         slashed = fourier_coefficients(h, h.seed.split, 1, [0, 1], 0.9, 64,
                                        sigma=S, ms=MS12, k=12.0)
@@ -90,14 +72,14 @@ class TestFourier:
                                  sigma=S, ms=MS12, k=24.0)
 
     def test_scalar_ramanujan_ratios_smoke(self):
-        h, _ = classical_handle(GroupSpec.sl2z(), 80.0)
+        h = classical_handle(GroupSpec.sl2z(), height=80.0)
         tab = fourier_coefficients(h, h.seed.split, 1, [0, 1, 2], 0.5, 64)
         b0 = tab.coeff(1, 0)
         assert tab.coeff(1, 1) / b0 == pytest.approx(-24.0, rel=1e-6)
         assert tab.coeff(1, 2) / b0 == pytest.approx(252.0, rel=1e-5)
 
     def test_table_serialisation(self):
-        h, _ = classical_handle(GroupSpec.gamma0(2), 20.0)
+        h = classical_handle(GroupSpec.gamma0(2), height=20.0)
         tab = fourier_coefficients(h, h.seed.split, 1, [0, 1], 0.5, 32)
         data = tab.to_json()
         assert data["M"] == 1 and len(data["b"]) == 2
@@ -134,7 +116,7 @@ class TestEllipticExpansion:
         assert abs(c1[0]) < 1e-12 and abs(c1[2]) < 1e-12
 
     def test_two_radii_agree(self):
-        h, _ = elliptic_handle(GroupSpec.gamma0(2), 25.0)
+        h = elliptic_handle(GroupSpec.gamma0(2), height=25.0)
         a = elliptic_expansion_coeffs(h, 1j, 12.0, [0, 1], 0.3, nt=128)
         b = elliptic_expansion_coeffs(h, 1j, 12.0, [0, 1], 0.5, nt=128)
         for n in (0, 1):
@@ -213,10 +195,10 @@ class TestPeterssonStrip:
             petersson_strip(seed, seed, 2.0, q)
 
     def test_classical_two_pipelines(self):
-        h, seed = classical_handle(GroupSpec.gamma0(2), 60.0)
+        h = classical_handle(GroupSpec.gamma0(2), height=60.0)
         q = QuadratureSpec(0.05, 8.0, nx=32, ny=28)
-        strip, err = petersson_strip(h, seed, 12.0, q, return_error=True)
-        tab = fourier_coefficients(h, seed.split, 1, [0], 0.5, 64)
+        strip, err = petersson_strip(h, h.seed, 12.0, q, return_error=True)
+        tab = fourier_coefficients(h, h.seed.split, 1, [0], 0.5, 64)
         closed = classical_pairing_closed_form(tab.coeff(1, 0), 1, 12.0, 0, 1.0)
         assert abs(strip - closed) <= 1e-3 * abs(closed)
         assert err <= 1e-2 * abs(closed)
@@ -308,11 +290,8 @@ class TestWorkerCount:
 
     @pytest.fixture(scope="class")
     def induced(self):
-        gamma = GroupSpec.gamma0(3)
-        rep = induce(trivial_rep(1, gamma), right_coset_reps(gamma))  # p = 4
-        seed = ClassicalSeed(0, 2, spectral_split(rep, MS12, 1), 1)
-        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep,
-                         MS12, 12.0, 30.0)
+        # p = 4
+        h = classical_handle(GroupSpec.sl2z(), rep=induced_trivial(3), j=2, height=30.0)
         taus = np.linspace(-0.6, 0.6, 320) + 1j * np.linspace(0.3, 1.5, 320)
         # 654 cosets: three blocks of 100 points and one of 20
         assert len(taus) > 3 * (65_536 // len(h.cosets.ents))
@@ -323,19 +302,19 @@ class TestWorkerCount:
     @pytest.fixture(scope="class")
     def consumers(self):
         """Each consumer of evaluate_many, on grids of several blocks."""
-        cl, cl_seed = classical_handle(GroupSpec.gamma0(2), 30.0)
-        el, el_seed = elliptic_handle(GroupSpec.gamma0(2), 20.0)
-        deep, deep_seed = classical_handle(GroupSpec.sl2z(), 100.0)
-        small, _ = classical_handle(GroupSpec.sl2z(), 15.0)
+        cl = classical_handle(GroupSpec.gamma0(2), height=30.0)
+        el = elliptic_handle(GroupSpec.gamma0(2), height=20.0)
+        deep = classical_handle(GroupSpec.sl2z(), height=100.0)
+        small = classical_handle(GroupSpec.sl2z(), height=15.0)
         q = QuadratureSpec(0.05, 6.0, nx=32, ny=16)
         q_disk = QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)
         return {
-            "fourier": lambda: fourier_coefficients(deep, deep_seed.split, 1, range(3),
+            "fourier": lambda: fourier_coefficients(deep, deep.seed.split, 1, range(3),
                                                     0.5, 64).b,
             "strip_gamma_inf": lambda: petersson_strip(
-                cl, cl_seed, 12.0, q),
+                cl, cl.seed, 12.0, q),
             "strip_pm_identity": lambda: petersson_strip(
-                el, el_seed, 12.0, q_disk),
+                el, el.seed, 12.0, q_disk),
             "pair_full": lambda: petersson_pair_full(small, small, GroupSpec.sl2z(), 12.0),
         }
 
@@ -369,13 +348,13 @@ class TestWorkerCount:
 
 class TestPairFull:
     def test_zero_second_argument(self):
-        h, _ = classical_handle(GroupSpec.sl2z(), 15.0)
+        h = classical_handle(GroupSpec.sl2z(), height=15.0)
         zero = lambda tau: np.array([0.0 + 0j])
         got = petersson_pair_full(h, zero, GroupSpec.sl2z(), 12.0)
         assert got == 0.0
 
     def test_self_pairing_real_nonnegative(self):
-        h, _ = classical_handle(GroupSpec.sl2z(), 25.0)
+        h = classical_handle(GroupSpec.sl2z(), height=25.0)
         got = petersson_pair_full(h, h, GroupSpec.sl2z(), 12.0)
         assert got.real > 0
         assert abs(got.imag) <= 1e-10 * got.real
@@ -383,22 +362,22 @@ class TestPairFull:
     def test_same_handle_twice_matches_separate_handles(self):
         # pairing a handle with itself evaluates it once; a second handle
         # of the same configuration gives the same value bit for bit
-        h, _ = elliptic_handle(GroupSpec.gamma0(3), 20.0)
-        h2, _ = elliptic_handle(GroupSpec.gamma0(3), 20.0)
+        h = elliptic_handle(GroupSpec.gamma0(3), height=20.0)
+        h2 = elliptic_handle(GroupSpec.gamma0(3), height=20.0)
         same = petersson_pair_full(h, h, GroupSpec.gamma0(3), 12.0)
         assert same == petersson_pair_full(h, h2, GroupSpec.gamma0(3), 12.0)
 
     def test_hermitian_symmetry(self):
-        h, seed = classical_handle(GroupSpec.sl2z(), 25.0)
-        one = petersson_pair_full(h, seed, GroupSpec.sl2z(), 12.0)
-        two = petersson_pair_full(seed, h, GroupSpec.sl2z(), 12.0)
+        h = classical_handle(GroupSpec.sl2z(), height=25.0)
+        one = petersson_pair_full(h, h.seed, GroupSpec.sl2z(), 12.0)
+        two = petersson_pair_full(h.seed, h, GroupSpec.sl2z(), 12.0)
         assert one == pytest.approx(two.conjugate(), rel=1e-10)
 
     def test_unfolding_against_strip(self):
         # <Psi, Psi> over the quotient equals the unfolded strip pairing
-        h, seed = classical_handle(GroupSpec.sl2z(), 60.0)
+        h = classical_handle(GroupSpec.sl2z(), height=60.0)
         q = QuadratureSpec(0.05, 10.0, nx=48, ny=40)
-        strip = petersson_strip(h, seed, 12.0, q)
+        strip = petersson_strip(h, h.seed, 12.0, q)
         full = petersson_pair_full(h, h, GroupSpec.sl2z(), 12.0,
                                    q=QuadratureSpec(0.05, 8.0, nx=48, ny=32))
         assert abs(full - strip) <= 1e-2 * abs(strip)
@@ -408,7 +387,7 @@ class TestPairFull:
         # Cartesian witness for the disk route: the pairing over the quotient
         # runs on the translated standard domain, not on circles about xi
         gamma = GroupSpec.gamma0(2)
-        h, _ = elliptic_handle(gamma, 20.0, nu)
+        h = elliptic_handle(gamma, nu=nu, height=20.0)
         full = petersson_pair_full(h, h, gamma, 12.0)
         b = elliptic_expansion_coeffs(h, 1j, 12.0, [nu], 0.4, nt=128)[nu]
         closed = elliptic_pairing_closed_form(b, 12.0, nu, 1j)
@@ -417,7 +396,7 @@ class TestPairFull:
     def test_isometry_of_induction(self):
         # pairing on the subgroup equals the pairing of the induced tuple
         gamma = GroupSpec.gamma0(2)
-        h, _ = classical_handle(gamma, 40.0)
+        h = classical_handle(gamma, height=40.0)
         cosets = right_coset_reps(gamma)
         q = QuadratureSpec(0.05, 6.0, nx=32, ny=24)
         direct = petersson_pair_full(h, h, gamma, 12.0, q=q)

@@ -9,14 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import classical_handle, elliptic_handle, induced_trivial
 from vvps import cli, modgroup, series
 from vvps.cli import emit_threshold_table, main, parse_args, run
-from vvps.modgroup import GroupSpec, S, T, enumerate_cosets, right_coset_reps
+from vvps.modgroup import GroupSpec, S, T, enumerate_cosets
 from vvps.multiplier import MultiplierSystem
 from vvps.nonvanish import beta_median, classical_criterion, elliptic_criterion, gamma_median
-from vvps.rep import evaluate_rho, induce, spectral_split, st_rep, trivial_rep
-from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import build_series, slash
+from vvps.rep import evaluate_rho, spectral_split, st_rep
+from vvps.seeds import ClassicalSeed
+from vvps.series import slash
 
 
 def invoke(argv):
@@ -44,12 +45,7 @@ class TestEval:
         assert code == 0
         data = json.loads(out.read_text())
 
-        ms = MultiplierSystem("trivial_even", 12.0)
-        rep = trivial_rep(1, GroupSpec.gamma0(5))
-        split = spectral_split(rep, ms, 1)
-        seed = ClassicalSeed(0, 1, split, 1)
-        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.gamma0(5),
-                         rep, ms, 12.0, 60.0)
+        h = classical_handle(GroupSpec.gamma0(5), height=60.0)
         value, tail = h.evaluate(complex(0.3, 1.1))
         assert data["value"] == [[value[0].real, value[0].imag]]
         assert data["tail"] == tail
@@ -104,11 +100,7 @@ class TestEval:
         assert code == 0
         data = json.loads(out.read_text())
 
-        group = GroupSpec.gamma0(2)
-        seed = EllipticSeed(1, complex(-0.5, 1.0), np.array([1.0 + 0j]), 12.0)
-        h = build_series(seed, GroupSpec.plus_minus_identity(), group,
-                         trivial_rep(1, group), MultiplierSystem("trivial_even", 12.0),
-                         12.0, 20.0)
+        h = elliptic_handle(GroupSpec.gamma0(2), complex(-0.5, 1.0), 1, height=20.0)
         value, tail = h.evaluate(complex(-0.2, 0.2))
         assert data["tau"] == [-0.2, 0.2]
         assert data["value"] == [[value[0].real, value[0].imag]]
@@ -418,13 +410,9 @@ class TestOtherCommands:
         assert proc.returncode == 0, proc.stderr
         data = json.loads(out.read_text())
 
-        rho0 = induce(trivial_rep(1, GroupSpec.gamma0(2)),
-                      right_coset_reps(GroupSpec.gamma0(2)))
+        rho0 = induced_trivial(2)
         rep = st_rep(evaluate_rho(rho0, S), evaluate_rho(rho0, T))
-        ms = MultiplierSystem("trivial_even", 12.0)
-        split = spectral_split(rep, ms, 1)
-        h = build_series(ClassicalSeed(0, 2, split, 1), GroupSpec.gamma_infinity(1),
-                         GroupSpec.sl2z(), rep, ms, 12.0, 20.0)
+        h = classical_handle(GroupSpec.sl2z(), height=20.0, rep=rep, j=2)
         value, tail = h.evaluate(complex(0.3, 1.1))
         assert data["value"] == [[z.real, z.imag] for z in value]
         assert data["tail"] == tail
@@ -443,8 +431,7 @@ class TestOtherCommands:
         value = np.array([complex(re, im) for re, im in json.loads(outs[0].read_text())["value"]])
 
         # one slashed, twisted seed per coset, rho(g) along its S/T word
-        group = GroupSpec.gamma0(5)
-        rep = induce(trivial_rep(1, group), right_coset_reps(group))
+        rep = induced_trivial(5)
         ms = MultiplierSystem("trivial_even", 12.0)
         seed = ClassicalSeed(0, 3, spectral_split(rep, ms, 1), 1)
         tau = complex(-0.2, 0.9)

@@ -27,54 +27,36 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from conftest import classical_handle, elliptic_handle, induced_trivial
 from vvps._quad import block_sum
 from vvps.errors import RefusalError
-from vvps.modgroup import GroupSpec, enumerate_cosets, kernel_workspace, right_coset_reps
+from vvps.modgroup import GroupSpec, enumerate_cosets, kernel_workspace
 from vvps.multiplier import MultiplierSystem, evaluate_v
-from vvps.rep import fold_rho, induce, spectral_split, trivial_rep
-from vvps.seeds import ClassicalSeed, EllipticSeed
-from vvps.series import SeriesHandle, slash
+from vvps.rep import fold_rho
+from vvps.series import slash
 
 try:
     import mpmath
 except ImportError:  # test_terms_and_sums_against_mpmath skips
     mpmath = None
 
-def classical(gamma, k=12.0, nu=0, family="trivial_even", height=40.0, rep=None, j=1, M=1):
-    ms = MultiplierSystem(family, k)
-    rep = trivial_rep(1, gamma) if rep is None else rep
-    seed = ClassicalSeed(nu, j, spectral_split(rep, ms, M), M)
-    return SeriesHandle(seed, rep, ms, gamma, height)
-
-
-def elliptic(gamma, xi, nu, k=12.0, family="trivial_even", height=30.0):
-    ms = MultiplierSystem(family, k)
-    seed = EllipticSeed(nu, xi, np.array([1.0 + 0j]), k)
-    return SeriesHandle(seed, trivial_rep(1, gamma), ms, gamma, height)
-
-
-def induced_gamma0_3(height=40.0):
-    """The p = 4 rho induced from the trivial rho of Gamma0(3), component 2."""
-    group = GroupSpec.gamma0(3)
-    rep = induce(trivial_rep(1, group), right_coset_reps(group))
-    return classical(GroupSpec.sl2z(), rep=rep, j=2, height=height)
-
-
 SUM_POINTS = [complex(0.3, 1.1), complex(-0.45, 0.06), complex(0.1, 0.4), complex(1.7, 2.5)]
 
 # the handles of the sum test and of the per-term tests against slash
 HANDLES = {
-    "classical-sl2z-12": lambda: classical(GroupSpec.sl2z(), nu=1),
-    "classical-gamma0(5)-16": lambda: classical(GroupSpec.gamma0(5), k=16.0, height=60.0),
-    "classical-induced-p4": induced_gamma0_3,
-    "classical-eta-7.3": lambda: classical(GroupSpec.sl2z(), k=7.3, family="eta_power"),
-    "classical-inf2-gamma0(2)": lambda: classical(GroupSpec.gamma0(2), nu=1, height=40.0, M=2),
-    "elliptic-gamma0(2)-12": lambda: elliptic(GroupSpec.gamma0(2), 1j, 1),
-    "elliptic-gamma0(3)-16": lambda: elliptic(GroupSpec.gamma0(3), complex(0.2, 0.9), 4, k=16.0),
-    "elliptic-eta-7.3-nu1": lambda: elliptic(GroupSpec.sl2z(), complex(0.1, 1.0), 1, k=7.3,
-                                             family="eta_power", height=40.0),
-    "elliptic-eta-7.3-nu0": lambda: elliptic(GroupSpec.sl2z(), complex(-0.3, 0.7), 0, k=7.3,
-                                             family="eta_power", height=40.0),
+    "classical-sl2z-12": lambda: classical_handle(GroupSpec.sl2z(), nu=1),
+    "classical-gamma0(5)-16": lambda: classical_handle(GroupSpec.gamma0(5), k=16.0, height=60.0),
+    "classical-induced-p4": lambda: classical_handle(GroupSpec.sl2z(), rep=induced_trivial(3),
+                                                     j=2),
+    "classical-eta-7.3": lambda: classical_handle(GroupSpec.sl2z(), k=7.3, family="eta_power"),
+    "classical-inf2-gamma0(2)": lambda: classical_handle(GroupSpec.gamma0(2), nu=1, M=2),
+    "elliptic-gamma0(2)-12": lambda: elliptic_handle(GroupSpec.gamma0(2), 1j, 1),
+    "elliptic-gamma0(3)-16": lambda: elliptic_handle(GroupSpec.gamma0(3), complex(0.2, 0.9), 4,
+                                                     k=16.0),
+    "elliptic-eta-7.3-nu1": lambda: elliptic_handle(GroupSpec.sl2z(), complex(0.1, 1.0), 1,
+                                                    k=7.3, family="eta_power", height=40.0),
+    "elliptic-eta-7.3-nu0": lambda: elliptic_handle(GroupSpec.sl2z(), complex(-0.3, 0.7), 0,
+                                                    k=7.3, family="eta_power", height=40.0),
 }
 
 
@@ -313,13 +295,14 @@ def classical_grid():
     at ACC_POINTS and -0.3 + 0.06i: 52 scalar sums and 12 more of the
     induced rho's components."""
     points = ACC_POINTS + [complex(-0.3, 0.06)]
-    handles = [classical(gamma, nu=nu, height=25.0)
+    handles = [classical_handle(gamma, nu=nu, height=25.0)
                for gamma in (GroupSpec.sl2z(), GroupSpec.gamma0(2), GroupSpec.gamma0(5))
                for nu in (0, 1, 4)]
-    handles += [classical(GroupSpec.sl2z(), k=7.3, family="eta_power", height=25.0),
-                classical(GroupSpec.gamma0(3), k=7.3, nu=1, family="eta_power", height=25.0),
-                induced_gamma0_3(height=25.0),
-                classical(GroupSpec.gamma0(2), nu=1, height=25.0, M=2)]
+    handles += [classical_handle(GroupSpec.sl2z(), k=7.3, family="eta_power", height=25.0),
+                classical_handle(GroupSpec.gamma0(3), k=7.3, nu=1, family="eta_power",
+                                 height=25.0),
+                classical_handle(GroupSpec.sl2z(), rep=induced_trivial(3), j=2, height=25.0),
+                classical_handle(GroupSpec.gamma0(2), nu=1, height=25.0, M=2)]
     per_term, per_sum = [], []
     for h in handles:
         terms, sums = _errors(h, _classical_exact(h), points)
@@ -337,7 +320,7 @@ def elliptic_grid():
     for gamma in (GroupSpec.gamma0(2), GroupSpec.gamma0(3)):
         for xi in (1j, 1.05j, complex(0.05, 1.0), complex(0.2, 0.9)):
             for nu in (0, 1, 2, 4):
-                h = elliptic(gamma, xi, nu, height=15.0)
+                h = elliptic_handle(gamma, xi, nu, height=15.0)
 
                 def exact_of(tau, g, x=_mpc(xi), nu=nu):
                     a, b, c, d = g
@@ -355,7 +338,7 @@ def classical_high_weight(k):
     """The shape of the digest jobs `pair classical closed form at
     Gamma(171)` and `past Gamma(171)`: Gamma0(2), H = 20, at 0.3 + 1.1i
     and -0.2 + 0.5i, 196 terms and 2 sums."""
-    h = classical(GroupSpec.gamma0(2), k=k, height=20.0)
+    h = classical_handle(GroupSpec.gamma0(2), k=k, height=20.0)
     return _errors(h, _classical_exact(h), [complex(0.3, 1.1), complex(-0.2, 0.5)])
 
 
@@ -388,7 +371,7 @@ def test_large_nu_keeps_the_far_terms():
     # against mpmath: worst 8.6e-14; terms that g.tau formed flushed one of
     # them to 0 and the tail proxy read 0.6% low
     pytest.importorskip("mpmath")
-    h = elliptic(GroupSpec.gamma0(2), 1j, 140, height=150.0)
+    h = elliptic_handle(GroupSpec.gamma0(2), 1j, 140, height=150.0)
     tau = complex(0.3, 1.1)
     got = _scalars(h, np.array([tau]))[0]
     n_tail = h._prepared()["n_tail"]
@@ -410,8 +393,8 @@ def test_powers_past_the_float_range_are_recomputed():
     # finite on 48 of the 883 cosets.  Against an fsum of slash's terms:
     # measured 2.2e-16 and 0.0
     taus = np.array([complex(30.0, 1.0)])
-    for h in (elliptic(GroupSpec.gamma0(2), 1j, 0, k=98.0, height=60.0),
-              classical(GroupSpec.gamma0(2), k=98.0, height=60.0)):
+    for h in (elliptic_handle(GroupSpec.gamma0(2), 1j, 0, k=98.0, height=60.0),
+              classical_handle(GroupSpec.gamma0(2), k=98.0, height=60.0)):
         values, _ = h.evaluate_many(taus)
         terms = slash(h.seed, h.cosets.reps, taus, h.ms, h.rep)[0, :, 0]
         exact = complex(math.fsum(terms.real), math.fsum(terms.imag))

@@ -16,12 +16,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from conftest import classical_handle
 from vvps.analysis import fourier_coefficients
 from vvps.modgroup import GroupSpec, enumerate_cosets, slash_kernel
-from vvps.multiplier import MultiplierSystem
-from vvps.rep import spectral_split, trivial_rep
-from vvps.seeds import ClassicalSeed
-from vvps.series import build_series
 
 GAMMA_INF1 = GroupSpec.gamma_infinity(1)
 
@@ -77,11 +74,8 @@ def test_eisenstein_series(k, c_k, gate):
 ], ids=["S16-SL2Z-E4-Delta", "S8-Gamma0(2)-eta-eta2"])
 def test_one_dimensional_cusp_space(gamma, k, form, ratios, gate):
     assert tuple(form[1:]) == ratios and form[0] == 1
-    ms = MultiplierSystem("trivial_even", float(k))
-    rep = trivial_rep(1, gamma)
-    seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
-    h = build_series(seed, GAMMA_INF1, gamma, rep, ms, float(k), 300.0)
-    tab = fourier_coefficients(h, seed.split, 1, [0, 1, 2, 3], 0.5, 64)
+    h = classical_handle(gamma, k=float(k), height=300.0)
+    tab = fourier_coefficients(h, h.seed.split, 1, [0, 1, 2, 3], 0.5, 64)
     b0 = tab.coeff(1, 0)
     for n, exact in enumerate(ratios, start=1):
         got = tab.coeff(1, n) / b0

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_element
+from conftest import classical_handle, induced_trivial, random_element
 import vvps.rep
 from vvps.cli import parse_args, run
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
@@ -21,7 +21,7 @@ from vvps.rep import (RepSpec, _analysis, _class_lookup, _level_table, _sl2_orde
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
                       permutation_ell, spectral_split, st_rep, trivial_rep)
 from vvps.seeds import ClassicalSeed
-from vvps.series import SeriesHandle, build_series, check_transformation, slash
+from vvps.series import SeriesHandle, check_transformation, slash
 
 TRIVIAL_MS = MultiplierSystem("trivial_even", 12.0)
 
@@ -34,11 +34,6 @@ def character_rep(c: int) -> RepSpec:
 
 def legendre_mod5():
     return dirichlet_rep(5, [0, 1, -1, -1, 1])
-
-
-def induced_trivial(n: int) -> RepSpec:
-    group = GroupSpec.gamma0(n)
-    return induce(trivial_rep(1, group), right_coset_reps(group))
 
 
 def random_gamma0_elt(rng, n, max_len=8):
@@ -600,14 +595,12 @@ class TestLevelTable:
         # a witness in Gamma(12) that acts nontrivially, so no table mod 12 exists
         g = IntMatrix2(61, -72, -72, 85)
         assert np.linalg.norm(evaluate_rho(rep, g) - np.eye(7)) > 1.0
-        ms = TRIVIAL_MS
-        seed = ClassicalSeed(0, 2, spectral_split(rep, ms, 1), 1)
-        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, ms, 12.0, 25.0)
+        h = classical_handle(GroupSpec.sl2z(), rep=rep, j=2, height=25.0)
         # rho(g)^* w conj(v(g)) e(alpha a/c), multiplied in the order
         # preparation multiplies
-        expected = np.array([(evaluate_rho(rep, g).conj().T @ seed.vector)
-                             * evaluate_v(ms, g).conjugate()
-                             * np.exp(1j * seed._phase_runs(entries([g]))[0])
+        expected = np.array([(evaluate_rho(rep, g).conj().T @ h.seed.vector)
+                             * evaluate_v(h.ms, g).conjugate()
+                             * np.exp(1j * h.seed._phase_runs(entries([g]))[0])
                              for g in h.cosets.reps])
         assert np.array_equal(h._prepared()["w"], expected)
 
@@ -632,22 +625,19 @@ class TestLevelTable:
         assert np.array_equal(fold_rho(rho, w, entries(reps)), walk_fold(rho, w, reps))
 
     @pytest.mark.parametrize("rep, ms", [
-        (induce(trivial_rep(1, GroupSpec.gamma0(5)), right_coset_reps(GroupSpec.gamma0(5))),
-         TRIVIAL_MS),
+        (induced_trivial(5), TRIVIAL_MS),
         # 2,184 classes of 14 x 14 matrices would pass the table's 4 MB
-        (induce(trivial_rep(1, GroupSpec.gamma0(13)), right_coset_reps(GroupSpec.gamma0(13))),
-         TRIVIAL_MS),
+        (induced_trivial(13), TRIVIAL_MS),
         (legendre_mod5(), MultiplierSystem("eta_power", 12.0)),
         (trivial_rep(1, GroupSpec.gamma0(3)), MultiplierSystem("eta_power", 7.3)),
     ], ids=["induced", "induced-13", "dirichlet", "trivial-eta"])
     def test_preparation_never_walks(self, rep, ms, monkeypatch):
         gamma = rep.group if rep.group.finite_index and rep.group.kind != "SL2Z" \
             else GroupSpec.sl2z()
-        seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
-        h = build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, ms.k, 40.0)
-        expected = np.array([(evaluate_rho(rep, g).conj().T @ seed.vector)
+        h = classical_handle(gamma, k=ms.k, family=ms.family, rep=rep)
+        expected = np.array([(evaluate_rho(rep, g).conj().T @ h.seed.vector)
                              * evaluate_v(ms, g).conjugate()
-                             * np.exp(1j * seed._phase_runs(entries([g]))[0])
+                             * np.exp(1j * h.seed._phase_runs(entries([g]))[0])
                              for g in h.cosets.reps])
 
         def walk(*args):

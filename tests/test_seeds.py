@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import plain_split
 from vvps.errors import DomainError
 from vvps.modgroup import GroupSpec, I2, cusp_width, enumerate_cosets, kernel_workspace
 from vvps.multiplier import MultiplierSystem
@@ -14,10 +15,6 @@ from vvps.seeds import ClassicalSeed, EllipticSeed, seed_strip_integral
 from vvps.series import check_seed_invariance
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
-
-
-def plain_split(p=1):
-    return SpectralSplit(np.eye(p, dtype=complex), tuple([1.0] * p))
 
 
 class TestEvaluation:

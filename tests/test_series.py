@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import act, cocycle, random_element, random_tau
+from conftest import (act, classical_handle, cocycle, elliptic_handle, induced_trivial,
+                      random_element, random_tau)
 from vvps import series
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, enumerate_cosets,
@@ -18,39 +19,8 @@ from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import SeriesHandle, build_series, check_transformation, slash
 
 MS12 = MultiplierSystem("trivial_even", 12.0)
-
-
-def classical_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=0, k=12.0, M=1):
-    ms = MultiplierSystem("trivial_even", k)
-    rep = trivial_rep(1, gamma)
-    split = spectral_split(rep, ms, M)
-    seed = ClassicalSeed(nu, 1, split, M)
-    return build_series(seed, GroupSpec.gamma_infinity(M), gamma, rep, ms, k, height)
-
-
-def induced_handle():
-    """The p = 4 rho induced from the trivial rho of Gamma0(3), at H = 30."""
-    gamma = GroupSpec.gamma0(3)
-    rep = induce(trivial_rep(1, gamma), right_coset_reps(gamma))
-    seed = ClassicalSeed(0, 2, spectral_split(rep, MS12, 1), 1)
-    return build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, MS12,
-                        12.0, 30.0)
-
-
-def eta_handle(height=30.0, k=7.3):
-    """A scalar series with the eta multiplier of weight k on SL2(Z)."""
-    ms = MultiplierSystem("eta_power", k)
-    rep = trivial_rep(1)
-    seed = ClassicalSeed(0, 1, spectral_split(rep, ms, 1), 1)
-    return build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, ms, k,
-                        height)
-
-
-def elliptic_handle(gamma=GroupSpec.gamma0(2), height=25.0, nu=0, k=12.0):
-    ms = MultiplierSystem("trivial_even", k)
-    rep = trivial_rep(1, gamma)
-    seed = EllipticSeed(nu, 1j, np.array([1.0 + 0j]), k)
-    return build_series(seed, GroupSpec.plus_minus_identity(), gamma, rep, ms, k, height)
+SL2Z = GroupSpec.sl2z()
+G02 = GroupSpec.gamma0(2)
 
 
 class TestSlash:
@@ -106,7 +76,7 @@ class TestSlash:
 class TestHandleValidation:
     def test_low_weight_rejected(self):
         with pytest.raises(DomainError):
-            classical_handle(k=2.0)
+            classical_handle(SL2Z, k=2.0, height=30.0)
 
     def test_wrong_stabiliser_rejected(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
@@ -138,8 +108,7 @@ class TestHandleValidation:
         rep = trivial_rep(1)
         bad = ClassicalSeed(0, 1, SpectralSplit(np.eye(1, dtype=complex), (0.5,)), 1)
         with pytest.raises(ValueError):
-            build_series(bad, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(),
-                         rep, MS12, 12.0, 10.0)
+            SeriesHandle(bad, rep, MS12, GroupSpec.sl2z(), 10.0)
 
 
 class TestTableOnFirstEvaluation:
@@ -157,8 +126,8 @@ class TestTableOnFirstEvaluation:
         return made
 
     def test_construction_enumerates_nothing(self, calls):
-        classical_handle(height=20.0)
-        elliptic_handle(height=20.0)
+        classical_handle(SL2Z, height=20.0)
+        elliptic_handle(G02, height=20.0)
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
         SeriesHandle(seed, trivial_rep(1), MS12, GroupSpec.sl2z(), 20.0)
         assert calls == []
@@ -170,7 +139,7 @@ class TestTableOnFirstEvaluation:
             SeriesHandle(seed, trivial_rep(1), MS12, GroupSpec.sl2z(), 20.0, {})
 
     def test_first_evaluation_enumerates_once(self, calls):
-        h = classical_handle(height=20.0)
+        h = classical_handle(SL2Z, height=20.0)
         first = h.evaluate_many([0.1 + 1.2j, 0.3 + 0.9j])
         assert calls == [(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 20.0)]
         table = h.cosets
@@ -179,14 +148,14 @@ class TestTableOnFirstEvaluation:
         assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
 
     def test_reading_the_table_first(self, calls):
-        h = elliptic_handle(height=20.0)
+        h = elliptic_handle(G02, height=20.0)
         table = h.cosets
         h.evaluate(0.2 + 1.1j)
         check_transformation(h, [T], [0.2 + 1.1j])
         assert len(calls) == 1 and h.cosets is table
 
     def test_refusals_enumerate_nothing(self, calls):
-        h = classical_handle(gamma=GroupSpec.gamma0(2), height=20.0)
+        h = classical_handle(G02, height=20.0)
         with pytest.raises(RefusalError):
             h.evaluate(0.1 + 0.01j)
         with pytest.raises(DomainError):
@@ -208,13 +177,13 @@ class TestEvaluate:
     def test_single_coset_returns_seed(self):
         pmi = GroupSpec.plus_minus_identity()
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
-        h = build_series(seed, pmi, pmi, trivial_rep(1), MS12, 12.0, 1.5)
+        h = SeriesHandle(seed, trivial_rep(1), MS12, pmi, 1.5)
         tau = complex(0.4, 1.3)
         value, tail = h.evaluate(tau)
         assert value == pytest.approx(seed.eval_many([tau])[0])
 
     def test_refuses_near_real_line(self):
-        h = classical_handle(height=10.0)
+        h = classical_handle(SL2Z, height=10.0)
         with pytest.raises(RefusalError):
             h.evaluate(complex(0.3, 0.01))
 
@@ -230,7 +199,7 @@ class TestEvaluate:
         # the handle, the slash action on it and the invariance check refuse
         # alike; the slash action on a seed and the seed itself check the
         # half-plane alone
-        h = classical_handle(height=10.0)
+        h = classical_handle(SL2Z, height=10.0)
         taus = [complex(0.1, 1.2), bad]
         taus = np.array(taus) if ndarray else taus
         for check in point_checks(h):
@@ -243,13 +212,16 @@ class TestEvaluate:
                 h.seed.eval_many(taus)
 
     def test_domain_error_before_refusal(self):
-        h = classical_handle(height=10.0)
+        h = classical_handle(SL2Z, height=10.0)
         for check in point_checks(h):
             with pytest.raises(DomainError):
                 check([complex(0.2, 0.02), complex(0.3, -1.0)])
 
-    @pytest.mark.parametrize("handle", [classical_handle, induced_handle, elliptic_handle],
-                             ids=["classical", "induced-p4", "elliptic"])
+    @pytest.mark.parametrize("handle", [
+        lambda: classical_handle(SL2Z, height=30.0),
+        lambda: classical_handle(SL2Z, rep=induced_trivial(3), j=2, height=30.0),
+        lambda: elliptic_handle(G02, height=25.0),
+    ], ids=["classical", "induced-p4", "elliptic"])
     def test_zero_points(self, handle):
         # no points, no blocks: empty results of the right shapes, not a
         # thread pool of zero workers
@@ -261,7 +233,7 @@ class TestEvaluate:
         assert acted.shape == (0, 2, h.p)
 
     def test_slash_of_no_matrices(self):
-        h = induced_handle()
+        h = classical_handle(SL2Z, rep=induced_trivial(3), j=2, height=30.0)
         acted = slash(h, [], [complex(0.1, 1.2), 2j], h.ms, h.rep)
         assert acted.shape == (2, 0, h.p)
 
@@ -274,7 +246,7 @@ class TestEvaluate:
 
     def test_matches_brute_force_sum(self):
         """DERIVED oracle: independent brute-force sum over the same cosets."""
-        h = classical_handle(height=12.0)
+        h = classical_handle(SL2Z, height=12.0)
         tau = complex(0.3, 1.1)
         expect = np.zeros(1, dtype=complex)
         for g in h.cosets.reps:
@@ -286,32 +258,32 @@ class TestEvaluate:
         # at tau = 5i the non-identity cosets contribute a bounded multiple
         # of the identity term (the 2 pi J_11(4 pi) Kloosterman mass), not a
         # 1e-8 perturbation; the brute-force oracle above is the real check
-        h = classical_handle(height=60.0)
+        h = classical_handle(SL2Z, height=60.0)
         value, _ = h.evaluate(5j)
         lead = h.seed.eval_many([5j])[0, 0]
         assert abs(value[0] / lead - 1.0) < 5.0
         assert abs(value[0] / lead - 1.0) > 0.5  # documents the failure of naive dominance
 
     def test_doubling_height_within_tail(self):
-        h1 = classical_handle(height=15.0)
-        h2 = classical_handle(height=30.0)
+        h1 = classical_handle(SL2Z, height=15.0)
+        h2 = classical_handle(SL2Z, height=30.0)
         for tau in (complex(0.3, 1.1), complex(-0.2, 0.7), complex(0.45, 2.0)):
             v1, tail1 = h1.evaluate(tau)
             v2, _ = h2.evaluate(tau)
             assert np.linalg.norm(v1 - v2) <= tail1
 
     @pytest.mark.parametrize("handle", [
-        lambda: classical_handle(height=30.0),
-        lambda: classical_handle(GroupSpec.gamma0(2), height=40.0, M=2),
+        lambda: classical_handle(SL2Z, height=30.0),
+        lambda: classical_handle(G02, height=40.0, M=2),
         lambda: classical_handle(GroupSpec.gamma1pm(5), height=60.0, M=5),
-        lambda: elliptic_handle(height=40.0, nu=1),
-        lambda: elliptic_handle(gamma=GroupSpec.sl2z(), height=30.0, nu=2),
-        lambda: elliptic_handle(height=40.0, nu=0),
-        lambda: elliptic_handle(height=40.0, nu=2),
-        lambda: elliptic_handle(gamma=GroupSpec.gamma0(3), height=30.0, nu=3),
-        induced_handle,
-        eta_handle,
-        lambda: classical_handle(height=150.0),
+        lambda: elliptic_handle(G02, nu=1, height=40.0),
+        lambda: elliptic_handle(SL2Z, nu=2, height=30.0),
+        lambda: elliptic_handle(G02, nu=0, height=40.0),
+        lambda: elliptic_handle(G02, nu=2, height=40.0),
+        lambda: elliptic_handle(GroupSpec.gamma0(3), nu=3, height=30.0),
+        lambda: classical_handle(SL2Z, rep=induced_trivial(3), j=2, height=30.0),
+        lambda: classical_handle(SL2Z, k=7.3, family="eta_power", height=30.0),
+        lambda: classical_handle(SL2Z, height=150.0),
     ], ids=["inf1-sl2z", "inf2-gamma0(2)", "inf5-gamma1pm(5)", "pmi-gamma0(2)", "pmi-sl2z",
             "pmi-gamma0(2)-nu0", "pmi-gamma0(2)-nu2", "pmi-gamma0(3)-nu3", "inf1-induced-p4",
             "inf1-eta-7.3", "inf1-sl2z-16883"])
@@ -362,7 +334,7 @@ class TestEvaluate:
         assert faults < 2 * pages
 
     def test_batch_matches_pointwise(self):
-        h = elliptic_handle(height=15.0)
+        h = elliptic_handle(G02, height=15.0)
         taus = [complex(0.1, 0.9), complex(-0.4, 1.7), complex(0.0, 3.0)]
         values, tails = h.evaluate_many(taus)
         for i, tau in enumerate(taus):
@@ -371,7 +343,7 @@ class TestEvaluate:
 
     def test_unitarity_term_identity(self, rng):
         # per-term norm equals ||f(g.tau)|| |j(g,tau)|^{-k}
-        h = classical_handle(height=10.0)
+        h = classical_handle(SL2Z, height=10.0)
         tau = complex(0.17, 1.4)
         for g in h.cosets.reps[:40]:
             term = slash(h.seed, [g], [tau], h.ms, h.rep)[0, 0]
@@ -382,24 +354,24 @@ class TestEvaluate:
 
 class TestTransformation:
     def test_minus_identity_exact(self):
-        h = classical_handle(height=15.0)
+        h = classical_handle(SL2Z, height=15.0)
         res = check_transformation(h, [-I2], [complex(0.3, 1.1)])
         assert res.residual <= 1e-12
 
     def test_outside_group_rejected(self):
-        h = classical_handle(gamma=GroupSpec.gamma0(2), height=15.0)
+        h = classical_handle(G02, height=15.0)
         with pytest.raises(ValueError):
             check_transformation(h, [IntMatrix2(1, 0, 1, 1)], [complex(0.3, 1.1)])
 
     def test_residual_halves_with_height(self):
         taus = [complex(0.3, 1.1)]
         gammas = [T, IntMatrix2(1, 0, 2, 1)]
-        r1 = check_transformation(classical_handle(GroupSpec.gamma0(2), 12.0), gammas, taus)
-        r2 = check_transformation(classical_handle(GroupSpec.gamma0(2), 24.0), gammas, taus)
+        r1 = check_transformation(classical_handle(G02, height=12.0), gammas, taus)
+        r2 = check_transformation(classical_handle(G02, height=24.0), gammas, taus)
         assert r2.residual <= r1.residual / 2.0
 
     def test_elliptic_transformation(self):
-        h = elliptic_handle(height=25.0)
+        h = elliptic_handle(G02, height=25.0)
         res = check_transformation(h, [T, IntMatrix2(1, 0, 2, 1)], [complex(0.3, 1.1)])
         assert res.residual <= 1e-6
 
@@ -409,23 +381,15 @@ class TestNontrivialData:
     and a cusp width above one; the acceptance suite runs trivial data only."""
 
     def test_eta_weight_series_transforms(self):
-        ms = MultiplierSystem("eta_power", 4.5)
-        rep = trivial_rep(1)
-        split = spectral_split(rep, ms, 1)
-        seed = ClassicalSeed(0, 1, split, 1)
-        assert split.m == (0.375,)  # kappa = 4.5/12
-        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(),
-                         rep, ms, 4.5, 40.0)
+        h = classical_handle(SL2Z, k=4.5, family="eta_power")
+        assert h.seed.split.m == (0.375,)  # kappa = 4.5/12
         res = check_transformation(h, [T, S * t_power(2) * S.inv()],
                                    [complex(0.3, 1.4)])
         assert res.residual <= res.tail  # k = 4.5 converges slowly; tail-dominated
 
     def test_dirichlet_twisted_series_transforms(self):
         chi = dirichlet_rep(5, [0, 1, -1, -1, 1])
-        split = spectral_split(chi, MS12, 1)
-        seed = ClassicalSeed(0, 1, split, 1)
-        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.gamma0(5),
-                         chi, MS12, 12.0, 50.0)
+        h = classical_handle(GroupSpec.gamma0(5), height=50.0, rep=chi)
         twisted = IntMatrix2(2, 1, 5, 3)  # chi(3) = -1 exercises the twist
         res = check_transformation(h, [T, twisted], [complex(-0.6, 0.3)])
         assert res.residual <= 1e-9
@@ -440,9 +404,7 @@ class TestNontrivialData:
         chi = dirichlet_rep(7, [0, 1, w * w, w, w, w * w, 1])
         rep = induce(chi, right_coset_reps(GroupSpec.gamma0(7)))
         assert rep.p == 8
-        seed = ClassicalSeed(0, 2, spectral_split(rep, ms, 1), 1)
-        h = build_series(seed, GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), rep, ms,
-                         ms.k, 40.0)
+        h = classical_handle(SL2Z, k=ms.k, family=ms.family, rep=rep, j=2)
         res = check_transformation(h, [S, T, IntMatrix2(1, 0, 1, 1)],
                                    [complex(0.2, 0.9), complex(-0.3, 1.3)])
         if ms.k == 12.0:
@@ -451,12 +413,7 @@ class TestNontrivialData:
             assert res.residual <= res.tail  # k = 5.5 is tail-dominated
 
     def test_width_two_series_transforms(self):
-        gamma = GroupSpec.gamma_npm(2)
-        rep = trivial_rep(1, gamma)
-        split = spectral_split(rep, MS12, 2)
-        seed = ClassicalSeed(0, 1, split, 2)
-        h = build_series(seed, GroupSpec.gamma_infinity(2), gamma, rep, MS12,
-                         12.0, 40.0)
+        h = classical_handle(GroupSpec.gamma_npm(2), M=2)
         res = check_transformation(h, [t_power(2), IntMatrix2(1, 0, 2, 1)],
                                    [complex(0.3, 1.1)])
         assert res.residual <= 1e-10
@@ -471,7 +428,7 @@ def weighted_norm(h, tau):
 
 class TestSupNorm:
     def test_invariance_spot_check(self):
-        h = classical_handle(GroupSpec.gamma0(2), height=40.0)
+        h = classical_handle(G02, height=40.0)
         tau = complex(0.3, 1.1)
         g = IntMatrix2(1, 0, 2, 1)
         one = weighted_norm(h, tau)
@@ -479,7 +436,7 @@ class TestSupNorm:
         assert one == pytest.approx(two, rel=1e-6)
 
     def test_high_im_decay_profile(self):
-        h = classical_handle(height=40.0)
+        h = classical_handle(SL2Z, height=40.0)
         for y in (3.0, 4.0, 5.0):
             got = weighted_norm(h, complex(0.0, y))
             # dominated by the constant-multiple of the leading exponential
@@ -489,5 +446,5 @@ class TestSupNorm:
     def test_trivial_quotient_elliptic_value(self):
         pmi = GroupSpec.plus_minus_identity()
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
-        h = build_series(seed, pmi, pmi, trivial_rep(1), MS12, 12.0, 1.5)
+        h = SeriesHandle(seed, trivial_rep(1), MS12, pmi, 1.5)
         assert weighted_norm(h, 1j) == pytest.approx(2.0 ** -12)
