@@ -103,6 +103,14 @@ class TestHandleValidation:
         with pytest.raises(ValueError, match="multiplier weight"):
             build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, 12.0, 20.0)
 
+    def test_rep_of_a_group_missing_gamma_rejected(self):
+        # a character of Gamma0(5) summed over SL2(Z) used to build, then
+        # failed at its first evaluation inside fold_rho
+        rep = trivial_rep(1, GroupSpec.gamma0(5))
+        seed = ClassicalSeed(0, 1, spectral_split(rep, MS12, 1), 1)
+        with pytest.raises(ValueError, match=r"Gamma0\(5\).*SL2\(Z\)"):
+            SeriesHandle(seed, rep, MS12, SL2Z, 20.0)
+
     def test_split_mismatch_rejected(self):
         from vvps.rep import SpectralSplit
         rep = trivial_rep(1)
