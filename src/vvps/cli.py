@@ -35,7 +35,7 @@ from .analysis import (QuadratureSpec, classical_pairing_closed_form,
                        elliptic_pairing_closed_form, fourier_coefficients, petersson_strip)
 from .errors import RefusalError
 from .modgroup import (GroupSpec, I2, S, _cocycle, cusp_width, entry_arrays, enumerate_cosets,
-                       is_subgroup, right_coset_reps, slash_kernel, st_syllables, t_power)
+                       right_coset_reps, slash_kernel, st_syllables, t_power)
 from .multiplier import MultiplierSystem, _random_element, check_consistency
 from .nonvanish import (beta_median, classical_criterion, elliptic_criterion,
                         gamma_median, margin_grid, region_test_a, region_test_c)
@@ -116,9 +116,6 @@ def _build_series(ns):
     group = _parse_group(ns)
     ms = _parse_ms(ns)
     rep = _parse_rep(ns, group)
-    if not is_subgroup(group, rep.group):
-        raise ConfigError(f"the rep file is a representation of {rep.group}, "
-                          f"which does not contain {group}")
     if ns.seed == "classical":
         if ns.xi is not None:
             raise ConfigError("--xi is the centre of an elliptic seed; "

@@ -48,8 +48,8 @@ class MultiplierSystem:
     @property
     def kappa(self) -> float:
         """Cusp parameter in [0, 1) with v(T) = e^{2 pi i kappa}: (k mod 12)/12,
-        whose one rounding is the division's, since k mod 12 is exact but
-        where a tiny negative k rounds it up to 12, read as 0."""
+        whose one rounding is the division's.  A tiny negative k, whose
+        k mod 12 rounds up to 12, reads 0, the nearest point of R/Z."""
         if self.family == "trivial_even":
             return 0.0
         r = self.k % 12.0
