@@ -104,7 +104,7 @@ class TestHandleValidation:
             build_series(seed, GroupSpec.gamma_infinity(1), gamma, rep, ms, 12.0, 20.0)
 
     def test_rep_of_a_group_missing_gamma_rejected(self):
-        # a character of Gamma0(5) summed over SL2(Z) used to build, then
+        # the trivial rho of Gamma0(5) summed over SL2(Z) used to build, then
         # failed at its first evaluation inside fold_rho
         rep = trivial_rep(1, GroupSpec.gamma0(5))
         seed = ClassicalSeed(0, 1, spectral_split(rep, MS12, 1), 1)
