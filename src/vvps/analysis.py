@@ -206,7 +206,7 @@ def _strip_nodes(f, k: float, q: QuadratureSpec):
     return taus, weights
 
 
-def petersson_strip(F, f, k: float, q: QuadratureSpec, return_error: bool = False):
+def petersson_strip(F, f, k: float, q: QuadratureSpec):
     """Unfolded pairing <F, P f> = int <F(tau), f(tau)> Im(tau)^k dv over a
     fundamental domain of the stabiliser f.lam of the seed f.
 
@@ -214,9 +214,7 @@ def petersson_strip(F, f, k: float, q: QuadratureSpec, return_error: bool = Fals
     y_min <= y <= y_max.  For <-I> it is the whole half-plane, truncated to
     the largest hyperbolic disk about f.xi inside the box |x| <= x_max
     (default 8), y_min <= y <= y_max; a box that holds no such disk raises
-    ValueError.  With return_error=True a
-    (value, error_estimate) pair is returned, the estimate coming from a
-    half-resolution grid.
+    ValueError.
     """
     if k <= 2:
         raise DomainError("strip pairing diverges for k <= 2")
@@ -226,12 +224,7 @@ def petersson_strip(F, f, k: float, q: QuadratureSpec, return_error: bool = Fals
         fv = _values(f, taus)
         big = _values(F, taus)
         inner = np.sum(big * fv.conj(), axis=1)
-        value = comp_sum_complex(weights * inner)
-    if not return_error:
-        return value
-    q2 = QuadratureSpec(q.y_min, q.y_max, max(16, q.nx // 2), max(16, q.ny // 2), q.x_max)
-    coarse = petersson_strip(F, f, k, q2)
-    return value, abs(value - coarse)
+        return comp_sum_complex(weights * inner)
 
 
 def domain_share(f, k: float, q: QuadratureSpec) -> float:

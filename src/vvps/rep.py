@@ -99,10 +99,6 @@ class RepSpec:
         if recipe == "st_generated":
             return st_rep(_mat_from_json(data["matrices"]["S"]),
                           _mat_from_json(data["matrices"]["T"]))
-        if recipe == "induced":  # the format of earlier versions
-            inner = cls.from_json(data["inner"])
-            cosets = [IntMatrix2(*r) for r in data["cosets"]]
-            return induce(inner, cosets)
         return cls(recipe, int(data["p"]), group)  # trivial; refuses any other recipe
 
 

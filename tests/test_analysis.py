@@ -197,11 +197,10 @@ class TestPeterssonStrip:
     def test_classical_two_pipelines(self):
         h = classical_handle(GroupSpec.gamma0(2), height=60.0)
         q = QuadratureSpec(0.05, 8.0, nx=32, ny=28)
-        strip, err = petersson_strip(h, h.seed, 12.0, q, return_error=True)
+        strip = petersson_strip(h, h.seed, 12.0, q)
         tab = fourier_coefficients(h, h.seed.split, 1, [0], 0.5, 64)
         closed = classical_pairing_closed_form(tab.coeff(1, 0), 1, 12.0, 0, 1.0)
         assert abs(strip - closed) <= 1e-3 * abs(closed)
-        assert err <= 1e-2 * abs(closed)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, 0.0)],
                              ids=["inf", "nan", "complex-inf"])

@@ -518,6 +518,12 @@ class TestOtherCommands:
         {"recipe": "st_generated", "p": 1},
         {"recipe": "st_generated", "p": 1, "group": {"kind": "SL2Z"},
          "matrices": {"S": [[1.0, 0.0]], "T": [[[1.0, 0.0]]]}},
+        # the "induced" format of earlier versions, which no reader takes now
+        {"recipe": "induced", "p": 6, "group": {"kind": "SL2Z", "n": 0},
+         "inner": {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
+                   "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]},
+         "cosets": [[1, 0, 0, 1], [0, -1, 1, 0], [0, -1, 1, -1], [0, -1, 1, 1],
+                    [0, -1, 1, -2], [0, -1, 1, 2]]},
     ])
     def test_malformed_rep_file_is_config_error(self, tmp_path, broken):
         rho_file = tmp_path / "rho.json"

@@ -168,21 +168,6 @@ class TestPermutationAndInduce:
                 inner, cosets[l] * g * cosets[s_idx].inv())[0, 0]
         assert np.array_equal(evaluate_rho(rho0, g), expected)
 
-    def test_induced_json_of_earlier_versions_loads(self, rng):
-        # the "induced" format that earlier versions wrote, by hand
-        data = {"recipe": "induced", "p": 6, "group": {"kind": "SL2Z", "n": 0},
-                "inner": {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
-                          "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
-                                     [-1.0, 0.0], [1.0, 0.0]]},
-                "cosets": [[1, 0, 0, 1], [0, -1, 1, 0], [0, -1, 1, -1], [0, -1, 1, 1],
-                           [0, -1, 1, -2], [0, -1, 1, 2]]}
-        cosets = [IntMatrix2(*e) for e in data["cosets"]]
-        loaded = RepSpec.from_json(data)
-        rho0 = induce(legendre_mod5(), cosets)
-        assert loaded.p == 6
-        for g in (S, T, *(random_element(rng) for _ in range(20))):
-            assert np.array_equal(evaluate_rho(loaded, g), evaluate_rho(rho0, g))
-
     def test_bad_coset_systems_rejected(self):
         with pytest.raises(ValueError):
             induce(trivial_rep(1, self.group), [S, I2])  # identity not first
