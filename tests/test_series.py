@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -73,6 +74,18 @@ class TestSlash:
                            slash(F, [g], [tau], MS12)[0, 0])
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The argument tuples of every enumerate_cosets call of the series."""
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return enumerate_cosets(*args)
+    monkeypatch.setattr(series, "enumerate_cosets", counted)
+    return made
+
+
 class TestHandleValidation:
     def test_low_weight_rejected(self):
         with pytest.raises(DomainError):
@@ -111,6 +124,31 @@ class TestHandleValidation:
         with pytest.raises(ValueError, match=r"Gamma0\(5\).*SL2\(Z\)"):
             SeriesHandle(seed, rep, MS12, SL2Z, 20.0)
 
+    @pytest.mark.parametrize("gamma, height", [(GroupSpec.plus_minus_identity(), 1.5),
+                                               (GroupSpec.gamma0(5), 20.0)],
+                             ids=["minus-identity", "gamma0-5"])
+    def test_rep_of_a_group_without_finite_index_rejected(self, calls, gamma, height):
+        # a rho of <-I> was refused from rep._class_lookup ("[1 1; 0 1] is not
+        # in <-I>") over <-I>, and from GroupSpec.level ("PlusMinusIdentity has
+        # no congruence level") over Gamma0(5)
+        seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
+        rep = trivial_rep(1, GroupSpec.plus_minus_identity())
+        with pytest.raises(ValueError, match="rho is a representation of <-I>, "
+                                             "a group without finite index"):
+            SeriesHandle(seed, rep, MS12, gamma, height)
+        assert calls == []
+
+    @pytest.mark.parametrize("gamma", [GroupSpec.gamma_npm(5), GroupSpec.gamma_infinity(2)],
+                             ids=["gammanpm-5", "gamma-inf-2"])
+    def test_stabiliser_outside_gamma_rejected(self, calls, gamma):
+        # a gamma that misses T used to build and fail at its first
+        # evaluation, inside enumerate_cosets
+        seed = ClassicalSeed(0, 1, spectral_split(trivial_rep(1), MS12, 1), 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"GammaInfinity(1) is not a subgroup of {gamma}")):
+            SeriesHandle(seed, trivial_rep(1), MS12, gamma, 20.0)
+        assert calls == []
+
     def test_split_mismatch_rejected(self):
         from vvps.rep import SpectralSplit
         rep = trivial_rep(1)
@@ -121,17 +159,6 @@ class TestHandleValidation:
 
 class TestTableOnFirstEvaluation:
     """A handle enumerates its coset table on first use, once."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """The argument tuples of every enumerate_cosets call of the series."""
-        made = []
-
-        def counted(*args):
-            made.append(args)
-            return enumerate_cosets(*args)
-        monkeypatch.setattr(series, "enumerate_cosets", counted)
-        return made
 
     def test_construction_enumerates_nothing(self, calls):
         classical_handle(SL2Z, height=20.0)
