@@ -464,6 +464,14 @@ class CosetTable:
 _MAX_HEIGHT = 2 ** 26
 
 
+def _check_stabiliser(lam: GroupSpec, gamma: GroupSpec) -> None:
+    """Refuse (ValueError) a lam that is not a seed's stabiliser in gamma."""
+    if lam.kind not in ("GammaInfinity", "PlusMinusIdentity"):
+        raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
+    if not (lam.kind == "PlusMinusIdentity" or contains(gamma, t_power(lam.n))):
+        raise ValueError(f"{lam} is not a subgroup of {gamma}")
+
+
 def _inverse_mod(d: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The x in [0, c) with x d = 1 mod c, for coprime int64 arrays d and
     c > 0: the extended Euclidean algorithm in lockstep over the pairs not
@@ -552,10 +560,7 @@ def enumerate_cosets(lam: GroupSpec, gamma: GroupSpec, height: float) -> CosetTa
     table keeps the cosets in that order, (c, a, s), with one argsort: the
     permutation into the table order (norm, c, d, a, b).
     """
-    if lam.kind not in ("GammaInfinity", "PlusMinusIdentity"):
-        raise ValueError(f"lam must be a translation stabiliser or <-I>, got {lam}")
-    if not (lam.kind == "PlusMinusIdentity" or contains(gamma, t_power(lam.n))):
-        raise ValueError(f"{lam} is not a subgroup of {gamma}")
+    _check_stabiliser(lam, gamma)
     if not 0 <= height < _MAX_HEIGHT:
         raise ValueError(f"height must lie in [0, {_MAX_HEIGHT}), got {height}")
     h2 = int(math.floor(height * height + 1e-9))

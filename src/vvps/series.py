@@ -55,9 +55,9 @@ import numpy as np
 
 from ._quad import block_sum
 from .errors import DomainError, RefusalError
-from .modgroup import (CosetTable, GroupSpec, I2, _shaped, _upper_half_plane, contains,
-                       entry_arrays, enumerate_cosets, is_subgroup, kernel_workspace,
-                       slash_kernel, t_power)
+from .modgroup import (CosetTable, GroupSpec, I2, _check_stabiliser, _shaped,
+                       _upper_half_plane, contains, entry_arrays, enumerate_cosets,
+                       is_subgroup, kernel_workspace, slash_kernel, t_power)
 from .multiplier import MultiplierSystem, evaluate_v
 from .rep import _UNITARY_TOL, RepSpec, check_normal, fold_rho
 from .seeds import ClassicalSeed, EllipticSeed, SeedFn
@@ -130,10 +130,14 @@ class SeriesHandle:
         seed, rep, ms = self.seed, self.rep, self.ms
         if ms.k <= 2:
             raise DomainError("series are only supported in the convergent range k > 2")
+        if not rep.group.finite_index:
+            raise ValueError(f"rho is a representation of {rep.group}, "
+                             "a group without finite index")
         # a stabiliser gamma (<-I>, Gamma_inf(M)) has no level to compare
         if self.gamma.finite_index and not is_subgroup(self.gamma, rep.group):
             raise ValueError(f"rho is a representation of {rep.group}, "
                              f"which does not contain {self.gamma}")
+        _check_stabiliser(seed.lam, self.gamma)
         if isinstance(seed, EllipticSeed) and abs(seed.k - ms.k) > 1e-12:
             raise ValueError("elliptic seed weight differs from the series weight")
         if seed.p != rep.p:
