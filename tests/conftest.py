@@ -4,7 +4,7 @@ import pytest
 from vvps.modgroup import (I2, S, GroupSpec, _cocycle, entry_arrays, right_coset_reps,
                            slash_kernel, t_power)
 from vvps.multiplier import MultiplierSystem, _random_element
-from vvps.rep import SpectralSplit, induce, spectral_split, trivial_rep
+from vvps.rep import SpectralSplit, dirichlet_rep, induce, spectral_split, trivial_rep
 from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import SeriesHandle
 
@@ -22,6 +22,23 @@ def induced_trivial(n: int):
     """The rho of SL2(Z) induced from the trivial rho of Gamma0(n)."""
     group = GroupSpec.gamma0(n)
     return induce(trivial_rep(1, group), right_coset_reps(group))
+
+
+def legendre_mod5():
+    """The Legendre character mod 5, a rho of Gamma0(5)."""
+    return dirichlet_rep(5, [0, 1, -1, -1, 1])
+
+
+def eta_product(powers: dict, order: int) -> list:
+    """The integer coefficients of q^0 .. q^order of
+    prod_d prod_{n >= 1} (1 - q^{d n})^{r_d}, powers = {d: r_d >= 0}."""
+    poly = [1] + [0] * order
+    for d, r in powers.items():
+        for n in range(d, order + 1, d):
+            for _ in range(r):
+                for i in range(order, n - 1, -1):  # times (1 - q^n), in place
+                    poly[i] -= poly[i - n]
+    return poly
 
 
 def classical_handle(gamma, k=12.0, nu=0, family="trivial_even", height=40.0, rep=None, j=1, M=1):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import (act, classical_handle, cocycle, elliptic_handle, random_element,
-                      random_tau, syllable_product)
+from conftest import (act, classical_handle, cocycle, elliptic_handle, eta_product,
+                      random_element, random_tau, syllable_product)
 from vvps.analysis import (QuadratureSpec, classical_pairing_closed_form,
                            elliptic_expansion_coeffs,
                            elliptic_pairing_closed_form, fourier_coefficients,
@@ -142,25 +142,12 @@ def test_criterion_2_spectral_split(rng):
                   f"eigenvalue-1 -> m=1 and i -> 1/4 verified; {time.time() - t0:.1f}s")
 
 
-def eta24_coefficients(order):
-    """q-expansion of the 24th power of the eta q-product, by integer
-    polynomial convolution (independent of all series machinery)."""
-    poly = [1] + [0] * order
-    for n in range(1, order + 1):
-        for _ in range(24):
-            nxt = poly[:]
-            for i in range(0, order + 1 - n):
-                nxt[i + n] -= poly[i]
-            poly = nxt
-    return poly  # coefficient of q^m in prod (1-q^n)^24
-
-
 def test_criterion_3_scalar_specialisation():
     t0 = time.time()
     h = classical_series(GroupSpec.sl2z(), 200.0)
     tab = fourier_coefficients(h, h.seed.split, 1, [0, 1, 2], 0.5, 64)
     b0, b1, b2 = (tab.coeff(1, n) for n in (0, 1, 2))
-    poly = eta24_coefficients(2)
+    poly = eta_product({1: 24}, 2)
     tau2, tau3 = poly[1], poly[2]  # -24 and 252
     r1 = abs(b1 / b0 - tau2) / abs(tau2)
     r2 = abs(b2 / b0 - tau3) / abs(tau3)

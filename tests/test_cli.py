@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import classical_handle, elliptic_handle, induced_trivial
+from conftest import classical_handle, elliptic_handle, induced_trivial, legendre_mod5
 from vvps import cli, modgroup, series
 from vvps.cli import emit_threshold_table, main, parse_args, run
 from vvps.modgroup import GroupSpec, S, T, enumerate_cosets
@@ -29,9 +29,7 @@ def invoke(argv):
 def legendre5(tmp_path):
     """A rep file of the Legendre character mod 5, a representation of Gamma0(5)."""
     rho_file = tmp_path / "legendre5.json"
-    rho_file.write_text(json.dumps(
-        {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
-         "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}))
+    rho_file.write_text(json.dumps(legendre_mod5().to_json()))
     return rho_file
 
 

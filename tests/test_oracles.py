@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import classical_handle
+from conftest import classical_handle, eta_product
 from vvps.analysis import fourier_coefficients
 from vvps.modgroup import GroupSpec, enumerate_cosets, slash_kernel
 
@@ -25,18 +25,6 @@ GAMMA_INF1 = GroupSpec.gamma_infinity(1)
 
 def sigma(n: int, s: int) -> int:
     return sum(d ** s for d in range(1, n + 1) if n % d == 0)
-
-
-def eta_product(powers: dict, order: int) -> list:
-    """The integer coefficients of q^0 .. q^order of
-    prod_d prod_{n >= 1} (1 - q^{d n})^{r_d}, powers = {d: r_d >= 0}."""
-    poly = [1] + [0] * order
-    for d, r in powers.items():
-        for n in range(d, order + 1, d):
-            for _ in range(r):
-                for i in range(order, n - 1, -1):  # times (1 - q^n), in place
-                    poly[i] -= poly[i - n]
-    return poly
 
 
 def e4_delta(order: int) -> list:

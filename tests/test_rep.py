@@ -11,11 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import classical_handle, induced_trivial, random_element
+from conftest import classical_handle, induced_trivial, legendre_mod5, random_element
 import vvps.rep
 from vvps.cli import parse_args, run
 from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, contains, cusp_width,
-                           enumerate_cosets, right_coset_reps, t_power)
+                           entry_arrays, enumerate_cosets, right_coset_reps, t_power)
 from vvps.multiplier import MultiplierSystem, evaluate_v
 from vvps.rep import (RepSpec, _analysis, _class_lookup, _level_table, _sl2_order,
                       check_normal, dirichlet_rep, evaluate_rho, fold_rho, induce,
@@ -30,10 +30,6 @@ def character_rep(c: int) -> RepSpec:
     """One-dimensional representation with rho(T) = zeta_12^c."""
     zeta = cmath.exp(2j * math.pi * c / 12.0)
     return st_rep([[zeta ** -3]], [[zeta]])
-
-
-def legendre_mod5():
-    return dirichlet_rep(5, [0, 1, -1, -1, 1])
 
 
 def random_gamma0_elt(rng, n, max_len=8):
@@ -454,10 +450,6 @@ class TestSpectralSplit:
             assert np.linalg.norm(split.U @ split.U.conj().T - np.eye(6)) <= 1e-10
 
 
-def entries(mats) -> np.ndarray:
-    return np.array([g.entries() for g in mats], dtype=np.int64)
-
-
 def walk_fold(rep, w, mats) -> np.ndarray:
     """rho(g)^* w along the S/T word of each g: the reference for fold_rho."""
     return np.array([evaluate_rho(rep, g).conj().T @ w for g in mats])
@@ -527,7 +519,7 @@ class TestLevelTable:
     def test_matches_word_walk_on_every_coset(self, inner):
         rho = induce(inner, right_coset_reps(inner.group))
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 80.0).reps
-        ents = entries(reps)
+        ents = entry_arrays(reps)
         table = _level_table(rho)
         assert table is not None
         n, _, _, rows = table
@@ -553,7 +545,8 @@ class TestLevelTable:
         calls = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
-        ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 10.0).reps)
+        ents = entry_arrays(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(),
+                                             10.0).reps)
         first = fold_rho(rho, np.ones(rho.p), ents)
         assert np.array_equal(fold_rho(rho, np.ones(rho.p), ents), first)
         assert len(calls) == 1
@@ -567,7 +560,7 @@ class TestLevelTable:
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 40.0).reps
         w = rng.normal(size=4) + 1j * rng.normal(size=4)
         expected = walk_fold(rep, w, reps)
-        got = fold_rho(rep, w, entries(reps))
+        got = fold_rho(rep, w, entry_arrays(reps))
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_non_congruence_permutations_fall_back(self):
@@ -585,7 +578,7 @@ class TestLevelTable:
         # preparation multiplies
         expected = np.array([(evaluate_rho(rep, g).conj().T @ h.seed.vector)
                              * evaluate_v(h.ms, g).conjugate()
-                             * np.exp(1j * h.seed._phase_runs(entries([g]))[0])
+                             * np.exp(1j * h.seed._phase_runs(entry_arrays([g]))[0])
                              for g in h.cosets.reps])
         assert np.array_equal(h._prepared()["w"], expected)
 
@@ -595,7 +588,7 @@ class TestLevelTable:
         assert _level_table(rep) is None
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 25.0).reps
         w = np.array([0.6, 0.8j])
-        assert np.array_equal(fold_rho(rep, w, entries(reps)), walk_fold(rep, w, reps))
+        assert np.array_equal(fold_rho(rep, w, entry_arrays(reps)), walk_fold(rep, w, reps))
 
     def test_table_beyond_size_limit_falls_back(self, monkeypatch):
         group = GroupSpec.gamma0(5)
@@ -607,7 +600,7 @@ class TestLevelTable:
         assert _level_table(rho) is None
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 15.0).reps
         w = np.arange(6) + 1j
-        assert np.array_equal(fold_rho(rho, w, entries(reps)), walk_fold(rho, w, reps))
+        assert np.array_equal(fold_rho(rho, w, entry_arrays(reps)), walk_fold(rho, w, reps))
 
     @pytest.mark.parametrize("rep, ms", [
         (induced_trivial(5), TRIVIAL_MS),
@@ -622,7 +615,7 @@ class TestLevelTable:
         h = classical_handle(gamma, k=ms.k, family=ms.family, rep=rep)
         expected = np.array([(evaluate_rho(rep, g).conj().T @ h.seed.vector)
                              * evaluate_v(ms, g).conjugate()
-                             * np.exp(1j * h.seed._phase_runs(entries([g]))[0])
+                             * np.exp(1j * h.seed._phase_runs(entry_arrays([g]))[0])
                              for g in h.cosets.reps])
 
         def walk(*args):
@@ -663,7 +656,7 @@ class TestLevelTable:
         assert rows.shape == (_sl2_order(n), rho.p) and _sl2_order(n) * rho.p ** 2 * 16 > 1 << 22
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 40.0).reps
         w = np.random.default_rng(13).normal(size=(rho.p, 2)) @ [1.0, 1j]
-        assert np.array_equal(fold_rho(rho, w, entries(reps)), walk_fold(rho, w, reps))
+        assert np.array_equal(fold_rho(rho, w, entry_arrays(reps)), walk_fold(rho, w, reps))
 
     def test_eval_past_the_dense_cap_never_walks(self, monkeypatch, tmp_path):
         rho_file = str(tmp_path / "rho.json")
@@ -686,7 +679,8 @@ class TestLevelTable:
         chi = [0] + [cmath.exp(1j * math.pi * [0, 2, 1, 4, 5, 3][r - 1] / 3) for r in range(1, 7)]
         rho = induce(dirichlet_rep(7, chi), right_coset_reps(GroupSpec.gamma0(7)))
         assert not np.isin(rho.s_img, (0, 1)).all()
-        ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 40.0).reps)
+        ents = entry_arrays(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(),
+                                             40.0).reps)
         assert len(ents) > _sl2_order(7)
         rng = np.random.default_rng(7)
         picks = [np.array([0]), rng.choice(len(ents), 5), rng.choice(len(ents), 300)]
@@ -709,7 +703,7 @@ class TestLevelTable:
     def test_lookup_on_every_class(self, rho, height, exact):
         n = _analysis(rho, 0.0, 1)[1]
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), float(height)).reps
-        rows, idx = _class_lookup(rho, entries(reps))
+        rows, idx = _class_lookup(rho, entry_arrays(reps))
         assert np.array_equal(np.unique(idx), np.arange(_sl2_order(n)))
         # a permutation class stores pi_g with rho(g) e_j = e_{pi_g(j)}, a
         # dense class conj(rho(g)); permutation and CHI5 entries multiply exactly
@@ -729,7 +723,8 @@ class TestLevelTable:
         # (induced from the Legendre character mod 5), however often they run
         rho = induce(inner, right_coset_reps(inner.group))
         calls = counted_builds(monkeypatch)
-        ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 20.0).reps)
+        ents = entry_arrays(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(),
+                                             20.0).reps)
         first = fold_rho(rho, np.eye(rho.p), ents)
         assert np.array_equal(fold_rho(rho, np.eye(rho.p), ents), first)
         seed = ClassicalSeed(0, 1, spectral_split(rho, TRIVIAL_MS, 1), 1)
@@ -749,7 +744,7 @@ class TestLevelTable:
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 10.0).reps
         w = np.arange(7) + 1j
         for _ in range(3):
-            assert np.array_equal(fold_rho(rep, w, entries(reps)), walk_fold(rep, w, reps))
+            assert np.array_equal(fold_rho(rep, w, entry_arrays(reps)), walk_fold(rep, w, reps))
         assert calls == [rep]
 
     def test_table_is_freed_with_its_rep(self, monkeypatch):
@@ -762,7 +757,8 @@ class TestLevelTable:
             tables.append(weakref.ref(table[3]))
             return table
         monkeypatch.setattr(vvps.rep, "_level_table", kept)
-        ents = entries(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 10.0).reps)
+        ents = entry_arrays(enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(),
+                                             10.0).reps)
         rows = _class_lookup(rho, ents)[0]
         assert not rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -786,7 +782,7 @@ class TestLevelTable:
     def test_w_of_another_dimension_is_refused(self, rep):
         # every recipe, table form and the word walk refuse w whose leading
         # dimension is not p (was: a permutation table dropped or missed entries)
-        ents = entries([I2, T, IntMatrix2(1, 0, 5, 1)])
+        ents = entry_arrays([I2, T, IntMatrix2(1, 0, 5, 1)])
         for shape in ((rep.p + 1,), (rep.p - 1,), (rep.p + 1, rep.p), ()):
             with pytest.raises(ValueError, match=rf"w has shape {re.escape(str(shape))}.*"
                                                  rf"p = {rep.p}"):
@@ -806,6 +802,6 @@ class TestLevelTable:
     def test_members_outside_the_group_are_refused(self):
         reps = enumerate_cosets(GroupSpec.gamma_infinity(1), GroupSpec.sl2z(), 5.0).reps
         with pytest.raises(ValueError, match="is not in Gamma0"):
-            fold_rho(legendre_mod5(), [1.0], entries(reps))
+            fold_rho(legendre_mod5(), [1.0], entry_arrays(reps))
         with pytest.raises(ValueError, match="is not in Gamma0"):
-            fold_rho(trivial_rep(1, GroupSpec.gamma0(2)), [1.0], entries(reps))
+            fold_rho(trivial_rep(1, GroupSpec.gamma0(2)), [1.0], entry_arrays(reps))
