@@ -1,10 +1,11 @@
 """Finite-dimensional unitary representations of the supported groups.
 
-Recipes: the trivial representation, a Dirichlet character acting on
-Gamma0(N) through the lower-right entry, and a representation of SL2(Z)
-given by unitary images of the generators S and T.  Inducing from a
-finite-index subgroup assembles the block-permutation images of S and T
-once, so an induced representation is one given by its generator images.
+Recipes, which are also the formats in which to_json writes a rep file
+and from_json reads one: trivial; dirichlet, a character acting on
+Gamma0(N) through the lower-right entry; and st_generated, a
+representation of SL2(Z) given by unitary images of S and T.  Inducing
+from a finite-index subgroup assembles the block-permutation images of S
+and T once, so an induced representation is an st_generated one.
 
 evaluate_rho(rep, g) gives one matrix, walking the S/T word of g for a
 generator-image representation.  fold_rho gives rho(g)^* w, for a vector
