@@ -202,6 +202,13 @@ class TestPeterssonStrip:
         closed = classical_pairing_closed_form(tab.coeff(1, 0), 1, 12.0, 0, 1.0)
         assert abs(strip - closed) <= 1e-3 * abs(closed)
 
+    def test_elliptic_seed_past_the_float_range_of_a_power(self):
+        # |tau - xi|^300 passes the float range at nodes of this disk, where
+        # the seed itself is small: the pairing is finite, not refused
+        h = elliptic_handle(GroupSpec.gamma0(2), nu=300, height=10.0)
+        q = QuadratureSpec(0.05, 14.0, 160, 28, 8.0)
+        assert np.isfinite(petersson_strip(h, h.seed, 12.0, q))
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, 0.0)],
                              ids=["inf", "nan", "complex-inf"])
     @pytest.mark.parametrize("domain", ["strip", "disk"])

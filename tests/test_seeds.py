@@ -47,6 +47,18 @@ class TestEvaluation:
             bound = abs(tau - seed.xi.conjugate()) ** -5.5
             assert np.all(np.abs(seed.eval_many([tau])[0]) <= bound * (1 + 1e-13))
 
+    @pytest.mark.parametrize("nu, tau, gate", [(300, 8 + 14j, 7.5e-14), (400, 8 + 5j, 7.5e-15)])
+    def test_elliptic_where_a_power_passes_the_float_range(self, nu, tau, gate):
+        # |tau - xi|^nu passes the float range and the value does not:
+        # against exp(nu log A - (nu + k) log B), A = tau - xi, B = tau -
+        # conj(xi); measured 2.5e-14 and 2.5e-15, gated at 3x
+        seed = EllipticSeed(nu, 1j, np.array([1.0 + 0j]), 12.0)
+        got = complex(seed.eval_many([tau])[0, 0])
+        with mpmath.workdps(40):
+            a, b = mpmath.mpc(tau) - 1j, mpmath.mpc(tau) + 1j
+            exact = mpmath.exp(nu * mpmath.log(a) - (nu + 12) * mpmath.log(b))
+            assert abs(mpmath.mpc(got) - exact) <= gate * abs(exact)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ClassicalSeed(-1, 1, plain_split(), 1)
