@@ -3,9 +3,10 @@ the upper half-plane.
 
 Covers the group-theoretic substrate: the factors j(g, tau)^-k and g.tau
 of the slash action over arrays of points and matrices (slash_kernel,
-which refuses a point outside the upper half-plane), principal-branch
-real powers (integer ones by binary powering, the rest through log and
-exp), membership tests for the supported subgroup families, the S/T
+which refuses a point outside the upper half-plane), principal-branch real
+powers by the one route the seed kernels take too (_power: integer ones by
+binary powering, the entries past the float range and the rest through log
+and exp), membership tests for the supported subgroup families, the S/T
 syllables of a matrix, coset enumeration inside a Frobenius-norm ball, and
 cusp widths.  Enumeration serves both stabilisers, Gamma_inf(M) and <-I>,
 as array arithmetic over all coprime left columns (a, c) at once, c first
@@ -91,8 +92,9 @@ def _upper_half_plane(taus) -> np.ndarray:
 
 
 def _log_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarray:
-    """exp(k (log|z| + i arctan2(Im z, Re z))), the log route of
-    principal_power."""
+    """exp(k (log|z| + i arctan2(Im z, Re z))), the log route of _power,
+    into out (complex, shaped like z, not overlapping it) and scratch (two
+    float arrays of that shape) when given."""
     mod, arg = (None, None) if scratch is None else scratch
     mod = np.log(np.abs(z, out=mod), out=mod)
     arg = np.arctan2(z.imag, z.real, out=arg)
@@ -102,27 +104,30 @@ def _log_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def principal_power(z: np.ndarray, k: float, out=None, scratch=None) -> np.ndarray:
+def principal_power(z: np.ndarray, k: float) -> np.ndarray:
     """Elementwise z**k = |z|**k e^{ik arg z} for complex arrays, with
     arg = arctan2(Im z, Re z) in [-pi, pi].  Callers pass values with
     Im z > 0 or Im z = +0.0, so a negative real gets arg = pi, or correct
-    the branch themselves.  With out, a complex
-    array shaped like z that does not overlap it, and scratch, two float
-    arrays of that shape, the log route writes into them.
+    the branch themselves.  It is _power on a copy of z, so `slash` shares
+    the seed kernels' bits: against exact powers on the Fourier line
+    binary powering reads 4.8e-16 at k = 12 and 3.6e-15 at k = 172, the
+    log route exp(k (log|z| + i arg z)) 1.4e-14 and 1.3e-13."""
+    return _power(z.copy(), k, lambda *at: z[at])
 
-    A nonzero integer k has no branch and is taken by _integer_power on a
-    copy of z, as the seed kernels take it in place, so `slash` shares
-    their bits: against exact powers on the Fourier line 4.8e-16 at k = 12
-    and 3.6e-15 at k = 172, where the log route exp(k (log|z| + i arg z))
-    reads 1.4e-14 and 1.3e-13.  Entries past the float range come out nan
-    or inf, and those alone are recomputed from z by the log route
-    (2000^-99 is then 0), which takes every other k.
-    """
+
+def _power(z: np.ndarray, k: float, base_at, out=None, scratch=None) -> np.ndarray:
+    """z**k, the one power route of principal_power and both seed kernels.
+    A nonzero integer k is taken by _integer_power (z is spent), and the
+    entries past the float range again by the log route from
+    base_at(*indices), the base at those indices, which a kernel recomputes
+    from its coset integers (2000^-99 is then 0).  Every other k, 0
+    included, takes the log route into out and scratch, and z is kept."""
     if not float(k).is_integer() or k == 0:
         return _log_power(z, k, out, scratch)
-    out = _integer_power(z.copy(), int(k), out)
-    bad = ~np.isfinite(out)
-    out[bad] = _log_power(z[bad], k)
+    out = _integer_power(z, int(k), out)
+    bad = np.nonzero(~np.isfinite(out))
+    if len(bad[0]):
+        out[bad] = _log_power(base_at(*bad), k)
     return out
 
 
@@ -133,8 +138,8 @@ def _integer_power(z: np.ndarray, k: int, out=None) -> np.ndarray:
     np.power's complex integer power is a scalar loop, 10-16 ns per element
     at |k| = 12 to 20 against 5.5-9 here (2-core x86_64, numpy 2.4.6), and
     no more accurate on the Fourier line (4.8e-16 here, 5.4e-16 at k = -12).
-    It serves principal_power and both seed kernels, which power in place
-    in their workspace."""
+    It serves _power, which the seed kernels call in place in their
+    workspace."""
     out = np.empty_like(z) if out is None else out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n, started = abs(k), False

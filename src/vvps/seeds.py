@@ -8,19 +8,19 @@ the series module exploits; the two share that evaluation.  Each seed
 carries its stabiliser `lam`, the group its series sums over the cosets
 of: GammaInfinity(M) for a classical seed of width M, <-I> for an
 elliptic seed.  Each seed gives the series kernel its slashed scalar
-j(g, tau)^-k scalar(g.tau) over a coset table, in table order, from
-constants it draws from the table once per series (_slash_constants),
-written into the kernel's workspace (_slashed_many); neither needs the
-table's stored order.  Both are closed forms in each coset's integers:
-the classical term is e(alpha a/c) j^-k e^X, X = -2 pi i alpha / (c j),
-from c and d, with its phase e(alpha a/c), fixed by the coset, left to
-the series to fold into the coset's vector (_phase_runs); the elliptic
-term is A^nu B^-(nu + k) from affine coefficients per coset.  Kernels,
-pointwise values and `slash` share each primitive: c tau + d is
-modgroup._cocycle, integer powers modgroup._integer_power, e(alpha tau)
-_exp_i_alpha from the alpha = A/N a classical seed fixes when built.  The
-invariance check of a seed under its stabiliser is
-series.check_seed_invariance, beside the slash action it applies.
+j(g, tau)^-k scalar(g.tau) over coset rows (a, b, c, d), in the order the
+caller passes them, from constants it draws from the rows once per series
+(_slash_constants), written into the kernel's workspace (_slashed_many).
+Both are closed forms in each coset's integers: the classical term is
+e(alpha a/c) j^-k e^X, X = -2 pi i alpha / (c j), from c and d, with its
+phase e(alpha a/c), fixed by the coset, left to the series to fold into
+the coset's vector (_phase_runs); the elliptic term is A^nu B^-(nu + k)
+from affine coefficients per coset, and its value at the identity coset
+is the elliptic seed's point value.  Kernels, pointwise values and
+`slash` share each primitive: c tau + d is modgroup._cocycle, powers
+modgroup._power, e(alpha tau) _exp_i_alpha from the alpha = A/N a
+classical seed fixes when built.  The invariance check of a seed under
+its stabiliser is series.check_seed_invariance, beside the slash action.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 
 from ._quad import gamma_over_power, log_beta
 from .errors import DomainError, RefusalError
-from .modgroup import (GroupSpec, _cocycle, _column_runs, _integer_power, _shaped,
-                       _upper_half_plane, principal_power)
+from .modgroup import (I2, GroupSpec, _cocycle, _column_runs, _integer_power, _power,
+                       _shaped, _upper_half_plane, entry_arrays, kernel_workspace)
 from .rep import _MAX_ORDER, SpectralSplit, _exponent
 
 __all__ = ["ClassicalSeed", "EllipticSeed", "SeedFn", "seed_strip_integral"]
@@ -119,13 +119,13 @@ class ClassicalSeed(_ScalarTimesVector):
         turn -= mod * (2 * turn > mod)
         return (2.0 * math.pi) * (turn / mod), np.diff(starts, append=len(ents))
 
-    def _slash_constants(self, tab, k: float) -> tuple:
-        """The constants of the slashed seed over a CosetTable of
-        Gamma_inf(M), in table order: k, c and d as floats, kappa =
-        -2 pi alpha / c (0 where c = 0), the indices of the cosets with
-        c = 0 (where a = d = 1), the least c > 0, and alpha = A/N
+    def _slash_constants(self, ents: np.ndarray, k: float) -> tuple:
+        """The constants of the slashed seed over cosets of Gamma_inf(M),
+        the rows (a, b, c, d) of ents in their order: k, c and d as floats,
+        kappa = -2 pi alpha / c (0 where c = 0), the indices of the cosets
+        with c = 0 (where a = d = 1), the least c > 0, and alpha = A/N
         (_alpha_ratio)."""
-        c, d = (tab.ents[tab.order, i].astype(float) for i in (2, 3))
+        c, d = (ents[:, i].astype(float) for i in (2, 3))
         num, den = self._alpha_ratio
         top = c != 0
         kappa = np.divide(-2.0 * math.pi * (num / den), c, out=np.zeros_like(c), where=top)
@@ -134,7 +134,7 @@ class ClassicalSeed(_ScalarTimesVector):
 
     def _slashed_many(self, taus: np.ndarray, consts: tuple, ws: tuple) -> np.ndarray:
         """The scalars j^-k e^X of the slashed seed at every point and
-        coset, in table order, straight from each coset's c and d, with
+        coset, in the order of the rows, from each coset's c and d, with
         X = -2 pi i alpha / (c j): as a d - b c = 1, g.tau = a/c - 1/(c j),
         so the slashed seed is e(alpha a/c) j^-k e^X, and the series folds
         the phase e(alpha a/c) into each coset's vector (_phase_runs).  The
@@ -144,10 +144,9 @@ class ClassicalSeed(_ScalarTimesVector):
         |X| <= 2 pi alpha / (c^2 Im tau) is small but for small c.  Where
         |Re X| + |Im X| > _STEEP, whose rounding would cost the term |X|
         ulps, the term is taken again in long double from the integers, as
-        is e(alpha tau).  j^-k is 1/j^k by array binary powering for an
-        integer k, with the entries past the float range and other k by
-        the log route.  ws is a kernel_workspace; the result is a view
-        of ws[1]."""
+        is e(alpha tau).  j^-k is modgroup._power, which takes j again
+        from c and d where an integer power passes the float range.  ws is
+        a kernel_workspace; the result is a view of ws[1]."""
         k, c, d, kappa, at_inf, c_low, (num, den) = consts
         z, out, jmk, *scratch = (_shaped(b, (len(taus), len(c))) for b in ws)
         z = _cocycle(c, d, taus[:, None], z)
@@ -163,13 +162,7 @@ class ClassicalSeed(_ScalarTimesVector):
             steep = out[:, cols]
             t, i = np.nonzero(np.abs(steep.real) + np.abs(steep.imag) > _STEEP)
             i = cols[i]
-        if float(k).is_integer():
-            jmk = _integer_power(z, -int(k), jmk)  # z is spent
-            tb, ib = np.nonzero(~np.isfinite(jmk))
-            if len(tb):  # past the float range: j again, by the log route
-                jmk[tb, ib] = principal_power(_cocycle(c[ib], d[ib], taus[tb]), -k)
-        else:
-            jmk = principal_power(z, -k, jmk, scratch)
+        jmk = _power(z, -k, lambda t, i: _cocycle(c[i], d[i], taus[t]), jmk, scratch)
         np.exp(out, out=out)
         out *= jmk
         if len(t):
@@ -235,25 +228,25 @@ class EllipticSeed(_ScalarTimesVector):
         return self.u
 
     def scalar_many(self, taus: np.ndarray) -> np.ndarray:
-        # Im(tau - conj(xi)) > 0 always, principal branch
-        den = principal_power(np.subtract(taus, self.xi.conjugate()), -(self.nu + self.k))
-        if self.nu:
-            den *= principal_power(np.subtract(taus, self.xi), self.nu)
-        return den
+        # the kernel at the identity coset, where z = tau, B = tau - conj(xi)
+        # and A = tau - xi
+        ws = kernel_workspace(len(taus))
+        consts = self._slash_constants(entry_arrays([I2]), self.k)
+        return self._slashed_many(taus, consts, ws)[:, 0].copy()
 
     def _phase_runs(self, ents: np.ndarray) -> None:
         """No factor of the slashed seed is fixed by each coset."""
         return None
 
-    def _slash_constants(self, tab, k: float) -> tuple:
-        """The constants of the slashed seed j(g, tau)^-k f(g.tau) over a
-        CosetTable of <-I>.  With A = j (g.tau - xi) and
-        B = j (g.tau - conj(xi)) the scalar is A^nu B^-(nu + k), and as
-        g.tau = a/c - 1/(c j), B = lam z + mu and A = conj(lam) z + conj(mu)
-        with z = c tau + d, lam = a/c - conj(xi), mu = -1/c; the cosets
-        (1 b; 0 1) take z = tau, lam = 1, mu = b - conj(xi).  Returns c, d,
-        lam and mu per coset in table order, and max |lam|, |mu|, |c|, |d|."""
-        a, b, c, d = (tab.ents[tab.order, i].astype(float) for i in range(4))
+    def _slash_constants(self, ents: np.ndarray, k: float) -> tuple:
+        """The constants of the slashed seed j(g, tau)^-k f(g.tau) over
+        cosets of <-I>, the rows (a, b, c, d) of ents.  With A = j (g.tau -
+        xi) and B = j (g.tau - conj(xi)) the scalar is A^nu B^-(nu + k), and
+        as g.tau = a/c - 1/(c j), B = lam z + mu and A = conj(lam) z +
+        conj(mu) with z = c tau + d, lam = a/c - conj(xi), mu = -1/c; the
+        cosets (1 b; 0 1) take z = tau, lam = 1, mu = b - conj(xi).  Returns
+        c, d, lam and mu per row of ents, and max |lam|, |mu|, |c|, |d|."""
+        a, b, c, d = (ents[:, i].astype(float) for i in range(4))
         xb = self.xi.conjugate()
         at_inf = c == 0  # then a = d = 1
         c[at_inf], d[at_inf] = 1.0, 0.0
@@ -264,15 +257,15 @@ class EllipticSeed(_ScalarTimesVector):
 
     def _slashed_many(self, taus: np.ndarray, consts: tuple, ws: tuple) -> np.ndarray:
         """The scalars A^nu B^-(nu + k) of the slashed seed at every point
-        and coset, in table order, with no j^-k and no division.
+        and coset, in the order of the rows, with no j^-k and no division.
 
         arg B = arg j + arg(g.tau - conj(xi)) lies in (0, 2 pi), as c > 0,
         or c = 0 and d = 1, puts arg j in [0, pi): at non-integer nu + k the
         principal power takes e(-(nu + k)) where Im B < 0.  Where |A|^nu
         could pass the float range, by the bound from consts, the scalar is
-        (A/B)^nu B^-k, |A/B| < 1.  Integer powers are array binary powering;
-        entries past the float range are B again by the log route.  ws is
-        a kernel_workspace; the result is a view of ws[1]."""
+        (A/B)^nu B^-k, |A/B| < 1.  The power of B is modgroup._power, which
+        takes B again from the coset where an integer power passes the float
+        range.  ws is a kernel_workspace; the result is a view of ws[1]."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
         den, out, z, *scratch = (_shaped(b, (len(taus), len(lam))) for b in ws)
         z = _cocycle(c, d, taus[:, None], z)
@@ -286,14 +279,9 @@ class EllipticSeed(_ScalarTimesVector):
             if self.nu * math.log(bound) > 700.0:
                 num /= den
                 power = -self.k
-        if float(power).is_integer():
-            out = _integer_power(den, int(power), out)  # den is spent
-            t, i = np.nonzero(~np.isfinite(out))
-            if len(t):  # past the float range: B again, by the log route
-                b = lam[i] * _cocycle(c[i], d[i], taus[t]) + mu[i]
-                out[t, i] = principal_power(b, power)
-        else:
-            out = principal_power(den, power, out, scratch)
+        out = _power(den, power, lambda t, i: lam[i] * _cocycle(c[i], d[i], taus[t]) + mu[i],
+                     out, scratch)
+        if not float(power).is_integer():  # den is kept
             out[np.signbit(den.imag)] *= cmath.exp(2j * math.pi * power)
         if self.nu == 1:
             out *= num

@@ -189,7 +189,8 @@ class SeriesHandle:
         wmat = wmat[tab.order]
         n_tail = max(1, math.ceil(len(tab) / 10))
         self._data.update(w=wmat, wnorm=np.linalg.norm(wmat[len(tab) - n_tail:], axis=1),
-                          consts=self.seed._slash_constants(tab, self.k), n_tail=n_tail)
+                          consts=self.seed._slash_constants(tab.ents[tab.order], self.k),
+                          n_tail=n_tail)
         return self._data
 
     def evaluate_many(self, taus):

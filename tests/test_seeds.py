@@ -123,7 +123,7 @@ class TestSlashConstants:
         tab = enumerate_cosets(GroupSpec.gamma_infinity(M), gamma, height)
         seed = ClassicalSeed(3, 1, SpectralSplit(np.eye(1, dtype=complex), (0.25,)), M)
         alpha = Fraction(13, 4 * M)
-        k, c, d, kappa, at_inf, c_low, (num, den) = seed._slash_constants(tab, 12)
+        k, c, d, kappa, at_inf, c_low, (num, den) = seed._slash_constants(tab.ents[tab.order], 12)
         assert k == 12.0 and Fraction(num, den) == alpha
         ents = tab.ents[tab.order]
         assert c.dtype == d.dtype == kappa.dtype == np.float64
@@ -146,7 +146,7 @@ class TestSlashConstants:
         # an ulp, where e^{2 pi i alpha tau} in floats errs by |2 pi alpha tau|
         # ulps); e(alpha b) is their phase
         taus = [complex(0.3, 1.1), complex(-0.45, 0.06)]
-        terms = seed._slashed_many(np.array(taus), seed._slash_constants(tab, 12),
+        terms = seed._slashed_many(np.array(taus), seed._slash_constants(tab.ents[tab.order], 12),
                                    kernel_workspace(len(taus) * len(tab)))
         for t, tau in enumerate(taus):
             with mpmath.workdps(30):
