@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -163,6 +164,16 @@ class TestClosedForms:
 
     def test_elliptic_zero(self):
         assert elliptic_pairing_closed_form(0.0, 12.0, 3, 1j) == 0.0
+
+    @pytest.mark.parametrize("nu", [163, 164, 166, 170, 171, 300])
+    def test_elliptic_past_the_float_range_of_nu_factorial(self, nu):
+        # at k = 12 the product 11 * 12 * ... * (11 + nu) passes the float
+        # range from nu = 163 (the value read 0.0) and nu! from 171 (an
+        # OverflowError); measured worst 2.3e-13 at nu = 300, gated at 3x
+        with mpmath.workdps(40):
+            exact = 4 * mpmath.pi / mpmath.mpf(4) ** 12 * mpmath.beta(nu + 1, 11)
+            got = elliptic_pairing_closed_form(1.0, 12.0, nu, 1j)
+            assert abs(got - exact) <= 6.7e-13 * exact
 
     def test_elliptic_nu2_vs_disk_integral(self):
         oracle, _ = integrate.quad(lambda r: r ** 5 * (1 - r * r) ** 10, 0.0, 1.0)

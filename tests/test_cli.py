@@ -26,6 +26,11 @@ def invoke(argv):
     return proc
 
 
+def _not_json(constant):
+    """json.loads' parse_constant: NaN and Infinity are not JSON."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 def legendre5(tmp_path):
     """A rep file of the Legendre character mod 5, a representation of Gamma0(5)."""
     rho_file = tmp_path / "legendre5.json"
@@ -217,6 +222,31 @@ class TestEval:
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["type"] == "refusal" and message in error["message"]
+
+    @pytest.mark.parametrize("nu", [166, 171])
+    def test_elliptic_closed_form_past_nu_factorial(self, nu, capsys):
+        # at nu = 166 the closed form read 0.0 and rel_err Infinity, which
+        # is not JSON; at nu = 171 the job exited 3 with "int too large to
+        # convert to float"
+        argv = ["pair", "--group", "gamma0", "--level", "2", "--seed", "elliptic",
+                "--nu", str(nu), "--height", "10", "--ymax", "6", "--nx", "16", "--ny", "16"]
+        assert run(parse_args(argv)) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+        assert abs(complex(*data["closed_form"])) > 0.0
+
+    @pytest.mark.parametrize("closed", [0j, complex(math.inf, 0.0), complex(math.nan, 0.0)],
+                             ids=["zero", "inf", "nan"])
+    def test_pair_refuses_a_closed_form_without_relative_error(self, closed, monkeypatch,
+                                                               capsys):
+        # a closed form of 0 wrote rel_err Infinity, and one of inf or nan NaN
+        monkeypatch.setattr(cli, "elliptic_pairing_closed_form", lambda *args: closed)
+        argv = ["pair", "--group", "gamma0", "--level", "2", "--seed", "elliptic",
+                "--height", "10", "--nx", "16", "--ny", "16"]
+        assert run(parse_args(argv)) == 3
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert captured.out == "" and error["type"] == "refusal"
+        assert "the relative error against it is undefined" in error["message"]
 
     def test_closed_form_past_gamma_171(self, capsys):
         # gamma(179) overflows, the pairing b Gamma(179) / (4 pi)^179 does
