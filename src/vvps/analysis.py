@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import (comp_sum_complex, gamma_over_power, gauss_panels,
+from ._quad import (comp_sum_complex, gamma_over_power, gauss_panels, log_beta,
                     regularized_incomplete_beta, regularized_incomplete_gamma)
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
@@ -287,12 +287,16 @@ def classical_pairing_closed_form(b_nu: complex, M: int, k: float, nu: int,
 
 
 def elliptic_pairing_closed_form(b_nu_xi: complex, k: float, nu: int, xi) -> complex:
-    """Closed form 4 pi / (4 Im xi)^k * nu! / ((k-1) k ... (k+nu-1)) * b."""
+    """Closed form 4 pi / (4 Im xi)^k * nu! / ((k-1) k ... (k+nu-1)) * b,
+    the ratio taken as B(nu + 1, k - 1) (_quad.log_beta) where nu! or the
+    product passes the float range (from nu = 171, and 163 at k = 12)."""
     if k <= 2:
         raise DomainError("pairing formula requires k > 2")
     denom = 1.0
     for i in range(nu + 1):
         denom *= (k - 1.0 + i)
-    return (4.0 * math.pi / (4.0 * complex(xi).imag) ** k
-            * math.factorial(nu) / denom * b_nu_xi)
+    front = 4.0 * math.pi / (4.0 * complex(xi).imag) ** k
+    if nu > 170 or not math.isfinite(denom):
+        return front * math.exp(log_beta(nu + 1.0, k - 1.0)) * b_nu_xi
+    return front * math.factorial(nu) / denom * b_nu_xi
 

@@ -174,7 +174,10 @@ def _run_pair(ns) -> dict:
                                            0.4, nt=128, j=ns.j)
         b = coeffs[seed.nu]
         closed = elliptic_pairing_closed_form(b, ns.k, seed.nu, seed.xi)
-    rel = abs(strip - closed) / abs(closed) if closed != 0 else float("inf")
+    rel = abs(strip - closed) / abs(closed) if closed != 0 else math.inf
+    if not math.isfinite(rel):
+        raise RefusalError(f"the closed form of the pairing is {complex(closed)}, 0 or not "
+                           "finite: the relative error against it is undefined")
     return {"strip": _c2j(strip), "closed_form": _c2j(closed),
             "coefficient": _c2j(b), "rel_err": rel, "height": handle.height,
             "domain_share": domain_share(seed, ns.k, q)}
