@@ -123,6 +123,13 @@ class TestEllipticExpansion:
         for n in (0, 1):
             assert a[n] == pytest.approx(b[n], rel=1e-8)
 
+    @pytest.mark.parametrize("nt", [0, -4])
+    def test_too_few_nodes_rejected(self, nt):
+        # nt = -4 returned {0: -0j, 1: -0j}, nt = 0 raised ZeroDivisionError
+        seed = EllipticSeed(1, 1j, np.array([1.0 + 0j]), 12.0)
+        with pytest.raises(ValueError, match="nt"):
+            elliptic_expansion_coeffs(seed, 1j, 12.0, [0, 1], 0.4, nt=nt)
+
     def test_bad_radius_refused(self):
         F = lambda tau: np.array([1.0 + 0j])
         with pytest.raises(RefusalError):
