@@ -141,7 +141,10 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
                               nt: int = 256, j: int = 1) -> dict:
     """Coefficients b_{n,xi}(j) of (tau - conj(xi))^k F_j(tau) as a power
     series in w = (tau - xi)/(tau - conj(xi)), from a circle of radius r0
-    in the disk variable; j is 1-based."""
+    in the disk variable, by the rectangle rule with nt >= 1 nodes; j is
+    1-based."""
+    if nt < 1:
+        raise ValueError(f"nt must be at least 1, got {nt}")
     if not 0 < r0 < 1:
         raise RefusalError("disk radius must satisfy 0 < r0 < 1")
     xi = complex(xi)
