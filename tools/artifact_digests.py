@@ -1,7 +1,9 @@
 """MD5 digests of the artifacts of a fixed list of CLI jobs.
 
 Each job runs in-process through `vvps.cli.main`; the script prints one
-`md5  label` line per job, and exits 1 if a job exits nonzero.  It then
+`md5  label` line per job, and exits 1, naming the job on stderr, if a job
+exits nonzero or writes a JSON artifact that is not strict JSON (NaN or
+Infinity; the CSV of `table` and `fourier --format csv` is exempt).  It then
 runs a usage error and a help text (GUARDS), whose output it discards,
 and the list once more in reverse order in the same process.  It exits 1,
 naming the culprit on stderr, if a guard exits with the wrong code or an
@@ -128,8 +130,7 @@ GUARDS = [
     (["eval", "-h"], 0),
 ]
 
-LEGENDRE_MOD5 = {"recipe": "dirichlet", "p": 1, "group": {"kind": "Gamma0", "n": 5},
-                 "values": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}
+LEGENDRE_MOD5 = vvps.rep.dirichlet_rep(5, [0, 1, -1, -1, 1]).to_json()
 
 
 def _permutation(images) -> np.ndarray:
@@ -142,6 +143,19 @@ def _permutation(images) -> np.ndarray:
 # fold_rho walks the S/T word of every coset
 _X, _Y = _permutation([3, 1, 5, 0, 6, 2, 4]), _permutation([1, 4, 5, 2, 0, 3, 6])
 NONCONGRUENCE = vvps.rep.st_rep(_X, _X @ _Y).to_json()
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(artifact: bytes) -> bool:
+    """Whether the artifact parses as JSON without NaN or Infinity."""
+    try:
+        json.loads(artifact, parse_constant=_reject)
+    except ValueError:
+        return False
+    return True
 
 
 def run_job(argv) -> tuple[int, bytes]:
@@ -177,6 +191,9 @@ def main() -> int:
             code, artifacts[label] = run_job([a.format(**files) for a in argv])
             if code != 0:
                 sys.stderr.write(f"{label}: exit {code}\n")
+                status = 1
+            elif not (argv[0] == "table" or "csv" in argv or strict_json(artifacts[label])):
+                sys.stderr.write(f"{label}: the artifact is not strict JSON\n")
                 status = 1
             print(f"{hashlib.md5(artifacts[label]).hexdigest()}  {label}")
         for argv, expected in GUARDS:
