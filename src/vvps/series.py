@@ -6,15 +6,15 @@ determine: the weight is ms.k and the table's stabiliser seed.lam.  It
 refuses at construction whatever needs no table, and enumerates the table
 on first evaluation, so a refused job never builds one.  Evaluation asks
 the seed for its slashed scalar j(g, tau)^{-k} f(g.tau) / w over the
-cosets in table order, from constants it takes once per handle (see seeds:
-both are closed forms in each coset's integers, and the classical one
-leaves out the phase e(alpha a/c) that each coset fixes, which preparation
-folds into the coset's vector), and block_sum of _quad sums them there:
-one level of error-free extraction, correctly rounded but near a rounding
-boundary, and a function of each point's terms (their order moves only
-the rounding of a residual below n 2^-50 of the largest of n terms).  It
-reports an empirical tail proxy, the mass of the outermost tenth of the
-included cosets by Frobenius norm.
+table's rows in table order, from constants it takes once per handle
+(see seeds: closed forms in each coset's integers, powered by modgroup's
+one route; the classical one leaves out the phase e(alpha a/c) that each
+coset fixes, which preparation folds into the coset's vector), and
+block_sum of _quad sums them there: one level of error-free extraction,
+correctly rounded but near a rounding boundary, and a function of each
+point's terms (their order moves only the rounding of a residual below
+n 2^-50 of the largest of n terms).  It reports an empirical tail proxy,
+the mass of the outermost tenth of the included cosets by Frobenius norm.
 evaluate_many splits its points into blocks of about 65,536 terms and
 maps them over thread_cap() workers, one per usable CPU; no result
 depends on the blocks or the worker count.  Each worker allocates one
