@@ -120,7 +120,7 @@ def _power(z: np.ndarray, k: float, base_at, out=None, scratch=None) -> np.ndarr
     A nonzero integer k is taken by _integer_power (z is spent), and the
     entries past the float range again by the log route from
     base_at(*indices), the base at those indices, which a kernel recomputes
-    from its coset integers (2000^-99 is then 0).  Every other k, 0
+    from its coset integers (so 2000^-99 is 0, not nan).  Every other k, 0
     included, takes the log route into out and scratch, and z is kept."""
     if not float(k).is_integer() or k == 0:
         return _log_power(z, k, out, scratch)
