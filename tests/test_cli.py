@@ -223,6 +223,16 @@ class TestEval:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "refusal" and message in error["message"]
 
+    def test_elliptic_coefficient_overflow_is_refused_without_warnings(self):
+        # (tau - conj(xi))^600 passes the float range on the coefficient's
+        # circle; numpy wrote two RuntimeWarnings before the refusal
+        proc = invoke(["pair", "--group", "gamma0", "--level", "2", "--seed", "elliptic",
+                       "--k", "600", "--ymax", "2", "--height", "10", "--nx", "16", "--ny", "16"])
+        assert proc.returncode == 3 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "refusal"
+
     @pytest.mark.parametrize("nu", [166, 171])
     def test_elliptic_closed_form_past_nu_factorial(self, nu, capsys):
         # at nu = 166 the closed form read 0.0 and rel_err Infinity, which
