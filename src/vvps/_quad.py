@@ -1,5 +1,6 @@
-"""Shared numerics: Gauss-Legendre panels, compensated sums, and the
-Gamma/Beta-family functions of the non-vanishing criteria.
+"""Shared numerics: Gauss-Legendre panels, the Gauss rule of a truncated
+Jacobi weight, compensated sums, and the Gamma/Beta-family functions of
+the non-vanishing criteria.
 
 Measured maximum error against mpmath at 40 digits, relative unless
 marked, on the grids of tests/test_nonvanish.py: the criteria's grid
@@ -103,6 +104,45 @@ def gauss_panels(a: float, b: float, n_panels: int, geometric: bool = False):
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         raise RefusalError(f"Gauss panels on [{a}, {b}] overflow the float range")
     return nodes, weights
+
+
+def gauss_jacobi_truncated(n: int, b: float, s_max: float):
+    """Nodes and weights of the n-point Gauss rule for the weight (1 - s)^b
+    on [0, s_max], b > -1 and 0 < s_max <= 1, exact for polynomials in s of
+    degree up to 2n - 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    weight.  Its recurrence comes from the Stieltjes procedure on the weight
+    discretised in u = -(b + 1) log(1 - s), where it is e^-u du / (b + 1),
+    by 4-point Gauss panels, 8 per unit of u and of n, up to u = 745, past
+    which e^-u is below the smallest float.  The weights are the
+    Christoffel numbers 1 / sum_j p_j(node)^2 of the orthonormal
+    polynomials p_j: they keep their relative accuracy where the
+    eigenvectors' components, far below 1e-8, do not.  Against mpmath the
+    moments of s^j for j <= 2n - 1 read at most 1.2e-14 (relative) for
+    n <= 11 and 4.7e-13 at n = 151, for b + 2 in {2.5, 4, 7.3, 12, 40, 172}
+    and s_max in {0.05, 0.75, 0.99} (tests/test_analysis.py).
+    """
+    u_max = min(745.0, -(b + 1.0) * math.log1p(-s_max) if s_max < 1.0 else math.inf)
+    u, wu = gauss_panels(0.0, u_max, 8 * math.ceil(u_max + n + 2))
+    lam = wu * np.exp(-u) / (b + 1.0)
+    s, lam = -np.expm1(-u[lam > 0] / (b + 1.0)), lam[lam > 0]
+    p0 = 1.0 / math.sqrt(math.fsum(lam))
+    a, c = np.empty(n), np.zeros(n)
+    q_prev, q = 0.0, np.full_like(s, p0)
+    for i in range(n):
+        a[i] = np.sum(lam * s * q * q)
+        r = (s - a[i]) * q - c[i - 1] * q_prev
+        c[i] = math.sqrt(np.sum(lam * r * r))
+        q_prev, q = q, r / c[i]
+    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(c[:-1], -1))
+    p_prev, p = 0.0, np.full(n, p0)
+    total = p * p
+    with np.errstate(over="ignore"):  # a weight below the float range comes out 0
+        for i in range(n - 1):
+            p_prev, p = p, ((nodes - a[i]) * p - c[i - 1] * p_prev) / c[i]
+            total += p * p
+    return nodes, 1.0 / total
 
 
 def comp_sum_complex(values) -> complex:

@@ -7,7 +7,9 @@ a fundamental domain of the seed's stabiliser seed.lam.  For GammaInfinity(M)
 that is the period strip, integrated on a trapezoid in x times geometrically
 refined Gauss panels in y.  For <-I> it is the whole half-plane, integrated
 on a hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
-Gauss panels in |w|.  The closed-form pairing values provide the
+the ceil((nu + 1)/2)-point Gauss rule in s = |w|^2 of the seed's radial
+weight (1 - s)^(k-2), which is exact for the b s^nu that the trapezoid
+leaves.  The closed-form pairing values provide the
 independent second pipeline, and domain_share the exact part of them that
 the truncated domain keeps.  Every grid is evaluated by one
 evaluate_many call, whose block loop runs on the usable CPUs
@@ -17,14 +19,15 @@ applies series.slash.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._quad import (comp_sum_complex, gamma_over_power, gauss_panels, log_beta,
-                    regularized_incomplete_beta, regularized_incomplete_gamma)
+from ._quad import (comp_sum_complex, gamma_over_power, gauss_jacobi_truncated, gauss_panels,
+                    log_beta, regularized_incomplete_beta, regularized_incomplete_gamma)
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
                        principal_power, right_coset_reps, slash_kernel)
@@ -45,9 +48,10 @@ __all__ = [
 class QuadratureSpec:
     """Grid and box of a pairing integral.  For the GammaInfinity strip: nx
     trapezoid nodes across the period, ny geometric Gauss panels in y.  For
-    the <-I> disk about xi: nx trapezoid nodes in arg w, max(4, ny // 4)
-    Gauss panels in |w|, the disk being the largest hyperbolic one inside
-    the box |x| <= x_max (default 8), y_min <= y <= y_max."""
+    the <-I> disk about xi: nx trapezoid nodes in arg w times the
+    ceil((nu + 1)/2) nodes in |w|^2 of the seed's radial Gauss rule (ny is
+    not read), the disk being the largest hyperbolic one inside the box
+    |x| <= x_max (default 8), y_min <= y <= y_max."""
 
     y_min: float
     y_max: float
@@ -155,7 +159,9 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
     if not 1 <= j <= vals.shape[1]:
         raise ValueError(f"index j={j} out of range 1..{vals.shape[1]}")
     vals = vals[:, j - 1]
-    gs = principal_power(taus - xi.conjugate(), k) * vals  # Im > 0
+    # what overflows here is refused by the sums as non-finite, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs = principal_power(taus - xi.conjugate(), k) * vals  # Im > 0
     out = {}
     for n in ns:
         phase = np.exp(-1j * n * ts)
@@ -180,32 +186,42 @@ def _disk_radius(xi: complex, q: QuadratureSpec) -> float:
 def _strip_nodes(f, k: float, q: QuadratureSpec):
     """Flat (taus, weights) over a fundamental domain of f.lam, the weights
     carrying Im(tau)^k dv: the period strip for GammaInfinity, the disk
-    about f.xi for <-I>, where dv = 4 rho drho dtheta/(1 - rho^2)^2 in
-    w = rho e^{i theta} = (tau - xi)/(tau - conj(xi)).  Refused
-    (RefusalError) when a weight overflows the float range."""
+    about f.xi for <-I>.  There, in s = |w|^2 with w = s^(1/2) e^{i theta}
+    = (tau - xi)/(tau - conj(xi)), Im(tau)^k dv = 2 (Im xi)^k (1 - s)^(k-2)
+    / |1 - w|^(2k) ds dtheta, and the seed's frequency leaves b s^nu
+    (1 - s)^(k-2) after the trapezoid in theta: the Gauss rule of the
+    weight (1 - s)^(k-2) on [0, rho_max^2] takes it exactly with
+    ceil((nu + 1)/2) nodes in s, and q.ny is not read.  More nodes would
+    reach toward the disk's edge, where the trapezoid aliases.  Refused
+    (RefusalError) when a weight overflows the float range, and on the
+    disk, before any node is made, when the box's y_max^k does."""
     lam = getattr(f, "lam", None)
     if lam is None:
         raise ValueError("the pairing needs a seed as its second argument: a classical "
                          "seed for the strip, an elliptic seed for the disk about its xi")
+    power = k - 2.0 if lam.kind == "GammaInfinity" else k
+    overflow = RefusalError(f"the weight y^{power:g} on [{q.y_min}, {q.y_max}] "
+                            "overflows the float range")
     if lam.kind == "GammaInfinity":
         xs = (np.arange(q.nx) + 0.5) * (lam.n / q.nx)
         wx = np.full(q.nx, lam.n / q.nx)
         ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, geometric=True)
         taus = (xs[:, None] + 1j * ys[None, :]).ravel()
-        power = k - 2.0
         weights = (wx[:, None] * (wy * ys ** power)[None, :]).ravel()
     else:
+        try:
+            q.y_max ** power  # the nodes need not come near y_max
+        except OverflowError:
+            raise overflow from None
         xi = complex(f.xi)
-        rhos, wr = gauss_panels(0.0, _disk_radius(xi, q), max(4, q.ny // 4))
+        s, ws = gauss_jacobi_truncated((f.nu + 2) // 2, k - 2.0, _disk_radius(xi, q) ** 2)
         thetas = 2.0 * math.pi * np.arange(q.nx) / q.nx
-        ws = (rhos[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-        taus = (xi - xi.conjugate() * ws) / (1.0 - ws)
-        wmeas = 4.0 * rhos * wr / (1.0 - rhos ** 2) ** 2 * (2.0 * math.pi / q.nx)
-        power = k
-        weights = np.repeat(wmeas, q.nx) * taus.imag ** power
+        w = (np.sqrt(s)[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+        taus = (xi - xi.conjugate() * w) / (1.0 - w)
+        weights = (np.repeat(ws * (4.0 * math.pi / q.nx), q.nx)
+                   * (xi.imag / np.abs(1.0 - w) ** 2) ** k)
     if not np.isfinite(weights).all():
-        raise RefusalError(f"the weight y^{power:g} on [{q.y_min}, {q.y_max}] "
-                           "overflows the float range")
+        raise overflow
     return taus, weights
 
 
@@ -292,14 +308,23 @@ def classical_pairing_closed_form(b_nu: complex, M: int, k: float, nu: int,
 def elliptic_pairing_closed_form(b_nu_xi: complex, k: float, nu: int, xi) -> complex:
     """Closed form 4 pi / (4 Im xi)^k * nu! / ((k-1) k ... (k+nu-1)) * b,
     the ratio taken as B(nu + 1, k - 1) (_quad.log_beta) where nu! or the
-    product passes the float range (from nu = 171, and 163 at k = 12)."""
+    product passes the float range (from nu = 171, and 163 at k = 12);
+    RefusalError when (4 Im xi)^k or the value passes it."""
     if k <= 2:
         raise DomainError("pairing formula requires k > 2")
     denom = 1.0
     for i in range(nu + 1):
         denom *= (k - 1.0 + i)
-    front = 4.0 * math.pi / (4.0 * complex(xi).imag) ** k
+    try:
+        front = 4.0 * math.pi / (4.0 * complex(xi).imag) ** k
+    except (OverflowError, ZeroDivisionError):
+        front = math.inf
     if nu > 170 or not math.isfinite(denom):
-        return front * math.exp(log_beta(nu + 1.0, k - 1.0)) * b_nu_xi
-    return front * math.factorial(nu) / denom * b_nu_xi
+        value = front * math.exp(log_beta(nu + 1.0, k - 1.0)) * b_nu_xi
+    else:
+        value = front * math.factorial(nu) / denom * b_nu_xi
+    if not cmath.isfinite(value):
+        raise RefusalError(f"the elliptic pairing 4 pi / (4 Im xi)^k nu! / ((k-1) k ... "
+                           f"(k+nu-1)) b passes the float range at k={k}, Im xi={complex(xi).imag}")
+    return value
 

@@ -351,8 +351,9 @@ def _add_series(sp, quad_opts=False):
                         help="classical: trapezoid nodes across the period; "
                              "elliptic: trapezoid nodes in arg w (at least 16)")
         sp.add_argument("--ny", type=int, default=24,
-                        help="classical: geometric Gauss panels in y; elliptic: "
-                             "max(4, ny // 4) Gauss panels in |w| (at least 16)")
+                        help="strip only: geometric Gauss panels in y; the "
+                             "elliptic disk takes its radial nodes from nu and "
+                             "does not read it (at least 16 either way)")
         sp.add_argument("--xmax", type=_finite_float, default=None,
                         help="elliptic: the disk about xi stays in |x| <= xmax "
                              "(default 8), as it stays in ymin <= y <= ymax")

@@ -127,7 +127,8 @@ def _power(z: np.ndarray, k: float, base_at, out=None, scratch=None) -> np.ndarr
     out = _integer_power(z, int(k), out)
     bad = np.nonzero(~np.isfinite(out))
     if len(bad[0]):
-        out[bad] = _log_power(base_at(*bad), k)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the range stays inf, unwarned
+            out[bad] = _log_power(base_at(*bad), k)
     return out
 
 

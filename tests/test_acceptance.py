@@ -10,7 +10,7 @@ from scipy import integrate
 
 from conftest import (act, classical_handle, cocycle, elliptic_handle, eta_product,
                       random_element, random_tau, syllable_product)
-from vvps.analysis import (QuadratureSpec, classical_pairing_closed_form,
+from vvps.analysis import (QuadratureSpec, classical_pairing_closed_form, domain_share,
                            elliptic_expansion_coeffs,
                            elliptic_pairing_closed_form, fourier_coefficients,
                            petersson_pair_full, petersson_strip)
@@ -178,7 +178,7 @@ def test_criterion_4_classical_pairing():
 
 def test_criterion_5_elliptic_pairing():
     t0 = time.time()
-    rels = []
+    rels, boxed = [], []
     for nu in (0, 1):
         h = elliptic_series(GroupSpec.gamma0(2), 40.0, nu)
         seed = h.seed
@@ -187,8 +187,14 @@ def test_criterion_5_elliptic_pairing():
         coeffs = elliptic_expansion_coeffs(h, 1j, 12.0, [nu], 0.4, nt=128)
         closed = elliptic_pairing_closed_form(coeffs[nu], 12.0, nu, 1j)
         rels.append(abs(strip - closed) / abs(closed))
-    report(5, all(r <= 1e-5 for r in rels),
+        kept = closed * domain_share(seed, 12.0, q)
+        boxed.append(abs(strip - kept) / abs(kept))
+    # rel is the box's loss 1 - share (2.3e-7 and 2.1e-6); against the part
+    # of the closed form that the box keeps, the gate is about 10x the
+    # measured 5.9e-16 and 5.6e-16
+    report(5, all(r <= 1e-5 for r in rels) and all(r <= 6e-15 for r in boxed),
            f"rel errors nu=0: {rels[0]:.1e}, nu=1: {rels[1]:.1e}, both <= 1e-5; "
+           f"against closed x share {boxed[0]:.1e}, {boxed[1]:.1e}, both <= 6e-15; "
            f"{time.time() - t0:.1f}s")
 
 

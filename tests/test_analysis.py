@@ -13,6 +13,7 @@ from vvps.analysis import (QuadratureSpec,
                            elliptic_expansion_coeffs,
                            elliptic_pairing_closed_form, fourier_coefficients,
                            petersson_pair_full, petersson_strip)
+from vvps._quad import gauss_jacobi_truncated
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import GroupSpec, S, right_coset_reps
 from vvps.multiplier import MultiplierSystem
@@ -182,6 +183,13 @@ class TestClosedForms:
             got = elliptic_pairing_closed_form(1.0, 12.0, nu, 1j)
             assert abs(got - exact) <= 6.7e-13 * exact
 
+    @pytest.mark.parametrize("k, xi", [(600.0, 1j), (500.0, 0.06j)])
+    def test_elliptic_past_the_float_range_refused(self, k, xi):
+        # (4 Im xi)^k overflowed (a bare OverflowError), and at Im xi = 0.06
+        # the value read inf
+        with pytest.raises(RefusalError, match=r"elliptic pairing 4 pi / \(4 Im xi\)\^k"):
+            elliptic_pairing_closed_form(1.0, k, 0, xi)
+
     def test_elliptic_nu2_vs_disk_integral(self):
         oracle, _ = integrate.quad(lambda r: r ** 5 * (1 - r * r) ** 10, 0.0, 1.0)
         oracle *= 8 * math.pi / 4.0 ** 12
@@ -245,7 +253,11 @@ class TestPeterssonStrip:
             with pytest.raises(RefusalError, match="a sum has non-finite terms"):
                 petersson_strip(F, seed, 12.0, q)
 
-    @pytest.mark.parametrize("k, tol", [(4.0, 2e-8), (7.3, 2e-8), (12.0, 2e-8), (40.0, 2e-6)])
+    # the ids keep the gates of the earlier 28-node radial grid, so that the
+    # test names stay stable
+    @pytest.mark.parametrize("k, tol", [
+        pytest.param(4.0, 1e-14, id="4.0-2e-08"), pytest.param(7.3, 1e-14, id="7.3-2e-08"),
+        pytest.param(12.0, 1e-14, id="12.0-2e-08"), pytest.param(40.0, 2e-14, id="40.0-2e-06")])
     @pytest.mark.parametrize("nu", [0, 1, 3])
     @pytest.mark.parametrize("xi", [1j, 0.3 + 0.5j, 2j, -6 + 1j])
     def test_elliptic_seed_disk_closed_form(self, k, tol, nu, xi):
@@ -254,7 +266,8 @@ class TestPeterssonStrip:
         # 4 pi (4 eta)^-k B(nu+1, k-1) I_{rho_max^2}(nu+1, k-1); rho_max is
         # tanh(d/2) for the largest hyperbolic radius d inside the box.  The
         # disk touches y_max for i and 2i, y_min for 0.3+0.5i, x = -x_max for
-        # -6+i.  Worst errors seen: 9.9e-9 for k <= 12, 1.1e-6 at k = 40.
+        # -6+i.  Gates: about 5x the worst errors seen, 1.9e-15 for k <= 12
+        # and 3.4e-15 at k = 40.
         q = QuadratureSpec(0.05, 14.0, nx=160, ny=28, x_max=8.0)
         seed = EllipticSeed(nu, xi, np.array([1.0 + 0j]), k)
         got = petersson_strip(seed, seed, k, q)
@@ -264,6 +277,24 @@ class TestPeterssonStrip:
         expect = (4.0 * math.pi * (4.0 * eta) ** -k * special.beta(nu + 1, k - 1)
                   * special.betainc(nu + 1, k - 1, r2))
         assert abs(got - expect) <= tol * expect
+
+
+@pytest.mark.parametrize("k", [2.5, 4.0, 7.3, 12.0, 40.0, 172.0])
+@pytest.mark.parametrize("s_max", [0.05, 0.75, 0.99])
+@pytest.mark.parametrize("n, tol", [(1, 1e-14), (2, 1e-13), (3, 1e-13), (11, 1e-13),
+                                    (151, 5e-12)])
+def test_disk_rule_moments_against_mpmath(n, tol, s_max, k):
+    # the disk's radial rule: n nodes in s for the weight (1 - s)^(k-2) on
+    # [0, s_max] take s^j, j <= 2n - 1.  Moments of (s / s_max)^j, which
+    # stay in the float range.  Worst seen: 3.8e-16 at n = 1, 1.2e-14 for
+    # n <= 11, 4.6e-13 at n = 151
+    nodes, weights = gauss_jacobi_truncated(n, k - 2.0, s_max)
+    assert len(nodes) == n and (nodes > 0).all() and (nodes < s_max).all()
+    with mpmath.workdps(40):
+        for j in range(2 * n):
+            exact = mpmath.betainc(j + 1, k - 1, 0, s_max) / mpmath.mpf(s_max) ** j
+            got = math.fsum(weights * (nodes / s_max) ** j)
+            assert abs(got - exact) <= tol * exact
 
 
 class TestDiskRefusal:

@@ -662,21 +662,23 @@ class TestOtherCommands:
         data = json.loads(out.read_text())
         assert data["rel_err"] < 1e-2
 
-    @pytest.mark.parametrize("argv", [
-        ["--seed", "elliptic", "--k", "12", "--nu", "4", "--xi", "0,1",
-         "--nx", "160", "--ny", "64"],
-        ["--seed", "elliptic", "--k", "4", "--nu", "2", "--xi", "0.3,0.5",
-         "--nx", "160", "--ny", "64"],
-        ["--k", "12", "--ymax", "0.4", "--nx", "64", "--ny", "64"],
+    @pytest.mark.parametrize("argv, tol", [
+        (["--seed", "elliptic", "--k", "12", "--nu", "4", "--xi", "0,1",
+          "--nx", "160", "--ny", "64"], 1e-14),
+        (["--seed", "elliptic", "--k", "4", "--nu", "2", "--xi", "0.3,0.5",
+          "--nx", "160", "--ny", "64"], 1e-14),
+        (["--k", "12", "--ymax", "0.4", "--nx", "64", "--ny", "64"], 1e-8),
     ], ids=["elliptic-at-i", "elliptic-off-i", "classical-short-strip"])
-    def test_pair_reports_the_domain_share(self, argv, tmp_path):
+    def test_pair_reports_the_domain_share(self, argv, tol, tmp_path):
         # on fine grids the pairing loses exactly the seed mass outside the
-        # truncated domain: rel_err 1.67e-3, 0.206 and 0.986 here
+        # truncated domain: rel_err 1.67e-3, 0.206 and 0.986 here.  Worst
+        # |rel_err - (1 - share)| seen: 3.8e-16 and 1.5e-15 on the disk's
+        # matched rule, 3.9e-10 on the strip's grid
         out = tmp_path / "pair.json"
         argv = ["pair", "--group", "gamma0", "--level", "2", "--height", "30", *argv]
         assert run(parse_args(argv + ["--out", str(out)])) == 0
         data = json.loads(out.read_text())
-        assert abs(data["rel_err"] - (1.0 - data["domain_share"])) <= 1e-8
+        assert abs(data["rel_err"] - (1.0 - data["domain_share"])) <= tol
 
     def test_elliptic_pair_independent_of_worker_count(self, tmp_path, monkeypatch):
         # 1,024 disk nodes against 393 cosets: 7 blocks of evaluate_many
