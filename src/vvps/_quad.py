@@ -119,8 +119,8 @@ def gauss_jacobi_truncated(n: int, b: float, s_max: float):
     Christoffel numbers 1 / sum_j p_j(node)^2 of the orthonormal
     polynomials p_j: they keep their relative accuracy where the
     eigenvectors' components, far below 1e-8, do not.  Against mpmath the
-    moments of s^j for j <= 2n - 1 read at most 1.2e-14 (relative) for
-    n <= 11 and 4.7e-13 at n = 151, for b + 2 in {2.5, 4, 7.3, 12, 40, 172}
+    moments of s^j for j <= 2n - 1 read at most 1.1e-14 (relative) for
+    n <= 11 and 4.6e-13 at n = 151, for b + 2 in {2.5, 4, 7.3, 12, 40, 172}
     and s_max in {0.05, 0.75, 0.99} (tests/test_analysis.py).
     """
     u_max = min(745.0, -(b + 1.0) * math.log1p(-s_max) if s_max < 1.0 else math.inf)

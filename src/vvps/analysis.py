@@ -19,7 +19,6 @@ applies series.slash.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -323,7 +322,7 @@ def elliptic_pairing_closed_form(b_nu_xi: complex, k: float, nu: int, xi) -> com
         value = front * math.exp(log_beta(nu + 1.0, k - 1.0)) * b_nu_xi
     else:
         value = front * math.factorial(nu) / denom * b_nu_xi
-    if not cmath.isfinite(value):
+    if not np.isfinite(value):
         raise RefusalError(f"the elliptic pairing 4 pi / (4 Im xi)^k nu! / ((k-1) k ... "
                            f"(k+nu-1)) b passes the float range at k={k}, Im xi={complex(xi).imag}")
     return value

@@ -286,7 +286,7 @@ class TestPeterssonStrip:
 def test_disk_rule_moments_against_mpmath(n, tol, s_max, k):
     # the disk's radial rule: n nodes in s for the weight (1 - s)^(k-2) on
     # [0, s_max] take s^j, j <= 2n - 1.  Moments of (s / s_max)^j, which
-    # stay in the float range.  Worst seen: 3.8e-16 at n = 1, 1.2e-14 for
+    # stay in the float range.  Worst seen: 3.8e-16 at n = 1, 1.1e-14 for
     # n <= 11, 4.6e-13 at n = 151
     nodes, weights = gauss_jacobi_truncated(n, k - 2.0, s_max)
     assert len(nodes) == n and (nodes > 0).all() and (nodes < s_max).all()
