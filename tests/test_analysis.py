@@ -190,6 +190,18 @@ class TestClosedForms:
         with pytest.raises(RefusalError, match=r"elliptic pairing 4 pi / \(4 Im xi\)\^k"):
             elliptic_pairing_closed_form(1.0, k, 0, xi)
 
+    @pytest.mark.parametrize("k, nu, eta", [(500.0, 200, 0.06), (300.0, 100, 0.05),
+                                            (500.0, 0, 0.0602), (300.0, 100, 0.02)])
+    def test_elliptic_where_a_factor_passes_the_float_range(self, k, nu, eta):
+        # (4 eta)^-k, or its product with nu!, passes the float range where
+        # the value (1.1e128, 1.2e112, 3.7e307, 3.0e231) does not: each was
+        # refused as past the range
+        with mpmath.workdps(40):
+            exact = (4 * mpmath.pi / (4 * mpmath.mpf(eta)) ** k
+                     * mpmath.beta(nu + 1, k - 1))
+            got = elliptic_pairing_closed_form(1.0, k, nu, complex(0.0, eta))
+            assert abs(got - exact) <= 1e-12 * exact
+
     def test_elliptic_nu2_vs_disk_integral(self):
         oracle, _ = integrate.quad(lambda r: r ** 5 * (1 - r * r) ** 10, 0.0, 1.0)
         oracle *= 8 * math.pi / 4.0 ** 12
