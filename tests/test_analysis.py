@@ -195,7 +195,7 @@ class TestClosedForms:
     def test_elliptic_where_a_factor_passes_the_float_range(self, k, nu, eta):
         # (4 eta)^-k, or its product with nu!, passes the float range where
         # the value (1.1e128, 1.2e112, 3.7e307, 3.0e231) does not: each was
-        # refused as past the range
+        # refused as past the range.  Measured worst 2.1e-13, gated at 5x
         with mpmath.workdps(40):
             exact = (4 * mpmath.pi / (4 * mpmath.mpf(eta)) ** k
                      * mpmath.beta(nu + 1, k - 1))
