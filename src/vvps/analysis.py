@@ -306,27 +306,25 @@ def classical_pairing_closed_form(b_nu: complex, M: int, k: float, nu: int,
 
 def elliptic_pairing_closed_form(b_nu_xi: complex, k: float, nu: int, xi) -> complex:
     """Closed form 4 pi / (4 Im xi)^k * nu! / ((k-1) k ... (k+nu-1)) * b,
-    the ratio taken as B(nu + 1, k - 1) (_quad.log_beta) where nu! or the
-    product passes the float range (from nu = 171, and 163 at k = 12), and
-    the whole value in logs where a factor or product of them does;
-    RefusalError when the value itself passes it, at either end."""
+    taken in logs, with the ratio as B(nu + 1, k - 1) (_quad.log_beta),
+    where a factor or a partial product passes the float range (nu! from
+    nu = 171, the product from 163 at k = 12); RefusalError when the value
+    itself passes it, at either end."""
     if k <= 2:
         raise DomainError("pairing formula requires k > 2")
     eta = complex(xi).imag
     denom = 1.0
     for i in range(nu + 1):
         denom *= (k - 1.0 + i)
-    try:
-        front = 4.0 * math.pi / (4.0 * eta) ** k
-    except (OverflowError, ZeroDivisionError):
-        front = math.inf
-    if nu > 170 or not math.isfinite(denom):
-        value = front * math.exp(log_beta(nu + 1.0, k - 1.0)) * b_nu_xi
-    else:
-        value = front * math.factorial(nu) / denom * b_nu_xi
+    value = math.inf
+    if nu <= 170:
+        try:
+            value = 4.0 * math.pi / (4.0 * eta) ** k * math.factorial(nu) / denom * b_nu_xi
+        except (OverflowError, ZeroDivisionError):
+            pass
     if b_nu_xi != 0 and not 0.0 < abs(value) < math.inf:
-        log_ratio = math.log(4.0 * math.pi) - k * math.log(4.0 * eta) + log_beta(nu + 1.0, k - 1.0)
-        value = (math.exp(log_ratio) if log_ratio < 709.78 else math.inf) * b_nu_xi
+        log_value = math.log(4.0 * math.pi) - k * math.log(4.0 * eta) + log_beta(nu + 1.0, k - 1.0)
+        value = (math.exp(log_value) if log_value < 709.78 else math.inf) * b_nu_xi
     if not np.isfinite(value) or (value == 0 and b_nu_xi != 0):
         raise RefusalError(f"the elliptic pairing 4 pi / (4 Im xi)^k nu! / ((k-1) k ... "
                            f"(k+nu-1)) b passes the float range at k={k}, Im xi={eta}")
