@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import plain_split
+from conftest import elliptic_handle, plain_split
 from vvps.errors import DomainError
 from vvps.modgroup import GroupSpec, I2, cusp_width, enumerate_cosets, kernel_workspace
 from vvps.multiplier import MultiplierSystem
@@ -58,6 +58,18 @@ class TestEvaluation:
             a, b = mpmath.mpc(tau) - 1j, mpmath.mpc(tau) + 1j
             exact = mpmath.exp(nu * mpmath.log(a) - (nu + 12) * mpmath.log(b))
             assert abs(mpmath.mpc(got) - exact) <= gate * abs(exact)
+
+    def test_elliptic_value_independent_of_the_other_points(self):
+        # the (A/B)^nu B^-k route was chosen from max |tau| over the call, so
+        # the value at 1+i moved by 3.4e-14 (relative) when 8+14i came along
+        seed = EllipticSeed(300, 1j, np.array([1.0 + 0j]), 12.0)
+        alone = seed.eval_many([1 + 1j])[0]
+        assert seed.eval_many([1 + 1j, 8 + 14j])[0].tobytes() == alone.tobytes()
+        # through a handle: 9 cosets, whose bound reaches 700 / nu between
+        # the two points
+        h = elliptic_handle(GroupSpec.gamma0(2), nu=300, height=3.0)
+        alone = h.evaluate_many([1 + 1j])[0][0]
+        assert h.evaluate_many([1 + 1j, 8 + 14j])[0][0].tobytes() == alone.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
