@@ -262,11 +262,22 @@ class EllipticSeed(_ScalarTimesVector):
         arg B = arg j + arg(g.tau - conj(xi)) lies in (0, 2 pi), as c > 0,
         or c = 0 and d = 1, puts arg j in [0, pi): at non-integer nu + k the
         principal power takes e(-(nu + k)) where Im B < 0.  Where |A|^nu
-        could pass the float range, by the bound from consts, the scalar is
-        (A/B)^nu B^-k, |A/B| < 1.  The power of B is modgroup._power, which
-        takes B again from the coset where an integer power passes the float
-        range.  ws is a kernel_workspace; the result is a view of ws[1]."""
+        could pass the float range, by the bound from consts at the point,
+        the scalar is (A/B)^nu B^-k, |A/B| < 1.  Each point takes its route
+        from its own bound, so its value does not depend on the other
+        points of the call; the points of each route, where both occur, run
+        on a workspace of their own.  The power of B is modgroup._power,
+        which takes B again from the coset where an integer power passes the
+        float range.  ws is a kernel_workspace; the result is a view of
+        ws[1]."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
+        ratio = self.nu * np.log(lam_max * (c_max * np.abs(taus) + d_max) + mu_max) > 700.0
+        if ratio.any() and not ratio.all():
+            out = _shaped(ws[1], (len(taus), len(lam)))
+            for rows in (ratio, ~ratio):
+                own = kernel_workspace(int(rows.sum()) * len(lam))
+                out[rows] = self._slashed_many(taus[rows], consts, own)
+            return out
         den, out, z, *scratch = (_shaped(b, (len(taus), len(lam))) for b in ws)
         z = _cocycle(c, d, taus[:, None], z)
         den = np.multiply(lam, z, out=den)
@@ -275,8 +286,7 @@ class EllipticSeed(_ScalarTimesVector):
         if self.nu:
             num = np.multiply(lam.conj(), z, out=z)
             num += mu.conj()
-            bound = lam_max * (c_max * float(np.abs(taus).max(initial=0.0)) + d_max) + mu_max
-            if self.nu * math.log(bound) > 700.0:
+            if ratio.any():
                 num /= den
                 power = -self.k
         out = _power(den, power, lambda t, i: lam[i] * _cocycle(c[i], d[i], taus[t]) + mu[i],
