@@ -30,9 +30,10 @@ I_x(1e4, 0.5)).  P's series runs to
 convergence, which takes ~8 sqrt(a) terms near x = a, within a cap of
 600 + 10 sqrt(a).
 
-The c Gamma(s) / x^s row is measured on the shapes of its two callers,
-the classical seed mass (c = M, s = k/2 - 1) and the classical pairing
-(c = M^k, s = k - 1), for k <= 400, nu in {0, 3, 20} and M in {1, 2, 7}.
+The c Gamma(s) / x^s row is measured on the shapes of the classical seed
+mass (c = M, s = k/2 - 1) and the classical pairing (c = M^k, s = k - 1,
+whose s the strip rule's scale shares), for k <= 400, nu in {0, 3, 20}
+and M in {1, 2, 7}.
 
 P is regularized_incomplete_gamma, I_x regularized_incomplete_beta, log B
 log_beta, c Gamma(s) / x^s gamma_over_power, and the median finder

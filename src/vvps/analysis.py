@@ -3,18 +3,17 @@
 Fourier coefficients are extracted on a horizontal line by the periodic
 rectangle rule; elliptic expansion coefficients on a circle in the disk
 variable w = (tau - xi)/(tau - conj(xi)).  Pairings against seeds unfold to
-a fundamental domain of the seed's stabiliser seed.lam.  For GammaInfinity(M)
-that is the period strip, integrated on a trapezoid in x times geometrically
-refined Gauss panels in y.  For <-I> it is the whole half-plane, integrated
-on a hyperbolic disk about the seed's xi: a periodic trapezoid in arg w times
-the ceil((nu + 1)/2)-point Gauss rule in s = |w|^2 of the seed's radial
-weight (1 - s)^(k-2), which is exact for the b s^nu that the trapezoid
-leaves.  The closed-form pairing values provide the
-independent second pipeline, and domain_share the exact part of them that
-the truncated domain keeps.  Every grid is evaluated by one
-evaluate_many call, whose block loop runs on the usable CPUs
-(series.thread_cap, re-exported here); extraction at a cusp sigma != +-I
-applies series.slash.
+a fundamental domain of the seed's stabiliser seed.lam, each by a periodic
+trapezoid times the Gauss rule of the weight that the trapezoid leaves,
+which takes the seed's term exactly.  For GammaInfinity(M) that is the
+whole period strip, with the two-point Gauss-Laguerre rule of y^(k-2)
+e^(-4 pi alpha y) in y; for <-I>, a hyperbolic disk about the seed's xi,
+with the ceil((nu + 1)/2)-point Gauss rule of (1 - s)^(k-2) in s = |w|^2.
+The closed-form pairing values provide the independent second pipeline,
+and domain_share the exact part of them that the domain keeps.  Every
+grid is evaluated by one evaluate_many call, whose block loop runs on the
+usable CPUs (series.thread_cap, re-exported here); extraction at a cusp
+sigma != +-I applies series.slash.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ._quad import (comp_sum_complex, gamma_over_power, gauss_jacobi_truncated, gauss_panels,
-                    log_beta, regularized_incomplete_beta, regularized_incomplete_gamma)
+                    log_beta, regularized_incomplete_beta)
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
                        principal_power, right_coset_reps, slash_kernel)
@@ -45,18 +44,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid and box of a pairing integral.  For the GammaInfinity strip: nx
-    trapezoid nodes across the period, ny geometric Gauss panels in y.  For
-    the <-I> disk about xi: nx trapezoid nodes in arg w times the
-    ceil((nu + 1)/2) nodes in |w|^2 of the seed's radial Gauss rule (ny is
-    not read), the disk being the largest hyperbolic one inside the box
-    |x| <= x_max (default 8), y_min <= y <= y_max."""
+    """Grid of a pairing integral: nx trapezoid nodes across the period of
+    the GammaInfinity strip, or in arg w on the <-I> disk about xi, the
+    largest hyperbolic disk inside the box |x| <= x_max, y_min <= y <= y_max
+    (_strip_nodes).  The strip reads nx alone; ny sets the columns of
+    petersson_pair_full, which reads the box too."""
 
-    y_min: float
-    y_max: float
+    y_min: float = 0.05
+    y_max: float = 10.0
     nx: int = 32
     ny: int = 24
-    x_max: Optional[float] = None
+    x_max: float = 8.0
 
     def __post_init__(self):
         if not 0 < self.y_min < self.y_max:
@@ -170,70 +168,80 @@ def elliptic_expansion_coeffs(F, xi, k: float, ns, r0: float,
 
 def _disk_radius(xi: complex, q: QuadratureSpec) -> float:
     """rho_max = tanh(d/2) in the disk variable w: d is the radius of the
-    largest hyperbolic disk about xi inside the box |x| <= x_max (default
-    8), y_min <= y <= y_max; ValueError when no disk fits."""
+    largest hyperbolic disk about xi inside the box |x| <= x_max, y_min
+    <= y <= y_max; ValueError when no disk fits."""
     eta = xi.imag
-    xmax = q.x_max if q.x_max is not None else 8.0
     d = min(math.log(eta / q.y_min), math.log(q.y_max / eta),
-            math.asinh((xmax - abs(xi.real)) / eta))
+            math.asinh((q.x_max - abs(xi.real)) / eta))
     if not d > 0:
-        raise ValueError(f"no disk about xi={xi} fits the box |x| <= {xmax}, "
+        raise ValueError(f"no disk about xi={xi} fits the box |x| <= {q.x_max}, "
                          f"{q.y_min} <= y <= {q.y_max}")
     return math.tanh(d / 2.0)
 
 
 def _strip_nodes(f, k: float, q: QuadratureSpec):
     """Flat (taus, weights) over a fundamental domain of f.lam, the weights
-    carrying Im(tau)^k dv: the period strip for GammaInfinity, the disk
-    about f.xi for <-I>.  There, in s = |w|^2 with w = s^(1/2) e^{i theta}
-    = (tau - xi)/(tau - conj(xi)), Im(tau)^k dv = 2 (Im xi)^k (1 - s)^(k-2)
-    / |1 - w|^(2k) ds dtheta, and the seed's frequency leaves b s^nu
-    (1 - s)^(k-2) after the trapezoid in theta: the Gauss rule of the
-    weight (1 - s)^(k-2) on [0, rho_max^2] takes it exactly with
-    ceil((nu + 1)/2) nodes in s, and q.ny is not read.  More nodes would
-    reach toward the disk's edge, where the trapezoid aliases.  Refused
-    (RefusalError) when a weight overflows the float range, and on the
-    disk, before any node is made, when the box's y_max^k does."""
+    carrying Im(tau)^k dv (on the strip, up to the scale that _strip_scale
+    applies to the sum).  The trapezoid across the GammaInfinity strip
+    leaves b y^(k-2) e^-t, t = 4 pi alpha y, which the two-point
+    Gauss-Laguerre rule of t^(k-2) e^-t takes: nodes t = k -+ sqrt(k),
+    weights (sqrt(k) +- 1) / (2 sqrt(k)) e^t, and the scale Gamma(k - 1) /
+    (4 pi alpha)^(k - 1).  On the <-I> disk about f.xi, with w = (tau -
+    xi)/(tau - conj(xi)) = s^(1/2) e^{i theta}, Im(tau)^k dv = 2 (Im xi)^k
+    (1 - s)^(k-2) / |1 - w|^(2k) ds dtheta, and the trapezoid in theta
+    leaves b s^nu (1 - s)^(k-2), which the ceil((nu + 1)/2)-point Gauss
+    rule of (1 - s)^(k-2) on [0, rho_max^2] takes (more nodes would reach
+    the disk's edge, where the trapezoid aliases).  Refused (RefusalError)
+    before any node is made where the strip's lower node lies below
+    series.MIN_IM or its scale passes the float range, or the disk's
+    y_max^k does, and where a disk weight overflows."""
     lam = getattr(f, "lam", None)
     if lam is None:
         raise ValueError("the pairing needs a seed as its second argument: a classical "
                          "seed for the strip, an elliptic seed for the disk about its xi")
-    power = k - 2.0 if lam.kind == "GammaInfinity" else k
-    overflow = RefusalError(f"the weight y^{power:g} on [{q.y_min}, {q.y_max}] "
-                            "overflows the float range")
     if lam.kind == "GammaInfinity":
+        root, beta = math.sqrt(k), 4.0 * math.pi * f.alpha
+        t = np.array([k - root, k + root])
+        if t[0] / beta < MIN_IM:
+            raise RefusalError(f"the strip rule's lower node y = {t[0] / beta:.4g} < {MIN_IM}")
+        _strip_scale(1.0, k, f)
         xs = (np.arange(q.nx) + 0.5) * (lam.n / q.nx)
-        wx = np.full(q.nx, lam.n / q.nx)
-        ys, wy = gauss_panels(q.y_min, q.y_max, q.ny, geometric=True)
-        taus = (xs[:, None] + 1j * ys[None, :]).ravel()
-        weights = (wx[:, None] * (wy * ys ** power)[None, :]).ravel()
-    else:
-        try:
-            q.y_max ** power  # the nodes need not come near y_max
-        except OverflowError:
-            raise overflow from None
-        xi = complex(f.xi)
-        s, ws = gauss_jacobi_truncated((f.nu + 2) // 2, k - 2.0, _disk_radius(xi, q) ** 2)
-        thetas = 2.0 * math.pi * np.arange(q.nx) / q.nx
-        w = (np.sqrt(s)[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-        taus = (xi - xi.conjugate() * w) / (1.0 - w)
-        weights = (np.repeat(ws * (4.0 * math.pi / q.nx), q.nx)
-                   * (xi.imag / np.abs(1.0 - w) ** 2) ** k)
+        # an e^t past the float range makes a non-finite term, which the sum refuses
+        wt = (root + np.array([1.0, -1.0])) / (2.0 * root) * np.exp(t) * (lam.n / q.nx)
+        return (xs[:, None] + 1j * (t / beta)[None, :]).ravel(), np.tile(wt, q.nx)
+    overflow = RefusalError(f"the weight y^{k:g} on [{q.y_min}, {q.y_max}] "
+                            "overflows the float range")
+    try:
+        q.y_max ** k  # the nodes need not come near y_max
+    except OverflowError:
+        raise overflow from None
+    xi = complex(f.xi)
+    s, ws = gauss_jacobi_truncated((f.nu + 2) // 2, k - 2.0, _disk_radius(xi, q) ** 2)
+    thetas = 2.0 * math.pi * np.arange(q.nx) / q.nx
+    w = (np.sqrt(s)[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    taus = (xi - xi.conjugate() * w) / (1.0 - w)
+    weights = (np.repeat(ws * (4.0 * math.pi / q.nx), q.nx)
+               * (xi.imag / np.abs(1.0 - w) ** 2) ** k)
     if not np.isfinite(weights).all():
         raise overflow
     return taus, weights
 
 
+def _strip_scale(c, k: float, f):
+    """c Gamma(k - 1) / (4 pi alpha)^(k - 1) (_quad.gamma_over_power), or RefusalError."""
+    try:
+        return gamma_over_power(c, k - 1.0, 4.0 * math.pi * f.alpha)
+    except OverflowError:
+        raise RefusalError(f"the strip rule's scale c Gamma(k-1) / (4 pi alpha)^(k-1) passes "
+                           f"the float range at k={k}, alpha={f.alpha:g}") from None
+
+
 def petersson_strip(F, f, k: float, q: QuadratureSpec):
     """Unfolded pairing <F, P f> = int <F(tau), f(tau)> Im(tau)^k dv over a
-    fundamental domain of the stabiliser f.lam of the seed f.
-
-    For GammaInfinity(M) the domain is the period strip, truncated to
-    y_min <= y <= y_max.  For <-I> it is the whole half-plane, truncated to
-    the largest hyperbolic disk about f.xi inside the box |x| <= x_max
-    (default 8), y_min <= y <= y_max; a box that holds no such disk raises
-    ValueError.
-    """
+    fundamental domain of the stabiliser f.lam of the seed f: for
+    GammaInfinity(M) the whole period strip, of which q sets nx alone; for
+    <-I> the half-plane, truncated to the largest hyperbolic disk about
+    f.xi inside q's box (a box that holds no such disk raises ValueError)."""
     if k <= 2:
         raise DomainError("strip pairing diverges for k <= 2")
     # what overflows here is refused by the sums as non-finite, not warned about
@@ -242,25 +250,21 @@ def petersson_strip(F, f, k: float, q: QuadratureSpec):
         fv = _values(f, taus)
         big = _values(F, taus)
         inner = np.sum(big * fv.conj(), axis=1)
-        return comp_sum_complex(weights * inner)
+        total = comp_sum_complex(weights * inner)
+    return _strip_scale(total, k, f) if f.lam.kind == "GammaInfinity" else total
 
 
 def domain_share(f, k: float, q: QuadratureSpec) -> float:
-    """Share of the unfolded pairing <F, P f> that petersson_strip's
-    truncated domain keeps, for any F.  The x (or arg w) integral keeps
-    only the seed's own frequency, so the share is exact: P(k - 1, beta
-    y_max) - P(k - 1, beta y_min) with beta = 4 pi (nu + m_j)/M on the
-    strip, I_{rho_max^2}(nu + 1, k - 1) on the disk about xi."""
+    """Share of the unfolded pairing <F, P f> that petersson_strip's domain
+    keeps, for any F: 1.0 on the whole strip, and on the disk, whose arg w
+    integral keeps only the seed's frequency, exactly I_{rho_max^2}(nu+1, k-1)."""
     if f.lam.kind == "GammaInfinity":
-        beta = 4.0 * math.pi * f.alpha
-        return (regularized_incomplete_gamma(k - 1.0, beta * q.y_max)
-                - regularized_incomplete_gamma(k - 1.0, beta * q.y_min))
-    rho_max = _disk_radius(complex(f.xi), q)
-    return regularized_incomplete_beta(f.nu + 1.0, k - 1.0, rho_max ** 2)
+        return 1.0
+    return regularized_incomplete_beta(f.nu + 1.0, k - 1.0, _disk_radius(complex(f.xi), q) ** 2)
 
 
 def petersson_pair_full(F, G, gamma: GroupSpec, k: float,
-                        q: Optional[QuadratureSpec] = None) -> complex:
+                        q: QuadratureSpec = QuadratureSpec(y_max=6.0)) -> complex:
     """Petersson pairing over a fundamental domain of gamma, realised as the
     translates by right-coset representatives of the standard domain
     {|tau| >= 1, |Re tau| <= 1/2}.
@@ -268,8 +272,6 @@ def petersson_pair_full(F, G, gamma: GroupSpec, k: float,
     Columns of the grid are clipped from below at the unit circle.  This is
     a low-accuracy route (percent level) used to cross-check unfoldings.
     """
-    if q is None:
-        q = QuadratureSpec(0.05, 6.0, 32, 24)
     cosets = right_coset_reps(gamma)
     xs, wx = gauss_panels(-0.5, 0.5, max(4, q.nx // 4))
     # one column of geometric Gauss nodes per x, clipped at the unit circle

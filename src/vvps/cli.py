@@ -5,7 +5,8 @@ table.  Each job validates its configuration, runs one computation, and
 writes a single artifact: CSV for table, JSON or CSV (--format) for
 fourier, JSON otherwise.  Identical configurations (including selftest's
 --rng-seed) produce byte-identical artifacts.  A subcommand takes only
-the options its job reads; any other option is a usage error.  One
+the options its job reads (but for --ny of an elliptic pair, which the
+benchmark still passes); any other option is a usage error.  One
 table, `_COMMANDS`, gives each subcommand its help line, runner and
 options.  `parse_args` parses with one parser of all subcommands, which
 binds each subcommand's runner as `job`, and `run(ns)` calls
@@ -157,10 +158,12 @@ def _run_fourier(ns) -> dict:
 
 
 def _run_pair(ns) -> dict:
-    if ns.seed == "classical" and ns.xmax is not None:
-        raise ConfigError("--xmax bounds the disk of an elliptic seed; "
-                          "a classical seed does not read it")
-    q = QuadratureSpec(ns.ymin, ns.ymax, ns.nx, ns.ny, ns.xmax)
+    box = {"y_min": ns.ymin, "y_max": ns.ymax, "ny": ns.ny, "x_max": ns.xmax}
+    box = {name: value for name, value in box.items() if value is not None}
+    if ns.seed == "classical" and box:
+        raise ConfigError(f"--{next(iter(box)).replace('_', '')} is an option of the elliptic "
+                          "disk; a classical seed does not read it")
+    q = QuadratureSpec(nx=ns.nx, **box)
     handle = _build_series(ns)
     seed = handle.seed
     strip = petersson_strip(handle, seed, ns.k, q)
@@ -345,18 +348,18 @@ def _add_series(sp, quad_opts=False):
                          "negative x needs the form --xi=-0.5,1")
     sp.add_argument("--height", type=_finite_float, default=60.0)
     if quad_opts:
-        sp.add_argument("--ymin", type=_finite_float, default=0.05)
-        sp.add_argument("--ymax", type=_finite_float, default=10.0)
+        sp.add_argument("--ymin", type=_finite_float, default=None,
+                        help="elliptic disk only (default 0.05)")
+        sp.add_argument("--ymax", type=_finite_float, default=None,
+                        help="elliptic disk only (default 10)")
         sp.add_argument("--nx", type=int, default=32,
                         help="classical: trapezoid nodes across the period; "
                              "elliptic: trapezoid nodes in arg w (at least 16)")
-        sp.add_argument("--ny", type=int, default=24,
-                        help="strip only: geometric Gauss panels in y; the "
-                             "elliptic disk takes its radial nodes from nu and "
-                             "does not read it (at least 16 either way)")
+        sp.add_argument("--ny", type=int, default=None,
+                        help="elliptic disk only, and not read (at least 16)")
         sp.add_argument("--xmax", type=_finite_float, default=None,
-                        help="elliptic: the disk about xi stays in |x| <= xmax "
-                             "(default 8), as it stays in ymin <= y <= ymax")
+                        help="elliptic disk only: the disk about xi stays in |x| "
+                             "<= xmax (default 8), ymin <= y <= ymax")
 
 
 def _eval_options(sp):

@@ -262,21 +262,16 @@ class EllipticSeed(_ScalarTimesVector):
         arg B = arg j + arg(g.tau - conj(xi)) lies in (0, 2 pi), as c > 0,
         or c = 0 and d = 1, puts arg j in [0, pi): at non-integer nu + k the
         principal power takes e(-(nu + k)) where Im B < 0.  Where |A|^nu
-        could pass the float range, by the bound from consts at the point,
-        the scalar is (A/B)^nu B^-k, |A/B| < 1.  Each point takes its route
-        from its own bound, so its value does not depend on the other
-        points of the call; the points of each route, where both occur, run
-        on a workspace of their own.  The power of B is modgroup._power,
-        which takes B again from the coset where an integer power passes the
-        float range.  ws is a kernel_workspace; the result is a view of
-        ws[1]."""
+        could pass the float range, by its point's bound from consts, the
+        scalar is (A/B)^nu B^-k, |A/B| < 1.  The power of B is modgroup._power,
+        which retakes B from the coset where an integer power passes the float
+        range.  ws is a kernel_workspace; the result is a view of ws[1]."""
         c, d, lam, mu, (lam_max, mu_max, c_max, d_max) = consts
         ratio = self.nu * np.log(lam_max * (c_max * np.abs(taus) + d_max) + mu_max) > 700.0
-        if ratio.any() and not ratio.all():
+        if 0 < ratio.sum() < len(taus):  # each route on a workspace of its own
             out = _shaped(ws[1], (len(taus), len(lam)))
-            for rows in (ratio, ~ratio):
-                own = kernel_workspace(int(rows.sum()) * len(lam))
-                out[rows] = self._slashed_many(taus[rows], consts, own)
+            for r in (ratio, ~ratio):
+                out[r] = self._slashed_many(taus[r], consts, kernel_workspace(r.sum() * len(lam)))
             return out
         den, out, z, *scratch = (_shaped(b, (len(taus), len(lam))) for b in ws)
         z = _cocycle(c, d, taus[:, None], z)

@@ -164,15 +164,15 @@ def test_criterion_4_classical_pairing():
     seed = h.seed
     probe, tail = h.evaluate(complex(0.5, 0.8))
     quality = tail / float(np.linalg.norm(probe))
-    q = QuadratureSpec(0.05, 8.0, nx=32, ny=32)
-    strip = petersson_strip(h, seed, 12.0, q)
+    strip = petersson_strip(h, seed, 12.0, QuadratureSpec(nx=32))
     tab = fourier_coefficients(h, seed.split, 1, [0], 0.5, 64)
     closed = classical_pairing_closed_form(tab.coeff(1, 0), 1, 12.0, 0, 1.0)
     rel = abs(strip - closed) / abs(closed)
-    # gates: 3x the measured quadrature error 2.0e-6, and 10x the measured
-    # tail/value 8.4e-17, a rounding-level figure
-    report(4, rel <= 6e-6 and quality <= 8.4e-16,
-           f"strip {strip.real:.6e} vs closed {closed.real:.6e}, rel {rel:.1e} <= 6e-6; "
+    # gates: 5x the measured 1.4e-15 of the strip's Gauss-Laguerre rule
+    # (the box grid read 2.0e-6), and 10x the measured tail/value 8.4e-17,
+    # a rounding-level figure
+    report(4, rel <= 7e-15 and quality <= 8.4e-16,
+           f"strip {strip.real:.6e} vs closed {closed.real:.6e}, rel {rel:.1e} <= 7e-15; "
            f"tail/value {quality:.1e} <= 8.4e-16; {time.time() - t0:.1f}s")
 
 

@@ -13,10 +13,11 @@ from vvps.analysis import (QuadratureSpec,
                            elliptic_expansion_coeffs,
                            elliptic_pairing_closed_form, fourier_coefficients,
                            petersson_pair_full, petersson_strip)
-from vvps._quad import gauss_jacobi_truncated
+from vvps._quad import gauss_jacobi_truncated, gauss_panels
 from vvps.errors import DomainError, RefusalError
 from vvps.modgroup import GroupSpec, S, right_coset_reps
 from vvps.multiplier import MultiplierSystem
+from vvps.rep import SpectralSplit
 from vvps import series
 from vvps.seeds import ClassicalSeed, EllipticSeed
 from vvps.series import slash
@@ -212,12 +213,13 @@ class TestClosedForms:
 
 class TestPeterssonStrip:
     def test_seed_against_itself_closed_form(self):
+        # the strip reads nx alone; its rule takes e^(-4 pi y) y^10 exactly.
+        # Measured 2.9e-16 against math.gamma's value, gated at 5x
         split = plain_split()
         seed = ClassicalSeed(0, 1, split, 1)
-        q = QuadratureSpec(1e-4, 8.0, nx=16, ny=48)
-        got = petersson_strip(seed, seed, 12.0, q)
+        got = petersson_strip(seed, seed, 12.0, QuadratureSpec(nx=16))
         expect = math.gamma(11.0) / (4.0 * math.pi) ** 11
-        assert got.real == pytest.approx(expect, rel=1e-8)
+        assert got.real == pytest.approx(expect, rel=1.5e-15)
         assert abs(got.imag) <= 1e-18
 
     def test_zero_function(self):
@@ -233,12 +235,13 @@ class TestPeterssonStrip:
             petersson_strip(seed, seed, 2.0, q)
 
     def test_classical_two_pipelines(self):
+        # the strip's rule against the closed form of b on y0 = 0.5: measured
+        # 1.8e-14 (the box grid read about 1e-9), gated at 5x
         h = classical_handle(GroupSpec.gamma0(2), height=60.0)
-        q = QuadratureSpec(0.05, 8.0, nx=32, ny=28)
-        strip = petersson_strip(h, h.seed, 12.0, q)
+        strip = petersson_strip(h, h.seed, 12.0, QuadratureSpec(nx=32))
         tab = fourier_coefficients(h, h.seed.split, 1, [0], 0.5, 64)
         closed = classical_pairing_closed_form(tab.coeff(1, 0), 1, 12.0, 0, 1.0)
-        assert abs(strip - closed) <= 1e-3 * abs(closed)
+        assert abs(strip - closed) <= 1e-13 * abs(closed)
 
     def test_elliptic_seed_past_the_float_range_of_a_power(self):
         # |tau - xi|^300 passes the float range at nodes of this disk, where
@@ -309,6 +312,33 @@ def test_disk_rule_moments_against_mpmath(n, tol, s_max, k):
             assert abs(got - exact) <= tol * exact
 
 
+@pytest.mark.parametrize("k, tol", [(2.5, 2e-14), (4.0, 2e-14), (7.3, 2e-14), (12.0, 2e-14),
+                                    (40.0, 2e-14), (172.0, 1.5e-13)])
+@pytest.mark.parametrize("M, m, nu", [(1, 1.0, 0), (3, 0.25, 1)])
+def test_strip_rule_moments_against_mpmath(M, m, nu, k, tol):
+    # the strip's two-point Gauss-Laguerre rule: with F = f t^j, t = 4 pi
+    # alpha y, the pairing is M Gamma(k-1) / (4 pi alpha)^(k-1) times the
+    # rule's sum of w_i t_i^j, which is Gamma(k-1+j) / Gamma(k-1) for
+    # j <= 3.  Worst seen: 4.1e-15 for k <= 40, and 2.9e-14 at k = 172,
+    # where e^t e^-t at t ~ 185 costs about t ulps
+    seed = ClassicalSeed(nu, 1, SpectralSplit(np.eye(1, dtype=complex), (m,)), M)
+    beta = 4.0 * math.pi * seed.alpha
+    for j in range(4):
+        F = lambda tau: seed.eval_many([tau])[0] * (beta * tau.imag) ** j
+        got = petersson_strip(F, seed, k, QuadratureSpec(nx=16))
+        with mpmath.workdps(40):
+            exact = M * mpmath.gamma(k - 1 + j) / mpmath.mpf(beta) ** (k - 1)
+            assert abs(mpmath.mpc(got) - exact) <= tol * exact
+
+
+def test_panels_overflowing_the_float_range_refused():
+    # 1e308 / 0.05 is inf: the geometric panel edges were inf, the nodes
+    # nan.  The strip's box reached this; petersson_pair_full's columns
+    # are the panels' one geometric caller now
+    with pytest.raises(RefusalError, match=r"Gauss panels on \[0.05, 1e\+308\] overflow"):
+        gauss_panels(0.05, 1e308, 4, geometric=True)
+
+
 class TestDiskRefusal:
     @pytest.mark.parametrize("xi, q", [
         (20j, QuadratureSpec(0.05, 14.0, nx=32, ny=16, x_max=8.0)),    # eta >= y_max
@@ -324,16 +354,18 @@ class TestDiskRefusal:
             petersson_strip(seed, seed, 12.0, q)
 
     def test_box_overflowing_the_float_range_refused(self):
-        # 1e308 / 0.05 is inf: the geometric panel edges were inf, the nodes nan
-        seed = ClassicalSeed(0, 1, plain_split(), 1)
-        with pytest.raises(RefusalError, match=r"Gauss panels on \[0.05, 1e\+308\]"):
+        # the strip has no box now: on the disk, 1e308^12 passes the float
+        # range, refused before any node is made
+        seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)
+        with pytest.raises(RefusalError, match=r"weight y\^12 on \[0.05, 1e\+308\]"):
             petersson_strip(seed, seed, 12.0, QuadratureSpec(0.05, 1e308))
 
     def test_weight_overflowing_the_float_range_refused(self):
-        # finite nodes, but y^(k - 2) = y^10 overflows in the weights
-        seed = ClassicalSeed(0, 1, plain_split(), 1)
-        with pytest.raises(RefusalError, match=r"weight y\^10 on \[0.05, 1e\+300\]"):
-            petersson_strip(seed, seed, 12.0, QuadratureSpec(0.05, 1e300))
+        # y_max^k = 1e300^4 overflows, though the disk's nodes need not
+        # come near y_max
+        seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 4.0)
+        with pytest.raises(RefusalError, match=r"weight y\^4 on \[0.05, 1e\+300\]"):
+            petersson_strip(seed, seed, 4.0, QuadratureSpec(0.05, 1e300))
 
     def test_second_argument_without_xi_refused(self):
         seed = EllipticSeed(0, 1j, np.array([1.0 + 0j]), 12.0)

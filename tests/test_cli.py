@@ -176,6 +176,10 @@ class TestEval:
          "need M >= 1 and N >= 1, got M=1, N=0"),
         # the group's name is checked before its level
         (["eval", "--group", "foo", "--tau", "0.3,1.1"], "unknown group 'foo'"),
+        # the strip has no box: the disk's options are refused on a classical pair
+        (["pair", "--height", "10", "--ymin", "0.1"], "--ymin is an option of the elliptic disk"),
+        (["pair", "--height", "10", "--ymax", "8"], "--ymax is an option of the elliptic disk"),
+        (["pair", "--height", "10", "--ny", "20"], "--ny is an option of the elliptic disk"),
     ])
     def test_out_of_range_input_is_refused(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -203,18 +207,21 @@ class TestEval:
         assert json.loads(captured.err)["error"]["type"] == "refusal"
 
     @pytest.mark.parametrize("argv, message", [
-        (["--k", "300", "--ymin", "1"], "overflows the float range at k=300.0"),
-        (["--k", "400"], "the weight y^398 on [0.05, 8.0] overflows"),
-        (["--k", "400", "--seed", "elliptic"], "the weight y^400 on [0.05, 8.0] overflows"),
-        (["--k", "400", "--seed", "elliptic", "--xi", "0,3", "--ymin", "1"],
-         "the weight y^400 on [1.0, 8.0] overflows"),
+        (["--k", "300"], "overflows the float range at k=300.0"),
+        (["--k", "400"], "the strip rule's scale c Gamma(k-1) / (4 pi alpha)^(k-1) passes "
+                         "the float range at k=400.0"),
+        (["--k", "400", "--seed", "elliptic", "--ymax", "8", "--ny", "16"],
+         "the weight y^400 on [0.05, 8.0] overflows"),
+        (["--k", "400", "--seed", "elliptic", "--xi", "0,3", "--ymin", "1", "--ymax", "8",
+          "--ny", "16"], "the weight y^400 on [1.0, 8.0] overflows"),
     ], ids=["closed-form", "strip-inf", "strip-nan", "weights-inf"])
     def test_pairing_overflow_is_refused(self, argv, message, capsys):
-        # an overflow in the closed form, where the strip is finite, and
-        # infinite weights; in process, under the suite's error::RuntimeWarning
-        # filter, so a numpy warning about the non-finite terms fails the test
+        # an overflow in the closed form, where the strip is finite, the
+        # strip rule's scale, and infinite weights on the disk; in process,
+        # under the suite's error::RuntimeWarning filter, so a numpy warning
+        # about the non-finite terms fails the test
         with pytest.raises(SystemExit) as exc:
-            main(["pair", *argv, "--height", "10", "--ymax", "8", "--nx", "16", "--ny", "16"])
+            main(["pair", *argv, "--height", "10", "--nx", "16"])
         assert exc.value.code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -262,8 +269,7 @@ class TestEval:
         # gamma(179) overflows, the pairing b Gamma(179) / (4 pi)^179 does
         # not; this job exited 3 with "math range error"
         mpmath = pytest.importorskip("mpmath")
-        assert run(parse_args(["pair", "--k", "180", "--height", "10", "--ymax", "8",
-                               "--nx", "16", "--ny", "16"])) == 0
+        assert run(parse_args(["pair", "--k", "180", "--height", "10", "--nx", "16"])) == 0
         data = json.loads(capsys.readouterr().out)
         with mpmath.workdps(40):
             ref = (mpmath.mpc(*data["coefficient"]) * mpmath.gamma(179)
@@ -618,18 +624,26 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv, code, message", [
         (["fourier", "--y0", "0.01"], 3, "extraction height y0 < 0.05"),
         (["fourier", "--nx-fourier", "0"], 2, "nx must be at least 1"),
-        (["pair", "--ymin", "2", "--ymax", "1"], 2, "need 0 < y_min < y_max"),
+        (["pair", "--seed", "elliptic", "--ymin", "2", "--ymax", "1"], 2,
+         "need 0 < y_min < y_max"),
         (["eval", "--tau", "0.1,0.01"], 3, "Im(tau) < 0.05"),
         (["eval", "--tau", "garbage"], 2, "--tau must be 'x,y'"),
         (["eval", "--tau", "0.1,-1"], 2, "tau must lie in the upper half-plane"),
         (["pair", "--seed", "elliptic", "--xi", "0,20", "--ymax", "14"], 2,
          "no disk about xi=20j fits the box"),
         (["fourier", "--n1", "400", "--y0", "3"], 3, "growth factor at n=37, y0=3.0 overflows"),
-        (["pair", "--ymax", "1e308"], 3, "Gauss panels on [0.05, 1e+308] overflow"),
-        (["pair", "--ymax", "1e300"], 3, "weight y^10 on [0.05, 1e+300] overflows"),
+        (["pair", "--seed", "elliptic", "--ymax", "1e308"], 3,
+         "weight y^12 on [0.05, 1e+308] overflows"),
+        (["pair", "--seed", "elliptic", "--k", "4", "--ymax", "1e300"], 3,
+         "weight y^4 on [0.05, 1e+300] overflows"),
+        # the strip rule's lower node (12 - sqrt 12) / (4 pi 21) and its
+        # scale Gamma(399) / (4 pi)^399
+        (["pair", "--nu", "20"], 3, "the strip rule's lower node y = 0.03235 < 0.05"),
+        (["pair", "--k", "400"], 3, "the strip rule's scale c Gamma(k-1) / (4 pi alpha)^(k-1) "
+                                    "passes the float range at k=400.0"),
     ], ids=["fourier-y0", "fourier-nx", "pair-box", "eval-near-real-line", "eval-tau-garbage",
             "eval-tau-lower-half", "pair-no-disk", "fourier-growth", "pair-box-overflow",
-            "pair-weight-overflow"])
+            "pair-weight-overflow", "pair-strip-low-node", "pair-strip-scale"])
     def test_refuses_bad_quadrature_before_enumerating(self, argv, code, message,
                                                        monkeypatch, capsys):
         # at --height 600 the last six used to enumerate their table first:
@@ -656,8 +670,8 @@ class TestOtherCommands:
     def test_pair_smoke(self, tmp_path):
         out = tmp_path / "pair.json"
         proc = invoke(["pair", "--group", "gamma0", "--level", "2", "--k", "12",
-                       "--seed", "classical", "--height", "40", "--ymin", "0.05",
-                       "--ymax", "8", "--nx", "24", "--ny", "20", "--out", str(out)])
+                       "--seed", "classical", "--height", "40", "--nx", "24",
+                       "--out", str(out)])
         assert proc.returncode == 0
         data = json.loads(out.read_text())
         assert data["rel_err"] < 1e-2
@@ -667,18 +681,21 @@ class TestOtherCommands:
           "--nx", "160", "--ny", "64"], 1e-14),
         (["--seed", "elliptic", "--k", "4", "--nu", "2", "--xi", "0.3,0.5",
           "--nx", "160", "--ny", "64"], 1e-14),
-        (["--k", "12", "--ymax", "0.4", "--nx", "64", "--ny", "64"], 1e-8),
+        (["--k", "12", "--nx", "64"], 1e-8),
     ], ids=["elliptic-at-i", "elliptic-off-i", "classical-short-strip"])
     def test_pair_reports_the_domain_share(self, argv, tol, tmp_path):
-        # on fine grids the pairing loses exactly the seed mass outside the
-        # truncated domain: rel_err 1.67e-3, 0.206 and 0.986 here.  Worst
-        # |rel_err - (1 - share)| seen: 3.8e-16 and 1.5e-15 on the disk's
-        # matched rule, 3.9e-10 on the strip's grid
+        # on fine grids the disk's pairing loses exactly the seed mass
+        # outside it: rel_err 1.67e-3 and 0.206 here, and |rel_err - (1 -
+        # share)| 3.8e-16 and 1.5e-15.  The classical strip is whole (the
+        # box of 0 < y <= 0.4 this case once had read rel_err 0.986): share
+        # 1.0 and rel_err 3.1e-11
         out = tmp_path / "pair.json"
         argv = ["pair", "--group", "gamma0", "--level", "2", "--height", "30", *argv]
         assert run(parse_args(argv + ["--out", str(out)])) == 0
         data = json.loads(out.read_text())
         assert abs(data["rel_err"] - (1.0 - data["domain_share"])) <= tol
+        if "elliptic" not in argv:
+            assert data["domain_share"] == 1.0 and data["rel_err"] <= tol
 
     def test_elliptic_pair_independent_of_worker_count(self, tmp_path, monkeypatch):
         # 1,024 disk nodes against 393 cosets: 7 blocks of evaluate_many

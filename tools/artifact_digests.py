@@ -76,14 +76,11 @@ JOBS = [
     ("fourier eta fractional weight", ["fourier", "--group", "gamma0", "--level", "3",
                                        "--family", "eta", "--k", "7.3",
                                        "--height", "60", "--n1", "2"]),
-    ("pair classical", ["pair", *SERIES, "--height", "40", "--ymax", "8",
-                        "--nx", "24", "--ny", "20"]),
+    ("pair classical", ["pair", *SERIES, "--height", "40", "--nx", "24"]),
     ("pair classical closed form at Gamma(171)", ["pair", "--group", "gamma0", "--level", "2",
-                                                  "--k", "172", "--height", "20", "--ymax", "8",
-                                                  "--nx", "24", "--ny", "20"]),
+                                                  "--k", "172", "--height", "20", "--nx", "24"]),
     ("pair classical closed form past Gamma(171)", ["pair", "--group", "gamma0", "--level", "2",
-                                                    "--k", "180", "--height", "20", "--ymax", "8",
-                                                    "--nx", "24", "--ny", "20"]),
+                                                    "--k", "180", "--height", "20", "--nx", "24"]),
     ("pair elliptic", ["pair", *SERIES, "--seed", "elliptic", "--nu", "1",
                        "--height", "20", "--ymax", "14", "--nx", "64", "--ny", "16"]),
     ("pair elliptic off i", ["pair", "--group", "gamma0", "--level", "3", "--seed",
