@@ -492,6 +492,46 @@ class TestPairFull:
         closed = elliptic_pairing_closed_form(b, 12.0, nu, 1j)
         assert abs(full - closed) <= 3e-7 * abs(closed)  # 9.6e-8 and 1.6e-7
 
+    # <P, P> over the quotient against its closed form, from the nu-th
+    # coefficient of the same truncated series: (seed family, level, nu,
+    # height, xi, gate).  The gates are about 5x the errors measured on the
+    # strips of the cusps; the 32 x 24 grid on the standard domain under
+    # every coset, capped at y = 6, read in order 1.5e-4, 1.6e-4, 8.5e-8,
+    # 8.5e-8, 1.6e-7, 9.4e-8, 2.7e-4, 1.5e-4, refused on Gamma0(4) (a node
+    # below series.MIN_IM), 5.4e-4, 1.0e-5, 4.4e-3 and 1.5e-4.  The first
+    # two are Gamma0(3)'s width-3 cusp, which held about 1% of the integrand
+    # above that cap
+    @pytest.mark.parametrize("family, level, nu, height, xi, tol", [
+        pytest.param("elliptic", 3, 1, 30.0, 0.05 + 1j, 1.5e-7, id="elliptic-3-nu1-H30"),
+        pytest.param("classical", 3, 1, 40.0, None, 1.7e-7, id="classical-3-nu1-H40"),
+        pytest.param("classical", 1, 0, 30.0, None, 3e-8, id="classical-1-nu0"),
+        pytest.param("elliptic", 1, 2, 30.0, 1j, 3e-8, id="elliptic-1-nu2"),
+        pytest.param("classical", 2, 1, 30.0, None, 1.4e-7, id="classical-2-nu1"),
+        pytest.param("elliptic", 2, 0, 30.0, 1.05j, 4e-8, id="elliptic-2-nu0"),
+        pytest.param("classical", 3, 2, 30.0, None, 5e-7, id="classical-3-nu2"),
+        pytest.param("elliptic", 3, 1, 30.0, 1j, 1.5e-7, id="elliptic-3-nu1"),
+        pytest.param("classical", 4, 0, 30.0, None, 2e-8, id="classical-4-nu0"),
+        pytest.param("elliptic", 4, 2, 30.0, 0.05 + 1j, 5e-8, id="elliptic-4-nu2"),
+        pytest.param("classical", 5, 1, 30.0, None, 7e-8, id="classical-5-nu1"),
+        pytest.param("elliptic", 5, 0, 30.0, 1j, 4e-9, id="elliptic-5-nu0"),
+        pytest.param("classical", 7, 2, 30.0, None, 2.8e-6, id="classical-7-nu2"),
+        pytest.param("elliptic", 7, 1, 30.0, 1.05j, 3.3e-7, id="elliptic-7-nu1"),
+    ])
+    def test_against_closed_form(self, family, level, nu, height, xi, tol):
+        # measured 2.9e-8, 3.3e-8, 5.6e-9, 5.6e-9, 2.7e-8, 8.0e-9, 9.2e-8,
+        # 3.0e-8, 3.9e-9, 9.2e-9, 1.3e-8, 7.1e-10, 5.5e-7 and 6.6e-8
+        gamma = GroupSpec.sl2z() if level == 1 else GroupSpec.gamma0(level)
+        if family == "classical":
+            h = classical_handle(gamma, nu=nu, height=height)
+            b = fourier_coefficients(h, h.seed.split, 1, [nu], 0.5, 64).coeff(1, nu)
+            closed = classical_pairing_closed_form(b, 1, 12.0, nu, h.seed.m_j)
+        else:
+            h = elliptic_handle(gamma, xi=xi, nu=nu, height=height)
+            b = elliptic_expansion_coeffs(h, xi, 12.0, [nu], 0.4, nt=128)[nu]
+            closed = elliptic_pairing_closed_form(b, 12.0, nu, xi)
+        full = petersson_pair_full(h, h, gamma, 12.0)
+        assert abs(full - closed) <= tol * abs(closed)
+
     def test_isometry_of_induction(self):
         # pairing on the subgroup equals the pairing of the induced tuple
         gamma = GroupSpec.gamma0(2)
