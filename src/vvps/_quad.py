@@ -79,32 +79,15 @@ _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-5  # ~ sqrt(_SURE): one more Newton step leaves a residual near _SURE
 
 
-def gauss_panels(a: float, b: float, n_panels: int, geometric: bool = False):
-    """Nodes and weights for composite 4-point Gauss-Legendre panels on [a, b].
-
-    With geometric=True the panel edges are geometrically spaced (a > 0
-    required), refining toward a.  Refused (RefusalError) when a node or
-    weight overflows the float range, as b / a does for a large b.
-    """
+def gauss_panels(a: float, b: float, n_panels: int):
+    """Nodes and weights for composite 4-point Gauss-Legendre panels on [a, b]."""
     if n_panels < 1:
         raise ValueError("need at least one panel")
     x0, w0 = np.polynomial.legendre.leggauss(4)
-    if geometric and a <= 0:
-        raise ValueError("geometric spacing needs a > 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if geometric:
-            edges = a * (b / a) ** (np.arange(n_panels + 1) / n_panels)
-        else:
-            edges = np.linspace(a, b, n_panels + 1)
-        lo = edges[:-1]
-        hi = edges[1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-        weights = (half[:, None] * w0[None, :]).ravel()
-    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
-        raise RefusalError(f"Gauss panels on [{a}, {b}] overflow the float range")
-    return nodes, weights
+    edges = np.linspace(a, b, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * x0).ravel(), (half[:, None] * w0).ravel()
 
 
 def gauss_jacobi_truncated(n: int, b: float, s_max: float):

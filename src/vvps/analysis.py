@@ -10,10 +10,14 @@ whole period strip, with the two-point Gauss-Laguerre rule of y^(k-2)
 e^(-4 pi alpha y) in y; for <-I>, a hyperbolic disk about the seed's xi,
 with the ceil((nu + 1)/2)-point Gauss rule of (1 - s)^(k-2) in s = |w|^2.
 The closed-form pairing values provide the independent second pipeline,
-and domain_share the exact part of them that the domain keeps.  Every
-grid is evaluated by one evaluate_many call, whose block loop runs on the
-usable CPUs (series.thread_cap, re-exported here); extraction at a cusp
-sigma != +-I applies series.slash.
+and domain_share the exact part of them that the domain keeps.
+petersson_pair_full pairs over a fundamental domain of the group itself,
+without unfolding, cut at its cusps: on the strip of each, the periodic
+trapezoid in x and the Gauss-Laguerre rule of the cusp form's decay in y
+above y = 1, and Gauss-Legendre cells between y = 1 and the unit arcs.
+Every grid is evaluated by one evaluate_many call, whose block loop runs
+on the usable CPUs (series.thread_cap, re-exported here); extraction at a
+cusp sigma != +-I applies series.slash.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import (comp_sum_complex, gamma_over_power, gauss_jacobi_truncated, gauss_panels,
-                    log_beta, regularized_incomplete_beta)
+from ._quad import (comp_sum_complex, gamma_over_power, gauss_jacobi_truncated, log_beta,
+                    regularized_incomplete_beta)
 from .errors import DomainError, RefusalError
-from .modgroup import (GroupSpec, I2, IntMatrix2, entry_arrays,
-                       principal_power, right_coset_reps, slash_kernel)
+from .modgroup import (GroupSpec, I2, IntMatrix2, _cusp_orbits, entry_arrays,
+                       principal_power, slash_kernel)
 from .multiplier import MultiplierSystem
 from .rep import SpectralSplit
 from .series import MIN_IM, _values, slash, thread_cap
@@ -41,26 +45,29 @@ __all__ = [
     "thread_cap",
 ]
 
+# petersson_pair_full's rule per unit cell (_cusp_strip): nodes in x, Gauss
+# nodes in y under y = 1, and the Gauss-Laguerre rule above it with its cut
+_CUSP_X, _ARC_Y = 8, 4
+_LAGUERRE_NODES, _LAGUERRE_CUT = 20, 1e-13
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Grid of a pairing integral: nx trapezoid nodes across the period of
     the GammaInfinity strip, or in arg w on the <-I> disk about xi, the
     largest hyperbolic disk inside the box |x| <= x_max, y_min <= y <= y_max
-    (_strip_nodes).  The strip reads nx alone; ny sets the columns of
-    petersson_pair_full, which reads the box too."""
+    (_strip_nodes).  The strip reads nx alone."""
 
     y_min: float = 0.05
     y_max: float = 10.0
     nx: int = 32
-    ny: int = 24
     x_max: float = 8.0
 
     def __post_init__(self):
         if not 0 < self.y_min < self.y_max:
             raise ValueError("need 0 < y_min < y_max")
-        if self.nx < 16 or self.ny < 16:
-            raise ValueError("nx and ny must be at least 16")
+        if self.nx < 16:
+            raise ValueError("nx must be at least 16")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,33 +270,73 @@ def domain_share(f, k: float, q: QuadratureSpec) -> float:
     return regularized_incomplete_beta(f.nu + 1.0, k - 1.0, _disk_radius(complex(f.xi), q) ** 2)
 
 
-def petersson_pair_full(F, G, gamma: GroupSpec, k: float,
-                        q: QuadratureSpec = QuadratureSpec(y_max=6.0)) -> complex:
-    """Petersson pairing over a fundamental domain of gamma, realised as the
-    translates by right-coset representatives of the standard domain
-    {|tau| >= 1, |Re tau| <= 1/2}.
+def _cusp_strip(g: IntMatrix2, w: int):
+    """Nodes tau and area weights dx dy of petersson_pair_full on the
+    strip of the cusp g.infinity of width w: the w cells T^n of the
+    standard domain, n0 <= n < n0 + w, centred on -d/c (on 0 for c = 0),
+    where |c tau + d| is least and g.tau farthest from the real line.
+    Above y = 1 the integrand has period w in x: the trapezoid, _CUSP_X
+    nodes per unit width, times the Gauss-Laguerre rule in t = 4 pi (y -
+    1) / w, the decay e^-t of a cusp form's square; the nodes of weight
+    below _LAGUERRE_CUT of the largest carry under 1e-9 of that integral
+    at k = 12, and g maps them below series.MIN_IM (t = 37 at w = 7), so
+    they are dropped.  Under y = 1 each cell takes a Gauss-Legendre
+    product, _CUSP_X nodes in x and _ARC_Y in y between its arc
+    |tau - n| = 1 and y = 1."""
+    centre = -g.d / g.c if g.c else 0.0
+    n0 = math.floor(centre - w / 2.0 + 1.0)
+    t, wt = np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+    keep = wt >= _LAGUERRE_CUT * wt.max()
+    xs = n0 - 0.5 + (np.arange(_CUSP_X * w) + 0.5) / _CUSP_X
+    up = w / (4.0 * math.pi)
+    above = (xs[:, None] + 1j * (1.0 + up * t[keep])).ravel()
+    w_above = np.tile(wt[keep] * np.exp(t[keep]) * (up / _CUSP_X), len(xs))
+    u, wu = np.polynomial.legendre.leggauss(_CUSP_X)
+    v, wv = np.polynomial.legendre.leggauss(_ARC_Y)
+    half = 0.5 * (1.0 - np.sqrt(1.0 - 0.25 * u * u))  # half the column under y = 1
+    ys = 1.0 - half[:, None] * (1.0 - v)
+    cells = (n0 + np.arange(w))[:, None, None] + 0.5 * u[:, None]
+    below = (cells + 1j * ys).ravel()
+    w_below = np.tile(((0.5 * wu * half)[:, None] * wv).ravel(), w)
+    return np.concatenate([above, below]), np.concatenate([w_above, w_below])
 
-    Columns of the grid are clipped from below at the unit circle.  This is
-    a low-accuracy route (percent level) used to cross-check unfoldings.
+
+def _pair_full_nodes(gamma: GroupSpec, k: float):
+    """Flat (points, weights) of petersson_pair_full: the images g.tau of
+    the nodes of every cusp's strip, and the weights Im(g tau)^k dv =
+    y^(k - 2) |j(g, tau)^-k|^2 dx dy."""
+    moved, weights = [], []
+    for g, w in _cusp_orbits(gamma):
+        taus, area = _cusp_strip(g, w)
+        jmk, gtau = slash_kernel(entry_arrays([g]), taus, k)
+        moved.append(gtau[:, 0])
+        weights.append(area * taus.imag ** (k - 2.0) * np.abs(jmk[:, 0]) ** 2)
+    return np.concatenate(moved), np.concatenate(weights)
+
+
+def petersson_pair_full(F, G, gamma: GroupSpec, k: float) -> complex:
+    """Petersson pairing of F and G over a fundamental domain of gamma,
+    without unfolding: the check on the closed-form pairings.
+
+    The domain is cut at its cusps (modgroup._cusp_orbits): a cusp
+    g.infinity of width w holds the w translates g T^i of the standard
+    domain {|tau| >= 1, |Re tau| <= 1/2}, the nodes of _cusp_strip mapped
+    by g.  F and G are taken at g.tau, each by one evaluation over every
+    cusp's nodes.  Measured against the closed forms of <P, P> at k = 12
+    on SL2(Z) and Gamma0(N), N <= 7 (tests/test_analysis.py): 7e-10 to
+    5.5e-7, where the series' truncation has its share.  The rule takes
+    the e^(-4 pi y / w) decay of a cusp form's square; one decaying as
+    e^(-2 pi y / w), as the slashes F|g by the cosets of Gamma0(2) do on
+    SL2(Z), reads about 2e-4.  Refused (RefusalError) where a node's image
+    lies below series.MIN_IM, at cusps of large width or denominator:
+    Gamma0(6) and Gamma0(N) from N = 8 (seen up to 13).
     """
-    cosets = right_coset_reps(gamma)
-    xs, wx = gauss_panels(-0.5, 0.5, max(4, q.nx // 4))
-    # one column of geometric Gauss nodes per x, clipped at the unit circle
-    cols = [gauss_panels(max(q.y_min, math.sqrt(max(1.0 - x * x, 0.0))), q.y_max,
-                         max(4, q.ny // 4), geometric=True) for x in xs]
-    ys = np.array([c[0] for c in cols])
-    wy = np.array([c[1] for c in cols])
-    taus = (xs[:, None] + 1j * ys).ravel()
-    jmk, moved = slash_kernel(entry_arrays(cosets), taus, k)
-    moved = moved.T.ravel()  # coset-major, then x, then y
-    f_vals = _values(F, moved)
-    g_vals = f_vals if G is F else _values(G, moved)
-    inner = np.sum(f_vals * g_vals.conj(), axis=1)
-    # Im(g tau)^k = y^k |j(g, tau)^-k|^2
-    imk = (taus.imag ** k * np.abs(jmk.T) ** 2).reshape((-1,) + ys.shape)
-    cells = (wx[:, None] * wy) * imk / ys ** 2 * inner.reshape(imk.shape)
-    parts = [comp_sum_complex(col) for col in cells.reshape(-1, ys.shape[1])]
-    return comp_sum_complex(np.array(parts))
+    # what overflows here is refused by the sum as non-finite, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved, weights = _pair_full_nodes(gamma, k)
+        f_vals = _values(F, moved)
+        g_vals = f_vals if G is F else _values(G, moved)
+        return comp_sum_complex(weights * np.sum(f_vals * g_vals.conj(), axis=1))
 
 
 def classical_pairing_closed_form(b_nu: complex, M: int, k: float, nu: int,

@@ -163,6 +163,7 @@ def _run_pair(ns) -> dict:
     if ns.seed == "classical" and box:
         raise ConfigError(f"--{next(iter(box)).replace('_', '')} is an option of the elliptic "
                           "disk; a classical seed does not read it")
+    box.pop("ny", None)  # accepted on the disk, which does not read it
     q = QuadratureSpec(nx=ns.nx, **box)
     handle = _build_series(ns)
     seed = handle.seed
@@ -356,7 +357,7 @@ def _add_series(sp, quad_opts=False):
                         help="classical: trapezoid nodes across the period; "
                              "elliptic: trapezoid nodes in arg w (at least 16)")
         sp.add_argument("--ny", type=int, default=None,
-                        help="elliptic disk only, and not read (at least 16)")
+                        help="elliptic disk only, and not read")
         sp.add_argument("--xmax", type=_finite_float, default=None,
                         help="elliptic disk only: the disk about xi stays in |x| "
                              "<= xmax (default 8), ymin <= y <= ymax")

@@ -7,12 +7,13 @@ which refuses a point outside the upper half-plane), principal-branch real
 powers by the one route the seed kernels take too (_power: integer ones by
 binary powering, the entries past the float range and the rest through log
 and exp), membership tests for the supported subgroup families, the S/T
-syllables of a matrix, coset enumeration inside a Frobenius-norm ball, and
-cusp widths.  Enumeration serves both stabilisers, Gamma_inf(M) and <-I>,
-as array arithmetic over all coprime left columns (a, c) at once, c first
-and a in the stabiliser's range, and then the exact window of parameters s
-per column that keeps the right column (b0 + s a, d0 + s c) inside the
-ball.  A coset table stores its cosets once, in that (c, a, s) order, with
+syllables of a matrix, coset enumeration inside a Frobenius-norm ball,
+cusp widths, and the cusps of a group as the T-orbits of its right cosets
+(_cusp_orbits).  Enumeration serves both stabilisers, Gamma_inf(M) and
+<-I>, as array arithmetic over all coprime left columns (a, c) at once, c
+first and a in the stabiliser's range, and then the exact window of
+parameters s per column that keeps the right column (b0 + s a, d0 + s c)
+inside the ball.  A coset table stores its cosets once, in that (c, a, s) order, with
 the permutation into the table order by norm.  c tau + d over arrays of
 points and integer pairs is taken with Re tau split (_cocycle), accurate
 where c Re(tau) and d cancel.
@@ -423,6 +424,24 @@ def right_coset_reps(gamma: GroupSpec):
                 if len(reps) > _MAX_INDEX:
                     raise RefusalError(f"{gamma} has more than {_MAX_INDEX} right cosets")
     return reps
+
+
+def _cusp_orbits(gamma: GroupSpec) -> list:
+    """One (g, w) per cusp of gamma: the right cosets of right_coset_reps
+    fall into orbits gamma g T^i, 0 <= i < w, under right multiplication
+    by T, each a cusp g.infinity of width w; g is the orbit's first
+    representative in right_coset_reps' order.  The widths sum to the
+    index."""
+    seen, out = set(), []
+    for g in right_coset_reps(gamma):
+        h, key, w = g, _coset_key(gamma, g), 0
+        while key not in seen:
+            seen.add(key)
+            h, w = h * T, w + 1
+            key = _coset_key(gamma, h)
+        if w:
+            out.append((g, w))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

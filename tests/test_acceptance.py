@@ -182,7 +182,7 @@ def test_criterion_5_elliptic_pairing():
     for nu in (0, 1):
         h = elliptic_series(GroupSpec.gamma0(2), 40.0, nu)
         seed = h.seed
-        q = QuadratureSpec(0.05, 14.0, nx=160, ny=28, x_max=8.0)
+        q = QuadratureSpec(0.05, 14.0, nx=160, x_max=8.0)
         strip = petersson_strip(h, seed, 12.0, q)
         coeffs = elliptic_expansion_coeffs(h, 1j, 12.0, [nu], 0.4, nt=128)
         closed = elliptic_pairing_closed_form(coeffs[nu], 12.0, nu, 1j)
@@ -203,13 +203,12 @@ def test_criterion_6_isometry():
     gamma = GroupSpec.gamma0(2)
     h = classical_series(gamma, 60.0)
     cosets = right_coset_reps(gamma)
-    q = QuadratureSpec(0.05, 6.0, nx=32, ny=24)
-    direct = petersson_pair_full(h, h, gamma, 12.0, q=q)
+    direct = petersson_pair_full(h, h, gamma, 12.0)
 
     rho0 = induce(trivial_rep(1, gamma), cosets)
     # the tuple (F|g_1, ..., F|g_n) at one point
     tuple_fn = lambda tau: slash(h, cosets, [tau], MS12)[0].ravel()
-    induced_norm = petersson_pair_full(tuple_fn, tuple_fn, GroupSpec.sl2z(), 12.0, q=q)
+    induced_norm = petersson_pair_full(tuple_fn, tuple_fn, GroupSpec.sl2z(), 12.0)
     rel = abs(direct - induced_norm) / abs(direct)
 
     # the induced tuple transforms under rho0 (spot check at one element)
@@ -217,9 +216,12 @@ def test_criterion_6_isometry():
     lhs = slash(tuple_fn, [S], [tau], MS12)[0, 0]
     rhs = evaluate_rho(rho0, S) @ tuple_fn(tau)
     transf = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-    report(6, rel <= 1e-2 and transf <= 1e-6,
+    # gate: 5x the measured 1.6e-4, the tail of the tuple's components F|S
+    # and F|ST above the top node of the SL2(Z) strip, where they decay at
+    # half the rate its Gauss-Laguerre rule takes
+    report(6, rel <= 8e-4 and transf <= 1e-6,
            f"<F,F> direct {direct.real:.6e} vs induced {induced_norm.real:.6e}, "
-           f"rel {rel:.1e} <= 1e-2; tuple transformation residual {transf:.1e}; "
+           f"rel {rel:.1e} <= 8e-4; tuple transformation residual {transf:.1e}; "
            f"{time.time() - t0:.1f}s")
 
 

@@ -13,8 +13,8 @@ import pytest
 from conftest import act, cocycle, random_element, random_tau, syllable_product
 from vvps import modgroup
 from vvps.errors import DomainError
-from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, _integer_power, _power,
-                           contains, cusp_width, entry_arrays, enumerate_cosets,
+from vvps.modgroup import (GroupSpec, I2, IntMatrix2, S, T, _coset_key, _cusp_orbits,
+                           _integer_power, _power, contains, cusp_width, entry_arrays, enumerate_cosets,
                            is_subgroup, principal_power, right_coset_reps, slash_kernel,
                            st_syllables, t_power)
 from vvps.multiplier import MultiplierSystem
@@ -743,3 +743,19 @@ class TestRightCosets:
             # reps[j] g^{-1} reps[l(j)]^{-1} lies in gamma for every j
             moved = _mul(_mul(ents, entry_arrays([g.inv()])), invs[list(ell)])
             assert contains(gamma, moved).all()
+
+
+class TestCuspOrbits:
+    @pytest.mark.parametrize("gamma", FAMILIES, ids=str)
+    def test_widths_are_cusp_widths_summing_to_the_index(self, gamma):
+        orbits = _cusp_orbits(gamma)
+        assert orbits[0] == (I2, cusp_width(gamma, I2))
+        assert all(w == cusp_width(gamma, g) for g, w in orbits)
+        assert sum(w for _, w in orbits) == _index(gamma)
+
+    @pytest.mark.parametrize("level", range(1, 13))
+    def test_one_orbit_per_cusp_of_gamma0(self, level):
+        # Gamma0(N) has sum over d | N of phi(gcd(d, N/d)) cusps
+        phi = lambda n: sum(math.gcd(u, n) == 1 for u in range(1, n + 1))
+        cusps = sum(phi(math.gcd(d, level // d)) for d in range(1, level + 1) if level % d == 0)
+        assert len(_cusp_orbits(GroupSpec.gamma0(level))) == cusps

@@ -352,12 +352,13 @@ class TestEvaluate:
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs Linux CPU affinity and two usable CPUs")
     def test_warm_call_faults_in_no_temporaries(self):
-        # the elliptic pairing's kernel shape on two workers, as
-        # tools/kernel_faults.py builds it: Gamma0(2), H = 40, the 4,480-point
-        # disk grid.  Freed block temporaries went back to the OS and were
-        # faulted in again on the next block, ~1.5e5 minor faults per call; a
-        # workspace per worker faults in only its own pages.  A fresh process,
-        # so that no earlier test shapes the allocator's state
+        # the elliptic kernel shape on two workers, as tools/kernel_faults.py
+        # builds it: Gamma0(2), H = 40, the 456 points of petersson_pair_full.
+        # Freed block temporaries went back to the OS and were faulted in
+        # again on the next block, ~1.5e5 minor faults per call on the
+        # earlier disk grid; a workspace per worker faults in only its own
+        # pages.  A fresh process, so that no earlier test shapes the
+        # allocator's state
         tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "kernel_faults.py")
         proc = subprocess.run([sys.executable, tool, "elliptic", "2"],
                               capture_output=True, text=True)

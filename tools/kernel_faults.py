@@ -4,8 +4,10 @@ Two kernel shapes, each on 1 worker and on thread_cap() workers:
 
 - cusp-fourier: SL2(Z), GammaInfinity(1), H = 300, the 64-point line
   Im tau = 0.5 of a Fourier extraction;
-- elliptic: Gamma0(2), <-I>, H = 40, the 4,480-point disk grid of an
-  elliptic pairing (xi = i, nx = 160, ny = 28, box 14/8).
+- elliptic: Gamma0(2), <-I>, H = 40, the 456 points of
+  petersson_pair_full on Gamma0(2) against 1,567 cosets (elliptic seed at
+  xi = i, nu = 1): with Gamma0(3)'s 608 points against 1,205, the largest
+  kernel calls of the elliptic-pair workload.
 
 Each configuration runs in a fresh interpreter, which restricts its own CPU
 affinity to the worker count, builds and prepares the handle, calls
@@ -28,7 +30,7 @@ import time
 
 import numpy as np
 
-from vvps.analysis import QuadratureSpec, _strip_nodes
+from vvps.analysis import _pair_full_nodes
 from vvps.modgroup import GroupSpec
 from vvps.multiplier import MultiplierSystem
 from vvps.rep import spectral_split, trivial_rep
@@ -49,7 +51,7 @@ def _handle_and_points(shape: str):
     gamma = GroupSpec.gamma0(2)
     seed = EllipticSeed(1, 1j, np.array([1.0 + 0j]), 12.0)
     h = SeriesHandle(seed, trivial_rep(1, gamma), ms, gamma, 40.0)
-    return h, _strip_nodes(seed, 12.0, QuadratureSpec(0.05, 14.0, 160, 28, 8.0))[0]
+    return h, _pair_full_nodes(gamma, 12.0)[0]
 
 
 def measure(shape: str, workers: int) -> dict:
