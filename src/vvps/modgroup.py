@@ -13,10 +13,10 @@ cusp widths, and the cusps of a group as the T-orbits of its right cosets
 <-I>, as array arithmetic over all coprime left columns (a, c) at once, c
 first and a in the stabiliser's range, and then the exact window of
 parameters s per column that keeps the right column (b0 + s a, d0 + s c)
-inside the ball.  A coset table stores its cosets once, in that (c, a, s) order, with
-the permutation into the table order by norm.  c tau + d over arrays of
-points and integer pairs is taken with Re tau split (_cocycle), accurate
-where c Re(tau) and d cancel.
+inside the ball.  A coset table stores its cosets once, in that (c, a, s)
+order, with the permutation into the table order by norm.  c tau + d over
+arrays of points and integer pairs is taken with Re tau split (_cocycle),
+accurate where c Re(tau) and d cancel.
 """
 
 from __future__ import annotations
