@@ -96,8 +96,8 @@ class TestIncompleteGamma:
                     pytest.approx(float(special.gammainc(a, x)), abs=1e-13)
 
     def test_accuracy_against_mpmath(self):
-        # results below the smallest normal float, here P(199, 1.99) ~ 1e-311,
-        # are subnormal and lose relative accuracy with their bits
+        # results below the smallest normal float, here P(199, 1.99) ~ 1e-314,
+        # are subnormal and lose relative accuracy with their bits (next test)
         mpmath = pytest.importorskip("mpmath")
         worst = 0.0
         with mpmath.workdps(40):
@@ -107,6 +107,31 @@ class TestIncompleteGamma:
                     if ref >= sys.float_info.min:
                         worst = max(worst, rel_err(regularized_incomplete_gamma(a, x), ref))
         assert worst <= 1.7e-13
+
+    def test_subnormal_results_against_mpmath(self):
+        # a subnormal P is good to its spacing 2^-1074 besides the relative
+        # error of a normal one: P(199, 1.99) = 1.0375288837517e-314 reads
+        # 1.0375288835e-314, 0.43 spacings (2.0e-10 relative) off, the float
+        # nearest to it
+        mpmath = pytest.importorskip("mpmath")
+        spacing = mpmath.mpf(2) ** -1074
+        cases = [(199.0, 1.99)]
+        for a in np.geomspace(20.0, 199.0, 8):
+            # x = e^u with x^a e^-x / Gamma(a + 1) = e^t, by Newton in u from 0
+            for t in np.linspace(-740.0, -709.0, 6):
+                u = 0.0
+                for _ in range(50):
+                    u -= (a * u - math.exp(u) - math.lgamma(a + 1.0) - t) / (a - math.exp(u))
+                cases.append((float(a), math.exp(u)))
+        seen = 0
+        with mpmath.workdps(40):
+            for a, x in cases:
+                ref = mp_gamma_p(mpmath, a, x)
+                if spacing < ref < sys.float_info.min:
+                    seen += 1
+                    got = regularized_incomplete_gamma(a, x)
+                    assert abs(ref - got) <= 2 * spacing + 1.7e-13 * ref, (a, x)
+        assert seen >= 40
 
     def test_accuracy_against_mpmath_to_the_domain_edge(self):
         # the series needs ~8 sqrt(a) terms: 600 used to stop it short from
