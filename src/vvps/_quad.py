@@ -1,4 +1,5 @@
-"""Shared numerics: Gauss-Legendre panels, the Gauss rule of a truncated
+"""Shared numerics: the Gauss-Legendre and Gauss-Laguerre rules, built once
+each, Gauss-Legendre panels, the Gauss rule of a truncated
 Jacobi weight, compensated sums, and the Gamma/Beta-family functions of
 the non-vanishing criteria.
 
@@ -57,12 +58,16 @@ and 1.4 times the worst error sampled in either domain.
 The errors of I_x, log B and the beta median come from lgamma terms near
 2,600 that cancel at b = 499: the worst grid point is I_x(9, 499), and
 I_{tanh^2 0.1}(5, 499) is off by 3.1e-13.  A P below the smallest normal
-float (P(199, 1.99) ~ 1e-311) is subnormal and keeps fewer bits.
+float is subnormal and keeps fewer bits: on 48 shapes of a in [20, 199]
+it was within 2 spacings 2^-1074 plus 1.7e-13 relative, and the float
+nearest to the true value where that is below 2^-1034 (P(199, 1.99) =
+1.0375288837517e-314 reads 1.0375288835e-314, 0.43 spacings off).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -79,11 +84,32 @@ _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-5  # ~ sqrt(_SURE): one more Newton step leaves a residual near _SURE
 
 
+@functools.cache
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1]
+    (np.polynomial.legendre.leggauss), built once per n and read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+@functools.cache
+def gauss_laguerre(n: int):
+    """The n-point Gauss-Laguerre nodes and weights for the weight e^-t on
+    [0, inf) (np.polynomial.laguerre.laggauss), built once per n and
+    read-only."""
+    return _read_only(*np.polynomial.laguerre.laggauss(n))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def gauss_panels(a: float, b: float, n_panels: int):
     """Nodes and weights for composite 4-point Gauss-Legendre panels on [a, b]."""
     if n_panels < 1:
         raise ValueError("need at least one panel")
-    x0, w0 = np.polynomial.legendre.leggauss(4)
+    x0, w0 = gauss_legendre(4)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import (comp_sum_complex, gamma_over_power, gauss_jacobi_truncated, log_beta,
-                    regularized_incomplete_beta)
+from ._quad import (comp_sum_complex, gamma_over_power, gauss_jacobi_truncated, gauss_laguerre,
+                    gauss_legendre, log_beta, regularized_incomplete_beta)
 from .errors import DomainError, RefusalError
 from .modgroup import (GroupSpec, I2, IntMatrix2, _cusp_orbits, entry_arrays,
                        principal_power, slash_kernel)
@@ -285,14 +285,14 @@ def _cusp_strip(g: IntMatrix2, w: int):
     |tau - n| = 1 and y = 1."""
     centre = -g.d / g.c if g.c else 0.0
     n0 = math.floor(centre - w / 2.0 + 1.0)
-    t, wt = np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+    t, wt = gauss_laguerre(_LAGUERRE_NODES)
     keep = wt >= _LAGUERRE_CUT * wt.max()
     xs = n0 - 0.5 + (np.arange(_CUSP_X * w) + 0.5) / _CUSP_X
     up = w / (4.0 * math.pi)
     above = (xs[:, None] + 1j * (1.0 + up * t[keep])).ravel()
     w_above = np.tile(wt[keep] * np.exp(t[keep]) * (up / _CUSP_X), len(xs))
-    u, wu = np.polynomial.legendre.leggauss(_CUSP_X)
-    v, wv = np.polynomial.legendre.leggauss(_ARC_Y)
+    u, wu = gauss_legendre(_CUSP_X)
+    v, wv = gauss_legendre(_ARC_Y)
     half = 0.5 * (1.0 - np.sqrt(1.0 - 0.25 * u * u))  # half the column under y = 1
     ys = 1.0 - half[:, None] * (1.0 - v)
     cells = (n0 + np.arange(w))[:, None, None] + 0.5 * u[:, None]
