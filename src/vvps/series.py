@@ -46,7 +46,9 @@ and `evaluate_many` call.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -74,6 +76,85 @@ def thread_cap() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+# a block of at most this many (point, coset) terms, ~1 MB per array, stays in cache
+_BLOCK_TERMS = 65_536
+
+
+def _blocks(points: int, n: int, workers: int) -> list:
+    """Near-equal slices of range(points), each of at most _BLOCK_TERMS
+    terms over n cosets (one point where n is larger): the least multiple
+    of workers of them that allows that, but at most points."""
+    need = -(-points // max(1, _BLOCK_TERMS // n))
+    count = min(points, -(-need // workers) * workers)
+    edges = [i * points // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+_pool_lock = threading.Lock()
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_size = 0
+
+
+def _kernel_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's one pool of kernel threads, with at least workers of
+    them: made on first use, and again, larger, when thread_cap() has
+    grown.  The old pool is dropped, not shut down, so that a call still
+    mapping over it finishes; its idle threads exit once it is collected."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is None or _pool_size < workers:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="vvps-kernel")
+            _pool_size = workers
+        return _pool
+
+
+def _forget_pool():
+    """In a forked child, where the parent's pool threads do not run."""
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+# an anonymous mapping private to the process, where the platform names one
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+_kept = threading.local()
+
+
+class _MappedWorkspace:
+    """modgroup.kernel_workspace's three complex and two float arrays of
+    terms entries, as views of one anonymous mapping.  Closing it unmaps
+    the pages at once, where freed numpy buffers would stay in the
+    thread's malloc arena."""
+
+    def __init__(self, terms: int):
+        self.terms = terms
+        self._map = mmap.mmap(-1, 64 * terms, **_PRIVATE)
+        self.arrays = tuple(np.frombuffer(self._map, dtype, terms, start * terms) for dtype, start
+                            in zip((complex,) * 3 + (float,) * 2, (0, 16, 32, 48, 56)))
+
+    def close(self):
+        self.arrays = ()
+        try:
+            self._map.close()
+        except BufferError:  # a view outlives its call, as in a kept traceback
+            pass  # the mapping goes with the last view
+
+
+def _kept_workspace(terms: int) -> tuple:
+    """The calling pool thread's workspace of at least terms terms, kept
+    between calls: mapped on the thread's first call, and again, larger,
+    when a call needs more, the old mapping closed first."""
+    ws = getattr(_kept, "ws", None)
+    if ws is None or ws.terms < terms:
+        if ws is not None:
+            _kept.ws = None
+            ws.close()
+        _kept.ws = ws = _MappedWorkspace(terms)
+    return ws.arrays
 
 
 def _values(F, taus: np.ndarray) -> np.ndarray:
@@ -210,13 +291,11 @@ class SeriesHandle:
         n = wmat.shape[0]
         total = np.empty((len(taus), self.p), dtype=complex)
         tails = np.empty(len(taus))
-        # blocks of ~1 MB of terms stay in cache
-        chunk = max(1, 65_536 // n)
-        blocks = [slice(lo, lo + chunk) for lo in range(0, len(taus), chunk)]
-        workers = min(len(blocks), thread_cap())
+        cap = thread_cap()
+        blocks = _blocks(len(taus), n, cap)
+        terms = max(sl.stop - sl.start for sl in blocks) * n
 
-        def work(mine):
-            ws = kernel_workspace(min(chunk, len(taus)) * n)
+        def work(mine, ws):
             # errstate is per thread; non-finite sums are refused by block_sum
             with np.errstate(over="ignore", invalid="ignore"):
                 for sl in mine:
@@ -229,11 +308,12 @@ class SeriesHandle:
                     mass *= wnorm
                     np.sum(mass, axis=1, out=tails[sl])
 
-        if workers == 1:
-            work(blocks)
+        if len(blocks) == 1:
+            work(blocks, kernel_workspace(terms))
         else:
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(work, [blocks[i::workers] for i in range(workers)]))
+            workers = min(len(blocks), cap)
+            list(_kernel_pool(workers).map(lambda mine: work(mine, _kept_workspace(terms)),
+                                           [blocks[i::workers] for i in range(workers)]))
         return total, tails
 
     def evaluate(self, tau):
