@@ -376,19 +376,23 @@ def _bits(*results):
 
 
 class TestWorkerCount:
-    # evaluate_many maps its point blocks over thread_cap() workers; the
-    # blocks do not depend on the worker count, so neither do the results
+    # evaluate_many splits its points into near-equal blocks, a multiple of
+    # thread_cap() of them, and maps them over that many workers: the
+    # blocks depend on the worker count, but each point's row is summed
+    # whole, so the results do not
 
     @pytest.fixture(scope="class")
     def induced(self):
-        # p = 4
+        # p = 4, 654 cosets: at most 100 points in a block
         h = classical_handle(GroupSpec.sl2z(), rep=induced_trivial(3), j=2, height=30.0)
         taus = np.linspace(-0.6, 0.6, 320) + 1j * np.linspace(0.3, 1.5, 320)
-        # 654 cosets: three blocks of 100 points and one of 20
-        assert len(taus) > 3 * (65_536 // len(h.cosets.ents))
+        assert 65_536 // len(h.cosets.ents) == 100
+        one_worker = {}
         with pytest.MonkeyPatch.context() as mp:
             _set_workers(mp, 1)
-            return h, taus, h.evaluate_many(taus)
+            for points in (101, 250, 320):
+                one_worker[points] = h.evaluate_many(taus[:points])
+        return h, taus, one_worker
 
     @pytest.fixture(scope="class")
     def consumers(self):
@@ -415,20 +419,34 @@ class TestWorkerCount:
             _set_workers(mp, 1)
             return {name: job() for name, job in consumers.items()}
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_evaluate_many_bitwise_for_any_worker_count(self, monkeypatch, induced,
-                                                         workers):
-        h, taus, one_worker = induced
-        _set_workers(monkeypatch, workers)
+    @staticmethod
+    def _often_switched(h, taus):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers' row writes often
         try:
-            got = h.evaluate_many(taus)
+            return h.evaluate_many(taus)
         finally:
             sys.setswitchinterval(interval)
-        assert _bits(*got) == _bits(*one_worker)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_evaluate_many_bitwise_for_any_worker_count(self, monkeypatch, induced,
+                                                         workers):
+        # on 3 workers 320 points go 53 or 54 to each of 6 blocks
+        h, taus, one_worker = induced
+        _set_workers(monkeypatch, workers)
+        assert _bits(*self._often_switched(h, taus)) == _bits(*one_worker[320])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("points", [101, 250])
+    def test_uneven_point_counts_bitwise_for_any_worker_count(self, monkeypatch, induced,
+                                                              points, workers):
+        # blocks of at most 100 points taken in turn would split these
+        # 100/1 and 100/100/50
+        h, taus, one_worker = induced
+        _set_workers(monkeypatch, workers)
+        assert _bits(*self._often_switched(h, taus[:points])) == _bits(*one_worker[points])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", ["fourier", "strip_gamma_inf", "strip_pm_identity",
                                       "pair_full"])
     def test_consumers_bitwise_for_any_worker_count(self, monkeypatch, consumers,
