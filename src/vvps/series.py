@@ -15,16 +15,22 @@ correctly rounded but near a rounding boundary, and a function of each
 point's terms (their order moves only the rounding of a residual below
 n 2^-50 of the largest of n terms).  It reports an empirical tail proxy,
 the mass of the outermost tenth of the included cosets by Frobenius norm.
-evaluate_many splits its points into blocks of about 65,536 terms and
-maps them over thread_cap() workers, one per usable CPU; no result
-depends on the blocks or the worker count.  Each worker allocates one
-workspace per call (modgroup.kernel_workspace: three complex and two float
-arrays of one block) and every step of the kernel, the seed's slashed
-scalars (in its second complex array), the products, the sums' scratch
-(in its first) and the tail masses, writes into it with out=.  A
-block's dozen ~1 MB temporaries, allocated and freed, went back to the OS
-and were faulted in again by the next block: ~150k page faults per call
-of an elliptic pairing, and a quarter of its CPU time spent in the system.
+evaluate_many splits its points into near-equal blocks of at most 65,536
+terms (one point over a larger table), a multiple of thread_cap() of them,
+one worker per usable CPU; each point's row is summed whole, so no result
+depends on the blocks or the worker count.  A call of one block runs
+inline on a workspace of its own (modgroup.kernel_workspace: three complex
+and two float arrays of one block).  Every other call maps its blocks over
+one pool of threads that the process keeps: made on first use, made
+again when thread_cap() grows, and forgotten in a forked child.  Each
+pool thread keeps one workspace between calls, the same five arrays as
+views of one anonymous mapping, mapped anew (the old one unmapped first)
+only when a call needs a larger one, so a warm call starts no thread and
+faults in no page.  Every step of the kernel, the seed's slashed scalars
+(in its second complex array), the products, the sums' scratch (in its
+first) and the tail masses, writes into the workspace with out=.  A
+workspace per call faulted ~800-1,500 pages in again on each warm
+elliptic pairing call, and freed block temporaries before it ~150k.
 
 Preparation folds the inverse multiplier, the representation and the
 classical seed's phase into one vector per coset, conj(v(g)) e(alpha a/c)

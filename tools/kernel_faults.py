@@ -11,10 +11,15 @@ Two kernel shapes, each on 1 worker and on thread_cap() workers:
 
 Each configuration runs in a fresh interpreter, which restricts its own CPU
 affinity to the worker count, builds and prepares the handle, calls
-evaluate_many once to warm up and once measured.  Printed per line: wall,
-user and system seconds and minor page faults of the measured call, its
-wall nanoseconds per (point, coset) term, the kernel's unit, and the
-growth of ru_maxrss from before the first call to after the second.
+evaluate_many once to warm up and once measured.  Both shapes take
+several blocks, so both calls run on the process's kernel pool: the
+first starts its threads and maps each one's workspace, and the measured
+call reuses them, so its minor faults count what the kernel itself
+allocates (a handful of pages; a workspace per call read 776-1,538 on the
+elliptic shape).  Printed per line: wall, user and system seconds and
+minor page faults of the measured call, its wall nanoseconds per (point,
+coset) term, the kernel's unit, and the growth of ru_maxrss from before
+the first call to after the second, which holds the kept workspaces.
 
     PYTHONPATH=src python3 tools/kernel_faults.py
 """
