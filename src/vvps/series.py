@@ -24,9 +24,9 @@ and two float arrays of one block).  Every other call maps its blocks over
 one pool of threads that the process keeps: made on first use, made
 again when thread_cap() grows, and forgotten in a forked child.  Each
 pool thread keeps one workspace between calls, the same five arrays as
-views of one anonymous mapping, mapped anew (the old one unmapped first)
-only when a call needs a larger one, so a warm call starts no thread and
-faults in no page.  Every step of the kernel, the seed's slashed scalars
+views of one anonymous mapping of a whole block, mapped anew (the old one
+unmapped first) only for a block of one point over more cosets, so a warm
+call starts no thread and faults in no page.  Every step of the kernel, the seed's slashed scalars
 (in its second complex array), the products, the sums' scratch (in its
 first) and the tail masses, writes into the workspace with out=.  A
 workspace per call faulted ~800-1,500 pages in again on each warm
@@ -152,14 +152,16 @@ class _MappedWorkspace:
 
 def _kept_workspace(terms: int) -> tuple:
     """The calling pool thread's workspace of at least terms terms, kept
-    between calls: mapped on the thread's first call, and again, larger,
-    when a call needs more, the old mapping closed first."""
+    between calls: mapped for a whole block (_BLOCK_TERMS) on the thread's
+    first call, so that a call with larger blocks than the last faults in
+    only the pages it adds, and mapped again, larger, the old mapping
+    closed first, only for a block of one point over more cosets."""
     ws = getattr(_kept, "ws", None)
     if ws is None or ws.terms < terms:
         if ws is not None:
             _kept.ws = None
             ws.close()
-        _kept.ws = ws = _MappedWorkspace(terms)
+        _kept.ws = ws = _MappedWorkspace(max(terms, _BLOCK_TERMS))
     return ws.arrays
 
 

@@ -409,6 +409,22 @@ class TestKernelPool:
         assert series._pool is not before and series._pool_size == workers
         assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
 
+    def test_workspace_mapped_for_a_whole_block(self):
+        # a thread's first workspace holds a whole block, so that a later
+        # call with larger blocks faults in the pages it adds, not a new
+        # mapping; only one point over more cosets maps a larger one
+        seen = []
+
+        def thread():
+            first = series._kept_workspace(100)
+            seen.append(series._kept_workspace(series._BLOCK_TERMS) is first)
+            seen.append(len(series._kept_workspace(series._BLOCK_TERMS + 1)[0]))
+
+        worker = threading.Thread(target=thread)
+        worker.start()
+        worker.join()
+        assert seen == [True, series._BLOCK_TERMS + 1]
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
     def test_forked_child_evaluates(self):
